@@ -42,13 +42,18 @@ fn bench_generation(c: &mut Criterion) {
     for (label, topo) in generation_cases() {
         let query: Query = paper_query(&catalog, topo, 1, 0);
         let n = query.num_relations();
-        let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
-        ctx.set_parallelism(1);
+        let mut ctx = EnumContext::new(
+            &query,
+            &model,
+            Budget::unlimited(),
+            1,
+            EnumeratorKind::from_env(),
+        );
         for i in 0..n {
             ctx.ensure_base_group(i);
         }
         let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
-        let mut scan = LevelScan;
+        let mut scan = LevelScan::default();
         let table = run_levels_with(&mut ctx, &atoms, n, None, &mut scan).unwrap();
         for kind in [EnumeratorKind::LevelScan, EnumeratorKind::Dpccp] {
             g.bench_with_input(BenchmarkId::new(kind.label(), label), &table, |b, table| {

@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn memory_model_counts_live_nodes() {
-        use crate::plan::{PlanNode, PlanOp};
+        use crate::plan::{Children, PlanNode, PlanOp};
         use sdp_catalog::RelId;
         use sdp_query::RelSet;
         let counter = NodeCounter::new();
@@ -388,7 +388,7 @@ mod tests {
             1.0,
             1.0,
             None,
-            vec![],
+            Children::Leaf,
         );
         assert_eq!(m.used_bytes(), NODE_MODEL_BYTES);
         drop(plan);

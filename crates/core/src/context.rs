@@ -2,7 +2,7 @@
 //! estimates — everything the DP/IDP/SDP enumerators thread through
 //! their level loops.
 //!
-//! The join-costing core (`EnumContext::join_pair_into`) takes
+//! The join-costing core (`EnumContext::cost_pair`) takes
 //! `&self` and writes into a caller-supplied [`Group`], so it can run
 //! either on the coordinating thread (folding straight into the memo)
 //! or on parallel level workers (folding into private shards that the
@@ -10,18 +10,19 @@
 //! `EnumContext::merge_shard` and the "Threading model" section of
 //! DESIGN.md).
 
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sdp_cost::{CostModel, InnerIndex, JoinInput, ScanKind};
+use sdp_cost::{CostModel, InnerIndex, JoinInput, JoinMethod, ScanKind};
 use sdp_query::{ClassId, EquivClasses, JoinGraph, Query, RelSet};
 
 use crate::budget::{Budget, BudgetProbe, MemoryModel, OptError};
 use crate::enumerate::EnumeratorKind;
 use crate::fx::FxHashMap;
 use crate::memo::{Group, Memo};
-use crate::plan::{NodeCounter, PlanNode, PlanOp};
+use crate::plan::{Children, NodeCounter, PlanNode, PlanOp};
 #[cfg(feature = "trace")]
 use sdp_trace::{Event, EventBuffer, Tracer};
 
@@ -147,11 +148,185 @@ pub(crate) struct LevelShard {
     pub trace: EventBuffer,
 }
 
+/// Everything the per-pair path needs that is a pure function of the
+/// query, computed once per run in [`EnumContext::new`]: the
+/// estimator's ln terms (so no `ln`, `sqrt` or catalog look-up is
+/// repeated per pair), each edge's order class and index usability,
+/// and per-node incident-edge bitmaps that make a pair's crossing
+/// edges an AND of two ORs. Edges, nodes and filters keep the join
+/// graph's indexing, so walking a table in ascending index adds the
+/// same `f64` terms in the same order as the estimator's own scans.
+#[derive(Debug)]
+struct RunTables {
+    /// `ln(edge_selectivity(e))`.
+    edge_ln_sel: Vec<f64>,
+    /// Order class of the edge's join columns.
+    edge_class: Vec<ClassId>,
+    /// The edge's two endpoints.
+    edge_nodes: Vec<RelSet>,
+    /// The endpoints whose side of the edge is their relation's
+    /// indexed column (an index nested-loop can probe them).
+    edge_indexed: Vec<RelSet>,
+    /// `u64` words per incident-edge bitmap.
+    edge_words: usize,
+    /// `incident[n * edge_words ..][.. edge_words]`: bitmap, by edge
+    /// index, of the edges touching node `n`.
+    incident: Vec<u64>,
+    /// `ln(max(cardinality, 1))` of the node's relation.
+    node_ln_card: Vec<f64>,
+    /// Index metadata of the node's relation.
+    node_index: Vec<InnerIndex>,
+    /// `(node, ln(predicate_selectivity))` per local predicate.
+    filter_ln_sel: Vec<(usize, f64)>,
+    /// Nodes owning a member column of each order class.
+    class_nodes: Vec<RelSet>,
+}
+
+impl RunTables {
+    fn new(graph: &JoinGraph, model: &CostModel<'_>, classes: &EquivClasses) -> Self {
+        let est = model.estimator();
+        let catalog = model.catalog();
+        let edges = graph.edges();
+        let edge_words = edges.len().div_ceil(64);
+        let mut incident = vec![0u64; graph.len() * edge_words];
+        for (e, edge) in edges.iter().enumerate() {
+            for node in [edge.left.node, edge.right.node] {
+                incident[node * edge_words + e / 64] |= 1 << (e % 64);
+            }
+        }
+        let indexed = |c: sdp_query::ColRef| {
+            catalog
+                .relation(graph.relation(c.node))
+                .expect("valid binding")
+                .has_index_on(c.col)
+        };
+        RunTables {
+            edge_ln_sel: edges
+                .iter()
+                .map(|e| est.edge_selectivity(graph, e).ln())
+                .collect(),
+            edge_class: edges
+                .iter()
+                .map(|e| classes.class_of(e.left).expect("edge columns are classed"))
+                .collect(),
+            edge_nodes: edges.iter().map(|e| e.node_set()).collect(),
+            edge_indexed: edges
+                .iter()
+                .map(|e| {
+                    [e.left, e.right]
+                        .into_iter()
+                        .filter(|&c| indexed(c))
+                        .map(|c| c.node)
+                        .collect()
+                })
+                .collect(),
+            edge_words,
+            incident,
+            node_ln_card: (0..graph.len())
+                .map(|n| est.ln_base_product(graph, RelSet::single(n)))
+                .collect(),
+            node_index: (0..graph.len())
+                .map(|n| {
+                    let stats = catalog.stats(graph.relation(n)).expect("valid binding");
+                    InnerIndex {
+                        tuples: stats.relation.tuples,
+                        pages: stats.relation.pages,
+                    }
+                })
+                .collect(),
+            filter_ln_sel: graph
+                .filters()
+                .iter()
+                .map(|f| (f.column.node, est.predicate_selectivity(graph, f).ln()))
+                .collect(),
+            class_nodes: classes
+                .iter()
+                .map(|(_, members)| members.iter().map(|m| m.node).collect())
+                .collect(),
+        }
+    }
+
+    /// Bitmap word `w` of the edges touching any node of `set`.
+    #[inline]
+    fn incident_word(&self, set: RelSet, w: usize) -> u64 {
+        set.iter()
+            .fold(0, |m, n| m | self.incident[n * self.edge_words + w])
+    }
+}
+
+/// Crossing classes held inline up to this many; a pair with more
+/// distinct classes spills to the heap.
+const INLINE_CLASSES: usize = 16;
+
+/// The distinct order classes of a pair's crossing edges, ascending.
+#[derive(Debug)]
+struct CrossingClasses {
+    inline: [ClassId; INLINE_CLASSES],
+    len: usize,
+    /// Holds *all* classes once `inline` has overflowed.
+    spill: Vec<ClassId>,
+}
+
+impl CrossingClasses {
+    fn new() -> Self {
+        CrossingClasses {
+            inline: [0; INLINE_CLASSES],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, class: ClassId) {
+        if !self.spill.is_empty() {
+            if let Err(at) = self.spill.binary_search(&class) {
+                self.spill.insert(at, class);
+            }
+            return;
+        }
+        let Err(at) = self.inline[..self.len].binary_search(&class) else {
+            return;
+        };
+        if self.len == INLINE_CLASSES {
+            self.spill.extend_from_slice(&self.inline);
+            self.spill.insert(at, class);
+            return;
+        }
+        self.inline.copy_within(at..self.len, at + 1);
+        self.inline[at] = class;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[ClassId] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+/// Everything about a candidate pair `(a, b)` that does not depend on
+/// which plans are joined — the product of one pass over the pair's
+/// crossing edges (`EnumContext::pair_facts`).
+#[derive(Debug)]
+struct PairFacts {
+    /// Joint selectivity of the crossing edges.
+    crossing_sel: f64,
+    /// Their distinct order classes (one merge join alternative each).
+    classes: CrossingClasses,
+    /// Index nested-loop metadata with `a` as the inner side: `a` is a
+    /// single base relation indexed on a crossing join column.
+    a_index: Option<InnerIndex>,
+    /// The same with `b` as the inner side.
+    b_index: Option<InnerIndex>,
+}
+
 /// Mutable state of one optimization run.
 pub struct EnumContext<'a> {
     query: &'a Query,
     model: &'a CostModel<'a>,
     classes: EquivClasses,
+    tables: RunTables,
     order_target: Option<ClassId>,
     nodes: NodeCounter,
     parallelism: usize,
@@ -183,11 +358,20 @@ pub struct EnumContext<'a> {
 
 impl<'a> EnumContext<'a> {
     /// Start a run over `query` (whose graph should already carry any
-    /// rewriter-inferred edges) with the given cost model and budget.
-    /// Enumeration parallelism defaults to [`default_parallelism`];
-    /// override with [`EnumContext::set_parallelism`].
-    pub fn new(query: &'a Query, model: &'a CostModel<'a>, budget: Budget) -> Self {
+    /// rewriter-inferred edges) with the given cost model and budget,
+    /// `parallelism` worker threads (clamped to at least 1) and the
+    /// given pair-enumeration strategy. Reads no environment: callers
+    /// wanting the `SDP_THREADS` / `SDP_ENUMERATOR` defaults pass
+    /// [`default_parallelism`] and [`EnumeratorKind::from_env`].
+    pub fn new(
+        query: &'a Query,
+        model: &'a CostModel<'a>,
+        budget: Budget,
+        parallelism: usize,
+        enumerator: EnumeratorKind,
+    ) -> Self {
         let classes = query.equiv_classes();
+        let tables = RunTables::new(&query.graph, model, &classes);
         // The effective interesting order: ORDER BY, else GROUP BY
         // (sort-based grouping wants sorted input, so a grouping
         // column is an interesting order in exactly the same sense).
@@ -199,11 +383,12 @@ impl<'a> EnumContext<'a> {
             query,
             model,
             classes,
+            tables,
             order_target,
             memory: MemoryModel::new(budget, nodes.clone()),
             nodes,
-            parallelism: default_parallelism(),
-            enumerator: EnumeratorKind::from_env(),
+            parallelism: parallelism.max(1),
+            enumerator,
             memo: Memo::new(),
             plans_costed: 0,
             jcrs_pruned: 0,
@@ -215,6 +400,20 @@ impl<'a> EnumContext<'a> {
             #[cfg(feature = "trace")]
             tracer: Tracer::disabled(),
         }
+    }
+
+    /// A run with the environment's enumeration defaults, for tests
+    /// (the CI determinism matrix sets `SDP_THREADS` and
+    /// `SDP_ENUMERATOR` around the whole suite).
+    #[cfg(test)]
+    pub(crate) fn from_env(query: &'a Query, model: &'a CostModel<'a>, budget: Budget) -> Self {
+        Self::new(
+            query,
+            model,
+            budget,
+            default_parallelism(),
+            EnumeratorKind::from_env(),
+        )
     }
 
     /// The join graph being optimized (borrowed for the query's
@@ -256,20 +455,10 @@ impl<'a> EnumContext<'a> {
         self.parallelism
     }
 
-    /// Set the enumeration parallelism (clamped to at least 1).
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallelism = threads.max(1);
-    }
-
     /// The pair-enumeration strategy `run_levels` builds its
     /// per-invocation enumerator from.
     pub fn enumerator(&self) -> EnumeratorKind {
         self.enumerator
-    }
-
-    /// Select the pair-enumeration strategy for this run.
-    pub fn set_enumerator(&mut self, kind: EnumeratorKind) {
-        self.enumerator = kind;
     }
 
     /// Install the structured-trace emission handle for this run.
@@ -329,13 +518,7 @@ impl<'a> EnumContext<'a> {
     /// instead of growing with the join size.
     pub fn useful_ordering(&self, ordering: Option<ClassId>, set: RelSet) -> Option<ClassId> {
         let c = ordering?;
-        if self.order_target == Some(c) {
-            return Some(c);
-        }
-        self.classes
-            .members(c)
-            .iter()
-            .any(|m| !set.contains(m.node))
+        (self.order_target == Some(c) || !set.is_superset(self.tables.class_nodes[c as usize]))
             .then_some(c)
     }
 
@@ -378,7 +561,7 @@ impl<'a> EnumContext<'a> {
                         rows,
                         path.cost,
                         None,
-                        vec![],
+                        Children::Leaf,
                     ));
                 }
                 ScanKind::IndexFull | ScanKind::IndexRange => {
@@ -400,7 +583,7 @@ impl<'a> EnumContext<'a> {
                             rows,
                             path.cost,
                             class,
-                            vec![],
+                            Children::Leaf,
                         ));
                     }
                 }
@@ -435,12 +618,7 @@ impl<'a> EnumContext<'a> {
         };
         // The executor sorts by a column it can see: the order class
         // needs a member column on a relation inside the set.
-        if !self
-            .classes
-            .members(target)
-            .iter()
-            .any(|m| set.contains(m.node))
-        {
+        if !self.tables.class_nodes[target as usize].intersects(set) {
             return false;
         }
         let candidate = {
@@ -470,7 +648,7 @@ impl<'a> EnumContext<'a> {
             rows,
             cost,
             Some(target),
-            vec![best],
+            Children::Unary([best]),
         );
         let inserted = self
             .memo
@@ -488,21 +666,35 @@ impl<'a> EnumContext<'a> {
     /// the whole set (not incrementally from this particular
     /// decomposition): the ≥ 1-row clamp would otherwise make the
     /// estimate depend on which pair reached the set first, and plans
-    /// for the same JCR must agree on its cardinality.
-    fn new_union_group(&self, a: RelSet, b: RelSet) -> Group {
-        let union = a | b;
-        let graph = self.graph();
+    /// for the same JCR must agree on its cardinality. The sums walk
+    /// the per-run tables in ascending node, edge and filter index —
+    /// the terms and order of `Estimator::rows_for_set` and
+    /// `selectivity_for_set`, so the results are theirs bit for bit.
+    fn new_union_group(&self, a: &Group, b: &Group) -> Group {
+        let union = a.set | b.set;
+        let t = &self.tables;
         let est = self.model.estimator();
-        let a_width = self.memo.get(a).expect("left group exists").width;
-        let b_width = self.memo.get(b).expect("right group exists").width;
-        let out_rows = est.rows_for_set(graph, union).min(MAX_ROWS);
-        let out_sel = est.selectivity_for_set(graph, union);
+        let ln_base: f64 = union.iter().map(|n| t.node_ln_card[n]).sum();
+        let ln_internal: f64 = t
+            .edge_nodes
+            .iter()
+            .zip(&t.edge_ln_sel)
+            .filter(|(&nodes, _)| union.is_superset(nodes))
+            .map(|(_, &ln)| ln)
+            .sum();
+        let ln_filter: f64 = t
+            .filter_ln_sel
+            .iter()
+            .filter(|&&(node, _)| union.contains(node))
+            .map(|&(_, ln)| ln)
+            .sum();
         Group::new(
             union,
-            out_rows,
-            out_sel,
-            a_width + b_width,
-            graph.neighbors(union),
+            est.rows_from_ln(ln_base + ln_internal + ln_filter)
+                .min(MAX_ROWS),
+            est.selectivity_from_ln(ln_internal + ln_filter),
+            a.width + b.width,
+            (a.neighbors | b.neighbors) - union,
         )
     }
 
@@ -515,143 +707,126 @@ impl<'a> EnumContext<'a> {
     pub fn join_pair(&mut self, a: RelSet, b: RelSet) -> bool {
         debug_assert!(a.is_disjoint(b));
         let union = a | b;
-        // Take the union group out of the memo (leaving a placeholder
-        // so the map structure — and hence its iteration order — is
-        // untouched), cost into it with the shared `&self` core, and
-        // put it back.
-        let (mut group, created) = match self.memo.get_mut(union) {
-            Some(g) => (
-                std::mem::replace(g, Group::new(union, 0.0, 0.0, 0.0, RelSet::EMPTY)),
-                false,
-            ),
-            None => (self.new_union_group(a, b), true),
-        };
+        // Take the union group's plans out of the memo (the emptied
+        // group stays in place, so the map structure — and hence its
+        // iteration order — is untouched), cost into them with the
+        // shared `&self` core, and put them back.
+        let taken = self.memo.get_mut(union).map(Group::take);
+        let created = taken.is_none();
+        let (ga, gb) = self.inputs(a, b);
+        let mut group = taken.unwrap_or_else(|| self.new_union_group(ga, gb));
         let mut costed = 0u64;
-        self.join_pair_into(a, b, &mut group, &mut costed);
+        self.cost_pair(ga, gb, &mut group, &mut costed);
         self.plans_costed += costed;
         if created {
             self.memo.insert(group);
             self.memory.add_groups(1);
         } else {
-            *self.memo.get_mut(union).expect("placeholder present") = group;
+            *self.memo.get_mut(union).expect("emptied group present") = group;
         }
         created
+    }
+
+    /// The memo groups of a candidate pair, resolved once per pair.
+    fn inputs(&self, a: RelSet, b: RelSet) -> (&Group, &Group) {
+        (
+            self.memo.get(a).expect("left group exists"),
+            self.memo.get(b).expect("right group exists"),
+        )
+    }
+
+    /// One pass over the crossing edges of disjoint `a` and `b`, in
+    /// ascending edge index (so the selectivity sums the terms of
+    /// `Estimator::crossing_selectivity` in its order; summing from
+    /// `0.0` where `Iterator::sum` may start from `-0.0` can only flip
+    /// the sign of a zero, which `exp` erases).
+    fn pair_facts(&self, a: RelSet, b: RelSet) -> PairFacts {
+        let t = &self.tables;
+        let mut ln_sel = 0.0;
+        let mut classes = CrossingClasses::new();
+        let mut indexed = RelSet::EMPTY;
+        for w in 0..t.edge_words {
+            // An edge touching both of two disjoint sets crosses them.
+            let mut crossing = t.incident_word(a, w) & t.incident_word(b, w);
+            while crossing != 0 {
+                let e = w * 64 + crossing.trailing_zeros() as usize;
+                crossing &= crossing - 1;
+                ln_sel += t.edge_ln_sel[e];
+                classes.insert(t.edge_class[e]);
+                indexed = indexed | t.edge_indexed[e];
+            }
+        }
+        let index_of = |inner: RelSet| match inner.min_index() {
+            Some(node) if inner.len() == 1 && indexed.contains(node) => Some(t.node_index[node]),
+            _ => None,
+        };
+        PairFacts {
+            crossing_sel: self.model.estimator().selectivity_from_ln(ln_sel),
+            classes,
+            a_index: index_of(a),
+            b_index: index_of(b),
+        }
     }
 
     /// The costing core shared by the sequential and parallel paths:
     /// cost every join alternative for `a ⋈ b` and offer the survivors
     /// to `group` (which covers `a ∪ b` but is *not* in the memo).
-    fn join_pair_into(&self, a: RelSet, b: RelSet, group: &mut Group, plans_costed: &mut u64) {
-        debug_assert!(a.is_disjoint(b));
-        let graph = self.graph();
-        let est = self.model.estimator();
-        let crossing_sel = est.crossing_selectivity(graph, a, b);
-
-        // Distinct order classes of the crossing edges (drive merge
-        // join alternatives).
-        let mut crossing_classes: Vec<ClassId> = graph
-            .crossing_edges(a, b)
-            .filter_map(|e| self.classes.class_of(e.left))
-            .collect();
-        crossing_classes.sort_unstable();
-        crossing_classes.dedup();
-
-        for (outer_set, inner_set) in [(a, b), (b, a)] {
-            self.cost_orientation(
-                outer_set,
-                inner_set,
-                group,
-                crossing_sel,
-                group.rows,
-                &crossing_classes,
-                plans_costed,
-            );
-        }
+    fn cost_pair(&self, a: &Group, b: &Group, group: &mut Group, plans_costed: &mut u64) {
+        debug_assert!(a.set.is_disjoint(b.set));
+        let facts = self.pair_facts(a.set, b.set);
+        self.cost_orientation(a, b, facts.b_index, &facts, group, plans_costed);
+        self.cost_orientation(b, a, facts.a_index, &facts, group, plans_costed);
     }
 
     /// Cost all methods for a fixed (outer, inner) orientation,
     /// offering candidates to `group` as they are produced (so the
     /// dominance early-skip sees every plan retained so far).
-    #[allow(clippy::too_many_arguments)]
     fn cost_orientation(
         &self,
-        outer_set: RelSet,
-        inner_set: RelSet,
+        outer_group: &Group,
+        inner_group: &Group,
+        inner_index: Option<InnerIndex>,
+        facts: &PairFacts,
         group: &mut Group,
-        crossing_sel: f64,
-        out_rows: f64,
-        crossing_classes: &[ClassId],
         plans_costed: &mut u64,
     ) {
-        let graph = self.graph();
         let union = group.set;
-
-        // Index nested-loop applicability: inner is a single base
-        // relation whose indexed column is one of the crossing join
-        // columns.
-        let inner_index: Option<InnerIndex> = inner_set.min_index().and_then(|node| {
-            if inner_set.len() != 1 {
-                return None;
-            }
-            let rel = graph.relation(node);
-            let relation = self.model.catalog().relation(rel).expect("valid binding");
-            let usable = graph.crossing_edges(outer_set, inner_set).any(|e| {
-                let inner_ref = if e.left.node == node { e.left } else { e.right };
-                inner_ref.node == node && relation.has_index_on(inner_ref.col)
-            });
-            if !usable {
-                return None;
-            }
-            let stats = self.model.catalog().stats(rel).expect("valid binding");
-            Some(InnerIndex {
-                tuples: stats.relation.tuples,
-                pages: stats.relation.pages,
-            })
-        });
-
-        let outer_group = self.memo.get(outer_set).expect("outer group exists");
-        let inner_group = self.memo.get(inner_set).expect("inner group exists");
-        let (outer_rows, outer_width) = (outer_group.rows, outer_group.width);
-        let (inner_rows, inner_width) = (inner_group.rows, inner_group.width);
+        let out_rows = group.rows;
+        let classes = facts.classes.as_slice();
 
         for outer in outer_group.entries() {
             let outer_input = JoinInput {
-                rows: outer_rows,
+                rows: outer_group.rows,
                 cost: outer.cost,
-                width: outer_width,
+                width: outer_group.width,
                 ordering: outer.ordering,
             };
             for (ii, inner) in inner_group.entries().iter().enumerate() {
                 let inner_input = JoinInput {
-                    rows: inner_rows,
+                    rows: inner_group.rows,
                     cost: inner.cost,
-                    width: inner_width,
+                    width: inner_group.width,
                     ordering: inner.ordering,
                 };
                 // Index NLJ does not depend on the inner plan choice:
                 // cost it once, against the first inner entry.
                 let idx = if ii == 0 { inner_index } else { None };
                 // Merge join alternatives, one per crossing class; the
-                // cost crate takes one class per call, so iterate.
-                let mut classes_iter: Vec<Option<ClassId>> =
-                    crossing_classes.iter().copied().map(Some).collect();
-                if classes_iter.is_empty() {
-                    classes_iter.push(None);
-                }
-                for (ci, class) in classes_iter.iter().enumerate() {
+                // cost crate takes one class per call, so iterate (one
+                // class-less round when nothing crosses on a class).
+                for ci in 0..classes.len().max(1) {
                     // Hash/NL candidates are identical across classes;
                     // only cost them on the first class iteration.
                     let cands = self.model.join_candidates(
                         &outer_input,
                         &inner_input,
-                        crossing_sel,
+                        facts.crossing_sel,
                         out_rows,
-                        *class,
+                        classes.get(ci).copied(),
                         if ci == 0 { idx } else { None },
                     );
                     for c in cands {
-                        let is_merge = c.method == sdp_cost::JoinMethod::Merge;
-                        if ci > 0 && !is_merge {
+                        if ci > 0 && c.method != JoinMethod::Merge {
                             continue; // already costed under ci == 0
                         }
                         *plans_costed += 1;
@@ -666,7 +841,7 @@ impl<'a> EnumContext<'a> {
                             out_rows,
                             c.cost,
                             ordering,
-                            vec![outer.clone(), inner.clone()],
+                            Children::Binary([outer.clone(), inner.clone()]),
                         ));
                     }
                 }
@@ -714,20 +889,21 @@ impl<'a> EnumContext<'a> {
                 }
             }
             let union = a | b;
-            if !shard.groups.contains_key(&union) {
-                shard.created_order.push(union);
-                shard.groups.insert(union, self.new_union_group(a, b));
-                #[cfg(feature = "trace")]
-                if tracing {
-                    let mut event = Self::jcr_event(union);
-                    event.wall_micros = self.tracer.wall_micros();
-                    shard.trace.push(union.0, event);
+            let (ga, gb) = self.inputs(a, b);
+            let group = match shard.groups.entry(union) {
+                Entry::Occupied(slot) => slot.into_mut(),
+                Entry::Vacant(slot) => {
+                    shard.created_order.push(union);
+                    #[cfg(feature = "trace")]
+                    if tracing {
+                        let mut event = Self::jcr_event(union);
+                        event.wall_micros = self.tracer.wall_micros();
+                        shard.trace.push(union.0, event);
+                    }
+                    slot.insert(self.new_union_group(ga, gb))
                 }
-            }
-            let group = shard.groups.get_mut(&union).expect("just ensured");
-            let mut costed = 0u64;
-            self.join_pair_into(a, b, group, &mut costed);
-            shard.plans_costed += costed;
+            };
+            self.cost_pair(ga, gb, group, &mut shard.plans_costed);
         }
         shard
     }
@@ -817,7 +993,7 @@ impl<'a> EnumContext<'a> {
                     rows,
                     sort_cost,
                     Some(target),
-                    vec![best],
+                    Children::Unary([best]),
                 ))
             }
         }
@@ -840,7 +1016,7 @@ mod tests {
     use sdp_query::{QueryGenerator, Topology};
 
     fn ctx_fixture<'a>(query: &'a Query, model: &'a CostModel<'a>) -> EnumContext<'a> {
-        EnumContext::new(query, model, Budget::unlimited())
+        EnumContext::from_env(query, model, Budget::unlimited())
     }
 
     #[test]
@@ -878,20 +1054,99 @@ mod tests {
     }
 
     #[test]
-    fn joined_group_rows_match_estimator() {
+    fn tables_reproduce_the_estimator_bit_for_bit() {
+        // The per-run tables and the fused crossing-edge pass against
+        // the scans they replaced, over every pair of an exhaustive
+        // run: same rows, selectivities, merge classes and index
+        // applicability — rewriter-inferred edges, shared join columns
+        // and local predicates included.
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
-        let q = QueryGenerator::new(&cat, Topology::Chain(4), 3).instance(0);
-        let mut ctx = ctx_fixture(&q, &model);
-        for i in 0..2 {
-            ctx.ensure_base_group(i);
+        let est = model.estimator();
+        for (topo, seed) in [
+            (Topology::Chain(6), 3),
+            (Topology::Star(7), 5),
+            (Topology::Clique(6), 2),
+            (Topology::star_chain(9), 4),
+        ] {
+            let mut q = QueryGenerator::new(&cat, topo, seed)
+                .with_filter_probability(0.5)
+                .instance(0);
+            sdp_query::infer_transitive_edges(&mut q.graph);
+            let graph = &q.graph;
+            let mut ctx = EnumContext::new(
+                &q,
+                &model,
+                Budget::unlimited(),
+                1,
+                EnumeratorKind::LevelScan,
+            );
+            let n = graph.len();
+            let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
+            for i in 0..n {
+                ctx.ensure_base_group(i);
+            }
+            let table = crate::dp::run_levels(&mut ctx, &atoms, n, None).unwrap();
+            let mut scan = crate::enumerate::LevelScan::default();
+            for s in 2..=n {
+                for (a, b) in
+                    crate::enumerate::PairEnumerator::level_pairs(&mut scan, &ctx, &table, s)
+                {
+                    let group = ctx.memo.get(a | b).unwrap();
+                    assert_eq!(
+                        group.rows.to_bits(),
+                        est.rows_for_set(graph, a | b).min(MAX_ROWS).to_bits()
+                    );
+                    assert_eq!(
+                        group.selectivity.to_bits(),
+                        est.selectivity_for_set(graph, a | b).to_bits()
+                    );
+                    assert_eq!(group.neighbors, graph.neighbors(a | b));
+
+                    let facts = ctx.pair_facts(a, b);
+                    assert_eq!(
+                        facts.crossing_sel.to_bits(),
+                        est.crossing_selectivity(graph, a, b).to_bits()
+                    );
+                    let mut classes: Vec<ClassId> = graph
+                        .crossing_edges(a, b)
+                        .filter_map(|e| ctx.classes().class_of(e.left))
+                        .collect();
+                    classes.sort_unstable();
+                    classes.dedup();
+                    assert_eq!(facts.classes.as_slice(), classes);
+                    for (outer, inner, index) in [(a, b, facts.b_index), (b, a, facts.a_index)] {
+                        let usable = inner.len() == 1
+                            && graph.crossing_edges(outer, inner).any(|e| {
+                                let c = if inner.contains(e.left.node) {
+                                    e.left
+                                } else {
+                                    e.right
+                                };
+                                let rel = cat.relation(graph.relation(c.node)).unwrap();
+                                rel.has_index_on(c.col)
+                            });
+                        assert_eq!(index.is_some(), usable, "{topo} {outer:?} ⋈ {inner:?}");
+                    }
+                }
+            }
         }
-        ctx.join_pair(RelSet::single(0), RelSet::single(1));
-        let union = RelSet::from_indices([0, 1]);
-        let direct = model.estimator().rows_for_set(&q.graph, union);
-        let group = ctx.memo.get(union).unwrap();
-        let rel_err = (group.rows - direct).abs() / direct;
-        assert!(rel_err < 1e-9, "incremental vs direct rows: {rel_err}");
+    }
+
+    #[test]
+    fn crossing_classes_stay_sorted_and_distinct_past_the_inline_buffer() {
+        let mut classes = CrossingClasses::new();
+        // 0, 7, 14, … mod 40 visits every residue once, out of order;
+        // the second lap repeats them all.
+        let inserted: Vec<ClassId> = (0..80).map(|k| k * 7 % 40).collect();
+        for (k, &c) in inserted.iter().enumerate() {
+            classes.insert(c);
+            let mut expected = inserted[..=k].to_vec();
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(classes.as_slice(), expected);
+        }
+        assert_eq!(classes.as_slice().len(), 40);
     }
 
     #[test]

@@ -457,14 +457,20 @@ fn greedy_complete(ctx: &mut EnumContext<'_>, all: RelSet) -> Result<(), OptErro
 mod tests {
     use super::*;
     use crate::budget::Budget;
+    use crate::enumerate::EnumeratorKind;
     use sdp_catalog::Catalog;
     use sdp_cost::CostModel;
     use sdp_query::{Query, QueryGenerator, Topology};
 
     fn optimize(q: &Query, cat: &Catalog) -> Arc<PlanNode> {
         let model = CostModel::with_defaults(cat);
-        let mut ctx = EnumContext::new(q, &model, Budget::unlimited());
-        ctx.set_parallelism(1);
+        let mut ctx = EnumContext::new(
+            q,
+            &model,
+            Budget::unlimited(),
+            1,
+            EnumeratorKind::from_env(),
+        );
         optimize_complete(&mut ctx, None).expect("optimization succeeds")
     }
 
@@ -498,7 +504,7 @@ mod tests {
         let q = QueryGenerator::new(&cat, Topology::Chain(5), 17).instance(0);
         let model = CostModel::with_defaults(&cat);
 
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let dp_plan = optimize_complete(&mut ctx, None).unwrap();
 
         // The brute force reuses the same EnumContext machinery but
@@ -533,7 +539,7 @@ mod tests {
                 ctx.join_pair(a, b);
             }
         }
-        let mut brute = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut brute = EnumContext::from_env(&q, &model, Budget::unlimited());
         enumerate_all(&mut brute, q.graph.all_nodes());
         let brute_best = brute.finalize(q.graph.all_nodes()).unwrap();
 
@@ -572,7 +578,7 @@ mod tests {
         let cat = Catalog::paper();
         let q = QueryGenerator::new(&cat, Topology::Chain(4), 1).instance(0);
         let model = CostModel::with_defaults(&cat);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         for i in 0..4 {
             ctx.ensure_base_group(i);
         }
@@ -597,8 +603,13 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
 
         let run = |threads: usize| {
-            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-            ctx.set_parallelism(threads);
+            let mut ctx = EnumContext::new(
+                &q,
+                &model,
+                Budget::unlimited(),
+                threads,
+                EnumeratorKind::from_env(),
+            );
             let plan = optimize_complete(&mut ctx, None).unwrap();
             let sets: Vec<RelSet> = ctx.memo.sets().collect();
             let frontiers: Vec<Vec<(u64, Option<sdp_query::ClassId>)>> = sets
@@ -638,7 +649,7 @@ mod tests {
         let cat = Catalog::paper();
         let q = QueryGenerator::new(&cat, Topology::Star(12), 2).instance(0);
         let model = CostModel::with_defaults(&cat);
-        let mut ctx = EnumContext::new(
+        let mut ctx = EnumContext::from_env(
             &q,
             &model,
             Budget::with_memory(64 * crate::budget::GROUP_MODEL_BYTES),
@@ -660,8 +671,9 @@ mod tests {
             &q,
             &model,
             Budget::with_memory(64 * crate::budget::GROUP_MODEL_BYTES),
+            4,
+            EnumeratorKind::from_env(),
         );
-        ctx.set_parallelism(4);
         match optimize_complete(&mut ctx, None) {
             Err(OptError::MemoryExhausted { .. }) => {}
             other => panic!("expected memory exhaustion, got {other:?}"),
@@ -675,7 +687,7 @@ mod tests {
         let q = Query::new(g);
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         assert!(matches!(
             optimize_complete(&mut ctx, None),
             Err(OptError::DisconnectedJoinGraph)
@@ -689,7 +701,7 @@ mod tests {
         let g = sdp_query::JoinGraph::new(vec![RelId(5)], vec![]);
         let q = Query::new(g);
         let model = CostModel::with_defaults(&cat);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let plan = optimize_complete(&mut ctx, None).unwrap();
         assert_eq!(plan.set, RelSet::single(0));
         assert_eq!(plan.join_count(), 0);
@@ -713,7 +725,7 @@ mod tests {
         let cat = Catalog::paper();
         let q = QueryGenerator::new(&cat, Topology::star_chain(8), 4).instance(0);
         let model = CostModel::with_defaults(&cat);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let mut pruner = PruneAll;
         let plan = optimize_complete(&mut ctx, Some(&mut pruner)).unwrap();
         assert_eq!(plan.set, q.graph.all_nodes());
@@ -726,7 +738,7 @@ mod tests {
         let cat = Catalog::paper();
         let q = QueryGenerator::new(&cat, Topology::Star(5), 8).ordered_instance(0);
         let model = CostModel::with_defaults(&cat);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let plan = optimize_complete(&mut ctx, None).unwrap();
         assert_eq!(plan.ordering, ctx.order_target());
         assert!(plan.ordering.is_some());

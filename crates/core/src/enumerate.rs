@@ -5,10 +5,11 @@
 //! only requires a deterministic pair stream whose multiset equals the
 //! joinable pairs of the level. This module supplies three strategies:
 //!
-//! * [`LevelScan`] — the original quadratic scan over survivor levels,
-//!   now with a per-level frontier-mask skip: left entries whose
-//!   cached neighbourhood misses the whole right level are rejected
-//!   without the inner loop.
+//! * [`LevelScan`] — the original survivor-level scan: every left
+//!   entry against the right level, through a per-level inverted
+//!   index (relation → bitmap of entries containing it) that yields
+//!   the joinable, non-overlapping partners directly instead of
+//!   testing each combination.
 //! * [`Dpccp`] — graph-aware csg–cmp pair generation in the style of
 //!   Moerkotte & Neumann's DPccp: for each surviving connected
 //!   subgraph of the smaller split size, connected complements of the
@@ -52,10 +53,16 @@ use crate::fx::FxHashMap;
 /// Which pair-enumeration strategy the level-wise engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EnumeratorKind {
-    /// Quadratic survivor-level scan (the historical behaviour).
+    /// Survivor-level scan (the historical behaviour), through a
+    /// per-level inverted index.
     #[default]
     LevelScan,
-    /// Graph-aware csg–cmp generation (DPccp-style).
+    /// Graph-aware csg–cmp generation (DPccp-style). Do not make it
+    /// the default: it grows complements without looking at the
+    /// survivors, so where SDP has pruned most of a level nearly all
+    /// it grows is discarded — Star-Chain-23 under SDP takes two orders
+    /// of magnitude longer than under `LevelScan` (EXPERIMENTS.md,
+    /// "Enumeration Strategies").
     Dpccp,
     /// Min-plus surrogate lattice pass emitting one decomposition tree
     /// (DPconv-inspired prototype).
@@ -118,7 +125,7 @@ impl EnumeratorKind {
     /// iteration's atom list).
     pub fn build(self) -> Box<dyn PairEnumerator> {
         match self {
-            EnumeratorKind::LevelScan => Box::new(LevelScan),
+            EnumeratorKind::LevelScan => Box::new(LevelScan::default()),
             EnumeratorKind::Dpccp => Box::new(Dpccp::default()),
             EnumeratorKind::DpConv => Box::new(DpConv::default()),
         }
@@ -152,48 +159,108 @@ pub trait PairEnumerator {
     ) -> Vec<(RelSet, RelSet)>;
 }
 
-/// The historical strategy: scan every (left, right) survivor-level
-/// combination and re-test joinability pairwise. Kept as the reference
-/// behaviour (and the default); per-level frontier masks skip left
-/// entries that cannot join anything on the right.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LevelScan;
+/// Inverted index over one survivor level: which entries contain
+/// which base relation.
+#[derive(Debug)]
+struct LevelIndex {
+    /// Entries in the indexed level.
+    len: usize,
+    /// Base relations indexed (the join graph's size).
+    relations: usize,
+    /// `by_rel[w * relations + r]`: word `w` of the bitmap, by entry
+    /// position, of the level's entries containing relation `r`.
+    by_rel: Vec<u64>,
+    /// Union of the level's sets: a left entry whose neighbourhood
+    /// misses it can pair with nothing here.
+    frontier: RelSet,
+}
+
+impl LevelIndex {
+    fn new(level: &[(RelSet, RelSet)], relations: usize) -> Self {
+        let mut by_rel = vec![0u64; level.len().div_ceil(64) * relations];
+        let mut frontier = RelSet::EMPTY;
+        for (k, &(set, _)) in level.iter().enumerate() {
+            frontier = frontier | set;
+            for r in set.iter() {
+                by_rel[k / 64 * relations + r] |= 1 << (k % 64);
+            }
+        }
+        LevelIndex {
+            len: level.len(),
+            relations,
+            by_rel,
+            frontier,
+        }
+    }
+
+    /// Word `w` of the bitmap of entries intersecting `set`.
+    #[inline]
+    fn intersecting(&self, set: RelSet, w: usize) -> u64 {
+        let row = &self.by_rel[w * self.relations..][..self.relations];
+        set.iter().fold(0, |m, r| m | row[r])
+    }
+}
+
+/// The historical strategy and the default: combine every (left,
+/// right) survivor-level pair that is disjoint and joinable. Instead
+/// of testing each combination, a per-level inverted index
+/// (`LevelIndex`, built once per survivor level and kept for the
+/// run) yields a left entry's partners directly — the entries touching
+/// its neighbourhood, minus those overlapping it — in ascending
+/// position, which is exactly the order the left × right double loop
+/// emitted them in.
+#[derive(Debug, Default)]
+pub struct LevelScan {
+    /// `index[k]` indexes `table.levels[k]` once a split has needed it
+    /// as its right side. A level never changes after `run_levels`
+    /// pushes it, so entries stay valid until the next `prepare`.
+    index: Vec<Option<LevelIndex>>,
+}
 
 impl PairEnumerator for LevelScan {
     fn name(&self) -> &'static str {
         EnumeratorKind::LevelScan.label()
     }
 
-    fn prepare(&mut self, _ctx: &EnumContext<'_>, _atoms: &[RelSet], _up_to: usize) {}
+    fn prepare(&mut self, _ctx: &EnumContext<'_>, _atoms: &[RelSet], _up_to: usize) {
+        self.index.clear();
+    }
 
     fn level_pairs(
         &mut self,
-        _ctx: &EnumContext<'_>,
+        ctx: &EnumContext<'_>,
         table: &LevelTable,
         s: usize,
     ) -> Vec<(RelSet, RelSet)> {
         let mut pairs = Vec::new();
+        if self.index.len() < table.levels.len() {
+            self.index.resize_with(table.levels.len(), || None);
+        }
         for i in 1..=s / 2 {
             let j = s - i;
             let (left_level, right_level) = (&table.levels[i - 1], &table.levels[j - 1]);
-            // Frontier mask: a left entry can only pair with a right
-            // entry its neighbourhood touches, so entries whose mask
-            // is disjoint with the whole right level skip the inner
-            // loop. Skipped entries would have produced no pairs, so
-            // the emitted sequence is unchanged.
-            let frontier = right_level.iter().fold(RelSet::EMPTY, |m, &(b, _)| m | b);
+            let right = self.index[j - 1]
+                .get_or_insert_with(|| LevelIndex::new(right_level, ctx.graph().len()));
+            debug_assert_eq!(right.len, right_level.len(), "level changed after indexing");
             for (li, &(a, a_nb)) in left_level.iter().enumerate() {
-                if !a_nb.intersects(frontier) {
+                if !a_nb.intersects(right.frontier) {
                     continue;
                 }
-                for (ri, &(b, _)) in right_level.iter().enumerate() {
-                    if i == j && li >= ri {
-                        continue; // unordered pair once
+                // Equal-size splits take each unordered pair once:
+                // only partners after the left entry's own position.
+                let first = if i == j { li + 1 } else { 0 };
+                for w in first / 64..right.len.div_ceil(64) {
+                    // Joinable (touches the neighbourhood) and not
+                    // overlapping — cartesian products never appear.
+                    let mut partners = right.intersecting(a_nb, w) & !right.intersecting(a, w);
+                    if w == first / 64 {
+                        partners &= !0u64 << (first % 64);
                     }
-                    if !a.is_disjoint(b) || !a_nb.intersects(b) {
-                        continue; // overlapping or cartesian
+                    while partners != 0 {
+                        let ri = w * 64 + partners.trailing_zeros() as usize;
+                        partners &= partners - 1;
+                        pairs.push((a, right_level[ri].0));
                     }
-                    pairs.push((a, b));
                 }
             }
         }
@@ -684,13 +751,18 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, topo, seed).instance(0);
         let n = q.num_relations();
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        ctx.set_parallelism(1);
+        let mut ctx = EnumContext::new(
+            &q,
+            &model,
+            Budget::unlimited(),
+            1,
+            EnumeratorKind::from_env(),
+        );
         for i in 0..n {
             ctx.ensure_base_group(i);
         }
         let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
-        let mut scan = LevelScan;
+        let mut scan = LevelScan::default();
         let table = run_levels_with(&mut ctx, &atoms, n, None, &mut scan).unwrap();
 
         let mut ccp = Dpccp::default();
@@ -738,43 +810,144 @@ mod tests {
         assert_eq!(EnumeratorKind::default(), EnumeratorKind::LevelScan);
     }
 
-    #[test]
-    fn frontier_mask_does_not_change_the_stream() {
-        // The mask only skips entries that emit nothing; compare the
-        // masked stream against a maskless reference scan.
-        let cat = Catalog::paper();
-        let model = CostModel::with_defaults(&cat);
-        let q = QueryGenerator::new(&cat, Topology::star_chain(10), 9).instance(0);
-        let n = q.num_relations();
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        ctx.set_parallelism(1);
-        for i in 0..n {
-            ctx.ensure_base_group(i);
+    /// The double loop `LevelScan` ran before it was indexed, kept as
+    /// the oracle for its pair *sequence*: every left × right survivor
+    /// combination, tested pairwise.
+    fn double_loop_level_pairs(table: &LevelTable, s: usize) -> Vec<(RelSet, RelSet)> {
+        let mut pairs = Vec::new();
+        for i in 1..=s / 2 {
+            let j = s - i;
+            let (left_level, right_level) = (&table.levels[i - 1], &table.levels[j - 1]);
+            for (li, &(a, a_nb)) in left_level.iter().enumerate() {
+                for (ri, &(b, _)) in right_level.iter().enumerate() {
+                    if i == j && li >= ri {
+                        continue; // unordered pair once
+                    }
+                    if !a.is_disjoint(b) || !a_nb.intersects(b) {
+                        continue; // overlapping or cartesian
+                    }
+                    pairs.push((a, b));
+                }
+            }
         }
-        let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
-        let mut scan = LevelScan;
-        let table = run_levels_with(&mut ctx, &atoms, n, None, &mut scan).unwrap();
-        for s in 2..=n {
-            let reference: Vec<(RelSet, RelSet)> = {
-                let mut pairs = Vec::new();
-                for i in 1..=s / 2 {
-                    let j = s - i;
-                    let (ll, rl) = (&table.levels[i - 1], &table.levels[j - 1]);
-                    for (li, &(a, a_nb)) in ll.iter().enumerate() {
-                        for (ri, &(b, _)) in rl.iter().enumerate() {
-                            if i == j && li >= ri {
-                                continue;
-                            }
-                            if !a.is_disjoint(b) || !a_nb.intersects(b) {
-                                continue;
-                            }
-                            pairs.push((a, b));
+        pairs
+    }
+
+    /// A connected query over `n` nodes: a spanning tree (node `i + 1`
+    /// attaches to `parents[i] % (i + 1)`) plus deduplicated extra
+    /// edges, each endpoint on its node's next unused column. Returns
+    /// the tree edges too, for contracting atoms along them.
+    fn random_connected_query(
+        n: usize,
+        parents: &[u64],
+        extras: &[(u64, u64)],
+    ) -> (sdp_query::Query, Vec<(usize, usize)>) {
+        use sdp_catalog::{ColId, RelId};
+        use sdp_query::{ColRef, JoinEdge, JoinGraph};
+        let tree: Vec<(usize, usize)> = parents[..n - 1]
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (p as usize % (i + 1), i + 1))
+            .collect();
+        let mut pairs = tree.clone();
+        for &(a, b) in extras {
+            let (u, v) = (a as usize % n, b as usize % n);
+            if u != v && !pairs.contains(&(u.min(v), u.max(v))) {
+                pairs.push((u.min(v), u.max(v)));
+            }
+        }
+        let mut next_col = vec![0u16; n];
+        let mut col = |node: usize| {
+            next_col[node] += 1;
+            ColRef::new(node, ColId(next_col[node] - 1))
+        };
+        let edges = pairs
+            .iter()
+            .map(|&(u, v)| JoinEdge::new(col(u), col(v)))
+            .collect();
+        let relations = (0..n).map(|r| RelId(r as u32)).collect();
+        (
+            sdp_query::Query::new(JoinGraph::new(relations, edges)),
+            tree,
+        )
+    }
+
+    mod pair_stream {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The indexed `LevelScan` emits exactly the double loop's
+            /// pair sequence — on random connected graphs, over
+            /// compound (IDP-style) atoms, with survivors knocked out
+            /// of every level the way SDP pruning and governed
+            /// hand-offs leave holes.
+            #[test]
+            fn indexed_levelscan_emits_the_double_loop_sequence(
+                n in 3usize..=12,
+                parents in prop::collection::vec(any::<u64>(), 11usize),
+                extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=14),
+                contract in any::<u64>(),
+                holes in any::<u64>(),
+            ) {
+                let (query, tree) = random_connected_query(n, &parents, &extras);
+                let graph = &query.graph;
+                let cat = Catalog::paper();
+                let model = CostModel::with_defaults(&cat);
+                let ctx = EnumContext::new(
+                    &query,
+                    &model,
+                    Budget::unlimited(),
+                    1,
+                    EnumeratorKind::LevelScan,
+                );
+
+                // Contract about an eighth of the tree edges: atoms are
+                // the resulting connected blocks.
+                let mut atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
+                for (k, &(u, v)) in tree.iter().enumerate() {
+                    if contract >> (3 * k) & 7 != 0 {
+                        continue;
+                    }
+                    let merged = atoms
+                        .iter()
+                        .filter(|a| a.contains(u) || a.contains(v))
+                        .fold(RelSet::EMPTY, |m, &a| m | a);
+                    atoms.retain(|a| a.is_disjoint(merged));
+                    atoms.push(merged);
+                }
+                atoms.sort();
+
+                let mut scan = LevelScan::default();
+                scan.prepare(&ctx, &atoms, atoms.len());
+                let mut table = LevelTable::default();
+                table
+                    .levels
+                    .push(atoms.iter().map(|&a| (a, graph.neighbors(a))).collect());
+                let mut hole_bits = holes;
+                for s in 2..=atoms.len() {
+                    let expected = double_loop_level_pairs(&table, s);
+                    prop_assert_eq!(&scan.level_pairs(&ctx, &table, s), &expected, "level {}", s);
+                    // The level's survivors: unions in first-creation
+                    // order (as `run_levels` records them), minus a
+                    // pseudo-random eighth.
+                    let mut level: Vec<(RelSet, RelSet)> = Vec::new();
+                    for &(a, b) in &expected {
+                        if !level.iter().any(|&(u, _)| u == (a | b)) {
+                            level.push((a | b, graph.neighbors(a | b)));
                         }
                     }
+                    level.retain(|_| {
+                        hole_bits = hole_bits
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        hole_bits >> 61 != 0
+                    });
+                    table.levels.push(level);
                 }
-                pairs
-            };
-            assert_eq!(scan.level_pairs(&ctx, &table, s), reference, "level {s}");
+            }
         }
     }
 
@@ -785,8 +958,13 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Chain(5), 11).instance(0);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        ctx.set_parallelism(1);
+        let mut ctx = EnumContext::new(
+            &q,
+            &model,
+            Budget::unlimited(),
+            1,
+            EnumeratorKind::from_env(),
+        );
         for i in 0..5 {
             ctx.ensure_base_group(i);
         }
@@ -806,8 +984,13 @@ mod tests {
         };
         let full_scan = run(EnumeratorKind::LevelScan, &mut ctx);
 
-        let mut ctx2 = EnumContext::new(&q, &model, Budget::unlimited());
-        ctx2.set_parallelism(1);
+        let mut ctx2 = EnumContext::new(
+            &q,
+            &model,
+            Budget::unlimited(),
+            1,
+            EnumeratorKind::from_env(),
+        );
         for i in 0..5 {
             ctx2.ensure_base_group(i);
         }
@@ -835,8 +1018,13 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Chain(8), 2).instance(0);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        ctx.set_parallelism(1);
+        let mut ctx = EnumContext::new(
+            &q,
+            &model,
+            Budget::unlimited(),
+            1,
+            EnumeratorKind::from_env(),
+        );
         for i in 0..8 {
             ctx.ensure_base_group(i);
         }

@@ -54,7 +54,7 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Chain(4), 3).instance(0);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let plan = optimize_complete(&mut ctx, None).unwrap();
         let text = explain(&plan);
         assert_eq!(text.lines().count(), plan.node_count());
@@ -67,7 +67,7 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Chain(3), 1).instance(0);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let plan = optimize_complete(&mut ctx, None).unwrap();
         let text = explain(&plan);
         let lines: Vec<&str> = text.lines().collect();
@@ -335,7 +335,7 @@ mod dot_tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(5), 2).instance(0);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let plan = optimize_complete(&mut ctx, None).unwrap();
         let dot = plan_to_dot(&plan, "plan");
         assert_eq!(dot.matches("\\ncost ").count(), plan.node_count());

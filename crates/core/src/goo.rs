@@ -76,7 +76,7 @@ mod tests {
             Topology::star_chain(12),
         ] {
             let q = QueryGenerator::new(&cat, topo, 9).instance(0);
-            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+            let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
             let plan = optimize_goo(&mut ctx).unwrap();
             assert_eq!(plan.set, q.graph.all_nodes());
             plan.check_invariants().unwrap();
@@ -88,9 +88,9 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(9), 4).instance(0);
-        let mut goo_ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut goo_ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let goo = optimize_goo(&mut goo_ctx).unwrap();
-        let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut dp_ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let dp = optimize_complete(&mut dp_ctx, None).unwrap();
         assert!(goo.cost >= dp.cost * (1.0 - 1e-9));
         assert!(goo_ctx.stats().plans_costed * 10 < dp_ctx.stats().plans_costed);
@@ -102,7 +102,7 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let g = sdp_query::JoinGraph::new(vec![sdp_catalog::RelId(3)], vec![]);
         let q = sdp_query::Query::new(g);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let plan = optimize_goo(&mut ctx).unwrap();
         assert_eq!(plan.join_count(), 0);
     }

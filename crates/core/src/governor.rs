@@ -534,7 +534,7 @@ mod tests {
         let cat = Catalog::paper();
         let q = QueryGenerator::new(&cat, Topology::Chain(3), 1).instance(0);
         let model = CostModel::with_defaults(&cat);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         for i in 0..3 {
             ctx.ensure_base_group(i);
         }

@@ -222,9 +222,9 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, topo, seed).instance(0);
-        let mut idp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut idp_ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let idp = optimize_idp(&mut idp_ctx, IdpConfig::paper(k)).unwrap();
-        let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut dp_ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let dp = optimize_complete(&mut dp_ctx, None).unwrap();
         (idp.cost, dp.cost)
     }
@@ -234,10 +234,10 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::star_chain(10), 6).instance(0);
-        let mut std_ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut std_ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let std_plan = optimize_idp(&mut std_ctx, IdpConfig::standard(4)).unwrap();
         std_plan.check_invariants().unwrap();
-        let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut dp_ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let dp = optimize_complete(&mut dp_ctx, None).unwrap();
         assert!(std_plan.cost >= dp.cost * (1.0 - 1e-9));
     }
@@ -258,7 +258,7 @@ mod tests {
             Topology::Chain(10),
         ] {
             let q = QueryGenerator::new(&cat, topo, 5).instance(0);
-            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+            let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
             let plan = optimize_idp(&mut ctx, IdpConfig::paper(4)).unwrap();
             assert_eq!(plan.set, q.graph.all_nodes(), "{topo}");
             plan.check_invariants().unwrap();
@@ -279,9 +279,9 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(11), 2).instance(0);
-        let mut idp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut idp_ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         optimize_idp(&mut idp_ctx, IdpConfig::paper(4)).unwrap();
-        let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut dp_ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         optimize_complete(&mut dp_ctx, None).unwrap();
         assert!(idp_ctx.stats().plans_costed < dp_ctx.stats().plans_costed);
     }
@@ -291,7 +291,7 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(8), 6).ordered_instance(0);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let plan = optimize_idp(&mut ctx, IdpConfig::paper(4)).unwrap();
         assert_eq!(plan.ordering, ctx.order_target());
     }
@@ -301,7 +301,7 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(12), 7).instance(0);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         optimize_idp(&mut ctx, IdpConfig::paper(4)).unwrap();
         // After the run, the memo holds far fewer groups than were
         // ever created — contraction dropped the rest.

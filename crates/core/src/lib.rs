@@ -88,6 +88,6 @@ pub use enumerate::{DpConv, Dpccp, EnumeratorKind, LevelScan, PairEnumerator};
 pub use explain::{explain, explain_analyze, worst_estimates};
 pub use memo::{Group, Memo};
 pub use optimizer::{Algorithm, OptimizedPlan, Optimizer};
-pub use plan::{NodeCounter, PlanNode, PlanOp};
+pub use plan::{Children, NodeCounter, PlanNode, PlanOp};
 pub use recost::recost;
 pub use sdp::{Partitioning, SdpConfig, SkylineOption};

@@ -12,6 +12,7 @@
 //! `[Rows, Cost, Selectivity]` that SDP's skyline pruning consumes
 //! (paper Figure 2.3).
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use sdp_query::{ClassId, RelSet};
@@ -46,6 +47,17 @@ impl Group {
             width,
             neighbors,
             entries: Vec::with_capacity(2),
+        }
+    }
+
+    /// Move the retained plans out into a group of the same
+    /// properties, leaving this one empty in place (no allocation
+    /// either way). The enumerator costs into the taken group while
+    /// reading the memo, then puts it back.
+    pub(crate) fn take(&mut self) -> Group {
+        Group {
+            entries: std::mem::take(&mut self.entries),
+            ..*self
         }
     }
 
@@ -164,13 +176,14 @@ impl Memo {
     /// Insert a new group. Returns `false` (and keeps the old group)
     /// if the set is already present.
     pub fn insert(&mut self, group: Group) -> bool {
-        let set = group.set;
-        if self.groups.contains_key(&set) {
-            return false;
+        match self.groups.entry(group.set) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                self.created += 1;
+                slot.insert(group);
+                true
+            }
         }
-        self.created += 1;
-        self.groups.insert(set, group);
-        true
     }
 
     /// Remove a group (SDP pruning), returning it if present.
@@ -192,7 +205,7 @@ impl Memo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{NodeCounter, PlanOp};
+    use crate::plan::{Children, NodeCounter, PlanOp};
     use sdp_catalog::RelId;
 
     fn plan(set: RelSet, cost: f64, ordering: Option<ClassId>) -> Arc<PlanNode> {
@@ -206,7 +219,7 @@ mod tests {
             10.0,
             cost,
             ordering,
-            vec![],
+            Children::Leaf,
         )
     }
 
@@ -292,7 +305,7 @@ mod tests {
 #[cfg(test)]
 mod property_tests {
     use super::*;
-    use crate::plan::{NodeCounter, PlanOp};
+    use crate::plan::{Children, NodeCounter, PlanOp};
     use proptest::prelude::*;
     use sdp_catalog::RelId;
 
@@ -307,7 +320,7 @@ mod property_tests {
             10.0,
             cost,
             ordering,
-            vec![],
+            Children::Leaf,
         )
     }
 

@@ -124,13 +124,25 @@ impl<'a> Optimizer<'a> {
     /// [`default_parallelism`] (`SDP_THREADS` env override, else the
     /// machine's available parallelism).
     pub fn new(catalog: &'a Catalog) -> Self {
+        Self::with_enumeration(catalog, default_parallelism(), EnumeratorKind::from_env())
+    }
+
+    /// [`Optimizer::new`] with the enumeration parallelism (clamped to
+    /// at least 1) and pair-enumeration strategy given instead of read
+    /// from the environment — for callers that build an optimizer per
+    /// request and resolved both once.
+    pub fn with_enumeration(
+        catalog: &'a Catalog,
+        parallelism: usize,
+        enumerator: EnumeratorKind,
+    ) -> Self {
         Optimizer {
             catalog,
             params: CostParams::default(),
             budget: Budget::default(),
             infer_closure: true,
-            parallelism: default_parallelism(),
-            enumerator: EnumeratorKind::from_env(),
+            parallelism: parallelism.max(1),
+            enumerator,
             #[cfg(feature = "trace")]
             tracer: sdp_trace::Tracer::disabled(),
         }
@@ -208,11 +220,7 @@ impl<'a> Optimizer<'a> {
     pub fn optimize(&self, query: &Query, algorithm: Algorithm) -> Result<OptimizedPlan, OptError> {
         let rewritten = self.rewrite(query);
         let model = CostModel::new(self.catalog, self.params);
-        let mut ctx = EnumContext::new(&rewritten, &model, self.budget);
-        ctx.set_parallelism(self.parallelism);
-        ctx.set_enumerator(self.enumerator);
-        #[cfg(feature = "trace")]
-        ctx.set_tracer(self.tracer.clone());
+        let mut ctx = self.context(&rewritten, &model, self.budget);
         let root = dispatch(&mut ctx, algorithm)?;
         let stats = ctx.stats();
         Ok(OptimizedPlan {
@@ -262,11 +270,7 @@ impl<'a> Optimizer<'a> {
             // Off-ladder strategies (II/SA) run single-shot under the
             // governor's full budget: their anytime nature makes a
             // ladder descent meaningless.
-            let mut ctx = EnumContext::new(&rewritten, &model, governor.full_budget());
-            ctx.set_parallelism(self.parallelism);
-            ctx.set_enumerator(self.enumerator);
-            #[cfg(feature = "trace")]
-            ctx.set_tracer(self.tracer.clone());
+            let mut ctx = self.context(&rewritten, &model, governor.full_budget());
             ctx.memory.set_cancel_flag(governor.cancel_flag());
             let root = dispatch(&mut ctx, algorithm).map_err(|error| GovernedFailure {
                 error,
@@ -288,11 +292,7 @@ impl<'a> Optimizer<'a> {
             });
         };
 
-        let mut ctx = EnumContext::new(&rewritten, &model, governor.rung_budget(rung));
-        ctx.set_parallelism(self.parallelism);
-        ctx.set_enumerator(self.enumerator);
-        #[cfg(feature = "trace")]
-        ctx.set_tracer(self.tracer.clone());
+        let mut ctx = self.context(&rewritten, &model, governor.rung_budget(rung));
         ctx.memory.set_cancel_flag(governor.cancel_flag());
         #[cfg(feature = "testkit")]
         if let Some(faults) = governor.fault_plan() {
@@ -393,6 +393,21 @@ impl<'a> Optimizer<'a> {
             rung = next;
             attempt = next.algorithm();
         }
+    }
+
+    /// A run context carrying this optimizer's enumeration settings
+    /// and trace handle.
+    fn context<'q>(
+        &self,
+        query: &'q Query,
+        model: &'q CostModel<'q>,
+        budget: Budget,
+    ) -> EnumContext<'q> {
+        #[allow(unused_mut)]
+        let mut ctx = EnumContext::new(query, model, budget, self.parallelism, self.enumerator);
+        #[cfg(feature = "trace")]
+        ctx.set_tracer(self.tracer.clone());
+        ctx
     }
 
     fn rewrite(&self, query: &Query) -> Query {

@@ -99,6 +99,40 @@ impl PlanOp {
     }
 }
 
+/// The children of a plan node, held inline (no operator has more
+/// than two), so a retained plan costs one allocation. Reads as a
+/// `[Arc<PlanNode>]` slice.
+#[derive(Debug, Clone)]
+pub enum Children {
+    /// A scan.
+    Leaf,
+    /// A sort: `[input]`.
+    Unary([Arc<PlanNode>; 1]),
+    /// A join: `[outer, inner]`.
+    Binary([Arc<PlanNode>; 2]),
+}
+
+impl std::ops::Deref for Children {
+    type Target = [Arc<PlanNode>];
+
+    fn deref(&self) -> &[Arc<PlanNode>] {
+        match self {
+            Children::Leaf => &[],
+            Children::Unary(c) => c,
+            Children::Binary(c) => c,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Children {
+    type Item = &'a Arc<PlanNode>;
+    type IntoIter = std::slice::Iter<'a, Arc<PlanNode>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// One node of a physical plan tree, annotated with the estimated
 /// properties the optimizer derived for it.
 #[derive(Debug)]
@@ -115,7 +149,7 @@ pub struct PlanNode {
     pub ordering: Option<ClassId>,
     /// Children (empty for scans, `[outer, inner]` for joins,
     /// `[input]` for sorts).
-    pub children: Vec<Arc<PlanNode>>,
+    pub children: Children,
     counter: NodeCounter,
 }
 
@@ -129,7 +163,7 @@ impl PlanNode {
         rows: f64,
         cost: f64,
         ordering: Option<ClassId>,
-        children: Vec<Arc<PlanNode>>,
+        children: Children,
     ) -> Arc<Self> {
         debug_assert!(rows.is_finite() && rows >= 0.0, "rows = {rows}");
         debug_assert!(cost.is_finite() && cost >= 0.0, "cost = {cost}");
@@ -288,7 +322,7 @@ mod tests {
             100.0,
             cost,
             None,
-            vec![],
+            Children::Leaf,
         )
     }
 
@@ -304,7 +338,7 @@ mod tests {
             50.0,
             cost,
             None,
-            vec![l, r],
+            Children::Binary([l, r]),
         )
     }
 
@@ -391,7 +425,7 @@ mod tests {
             1.0,
             10.0,
             None,
-            vec![a.clone(), a],
+            Children::Binary([a.clone(), a]),
         );
         assert!(bad.check_invariants().is_err());
     }
@@ -418,7 +452,7 @@ mod tests {
             a.rows,
             a.cost,
             None,
-            vec![scan(&c, 0, 1.0), scan(&c, 1, 2.0)],
+            Children::Binary([scan(&c, 0, 1.0), scan(&c, 1, 2.0)]),
         );
         assert_ne!(a.structural_digest(), merge.structural_digest());
 
@@ -441,7 +475,7 @@ mod tests {
             1.0,
             5.0, // cheaper than its inputs: impossible
             None,
-            vec![a, b],
+            Children::Binary([a, b]),
         );
         assert!(bad.check_invariants().is_err());
     }

@@ -300,9 +300,9 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, topo, seed).instance(0);
-        let mut rctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut rctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let random = search(&mut rctx, RandomConfig::default(), anneal).unwrap();
-        let mut dctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut dctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let dp = optimize_complete(&mut dctx, None).unwrap();
         (random.cost, dp.cost)
     }
@@ -334,7 +334,7 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::star_chain(10), 3).instance(0);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let plan = optimize_sa(&mut ctx, RandomConfig::default()).unwrap();
         assert_eq!(plan.set, q.graph.all_nodes());
         plan.check_invariants().unwrap();
@@ -347,7 +347,7 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(9), 5).instance(0);
         let cost = |seed: u64| {
-            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+            let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
             optimize_ii(
                 &mut ctx,
                 RandomConfig {
@@ -366,7 +366,7 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(6), 8).ordered_instance(0);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let plan = optimize_sa(&mut ctx, RandomConfig::default()).unwrap();
         assert_eq!(plan.ordering, ctx.order_target());
     }
@@ -377,7 +377,7 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let g = sdp_query::JoinGraph::new(vec![sdp_catalog::RelId(2)], vec![]);
         let q = sdp_query::Query::new(g);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let plan = optimize_ii(&mut ctx, RandomConfig::default()).unwrap();
         assert_eq!(plan.join_count(), 0);
     }

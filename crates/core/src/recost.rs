@@ -174,7 +174,7 @@ mod tests {
                     .instance(0);
                 infer_transitive_edges(&mut q.graph);
                 let classes = q.equiv_classes();
-                let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+                let mut ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
                 let plan = crate::dp::optimize_complete(&mut ctx, None).unwrap();
                 let re = recost(&plan, &model, &q.graph, &classes);
                 let rel = (re - plan.cost).abs() / plan.cost;

@@ -416,7 +416,9 @@ pub fn optimize_sdp(
 mod tests {
     use super::*;
     use crate::budget::Budget;
+    use crate::context::default_parallelism;
     use crate::dp::optimize_complete;
+    use crate::enumerate::EnumeratorKind;
     use sdp_catalog::Catalog;
     use sdp_cost::CostModel;
     use sdp_query::{QueryGenerator, Topology};
@@ -436,11 +438,11 @@ mod tests {
             gen.instance(0)
         };
 
-        let mut sdp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut sdp_ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let sdp_plan = optimize_sdp(&mut sdp_ctx, config).unwrap();
         let sdp_stats = sdp_ctx.stats();
 
-        let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut dp_ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         let dp_plan = optimize_complete(&mut dp_ctx, None).unwrap();
 
         (sdp_plan.cost, sdp_stats, dp_plan.cost)
@@ -483,9 +485,9 @@ mod tests {
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(10), 6).instance(0);
-        let mut sdp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut sdp_ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         optimize_sdp(&mut sdp_ctx, SdpConfig::paper()).unwrap();
-        let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
+        let mut dp_ctx = EnumContext::from_env(&q, &model, Budget::unlimited());
         optimize_complete(&mut dp_ctx, None).unwrap();
         assert!(
             sdp_ctx.stats().plans_costed * 2 < dp_ctx.stats().plans_costed,
@@ -567,8 +569,13 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::star_chain(13), 3).instance(0);
         let run_threads = |threads: usize| {
-            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-            ctx.set_parallelism(threads);
+            let mut ctx = EnumContext::new(
+                &q,
+                &model,
+                Budget::unlimited(),
+                threads,
+                EnumeratorKind::from_env(),
+            );
             let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
             let s = ctx.stats();
             (
@@ -590,7 +597,6 @@ mod tests {
         // scan (in a different order), and the memo's cost frontier is
         // insertion-order-insensitive, so plan cost and every counter
         // must match bit-for-bit.
-        use crate::enumerate::EnumeratorKind;
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         for topo in [
@@ -600,8 +606,8 @@ mod tests {
         ] {
             let q = QueryGenerator::new(&cat, topo, 7).instance(0);
             let run_kind = |kind: EnumeratorKind| {
-                let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-                ctx.set_enumerator(kind);
+                let mut ctx =
+                    EnumContext::new(&q, &model, Budget::unlimited(), default_parallelism(), kind);
                 let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
                 let s = ctx.stats();
                 (

@@ -133,10 +133,11 @@ impl<'a> Estimator<'a> {
     /// Estimated output rows of the join-composite `set`, local
     /// predicates included.
     pub fn rows_for_set(&self, graph: &JoinGraph, set: RelSet) -> f64 {
-        let ln = self.ln_base_product(graph, set)
-            + self.ln_internal_selectivity(graph, set)
-            + self.ln_filter_selectivity(graph, set);
-        ln.min(MAX_LN_ROWS).exp().max(MIN_ROWS)
+        self.rows_from_ln(
+            self.ln_base_product(graph, set)
+                + self.ln_internal_selectivity(graph, set)
+                + self.ln_filter_selectivity(graph, set),
+        )
     }
 
     /// Clamp and exponentiate a natural-log row estimate — the exact
@@ -148,13 +149,22 @@ impl<'a> Estimator<'a> {
         ln.min(MAX_LN_ROWS).exp().max(MIN_ROWS)
     }
 
+    /// Exponentiate and clamp a natural-log selectivity to `(0, 1]` —
+    /// the exact final step of [`Estimator::selectivity_for_set`] and
+    /// [`Estimator::crossing_selectivity`], exposed like
+    /// [`Estimator::rows_from_ln`] for callers that sum the ln terms
+    /// themselves.
+    pub fn selectivity_from_ln(&self, ln: f64) -> f64 {
+        ln.exp().clamp(f64::MIN_POSITIVE, 1.0)
+    }
+
     /// The paper's JCR *Selectivity* feature: output rows relative to
     /// the product of base cardinalities (`Π sel` over internal edges
     /// and local predicates; 1.0 for unfiltered singletons).
     pub fn selectivity_for_set(&self, graph: &JoinGraph, set: RelSet) -> f64 {
-        (self.ln_internal_selectivity(graph, set) + self.ln_filter_selectivity(graph, set))
-            .exp()
-            .clamp(f64::MIN_POSITIVE, 1.0)
+        self.selectivity_from_ln(
+            self.ln_internal_selectivity(graph, set) + self.ln_filter_selectivity(graph, set),
+        )
     }
 
     /// Joint selectivity of the edges crossing between disjoint sets
@@ -165,7 +175,7 @@ impl<'a> Estimator<'a> {
             .crossing_edges(a, b)
             .map(|e| self.edge_selectivity(graph, e).ln())
             .sum();
-        ln.exp().clamp(f64::MIN_POSITIVE, 1.0)
+        self.selectivity_from_ln(ln)
     }
 
     /// Estimated average tuple width (bytes) of the composite —

@@ -104,8 +104,51 @@ pub struct JoinCandidate {
     pub ordering: Option<ClassId>,
 }
 
+/// The costed alternatives of one `outer ⋈ inner` call: at most one
+/// per [`JoinMethod`], held inline so costing never touches the
+/// allocator. Reads as a `[JoinCandidate]` slice and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JoinCandidates {
+    items: [JoinCandidate; 4],
+    len: usize,
+}
+
+impl JoinCandidates {
+    fn push(&mut self, candidate: JoinCandidate) {
+        self.items[self.len] = candidate;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for JoinCandidates {
+    type Target = [JoinCandidate];
+
+    fn deref(&self) -> &[JoinCandidate] {
+        &self.items[..self.len]
+    }
+}
+
+impl IntoIterator for JoinCandidates {
+    type Item = JoinCandidate;
+    type IntoIter = std::iter::Take<std::array::IntoIter<JoinCandidate, 4>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(self.len)
+    }
+}
+
+impl<'a> IntoIterator for &'a JoinCandidates {
+    type Item = &'a JoinCandidate;
+    type IntoIter = std::slice::Iter<'a, JoinCandidate>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Enumerate and cost every join method applicable to
-/// `outer ⋈ inner`.
+/// `outer ⋈ inner`, in the fixed order nested loop, index nested loop,
+/// hash, merge.
 ///
 /// * `crossing_sel` — joint selectivity of the connecting edges;
 /// * `out_rows` — estimated output cardinality;
@@ -121,8 +164,15 @@ pub fn join_candidates(
     join_class: Option<ClassId>,
     inner_index: Option<InnerIndex>,
     params: &CostParams,
-) -> Vec<JoinCandidate> {
-    let mut out = Vec::with_capacity(4);
+) -> JoinCandidates {
+    let mut out = JoinCandidates {
+        items: [JoinCandidate {
+            method: JoinMethod::NestedLoop,
+            cost: 0.0,
+            ordering: None,
+        }; 4],
+        len: 0,
+    };
     let emit_cpu = out_rows * params.cpu_tuple_cost;
 
     // --- Nested loop over a materialized inner ------------------------
@@ -211,7 +261,7 @@ mod tests {
         inner: &JoinInput,
         sel: f64,
         idx: Option<InnerIndex>,
-    ) -> Vec<JoinCandidate> {
+    ) -> JoinCandidates {
         let out_rows = (outer.rows * inner.rows * sel).max(1.0);
         join_candidates(
             outer,
@@ -379,18 +429,23 @@ mod property_tests {
             let cands = join_candidates(
                 &outer, &inner, sel, out_rows, class, idx, &CostParams::default(),
             );
-            prop_assert!(!cands.is_empty());
-            // NL and Hash always present; Merge iff class; INL iff index.
-            prop_assert!(cands.iter().any(|c| c.method == JoinMethod::NestedLoop));
-            prop_assert!(cands.iter().any(|c| c.method == JoinMethod::Hash));
-            prop_assert_eq!(
-                cands.iter().any(|c| c.method == JoinMethod::Merge),
-                class.is_some()
-            );
-            prop_assert_eq!(
-                cands.iter().any(|c| c.method == JoinMethod::IndexNestedLoop),
-                with_index
-            );
+            // Exactly the methods the `Vec`-returning version pushed, in
+            // its order: NL and Hash always; INL iff index; Merge iff
+            // class. The enumerator's offer order (and so which of two
+            // equal-cost plans a group keeps) depends on it.
+            let expected: Vec<JoinMethod> = [
+                Some(JoinMethod::NestedLoop),
+                with_index.then_some(JoinMethod::IndexNestedLoop),
+                Some(JoinMethod::Hash),
+                class.map(|_| JoinMethod::Merge),
+            ]
+            .into_iter()
+            .flatten()
+            .collect();
+            let methods: Vec<JoinMethod> = cands.iter().map(|c| c.method).collect();
+            prop_assert_eq!(&methods, &expected);
+            // By-value iteration yields the same candidates as the slice.
+            prop_assert_eq!(cands.into_iter().collect::<Vec<_>>(), cands.to_vec());
             for c in &cands {
                 prop_assert!(c.cost.is_finite() && c.cost >= 0.0);
                 prop_assert!(c.cost + 1e-9 >= outer.cost, "{:?} below outer cost", c.method);

@@ -4,7 +4,7 @@ use sdp_catalog::{Catalog, RelId};
 use sdp_query::ClassId;
 
 use crate::estimate::Estimator;
-use crate::join::{join_candidates, InnerIndex, JoinCandidate, JoinInput};
+use crate::join::{join_candidates, InnerIndex, JoinCandidates, JoinInput};
 use crate::params::CostParams;
 use crate::scan::{scan_paths, scan_paths_for_node, sort_cost, ScanPath};
 
@@ -72,7 +72,7 @@ impl<'a> CostModel<'a> {
         out_rows: f64,
         join_class: Option<ClassId>,
         inner_index: Option<InnerIndex>,
-    ) -> Vec<JoinCandidate> {
+    ) -> JoinCandidates {
         join_candidates(
             outer,
             inner,

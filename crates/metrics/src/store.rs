@@ -18,6 +18,8 @@ pub struct StoreCounters {
     warm_fills: AtomicU64,
     warm_hits: AtomicU64,
     stale_dropped: AtomicU64,
+    epoch_adoptions: AtomicU64,
+    stale_rejected: AtomicU64,
     torn_truncations: AtomicU64,
     compactions: AtomicU64,
     dlq_enqueued: AtomicU64,
@@ -58,6 +60,18 @@ impl StoreCounters {
     /// longer matches the catalog.
     pub fn record_stale_dropped(&self) {
         self.stale_dropped.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The open store moved to a newer statistics epoch (the catalog
+    /// was bumped under it), retiring its previous live generation.
+    pub fn record_epoch_adopted(&self) {
+        self.epoch_adoptions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// An append was refused because the record's statistics epoch is
+    /// older than the one the store has already adopted.
+    pub fn record_stale_rejected(&self) {
+        self.stale_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A torn tail (partial or corrupt trailing record) was truncated
@@ -117,6 +131,8 @@ impl StoreCounters {
             warm_fills: self.warm_fills.load(Ordering::Relaxed),
             warm_hits: self.warm_hits.load(Ordering::Relaxed),
             stale_dropped: self.stale_dropped.load(Ordering::Relaxed),
+            epoch_adoptions: self.epoch_adoptions.load(Ordering::Relaxed),
+            stale_rejected: self.stale_rejected.load(Ordering::Relaxed),
             torn_truncations: self.torn_truncations.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
             dlq_enqueued: self.dlq_enqueued.load(Ordering::Relaxed),
@@ -139,6 +155,10 @@ pub struct StoreSnapshot {
     pub warm_hits: u64,
     /// Recovered records dropped for a stale statistics epoch.
     pub stale_dropped: u64,
+    /// Times the open store adopted a newer statistics epoch.
+    pub epoch_adoptions: u64,
+    /// Appends refused for an epoch older than the store's.
+    pub stale_rejected: u64,
     /// Torn tails truncated during recovery.
     pub torn_truncations: u64,
     /// Segment compactions run.
@@ -163,6 +183,8 @@ mod tests {
         c.record_warm_fill();
         c.record_warm_hit();
         c.record_stale_dropped();
+        c.record_epoch_adopted();
+        c.record_stale_rejected();
         c.record_torn_truncation();
         c.record_compaction();
         let snap = c.snapshot();
@@ -170,6 +192,8 @@ mod tests {
         assert_eq!(snap.warm_fills, 1);
         assert_eq!(snap.warm_hits, 1);
         assert_eq!(snap.stale_dropped, 1);
+        assert_eq!(snap.epoch_adoptions, 1);
+        assert_eq!(snap.stale_rejected, 1);
         assert_eq!(snap.torn_truncations, 1);
         assert_eq!(snap.compactions, 1);
     }

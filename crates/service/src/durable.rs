@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use sdp_metrics::StoreCounters;
-use sdp_store::{PlanRecord, PlanStore};
+use sdp_store::{PlanRecord, PlanStore, StoreError};
 
 pub(crate) enum StoreMsg {
     Write(Box<PlanRecord>),
@@ -44,13 +44,14 @@ impl StoreHandle {
             .spawn(move || {
                 while let Ok(msg) = rx.recv() {
                     match msg {
-                        StoreMsg::Write(record) => {
-                            if store.append(&record).is_err() {
-                                // The durable tier is best-effort;
-                                // the plan stays served from memory.
-                                counters.record_write_error();
-                            }
-                        }
+                        StoreMsg::Write(record) => match store.append(&record) {
+                            // A record that straddled an epoch bump is
+                            // refused and counted by the store itself.
+                            Ok(()) | Err(StoreError::StaleEpoch { .. }) => {}
+                            // The durable tier is best-effort; the
+                            // plan stays served from memory.
+                            Err(_) => counters.record_write_error(),
+                        },
                         StoreMsg::Flush(ack) => {
                             let _ = ack.send(());
                         }

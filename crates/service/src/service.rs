@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 
 use sdp_catalog::{AnalyzedRelation, Catalog};
 use sdp_core::{
-    Algorithm, DegradeReason, EnumeratorKind, GovernedFailure, GovernedPlan, Governor, OptError,
-    Optimizer, PlanNode, Rung,
+    default_parallelism, Algorithm, DegradeReason, EnumeratorKind, GovernedFailure, GovernedPlan,
+    Governor, OptError, Optimizer, PlanNode, Rung,
 };
 use sdp_metrics::{
     CountersSnapshot, GovernorCounters, GovernorSnapshot, MetricsReport, OverloadCounters,
@@ -447,6 +447,10 @@ pub struct OptimizerService {
     /// construction (config override or `SDP_ENUMERATOR`): part of the
     /// plan-cache key, so it must not drift between requests.
     enumerator: EnumeratorKind,
+    /// The effective enumeration parallelism, resolved once at
+    /// construction (config override, `SDP_THREADS`, or the machine's
+    /// parallelism) instead of once per optimized request.
+    parallelism: usize,
     /// Overload-control counters: sheds, stale serves, breaker
     /// transitions, queue/in-flight gauges.
     overload: OverloadCounters,
@@ -510,6 +514,7 @@ impl OptimizerService {
     /// Service over an initial catalog with the given tuning.
     pub fn new(catalog: Catalog, config: ServiceConfig) -> Self {
         let enumerator = config.enumerator.unwrap_or_else(EnumeratorKind::from_env);
+        let parallelism = config.parallelism.unwrap_or_else(default_parallelism);
         let breaker = Breaker::new(config.breaker_threshold, config.breaker_probe_every);
         OptimizerService {
             catalog: RwLock::new(Arc::new(catalog)),
@@ -524,6 +529,7 @@ impl OptimizerService {
             dlq: None,
             tracer: Tracer::disabled(),
             enumerator,
+            parallelism,
             overload: OverloadCounters::new(),
             stale_shelf: Mutex::new(HashMap::new()),
             breaker,
@@ -933,16 +939,12 @@ impl OptimizerService {
             match self.flights.join(key) {
                 Flight::Leader(token) => {
                     let started = Instant::now();
-                    let mut optimizer = Optimizer::new(&catalog);
+                    #[allow(unused_mut)]
+                    let mut optimizer =
+                        Optimizer::with_enumeration(&catalog, self.parallelism, self.enumerator);
                     #[cfg(feature = "trace")]
                     {
                         optimizer = optimizer.with_tracer(self.tracer.clone());
-                    }
-                    if let Some(threads) = self.config.parallelism {
-                        optimizer = optimizer.with_parallelism(threads);
-                    }
-                    if let Some(kind) = self.config.enumerator {
-                        optimizer = optimizer.with_enumerator(kind);
                     }
                     let mut governor = Governor::new();
                     if let Some(deadline) = request.deadline {

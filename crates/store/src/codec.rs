@@ -38,7 +38,8 @@ use std::sync::Arc;
 
 use sdp_catalog::{ColId, RelId};
 use sdp_core::{
-    Algorithm, DegradeReason, EnumeratorKind, NodeCounter, PlanNode, PlanOp, Rung, SdpConfig,
+    Algorithm, Children, DegradeReason, EnumeratorKind, NodeCounter, PlanNode, PlanOp, Rung,
+    SdpConfig,
 };
 use sdp_cost::JoinMethod;
 use sdp_query::{ColRef, JoinEdge, JoinGraph, PredOp, Predicate, Query, RelSet};
@@ -382,11 +383,14 @@ fn decode_node(r: &mut Reader<'_>, counter: &NodeCounter) -> Result<Arc<PlanNode
             "implausible node estimates (rows {rows}, cost {cost})"
         )));
     }
-    let n_children = r.u8()? as usize;
-    let mut children = Vec::with_capacity(n_children);
-    for _ in 0..n_children {
-        children.push(decode_node(r, counter)?);
-    }
+    let children = match r.u8()? {
+        0 => Children::Leaf,
+        1 => Children::Unary([decode_node(r, counter)?]),
+        2 => Children::Binary([decode_node(r, counter)?, decode_node(r, counter)?]),
+        n => {
+            return Err(StoreError::Codec(format!("implausible child count {n}")));
+        }
+    };
     Ok(PlanNode::new(
         counter, op, set, rows, cost, ordering, children,
     ))
@@ -699,7 +703,7 @@ mod tests {
             100.0,
             3.5,
             None,
-            vec![],
+            Children::Leaf,
         )
     }
 
@@ -717,7 +721,7 @@ mod tests {
             40.0,
             1.25,
             Some(5),
-            vec![],
+            Children::Leaf,
         );
         let join = PlanNode::new(
             &c,
@@ -728,7 +732,7 @@ mod tests {
             60.0,
             9.75,
             Some(5),
-            vec![left, right],
+            Children::Binary([left, right]),
         );
         let root = PlanNode::new(
             &c,
@@ -737,7 +741,7 @@ mod tests {
             60.0,
             12.0,
             Some(3),
-            vec![join],
+            Children::Unary([join]),
         );
         PlanRecord {
             fingerprint: 0xdead_beef_0123_4567_89ab_cdef_0011_2233,
@@ -935,6 +939,16 @@ mod tests {
         );
         assert_eq!(decoded.query.order_by, record.query.order_by);
         assert_eq!(payload, encode_dlq(&decoded));
+    }
+
+    #[test]
+    fn more_than_two_children_is_a_codec_error() {
+        // A leaf's child count is the last byte of its encoding.
+        let mut w = Writer::new();
+        encode_node(&mut w, &scan(&NodeCounter::new(), 0));
+        *w.0.last_mut().unwrap() = 3;
+        let err = decode_node(&mut Reader::new(&w.0), &NodeCounter::new()).unwrap_err();
+        assert!(matches!(err, StoreError::Codec(_)), "{err}");
     }
 
     #[test]

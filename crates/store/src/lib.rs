@@ -60,6 +60,15 @@ pub enum StoreError {
     /// A record payload passed its CRC but failed to decode (version
     /// skew, unknown tags, digest mismatch).
     Codec(String),
+    /// A plan record stamped with a statistics epoch older than the
+    /// one the store has already moved to: its cost is a lie under the
+    /// current statistics, so it is refused, not persisted.
+    StaleEpoch {
+        /// Epoch the record was optimized under.
+        record: u64,
+        /// Epoch the store is at.
+        store: u64,
+    },
 }
 
 impl StoreError {
@@ -79,6 +88,9 @@ impl fmt::Display for StoreError {
             }
             StoreError::Format(msg) => write!(f, "log format error: {msg}"),
             StoreError::Codec(msg) => write!(f, "record codec error: {msg}"),
+            StoreError::StaleEpoch { record, store } => {
+                write!(f, "record of stats epoch {record} refused at epoch {store}")
+            }
         }
     }
 }

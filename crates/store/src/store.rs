@@ -15,8 +15,13 @@
 //! were optimized under. On open, records from other epochs are
 //! dropped (counted as `stale_dropped`) — a plan costed against old
 //! statistics is not merely suboptimal, its cached cost is a lie.
-//! Stale records also don't survive the next compaction, so an epoch
-//! bump physically garbage-collects the old generation over time.
+//! An open store follows the catalog forward: the first record of a
+//! newer epoch makes it adopt that epoch ([`PlanStore::adopt_epoch`]),
+//! which drops the previous generation from the live view (counted
+//! as `epoch_adoptions`), and a record older than the store's epoch is
+//! refused ([`StoreError::StaleEpoch`], counted as `stale_rejected`).
+//! Stale records don't survive the next compaction, so an epoch bump
+//! physically garbage-collects the old generation over time.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -239,11 +244,22 @@ impl PlanStore {
     /// Persist one plan record. Rotates and compacts as thresholds
     /// dictate; on I/O failure the record is dropped from the durable
     /// tier (counted) but the in-memory cache above is unaffected.
+    ///
+    /// The writer stamps each record with the catalog epoch it was
+    /// optimized under, and the catalog moves on without telling the
+    /// store: a record of a newer epoch first moves the store to it
+    /// ([`PlanStore::adopt_epoch`]); one of an older epoch (an
+    /// optimization that straddled the bump) is refused with
+    /// [`StoreError::StaleEpoch`] and counted as `stale_rejected`.
     pub fn append(&mut self, record: &PlanRecord) -> Result<(), StoreError> {
-        debug_assert_eq!(
-            record.stats_epoch, self.epoch,
-            "caller must stamp records with the store's epoch"
-        );
+        if record.stats_epoch < self.epoch {
+            self.counters.record_stale_rejected();
+            return Err(StoreError::StaleEpoch {
+                record: record.stats_epoch,
+                store: self.epoch,
+            });
+        }
+        self.adopt_epoch(record.stats_epoch);
         let payload = encode_plan(record);
         self.active.append(&payload)?;
         self.counters.record_write();
@@ -265,6 +281,19 @@ impl PlanStore {
             self.compact()?;
         }
         Ok(())
+    }
+
+    /// Move the store to a newer stats epoch (counted as
+    /// `epoch_adoptions`): every live record is of the previous
+    /// generation, so all leave the live view and the next compaction
+    /// stops carrying them. A no-op unless `epoch` is newer than the
+    /// store's.
+    pub fn adopt_epoch(&mut self, epoch: u64) {
+        if epoch > self.epoch {
+            self.epoch = epoch;
+            self.live.clear();
+            self.counters.record_epoch_adopted();
+        }
     }
 
     fn rotate(&mut self) -> Result<(), StoreError> {
@@ -316,7 +345,8 @@ impl PlanStore {
         &self.dir
     }
 
-    /// The stats epoch this store was opened under.
+    /// The stats epoch the store is at: the one it was opened under,
+    /// or the newest it has adopted since.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -327,7 +357,7 @@ mod tests {
     use std::sync::Arc;
 
     use sdp_catalog::RelId;
-    use sdp_core::{NodeCounter, PlanNode, PlanOp, Rung};
+    use sdp_core::{Children, NodeCounter, PlanNode, PlanOp, Rung};
     use sdp_query::RelSet;
 
     use super::*;
@@ -350,7 +380,7 @@ mod tests {
             10.0,
             cost,
             None,
-            vec![],
+            Children::Leaf,
         );
         PlanRecord {
             fingerprint,
@@ -443,6 +473,48 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].fingerprint, 2);
         assert_eq!(stats.stale_dropped, 1);
+    }
+
+    #[test]
+    fn open_store_follows_the_epoch_forward_and_refuses_older_records() {
+        let dir = temp_dir("adopt");
+        let options = StoreOptions {
+            max_segment_bytes: 256,
+            compact_after_segments: 2,
+        };
+        let counters = Arc::new(StoreCounters::default());
+        {
+            let (mut store, _, _) =
+                PlanStore::open(&dir, 1, options, Arc::clone(&counters)).unwrap();
+            store.append(&record(1, 1, 5.0)).unwrap();
+            store.append(&record(2, 1, 6.0)).unwrap();
+            // The catalog moved on: the first epoch-2 record takes the
+            // store with it and retires the epoch-1 generation.
+            store.append(&record(1, 2, 7.0)).unwrap();
+            assert_eq!(store.epoch(), 2);
+            assert_eq!(store.live_len(), 1);
+            assert_eq!(counters.snapshot().epoch_adoptions, 1);
+            // An optimization that straddled the bump arrives late.
+            assert!(matches!(
+                store.append(&record(3, 1, 8.0)),
+                Err(StoreError::StaleEpoch {
+                    record: 1,
+                    store: 2
+                })
+            ));
+            assert_eq!(counters.snapshot().stale_rejected, 1);
+            assert_eq!(counters.snapshot().writes, 3);
+            // Enough epoch-2 traffic to compact: the retired
+            // generation must not be carried along.
+            for i in 0..20u128 {
+                store.append(&record(10 + i % 3, 2, i as f64)).unwrap();
+            }
+            assert!(counters.snapshot().compactions > 0, "compaction never ran");
+            assert_eq!(store.live_len(), 4);
+        }
+        let (_, records, stats) = open(&dir, 2, options);
+        assert_eq!(records.len(), 4);
+        assert_eq!(stats.stale_dropped, 0, "compaction carried stale records");
     }
 
     #[test]

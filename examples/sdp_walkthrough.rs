@@ -8,7 +8,7 @@
 
 use sdp::core::dp::{run_levels, LevelPruner};
 use sdp::core::sdp::SdpPruner;
-use sdp::core::{Budget, EnumContext};
+use sdp::core::{default_parallelism, Budget, EnumContext};
 use sdp::prelude::*;
 use sdp::query::hubs;
 
@@ -55,7 +55,13 @@ fn main() {
     // Run the level DP manually with the SDP pruner and report, per
     // level, how many JCRs were enumerated and how many survived.
     let model = CostModel::with_defaults(&catalog);
-    let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
+    let mut ctx = EnumContext::new(
+        &query,
+        &model,
+        Budget::unlimited(),
+        default_parallelism(),
+        EnumeratorKind::from_env(),
+    );
     for i in 0..9 {
         ctx.ensure_base_group(i);
     }

@@ -1,0 +1,98 @@
+//! Allocation budget of the enumeration core, measured with a
+//! call-counting global allocator (hence a test binary of its own).
+//!
+//! Costing a candidate must not touch the allocator: only retained
+//! plans (one `Arc` each), new JCR groups and the per-level pair lists
+//! may. The budget is stated per plan costed, the paper's effort unit,
+//! so it holds at any query size.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use sdp::cost::{join_candidates, InnerIndex, JoinInput};
+use sdp::prelude::*;
+
+thread_local! {
+    /// Allocator calls made by the current thread.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down, when the counter is no longer reachable.
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+// SAFETY: both methods forward their arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only a
+// thread-local `Cell<u64>` (no destructor, no allocation). The
+// provided `alloc_zeroed` and `realloc` go through `alloc`, so each is
+// counted once as well.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocator calls the current thread makes while running `f`.
+fn calls_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
+}
+
+#[test]
+fn exhaustive_dp_stays_under_the_allocation_budget() {
+    let catalog = Catalog::paper();
+    // One thread: every allocation of the run lands on this thread.
+    let optimizer = Optimizer::new(&catalog).with_parallelism(1);
+    for topology in [Topology::Star(10), Topology::star_chain(12)] {
+        let query = QueryGenerator::new(&catalog, topology, 7).instance(0);
+        let (plan, calls) = calls_during(|| optimizer.optimize(&query, Algorithm::Dp).unwrap());
+        let per_plan = calls as f64 / plan.stats.plans_costed as f64;
+        assert!(
+            per_plan < 0.3,
+            "{topology}: {calls} allocator calls for {} plans costed ({per_plan:.3} per plan)",
+            plan.stats.plans_costed
+        );
+    }
+}
+
+#[test]
+fn costing_a_candidate_does_not_allocate() {
+    let input = |rows: f64, ordering| JoinInput {
+        rows,
+        cost: rows / 10.0,
+        width: 64.0,
+        ordering,
+    };
+    let index = InnerIndex {
+        tuples: 1e6,
+        pages: 2e4,
+    };
+    let (candidates, calls) = calls_during(|| {
+        join_candidates(
+            &input(1e3, Some(1)),
+            &input(1e6, None),
+            1e-6,
+            1e3,
+            Some(2),
+            Some(index),
+            &CostParams::default(),
+        )
+    });
+    assert_eq!(candidates.len(), 4, "every method applies");
+    assert_eq!(calls, 0);
+}

@@ -217,13 +217,13 @@ proptest! {
 
         // Pair streams over the exhaustive survivor table.
         let model = CostModel::with_defaults(&catalog);
-        let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
-        ctx.set_parallelism(1);
+        let mut ctx =
+            EnumContext::new(&query, &model, Budget::unlimited(), 1, EnumeratorKind::from_env());
         for i in 0..n {
             ctx.ensure_base_group(i);
         }
         let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
-        let mut scan = LevelScan;
+        let mut scan = LevelScan::default();
         let table = run_levels_with(&mut ctx, &atoms, n, None, &mut scan).unwrap();
         let mut ccp = EnumeratorKind::Dpccp.build();
         ccp.prepare(&ctx, &atoms, n);
