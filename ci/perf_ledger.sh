@@ -1,0 +1,19 @@
+#!/usr/bin/env bash
+# The deterministic ledger as a gate (ROADMAP item 1c).
+#
+# `sdp-perf --quick --seed 7` serves 1 % of every workload's requests.
+# Its `# <workload>: every pass:` lines carry only counts the program
+# makes itself — hits, misses, evictions, plans costed, store appends —
+# and the fold of the served plans' structural digests, so they repeat
+# exactly on any host and at any speed. They must equal the checked-in
+# ci/perf_ledger.expected byte for byte: a change that claims
+# bit-identical plans and counters leaves the file alone, and a change
+# that means to move them updates it in the same commit, where the
+# diff shows in review.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --quick --seed 7 \
+    | grep '^# [a-z_]*: every pass:' \
+    | diff ci/perf_ledger.expected -
+echo "perf ledger ok"

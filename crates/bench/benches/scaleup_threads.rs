@@ -2,7 +2,8 @@
 //! large stars at 1, 2, 4 and all available worker threads. The
 //! chosen plan is bit-identical at every thread count (asserted
 //! here), so the sweep isolates pure wall-clock scaling of the
-//! shard-and-merge level loop and the parallel skyline pruning.
+//! shard-and-merge level loop (skyline pruning runs on the
+//! coordinating thread).
 //!
 //! Interpreting the numbers requires knowing the host's core count
 //! (`std::thread::available_parallelism`): on a single-core runner

@@ -2,36 +2,30 @@
 //! estimates — everything the DP/IDP/SDP enumerators thread through
 //! their level loops.
 //!
-//! The join-costing core (`EnumContext::cost_pair`) takes
-//! `&self` and writes into a caller-supplied [`Group`], so it can run
-//! either on the coordinating thread (folding straight into the memo)
-//! or on parallel level workers (folding into private shards that the
-//! barrier merges back deterministically — see
-//! `EnumContext::merge_shard` and the "Threading model" section of
-//! DESIGN.md).
+//! The join-costing core (`EnumContext::cost_pair`) takes `&self` and
+//! stages candidate records into a caller-supplied `StagedJcr`, so it
+//! can run either on the coordinating thread (into the level's
+//! `LevelStage`, or — `EnumContext::join_pair` — straight into one
+//! memo group) or on parallel level workers (into
+//! private stages that the barrier merges back deterministically —
+//! see `EnumContext::merge_shard` and the "Threading model" and
+//! "Level stage" sections of DESIGN.md).
 
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sdp_cost::{CostModel, InnerIndex, JoinInput, JoinMethod, ScanKind};
+use sdp_cost::{CostModel, IndexProbe, JoinMethod, JoinSide, JoinTerms, ScanKind};
 use sdp_query::{ClassId, EquivClasses, JoinGraph, Query, RelSet};
 
 use crate::budget::{Budget, BudgetProbe, MemoryModel, OptError};
 use crate::enumerate::EnumeratorKind;
 use crate::fx::FxHashMap;
-use crate::memo::{Group, Memo};
+use crate::memo::{Candidate, Group, Memo, StagedJcr};
 use crate::plan::{Children, NodeCounter, PlanNode, PlanOp};
 #[cfg(feature = "trace")]
-use sdp_trace::{Event, EventBuffer, Tracer};
-
-/// Capacity of each worker's staged-event ring. Sized far above any
-/// realistic per-level creation count; hitting it (and thus dropping
-/// staged events) would void the trace determinism guarantee, so
-/// `merge_shard` surfaces drops as a `trace_dropped` event.
-#[cfg(feature = "trace")]
-const TRACE_BUFFER_CAPACITY: usize = 1 << 20;
+use sdp_trace::{Event, Tracer};
 
 /// Ceiling on estimated rows, guarding incremental multiplication
 /// against `f64` overflow on extreme graphs.
@@ -127,25 +121,38 @@ pub struct LevelStats {
     pub contractions: u64,
 }
 
-/// One worker's private slice of a level's enumeration results: new
-/// union groups keyed by `RelSet`, plus the order in which they were
-/// first created within the worker's (contiguous) chunk of the global
-/// pair sequence. Merging shards in chunk order therefore replays the
-/// exact creation order of the sequential run.
+/// The JCRs of the level being enumerated, as [`StagedJcr`] records in
+/// first-visit order, with the index that finds a pair's record. It
+/// lives for one level: the barrier prunes it, builds the survivors
+/// into memo groups and drops it, so a pruned JCR never owned a plan
+/// node and the stage's tables never sit beside the finished memo.
+///
+/// With one thread the coordinating thread costs every pair straight
+/// into the level's stage. Parallel workers each fill a private stage
+/// from their (contiguous) chunk of the global pair sequence; merging
+/// those in chunk order replays the exact first-visit order — and,
+/// re-offering the retained candidates, the exact frontiers — of the
+/// sequential run.
 #[derive(Debug, Default)]
-pub(crate) struct LevelShard {
-    /// Union set → shard-local group of retained candidate plans.
-    pub groups: FxHashMap<RelSet, Group>,
-    /// First-creation order of the union sets in this shard.
-    pub created_order: Vec<RelSet>,
-    /// Plans costed by this worker.
+pub(crate) struct LevelStage {
+    /// Union set → slot in `jcrs`.
+    index: FxHashMap<RelSet, usize>,
+    /// The level's JCRs in first-visit order.
+    pub jcrs: Vec<StagedJcr>,
+    /// Plans costed into this stage and not yet added to the run's
+    /// counter.
     pub plans_costed: u64,
-    /// Budget violation observed by this worker, if any.
-    pub error: Option<OptError>,
-    /// Staged trace events keyed by union-set bitmap, forwarded at the
-    /// merge barrier only for sets this shard actually inserted.
+    /// When tracing: `Tracer::wall_micros` at each record's staging,
+    /// for the `jcr` event the barrier emits on its behalf.
     #[cfg(feature = "trace")]
-    pub trace: EventBuffer,
+    staged_micros: Vec<u64>,
+}
+
+impl LevelStage {
+    /// Candidates the stage holds a [`NodeCounter`] charge for.
+    pub fn charged(&self) -> usize {
+        self.jcrs.iter().map(|jcr| jcr.candidates().len()).sum()
+    }
 }
 
 /// Everything the per-pair path needs that is a pure function of the
@@ -174,8 +181,8 @@ struct RunTables {
     incident: Vec<u64>,
     /// `ln(max(cardinality, 1))` of the node's relation.
     node_ln_card: Vec<f64>,
-    /// Index metadata of the node's relation.
-    node_index: Vec<InnerIndex>,
+    /// Probe costing of the index on the node's relation.
+    node_index: Vec<IndexProbe>,
     /// `(node, ln(predicate_selectivity))` per local predicate.
     filter_ln_sel: Vec<(usize, f64)>,
     /// Nodes owning a member column of each order class.
@@ -228,10 +235,7 @@ impl RunTables {
             node_index: (0..graph.len())
                 .map(|n| {
                     let stats = catalog.stats(graph.relation(n)).expect("valid binding");
-                    InnerIndex {
-                        tuples: stats.relation.tuples,
-                        pages: stats.relation.pages,
-                    }
+                    IndexProbe::new(stats.relation.tuples, stats.relation.pages, model.params())
                 })
                 .collect(),
             filter_ln_sel: graph
@@ -314,11 +318,11 @@ struct PairFacts {
     crossing_sel: f64,
     /// Their distinct order classes (one merge join alternative each).
     classes: CrossingClasses,
-    /// Index nested-loop metadata with `a` as the inner side: `a` is a
-    /// single base relation indexed on a crossing join column.
-    a_index: Option<InnerIndex>,
+    /// Index nested-loop probe costing with `a` as the inner side: `a`
+    /// is a single base relation indexed on a crossing join column.
+    a_index: Option<IndexProbe>,
     /// The same with `b` as the inner side.
-    b_index: Option<InnerIndex>,
+    b_index: Option<IndexProbe>,
 }
 
 /// Mutable state of one optimization run.
@@ -449,8 +453,8 @@ impl<'a> EnumContext<'a> {
         self.nodes.clone()
     }
 
-    /// Worker threads used by the level-wise enumerator and the SDP
-    /// skyline pruner (1 = fully sequential).
+    /// Worker threads used by the level-wise enumerator (1 = fully
+    /// sequential).
     pub fn parallelism(&self) -> usize {
         self.parallelism
     }
@@ -668,26 +672,35 @@ impl<'a> EnumContext<'a> {
     /// estimate depend on which pair reached the set first, and plans
     /// for the same JCR must agree on its cardinality. The sums walk
     /// the per-run tables in ascending node, edge and filter index —
-    /// the terms and order of `Estimator::rows_for_set` and
+    /// only the edges touching the set, of which the internal ones are
+    /// a subset — from the `-0.0` `Iterator::sum` starts from: the
+    /// terms and order of `Estimator::rows_for_set` and
     /// `selectivity_for_set`, so the results are theirs bit for bit.
     fn new_union_group(&self, a: &Group, b: &Group) -> Group {
         let union = a.set | b.set;
         let t = &self.tables;
         let est = self.model.estimator();
-        let ln_base: f64 = union.iter().map(|n| t.node_ln_card[n]).sum();
-        let ln_internal: f64 = t
-            .edge_nodes
-            .iter()
-            .zip(&t.edge_ln_sel)
-            .filter(|(&nodes, _)| union.is_superset(nodes))
-            .map(|(_, &ln)| ln)
-            .sum();
-        let ln_filter: f64 = t
-            .filter_ln_sel
-            .iter()
-            .filter(|&&(node, _)| union.contains(node))
-            .map(|&(_, ln)| ln)
-            .sum();
+        let mut ln_base = -0.0;
+        for n in union.iter() {
+            ln_base += t.node_ln_card[n];
+        }
+        let mut ln_internal = -0.0;
+        for w in 0..t.edge_words {
+            let mut touching = t.incident_word(union, w);
+            while touching != 0 {
+                let e = w * 64 + touching.trailing_zeros() as usize;
+                touching &= touching - 1;
+                if union.is_superset(t.edge_nodes[e]) {
+                    ln_internal += t.edge_ln_sel[e];
+                }
+            }
+        }
+        let mut ln_filter = -0.0;
+        for &(node, ln) in &t.filter_ln_sel {
+            if union.contains(node) {
+                ln_filter += ln;
+            }
+        }
         Group::new(
             union,
             est.rows_from_ln(ln_base + ln_internal + ln_filter)
@@ -701,7 +714,8 @@ impl<'a> EnumContext<'a> {
     /// Enumerate and cost all join alternatives combining the memo
     /// groups of `a` and `b` (both orientations, every plan pair,
     /// every applicable method), folding survivors into the group for
-    /// `a ∪ b`. Creates that group on first use.
+    /// `a ∪ b`. Creates that group on first use. The one-pair case of
+    /// a level: stage, cost, materialize.
     ///
     /// Returns `true` if the union group was newly created.
     pub fn join_pair(&mut self, a: RelSet, b: RelSet) -> bool {
@@ -714,10 +728,11 @@ impl<'a> EnumContext<'a> {
         let taken = self.memo.get_mut(union).map(Group::take);
         let created = taken.is_none();
         let (ga, gb) = self.inputs(a, b);
-        let mut group = taken.unwrap_or_else(|| self.new_union_group(ga, gb));
+        let mut jcr = StagedJcr::new(taken.unwrap_or_else(|| self.new_union_group(ga, gb)));
         let mut costed = 0u64;
-        self.cost_pair(ga, gb, &mut group, &mut costed);
+        self.cost_pair(ga, gb, &mut jcr, &mut costed);
         self.plans_costed += costed;
+        let group = jcr.materialize(&self.memo, &self.nodes);
         if created {
             self.memo.insert(group);
             self.memory.add_groups(1);
@@ -770,113 +785,153 @@ impl<'a> EnumContext<'a> {
 
     /// The costing core shared by the sequential and parallel paths:
     /// cost every join alternative for `a ⋈ b` and offer the survivors
-    /// to `group` (which covers `a ∪ b` but is *not* in the memo).
-    fn cost_pair(&self, a: &Group, b: &Group, group: &mut Group, plans_costed: &mut u64) {
+    /// to `jcr` (which covers `a ∪ b`). Everything a method's cost
+    /// owes to the two JCRs rather than to the plans chosen from them
+    /// is computed here, once per pair and orientation.
+    fn cost_pair(&self, a: &Group, b: &Group, jcr: &mut StagedJcr, plans_costed: &mut u64) {
         debug_assert!(a.set.is_disjoint(b.set));
         let facts = self.pair_facts(a.set, b.set);
-        self.cost_orientation(a, b, facts.b_index, &facts, group, plans_costed);
-        self.cost_orientation(b, a, facts.a_index, &facts, group, plans_costed);
+        let classes = facts.classes.as_slice();
+        let params = self.model.params();
+        let out_rows = jcr.group().rows;
+        let side_a = JoinSide::new(a.rows, a.width, params);
+        let side_b = JoinSide::new(b.rows, b.width, params);
+        let terms = |outer, inner, inner_index| {
+            JoinTerms::new(
+                outer,
+                inner,
+                facts.crossing_sel,
+                out_rows,
+                inner_index,
+                params,
+            )
+        };
+        let staged_before = jcr.candidates().len();
+        let a_b = terms(&side_a, &side_b, facts.b_index);
+        self.cost_orientation(a, b, &a_b, classes, jcr, plans_costed);
+        let b_a = terms(&side_b, &side_a, facts.a_index);
+        self.cost_orientation(b, a, &b_a, classes, jcr, plans_costed);
+        // +1 per candidate retained, −1 per candidate evicted: between
+        // pairs the live-node count is the eager optimizer's.
+        let staged = jcr.candidates().len();
+        if staged >= staged_before {
+            self.nodes.charge(staged - staged_before);
+        } else {
+            self.nodes.release(staged_before - staged);
+        }
     }
 
     /// Cost all methods for a fixed (outer, inner) orientation,
-    /// offering candidates to `group` as they are produced (so the
-    /// dominance early-skip sees every plan retained so far).
+    /// offering candidates to `jcr` as they are produced (so the
+    /// dominance early-skip sees every plan retained so far), in the
+    /// order of `sdp_cost::join_candidates`: per plan pair a nested
+    /// loop, an index nested loop (which does not depend on the inner
+    /// plan choice: costed once, against the first inner entry), a
+    /// hash join, then one merge join per crossing class.
     fn cost_orientation(
         &self,
         outer_group: &Group,
         inner_group: &Group,
-        inner_index: Option<InnerIndex>,
-        facts: &PairFacts,
-        group: &mut Group,
+        terms: &JoinTerms,
+        classes: &[ClassId],
+        jcr: &mut StagedJcr,
         plans_costed: &mut u64,
     ) {
-        let union = group.set;
-        let out_rows = group.rows;
-        let classes = facts.classes.as_slice();
+        let union = jcr.group().set;
+        let (outers, inners) = (outer_group.entries(), inner_group.entries());
+        let per_plan_pair = 2 + classes.len() as u64;
+        let per_outer = inners.len() as u64 * per_plan_pair + u64::from(terms.probes_index());
+        *plans_costed += outers.len() as u64 * per_outer;
 
-        for outer in outer_group.entries() {
-            let outer_input = JoinInput {
-                rows: outer_group.rows,
-                cost: outer.cost,
-                width: outer_group.width,
-                ordering: outer.ordering,
-            };
-            for (ii, inner) in inner_group.entries().iter().enumerate() {
-                let inner_input = JoinInput {
-                    rows: inner_group.rows,
-                    cost: inner.cost,
-                    width: inner_group.width,
-                    ordering: inner.ordering,
-                };
-                // Index NLJ does not depend on the inner plan choice:
-                // cost it once, against the first inner entry.
-                let idx = if ii == 0 { inner_index } else { None };
-                // Merge join alternatives, one per crossing class; the
-                // cost crate takes one class per call, so iterate (one
-                // class-less round when nothing crosses on a class).
-                for ci in 0..classes.len().max(1) {
-                    // Hash/NL candidates are identical across classes;
-                    // only cost them on the first class iteration.
-                    let cands = self.model.join_candidates(
-                        &outer_input,
-                        &inner_input,
-                        facts.crossing_sel,
-                        out_rows,
-                        classes.get(ci).copied(),
-                        if ci == 0 { idx } else { None },
-                    );
-                    for c in cands {
-                        if ci > 0 && c.method != JoinMethod::Merge {
-                            continue; // already costed under ci == 0
-                        }
-                        *plans_costed += 1;
-                        let ordering = self.useful_ordering(c.ordering, union);
-                        if !group.would_retain(c.cost, ordering) {
-                            continue;
-                        }
-                        group.add_plan(PlanNode::new(
-                            &self.nodes,
-                            PlanOp::Join { method: c.method },
-                            union,
-                            out_rows,
-                            c.cost,
+        for (oi, outer) in outers.iter().enumerate() {
+            // Nested-loop variants preserve the outer order.
+            let carried = self.useful_ordering(outer.ordering, union);
+            for (ii, inner) in inners.iter().enumerate() {
+                let mut offer = |method, cost, ordering| {
+                    if jcr.would_retain(cost, ordering) {
+                        let entry = |i| u16::try_from(i).expect("one plan per order class");
+                        jcr.retain(Candidate {
+                            cost,
+                            outer: outer_group.set,
                             ordering,
-                            Children::Binary([outer.clone(), inner.clone()]),
-                        ));
+                            outer_entry: entry(oi),
+                            inner_entry: entry(ii),
+                            method,
+                        });
                     }
+                };
+                offer(
+                    JoinMethod::NestedLoop,
+                    terms.nested_loop(outer.cost, inner.cost),
+                    carried,
+                );
+                if ii == 0 {
+                    if let Some(cost) = terms.index_nested_loop(outer.cost) {
+                        offer(JoinMethod::IndexNestedLoop, cost, carried);
+                    }
+                }
+                offer(JoinMethod::Hash, terms.hash(outer.cost, inner.cost), None);
+                for &class in classes {
+                    let cost = terms.merge(
+                        outer.cost,
+                        inner.cost,
+                        outer.ordering == Some(class),
+                        inner.ordering == Some(class),
+                    );
+                    offer(
+                        JoinMethod::Merge,
+                        cost,
+                        self.useful_ordering(Some(class), union),
+                    );
                 }
             }
         }
     }
 
-    /// The staged/emitted event marking first creation of a JCR. The
-    /// sequential path emits it inline; parallel workers stage it in
-    /// their shard for deterministic forwarding at the merge barrier.
-    #[cfg(feature = "trace")]
-    pub(crate) fn jcr_event(set: RelSet) -> Event {
-        Event::new("jcr")
-            .with("level", set.len())
-            .with("set", set.0)
+    /// Cost `a ⋈ b` into the stage's record for `a ∪ b`, staging the
+    /// record on first visit; returns its slot then.
+    pub(crate) fn stage_pair(&self, stage: &mut LevelStage, a: RelSet, b: RelSet) -> Option<usize> {
+        let (ga, gb) = self.inputs(a, b);
+        let (slot, staged_now) = match stage.index.entry(a | b) {
+            Entry::Occupied(entry) => (*entry.get(), None),
+            Entry::Vacant(entry) => {
+                let slot = *entry.insert(stage.jcrs.len());
+                stage
+                    .jcrs
+                    .push(StagedJcr::new(self.new_union_group(ga, gb)));
+                #[cfg(feature = "trace")]
+                if self.tracer.enabled() {
+                    stage.staged_micros.push(self.tracer.wall_micros());
+                }
+                (slot, Some(slot))
+            }
+        };
+        self.cost_pair(ga, gb, &mut stage.jcrs[slot], &mut stage.plans_costed);
+        staged_now
+    }
+
+    /// Coordinating-thread bookkeeping for a record entering the
+    /// level's stage: a JCR the memo already holds only collects the
+    /// level's offers; a new one is a live group from now on.
+    pub(crate) fn admit(&mut self, jcr: &mut StagedJcr) {
+        jcr.in_memo = self.memo.get(jcr.group().set).is_some();
+        if !jcr.in_memo {
+            self.memory.add_groups(1);
+        }
     }
 
     /// Run one parallel level worker over a contiguous chunk of the
     /// level's candidate pairs, accumulating results in a private
-    /// shard. Periodically probes the budget and the shared abort
-    /// flag; on violation, records the error, raises the flag and
+    /// stage. Periodically probes the budget and the shared abort
+    /// flag; on violation, reports the error, raises the flag and
     /// stops early (the barrier discards partial results on error).
     pub(crate) fn level_worker(
         &self,
         pairs: &[(RelSet, RelSet)],
         probe: &BudgetProbe,
         abort: &AtomicBool,
-    ) -> LevelShard {
-        let mut shard = LevelShard::default();
-        #[cfg(feature = "trace")]
-        let tracing = self.tracer.enabled();
-        #[cfg(feature = "trace")]
-        if tracing {
-            shard.trace = EventBuffer::with_capacity(TRACE_BUFFER_CAPACITY);
-        }
+    ) -> (LevelStage, Option<OptError>) {
+        let mut shard = LevelStage::default();
         for (k, &(a, b)) in pairs.iter().enumerate() {
             if k % PROBE_INTERVAL == 0 {
                 if abort.load(Ordering::Relaxed) {
@@ -884,91 +939,120 @@ impl<'a> EnumContext<'a> {
                 }
                 if let Some(e) = probe.over_budget() {
                     abort.store(true, Ordering::Relaxed);
-                    shard.error = Some(e);
-                    break;
+                    return (shard, Some(e));
                 }
             }
-            let union = a | b;
-            let (ga, gb) = self.inputs(a, b);
-            let group = match shard.groups.entry(union) {
-                Entry::Occupied(slot) => slot.into_mut(),
-                Entry::Vacant(slot) => {
-                    shard.created_order.push(union);
-                    #[cfg(feature = "trace")]
-                    if tracing {
-                        let mut event = Self::jcr_event(union);
-                        event.wall_micros = self.tracer.wall_micros();
-                        shard.trace.push(union.0, event);
-                    }
-                    slot.insert(self.new_union_group(ga, gb))
-                }
-            };
-            self.cost_pair(ga, gb, group, &mut shard.plans_costed);
+            self.stage_pair(&mut shard, a, b);
         }
-        shard
+        (shard, None)
     }
 
-    /// Fold one worker's shard into the memo. Shards must be merged in
-    /// chunk order (the chunks partition the sequential pair order
-    /// contiguously), which makes the result bit-identical to the
-    /// sequential run: groups are inserted in first-creation order,
-    /// and re-offering each shard's retained entries in offer order
+    /// Fold one worker's shard into the level's stage. Shards must be
+    /// merged in chunk order (the chunks partition the sequential pair
+    /// order contiguously), which makes the result bit-identical to
+    /// the sequential run: records enter in first-visit order, and
+    /// re-offering each shard's retained candidates in offer order
     /// reconstructs the same Pareto frontier — dominance is
     /// transitive, so dropping shard-locally dominated offers never
     /// changes the final retained set.
-    pub(crate) fn merge_shard(
-        &mut self,
-        mut shard: LevelShard,
-        new_sets: &mut Vec<RelSet>,
-        created: &mut Vec<RelSet>,
-        recorded: &mut crate::fx::FxHashSet<RelSet>,
-    ) {
-        self.plans_costed += shard.plans_costed;
-        // Staged events are keyed by union-set bitmap; only those for
-        // sets this shard actually inserts below are forwarded, in
-        // created-order — exactly the sequence the sequential run
-        // emits inline, so merged traces are deterministic.
+    pub(crate) fn merge_shard(&mut self, stage: &mut LevelStage, shard: LevelStage) {
+        stage.plans_costed += shard.plans_costed;
         #[cfg(feature = "trace")]
-        let mut staged: FxHashMap<u64, Event> = {
-            if shard.trace.dropped() > 0 {
-                self.tracer
-                    .emit(Event::new("trace_dropped").with("staged_events", shard.trace.dropped()));
-            }
-            shard.trace.drain().collect()
-        };
-        for set in std::mem::take(&mut shard.created_order) {
-            let group = shard.groups.remove(&set).expect("created in this shard");
-            match self.memo.get_mut(set) {
-                Some(existing) => {
-                    for plan in group.entries() {
-                        existing.add_plan(plan.clone());
-                    }
-                    // A group that pre-existed the whole level was
-                    // retained from an earlier rung of a governed
-                    // descent: record it in the level row on first
-                    // visit (`recorded` already holds everything this
-                    // level created, so those are not re-recorded).
-                    if recorded.insert(set) {
-                        new_sets.push(set);
-                    }
+        let mut staged_micros = shard.staged_micros.into_iter();
+        for mut jcr in shard.jcrs {
+            #[cfg(feature = "trace")]
+            let micros = staged_micros.next();
+            match stage.index.entry(jcr.group().set) {
+                Entry::Occupied(entry) => {
+                    self.reoffer(&mut stage.jcrs[*entry.get()], jcr.take_candidates());
                 }
-                None => {
-                    // First shard (in chunk order) to create this set:
-                    // the shard group's entries already form a Pareto
-                    // frontier in offer order, exactly what offering
-                    // them one-by-one to an empty group would retain.
-                    self.memo.insert(group);
-                    self.memory.add_groups(1);
-                    recorded.insert(set);
-                    created.push(set);
-                    new_sets.push(set);
+                Entry::Vacant(entry) => {
+                    // First shard (in chunk order) to visit this set:
+                    // its candidates already form a Pareto frontier in
+                    // offer order, exactly what offering them one by
+                    // one to an empty record would retain. The
+                    // staging time is that first visit's, too.
+                    entry.insert(stage.jcrs.len());
+                    self.admit(&mut jcr);
+                    stage.jcrs.push(jcr);
                     #[cfg(feature = "trace")]
-                    if let Some(event) = staged.remove(&set.0) {
-                        self.tracer.emit(event);
-                    }
+                    stage.staged_micros.extend(micros);
                 }
             }
         }
+    }
+
+    /// End a level's enumeration, before its first barrier check: fold
+    /// the offers collected for groups the memo already holds into
+    /// those groups, and emit the `jcr` event of every JCR the level
+    /// created — only now, so that a mid-level budget trip leaves no
+    /// trace of the rolled-back level at any thread count.
+    pub(crate) fn settle_stage(&mut self, stage: &mut LevelStage) {
+        // Nothing looks a pair's record up any more.
+        stage.index = FxHashMap::default();
+        for (slot, jcr) in stage.jcrs.iter_mut().enumerate() {
+            let set = jcr.group().set;
+            if !jcr.in_memo {
+                #[cfg(feature = "trace")]
+                if let Some(&micros) = stage.staged_micros.get(slot) {
+                    let mut event = Event::new("jcr")
+                        .with("level", set.len())
+                        .with("set", set.0);
+                    event.wall_micros = micros;
+                    self.tracer.emit(event);
+                }
+                continue;
+            }
+            // Re-offered against the group's built plans, like a
+            // shard's against an earlier shard's.
+            let offers = jcr.take_candidates();
+            let mut refined = StagedJcr::new(self.memo.get_mut(set).expect("in the memo").take());
+            self.reoffer(&mut refined, offers);
+            let group = refined.materialize(&self.memo, &self.nodes);
+            *self.memo.get_mut(set).expect("emptied group present") = group;
+        }
+    }
+
+    /// Offer candidates retained (and charged for) elsewhere to
+    /// `target`, in order, and release what it does not keep.
+    fn reoffer(&self, target: &mut StagedJcr, offers: Vec<Candidate>) {
+        let charged = target.candidates().len() + offers.len();
+        for candidate in offers {
+            target.offer(candidate);
+        }
+        self.nodes.release(charged - target.candidates().len());
+    }
+
+    /// Account for a JCR its level created being dropped while still
+    /// staged — pruned, or rolled back with the level: the counters
+    /// move as if it had been a memo group (see
+    /// [`EnumContext::prune_group`]).
+    pub(crate) fn drop_staged(&mut self, jcr: &StagedJcr) {
+        debug_assert!(!jcr.in_memo);
+        self.nodes.release(jcr.candidates().len());
+        self.memo.count_dropped_while_staged();
+        self.memory.remove_groups(1);
+        self.jcrs_pruned += 1;
+    }
+
+    /// Account for everything the level's stage still holds being
+    /// dropped with it: the level did not complete.
+    pub(crate) fn roll_back_stage(&mut self, stage: &LevelStage) {
+        for jcr in &stage.jcrs {
+            if jcr.in_memo {
+                self.nodes.release(jcr.candidates().len());
+            } else {
+                self.drop_staged(jcr);
+            }
+        }
+    }
+
+    /// Build a JCR that survived its level into a memo group.
+    pub(crate) fn materialize_staged(&mut self, jcr: StagedJcr) {
+        debug_assert!(!jcr.in_memo);
+        let group = jcr.materialize(&self.memo, &self.nodes);
+        let inserted = self.memo.insert(group);
+        debug_assert!(inserted, "a staged JCR is new to the memo");
     }
 
     /// Best complete plan for `full`, enforcing the `ORDER BY` with an
@@ -1171,8 +1255,9 @@ mod tests {
 
     #[test]
     fn level_worker_matches_sequential_join_pair() {
-        // The same pair costed through the worker shard must retain
-        // exactly the plans the sequential path retains.
+        // The same pairs costed through a worker's stage must retain
+        // exactly the plans the one-pair path builds — and charge the
+        // node counter for exactly as many.
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(5), 4).instance(0);
@@ -1192,27 +1277,28 @@ mod tests {
         for i in 0..5 {
             par.ensure_base_group(i);
         }
+        let base_plans = par.node_counter().live();
         let probe = par.memory.probe();
         let abort = AtomicBool::new(false);
-        let shard = par.level_worker(&pairs, &probe, &abort);
-        assert!(shard.error.is_none());
-        let mut new_sets = Vec::new();
-        let mut created = Vec::new();
-        let mut recorded = crate::fx::FxHashSet::default();
-        par.merge_shard(shard, &mut new_sets, &mut created, &mut recorded);
+        let (shard, error) = par.level_worker(&pairs, &probe, &abort);
+        assert!(error.is_none());
+        let mut stage = LevelStage::default();
+        par.merge_shard(&mut stage, shard);
 
-        assert_eq!(new_sets.len(), 4);
-        assert_eq!(seq.plans_costed, par.plans_costed);
-        for &(a, b) in &pairs {
-            let (sg, pg) = (seq.memo.get(a | b).unwrap(), par.memo.get(a | b).unwrap());
-            let frontier = |g: &Group| {
-                g.entries()
-                    .iter()
-                    .map(|e| (e.cost.to_bits(), e.ordering))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(frontier(sg), frontier(pg));
+        assert_eq!(stage.jcrs.len(), 4);
+        assert_eq!(seq.plans_costed, par.plans_costed + stage.plans_costed);
+        assert_eq!(seq.memory.used_bytes(), par.memory.used_bytes());
+        for jcr in &stage.jcrs {
+            let built: Vec<_> = (seq.memo.get(jcr.group().set).unwrap().entries().iter())
+                .map(|e| (e.cost.to_bits(), e.ordering))
+                .collect();
+            let staged: Vec<_> = (jcr.candidates().iter())
+                .map(|c| (c.cost.to_bits(), c.ordering))
+                .collect();
+            assert_eq!(built, staged);
         }
+        par.roll_back_stage(&stage);
+        assert_eq!(par.node_counter().live(), base_plans);
     }
 
     #[test]

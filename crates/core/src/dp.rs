@@ -22,9 +22,12 @@
 //! surrogate prototype — see [`crate::enumerate`]); the engine only
 //! consumes the strategy's deterministic pair stream.
 //!
-//! A [`LevelPruner`] hook fires after each level is fully enumerated;
-//! SDP plugs its hub-partitioned skyline pruning in here, exhaustive
-//! DP passes `None`.
+//! A level is *staged*: its pairs are costed into candidate records
+//! (`crate::context::LevelStage`), and only the JCRs that come through
+//! the level barrier are built into memo groups of plan nodes. A
+//! [`LevelPruner`] hook judges the stage at the barrier; SDP plugs its
+//! hub-partitioned skyline pruning in here, exhaustive DP passes
+//! `None`.
 //!
 //! # Parallel levels
 //!
@@ -33,11 +36,11 @@
 //! context's parallelism allows ([`EnumContext::parallelism`]) and the
 //! level is large enough to amortize thread startup. Workers cost
 //! their contiguous chunk of the level's pair list into private
-//! shards; the level barrier merges the shards back in chunk order,
-//! which reproduces the sequential memo bit-for-bit (see the
-//! "Threading model" section in DESIGN.md for the argument). Levels
-//! below `PARALLEL_PAIR_THRESHOLD` pairs run on the coordinating
-//! thread unchanged.
+//! stages; the level barrier merges them in chunk order, which
+//! reproduces the sequential stage bit-for-bit (see the "Threading
+//! model" section in DESIGN.md for the argument). Levels below
+//! `PARALLEL_PAIR_THRESHOLD` pairs run on the coordinating thread,
+//! straight into the level's stage.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -45,9 +48,8 @@ use std::sync::Arc;
 use sdp_query::RelSet;
 
 use crate::budget::OptError;
-use crate::context::{EnumContext, LevelStats};
+use crate::context::{EnumContext, LevelStage, LevelStats};
 use crate::enumerate::PairEnumerator;
-use crate::fx::FxHashSet;
 use crate::plan::PlanNode;
 
 /// Budget-check cadence, in candidate pair visits (sequential path).
@@ -60,9 +62,23 @@ const PARALLEL_PAIR_THRESHOLD: usize = 128;
 
 /// Pruning hook invoked after each DP level is complete.
 pub trait LevelPruner {
-    /// Inspect the fully-enumerated `level` (number of atoms joined;
-    /// `level_sets` lists its JCRs) and return the JCRs to prune.
-    fn prune(&mut self, ctx: &EnumContext<'_>, level: usize, level_sets: &[RelSet]) -> Vec<RelSet>;
+    /// Judge the fully-enumerated `level` (number of atoms joined).
+    /// `level_sets` lists its JCRs in creation order and `features`
+    /// their `[Rows, Cost, Selectivity]` vectors (paper Figure 2.3),
+    /// index for index; `keep`, as long and all `true` on entry, is
+    /// the verdict: clear a JCR's flag to prune it.
+    ///
+    /// The level's JCRs are not in `ctx.memo` yet — what survives is
+    /// built into memo groups after the call — so everything there is
+    /// to know about them is in the two slices.
+    fn prune(
+        &mut self,
+        ctx: &EnumContext<'_>,
+        level: usize,
+        level_sets: &[RelSet],
+        features: &[[f64; 3]],
+        keep: &mut [bool],
+    );
 
     /// Skyline accounting for the most recent [`LevelPruner::prune`]
     /// call, folded into the level's profile row. Pruners without
@@ -106,21 +122,19 @@ impl LevelTable {
 }
 
 /// Enumerate one level's pairs across worker threads and merge the
-/// shards deterministically. `pairs` must be in the sequential visit
-/// order; chunks partition it contiguously and are merged left to
-/// right.
+/// workers' stages deterministically. `pairs` must be in the
+/// sequential visit order; chunks partition it contiguously and are
+/// merged left to right.
 fn run_level_parallel(
     ctx: &mut EnumContext<'_>,
     pairs: &[(RelSet, RelSet)],
     threads: usize,
-    new_sets: &mut Vec<RelSet>,
-    created: &mut Vec<RelSet>,
-    recorded: &mut FxHashSet<RelSet>,
+    stage: &mut LevelStage,
 ) -> Result<(), OptError> {
     let chunk = pairs.len().div_ceil(threads);
     let probe = ctx.memory.probe();
     let abort = AtomicBool::new(false);
-    let shards = {
+    let (shards, errors): (Vec<_>, Vec<_>) = {
         let shared: &EnumContext<'_> = ctx;
         let (probe, abort) = (&probe, &abort);
         std::thread::scope(|scope| {
@@ -131,108 +145,118 @@ fn run_level_parallel(
             handles
                 .into_iter()
                 .map(|h| h.join().expect("level worker panicked"))
-                .collect::<Vec<_>>()
+                .unzip()
         })
     };
     // A budget trip anywhere aborts the level; partial results are
     // dropped before anything is merged, so an aborted parallel level
     // leaves the memo exactly at the previous level barrier.
-    if let Some(e) = shards.iter().find_map(|s| s.error.clone()) {
+    if let Some(e) = errors.into_iter().flatten().next() {
+        let unmerged: usize = shards.iter().map(LevelStage::charged).sum();
+        ctx.node_counter().release(unmerged);
         return Err(e);
     }
     for shard in shards {
-        ctx.merge_shard(shard, new_sets, created, recorded);
+        ctx.merge_shard(stage, shard);
     }
     Ok(())
 }
 
-/// Enumerate and prune one DP level. `new_sets` receives the level's
-/// surviving JCRs (including groups retained from an earlier governed
-/// rung, recorded on first visit so higher levels can build on them);
-/// `created` lists only the groups this level actually inserted, which
-/// is what the caller rolls back on error; `recorded` deduplicates the
-/// two. Barrier budget checks run after enumeration and after the
-/// pruner — the two deterministic per-level poll points of the
-/// governor.
-#[allow(clippy::too_many_arguments)]
+/// Enumerate and prune one DP level, returning its surviving JCRs with
+/// their join-graph neighbourhoods (including groups retained from an
+/// earlier governed rung, recorded on first visit so higher levels can
+/// build on them). The level is costed into `stage`; what comes
+/// through the pruner and both barrier checks is built into memo
+/// groups, the rest never is: on error, the caller rolls back what
+/// `stage` still holds. The barrier checks run after enumeration and
+/// after the pruner — the two deterministic per-level poll points of
+/// the governor.
 fn run_one_level<'p>(
     ctx: &mut EnumContext<'_>,
     pairs: &[(RelSet, RelSet)],
     threads: usize,
     level: usize,
     visits: &mut u64,
-    new_sets: &mut Vec<RelSet>,
-    created: &mut Vec<RelSet>,
-    recorded: &mut FxHashSet<RelSet>,
-    mut pruner: Option<&mut (dyn LevelPruner + 'p)>,
-) -> Result<(), OptError> {
-    let pair_count = pairs.len() as u64;
+    stage: &mut LevelStage,
+    pruner: Option<&mut (dyn LevelPruner + 'p)>,
+) -> Result<Vec<(RelSet, RelSet)>, OptError> {
     let plans_before = ctx.plans_costed;
     let pruned_before = ctx.jcrs_pruned;
     let enforcers_before = ctx.sort_enforcers;
-    if threads > 1 && pairs.len() >= PARALLEL_PAIR_THRESHOLD {
-        run_level_parallel(ctx, pairs, threads, new_sets, created, recorded)?;
+    let enumerated = if threads > 1 && pairs.len() >= PARALLEL_PAIR_THRESHOLD {
+        run_level_parallel(ctx, pairs, threads, stage)
     } else {
-        // Stage creation events and emit them only once the whole
-        // level has enumerated: a mid-level budget trip then leaves no
-        // trace of the rolled-back level, exactly like the parallel
-        // path's whole-level discard — traces stay deterministic.
-        #[cfg(feature = "trace")]
-        let mut staged: Vec<sdp_trace::Event> = Vec::new();
-        #[cfg(feature = "trace")]
-        let tracing = ctx.tracer().enabled();
-        for &(a, b) in pairs {
+        pairs.iter().try_for_each(|&(a, b)| {
             *visits += 1;
             if visits.is_multiple_of(CHECK_INTERVAL) {
                 ctx.memory.check()?;
             }
-            let union = a | b;
-            if ctx.join_pair(a, b) {
-                created.push(union);
-                recorded.insert(union);
-                new_sets.push(union);
-                #[cfg(feature = "trace")]
-                if tracing {
-                    let mut event = EnumContext::jcr_event(union);
-                    event.wall_micros = ctx.tracer().wall_micros();
-                    staged.push(event);
-                }
-            } else if recorded.insert(union) {
-                // The group pre-existed this level — retained from an
-                // earlier rung of a governed descent. Record it in the
-                // level row so higher levels can still reach it.
-                new_sets.push(union);
+            if let Some(slot) = ctx.stage_pair(stage, a, b) {
+                ctx.admit(&mut stage.jcrs[slot]);
             }
-        }
-        #[cfg(feature = "trace")]
-        for event in staged {
-            ctx.tracer().emit(event);
-        }
+            Ok(())
+        })
+    };
+    // Costed is costed, even in a level that is about to roll back.
+    ctx.plans_costed += std::mem::take(&mut stage.plans_costed);
+    enumerated?;
+    ctx.settle_stage(stage);
+    ctx.memory.barrier_check()?;
+
+    let created = stage.jcrs.iter().filter(|jcr| !jcr.in_memo).count();
+    let mut prune_stats = PruneStats::default();
+    if let Some(p) = pruner {
+        let (sets, features): (Vec<RelSet>, Vec<[f64; 3]>) = stage
+            .jcrs
+            .iter()
+            .map(|jcr| {
+                let set = jcr.group().set;
+                if jcr.in_memo {
+                    let group = ctx.memo.get(set).expect("in the memo");
+                    (set, group.feature_vector())
+                } else {
+                    (set, jcr.feature_vector())
+                }
+            })
+            .unzip();
+        let mut keep = vec![true; sets.len()];
+        p.prune(ctx, level, &sets, &features, &mut keep);
+        prune_stats = p.last_prune_stats();
+        let mut verdicts = keep.into_iter();
+        stage.jcrs.retain(|jcr| {
+            let keep = verdicts.next().expect("one verdict per JCR");
+            match (keep, jcr.in_memo) {
+                (true, _) => {}
+                (false, true) => ctx.prune_group(jcr.group().set),
+                (false, false) => ctx.drop_staged(jcr),
+            }
+            keep
+        });
     }
     ctx.memory.barrier_check()?;
 
-    let mut prune_stats = PruneStats::default();
-    if let Some(p) = pruner.as_mut() {
-        let victims = p.prune(ctx, level, new_sets);
-        prune_stats = p.last_prune_stats();
-        if !victims.is_empty() {
-            let victim_set: FxHashSet<RelSet> = victims.iter().copied().collect();
-            for v in victims {
-                ctx.prune_group(v);
+    // The survivors become memo groups, in creation order.
+    ctx.memo.reserve(stage.jcrs.len());
+    let survivors: Vec<(RelSet, RelSet)> = stage
+        .jcrs
+        .drain(..)
+        .map(|jcr| {
+            let row = (jcr.group().set, jcr.group().neighbors);
+            if !jcr.in_memo {
+                ctx.materialize_staged(jcr);
             }
-            new_sets.retain(|s| !victim_set.contains(s));
-        }
-    }
-    ctx.memory.barrier_check()?;
+            row
+        })
+        .collect();
 
     // Sort-ahead placement (post-barrier, coordinating thread only):
     // offer each surviving JCR of the level an explicit Sort enforcer
     // producing the order target, so order-preserving joins at higher
     // levels can carry the order up instead of paying a root sort over
-    // the full result. `new_sets` is in deterministic creation order,
-    // so the offers — and hence plans, counters and traces — are
-    // bit-identical at any parallelism.
-    for &set in new_sets.iter() {
+    // the full result. The survivors are in deterministic creation
+    // order, so the offers — and hence plans, counters and traces —
+    // are bit-identical at any parallelism.
+    for &(set, _) in &survivors {
         ctx.offer_sort_enforcer(set);
     }
 
@@ -240,11 +264,11 @@ fn run_one_level<'p>(
         level,
         phase: ctx.phase(),
         enumerator: ctx.enumerator().label(),
-        pairs: pair_count,
+        pairs: pairs.len() as u64,
         plans_costed: ctx.plans_costed - plans_before,
-        jcrs_created: created.len() as u64,
+        jcrs_created: created as u64,
         jcrs_pruned: ctx.jcrs_pruned - pruned_before,
-        jcrs_retained: new_sets.len() as u64,
+        jcrs_retained: survivors.len() as u64,
         skyline_partitions: prune_stats.partitions,
         skyline_survivors: prune_stats.survivors,
         order_rescued: prune_stats.order_rescued,
@@ -256,7 +280,7 @@ fn run_one_level<'p>(
     ctx.record_level(stats);
     #[cfg(feature = "trace")]
     ctx.tracer().emit_with(|| level_event(&stats));
-    Ok(())
+    Ok(survivors)
 }
 
 /// The per-level span summarizing one completed level barrier. Every
@@ -328,45 +352,36 @@ pub fn run_levels_with(
     let mut visits: u64 = 0;
     for s in 2..=up_to {
         let pairs = enumerator.level_pairs(ctx, &table, s);
-        let mut new_sets: Vec<RelSet> = Vec::new();
-        let mut created: Vec<RelSet> = Vec::new();
-        let mut recorded: FxHashSet<RelSet> = FxHashSet::default();
         let threads = ctx.parallelism().min(pairs.len().max(1));
-
-        if let Err(e) = run_one_level(
+        let mut stage = LevelStage::default();
+        match run_one_level(
             ctx,
             &pairs,
             threads,
             s,
             &mut visits,
-            &mut new_sets,
-            &mut created,
-            &mut recorded,
+            &mut stage,
             pruner.as_deref_mut(),
         ) {
-            // Determinism-by-rollback: drop every group this level
-            // created, so the memo a governed descent inherits equals
-            // the last *completed* level — the same state the parallel
-            // path's whole-level discard leaves — regardless of where
-            // inside the level the budget tripped.
-            // The rollback span carries only the level: how far into
-            // the level the trip was detected (and hence how many
-            // groups roll back) legitimately differs between the
-            // sequential and parallel detection points, so it must not
-            // appear in canonical fields.
-            #[cfg(feature = "trace")]
-            ctx.tracer()
-                .emit_with(|| sdp_trace::Event::new("level_rollback").with("level", s));
-            for set in created {
-                ctx.prune_group(set);
+            Ok(survivors) => table.levels.push(survivors),
+            Err(e) => {
+                // Determinism-by-rollback: drop every JCR this level
+                // created, so the memo a governed descent inherits
+                // equals the last *completed* level — the same state
+                // the parallel path's whole-level discard leaves —
+                // regardless of where inside the level the budget
+                // tripped. The rollback span carries only the level:
+                // how far into the level the trip was detected (and
+                // hence how many JCRs roll back) legitimately differs
+                // between the sequential and parallel detection
+                // points, so it must not appear in canonical fields.
+                #[cfg(feature = "trace")]
+                ctx.tracer()
+                    .emit_with(|| sdp_trace::Event::new("level_rollback").with("level", s));
+                ctx.roll_back_stage(&stage);
+                return Err(e);
             }
-            return Err(e);
         }
-
-        let graph = ctx.graph();
-        table
-            .levels
-            .push(new_sets.iter().map(|&s| (s, graph.neighbors(s))).collect());
     }
     Ok(table)
 }
@@ -717,9 +732,11 @@ mod tests {
                 &mut self,
                 _ctx: &EnumContext<'_>,
                 _level: usize,
-                sets: &[RelSet],
-            ) -> Vec<RelSet> {
-                sets.to_vec()
+                _sets: &[RelSet],
+                _features: &[[f64; 3]],
+                keep: &mut [bool],
+            ) {
+                keep.fill(false);
             }
         }
         let cat = Catalog::paper();
@@ -742,5 +759,102 @@ mod tests {
         let plan = optimize_complete(&mut ctx, None).unwrap();
         assert_eq!(plan.ordering, ctx.order_target());
         assert!(plan.ordering.is_some());
+    }
+
+    /// The memory model must not notice that a level is staged: at
+    /// every point where nothing is staged, the run's live-node count
+    /// is the number of distinct plan nodes the memo reaches, and its
+    /// group count the memo's.
+    mod accounting {
+        use super::*;
+        use crate::budget::{GROUP_MODEL_BYTES, NODE_MODEL_BYTES};
+        use crate::enumerate::tests::random_connected_query;
+        use crate::governor::prepare_handoff;
+        use crate::sdp::{optimize_sdp, SdpConfig, SdpPruner};
+        use proptest::prelude::*;
+        use std::collections::HashSet;
+
+        fn assert_counted(ctx: &EnumContext<'_>, when: &str) {
+            fn walk(node: &Arc<PlanNode>, seen: &mut HashSet<*const PlanNode>) {
+                if seen.insert(Arc::as_ptr(node)) {
+                    node.children.iter().for_each(|c| walk(c, seen));
+                }
+            }
+            let mut reached = HashSet::new();
+            for set in ctx.memo.sets() {
+                let group = ctx.memo.get(set).expect("live set");
+                group.entries().iter().for_each(|e| walk(e, &mut reached));
+            }
+            let reached = reached.len() as u64;
+            assert_eq!(ctx.node_counter().live(), reached, "live nodes {when}");
+            assert_eq!(
+                ctx.memory.used_bytes(),
+                ctx.memo.len() as u64 * GROUP_MODEL_BYTES + reached * NODE_MODEL_BYTES,
+                "model bytes {when}"
+            );
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn live_nodes_are_the_nodes_the_memo_reaches(
+                n in 3usize..=10,
+                parents in prop::collection::vec(any::<u64>(), 9usize),
+                extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=8),
+                ordered in any::<bool>(),
+                threads in prop_oneof![Just(1usize), Just(3usize)],
+                budget_groups in 4u64..80,
+            ) {
+                // Low-numbered parents make hubs (and SDP pruning) likely.
+                let parents: Vec<u64> = parents.iter().map(|p| p % 3).collect();
+                let (mut query, _) = random_connected_query(n, &parents, &extras);
+                if ordered {
+                    let column = query.graph.edges()[0].left;
+                    query = query.with_order_by(column);
+                }
+                let cat = Catalog::paper();
+                let model = CostModel::with_defaults(&cat);
+                let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
+                let context = |budget| {
+                    EnumContext::new(&query, &model, budget, threads, EnumeratorKind::from_env())
+                };
+
+                // Level by level, exhaustive and pruned. Each call
+                // re-enumerates the levels below over the groups the
+                // memo already holds, so records that only collect
+                // offers for such groups are covered as well.
+                for pruned in [false, true] {
+                    let mut ctx = context(Budget::unlimited());
+                    (0..n).for_each(|i| ctx.ensure_base_group(i));
+                    for up_to in 2..=n {
+                        let mut pruner = SdpPruner::new(&ctx, SdpConfig::paper());
+                        let pruner: Option<&mut dyn LevelPruner> =
+                            if pruned { Some(&mut pruner) } else { None };
+                        run_levels(&mut ctx, &atoms, up_to, pruner).unwrap();
+                        assert_counted(&ctx, &format!("after level {up_to} (pruned: {pruned})"));
+                    }
+                }
+
+                // A governed descent: exhaustive DP under a budget it
+                // (usually) cannot meet rolls a level back; the memo is
+                // handed down and SDP finishes over the retained pairs.
+                let mut ctx = context(Budget::with_memory(budget_groups * GROUP_MODEL_BYTES));
+                let exhaustive = optimize_complete(&mut ctx, None);
+                if let Err(e) = &exhaustive {
+                    prop_assert!(matches!(e, OptError::MemoryExhausted { .. }), "{e}");
+                }
+                // A root sort is the caller's, not the memo's.
+                drop(exhaustive);
+                assert_counted(&ctx, "after the abandoned rung");
+                prepare_handoff(&mut ctx, Budget::unlimited());
+                assert_counted(&ctx, "after the handoff");
+                ctx.memory.set_budget(Budget::unlimited());
+                let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
+                plan.check_invariants().unwrap();
+                drop(plan);
+                assert_counted(&ctx, "after the descent");
+            }
+        }
     }
 }

@@ -738,7 +738,7 @@ pub fn normalized_pair_multiset(pairs: &[(RelSet, RelSet)]) -> Vec<(RelSet, RelS
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::budget::Budget;
     use crate::dp::run_levels_with;
@@ -837,7 +837,7 @@ mod tests {
     /// attaches to `parents[i] % (i + 1)`) plus deduplicated extra
     /// edges, each endpoint on its node's next unused column. Returns
     /// the tree edges too, for contracting atoms along them.
-    fn random_connected_query(
+    pub(crate) fn random_connected_query(
         n: usize,
         parents: &[u64],
         extras: &[(u64, u64)],

@@ -1,20 +1,26 @@
 //! Physical plan trees.
 //!
 //! Plans are immutable `Arc` trees: subplans are shared between every
-//! memo group that references them, and pruning a group (SDP's whole
-//! point) drops its `Arc`s, transparently freeing any node no longer
-//! reachable — which is what makes the memory-overhead measurements
-//! (paper Tables 1.2, 1.4, 2.1, 3.2, 3.3) meaningful. `Arc` (rather
-//! than `Rc`) makes plans `Send + Sync`, so the level-wise enumerator
-//! can build candidate plans on worker threads and merge them at the
-//! level barrier.
+//! memo group that references them, and dropping a group's `Arc`s
+//! (a governed descent's handoff, IDP's block contraction) frees any
+//! node no longer reachable. `Arc` (rather than `Rc`) makes plans
+//! `Send + Sync`, so finished plans cross threads freely.
+//!
+//! A join alternative becomes a node only once its JCR has survived
+//! its level: while the level runs it is a plain candidate record in
+//! the level stage (see [`crate::memo`]), so a JCR that SDP prunes —
+//! most of them, SDP's whole point — and a plan that a cheaper one
+//! evicts are never allocated at all.
 //!
 //! A per-run [`NodeCounter`] tracks exactly how many plan nodes of
-//! that run are alive at any instant; [`crate::budget::MemoryModel`]
-//! converts that (plus the group count) into paper-equivalent
-//! megabytes. The counter is a shared atomic, so nodes created on
-//! worker threads charge the same budget as nodes created on the
-//! coordinating thread.
+//! that run are alive at any instant — built ones and staged
+//! candidates alike, so the count is the one an optimizer building
+//! every retained plan eagerly would show, which is what makes the
+//! memory-overhead measurements (paper Tables 1.2, 1.4, 2.1, 3.2, 3.3)
+//! meaningful; [`crate::budget::MemoryModel`] converts it (plus the
+//! group count) into paper-equivalent megabytes. The counter is a
+//! shared atomic, so candidates staged on worker threads charge the
+//! same budget as nodes created on the coordinating thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,12 +49,17 @@ impl NodeCounter {
         self.0.load(Ordering::Relaxed)
     }
 
-    fn increment(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+    /// Count `n` more nodes alive: a node being built, or candidates
+    /// a level stage retains on behalf of the nodes they may become.
+    pub(crate) fn charge(&self, n: usize) {
+        self.0.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    fn decrement(&self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+    /// Count `n` nodes gone: a node dropped, or staged candidates
+    /// evicted, pruned, rolled back or built into nodes (which charge
+    /// themselves).
+    pub(crate) fn release(&self, n: usize) {
+        self.0.fetch_sub(n as u64, Ordering::Relaxed);
     }
 }
 
@@ -167,7 +178,7 @@ impl PlanNode {
     ) -> Arc<Self> {
         debug_assert!(rows.is_finite() && rows >= 0.0, "rows = {rows}");
         debug_assert!(cost.is_finite() && cost >= 0.0, "cost = {cost}");
-        counter.increment();
+        counter.charge(1);
         Arc::new(PlanNode {
             op,
             set,
@@ -303,7 +314,7 @@ impl PlanNode {
 
 impl Drop for PlanNode {
     fn drop(&mut self) {
-        self.counter.decrement();
+        self.counter.release(1);
     }
 }
 

@@ -33,16 +33,10 @@
 //!    reachable (Section 2.1.4).
 
 use sdp_query::{hubs, RelSet};
-use sdp_skyline::{k_dominant_skyline, pairwise_union_skyline_threaded, skyline_sfs};
+use sdp_skyline::{k_dominant_skyline_of, pairwise_union_skyline_of, skyline_sfs_of};
 
 use crate::context::EnumContext;
 use crate::dp::{LevelPruner, PruneStats};
-use crate::fx::FxHashMap;
-
-/// Minimum level size (in JCRs) before the per-partition skylines are
-/// fanned out to worker threads; below this the scans are too cheap
-/// to amortize thread startup.
-const PARALLEL_PARTITION_THRESHOLD: usize = 64;
 
 /// How the PruneGroup is partitioned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -99,16 +93,84 @@ impl SdpConfig {
 #[derive(Debug)]
 pub struct SdpPruner {
     config: SdpConfig,
-    /// Hubs of the original join graph (computed once).
+    /// Hubs of the original join graph (computed once), ascending.
     root_hubs: Vec<usize>,
     /// Hub-parents: surviving JCRs of the previous level that act as
-    /// hubs in the contracted graph (Parent-Hub mode only).
+    /// hubs in the contracted graph (Parent-Hub mode only), ascending.
     hub_parents: Vec<RelSet>,
     /// Relations owning a column of the `ORDER BY` class, each of
     /// which sponsors an extra "interesting order" partition.
     order_relations: Vec<usize>,
     /// Skyline accounting for the most recent `prune_level` call.
     last: PruneStats,
+    scratch: Scratch,
+}
+
+/// The buffers a level's pruning works in, kept from level to level so
+/// that a level allocates only where it outgrows every earlier one.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Per JCR: number of hub partitions it belongs to.
+    membership: Vec<u32>,
+    /// Per JCR: number of those it is on the skyline of.
+    survived_in: Vec<u32>,
+    /// The non-empty hub partitions in ascending key order: each one's
+    /// key and the end of its run in `members` (which starts where the
+    /// previous one's ends).
+    partitions: Vec<(RelSet, usize)>,
+    /// The partitions' members — indices into the level, ascending
+    /// within a partition — back to back.
+    members: Vec<usize>,
+    /// Members of the interesting-order partition being judged.
+    order_members: Vec<usize>,
+    /// Skyline of the partition being judged.
+    winners: Vec<usize>,
+}
+
+impl Scratch {
+    /// Append the partition of the level's JCRs that `belongs` selects,
+    /// unless it is empty.
+    fn push_partition(
+        &mut self,
+        level_sets: &[RelSet],
+        key: RelSet,
+        belongs: impl Fn(RelSet) -> bool,
+    ) {
+        let start = self.members.len();
+        for (i, &set) in level_sets.iter().enumerate() {
+            if belongs(set) {
+                self.members.push(i);
+                self.membership[i] += 1;
+            }
+        }
+        if self.members.len() > start {
+            self.partitions.push((key, self.members.len()));
+        }
+    }
+}
+
+/// Apply a skyline function within one partition — `members` indexes
+/// the level's `features` — overwriting `winners` with the surviving
+/// members.
+fn skyline(
+    option: SkylineOption,
+    features: &[[f64; 3]],
+    members: &[usize],
+    winners: &mut Vec<usize>,
+) {
+    let members = members.iter().copied();
+    match option {
+        SkylineOption::PairwiseUnion => pairwise_union_skyline_of(features, members, winners),
+        SkylineOption::FullVector => skyline_sfs_of(features, members, winners),
+        SkylineOption::KDominant(k) => {
+            k_dominant_skyline_of(features, members.clone(), k.clamp(1, 3), winners);
+            if winners.is_empty() {
+                // Cyclic k-dominance wiped the partition; fall back to
+                // the ordinary skyline (never empty).
+                skyline_sfs_of(features, members, winners);
+            }
+        }
+    }
 }
 
 impl SdpPruner {
@@ -138,27 +200,7 @@ impl SdpPruner {
             hub_parents,
             order_relations,
             last: PruneStats::default(),
-        }
-    }
-
-    /// Apply the configured skyline function within one partition,
-    /// returning the indices of the surviving members. `threads > 1`
-    /// lets the pairwise-union option compute its RC/CS/RS projection
-    /// skylines concurrently (the result is identical either way).
-    fn skyline(&self, features: &[Vec<f64>], threads: usize) -> Vec<usize> {
-        match self.config.skyline {
-            SkylineOption::PairwiseUnion => pairwise_union_skyline_threaded(features, threads),
-            SkylineOption::FullVector => skyline_sfs(features),
-            SkylineOption::KDominant(k) => {
-                let s = k_dominant_skyline(features, k.clamp(1, 3));
-                if s.is_empty() && !features.is_empty() {
-                    // Cyclic k-dominance wiped the partition; fall
-                    // back to the ordinary skyline (never empty).
-                    skyline_sfs(features)
-                } else {
-                    s
-                }
-            }
+            scratch: Scratch::default(),
         }
     }
 
@@ -167,167 +209,126 @@ impl SdpPruner {
         ctx: &EnumContext<'_>,
         level: usize,
         level_sets: &[RelSet],
-    ) -> Vec<RelSet> {
+        features: &[[f64; 3]],
+        keep: &mut [bool],
+    ) {
         let n = ctx.graph().len();
         self.last = PruneStats::default();
         // Plain DP at level 1 and the last two levels (Figure 2.2).
-        let prunable = (2..=n.saturating_sub(2)).contains(&level);
-        if !prunable || level_sets.is_empty() {
-            self.refresh_hub_parents(ctx, level_sets);
-            return Vec::new();
+        if (2..=n.saturating_sub(2)).contains(&level) {
+            self.prune_partitions(ctx, level, level_sets, features, keep);
         }
 
-        let features: Vec<Vec<f64>> = level_sets
-            .iter()
-            .map(|&s| {
-                ctx.memo
-                    .get(s)
-                    .expect("level set is live")
-                    .feature_vector()
-                    .to_vec()
-            })
-            .collect();
+        // Recompute the hub-parents from the survivors of the level
+        // just finished ("the identification of hub relations … is
+        // computed afresh in each iteration of SDP with the current
+        // version of the join graph").
+        if self.config.partitioning == Partitioning::ParentHub {
+            let survivors = level_sets.iter().zip(&*keep).filter(|(_, &k)| k);
+            self.hub_parents = hubs::hub_parents(ctx.graph(), survivors.map(|(s, _)| s));
+            self.hub_parents.sort_unstable(); // partitions go in key order
+        }
+    }
 
-        // partition key → member indices into level_sets.
-        let mut partitions: FxHashMap<RelSet, Vec<usize>> = FxHashMap::default();
-        // Per JCR: number of hub partitions it belongs to.
-        let mut membership = vec![0u32; level_sets.len()];
-
+    /// Partition a prunable level and clear the `keep` flag of every
+    /// JCR its partitions' skylines leave out.
+    // Without tracing, what only the spans report goes unread.
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
+    fn prune_partitions(
+        &mut self,
+        ctx: &EnumContext<'_>,
+        level: usize,
+        level_sets: &[RelSet],
+        features: &[[f64; 3]],
+        keep: &mut [bool],
+    ) {
+        let option = self.config.skyline;
+        let sc = &mut self.scratch;
+        sc.partitions.clear();
+        sc.members.clear();
+        sc.membership.clear();
+        sc.membership.resize(level_sets.len(), 0);
         match self.config.partitioning {
-            Partitioning::Global => {
-                partitions.insert(RelSet::EMPTY, (0..level_sets.len()).collect());
-                membership.fill(1);
-            }
+            Partitioning::Global => sc.push_partition(level_sets, RelSet::EMPTY, |_| true),
             Partitioning::RootHub => {
-                for (i, &s) in level_sets.iter().enumerate() {
-                    for &h in &self.root_hubs {
-                        if s.contains(h) {
-                            partitions.entry(RelSet::single(h)).or_default().push(i);
-                            membership[i] += 1;
-                        }
-                    }
+                for &h in &self.root_hubs {
+                    sc.push_partition(level_sets, RelSet::single(h), |s| s.contains(h));
                 }
             }
             Partitioning::ParentHub => {
-                for (i, &s) in level_sets.iter().enumerate() {
-                    for &hp in &self.hub_parents {
-                        if s.is_superset(hp) {
-                            partitions.entry(hp).or_default().push(i);
-                            membership[i] += 1;
-                        }
-                    }
+                for &hp in &self.hub_parents {
+                    sc.push_partition(level_sets, hp, |s| s.is_superset(hp));
                 }
             }
         }
-
-        // No hub partition formed (e.g. chain region only): nothing
-        // to prune at this level.
-        if partitions.is_empty() {
-            self.refresh_hub_parents(ctx, level_sets);
-            return Vec::new();
+        // No hub partition formed (e.g. chain region only, or an empty
+        // level): nothing to prune at this level.
+        if sc.partitions.is_empty() {
+            return;
         }
 
-        // Survival in every containing partition is required.
-        let mut survived_in = vec![0u32; level_sets.len()];
-        let mut keys: Vec<RelSet> = partitions.keys().copied().collect();
-        keys.sort_unstable(); // deterministic partition order
-
-        // Per-partition skylines are independent reads, so large
-        // levels fan them out across worker threads; the survivor
-        // marks are merged in sorted key order either way, so the
-        // outcome never depends on the thread count. When partitions
-        // run sequentially, the pairwise-union projections themselves
-        // run threaded instead (no nested oversubscription).
-        let threads = ctx.parallelism();
-        let this: &SdpPruner = self;
-        let winner_lists: Vec<Vec<usize>> =
-            if threads > 1 && keys.len() > 1 && level_sets.len() >= PARALLEL_PARTITION_THRESHOLD {
-                let workers = threads.min(keys.len());
-                let chunk = keys.len().div_ceil(workers);
-                let (partitions, features) = (&partitions, &features);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = keys
-                        .chunks(chunk)
-                        .map(|chunk_keys| {
-                            scope.spawn(move || {
-                                chunk_keys
-                                    .iter()
-                                    .map(|key| {
-                                        let members = &partitions[key];
-                                        let part_features: Vec<Vec<f64>> =
-                                            members.iter().map(|&i| features[i].clone()).collect();
-                                        this.skyline(&part_features, 1)
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("partition skyline panicked"))
-                        .collect()
-                })
-            } else {
-                keys.iter()
-                    .map(|key| {
-                        let members = &partitions[key];
-                        let part_features: Vec<Vec<f64>> =
-                            members.iter().map(|&i| features[i].clone()).collect();
-                        this.skyline(&part_features, threads)
-                    })
-                    .collect()
-            };
+        // Survival in every containing partition is required. The
+        // partitions are judged — and their spans emitted — in
+        // ascending key order.
+        sc.survived_in.clear();
+        sc.survived_in.resize(level_sets.len(), 0);
         let mut total_survivors = 0u64;
-        for (key, mut winners) in keys.iter().zip(winner_lists) {
-            let members = &partitions[key];
-            if winners.is_empty() && !members.is_empty() {
+        let mut start = 0;
+        for &(key, end) in &sc.partitions {
+            let members = &sc.members[start..end];
+            start = end;
+            skyline(option, features, members, &mut sc.winners);
+            if sc.winners.is_empty() {
                 // Completeness safeguard: never let a partition lose
                 // everything (cannot happen with the built-in skyline
                 // options, but a defensive guarantee regardless).
-                winners.push(0);
+                sc.winners.push(members[0]);
             }
-            total_survivors += winners.len() as u64;
-            // Partition spans emit in sorted-key order on the
-            // coordinating thread, so the sequence is deterministic.
+            total_survivors += sc.winners.len() as u64;
             #[cfg(feature = "trace")]
             ctx.tracer().emit_with(|| {
                 sdp_trace::Event::new("skyline_partition")
                     .with("level", level)
                     .with("hub", key.0)
                     .with("members", members.len())
-                    .with("survivors", winners.len())
+                    .with("survivors", sc.winners.len())
             });
-            for w in winners {
-                survived_in[members[w]] += 1;
+            for &w in &sc.winners {
+                sc.survived_in[w] += 1;
             }
         }
 
         // FreeGroup (membership == 0) always survives; PruneGroup
         // members must have survived in all their partitions.
-        let mut keep: Vec<bool> = (0..level_sets.len())
-            .map(|i| membership[i] == 0 || survived_in[i] == membership[i])
-            .collect();
+        for (i, keep) in keep.iter_mut().enumerate() {
+            *keep = sc.membership[i] == 0 || sc.survived_in[i] == sc.membership[i];
+        }
 
         // Interesting-order partitions rescue JCRs that keep an
         // order-producing combination reachable.
         let mut order_rescued = 0u64;
         for &t in &self.order_relations {
-            let members =
-                sdp_skyline::exclusion_partition(level_sets.len(), |i| level_sets[i].contains(t));
-            if members.is_empty() {
+            sdp_skyline::exclusion_partition(
+                level_sets.len(),
+                |i| level_sets[i].contains(t),
+                &mut sc.order_members,
+            );
+            if sc.order_members.is_empty() {
                 continue;
             }
-            let rescued_here =
-                sdp_skyline::rescue_order_partition(&features, &members, &mut keep, |part| {
-                    self.skyline(part, threads)
-                });
+            let rescued_here = sdp_skyline::rescue_order_partition(
+                &sc.order_members,
+                keep,
+                &mut sc.winners,
+                |part, winners| skyline(option, features, part, winners),
+            );
             order_rescued += rescued_here;
             #[cfg(feature = "trace")]
             ctx.tracer().emit_with(|| {
                 sdp_trace::Event::new("order_partition")
                     .with("level", level)
                     .with("relation", t)
-                    .with("members", members.len())
+                    .with("members", sc.order_members.len())
                     .with("rescued", rescued_here)
             });
         }
@@ -335,10 +336,12 @@ impl SdpPruner {
         // Per-hub completeness safeguard: if pruning eliminated every
         // JCR of some hub partition, resurrect that partition's
         // cheapest member so the hub region can still grow. Iterated
-        // in sorted key order so the (rare) resurrection spans emit
+        // in key order so the (rare) resurrection spans emit
         // deterministically.
-        for key in &keys {
-            let members = &partitions[key];
+        let mut start = 0;
+        for &(key, end) in &sc.partitions {
+            let members = &sc.members[start..end];
+            start = end;
             if members.iter().any(|&i| keep[i]) {
                 continue;
             }
@@ -362,40 +365,23 @@ impl SdpPruner {
         }
 
         self.last = PruneStats {
-            partitions: keys.len() as u64,
+            partitions: sc.partitions.len() as u64,
             survivors: total_survivors,
             order_rescued,
         };
-
-        let victims: Vec<RelSet> = (0..level_sets.len())
-            .filter(|&i| !keep[i])
-            .map(|i| level_sets[i])
-            .collect();
-
-        // Track hub-parents among the survivors for the next level.
-        let survivors: Vec<RelSet> = (0..level_sets.len())
-            .filter(|&i| keep[i])
-            .map(|i| level_sets[i])
-            .collect();
-        self.refresh_hub_parents(ctx, &survivors);
-
-        victims
-    }
-
-    /// Recompute the hub-parents from the survivors of the level just
-    /// finished ("the identification of hub relations … is computed
-    /// afresh in each iteration of SDP with the current version of
-    /// the join graph").
-    fn refresh_hub_parents(&mut self, ctx: &EnumContext<'_>, survivors: &[RelSet]) {
-        if self.config.partitioning == Partitioning::ParentHub {
-            self.hub_parents = hubs::hub_parents(ctx.graph(), survivors.iter());
-        }
     }
 }
 
 impl LevelPruner for SdpPruner {
-    fn prune(&mut self, ctx: &EnumContext<'_>, level: usize, level_sets: &[RelSet]) -> Vec<RelSet> {
-        self.prune_level(ctx, level, level_sets)
+    fn prune(
+        &mut self,
+        ctx: &EnumContext<'_>,
+        level: usize,
+        level_sets: &[RelSet],
+        features: &[[f64; 3]],
+        keep: &mut [bool],
+    ) {
+        self.prune_level(ctx, level, level_sets, features, keep);
     }
 
     fn last_prune_stats(&self) -> PruneStats {
@@ -562,9 +548,9 @@ mod tests {
 
     #[test]
     fn sdp_parallel_matches_sequential() {
-        // Parallel level enumeration + parallel partition skylines
-        // must leave every observable counter and the chosen plan
-        // bit-identical to the sequential run.
+        // Parallel level enumeration must leave every observable
+        // counter and the chosen plan bit-identical to the sequential
+        // run.
         let cat = Catalog::paper();
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::star_chain(13), 3).instance(0);
@@ -640,5 +626,200 @@ mod tests {
             }
         }
         assert!(ideal * 2 >= total, "only {ideal}/{total} ideal");
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use crate::budget::Budget;
+    use crate::enumerate::tests::random_connected_query;
+    use crate::enumerate::EnumeratorKind;
+    use proptest::prelude::*;
+    use sdp_catalog::Catalog;
+    use sdp_cost::CostModel;
+    use sdp_skyline::kdominant::k_dominates;
+    use sdp_skyline::skyline_naive;
+
+    /// A partition's skyline the slow way: the partition's rows are
+    /// *copied out* and judged by the quadratic definitions. Returns
+    /// positions within `rows`.
+    fn naive_skyline(option: SkylineOption, rows: &[[f64; 3]]) -> Vec<usize> {
+        match option {
+            SkylineOption::FullVector => skyline_naive(rows),
+            SkylineOption::PairwiseUnion => {
+                let mut union: Vec<usize> = [[0, 1], [0, 2], [1, 2]]
+                    .iter()
+                    .flat_map(|&[a, b]| {
+                        let projected: Vec<[f64; 2]> = rows.iter().map(|r| [r[a], r[b]]).collect();
+                        skyline_naive(&projected)
+                    })
+                    .collect();
+                union.sort_unstable();
+                union.dedup();
+                union
+            }
+            SkylineOption::KDominant(k) => {
+                let strong: Vec<usize> = (0..rows.len())
+                    .filter(|&i| {
+                        !(0..rows.len()).any(|j| j != i && k_dominates(&rows[j], &rows[i], k))
+                    })
+                    .collect();
+                if strong.is_empty() {
+                    skyline_naive(rows)
+                } else {
+                    strong
+                }
+            }
+        }
+    }
+
+    /// The verdict of `SdpPruner::prune_partitions`, from the
+    /// description in this module's header: hub partitions (given in
+    /// ascending key order), then order rescue, then resurrection.
+    fn naive_keep(
+        option: SkylineOption,
+        features: &[[f64; 3]],
+        partitions: &[Vec<usize>],
+        order_partitions: &[Vec<usize>],
+    ) -> Vec<bool> {
+        let winners = |members: &[usize]| -> Vec<usize> {
+            let rows: Vec<[f64; 3]> = members.iter().map(|&i| features[i]).collect();
+            let winners = naive_skyline(option, &rows);
+            winners.into_iter().map(|w| members[w]).collect()
+        };
+        if partitions.is_empty() {
+            return vec![true; features.len()];
+        }
+        let mut membership = vec![0; features.len()];
+        let mut survived_in = vec![0; features.len()];
+        for members in partitions {
+            members.iter().for_each(|&i| membership[i] += 1);
+            winners(members).iter().for_each(|&i| survived_in[i] += 1);
+        }
+        let mut keep: Vec<bool> = (0..features.len())
+            .map(|i| survived_in[i] == membership[i])
+            .collect();
+        for members in order_partitions {
+            winners(members).iter().for_each(|&i| keep[i] = true);
+        }
+        for members in partitions {
+            if !members.iter().any(|&i| keep[i]) {
+                let cheapest = |&&a: &&usize, &&b: &&usize| {
+                    features[a][1].partial_cmp(&features[b][1]).unwrap()
+                };
+                keep[*members.iter().min_by(cheapest).unwrap()] = true;
+            }
+        }
+        keep
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The flat pruner — index-slice partitions over shared rows,
+        /// buffers reused from level to level — returns the keep-mask
+        /// of the copying oracle, for every partitioning × skyline
+        /// function, with and without an order target, over two
+        /// consecutive levels (so Parent-Hub's refreshed hub-parents
+        /// and the reused scratch are exercised).
+        #[test]
+        fn flat_pruner_keeps_what_the_copying_oracle_keeps(
+            n in 6usize..=10,
+            parents in prop::collection::vec(any::<u64>(), 9usize),
+            extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=6),
+            ordered in any::<bool>(),
+            levels in prop::collection::vec(
+                prop::collection::vec(
+                    (any::<u64>(), 0.0f64..6.0, 0.0f64..6.0, 0.0f64..6.0),
+                    1..40,
+                ),
+                2usize,
+            ),
+        ) {
+            // Low-numbered parents make hubs likely.
+            let parents: Vec<u64> = parents.iter().map(|p| p % 3).collect();
+            let (mut query, _) = random_connected_query(n, &parents, &extras);
+            if ordered {
+                let column = query.graph.edges()[0].left;
+                query = query.with_order_by(column);
+            }
+            let cat = Catalog::paper();
+            let model = CostModel::with_defaults(&cat);
+            let ctx = EnumContext::new(
+                &query,
+                &model,
+                Budget::unlimited(),
+                1,
+                EnumeratorKind::LevelScan,
+            );
+            prop_assert_eq!(ctx.order_target().is_some(), ordered);
+            let graph = ctx.graph();
+            let order_relations = SdpPruner::new(&ctx, SdpConfig::paper()).order_relations;
+            prop_assert_eq!(order_relations.is_empty(), !ordered);
+
+            for partitioning in [Partitioning::RootHub, Partitioning::ParentHub, Partitioning::Global] {
+                for skyline in [
+                    SkylineOption::PairwiseUnion,
+                    SkylineOption::FullVector,
+                    SkylineOption::KDominant(2),
+                ] {
+                    let mut pruner = SdpPruner::new(&ctx, SdpConfig { partitioning, skyline });
+                    let mut hub_parents: Vec<RelSet> =
+                        hubs::root_hubs(graph).iter().map(RelSet::single).collect();
+                    for (level, rows) in (2..).zip(&levels) {
+                        // Distinct non-empty sets; coarse features, so
+                        // that ties occur.
+                        let mut sets: Vec<RelSet> = Vec::new();
+                        let mut features: Vec<[f64; 3]> = Vec::new();
+                        for &(mask, r, c, s) in rows {
+                            let set = RelSet(mask % (1 << n));
+                            if !set.is_empty() && !sets.contains(&set) {
+                                sets.push(set);
+                                features.push([r.floor(), c.floor(), s.floor()]);
+                            }
+                        }
+
+                        let members_where = |belongs: &dyn Fn(RelSet) -> bool| -> Vec<usize> {
+                            (0..sets.len()).filter(|&i| belongs(sets[i])).collect()
+                        };
+                        let mut partitions: Vec<Vec<usize>> = match partitioning {
+                            Partitioning::Global => vec![members_where(&|_| true)],
+                            Partitioning::RootHub => hubs::root_hubs(graph)
+                                .iter()
+                                .map(|h| members_where(&|s| s.contains(h)))
+                                .collect(),
+                            Partitioning::ParentHub => hub_parents
+                                .iter()
+                                .map(|&hp| members_where(&|s| s.is_superset(hp)))
+                                .collect(),
+                        };
+                        partitions.retain(|members| !members.is_empty());
+                        let order_partitions: Vec<Vec<usize>> = order_relations
+                            .iter()
+                            .map(|&t| members_where(&|s| !s.contains(t)))
+                            .filter(|members| !members.is_empty())
+                            .collect();
+                        // Plain DP outside levels 2 ..= n − 2.
+                        let expected = if level <= n - 2 {
+                            naive_keep(skyline, &features, &partitions, &order_partitions)
+                        } else {
+                            vec![true; sets.len()]
+                        };
+
+                        let mut keep = vec![true; sets.len()];
+                        pruner.prune(&ctx, level, &sets, &features, &mut keep);
+                        prop_assert_eq!(
+                            &keep, &expected,
+                            "{:?} × {:?}, level {}", partitioning, skyline, level
+                        );
+
+                        let survivors = sets.iter().zip(&keep).filter(|(_, &k)| k);
+                        hub_parents = hubs::hub_parents(graph, survivors.map(|(s, _)| s));
+                        hub_parents.sort_unstable();
+                    }
+                }
+            }
+        }
     }
 }

@@ -11,7 +11,7 @@ use sdp_catalog::PAGE_SIZE_BYTES;
 use sdp_query::ClassId;
 
 use crate::params::CostParams;
-use crate::scan::{index_probe_cost, sort_cost};
+use crate::scan::{index_probe_cost, sort_cost, IndexProbe};
 
 /// Physical join algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,8 +80,13 @@ pub struct JoinInput {
 
 impl JoinInput {
     fn pages(&self) -> f64 {
-        (self.rows * self.width.max(1.0) / PAGE_SIZE_BYTES as f64).max(1.0)
+        pages(self.rows, self.width)
     }
+}
+
+/// Heap pages `rows` tuples of `width` bytes occupy (at least one).
+fn pages(rows: f64, width: f64) -> f64 {
+    (rows * width.max(1.0) / PAGE_SIZE_BYTES as f64).max(1.0)
 }
 
 /// Index metadata enabling an index nested-loop on the inner side.
@@ -241,6 +246,137 @@ pub fn join_candidates(
     }
 
     out
+}
+
+/// What every plan of one join input has in common: the JCR's
+/// estimated rows and width, and what sorting it costs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JoinSide {
+    /// Estimated rows produced.
+    pub rows: f64,
+    /// Average tuple width in bytes.
+    pub width: f64,
+    /// [`sort_cost`] of the input — what a merge join pays for a plan
+    /// that is not already ordered on the join class.
+    pub sort_cost: f64,
+}
+
+impl JoinSide {
+    /// The side for a JCR of `rows` tuples of `width` bytes.
+    pub fn new(rows: f64, width: f64, params: &CostParams) -> Self {
+        JoinSide {
+            rows,
+            width,
+            sort_cost: sort_cost(rows, width, params),
+        }
+    }
+}
+
+/// The terms of every join method's cost that depend only on the two
+/// JCRs joined, not on which of their plans is: each method costs
+/// `outer.cost + inner.cost +` such terms, so an enumerator costing
+/// every plan pair of one `outer ⋈ inner` orientation computes them
+/// once and then only adds. The cost methods add the operands of
+/// [`join_candidates`] in its order, so their results are its results
+/// bit for bit; offer them in its order (nested loop, index nested
+/// loop, hash, merge) to retain the plans it would.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JoinTerms {
+    emit: f64,
+    nl_materialize: f64,
+    nl_compare: f64,
+    /// `outer.rows` probes of the inner index, when there is one.
+    inl_probes: Option<f64>,
+    hash_build: f64,
+    hash_probe: f64,
+    hash_spill: f64,
+    merge_compare: f64,
+    outer_sort: f64,
+    inner_sort: f64,
+}
+
+impl JoinTerms {
+    /// Terms for `outer ⋈ inner`; `crossing_sel` and `out_rows` as in
+    /// [`join_candidates`], `inner_index` the probe costing of the
+    /// index its `inner_index` describes.
+    pub fn new(
+        outer: &JoinSide,
+        inner: &JoinSide,
+        crossing_sel: f64,
+        out_rows: f64,
+        inner_index: Option<IndexProbe>,
+        params: &CostParams,
+    ) -> Self {
+        let build_bytes = inner.rows * inner.width.max(1.0);
+        JoinTerms {
+            emit: out_rows * params.cpu_tuple_cost,
+            nl_materialize: inner.rows * params.cpu_tuple_cost,
+            nl_compare: outer.rows * inner.rows * params.cpu_operator_cost,
+            inl_probes: inner_index.map(|index| {
+                let matched = (inner.rows * crossing_sel).max(1e-6);
+                outer.rows * index.cost(matched, params)
+            }),
+            hash_build: inner.rows * params.cpu_operator_cost * 2.0,
+            hash_probe: outer.rows * params.cpu_operator_cost,
+            hash_spill: if build_bytes > params.work_mem_bytes {
+                2.0 * (pages(inner.rows, inner.width) + pages(outer.rows, outer.width))
+                    * params.seq_page_cost
+            } else {
+                0.0
+            },
+            merge_compare: (outer.rows + inner.rows) * params.cpu_operator_cost,
+            outer_sort: outer.sort_cost,
+            inner_sort: inner.sort_cost,
+        }
+    }
+
+    /// Cost of the [`JoinMethod::NestedLoop`] alternative over plans
+    /// of the given costs.
+    #[inline]
+    pub fn nested_loop(&self, outer_cost: f64, inner_cost: f64) -> f64 {
+        outer_cost + inner_cost + self.nl_materialize + self.nl_compare + self.emit
+    }
+
+    /// Whether the inner side has an index to probe, i.e. whether
+    /// [`JoinTerms::index_nested_loop`] yields an alternative.
+    #[inline]
+    pub fn probes_index(&self) -> bool {
+        self.inl_probes.is_some()
+    }
+
+    /// Cost of the [`JoinMethod::IndexNestedLoop`] alternative (the
+    /// inner plan is replaced by index probes, so its cost does not
+    /// enter); `None` without an inner index.
+    #[inline]
+    pub fn index_nested_loop(&self, outer_cost: f64) -> Option<f64> {
+        self.inl_probes
+            .map(|probes| outer_cost + probes + self.emit)
+    }
+
+    /// Cost of the [`JoinMethod::Hash`] alternative.
+    #[inline]
+    pub fn hash(&self, outer_cost: f64, inner_cost: f64) -> f64 {
+        outer_cost + inner_cost + self.hash_build + self.hash_probe + self.hash_spill + self.emit
+    }
+
+    /// Cost of the [`JoinMethod::Merge`] alternative on one join
+    /// class; an input already ordered on that class is not sorted.
+    #[inline]
+    pub fn merge(
+        &self,
+        outer_cost: f64,
+        inner_cost: f64,
+        outer_ordered: bool,
+        inner_ordered: bool,
+    ) -> f64 {
+        let sort_side = |ordered: bool, sort: f64| if ordered { 0.0 } else { sort };
+        outer_cost
+            + inner_cost
+            + sort_side(outer_ordered, self.outer_sort)
+            + sort_side(inner_ordered, self.inner_sort)
+            + self.merge_compare
+            + self.emit
+    }
 }
 
 #[cfg(test)]
@@ -449,6 +585,62 @@ mod property_tests {
             for c in &cands {
                 prop_assert!(c.cost.is_finite() && c.cost >= 0.0);
                 prop_assert!(c.cost + 1e-9 >= outer.cost, "{:?} below outer cost", c.method);
+            }
+        }
+
+        /// The hoisted terms against the reference: offered in its
+        /// order, [`JoinTerms`] yields `join_candidates`' methods,
+        /// orderings and costs bit for bit — spilling hash builds,
+        /// inputs already ordered on the join class and index probes
+        /// included.
+        #[test]
+        fn hoisted_terms_reproduce_join_candidates(
+            outer in arb_input(),
+            inner in arb_input(),
+            sel in 1e-9f64..1.0,
+            class in prop::option::of(0u32..4),
+            index in prop::option::of((2.0f64..1e8, 1.0f64..1e6)),
+            work_mem_kb in 1.0f64..1e6,
+        ) {
+            let p = CostParams { work_mem_bytes: work_mem_kb * 1024.0, ..CostParams::default() };
+            let out_rows = (outer.rows * inner.rows * sel).max(1.0);
+            let idx = index.map(|(tuples, pages)| InnerIndex { tuples, pages });
+            let reference = join_candidates(&outer, &inner, sel, out_rows, class, idx, &p);
+
+            let terms = JoinTerms::new(
+                &JoinSide::new(outer.rows, outer.width, &p),
+                &JoinSide::new(inner.rows, inner.width, &p),
+                sel,
+                out_rows,
+                idx.map(|i| IndexProbe::new(i.tuples, i.pages, &p)),
+                &p,
+            );
+            let hoisted: Vec<JoinCandidate> = [
+                Some((JoinMethod::NestedLoop, terms.nested_loop(outer.cost, inner.cost), outer.ordering)),
+                terms
+                    .index_nested_loop(outer.cost)
+                    .map(|cost| (JoinMethod::IndexNestedLoop, cost, outer.ordering)),
+                Some((JoinMethod::Hash, terms.hash(outer.cost, inner.cost), None)),
+                class.map(|c| {
+                    let cost = terms.merge(
+                        outer.cost,
+                        inner.cost,
+                        outer.ordering == Some(c),
+                        inner.ordering == Some(c),
+                    );
+                    (JoinMethod::Merge, cost, Some(c))
+                }),
+            ]
+            .into_iter()
+            .flatten()
+            .map(|(method, cost, ordering)| JoinCandidate { method, cost, ordering })
+            .collect();
+
+            prop_assert_eq!(hoisted.len(), reference.len());
+            for (h, r) in hoisted.iter().zip(&reference) {
+                prop_assert_eq!(h.method, r.method);
+                prop_assert_eq!(h.ordering, r.ordering);
+                prop_assert_eq!(h.cost.to_bits(), r.cost.to_bits(), "{:?}", h.method);
             }
         }
 

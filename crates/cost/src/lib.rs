@@ -33,7 +33,12 @@ mod params;
 mod scan;
 
 pub use estimate::Estimator;
-pub use join::{join_candidates, InnerIndex, JoinCandidate, JoinCandidates, JoinInput, JoinMethod};
+pub use join::{
+    join_candidates, InnerIndex, JoinCandidate, JoinCandidates, JoinInput, JoinMethod, JoinSide,
+    JoinTerms,
+};
 pub use model::CostModel;
 pub use params::CostParams;
-pub use scan::{index_probe_cost, scan_paths, scan_paths_for_node, sort_cost, ScanKind, ScanPath};
+pub use scan::{
+    index_probe_cost, scan_paths, scan_paths_for_node, sort_cost, IndexProbe, ScanKind, ScanPath,
+};

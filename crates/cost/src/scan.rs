@@ -121,6 +121,37 @@ pub fn scan_paths_for_node(
     paths
 }
 
+/// One relation's index as an index nested-loop probes it, with the
+/// part of a probe's cost that depends only on the relation — the
+/// B-tree descent and its `log2` — computed once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IndexProbe {
+    descent: f64,
+    pages: f64,
+}
+
+impl IndexProbe {
+    /// Probe costing for an index over `inner_tuples` tuples stored on
+    /// `inner_pages` heap pages.
+    pub fn new(inner_tuples: f64, inner_pages: f64, params: &CostParams) -> Self {
+        IndexProbe {
+            // Amortized upper-page caching: a quarter of a random fetch.
+            descent: inner_tuples.max(2.0).log2() * params.cpu_operator_cost
+                + params.random_page_cost * 0.25,
+            pages: inner_pages,
+        }
+    }
+
+    /// Cost of one probe returning `matched_rows` tuples.
+    pub fn cost(&self, matched_rows: f64, params: &CostParams) -> f64 {
+        // Heap fetches: one random page per matched row, capped by the
+        // relation size.
+        let heap = params.random_page_cost * matched_rows.min(self.pages).max(0.0);
+        let cpu = matched_rows * (params.cpu_index_tuple_cost + params.cpu_tuple_cost);
+        self.descent + heap + cpu
+    }
+}
+
 /// Cost of an index *probe* returning `matched_rows` of the inner
 /// relation for one outer tuple — the inner side of an index
 /// nested-loop join.
@@ -130,14 +161,7 @@ pub fn index_probe_cost(
     matched_rows: f64,
     params: &CostParams,
 ) -> f64 {
-    // B-tree descent.
-    let descent =
-        inner_tuples.max(2.0).log2() * params.cpu_operator_cost + params.random_page_cost * 0.25; // amortized upper-page caching
-                                                                                                  // Heap fetches: one random page per matched row, capped by the
-                                                                                                  // relation size.
-    let heap = params.random_page_cost * matched_rows.min(inner_pages).max(0.0);
-    let cpu = matched_rows * (params.cpu_index_tuple_cost + params.cpu_tuple_cost);
-    descent + heap + cpu
+    IndexProbe::new(inner_tuples, inner_pages, params).cost(matched_rows, params)
 }
 
 /// Cost of sorting `rows` tuples of `width` bytes (PostgreSQL-style:

@@ -1359,6 +1359,33 @@ mod tests {
     }
 
     #[test]
+    fn a_sixty_five_table_statement_is_a_sql_error_not_a_panic() {
+        // One relation more than a `RelSet` holds: the binder refuses
+        // it (it used to panic the worker in `JoinGraph::new`), and
+        // the service goes on serving.
+        let service = OptimizerService::with_defaults(Catalog::paper());
+        let from: Vec<String> = (0..65).map(|i| format!("R1 t{i}")).collect();
+        let on: Vec<String> = (1..65)
+            .map(|i| format!("t{}.c0 = t{i}.c0", i - 1))
+            .collect();
+        let statement = format!(
+            "SELECT * FROM {} WHERE {}",
+            from.join(", "),
+            on.join(" AND ")
+        );
+        let err = service
+            .get_plan(&ServiceRequest::sql(statement))
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::Sql(_)), "{err}");
+        let next = service
+            .get_plan(&ServiceRequest::sql(
+                "select * from R1 a, R2 b where a.c0 = b.c1",
+            ))
+            .unwrap();
+        assert_eq!(next.source, PlanSource::Fresh);
+    }
+
+    #[test]
     fn optimizer_errors_abandon_the_flight() {
         let catalog = Catalog::paper();
         let service = OptimizerService::with_defaults(catalog.clone());

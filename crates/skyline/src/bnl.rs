@@ -10,12 +10,13 @@ use crate::dominates;
 
 /// Compute the skyline of `points` (minimization on all dimensions),
 /// returning indices into `points` in ascending order.
-pub fn skyline_bnl(points: &[Vec<f64>]) -> Vec<usize> {
+pub fn skyline_bnl<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
     let mut window: Vec<usize> = Vec::new();
     'next: for (i, p) in points.iter().enumerate() {
+        let p = p.as_ref();
         let mut k = 0;
         while k < window.len() {
-            let w = &points[window[k]];
+            let w = points[window[k]].as_ref();
             if dominates(w, p) {
                 continue 'next; // incoming object dominated
             }
@@ -72,7 +73,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(skyline_bnl(&[]).is_empty());
+        assert!(skyline_bnl::<Vec<f64>>(&[]).is_empty());
     }
 
     #[test]

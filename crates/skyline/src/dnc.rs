@@ -11,24 +11,25 @@ use crate::dominates;
 
 /// Compute the skyline via divide and conquer, returning ascending
 /// indices into `points`.
-pub fn skyline_dnc(points: &[Vec<f64>]) -> Vec<usize> {
+pub fn skyline_dnc<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..points.len()).collect();
     let mut out = dnc(points, &mut idx);
     out.sort_unstable();
     out
 }
 
-fn dnc(points: &[Vec<f64>], idx: &mut [usize]) -> Vec<usize> {
+fn dnc<P: AsRef<[f64]>>(points: &[P], idx: &mut [usize]) -> Vec<usize> {
+    let at = |i: usize| points[i].as_ref();
     if idx.len() <= 8 {
         // Base case: windowed BNL over the indices.
         let mut window: Vec<usize> = Vec::new();
         'next: for &i in idx.iter() {
             let mut k = 0;
             while k < window.len() {
-                if dominates(&points[window[k]], &points[i]) {
+                if dominates(at(window[k]), at(i)) {
                     continue 'next;
                 }
-                if dominates(&points[i], &points[window[k]]) {
+                if dominates(at(i), at(window[k])) {
                     window.swap_remove(k);
                 } else {
                     k += 1;
@@ -42,8 +43,8 @@ fn dnc(points: &[Vec<f64>], idx: &mut [usize]) -> Vec<usize> {
     // Split on the median of dimension 0.
     let mid = idx.len() / 2;
     idx.select_nth_unstable_by(mid, |&a, &b| {
-        points[a][0]
-            .partial_cmp(&points[b][0])
+        at(a)[0]
+            .partial_cmp(&at(b)[0])
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     let (lo, hi) = idx.split_at_mut(mid);
@@ -56,7 +57,7 @@ fn dnc(points: &[Vec<f64>], idx: &mut [usize]) -> Vec<usize> {
     let mut merged = left.clone();
     'cand: for &r in &right {
         for &l in &left {
-            if dominates(&points[l], &points[r]) {
+            if dominates(at(l), at(r)) {
                 continue 'cand;
             }
         }
@@ -64,11 +65,7 @@ fn dnc(points: &[Vec<f64>], idx: &mut [usize]) -> Vec<usize> {
     }
     // Ties on dim 0 can also let a right member dominate a left one.
     let snapshot = merged.clone();
-    merged.retain(|&m| {
-        !snapshot
-            .iter()
-            .any(|&o| o != m && dominates(&points[o], &points[m]))
-    });
+    merged.retain(|&m| !snapshot.iter().any(|&o| o != m && dominates(at(o), at(m))));
     merged
 }
 
@@ -92,7 +89,7 @@ mod tests {
 
     #[test]
     fn handles_empty_and_small() {
-        assert!(skyline_dnc(&[]).is_empty());
+        assert!(skyline_dnc::<Vec<f64>>(&[]).is_empty());
         assert_eq!(skyline_dnc(&[vec![1.0, 2.0]]), vec![0]);
     }
 

@@ -44,15 +44,28 @@ pub fn k_dominates(a: &[f64], b: &[f64], k: usize) -> bool {
 /// Note that k-dominance is **not transitive**, so the windowed BNL
 /// shortcut is unsound; we use the direct quadratic definition, which
 /// is fine at SDP partition sizes (tens to hundreds of JCRs).
-pub fn k_dominant_skyline(points: &[Vec<f64>], k: usize) -> Vec<usize> {
-    (0..points.len())
-        .filter(|&i| {
-            !points
-                .iter()
-                .enumerate()
-                .any(|(j, p)| j != i && k_dominates(p, &points[i], k))
-        })
-        .collect()
+pub fn k_dominant_skyline<P: AsRef<[f64]>>(points: &[P], k: usize) -> Vec<usize> {
+    let mut skyline = Vec::new();
+    k_dominant_skyline_of(points, 0..points.len(), k, &mut skyline);
+    skyline
+}
+
+/// [`k_dominant_skyline`] of the `members` of `points` alone: `out` is
+/// overwritten with the surviving indices into `points`, in `members`
+/// order. Allocates only to grow `out`.
+pub fn k_dominant_skyline_of<P: AsRef<[f64]>>(
+    points: &[P],
+    members: impl IntoIterator<Item = usize> + Clone,
+    k: usize,
+    out: &mut Vec<usize>,
+) {
+    out.clear();
+    out.extend(members.clone().into_iter().filter(|&i| {
+        !members
+            .clone()
+            .into_iter()
+            .any(|j| j != i && k_dominates(points[j].as_ref(), points[i].as_ref(), k))
+    }));
 }
 
 #[cfg(test)]

@@ -26,7 +26,12 @@
 //!   that keeps order-producing subplans alive through pruning.
 //!
 //! All functions return indices into the input slice, preserving input
-//! order, so callers can prune their own structures.
+//! order, so callers can prune their own structures. Points are any
+//! rows that read as `[f64]` (`Vec<f64>`, `[f64; 3]`, …). The kernels
+//! SDP's pruner runs per partition also come in an `_of` form that
+//! takes the partition as indices into a shared point slice and writes
+//! into a caller-owned buffer, so a level's partitions are judged
+//! without copying a point or touching the allocator.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -40,10 +45,10 @@ pub mod sfs;
 
 pub use bnl::skyline_bnl;
 pub use dnc::skyline_dnc;
-pub use kdominant::k_dominant_skyline;
-pub use multiway::{pairwise_union_skyline, pairwise_union_skyline_threaded, projected_skyline};
+pub use kdominant::{k_dominant_skyline, k_dominant_skyline_of};
+pub use multiway::{pairwise_union_skyline, pairwise_union_skyline_of, projected_skyline};
 pub use orders::{exclusion_partition, rescue_order_partition};
-pub use sfs::skyline_sfs;
+pub use sfs::{skyline_sfs, skyline_sfs_of};
 
 /// Dominance under minimization: `a` dominates `b` iff `a[i] ≤ b[i]`
 /// for every dimension and `a[j] < b[j]` for at least one.
@@ -83,13 +88,13 @@ pub fn dominates_on(a: &[f64], b: &[f64], dims: &[usize]) -> bool {
 
 /// Reference quadratic skyline used as the test oracle: keep object
 /// `i` iff no other object dominates it.
-pub fn skyline_naive(points: &[Vec<f64>]) -> Vec<usize> {
+pub fn skyline_naive<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
     (0..points.len())
         .filter(|&i| {
             !points
                 .iter()
                 .enumerate()
-                .any(|(j, p)| j != i && dominates(p, &points[i]))
+                .any(|(j, p)| j != i && dominates(p.as_ref(), points[i].as_ref()))
         })
         .collect()
 }
@@ -134,7 +139,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        assert!(skyline_naive(&[]).is_empty());
+        assert!(skyline_naive::<Vec<f64>>(&[]).is_empty());
         assert_eq!(skyline_naive(&[vec![5.0]]), vec![0]);
     }
 

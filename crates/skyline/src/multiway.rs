@@ -20,93 +20,82 @@ use crate::dominates_on;
 
 /// Skyline of `points` projected onto the given dimensions, returned
 /// as ascending indices into `points`.
-pub fn projected_skyline(points: &[Vec<f64>], dims: &[usize]) -> Vec<usize> {
-    let mut window: Vec<usize> = Vec::new();
-    'next: for (i, p) in points.iter().enumerate() {
-        let mut k = 0;
-        while k < window.len() {
-            let w = &points[window[k]];
+pub fn projected_skyline<P: AsRef<[f64]>>(points: &[P], dims: &[usize]) -> Vec<usize> {
+    let mut window = Vec::new();
+    scan_projection(points, 0..points.len(), dims, &mut window);
+    window.sort_unstable();
+    window
+}
+
+/// One block-nested-loops pass over the `members` of `points` on the
+/// given dimensions. The window is the tail of `out` past its length
+/// on entry, so the projected skyline is *appended*, in no particular
+/// order, and several passes can share one buffer.
+fn scan_projection<P: AsRef<[f64]>>(
+    points: &[P],
+    members: impl IntoIterator<Item = usize>,
+    dims: &[usize],
+    out: &mut Vec<usize>,
+) {
+    let start = out.len();
+    'next: for i in members {
+        let p = points[i].as_ref();
+        let mut k = start;
+        while k < out.len() {
+            let w = points[out[k]].as_ref();
             if dominates_on(w, p, dims) {
                 continue 'next;
             }
             if dominates_on(p, w, dims) {
-                window.swap_remove(k);
+                out.swap_remove(k);
             } else {
                 k += 1;
             }
         }
-        window.push(i);
+        out.push(i);
     }
-    window.sort_unstable();
-    window
 }
 
 /// The union of the skylines of every two-attribute projection —
 /// SDP's "Option 2" pruning function. Returns ascending indices; an
 /// object survives iff it appears in at least one pairwise skyline.
-pub fn pairwise_union_skyline(points: &[Vec<f64>]) -> Vec<usize> {
-    let Some(first) = points.first() else {
-        return Vec::new();
+pub fn pairwise_union_skyline<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
+    let mut survivors = Vec::new();
+    pairwise_union_skyline_of(points, 0..points.len(), &mut survivors);
+    survivors
+}
+
+/// [`pairwise_union_skyline`] of the `members` of `points` alone:
+/// `out` is overwritten with the survivors' indices into `points`,
+/// ascending. Allocates only to grow `out`.
+pub fn pairwise_union_skyline_of<P: AsRef<[f64]>>(
+    points: &[P],
+    members: impl IntoIterator<Item = usize> + Clone,
+    out: &mut Vec<usize>,
+) {
+    out.clear();
+    let Some(first) = members.clone().into_iter().next() else {
+        return;
     };
-    let d = first.len();
+    let d = points[first].as_ref().len();
     if d <= 2 {
-        return projected_skyline(points, &(0..d).collect::<Vec<_>>());
-    }
-    let mut survivor = vec![false; points.len()];
-    for a in 0..d {
-        for b in a + 1..d {
-            for i in projected_skyline(points, &[a, b]) {
-                survivor[i] = true;
+        scan_projection(points, members, &[0, 1][..d], out);
+    } else {
+        for a in 0..d {
+            for b in a + 1..d {
+                scan_projection(points, members.clone(), &[a, b], out);
             }
         }
     }
-    (0..points.len()).filter(|&i| survivor[i]).collect()
-}
-
-/// Number of points below which [`pairwise_union_skyline_threaded`]
-/// falls back to the sequential scan — spawning threads costs more
-/// than the window scans save on small partitions.
-const PARALLEL_POINT_THRESHOLD: usize = 64;
-
-/// [`pairwise_union_skyline`] with the independent two-attribute
-/// projections computed on concurrent threads (for the paper's d = 3,
-/// the RC, CS and RS skylines run in parallel). The survivor union is
-/// order-independent, so the result is identical to the sequential
-/// function for every input. Falls back to the sequential scan when
-/// `threads <= 1`, the input is small, or `d <= 2` (a single
-/// projection — nothing to overlap).
-pub fn pairwise_union_skyline_threaded(points: &[Vec<f64>], threads: usize) -> Vec<usize> {
-    let d = points.first().map_or(0, |p| p.len());
-    if threads <= 1 || d <= 2 || points.len() < PARALLEL_POINT_THRESHOLD {
-        return pairwise_union_skyline(points);
-    }
-    let projections: Vec<[usize; 2]> = (0..d)
-        .flat_map(|a| (a + 1..d).map(move |b| [a, b]))
-        .collect();
-    let per_projection: Vec<Vec<usize>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = projections
-            .iter()
-            .map(|dims| scope.spawn(move || projected_skyline(points, dims)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("projection skyline panicked"))
-            .collect()
-    });
-    let mut survivor = vec![false; points.len()];
-    for winners in per_projection {
-        for i in winners {
-            survivor[i] = true;
-        }
-    }
-    (0..points.len()).filter(|&i| survivor[i]).collect()
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// Which pairwise skylines each object belongs to, for the paper's
 /// Table 2.2-style reporting. Returns, for each projection (in
 /// lexicographic `(a, b)` order), the ascending member indices.
-pub fn pairwise_skyline_membership(points: &[Vec<f64>]) -> Vec<(Vec<usize>, Vec<usize>)> {
-    let d = points.first().map_or(0, |p| p.len());
+pub fn pairwise_skyline_membership<P: AsRef<[f64]>>(points: &[P]) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let d = points.first().map_or(0, |p| p.as_ref().len());
     let mut out = Vec::new();
     for a in 0..d {
         for b in a + 1..d {
@@ -165,8 +154,8 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(pairwise_union_skyline(&[]).is_empty());
-        assert!(pairwise_skyline_membership(&[]).is_empty());
+        assert!(pairwise_union_skyline::<Vec<f64>>(&[]).is_empty());
+        assert!(pairwise_skyline_membership::<Vec<f64>>(&[]).is_empty());
     }
 
     #[test]
@@ -181,31 +170,18 @@ mod tests {
     }
 
     #[test]
-    fn threaded_union_matches_sequential() {
-        // Deterministic pseudo-random cloud (xorshift), large enough
-        // to clear the parallel threshold.
-        let mut state = 0x2545F491_4F6CDD1Du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let pts: Vec<Vec<f64>> = (0..500)
-            .map(|_| vec![next() * 1e6, next() * 1e5, next()])
-            .collect();
-        assert_eq!(
-            pairwise_union_skyline_threaded(&pts, 4),
-            pairwise_union_skyline(&pts)
-        );
-        // Small inputs and single-thread requests take the sequential
-        // path but must agree as well.
-        let small = table_2_2();
-        assert_eq!(pairwise_union_skyline_threaded(&small, 4), vec![0, 1, 3, 4]);
-        assert_eq!(
-            pairwise_union_skyline_threaded(&pts, 1),
-            pairwise_union_skyline(&pts)
-        );
+    fn partition_form_judges_members_only_and_reuses_the_buffer() {
+        // Flat rows and a partition that leaves out 145, the row that
+        // dominates 135 on every projection: within {123, 135, 156}
+        // 135 survives on RS. The buffer's old contents are dropped.
+        let pts: Vec<[f64; 3]> = table_2_2().iter().map(|p| [p[0], p[1], p[2]]).collect();
+        let mut out = vec![99, 98, 97];
+        pairwise_union_skyline_of(&pts, [0, 2, 4], &mut out);
+        assert_eq!(out, vec![0, 2, 4]);
+        pairwise_union_skyline_of(&pts, 0..pts.len(), &mut out);
+        assert_eq!(out, vec![0, 1, 3, 4]);
+        pairwise_union_skyline_of(&pts, [], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

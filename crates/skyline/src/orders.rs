@@ -9,52 +9,53 @@
 //! is never lost to cost-only dominance.
 //!
 //! This module hosts the partition mechanics generically: callers
-//! provide the feature matrix, the exclusion-partition membership, the
-//! current survivor mask, and whichever skyline routine their config
-//! selects. Keeping the logic here (rather than inline in the pruner)
-//! lets the property tests below pin the rescue invariant — *an
-//! interesting-order partition never prunes the order-satisfying
-//! skyline member* — against the oracle, independent of the pruner.
+//! provide the exclusion-partition membership, the current survivor
+//! mask, and whichever skyline routine their config selects (one of
+//! this crate's `_of` kernels over the caller's points). Keeping the
+//! logic here (rather than inline in the pruner) lets the property
+//! tests below pin the rescue invariant — *an interesting-order
+//! partition never prunes the order-satisfying skyline member* —
+//! against the oracle, independent of the pruner.
 
-/// Indices of the exclusion partition for relation `t`: every object
-/// whose relation set does **not** contain `t`, per `contains_t`.
+/// The exclusion partition for relation `t`: `out` is overwritten with
+/// the index of every object whose relation set does **not** contain
+/// `t`, per `contains_t`.
 ///
-/// Returned in ascending index order, so downstream skyline calls see
-/// a deterministic sub-matrix regardless of thread count.
-pub fn exclusion_partition(len: usize, contains_t: impl Fn(usize) -> bool) -> Vec<usize> {
-    (0..len).filter(|&i| !contains_t(i)).collect()
+/// Ascending, so downstream skyline calls see a deterministic
+/// partition regardless of thread count.
+pub fn exclusion_partition(len: usize, contains_t: impl Fn(usize) -> bool, out: &mut Vec<usize>) {
+    out.clear();
+    out.extend((0..len).filter(|&i| !contains_t(i)));
 }
 
 /// Rescue the skyline of one interesting-order partition.
 ///
-/// `members` are indices into `features`/`keep` (as produced by
-/// [`exclusion_partition`]); `skyline` maps a feature sub-matrix to
-/// the indices of its skyline (any of this crate's algorithms, or the
-/// pruner's configured variant). Every skyline winner has its `keep`
-/// flag forced on; the return value counts how many were newly rescued
-/// (i.e. flipped from pruned to kept).
+/// `members` are indices into `keep` (as produced by
+/// [`exclusion_partition`]); `skyline` overwrites its buffer — the
+/// scratch `winners` — with the members on the partition's skyline
+/// (any of this crate's `_of` kernels, or the pruner's configured
+/// variant). Every skyline winner has its `keep` flag forced on; the
+/// return value counts how many were newly rescued (i.e. flipped from
+/// pruned to kept).
 ///
 /// # Panics
-/// Debug-asserts `features` and `keep` agree in length and that
-/// `members` is in bounds.
+/// Debug-asserts that `members` is in bounds.
 pub fn rescue_order_partition<F>(
-    features: &[Vec<f64>],
     members: &[usize],
     keep: &mut [bool],
+    winners: &mut Vec<usize>,
     skyline: F,
 ) -> u64
 where
-    F: FnOnce(&[Vec<f64>]) -> Vec<usize>,
+    F: FnOnce(&[usize], &mut Vec<usize>),
 {
-    debug_assert_eq!(features.len(), keep.len(), "mask/feature length mismatch");
-    debug_assert!(members.iter().all(|&i| i < features.len()));
+    debug_assert!(members.iter().all(|&i| i < keep.len()));
     if members.is_empty() {
         return 0;
     }
-    let part: Vec<Vec<f64>> = members.iter().map(|&i| features[i].clone()).collect();
+    skyline(members, winners);
     let mut rescued = 0u64;
-    for w in skyline(&part) {
-        let idx = members[w];
+    for &idx in winners.iter() {
         if !keep[idx] {
             keep[idx] = true;
             rescued += 1;
@@ -66,16 +67,20 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skyline_naive;
+    use crate::skyline_sfs_of;
+
+    /// Rescue over `features` with the SFS kernel.
+    fn rescue(features: &[Vec<f64>], members: &[usize], keep: &mut [bool]) -> u64 {
+        rescue_order_partition(members, keep, &mut Vec::new(), |part, out| {
+            skyline_sfs_of(features, part.iter().copied(), out)
+        })
+    }
 
     #[test]
     fn empty_partition_rescues_nothing() {
         let features = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
         let mut keep = vec![false, false];
-        assert_eq!(
-            rescue_order_partition(&features, &[], &mut keep, skyline_naive),
-            0
-        );
+        assert_eq!(rescue(&features, &[], &mut keep), 0);
         assert_eq!(keep, vec![false, false]);
     }
 
@@ -87,7 +92,7 @@ mod tests {
         // 0 and stays pruned.
         let features = vec![vec![2.0, 2.0], vec![3.0, 3.0], vec![1.0, 1.0]];
         let mut keep = vec![false, false, true];
-        let rescued = rescue_order_partition(&features, &[0, 1], &mut keep, skyline_naive);
+        let rescued = rescue(&features, &[0, 1], &mut keep);
         assert_eq!(rescued, 1);
         assert_eq!(keep, vec![true, false, true]);
     }
@@ -96,28 +101,34 @@ mod tests {
     fn already_kept_winners_are_not_double_counted() {
         let features = vec![vec![1.0], vec![2.0]];
         let mut keep = vec![true, false];
-        let rescued = rescue_order_partition(&features, &[0, 1], &mut keep, skyline_naive);
+        let rescued = rescue(&features, &[0, 1], &mut keep);
         assert_eq!(rescued, 0, "winner was already a survivor");
         assert_eq!(keep, vec![true, false]);
     }
 
     #[test]
     fn exclusion_partition_filters_by_membership() {
-        // "Sets" 0..5 where even indices contain t.
-        let part = exclusion_partition(5, |i| i % 2 == 0);
+        // "Sets" 0..5 where even indices contain t; the buffer's old
+        // contents never leak into the next partition.
+        let mut part = vec![7, 7, 7];
+        exclusion_partition(5, |i| i % 2 == 0, &mut part);
         assert_eq!(part, vec![1, 3]);
-        assert!(exclusion_partition(4, |_| true).is_empty());
-        assert_eq!(exclusion_partition(3, |_| false), vec![0, 1, 2]);
+        exclusion_partition(4, |_| true, &mut part);
+        assert!(part.is_empty());
+        exclusion_partition(3, |_| false, &mut part);
+        assert_eq!(part, vec![0, 1, 2]);
     }
 }
 
 #[cfg(test)]
 mod property_tests {
     use super::*;
-    use crate::{dominates, skyline_naive, skyline_sfs};
+    use crate::{
+        dominates, k_dominant_skyline_of, pairwise_union_skyline_of, skyline_naive, skyline_sfs_of,
+    };
     use proptest::prelude::*;
 
-    fn arb_case() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>, Vec<bool>)> {
+    fn arb_case() -> impl Strategy<Value = (Vec<[f64; 3]>, Vec<bool>, Vec<bool>)> {
         // Per-object rows of (feature vector, initial keep, contains-t),
         // unzipped so the three columns always agree in length.
         prop::collection::vec(
@@ -133,12 +144,26 @@ mod property_tests {
             let mut keep = Vec::with_capacity(rows.len());
             let mut has_t = Vec::with_capacity(rows.len());
             for (f, k, t) in rows {
-                features.push(f);
+                features.push([f[0], f[1], f[2]]);
                 keep.push(k);
                 has_t.push(t);
             }
             (features, keep, has_t)
         })
+    }
+
+    /// The exclusion partition of a case, and the oracle's skyline of
+    /// it: `skyline_naive` over a *copy* of the partition's rows,
+    /// mapped back to indices into the whole.
+    fn partition_and_oracle(features: &[[f64; 3]], has_t: &[bool]) -> (Vec<usize>, Vec<usize>) {
+        let mut members = Vec::new();
+        exclusion_partition(features.len(), |i| has_t[i], &mut members);
+        let copied: Vec<[f64; 3]> = members.iter().map(|&i| features[i]).collect();
+        let oracle = skyline_naive(&copied)
+            .into_iter()
+            .map(|w| members[w])
+            .collect();
+        (members, oracle)
     }
 
     proptest! {
@@ -149,8 +174,10 @@ mod property_tests {
         fn never_prunes_the_order_satisfying_skyline_member(
             (features, mut keep, has_t) in arb_case()
         ) {
-            let members = exclusion_partition(features.len(), |i| has_t[i]);
-            rescue_order_partition(&features, &members, &mut keep, skyline_sfs);
+            let (members, _) = partition_and_oracle(&features, &has_t);
+            rescue_order_partition(&members, &mut keep, &mut Vec::new(), |part, out| {
+                skyline_sfs_of(&features, part.iter().copied(), out)
+            });
             for &i in &members {
                 let dominated_in_partition = members
                     .iter()
@@ -169,11 +196,12 @@ mod property_tests {
         /// true, and never touches objects outside the partition.
         #[test]
         fn rescue_is_monotone_and_scoped((features, keep, has_t) in arb_case()) {
-            let members = exclusion_partition(features.len(), |i| has_t[i]);
+            let (members, oracle) = partition_and_oracle(&features, &has_t);
             let before = keep.clone();
             let mut after = keep;
-            let rescued =
-                rescue_order_partition(&features, &members, &mut after, skyline_naive);
+            let rescued = rescue_order_partition(&members, &mut after, &mut Vec::new(), |_, out| {
+                out.clone_from(&oracle)
+            });
             let mut flips = 0u64;
             for i in 0..before.len() {
                 if before[i] && !after[i] {
@@ -187,15 +215,47 @@ mod property_tests {
             prop_assert_eq!(rescued, flips);
         }
 
-        /// The rescue count and final mask are independent of the
-        /// skyline algorithm used (they all compute the same skyline).
+        /// The index-slice kernels judge a partition exactly as the
+        /// oracle judges a copy of its rows: SFS and the full-width
+        /// k-dominant skyline are the partition's skyline, the
+        /// pairwise union is the union of the oracle's three
+        /// two-attribute skylines — so the rescue count and final mask
+        /// do not depend on the kernel (or on copying).
         #[test]
-        fn rescue_is_algorithm_invariant((features, keep, has_t) in arb_case()) {
-            let members = exclusion_partition(features.len(), |i| has_t[i]);
+        fn partition_kernels_match_the_oracle_on_copied_rows(
+            (features, keep, has_t) in arb_case()
+        ) {
+            let (members, oracle) = partition_and_oracle(&features, &has_t);
+            let part = || members.iter().copied();
+            let mut out = vec![usize::MAX; 3];
+            skyline_sfs_of(&features, part(), &mut out);
+            prop_assert_eq!(&out, &oracle);
+            k_dominant_skyline_of(&features, part(), 3, &mut out);
+            prop_assert_eq!(&out, &oracle);
+
+            let mut union: Vec<usize> = [[0, 1], [0, 2], [1, 2]]
+                .iter()
+                .flat_map(|dims| {
+                    let projected: Vec<Vec<f64>> = members
+                        .iter()
+                        .map(|&i| dims.iter().map(|&d| features[i][d]).collect())
+                        .collect();
+                    skyline_naive(&projected).into_iter().map(|w| members[w]).collect::<Vec<_>>()
+                })
+                .collect();
+            union.sort_unstable();
+            union.dedup();
+            pairwise_union_skyline_of(&features, part(), &mut out);
+            prop_assert_eq!(&out, &union);
+
             let mut a = keep.clone();
             let mut b = keep;
-            let ra = rescue_order_partition(&features, &members, &mut a, skyline_naive);
-            let rb = rescue_order_partition(&features, &members, &mut b, skyline_sfs);
+            let ra = rescue_order_partition(&members, &mut a, &mut Vec::new(), |_, out| {
+                out.clone_from(&oracle)
+            });
+            let rb = rescue_order_partition(&members, &mut b, &mut Vec::new(), |part, out| {
+                skyline_sfs_of(&features, part.iter().copied(), out)
+            });
             prop_assert_eq!(ra, rb);
             prop_assert_eq!(a, b);
         }

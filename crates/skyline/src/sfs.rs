@@ -11,29 +11,49 @@ use crate::dominates;
 
 /// Compute the skyline of `points` via sort-filter-skyline, returning
 /// indices into `points` in ascending order.
-pub fn skyline_sfs(points: &[Vec<f64>]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..points.len()).collect();
+pub fn skyline_sfs<P: AsRef<[f64]>>(points: &[P]) -> Vec<usize> {
+    let mut skyline = Vec::new();
+    skyline_sfs_of(points, 0..points.len(), &mut skyline);
+    skyline
+}
+
+/// [`skyline_sfs`] of the `members` of `points` alone: `out` is
+/// overwritten with the skyline's indices into `points`, ascending.
+/// Allocates only to grow `out`.
+pub fn skyline_sfs_of<P: AsRef<[f64]>>(
+    points: &[P],
+    members: impl IntoIterator<Item = usize>,
+    out: &mut Vec<usize>,
+) {
+    out.clear();
+    out.extend(members);
     // Sort by coordinate sum: if sum(a) < sum(b) then b cannot
     // dominate a (dominance would force sum(b) ≤ sum(a), with strict
     // inequality somewhere). Ties are broken by index for determinism;
     // tied-sum points cannot dominate each other unless equal, and
     // equal points never dominate.
-    order.sort_by(|&a, &b| {
-        let sa: f64 = points[a].iter().sum();
-        let sb: f64 = points[b].iter().sum();
-        sa.partial_cmp(&sb)
+    let sum = |i: usize| points[i].as_ref().iter().sum::<f64>();
+    out.sort_unstable_by(|&a, &b| {
+        sum(a)
+            .partial_cmp(&sum(b))
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
 
-    let mut skyline: Vec<usize> = Vec::new();
-    for &i in &order {
-        if !skyline.iter().any(|&s| dominates(&points[s], &points[i])) {
-            skyline.push(i);
+    // Accepted members are compacted to the front of `out`.
+    let mut accepted = 0;
+    for k in 0..out.len() {
+        let i = out[k];
+        let dominated = out[..accepted]
+            .iter()
+            .any(|&s| dominates(points[s].as_ref(), points[i].as_ref()));
+        if !dominated {
+            out[accepted] = i;
+            accepted += 1;
         }
     }
-    skyline.sort_unstable();
-    skyline
+    out.truncate(accepted);
+    out.sort_unstable();
 }
 
 #[cfg(test)]
@@ -70,7 +90,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        assert!(skyline_sfs(&[]).is_empty());
+        assert!(skyline_sfs::<Vec<f64>>(&[]).is_empty());
         assert_eq!(skyline_sfs(&[vec![7.0, 7.0]]), vec![0]);
     }
 

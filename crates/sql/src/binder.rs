@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use sdp_catalog::{Catalog, ColId, RelId};
-use sdp_query::{ColRef, JoinEdge, JoinGraph, PredOp, Predicate, Query};
+use sdp_query::{ColRef, JoinEdge, JoinGraph, PredOp, Predicate, Query, RelSet};
 
 use crate::ast::{Comparison, Condition, QualifiedColumn, SelectStatement};
 use crate::SqlError;
@@ -18,6 +18,14 @@ fn bind_err<T>(message: impl Into<String>) -> Result<T, SqlError> {
 pub fn bind(catalog: &Catalog, stmt: &SelectStatement) -> Result<Query, SqlError> {
     if stmt.from.is_empty() {
         return bind_err("empty FROM list");
+    }
+    // `JoinGraph::new` asserts this; a statement is outside input.
+    if stmt.from.len() > RelSet::MAX_RELATIONS {
+        return bind_err(format!(
+            "at most {} relations per statement, got {}",
+            RelSet::MAX_RELATIONS,
+            stmt.from.len()
+        ));
     }
 
     // Resolve tables (by case-insensitive name) and aliases.
@@ -144,6 +152,33 @@ mod tests {
         assert_eq!(q.graph.relation(0), RelId(5));
         assert_eq!(q.graph.relation(2), RelId(7));
         assert_eq!(q.graph.edges().len(), 2);
+    }
+
+    /// `SELECT * FROM R1 t0, …, R1 t{n-1}` chained on `c0`.
+    fn chain_statement(n: usize) -> String {
+        let from: Vec<String> = (0..n).map(|i| format!("R1 t{i}")).collect();
+        let on: Vec<String> = (1..n).map(|i| format!("t{}.c0 = t{i}.c0", i - 1)).collect();
+        format!(
+            "SELECT * FROM {} WHERE {}",
+            from.join(", "),
+            on.join(" AND ")
+        )
+    }
+
+    #[test]
+    fn more_relations_than_a_relset_holds_is_a_bind_error() {
+        // `JoinGraph::new` asserts the bound; a statement must never
+        // reach it (this one used to panic the calling thread).
+        let catalog = Catalog::paper();
+        let widest = parse_query(&catalog, &chain_statement(RelSet::MAX_RELATIONS)).unwrap();
+        assert_eq!(widest.num_relations(), RelSet::MAX_RELATIONS);
+        let err = parse_query(&catalog, &chain_statement(RelSet::MAX_RELATIONS + 1)).unwrap_err();
+        match err {
+            SqlError::Bind { message } => {
+                assert!(message.contains("at most 64 relations"), "{message}")
+            }
+            other => panic!("expected a bind error, got {other}"),
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!    `SDP_THREADS=1` and `4` for the same query and fault schedule.
 //!    Two rules make that hold: wall-clock timestamps live in a
 //!    dedicated [`Event::wall_micros`] slot that canonical rendering
-//!    ignores, and events produced on worker threads are staged in
-//!    per-thread [`EventBuffer`]s that the coordinating thread drains
+//!    ignores, and what worker threads have to report is staged with
+//!    their results (for a `jcr` event, the stamp of the moment —
+//!    [`Tracer::wall_micros`]) and emitted by the coordinating thread
 //!    in deterministic (chunk/creation) order at level barriers —
 //!    never raced into a shared sink.
 //! 2. **Near-zero cost when disabled.** A [`Tracer`] over the no-op
@@ -412,84 +413,6 @@ impl fmt::Debug for Tracer {
     }
 }
 
-/// Per-thread staging buffer for events whose *emission order* must be
-/// decided later, on the coordinating thread.
-///
-/// Worker threads push `(key, event)` pairs as they go; at the level
-/// barrier the coordinator drains each buffer in shard (chunk) order
-/// and forwards events keyed by items the shard actually owns —
-/// exactly the discipline `sdp-core` uses to merge `LevelShard`s, so
-/// the forwarded sequence matches what a sequential run emits inline.
-///
-/// The buffer is a bounded ring: once `capacity` is reached the oldest
-/// staged event is dropped and counted. Dropping breaks the
-/// determinism guarantee (a sequential run would have emitted the
-/// event), so callers size buffers generously and surface
-/// [`EventBuffer::dropped`] when nonzero.
-#[derive(Debug)]
-pub struct EventBuffer {
-    events: VecDeque<(u64, Event)>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Default for EventBuffer {
-    /// An unbounded buffer, same as [`EventBuffer::new`].
-    fn default() -> Self {
-        EventBuffer::new()
-    }
-}
-
-impl EventBuffer {
-    /// Unbounded buffer.
-    pub fn new() -> EventBuffer {
-        EventBuffer {
-            events: VecDeque::new(),
-            capacity: usize::MAX,
-            dropped: 0,
-        }
-    }
-
-    /// Buffer holding at most `capacity` staged events.
-    pub fn with_capacity(capacity: usize) -> EventBuffer {
-        EventBuffer {
-            events: VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Stage an event under a caller-chosen key (e.g. a relation-set
-    /// bitmap). Oldest events are dropped once the ring is full.
-    pub fn push(&mut self, key: u64, event: Event) {
-        if self.events.len() >= self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back((key, event));
-    }
-
-    /// Drain all staged events in push order.
-    pub fn drain(&mut self) -> impl Iterator<Item = (u64, Event)> + '_ {
-        self.events.drain(..)
-    }
-
-    /// Number of staged events dropped due to capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of currently staged events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the buffer holds no staged events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
 /// Render events to the canonical dump: one [`Event::canonical`] line
 /// per event, `\n`-separated, with a trailing newline when non-empty.
 /// Byte-identical across thread counts for deterministic traces.
@@ -648,18 +571,6 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
         assert!(!TeeSink::new(Vec::new()).enabled());
-    }
-
-    #[test]
-    fn event_buffer_ring_semantics() {
-        let mut buf = EventBuffer::with_capacity(2);
-        buf.push(1, Event::new("a"));
-        buf.push(2, Event::new("b"));
-        buf.push(3, Event::new("c"));
-        assert_eq!(buf.dropped(), 1);
-        let drained: Vec<_> = buf.drain().map(|(k, e)| (k, e.name)).collect();
-        assert_eq!(drained, vec![(2, "b"), (3, "c")]);
-        assert!(buf.is_empty());
     }
 
     #[test]

@@ -71,15 +71,22 @@ fn main() {
         inner: SdpPruner,
     }
     impl LevelPruner for Reporting {
-        fn prune(&mut self, ctx: &EnumContext<'_>, level: usize, sets: &[RelSet]) -> Vec<RelSet> {
-            let victims = self.inner.prune(ctx, level, sets);
+        fn prune(
+            &mut self,
+            ctx: &EnumContext<'_>,
+            level: usize,
+            sets: &[RelSet],
+            features: &[[f64; 3]],
+            keep: &mut [bool],
+        ) {
+            self.inner.prune(ctx, level, sets, features, keep);
+            let survive = keep.iter().filter(|&&k| k).count();
             println!(
                 "level {level}: {:>4} JCRs enumerated, {:>4} pruned, {:>4} survive",
                 sets.len(),
-                victims.len(),
-                sets.len() - victims.len()
+                sets.len() - survive,
+                survive
             );
-            victims
         }
     }
     let mut pruner = Reporting {

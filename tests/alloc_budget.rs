@@ -1,14 +1,17 @@
 //! Allocation budget of the enumeration core, measured with a
 //! call-counting global allocator (hence a test binary of its own).
 //!
-//! Costing a candidate must not touch the allocator: only retained
-//! plans (one `Arc` each), new JCR groups and the per-level pair lists
-//! may. The budget is stated per plan costed, the paper's effort unit,
-//! so it holds at any query size.
+//! Costing a candidate must not touch the allocator, and neither may a
+//! plan that is evicted or a JCR that is pruned before its level ends:
+//! only the level stage's records, the plans of JCRs that survive
+//! their level (one `Arc` each) and the per-level pair lists may. The
+//! budget is stated per plan costed, the paper's effort unit, so it
+//! holds at any query size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use sdp::core::{default_parallelism, Budget, EnumContext, EnumeratorKind};
 use sdp::cost::{join_candidates, InnerIndex, JoinInput};
 use sdp::prelude::*;
 
@@ -53,21 +56,63 @@ fn calls_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, CALLS.with(Cell::get) - before)
 }
 
+/// Allocator calls per plan costed of one single-threaded run (so
+/// that every allocation of the run lands on this thread).
+fn calls_per_plan(topology: Topology, algorithm: Algorithm) -> f64 {
+    let catalog = Catalog::paper();
+    let optimizer = Optimizer::new(&catalog).with_parallelism(1);
+    let query = QueryGenerator::new(&catalog, topology, 7).instance(0);
+    let (plan, calls) = calls_during(|| optimizer.optimize(&query, algorithm).unwrap());
+    let per_plan = calls as f64 / plan.stats.plans_costed as f64;
+    println!(
+        "{topology} {}: {calls} allocator calls for {} plans costed ({per_plan:.3} per plan)",
+        algorithm.label(),
+        plan.stats.plans_costed
+    );
+    per_plan
+}
+
 #[test]
 fn exhaustive_dp_stays_under_the_allocation_budget() {
-    let catalog = Catalog::paper();
-    // One thread: every allocation of the run lands on this thread.
-    let optimizer = Optimizer::new(&catalog).with_parallelism(1);
     for topology in [Topology::Star(10), Topology::star_chain(12)] {
-        let query = QueryGenerator::new(&catalog, topology, 7).instance(0);
-        let (plan, calls) = calls_during(|| optimizer.optimize(&query, Algorithm::Dp).unwrap());
-        let per_plan = calls as f64 / plan.stats.plans_costed as f64;
-        assert!(
-            per_plan < 0.3,
-            "{topology}: {calls} allocator calls for {} plans costed ({per_plan:.3} per plan)",
-            plan.stats.plans_costed
-        );
+        let per_plan = calls_per_plan(topology, Algorithm::Dp);
+        assert!(per_plan < 0.08, "{topology}: {per_plan:.3} per plan");
     }
+}
+
+#[test]
+fn sdp_stays_under_the_allocation_budget() {
+    // Fewer plans per JCR than exhaustive DP, and the pruner's own
+    // (reused) buffers: a wider budget, which building a node per
+    // retained candidate of every pruned JCR would still break.
+    let topology = Topology::star_chain(16);
+    let per_plan = calls_per_plan(topology, Algorithm::Sdp(SdpConfig::paper()));
+    assert!(per_plan < 0.2, "{topology}: {per_plan:.3} per plan");
+}
+
+#[test]
+fn costing_a_dominated_pair_does_not_allocate() {
+    // The second costing of a pair offers the first one's plans again:
+    // every candidate is dominated (an equal plan is in the group), so
+    // nothing is staged, nothing built, nothing allocated.
+    let catalog = Catalog::paper();
+    let model = CostModel::with_defaults(&catalog);
+    let query = QueryGenerator::new(&catalog, Topology::Star(4), 7).instance(0);
+    let mut ctx = EnumContext::new(
+        &query,
+        &model,
+        Budget::unlimited(),
+        default_parallelism(),
+        EnumeratorKind::LevelScan,
+    );
+    (0..4).for_each(|i| ctx.ensure_base_group(i));
+    let (hub, spoke) = (RelSet::single(0), RelSet::single(1));
+    assert!(ctx.join_pair(hub, spoke), "first costing creates the JCR");
+    let plans_costed = ctx.plans_costed;
+    let (created, calls) = calls_during(|| ctx.join_pair(hub, spoke));
+    assert!(!created);
+    assert!(ctx.plans_costed > plans_costed, "the pair was costed again");
+    assert_eq!(calls, 0);
 }
 
 #[test]
