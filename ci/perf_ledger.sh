@@ -10,6 +10,14 @@
 # bit-identical plans and counters leaves the file alone, and a change
 # that means to move them updates it in the same commit, where the
 # diff shows in review.
+#
+# A change to the governor's ladder that claims "same rungs, same
+# plans" (a rung skipped, reordered or handed over differently) may
+# move exactly one field: `plans costed` of the `governed_churn` line.
+# Its digest, its hit/miss/eviction/append counts and the other three
+# lines stay byte-identical — the feasibility oracle (PR 17) moved
+# 387793 → 156337 there, by no longer costing DP rungs that cannot fit
+# 2 MiB, and nothing else.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

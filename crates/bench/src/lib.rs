@@ -16,6 +16,7 @@
 //! | `skyline_kernels` | substrate: BNL vs SFS vs pairwise union vs k-dominant |
 //! | `scaleup_threads` | extension: enumeration thread scale-up on large stars |
 //! | `plan_cache` | extension: service-layer cold miss vs warm hit vs coalesced requests |
+//! | `feasibility` | extension: the governor's feasibility oracle vs the doomed rung it replaces |
 
 #![warn(missing_docs)]
 

@@ -42,7 +42,9 @@ pub enum OptError {
     /// The memory model exceeded the budget — the analogue of the
     /// paper's out-of-physical-memory `*` entries.
     MemoryExhausted {
-        /// Model bytes in use when the budget tripped.
+        /// Model bytes in use when the budget tripped — or, when the
+        /// governor's feasibility oracle predicted the failure instead
+        /// of running into it, its lower bound on the rung's peak.
         used_bytes: u64,
         /// The configured budget.
         budget_bytes: u64,

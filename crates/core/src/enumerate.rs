@@ -44,7 +44,7 @@
 //! insertion-order-insensitive — makes their chosen plans bit-identical
 //! on exhaustive rungs. `DpConv` deliberately emits a subset.
 
-use sdp_query::RelSet;
+use sdp_query::{JoinGraph, RelSet};
 
 use crate::context::EnumContext;
 use crate::dp::LevelTable;
@@ -296,6 +296,36 @@ pub struct Dpccp {
 }
 
 impl Dpccp {
+    /// The atom graph of `graph` contracted over `atoms`.
+    pub(crate) fn over(graph: &JoinGraph, atoms: &[RelSet]) -> Self {
+        let identity = atoms
+            .iter()
+            .enumerate()
+            .all(|(v, &a)| a == RelSet::single(v));
+        let mut vertex_of = vec![usize::MAX; graph.len()];
+        for (v, &a) in atoms.iter().enumerate() {
+            for r in a.iter() {
+                vertex_of[r] = v;
+            }
+        }
+        let adj = atoms
+            .iter()
+            .map(|&a| {
+                let nb = graph.neighbors(a);
+                nb.iter()
+                    .map(|r| vertex_of[r])
+                    .filter(|&v| v != usize::MAX)
+                    .collect()
+            })
+            .collect();
+        Dpccp {
+            atoms: atoms.to_vec(),
+            vertex_of,
+            adj,
+            identity,
+        }
+    }
+
     /// Vertex set of a survivor's base-relation set.
     #[inline]
     fn to_vertex(&self, base: RelSet) -> RelSet {
@@ -356,28 +386,86 @@ impl Dpccp {
         }
     }
 
-    /// Like [`Dpccp::grow`], but emitting every connected superset of
-    /// `sub` up to `cap` vertices (all sizes, each exactly once) —
-    /// one walk serves every split size.
-    fn grow_all(&self, sub: RelSet, forbidden: RelSet, cap: usize, out: &mut Vec<RelSet>) {
-        let frontier = self.vneighbors(sub) - forbidden;
+    /// Like [`Dpccp::grow`], but visiting every connected superset of
+    /// `sub` up to `cap` vertices (all sizes, each exactly once, each
+    /// followed by its own supersets) — one walk serves every split
+    /// size, and the feasibility oracle's count. `reach` is the union
+    /// of `sub`'s adjacency sets, carried along so that growing a set
+    /// costs one lookup per vertex added, not one per vertex held.
+    /// Returns `false` as soon as `visit` does: the walk stops there.
+    fn grow_all(
+        &self,
+        sub: RelSet,
+        reach: RelSet,
+        forbidden: RelSet,
+        cap: usize,
+        visit: &mut impl FnMut(RelSet) -> bool,
+    ) -> bool {
+        let frontier = reach - sub - forbidden;
         if frontier.is_empty() || sub.len() >= cap {
-            return;
+            return true;
         }
-        let room = cap - sub.len();
-        let nmask = frontier.0;
-        let mut ext: u64 = 0;
-        loop {
-            ext = ext.wrapping_sub(nmask) & nmask;
-            if ext == 0 {
-                break;
+        self.extend(
+            sub,
+            false,
+            reach,
+            frontier.0,
+            forbidden | frontier,
+            cap,
+            visit,
+        )
+    }
+
+    /// The expansion step of [`Dpccp::grow_all`]: `sub` holds the
+    /// frontier vertices chosen so far (`grown`: at least one) and
+    /// `reach` its adjacency; visit it extended by every subset of
+    /// `undecided` that fits under `cap`, in ascending numeric order of
+    /// the extension — without the highest undecided bit first, then
+    /// with it. Only extensions that fit are generated: a star's hub
+    /// has a frontier of `n − 1` spokes, and filtering its `2^(n−1)`
+    /// submasks by popcount is what a size-capped walk must not do.
+    #[allow(clippy::too_many_arguments)]
+    fn extend(
+        &self,
+        sub: RelSet,
+        grown: bool,
+        reach: RelSet,
+        undecided: u64,
+        forbidden: RelSet,
+        cap: usize,
+        visit: &mut impl FnMut(RelSet) -> bool,
+    ) -> bool {
+        if undecided == 0 || sub.len() == cap {
+            // The empty extension is the set this step started from.
+            return !grown || visit(sub) && self.grow_all(sub, reach, forbidden, cap, visit);
+        }
+        let top = 63 - undecided.leading_zeros() as usize;
+        let rest = undecided & !(1 << top);
+        self.extend(sub, grown, reach, rest, forbidden, cap, visit)
+            && self.extend(
+                sub.insert(top),
+                true,
+                reach | self.adj[top],
+                rest,
+                forbidden,
+                cap,
+                visit,
+            )
+    }
+
+    /// Visit every connected vertex set of at most `cap` vertices
+    /// exactly once (`EnumerateCsg`: seeds in descending order, each
+    /// grown with itself and every smaller vertex forbidden), until
+    /// `visit` returns `false`. Reads the graph alone — no survivors,
+    /// no costs.
+    pub(crate) fn each_csg(&self, cap: usize, visit: &mut impl FnMut(RelSet) -> bool) {
+        debug_assert!(cap >= 1);
+        for (v, &reach) in self.adj.iter().enumerate().rev() {
+            let seed = RelSet::single(v);
+            let smaller = RelSet::first_n(v + 1);
+            if !(visit(seed) && self.grow_all(seed, reach, smaller, cap, visit)) {
+                return;
             }
-            if ext.count_ones() as usize > room {
-                continue;
-            }
-            let grown = sub | RelSet(ext);
-            out.push(grown);
-            self.grow_all(grown, forbidden | frontier, cap, out);
         }
     }
 
@@ -392,7 +480,10 @@ impl Dpccp {
             let forbidden = a | seen_seeds | seed;
             seen_seeds = seen_seeds | seed;
             out.push(seed);
-            self.grow_all(seed, forbidden, cap, out);
+            self.grow_all(seed, self.adj[v], forbidden, cap, &mut |grown| {
+                out.push(grown);
+                true
+            });
         }
     }
 
@@ -424,28 +515,7 @@ impl PairEnumerator for Dpccp {
     }
 
     fn prepare(&mut self, ctx: &EnumContext<'_>, atoms: &[RelSet], _up_to: usize) {
-        let graph = ctx.graph();
-        self.atoms = atoms.to_vec();
-        self.identity = atoms
-            .iter()
-            .enumerate()
-            .all(|(v, &a)| a == RelSet::single(v));
-        self.vertex_of = vec![usize::MAX; graph.len()];
-        for (v, &a) in atoms.iter().enumerate() {
-            for r in a.iter() {
-                self.vertex_of[r] = v;
-            }
-        }
-        self.adj = atoms
-            .iter()
-            .map(|&a| {
-                let nb = graph.neighbors(a);
-                nb.iter()
-                    .map(|r| self.vertex_of[r])
-                    .filter(|&v| v != usize::MAX)
-                    .collect()
-            })
-            .collect();
+        *self = Dpccp::over(ctx.graph(), atoms);
     }
 
     fn level_pairs(

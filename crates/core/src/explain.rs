@@ -115,7 +115,7 @@ pub fn explain_analyze(governed: &GovernedPlan) -> String {
         }
     );
     for d in &governed.degradations {
-        let _ = writeln!(
+        let _ = write!(
             out,
             "degraded {} -> {}  reason={:?}  after={:.1}ms",
             d.from.label(),
@@ -123,6 +123,14 @@ pub fn explain_analyze(governed: &GovernedPlan) -> String {
             d.reason,
             d.elapsed.as_secs_f64() * 1e3
         );
+        if let Some(bound) = d.predicted {
+            let _ = write!(
+                out,
+                "  (predicted, needs ≥ {:.1} MB)",
+                bound as f64 / 1048576.0
+            );
+        }
+        out.push('\n');
     }
     out.push('\n');
     render_analyze(&plan.root, 0, &rung, &mut out);
@@ -215,6 +223,29 @@ mod analyze_tests {
             text.matches("[rung=").count(),
             governed.plan.root.node_count()
         );
+    }
+
+    #[test]
+    fn explain_analyze_marks_a_predicted_descent() {
+        // Star-13 under 1 MB: DP is provably doomed (room for 113
+        // one-plan groups), so it is descended past, not run.
+        let cat = Catalog::paper();
+        let q = QueryGenerator::new(&cat, Topology::Star(13), 5).instance(0);
+        let governed = Optimizer::new(&cat)
+            .optimize_governed(
+                &q,
+                Algorithm::Dp,
+                &Governor::new().with_memory_budget(1 << 20),
+            )
+            .unwrap();
+        let text = explain_analyze(&governed);
+        let line = text.lines().find(|l| l.starts_with("degraded")).unwrap();
+        assert!(
+            line.starts_with("degraded DP -> SDP  reason=Memory"),
+            "{line}"
+        );
+        assert!(line.ends_with("(predicted, needs ≥ 1.0 MB)"), "{line}");
+        assert!(!text.contains("[DP] level"), "no DP level was run");
     }
 }
 

@@ -16,6 +16,16 @@
 //! produced the plan and why each degradation happened — deadline,
 //! memory, or caller cancellation.
 //!
+//! A rung that *provably* cannot fit the memory budget is not run at
+//! all: before an exhaustive rung (DP, or IDP's first block) starts,
+//! the feasibility oracle ([`crate::feasibility`]) bounds its peak
+//! memory from below by counting the join graph's connected subgraphs,
+//! and when that bound exceeds the budget the governor records the
+//! descent — same [`DegradeEvent`], same hand-off, marked
+//! [`DegradeEvent::predicted`] — and moves on. The bound is a lower
+//! bound, so the rung that finally serves and its plan are exactly
+//! those of a run that tried the doomed rung first.
+//!
 //! # Ladder semantics
 //!
 //! Each rung gets a *soft deadline* that is a fraction of the
@@ -229,6 +239,12 @@ pub struct DegradeEvent {
     /// Wall-clock elapsed since the start of the run when the descent
     /// was taken.
     pub elapsed: Duration,
+    /// `Some(bound)` when the abandoned rung was never run: the
+    /// feasibility oracle ([`crate::feasibility`]) proved from the join
+    /// graph alone that it needs at least `bound` model bytes, more
+    /// than the budget in force. Always a [`DegradeReason::Memory`]
+    /// descent, and in every other respect an ordinary one.
+    pub predicted: Option<u64>,
 }
 
 /// A caller-held handle that cancels an in-flight governed run.

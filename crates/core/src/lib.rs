@@ -19,6 +19,8 @@
 //! * [`idp`] — Iterative Dynamic Programming, the
 //!   `IDP1-balanced-bestRow` variant the paper benchmarks against;
 //! * [`goo`] — Greedy Operator Ordering, a cheap baseline;
+//! * [`feasibility`] — the oracle that lets the governor descend past
+//!   an exhaustive rung which provably cannot fit its memory budget;
 //! * [`random`] — Iterative Improvement and Simulated Annealing, the
 //!   "jettison DP entirely" baselines from the paper's related work;
 //! * [`optimizer`] — the public entry point tying everything together.
@@ -35,6 +37,7 @@ pub mod context;
 pub mod dp;
 pub mod enumerate;
 pub mod explain;
+pub mod feasibility;
 pub mod fx;
 pub mod goo;
 pub mod governor;

@@ -22,6 +22,7 @@ use crate::budget::{Budget, OptError};
 use crate::context::{default_parallelism, EnumContext, LevelStats, RunStats};
 use crate::dp::optimize_complete;
 use crate::enumerate::EnumeratorKind;
+use crate::feasibility;
 use crate::goo::optimize_goo;
 use crate::governor::{
     prepare_handoff, DegradeEvent, DegradeReason, GovernedFailure, GovernedPlan, Governor, Rung,
@@ -235,7 +236,11 @@ impl<'a> Optimizer<'a> {
     /// Optimize `query` under a [`Governor`]: on budget exhaustion
     /// the run descends the degradation ladder **DP → SDP → IDP(4) →
     /// GOO** instead of failing, reusing retained memo state between
-    /// rungs (see [`prepare_handoff`]). Caller cancellation jumps
+    /// rungs (see [`prepare_handoff`]). An exhaustive rung (DP, IDP's
+    /// first block) that provably cannot fit the memory budget in
+    /// force is descended past without being run — a
+    /// [`DegradeEvent::predicted`] memory descent, see
+    /// [`crate::feasibility`]. Caller cancellation jumps
     /// straight to GOO for a best-effort plan. The returned
     /// [`GovernedPlan`] records the producing rung and every descent
     /// taken.
@@ -305,39 +310,50 @@ impl<'a> Optimizer<'a> {
         let mut attempt = algorithm;
         let mut degradations: Vec<DegradeEvent> = Vec::new();
         loop {
-            #[cfg(feature = "trace")]
-            ctx.tracer().emit_with(|| {
-                sdp_trace::Event::new("rung_start")
-                    .with("rung", rung.label())
-                    .with("algorithm", attempt.label())
-                    .with("budget_bytes", governor.rung_budget(rung).max_model_bytes)
-            });
-            let error = match dispatch(&mut ctx, attempt) {
-                Ok(root) => {
-                    let stats = ctx.stats();
-                    #[cfg(feature = "trace")]
-                    ctx.tracer().emit_with(|| {
-                        sdp_trace::Event::new("rung_complete")
-                            .with("rung", rung.label())
-                            .with("cost", root.cost)
-                            .with("plans_costed", stats.plans_costed)
-                            .with("degradations", degradations.len())
-                    });
-                    return Ok(GovernedPlan {
-                        plan: OptimizedPlan {
-                            cost: root.cost,
-                            rows: root.rows,
-                            root,
-                            stats,
-                            profile: ctx.profile().to_vec(),
-                        },
-                        requested: algorithm,
-                        produced: attempt,
-                        rung: Some(rung),
-                        degradations,
-                    });
+            // A rung the oracle proves doomed is descended past without
+            // being run — no `rung_start`, no levels, no barriers: its
+            // error is the one it would have ended in.
+            let predicted = predicted_exhaustion(&mut ctx, attempt);
+            let error = if let Some(bound) = predicted {
+                OptError::MemoryExhausted {
+                    used_bytes: bound,
+                    budget_bytes: ctx.memory.budget().max_model_bytes,
                 }
-                Err(e) => e,
+            } else {
+                #[cfg(feature = "trace")]
+                ctx.tracer().emit_with(|| {
+                    sdp_trace::Event::new("rung_start")
+                        .with("rung", rung.label())
+                        .with("algorithm", attempt.label())
+                        .with("budget_bytes", governor.rung_budget(rung).max_model_bytes)
+                });
+                match dispatch(&mut ctx, attempt) {
+                    Ok(root) => {
+                        let stats = ctx.stats();
+                        #[cfg(feature = "trace")]
+                        ctx.tracer().emit_with(|| {
+                            sdp_trace::Event::new("rung_complete")
+                                .with("rung", rung.label())
+                                .with("cost", root.cost)
+                                .with("plans_costed", stats.plans_costed)
+                                .with("degradations", degradations.len())
+                        });
+                        return Ok(GovernedPlan {
+                            plan: OptimizedPlan {
+                                cost: root.cost,
+                                rows: root.rows,
+                                root,
+                                stats,
+                                profile: ctx.profile().to_vec(),
+                            },
+                            requested: algorithm,
+                            produced: attempt,
+                            rung: Some(rung),
+                            degradations,
+                        });
+                    }
+                    Err(e) => e,
+                }
             };
             let Some(reason) = DegradeReason::for_error(&error) else {
                 // Empty/disconnected: no rung helps.
@@ -370,16 +386,23 @@ impl<'a> Optimizer<'a> {
                 to: next,
                 reason,
                 elapsed: ctx.memory.elapsed(),
+                predicted,
             });
             // The degrade span's canonical fields carry only the
-            // deterministic facts (rungs and reason); elapsed time is
-            // wall-clock and stays out of the canonical form.
+            // deterministic facts (rungs, reason, the oracle's verdict);
+            // elapsed time is wall-clock and stays out of the canonical
+            // form.
             #[cfg(feature = "trace")]
             ctx.tracer().emit_with(|| {
-                sdp_trace::Event::new("degrade")
+                let event = sdp_trace::Event::new("degrade")
                     .with("from", rung.label())
                     .with("to", next.label())
                     .with("reason", format!("{reason:?}"))
+                    .with("predicted", predicted.is_some());
+                match predicted {
+                    Some(bound) => event.with("bound_bytes", bound),
+                    None => event,
+                }
             });
             let next_budget = governor.rung_budget(next);
             prepare_handoff(&mut ctx, next_budget);
@@ -417,6 +440,23 @@ impl<'a> Optimizer<'a> {
         }
         rewritten
     }
+}
+
+/// The feasibility oracle's verdict on starting `attempt` now, under
+/// the budget in force: `Some(bound)` when the rung provably needs
+/// `bound > budget` model bytes (see [`feasibility::doomed_bound`]).
+/// A pending cancellation, an expired deadline slice or an inherited
+/// memo already over budget is the rung's own to report — it does so
+/// at its first check — so nothing is predicted then.
+fn predicted_exhaustion(ctx: &mut EnumContext<'_>, attempt: Algorithm) -> Option<u64> {
+    let bound = feasibility::doomed_bound(
+        ctx.graph(),
+        attempt,
+        ctx.enumerator(),
+        ctx.memory.budget().max_model_bytes,
+    )?;
+    ctx.memory.check().ok()?;
+    Some(bound)
 }
 
 /// Run one enumeration strategy over an existing context. Shared by

@@ -181,6 +181,7 @@ pub struct GovernorCounters {
     deadline_degradations: AtomicU64,
     memory_degradations: AtomicU64,
     cancel_degradations: AtomicU64,
+    predicted_descents: AtomicU64,
     timeouts: AtomicU64,
     leader_retries: AtomicU64,
 }
@@ -210,6 +211,14 @@ impl GovernorCounters {
         self.cancel_degradations.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// A memory descent was predicted by the feasibility oracle: the
+    /// rung was descended past without being run. Counted *beside* the
+    /// descent's [`GovernorCounters::record_memory_degradation`], not
+    /// instead of it.
+    pub fn record_predicted_descent(&self) {
+        self.predicted_descents.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A request failed outright with a deadline error (even the
     /// bottom rung could not finish in time).
     pub fn record_timeout(&self) {
@@ -229,6 +238,7 @@ impl GovernorCounters {
             deadline_degradations: self.deadline_degradations.load(Ordering::Relaxed),
             memory_degradations: self.memory_degradations.load(Ordering::Relaxed),
             cancel_degradations: self.cancel_degradations.load(Ordering::Relaxed),
+            predicted_descents: self.predicted_descents.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             leader_retries: self.leader_retries.load(Ordering::Relaxed),
         }
@@ -246,6 +256,11 @@ pub struct GovernorSnapshot {
     pub memory_degradations: u64,
     /// Jumps to the bottom rung caused by caller cancellation.
     pub cancel_degradations: u64,
+    /// Memory descents past a rung the feasibility oracle proved
+    /// infeasible, so it was never run (a subset of
+    /// `memory_degradations`). In the snapshot and the `replay` summary
+    /// only — not in the Prometheus/JSON expositions yet.
+    pub predicted_descents: u64,
     /// Requests that failed outright on a deadline error.
     pub timeouts: u64,
     /// Panicking leaders retried on a cheaper rung.
@@ -498,6 +513,7 @@ mod tests {
         g.record_deadline_degradation();
         g.record_deadline_degradation();
         g.record_memory_degradation();
+        g.record_predicted_descent();
         g.record_cancel_degradation();
         g.record_timeout();
         g.record_leader_retry();
@@ -505,6 +521,7 @@ mod tests {
         assert_eq!(s.degradations, 4);
         assert_eq!(s.deadline_degradations, 2);
         assert_eq!(s.memory_degradations, 1);
+        assert_eq!(s.predicted_descents, 1, "beside its descent, not a fifth");
         assert_eq!(s.cancel_degradations, 1);
         assert_eq!(s.timeouts, 1);
         assert_eq!(s.leader_retries, 1);

@@ -1076,6 +1076,9 @@ impl OptimizerService {
                                 self.governor_counters.record_cancel_degradation()
                             }
                         }
+                        if event.predicted.is_some() {
+                            self.governor_counters.record_predicted_descent();
+                        }
                     }
                     let plan = CachedPlan {
                         cost: governed.plan.cost,

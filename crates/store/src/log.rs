@@ -29,8 +29,52 @@ pub const LOG_MAGIC: [u8; 8] = *b"SDPLOG01";
 /// corrupt length words).
 pub const MAX_RECORD_BYTES: u32 = 16 << 20;
 
-const HEADER_BYTES: u64 = 12;
+/// Bytes before the first frame of a log file: magic + kind tag.
+pub(crate) const HEADER_BYTES: u64 = 12;
 const FRAME_BYTES: usize = 8;
+
+/// Bytes a record of `payload_len` payload bytes occupies on disk.
+pub(crate) fn frame_len(payload_len: usize) -> u64 {
+    (FRAME_BYTES + payload_len) as u64
+}
+
+/// Read the payload of the frame that starts `offset` bytes into the
+/// log file `path` (open as `file`) into `payload`, replacing its
+/// contents. The length word is bounded by [`MAX_RECORD_BYTES`] and the
+/// CRC is checked, so a byte that rotted — or an offset that is not a
+/// frame boundary — is a [`StoreError::Format`], not a bad plan.
+pub(crate) fn read_frame(
+    file: &mut File,
+    path: &Path,
+    offset: u64,
+    payload: &mut Vec<u8>,
+) -> Result<(), StoreError> {
+    let damaged = |what: &str| {
+        StoreError::Format(format!(
+            "{}: frame at offset {offset} {what}",
+            path.display()
+        ))
+    };
+    let read_error = |e: std::io::Error| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => damaged("is cut short"),
+        _ => StoreError::io(path, e),
+    };
+    let mut frame = [0u8; FRAME_BYTES];
+    file.seek(SeekFrom::Start(offset))
+        .and_then(|_| file.read_exact(&mut frame))
+        .map_err(read_error)?;
+    let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
+    let crc = u32::from_le_bytes(frame[4..].try_into().expect("4 bytes"));
+    if len > MAX_RECORD_BYTES {
+        return Err(damaged("has a corrupt length word"));
+    }
+    payload.resize(len as usize, 0);
+    file.read_exact(payload).map_err(read_error)?;
+    if crc32(payload) != crc {
+        return Err(damaged("fails its CRC"));
+    }
+    Ok(())
+}
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes`. Hand-rolled like every
 /// other codec in the workspace; the table is built on first use.
@@ -312,6 +356,53 @@ mod tests {
         let (_, recovered, stats) = FramedLog::open(&path, 1).unwrap();
         assert_eq!(recovered, vec![b"keep".to_vec()]);
         assert!(stats.truncated);
+    }
+
+    #[test]
+    fn read_frame_returns_the_payload_or_a_typed_error() {
+        let path = temp_path("read-frame");
+        let (first, second) = {
+            let (mut log, _, _) = FramedLog::open(&path, 1).unwrap();
+            let first = log.len_bytes();
+            let second = log.append(b"alpha").unwrap();
+            log.append(&[7u8; 300]).unwrap();
+            (first, second)
+        };
+        assert_eq!((first, second), (HEADER_BYTES, HEADER_BYTES + frame_len(5)));
+        let mut file = File::open(&path).unwrap();
+        let mut payload = vec![0xaa; 1000]; // reused: contents replaced
+        read_frame(&mut file, &path, second, &mut payload).unwrap();
+        assert_eq!(payload, vec![7u8; 300]);
+        read_frame(&mut file, &path, first, &mut payload).unwrap();
+        assert_eq!(payload, b"alpha");
+
+        // Not a frame boundary: whatever the bytes there say, an error.
+        let err = read_frame(&mut file, &path, second + 3, &mut payload).unwrap_err();
+        assert!(matches!(err, StoreError::Format(_)), "{err}");
+        // Past the end: the read comes up short.
+        let err = read_frame(&mut file, &path, 1 << 20, &mut payload).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Format(m) if m.contains("cut short")),
+            "{err}"
+        );
+
+        // A rotted payload byte fails the CRC; a rotted length word is
+        // bounded before anything is allocated for it.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[second as usize + FRAME_BYTES + 10] ^= 0x40;
+        bytes[first as usize + 3] = 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut file = File::open(&path).unwrap();
+        let err = read_frame(&mut file, &path, second, &mut payload).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Format(m) if m.contains("CRC")),
+            "{err}"
+        );
+        let err = read_frame(&mut file, &path, first, &mut payload).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Format(m) if m.contains("length word")),
+            "{err}"
+        );
     }
 
     #[test]

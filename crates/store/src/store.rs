@@ -6,7 +6,9 @@
 //! store *rotates* to a fresh segment, and once enough sealed segments
 //! pile up it *compacts*: the live view (latest record per key at the
 //! current stats epoch) is rewritten into one new segment and every
-//! older file is deleted. A crash anywhere in that sequence is safe —
+//! older file is deleted. The live view holds no plan bytes, only where
+//! each record's frame sits on disk, so compaction is a disk-to-disk
+//! copy through one buffer. A crash anywhere in that sequence is safe —
 //! replay is latest-wins in `(segment, offset)` order, so duplicate
 //! records left by an interrupted compaction dedup to the same view,
 //! and a torn tail in any segment truncates to the last intact frame.
@@ -24,6 +26,7 @@
 //! physically garbage-collects the old generation over time.
 
 use std::collections::HashMap;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -31,7 +34,7 @@ use sdp_core::EnumeratorKind;
 use sdp_metrics::StoreCounters;
 
 use crate::codec::{decode_plan, encode_plan, PlanRecord};
-use crate::log::{FramedLog, RecoveryStats};
+use crate::log::{self, FramedLog, RecoveryStats};
 use crate::StoreError;
 
 /// Log-kind tag for plan segments.
@@ -106,13 +109,21 @@ pub struct PlanStore {
     active: FramedLog,
     active_index: u64,
     sealed: Vec<(u64, PathBuf)>,
-    /// Latest encoded payload per key at the current epoch — the
-    /// compaction source. Payload bytes, not decoded trees: compaction
-    /// must not re-encode (bit-stability) and plan trees are the
-    /// expensive part to keep around twice.
-    live: HashMap<RecordKey, Vec<u8>>,
+    /// Where the latest record per key at the current epoch sits on
+    /// disk — the compaction source. A reference, not the payload: the
+    /// bytes are already in a segment, and compaction copies them from
+    /// there as they are (bit-stability: no re-encode).
+    live: HashMap<RecordKey, FrameRef>,
     #[cfg(feature = "testkit")]
     faults: Option<sdp_testkit::FaultPlan>,
+}
+
+/// Position of one record's frame: segment number and byte offset of
+/// the frame's length word within that segment's file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct FrameRef {
+    segment: u64,
+    offset: u64,
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
@@ -155,10 +166,11 @@ impl PlanStore {
     ) -> Result<(Self, Vec<PlanRecord>, OpenStats), StoreError> {
         std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
         let mut stats = OpenStats::default();
-        let mut live_payloads: HashMap<RecordKey, Vec<u8>> = HashMap::new();
-        // Insertion order of keys, so the warm fill is deterministic
-        // (HashMap iteration order is not).
-        let mut key_order: Vec<RecordKey> = Vec::new();
+        let mut live: HashMap<RecordKey, (FrameRef, usize)> = HashMap::new();
+        // The warm fill in first-insertion order of its keys, so it is
+        // deterministic (HashMap iteration order is not); a slot is
+        // emptied when a stale record shadows its key.
+        let mut fill: Vec<Option<PlanRecord>> = Vec::new();
 
         let segments = list_segments(dir)?;
         let mut last_index = 0u64;
@@ -169,7 +181,15 @@ impl PlanStore {
                 counters.record_torn_truncation();
             }
             stats.recovery.merge(recovery);
+            // Replay returns the intact frames in file order: their
+            // offsets follow from their lengths.
+            let mut offset = log::HEADER_BYTES;
             for payload in payloads {
+                let frame = FrameRef {
+                    segment: *index,
+                    offset,
+                };
+                offset += log::frame_len(payload.len());
                 let record = match decode_plan(&payload) {
                     Ok(record) => record,
                     Err(StoreError::Codec(_)) => {
@@ -185,13 +205,20 @@ impl PlanStore {
                     // A stale record shadows an older live one for the
                     // same key: the plan was re-optimized under a
                     // different epoch, so neither version is current.
-                    if live_payloads.remove(&key).is_some() {
-                        key_order.retain(|k| k != &key);
+                    if let Some((_, slot)) = live.remove(&key) {
+                        fill[slot] = None;
                     }
                     continue;
                 }
-                if live_payloads.insert(key.clone(), payload).is_none() {
-                    key_order.push(key);
+                match live.get_mut(&key) {
+                    Some((latest, slot)) => {
+                        *latest = frame;
+                        fill[*slot] = Some(record);
+                    }
+                    None => {
+                        live.insert(key, (frame, fill.len()));
+                        fill.push(Some(record));
+                    }
                 }
             }
         }
@@ -206,13 +233,7 @@ impl PlanStore {
             .filter(|(index, _)| *index != active_index)
             .collect();
 
-        let mut records = Vec::with_capacity(key_order.len());
-        for key in &key_order {
-            let payload = &live_payloads[key];
-            // Live payloads decoded once already; decoding again keeps
-            // `live` as bytes without cloning trees around.
-            records.push(decode_plan(payload)?);
-        }
+        let records: Vec<PlanRecord> = fill.into_iter().flatten().collect();
         stats.live = records.len() as u64;
 
         Ok((
@@ -224,7 +245,10 @@ impl PlanStore {
                 active,
                 active_index,
                 sealed,
-                live: live_payloads,
+                live: live
+                    .into_iter()
+                    .map(|(key, (frame, _))| (key, frame))
+                    .collect(),
                 #[cfg(feature = "testkit")]
                 faults: None,
             },
@@ -260,10 +284,13 @@ impl PlanStore {
             });
         }
         self.adopt_epoch(record.stats_epoch);
-        let payload = encode_plan(record);
-        self.active.append(&payload)?;
+        let frame = FrameRef {
+            segment: self.active_index,
+            offset: self.active.len_bytes(),
+        };
+        self.active.append(&encode_plan(record))?;
         self.counters.record_write();
-        self.live.insert(RecordKey::of(record), payload);
+        self.live.insert(RecordKey::of(record), frame);
 
         #[cfg(feature = "testkit")]
         if let Some(faults) = &self.faults {
@@ -311,21 +338,70 @@ impl PlanStore {
     /// is written before anything is deleted, and replay is
     /// latest-wins, so an interruption leaves duplicates, not loss.
     fn compact(&mut self) -> Result<(), StoreError> {
-        let old_active = self.active.path().to_path_buf();
-        let old_index = self.active_index;
-        self.active_index += 1;
-        let path = segment_path(&self.dir, self.active_index);
-        let (mut active, _, _) = FramedLog::open(&path, PLAN_LOG_KIND)?;
-        for payload in self.live.values() {
-            active.append(payload)?;
+        let index = self.active_index + 1;
+        let path = segment_path(&self.dir, index);
+        let (mut target, _, _) = FramedLog::open(&path, PLAN_LOG_KIND)?;
+        if let Err(e) = self.copy_live_frames(&mut target, index) {
+            // The next rotation will want this segment number: a
+            // half-copied view left under it would replay *after*
+            // (so win over) records appended in the meantime.
+            drop(target);
+            let _ = std::fs::remove_file(&path);
+            return Err(e);
         }
-        self.active = active;
+        let old_active = std::mem::replace(&mut self.active, target);
+        self.active_index = index;
         for (_, path) in self.sealed.drain(..) {
             std::fs::remove_file(&path).map_err(|e| StoreError::io(&path, e))?;
         }
-        std::fs::remove_file(&old_active).map_err(|e| StoreError::io(&old_active, e))?;
-        let _ = old_index;
+        let old_active = old_active.path();
+        std::fs::remove_file(old_active).map_err(|e| StoreError::io(old_active, e))?;
         self.counters.record_compaction();
+        Ok(())
+    }
+
+    /// Copy every live record's frame into `target` (segment number
+    /// `index`) and repoint the live view there — disk to disk: frames
+    /// are read back in (file, offset) order, one sequential pass per
+    /// source segment, through one reused buffer, CRC-checked, and
+    /// appended as they are. A frame that no longer checks out has
+    /// rotted on disk: its record leaves the live view (counted as a
+    /// write error — a plan lost to the persistent tier, that counter's
+    /// meaning) and the rest is carried over. On error the view is
+    /// untouched: it is repointed only once every frame is in `target`.
+    fn copy_live_frames(&mut self, target: &mut FramedLog, index: u64) -> Result<(), StoreError> {
+        const LOST: u64 = u64::MAX;
+        let mut frames: Vec<&mut FrameRef> = self.live.values_mut().collect();
+        frames.sort_unstable();
+        let mut moved: Vec<u64> = Vec::with_capacity(frames.len());
+        let mut source: Option<(u64, PathBuf, File)> = None;
+        let mut payload = Vec::new();
+        for frame in &frames {
+            if source.as_ref().map(|(segment, ..)| *segment) != Some(frame.segment) {
+                let path = segment_path(&self.dir, frame.segment);
+                let file = File::open(&path).map_err(|e| StoreError::io(&path, e))?;
+                source = Some((frame.segment, path, file));
+            }
+            let (_, path, file) = source.as_mut().expect("opened above");
+            match log::read_frame(file, path, frame.offset, &mut payload) {
+                Ok(()) => {
+                    moved.push(target.len_bytes());
+                    target.append(&payload)?;
+                }
+                Err(StoreError::Format(_)) => {
+                    self.counters.record_write_error();
+                    moved.push(LOST);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        for (frame, offset) in frames.into_iter().zip(moved) {
+            *frame = FrameRef {
+                segment: index,
+                offset,
+            };
+        }
+        self.live.retain(|_, frame| frame.offset != LOST);
         Ok(())
     }
 
@@ -456,6 +532,92 @@ mod tests {
             // Latest write for key k was iteration 15 + k.
             assert_eq!(r.cost, 15.0 + r.fingerprint as f64);
         }
+    }
+
+    #[test]
+    fn compaction_copies_the_live_view_byte_for_byte_from_disk() {
+        let dir = temp_dir("compact-bytes");
+        let options = StoreOptions {
+            max_segment_bytes: 256,
+            compact_after_segments: 3,
+        };
+        let counters = Arc::new(StoreCounters::default());
+        let (mut store, _, _) = PlanStore::open(&dir, 1, options, Arc::clone(&counters)).unwrap();
+        // What the view must hold: the bytes of the latest append per
+        // key — the store itself keeps none of them.
+        let mut expected: HashMap<u128, Vec<u8>> = HashMap::new();
+        let mut i = 0u128;
+        while counters.snapshot().compactions == 0 {
+            let r = record(i % 7, 1, i as f64);
+            expected.insert(r.fingerprint, encode_plan(&r));
+            store.append(&r).unwrap();
+            i += 1;
+        }
+        assert!(i > 7, "every key was overwritten before the compaction");
+        assert_eq!(store.sealed_segments(), 0);
+        assert_eq!(store.live_len(), 7);
+
+        // One file is left: the compacted view, then nothing (the
+        // append that triggered the compaction is part of the view).
+        let files = list_segments(&dir).unwrap();
+        assert_eq!(files.len(), 1, "{files:?}");
+        let (_, mut on_disk, _) = FramedLog::open(&files[0].1, PLAN_LOG_KIND).unwrap();
+        let mut wanted: Vec<Vec<u8>> = expected.values().cloned().collect();
+        on_disk.sort();
+        wanted.sort();
+        assert_eq!(on_disk, wanted);
+
+        // The view was repointed at the new segment: a second round of
+        // rotations and a compaction copies from there.
+        while counters.snapshot().compactions == 1 {
+            let r = record(100 + i % 3, 1, i as f64);
+            expected.insert(r.fingerprint, encode_plan(&r));
+            store.append(&r).unwrap();
+            i += 1;
+        }
+        assert_eq!(counters.snapshot().write_errors, 0);
+        drop(store);
+        let (_, records, stats) = open(&dir, 1, options);
+        assert_eq!(stats.live, 10);
+        for r in &records {
+            assert_eq!(encode_plan(r), expected[&r.fingerprint]);
+        }
+    }
+
+    #[test]
+    fn a_rotted_sealed_frame_is_a_counted_drop_not_a_bad_plan() {
+        let dir = temp_dir("rot");
+        let options = StoreOptions {
+            max_segment_bytes: 256,
+            compact_after_segments: 3,
+        };
+        let counters = Arc::new(StoreCounters::default());
+        let (mut store, _, _) = PlanStore::open(&dir, 1, options, Arc::clone(&counters)).unwrap();
+        // Distinct keys, so every frame stays live; stop once the first
+        // segment is sealed.
+        let mut i = 0u128;
+        while store.sealed_segments() == 0 {
+            store.append(&record(i, 1, i as f64)).unwrap();
+            i += 1;
+        }
+        // Flip one payload byte of the sealed segment's last frame.
+        let sealed = segment_path(&dir, 0);
+        let mut bytes = std::fs::read(&sealed).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&sealed, &bytes).unwrap();
+
+        while counters.snapshot().compactions == 0 {
+            store.append(&record(i, 1, i as f64)).unwrap();
+            i += 1;
+        }
+        let snap = counters.snapshot();
+        assert_eq!(snap.write_errors, 1, "the rotted record is counted");
+        assert_eq!(store.live_len() as u128, i - 1, "and only it is dropped");
+        drop(store);
+        let (_, records, stats) = open(&dir, 1, options);
+        assert_eq!(records.len() as u128, i - 1);
+        assert!(!stats.recovery.truncated, "nothing rotten was carried over");
     }
 
     #[test]

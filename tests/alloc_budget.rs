@@ -7,6 +7,10 @@
 //! their level (one `Arc` each) and the per-level pair lists may. The
 //! budget is stated per plan costed, the paper's effort unit, so it
 //! holds at any query size.
+//!
+//! The same allocator counts live bytes, for what the durable store
+//! may keep resident per persisted plan: a frame reference, not the
+//! plan's bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,6 +22,8 @@ use sdp::prelude::*;
 thread_local! {
     /// Allocator calls made by the current thread.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes the current thread has allocated and not yet freed.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
@@ -28,19 +34,25 @@ fn count() {
     let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
 }
 
+fn hold(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + bytes));
+}
+
 // SAFETY: both methods forward their arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; counting touches only a
-// thread-local `Cell<u64>` (no destructor, no allocation). The
-// provided `alloc_zeroed` and `realloc` go through `alloc`, so each is
-// counted once as well.
+// thread-local `Cell` (no destructor, no allocation). The provided
+// `alloc_zeroed` and `realloc` go through `alloc` (and `dealloc`), so
+// each is counted once as well.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        hold(layout.size() as i64);
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -140,4 +152,48 @@ fn costing_a_candidate_does_not_allocate() {
     });
     assert_eq!(candidates.len(), 4, "every method applies");
     assert_eq!(calls, 0);
+}
+
+#[test]
+fn the_store_holds_a_frame_reference_per_plan_not_its_bytes() {
+    use sdp_store::{PlanRecord, PlanStore, RecordKey, StoreOptions};
+
+    let catalog = Catalog::paper();
+    let optimizer = Optimizer::new(&catalog).with_parallelism(1);
+    let query = QueryGenerator::new(&catalog, Topology::star_chain(14), 7).instance(0);
+    let plan = optimizer
+        .optimize(&query, Algorithm::Sdp(SdpConfig::paper()))
+        .unwrap();
+    let dir = std::env::temp_dir().join(format!("sdp-alloc-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut store, _, _) =
+        PlanStore::open(&dir, 1, StoreOptions::default(), Default::default()).unwrap();
+
+    const APPENDS: usize = 200;
+    let mut record = PlanRecord {
+        fingerprint: 0,
+        stats_epoch: 1,
+        rung: Some(Rung::Sdp),
+        enumerator: EnumeratorKind::LevelScan,
+        algo_repr: "Dp".to_string(),
+        strategy: "SDP".to_string(),
+        degradations: 1,
+        cost: plan.cost,
+        rows: plan.rows,
+        root: plan.root,
+    };
+    let before = LIVE_BYTES.with(Cell::get);
+    for fingerprint in 0..APPENDS {
+        record.fingerprint = fingerprint as u128;
+        store.append(&record).unwrap();
+    }
+    let held = LIVE_BYTES.with(Cell::get) - before;
+    assert_eq!(store.live_len(), APPENDS);
+    let keys = APPENDS * (std::mem::size_of::<RecordKey>() + record.algo_repr.len());
+    let per_record = (held - keys as i64) / APPENDS as i64;
+    println!("{held} B held for {APPENDS} live records, {per_record} B each beyond the key");
+    // A Star-Chain-14 plan encodes to over a kilobyte.
+    assert!(per_record < 100, "{per_record} B per live record");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -128,3 +128,83 @@ fn cancellation_descent_is_parallelism_invariant() {
     }
     assert_eq!(outcomes[0], outcomes[1]);
 }
+
+#[test]
+fn a_predicted_descent_serves_the_from_scratch_plan() {
+    // Star-Chain-14 ORDER BY under 2 MiB: room for 227 one-plan groups
+    // where DP needs thousands, so the oracle descends past DP without
+    // running it. There is no switch to turn it off and compare, and
+    // none is needed: what is served must be what the serving rung
+    // finds when asked directly, under the same budget.
+    let catalog = Catalog::paper();
+    let budget: u64 = 2 << 20;
+    let generator = QueryGenerator::new(&catalog, Topology::star_chain(14), 7);
+    let mut served = std::collections::BTreeSet::new();
+    for threads in [1usize, 4] {
+        let optimizer = Optimizer::new(&catalog).with_parallelism(threads);
+        for instance in 0..24 {
+            let query = generator.ordered_instance(instance);
+            let governed = optimizer
+                .optimize_governed(
+                    &query,
+                    Algorithm::Dp,
+                    &Governor::new().with_memory_budget(budget),
+                )
+                .unwrap();
+            let first = governed.degradations[0];
+            assert_eq!((first.from, first.to), (Rung::Dp, Rung::Sdp));
+            assert_eq!(first.reason, DegradeReason::Memory);
+            assert!(first.predicted.is_some_and(|bound| bound > budget));
+            assert!(
+                governed.degradations[1..]
+                    .iter()
+                    .all(|d| d.predicted.is_none()),
+                "SDP, IDP(4) and GOO are run, not predicted"
+            );
+            assert!(
+                governed.plan.profile.iter().all(|row| row.phase != "DP"),
+                "a predicted rung runs no level"
+            );
+
+            let rung = governed.rung.unwrap();
+            served.insert(rung);
+            let direct = optimizer
+                .clone()
+                .with_budget(Budget::with_memory(budget))
+                .optimize(&query, rung.algorithm())
+                .unwrap();
+            assert_eq!(governed.plan.cost.to_bits(), direct.cost.to_bits());
+            assert_eq!(
+                governed.plan.root.structural_digest(),
+                direct.root.structural_digest()
+            );
+            if rung == Rung::Sdp {
+                // Nothing of DP's is counted: it never ran.
+                assert_eq!(governed.plan.stats.plans_costed, direct.stats.plans_costed);
+                assert_eq!(governed.degradations.len(), 1);
+            }
+        }
+    }
+    assert!(served.contains(&Rung::Sdp), "served by {served:?}");
+}
+
+#[test]
+fn cancellation_wins_over_a_predicted_descent() {
+    // Star-13 under 1 MB is provably doomed for DP, but a run cancelled
+    // before it starts still reports one `Cancelled` descent straight
+    // to GOO — not a predicted memory descent on the way.
+    let catalog = Catalog::paper();
+    let query = QueryGenerator::new(&catalog, Topology::Star(13), 5).instance(0);
+    let governor = Governor::new().with_memory_budget(1 << 20);
+    governor.cancel_handle().cancel();
+    let governed = Optimizer::new(&catalog)
+        .optimize_governed(&query, Algorithm::Dp, &governor)
+        .unwrap();
+    assert_eq!(governed.rung, Some(Rung::Goo));
+    assert_eq!(governed.degradations.len(), 1);
+    let only = governed.degradations[0];
+    assert_eq!(
+        (only.from, only.to, only.reason, only.predicted),
+        (Rung::Dp, Rung::Goo, DegradeReason::Cancelled, None)
+    );
+}
