@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Observability smoke for the flight recorder and Q-error observatory.
 #
-# For each enumerator (levelscan, dpccp) and each SDP_THREADS in
-# {1, 4}: run a single-client replay with `--flight-dir` and
-# `--qerror`, let the process exit (crash-equivalent for the
-# write-through log), then reconstruct the decisions with a separate
-# `sdp-service inspect --flight` process and assert:
+# For each SDP_THREADS in {1, 4}: run a single-client replay with
+# `--flight-dir` and `--qerror`, let the process exit
+# (crash-equivalent for the write-through log), then reconstruct the
+# decisions with a separate `sdp-service inspect --flight` process and
+# assert:
 #
 # 1. The canonical record listing — kinds, decision tags, plan
 #    digests, and the multiset digest line — is byte-identical across
@@ -15,8 +15,8 @@
 #    bit-identical across thread counts, non-empty, and the report
 #    carries schema version 2.
 # 3. A torn tail (garbage appended to flight.log) is truncated on
-#    recovery without losing any intact record, and the calibration
-#    log round-trips the expected record count.
+#    recovery without losing any intact record, and a second run over
+#    the same directory recovers the first run's records.
 
 set -euo pipefail
 
@@ -29,47 +29,41 @@ cargo build --release -p sdp-service
 
 REPLAY="$BIN replay --clients 1 --requests 12 --distinct 4 --relations 6 --seed 42"
 
-for enumerator in levelscan dpccp; do
-  for threads in 1 4; do
-    tag="$enumerator-$threads"
-    echo "== replay with flight recorder ($enumerator, SDP_THREADS=$threads) =="
-    SDP_THREADS=$threads $REPLAY --enumerator "$enumerator" \
-      --flight-dir "$WORK/flight-$tag" \
-      --qerror --metrics-json "$WORK/metrics-$tag.json" \
-      | tee "$WORK/run-$tag.out"
-    grep -q '^flight: 0 prior records recovered' "$WORK/run-$tag.out" || {
-      echo "error: fresh flight dir reported prior records" >&2
-      exit 1
-    }
-    echo "== post-exit reconstruction ($tag) =="
-    $BIN inspect --flight "$WORK/flight-$tag" > "$WORK/inspect-$tag.txt"
-    # Drop the recovery banner (it names the per-run directory); keep
-    # the canonical records and the digest line.
-    tail -n +2 "$WORK/inspect-$tag.txt" > "$WORK/records-$tag.txt"
-    grep -q '^request .*outcome=fresh' "$WORK/records-$tag.txt" || {
-      echo "error: no fresh-optimization decision in the flight log" >&2
-      exit 1
-    }
-    grep -q '^request .*outcome=hit' "$WORK/records-$tag.txt" || {
-      echo "error: no cache-hit decision in the flight log" >&2
-      exit 1
-    }
-    grep -q "enumerator=$enumerator" "$WORK/records-$tag.txt" || {
-      echo "error: records do not carry the enumerator tag" >&2
-      exit 1
-    }
-    grep -q 'digest=[0-9a-f]\{16\}' "$WORK/records-$tag.txt" || {
-      echo "error: records do not carry plan structural digests" >&2
-      exit 1
-    }
-  done
-
-  echo "== flight records identical across SDP_THREADS ($enumerator) =="
-  diff -u "$WORK/records-$enumerator-1.txt" "$WORK/records-$enumerator-4.txt" || {
-    echo "error: flight records diverged across SDP_THREADS" >&2
+for threads in 1 4; do
+  echo "== replay with flight recorder (SDP_THREADS=$threads) =="
+  SDP_THREADS=$threads $REPLAY \
+    --flight-dir "$WORK/flight-$threads" \
+    --qerror --metrics-json "$WORK/metrics-$threads.json" \
+    | tee "$WORK/run-$threads.out"
+  grep -q '^flight: 0 prior records recovered' "$WORK/run-$threads.out" || {
+    echo "error: fresh flight dir reported prior records" >&2
     exit 1
   }
-  python3 - "$WORK/metrics-$enumerator-1.json" "$WORK/metrics-$enumerator-4.json" <<'EOF'
+  echo "== post-exit reconstruction (SDP_THREADS=$threads) =="
+  $BIN inspect --flight "$WORK/flight-$threads" > "$WORK/inspect-$threads.txt"
+  # Drop the recovery banner (it names the per-run directory); keep
+  # the canonical records and the digest line.
+  tail -n +2 "$WORK/inspect-$threads.txt" > "$WORK/records-$threads.txt"
+  grep -q '^request .*outcome=fresh' "$WORK/records-$threads.txt" || {
+    echo "error: no fresh-optimization decision in the flight log" >&2
+    exit 1
+  }
+  grep -q '^request .*outcome=hit' "$WORK/records-$threads.txt" || {
+    echo "error: no cache-hit decision in the flight log" >&2
+    exit 1
+  }
+  grep -q 'digest=[0-9a-f]\{16\}' "$WORK/records-$threads.txt" || {
+    echo "error: records do not carry plan structural digests" >&2
+    exit 1
+  }
+done
+
+echo "== flight records identical across SDP_THREADS =="
+diff -u "$WORK/records-1.txt" "$WORK/records-4.txt" || {
+  echo "error: flight records diverged across SDP_THREADS" >&2
+  exit 1
+}
+python3 - "$WORK/metrics-1.json" "$WORK/metrics-4.json" <<'EOF'
 import json, sys
 a, b = (json.load(open(p)) for p in sys.argv[1:3])
 assert a["schema"] == 2, f"expected schema 2, got {a['schema']}"
@@ -79,13 +73,11 @@ assert any(k.startswith("pred:") for k in a["qerror"]), "no per-predicate series
 assert a["qerror"] == b["qerror"], "qerror aggregates diverged across SDP_THREADS"
 print(f"qerror ok: {len(a['qerror'])} series identical across SDP_THREADS=1 and 4")
 EOF
-done
 
 echo "== torn-tail recovery =="
-FLIGHT_DIR="$WORK/flight-levelscan-1"
-records=$(grep -c '^flight digest' "$WORK/inspect-levelscan-1.txt" >/dev/null; \
-          sed -n 's/^flight digest: [0-9a-f]* over \([0-9]*\) records$/\1/p' \
-          "$WORK/inspect-levelscan-1.txt")
+FLIGHT_DIR="$WORK/flight-1"
+records=$(sed -n 's/^flight digest: [0-9a-f]* over \([0-9]*\) records$/\1/p' \
+  "$WORK/inspect-1.txt")
 printf 'torn-frame-garbage-bytes' >> "$FLIGHT_DIR/flight.log"
 $BIN inspect --flight "$FLIGHT_DIR" > "$WORK/inspect-torn.txt"
 grep -q "^flight: $records records recovered from .*(torn tail truncated)$" \
@@ -95,32 +87,22 @@ grep -q "^flight: $records records recovered from .*(torn tail truncated)$" \
   exit 1
 }
 tail -n +2 "$WORK/inspect-torn.txt" > "$WORK/records-torn.txt"
-diff -u "$WORK/records-levelscan-1.txt" "$WORK/records-torn.txt" || {
+diff -u "$WORK/records-1.txt" "$WORK/records-torn.txt" || {
   echo "error: recovered records changed after torn-tail truncation" >&2
   exit 1
 }
 echo "torn tail ok: $records records survive, garbage frame dropped"
 
-echo "== calibration log round-trips =="
-appended=$(sed -n 's/^qerror: \([0-9]*\) calibration records appended$/\1/p' \
-  "$WORK/run-levelscan-1.out")
-[ -n "$appended" ] && [ "$appended" -gt 0 ] || {
-  echo "error: no calibration records appended during --qerror replay" >&2
-  exit 1
-}
-SDP_THREADS=1 $REPLAY --enumerator levelscan --flight-dir "$FLIGHT_DIR" \
-  --qerror >/dev/null 2>&1 || true
+echo "== flight log re-opens =="
 # Re-opening the directory reports the prior records before appending.
-SDP_THREADS=1 $REPLAY --enumerator levelscan --flight-dir "$WORK/flight-reopen" \
-  --qerror | tee "$WORK/reopen-1.out" >/dev/null
-SDP_THREADS=1 $REPLAY --enumerator levelscan --flight-dir "$WORK/flight-reopen" \
-  --qerror | tee "$WORK/reopen-2.out" >/dev/null
+SDP_THREADS=1 $REPLAY --flight-dir "$WORK/flight-reopen" > "$WORK/reopen-1.out"
+SDP_THREADS=1 $REPLAY --flight-dir "$WORK/flight-reopen" > "$WORK/reopen-2.out"
 grep -q '^flight: 0 prior records recovered' "$WORK/reopen-1.out"
 reopened=$(sed -n 's/^flight: \([0-9]*\) prior records recovered.*/\1/p' "$WORK/reopen-2.out")
 [ "$reopened" -gt 0 ] || {
   echo "error: second run over the same flight dir recovered nothing" >&2
   exit 1
 }
-echo "calibration ok: $appended records per run, $reopened flight records re-recovered"
+echo "re-open ok: $reopened flight records re-recovered"
 
 echo "obs smoke ok"

@@ -1,22 +1,22 @@
-//! Enumeration-strategy comparison: candidate-pair generation cost in
-//! isolation (over a pre-built exhaustive survivor table) and
-//! end-to-end optimization, LevelScan versus DPccp versus DPconv,
-//! across the four canonical topologies.
+//! Pair generation in isolation (`LevelScan` over a pre-built
+//! exhaustive survivor table) beside end-to-end exhaustive DP, across
+//! the four canonical topologies — how much of an optimization is
+//! finding the pairs rather than costing them.
 //!
 //! Infeasible combinations are omitted rather than sampled thin:
 //! exhaustive DP on Clique(15)/Clique(20) (~3^n pairs) and Star(20)
-//! does not complete in benchmark time under any pair-generation
-//! strategy — the bottleneck is costing, not generation. See
-//! EXPERIMENTS.md for the quality-versus-effort table these numbers
-//! feed.
+//! does not complete in benchmark time — the bottleneck is costing,
+//! not generation. EXPERIMENTS.md "Enumeration Strategies" holds the
+//! history of these rows, including the strategies they were measured
+//! against before those were removed.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdp_bench::paper_query;
 use sdp_catalog::Catalog;
-use sdp_core::dp::run_levels_with;
-use sdp_core::{Algorithm, Budget, EnumContext, EnumeratorKind, LevelScan, Optimizer};
+use sdp_core::dp::run_levels;
+use sdp_core::{Algorithm, Budget, EnumContext, LevelScan, Optimizer};
 use sdp_cost::CostModel;
-use sdp_query::{Query, RelSet, Topology};
+use sdp_query::{RelSet, Topology};
 
 /// (topology, sizes) pairs where the exhaustive table itself is cheap
 /// enough to rebuild in a bench harness.
@@ -40,54 +40,40 @@ fn bench_generation(c: &mut Criterion) {
     let mut g = c.benchmark_group("enumeration_pairs");
     g.sample_size(10);
     for (label, topo) in generation_cases() {
-        let query: Query = paper_query(&catalog, topo, 1, 0);
+        let query = paper_query(&catalog, topo, 1, 0);
         let n = query.num_relations();
-        let mut ctx = EnumContext::new(
-            &query,
-            &model,
-            Budget::unlimited(),
-            1,
-            EnumeratorKind::from_env(),
-        );
+        let mut ctx = EnumContext::new(&query, &model, Budget::unlimited(), 1);
         for i in 0..n {
             ctx.ensure_base_group(i);
         }
         let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
-        let mut scan = LevelScan::default();
-        let table = run_levels_with(&mut ctx, &atoms, n, None, &mut scan).unwrap();
-        for kind in [EnumeratorKind::LevelScan, EnumeratorKind::Dpccp] {
-            g.bench_with_input(BenchmarkId::new(kind.label(), label), &table, |b, table| {
-                let mut e = kind.build();
-                e.prepare(&ctx, &atoms, n);
-                b.iter(|| {
-                    let mut total = 0usize;
-                    for s in 2..=n {
-                        total += e.level_pairs(&ctx, table, s).len();
-                    }
-                    black_box(total)
-                })
-            });
-        }
+        let table = run_levels(&mut ctx, &atoms, n, None).unwrap();
+        g.bench_with_input(BenchmarkId::new("levelscan", label), &table, |b, table| {
+            // One scan per run, as in the engine: the per-level index
+            // is built on first use and reused across iterations.
+            let mut scan = LevelScan::new(n);
+            b.iter(|| {
+                let mut total = 0usize;
+                for s in 2..=n {
+                    total += scan.level_pairs(table, s).len();
+                }
+                black_box(total)
+            })
+        });
     }
     g.finish();
 }
 
 fn bench_end_to_end(c: &mut Criterion) {
     let catalog = Catalog::extended(32);
+    let optimizer = Optimizer::new(&catalog);
     let mut g = c.benchmark_group("enumeration_e2e");
     g.sample_size(10);
     for (label, topo) in generation_cases() {
         let query = paper_query(&catalog, topo, 1, 0);
-        for kind in [
-            EnumeratorKind::LevelScan,
-            EnumeratorKind::Dpccp,
-            EnumeratorKind::DpConv,
-        ] {
-            let optimizer = Optimizer::new(&catalog).with_enumerator(kind);
-            g.bench_with_input(BenchmarkId::new(kind.label(), label), &query, |b, q| {
-                b.iter(|| optimizer.optimize(q, Algorithm::Dp).unwrap().cost)
-            });
-        }
+        g.bench_with_input(BenchmarkId::new("levelscan", label), &query, |b, q| {
+            b.iter(|| optimizer.optimize(q, Algorithm::Dp).unwrap().cost)
+        });
     }
     g.finish();
 }

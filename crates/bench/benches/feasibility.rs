@@ -23,7 +23,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use sdp_bench::paper_query;
 use sdp_catalog::Catalog;
 use sdp_core::feasibility::{count_connected_subgraphs, doomed_bound, CSG_MODEL_BYTES};
-use sdp_core::{Algorithm, Budget, EnumeratorKind, OptError, Optimizer};
+use sdp_core::{Algorithm, Budget, OptError, Optimizer};
 use sdp_query::{infer_transitive_edges, JoinGraph, Topology};
 
 const GIB: u64 = 1 << 30;
@@ -61,7 +61,7 @@ fn print_frontier(catalog: &Catalog) {
     ];
     for (topology, algorithm) in cases {
         let graph = rewritten(catalog, topology);
-        let verdict = doomed_bound(&graph, algorithm, EnumeratorKind::LevelScan, GIB);
+        let verdict = doomed_bound(&graph, algorithm, GIB);
         let max_size = match algorithm {
             Algorithm::Idp { k } => sdp_core::idp::balanced_block_size(graph.len(), k),
             _ => graph.len(),
@@ -139,12 +139,7 @@ fn bench(c: &mut Criterion) {
         let graph = rewritten(&catalog, topology);
         g.bench_with_input(BenchmarkId::new("oracle", name), &graph, |b, graph| {
             b.iter(|| {
-                let verdict = doomed_bound(
-                    black_box(graph),
-                    algorithm,
-                    EnumeratorKind::LevelScan,
-                    budget,
-                );
+                let verdict = doomed_bound(black_box(graph), algorithm, budget);
                 assert_eq!(verdict.is_some(), doomed, "{name}");
                 verdict
             })
@@ -153,8 +148,8 @@ fn bench(c: &mut Criterion) {
 
     // The rung a predicted descent does not run.
     let query = paper_query(&catalog, Topology::star_chain(14), 7, 0);
-    let optimizer = Optimizer::with_enumeration(&catalog, 1, EnumeratorKind::LevelScan)
-        .with_budget(Budget::with_memory(2 << 20));
+    let optimizer =
+        Optimizer::with_enumeration(&catalog, 1).with_budget(Budget::with_memory(2 << 20));
     g.bench_function("doomed_dp_rung/star-chain-14@2MiB", |b| {
         b.iter(|| {
             let outcome = optimizer.optimize(black_box(&query), Algorithm::Dp);

@@ -46,7 +46,6 @@ fn service(catalog: &Catalog, recorder: Option<Arc<FlightRecorder>>) -> Optimize
         cache_capacity: 64,
         cache_shards: 4,
         parallelism: Some(1),
-        enumerator: None,
         ..ServiceConfig::default()
     };
     let sink: Arc<dyn TraceSink> = match recorder {

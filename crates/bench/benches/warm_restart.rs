@@ -27,7 +27,6 @@ fn service(catalog: &Catalog) -> OptimizerService {
             cache_capacity: 256,
             cache_shards: 4,
             parallelism: Some(1),
-            enumerator: None,
             ..ServiceConfig::default()
         },
     )

@@ -20,7 +20,6 @@ use sdp_cost::{CostModel, IndexProbe, JoinMethod, JoinSide, JoinTerms, ScanKind}
 use sdp_query::{ClassId, EquivClasses, JoinGraph, Query, RelSet};
 
 use crate::budget::{Budget, BudgetProbe, MemoryModel, OptError};
-use crate::enumerate::EnumeratorKind;
 use crate::fx::FxHashMap;
 use crate::memo::{Candidate, Group, Memo, StagedJcr};
 use crate::plan::{Children, NodeCounter, PlanNode, PlanOp};
@@ -35,18 +34,14 @@ const MAX_ROWS: f64 = 1e299;
 const PROBE_INTERVAL: usize = 256;
 
 /// Resolve the default enumeration parallelism: the `SDP_THREADS`
-/// environment variable when set to a positive integer, otherwise
-/// [`std::thread::available_parallelism`].
+/// environment variable when set to a positive integer, otherwise 1 —
+/// the measured-faster setting (DESIGN.md "Threading model").
 pub fn default_parallelism() -> usize {
-    match std::env::var("SDP_THREADS")
+    std::env::var("SDP_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+        .filter(|&n| n >= 1)
+        .unwrap_or(1)
 }
 
 /// Counters reported for every optimization run — the paper's three
@@ -84,11 +79,7 @@ pub struct LevelStats {
     /// `"IDP"`, ...). Governed descents tag each level with the rung
     /// that produced it.
     pub phase: &'static str,
-    /// Pair-enumeration strategy that emitted the level's candidates
-    /// (`"levelscan"`, `"dpccp"`, `"dpconv"`).
-    pub enumerator: &'static str,
-    /// Candidate connected pairs considered (pairs emitted by the
-    /// enumerator).
+    /// Candidate connected pairs considered.
     pub pairs: u64,
     /// Plan alternatives costed during the level.
     pub plans_costed: u64,
@@ -334,7 +325,6 @@ pub struct EnumContext<'a> {
     order_target: Option<ClassId>,
     nodes: NodeCounter,
     parallelism: usize,
-    enumerator: EnumeratorKind,
     /// The memo of JCR groups.
     pub memo: Memo,
     /// Memory model / budget tracking.
@@ -363,16 +353,14 @@ pub struct EnumContext<'a> {
 impl<'a> EnumContext<'a> {
     /// Start a run over `query` (whose graph should already carry any
     /// rewriter-inferred edges) with the given cost model and budget,
-    /// `parallelism` worker threads (clamped to at least 1) and the
-    /// given pair-enumeration strategy. Reads no environment: callers
-    /// wanting the `SDP_THREADS` / `SDP_ENUMERATOR` defaults pass
-    /// [`default_parallelism`] and [`EnumeratorKind::from_env`].
+    /// and `parallelism` worker threads (clamped to at least 1). Reads
+    /// no environment: callers wanting the `SDP_THREADS` default pass
+    /// [`default_parallelism`].
     pub fn new(
         query: &'a Query,
         model: &'a CostModel<'a>,
         budget: Budget,
         parallelism: usize,
-        enumerator: EnumeratorKind,
     ) -> Self {
         let classes = query.equiv_classes();
         let tables = RunTables::new(&query.graph, model, &classes);
@@ -392,7 +380,6 @@ impl<'a> EnumContext<'a> {
             memory: MemoryModel::new(budget, nodes.clone()),
             nodes,
             parallelism: parallelism.max(1),
-            enumerator,
             memo: Memo::new(),
             plans_costed: 0,
             jcrs_pruned: 0,
@@ -406,18 +393,12 @@ impl<'a> EnumContext<'a> {
         }
     }
 
-    /// A run with the environment's enumeration defaults, for tests
-    /// (the CI determinism matrix sets `SDP_THREADS` and
-    /// `SDP_ENUMERATOR` around the whole suite).
+    /// A run with the environment's enumeration parallelism, for tests
+    /// (the CI determinism matrix sets `SDP_THREADS` around the whole
+    /// suite).
     #[cfg(test)]
     pub(crate) fn from_env(query: &'a Query, model: &'a CostModel<'a>, budget: Budget) -> Self {
-        Self::new(
-            query,
-            model,
-            budget,
-            default_parallelism(),
-            EnumeratorKind::from_env(),
-        )
+        Self::new(query, model, budget, default_parallelism())
     }
 
     /// The join graph being optimized (borrowed for the query's
@@ -459,12 +440,6 @@ impl<'a> EnumContext<'a> {
         self.parallelism
     }
 
-    /// The pair-enumeration strategy `run_levels` builds its
-    /// per-invocation enumerator from.
-    pub fn enumerator(&self) -> EnumeratorKind {
-        self.enumerator
-    }
-
     /// Install the structured-trace emission handle for this run.
     #[cfg(feature = "trace")]
     pub fn set_tracer(&mut self, tracer: Tracer) {
@@ -485,8 +460,8 @@ impl<'a> EnumContext<'a> {
     }
 
     /// Record how many compound atoms (contracted subtrees) the
-    /// current enumeration runs over. Set per `run_levels_with`
-    /// invocation, right after the enumerator prepares its atom list.
+    /// current enumeration runs over. Set per `run_levels`
+    /// invocation.
     pub fn set_contractions(&mut self, n: u64) {
         self.contractions = n;
     }
@@ -1158,24 +1133,16 @@ mod tests {
                 .instance(0);
             sdp_query::infer_transitive_edges(&mut q.graph);
             let graph = &q.graph;
-            let mut ctx = EnumContext::new(
-                &q,
-                &model,
-                Budget::unlimited(),
-                1,
-                EnumeratorKind::LevelScan,
-            );
+            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited(), 1);
             let n = graph.len();
             let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
             for i in 0..n {
                 ctx.ensure_base_group(i);
             }
             let table = crate::dp::run_levels(&mut ctx, &atoms, n, None).unwrap();
-            let mut scan = crate::enumerate::LevelScan::default();
+            let mut scan = crate::enumerate::LevelScan::new(n);
             for s in 2..=n {
-                for (a, b) in
-                    crate::enumerate::PairEnumerator::level_pairs(&mut scan, &ctx, &table, s)
-                {
+                for (a, b) in scan.level_pairs(&table, s) {
                     let group = ctx.memo.get(a | b).unwrap();
                     assert_eq!(
                         group.rows.to_bits(),

@@ -16,11 +16,9 @@
 //!   block size, contracting the winning block into a compound atom
 //!   between iterations.
 //!
-//! Candidate-pair discovery is delegated to a
-//! [`crate::enumerate::PairEnumerator`] strategy
-//! (level-table scan, DPccp-style csg–cmp generation, or the DPconv
-//! surrogate prototype — see [`crate::enumerate`]); the engine only
-//! consumes the strategy's deterministic pair stream.
+//! A level's candidate pairs come from [`crate::enumerate::LevelScan`]
+//! — the survivors of the levels below, scanned against each other in
+//! a deterministic order.
 //!
 //! A level is *staged*: its pairs are costed into candidate records
 //! (`crate::context::LevelStage`), and only the JCRs that come through
@@ -49,7 +47,7 @@ use sdp_query::RelSet;
 
 use crate::budget::OptError;
 use crate::context::{EnumContext, LevelStage, LevelStats};
-use crate::enumerate::PairEnumerator;
+use crate::enumerate::LevelScan;
 use crate::plan::PlanNode;
 
 /// Budget-check cadence, in candidate pair visits (sequential path).
@@ -263,7 +261,6 @@ fn run_one_level<'p>(
     let stats = LevelStats {
         level,
         phase: ctx.phase(),
-        enumerator: ctx.enumerator().label(),
         pairs: pairs.len() as u64,
         plans_costed: ctx.plans_costed - plans_before,
         jcrs_created: created as u64,
@@ -290,7 +287,6 @@ fn level_event(stats: &LevelStats) -> sdp_trace::Event {
     sdp_trace::Event::new("level")
         .with("level", stats.level)
         .with("phase", stats.phase)
-        .with("enumerator", stats.enumerator)
         .with("pairs", stats.pairs)
         .with("costed", stats.plans_costed)
         .with("created", stats.jcrs_created)
@@ -307,33 +303,17 @@ fn level_event(stats: &LevelStats) -> sdp_trace::Event {
 
 /// Run bottom-up DP over `atoms` (each must already have a memo
 /// group), building levels `2 ..= up_to` (in atom count), applying
-/// `pruner` after each level when provided. Candidate pairs come from
-/// the context's configured enumeration strategy
-/// ([`EnumContext::enumerator`]); a fresh instance is built per
-/// invocation so IDP iterations re-prepare over their shrinking atom
-/// lists.
+/// `pruner` after each level when provided. Each invocation scans
+/// afresh, so IDP iterations re-index their shrinking atom lists.
 pub fn run_levels(
     ctx: &mut EnumContext<'_>,
     atoms: &[RelSet],
     up_to: usize,
-    pruner: Option<&mut dyn LevelPruner>,
-) -> Result<LevelTable, OptError> {
-    let mut enumerator = ctx.enumerator().build();
-    run_levels_with(ctx, atoms, up_to, pruner, enumerator.as_mut())
-}
-
-/// [`run_levels`] with an explicit [`PairEnumerator`] instance —
-/// the seam tests and benchmarks use to drive a specific strategy.
-pub fn run_levels_with(
-    ctx: &mut EnumContext<'_>,
-    atoms: &[RelSet],
-    up_to: usize,
     mut pruner: Option<&mut dyn LevelPruner>,
-    enumerator: &mut dyn PairEnumerator,
 ) -> Result<LevelTable, OptError> {
     debug_assert!(up_to >= 1 && up_to <= atoms.len());
-    enumerator.prepare(ctx, atoms, up_to);
-    // Compound atoms are contracted subtrees the enumerator treats as
+    let mut scan = LevelScan::new(ctx.graph().len());
+    // Compound atoms are contracted subtrees the scan treats as
     // single vertices (IDP re-runs over already-joined blocks); the
     // count is part of the level profile so `explain_analyze` shows
     // how much of the graph each pass saw pre-contracted.
@@ -351,7 +331,7 @@ pub fn run_levels_with(
 
     let mut visits: u64 = 0;
     for s in 2..=up_to {
-        let pairs = enumerator.level_pairs(ctx, &table, s);
+        let pairs = scan.level_pairs(&table, s);
         let threads = ctx.parallelism().min(pairs.len().max(1));
         let mut stage = LevelStage::default();
         match run_one_level(
@@ -472,20 +452,13 @@ fn greedy_complete(ctx: &mut EnumContext<'_>, all: RelSet) -> Result<(), OptErro
 mod tests {
     use super::*;
     use crate::budget::Budget;
-    use crate::enumerate::EnumeratorKind;
     use sdp_catalog::Catalog;
     use sdp_cost::CostModel;
     use sdp_query::{Query, QueryGenerator, Topology};
 
     fn optimize(q: &Query, cat: &Catalog) -> Arc<PlanNode> {
         let model = CostModel::with_defaults(cat);
-        let mut ctx = EnumContext::new(
-            q,
-            &model,
-            Budget::unlimited(),
-            1,
-            EnumeratorKind::from_env(),
-        );
+        let mut ctx = EnumContext::new(q, &model, Budget::unlimited(), 1);
         optimize_complete(&mut ctx, None).expect("optimization succeeds")
     }
 
@@ -618,13 +591,7 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
 
         let run = |threads: usize| {
-            let mut ctx = EnumContext::new(
-                &q,
-                &model,
-                Budget::unlimited(),
-                threads,
-                EnumeratorKind::from_env(),
-            );
+            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited(), threads);
             let plan = optimize_complete(&mut ctx, None).unwrap();
             let sets: Vec<RelSet> = ctx.memo.sets().collect();
             let frontiers: Vec<Vec<(u64, Option<sdp_query::ClassId>)>> = sets
@@ -687,7 +654,6 @@ mod tests {
             &model,
             Budget::with_memory(64 * crate::budget::GROUP_MODEL_BYTES),
             4,
-            EnumeratorKind::from_env(),
         );
         match optimize_complete(&mut ctx, None) {
             Err(OptError::MemoryExhausted { .. }) => {}
@@ -817,7 +783,7 @@ mod tests {
                 let model = CostModel::with_defaults(&cat);
                 let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
                 let context = |budget| {
-                    EnumContext::new(&query, &model, budget, threads, EnumeratorKind::from_env())
+                    EnumContext::new(&query, &model, budget, threads)
                 };
 
                 // Level by level, exhaustive and pruned. Each call

@@ -140,12 +140,11 @@ pub fn explain_analyze(governed: &GovernedPlan) -> String {
         for row in &plan.profile {
             let _ = writeln!(
                 out,
-                "  [{}] level {}: enumerator={} pairs={} costed={} created={} pruned={} retained={} \
+                "  [{}] level {}: pairs={} costed={} created={} pruned={} retained={} \
                  skyline_partitions={} skyline_survivors={} order_rescued={} sort_enforcers={} \
                  memo={} model_bytes={} contractions={}",
                 row.phase,
                 row.level,
-                row.enumerator,
                 row.pairs,
                 row.plans_costed,
                 row.jcrs_created,

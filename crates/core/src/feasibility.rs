@@ -20,10 +20,10 @@
 //! the count stops one past the number of csgs the budget has room
 //! for.
 
-use sdp_query::{JoinGraph, RelSet};
+use sdp_query::JoinGraph;
 
 use crate::budget::{GROUP_MODEL_BYTES, NODE_MODEL_BYTES};
-use crate::enumerate::{Dpccp, EnumeratorKind};
+use crate::enumerate::CsgWalk;
 use crate::idp::balanced_block_size;
 use crate::optimizer::Algorithm;
 
@@ -54,9 +54,8 @@ pub fn count_connected_subgraphs(graph: &JoinGraph, max_size: usize, limit: u64)
     if graph.is_empty() || max_size == 0 || limit == 0 {
         return 0;
     }
-    let atoms: Vec<RelSet> = (0..graph.len()).map(RelSet::single).collect();
     let mut count = 0u64;
-    Dpccp::over(graph, &atoms).each_csg(max_size, &mut |_| {
+    CsgWalk::over(graph).each_csg(max_size, &mut |_| {
         count += 1;
         count < limit
     });
@@ -65,12 +64,9 @@ pub fn count_connected_subgraphs(graph: &JoinGraph, max_size: usize, limit: u64)
 
 /// The largest JCR size (in relations) the first level run of
 /// `algorithm` enumerates exhaustively over singleton atoms, or `None`
-/// when the strategy keeps a cost-dependent subset (SDP), enumerates
-/// no levels (GOO, II, SA) or — under `DpConv` — costs a single tree.
-fn exhaustive_levels(algorithm: Algorithm, enumerator: EnumeratorKind, n: usize) -> Option<usize> {
-    if enumerator == EnumeratorKind::DpConv {
-        return None;
-    }
+/// when the strategy keeps a cost-dependent subset (SDP) or enumerates
+/// no levels (GOO, II, SA).
+fn exhaustive_levels(algorithm: Algorithm, n: usize) -> Option<usize> {
     match algorithm {
         Algorithm::Dp => Some(n),
         Algorithm::Idp { k } | Algorithm::IdpStandard { k } => Some(balanced_block_size(n, k)),
@@ -90,14 +86,9 @@ fn exhaustive_levels(algorithm: Algorithm, enumerator: EnumeratorKind, n: usize)
 ///
 /// The bound returned is the smallest multiple of [`CSG_MODEL_BYTES`]
 /// above the budget (the count stops there), not the rung's true peak.
-pub fn doomed_bound(
-    graph: &JoinGraph,
-    algorithm: Algorithm,
-    enumerator: EnumeratorKind,
-    max_model_bytes: u64,
-) -> Option<u64> {
+pub fn doomed_bound(graph: &JoinGraph, algorithm: Algorithm, max_model_bytes: u64) -> Option<u64> {
     let n = graph.len();
-    let max_size = exhaustive_levels(algorithm, enumerator, n)?;
+    let max_size = exhaustive_levels(algorithm, n)?;
     let room = max_model_bytes / CSG_MODEL_BYTES;
     if subsets_up_to(n, max_size) <= room {
         return None;
@@ -196,9 +187,8 @@ mod tests {
         // Star-20 has 524 307 connected subgraphs; asked whether there
         // are more than 100, the walk visits 101 of them.
         let graph = graph_of(Topology::Star(20));
-        let atoms: Vec<RelSet> = (0..20).map(RelSet::single).collect();
         let mut visits = 0u64;
-        Dpccp::over(&graph, &atoms).each_csg(20, &mut |_| {
+        CsgWalk::over(&graph).each_csg(20, &mut |_| {
             visits += 1;
             visits < 101
         });
@@ -223,7 +213,6 @@ mod tests {
                 doomed_bound(
                     &graph_of(topology),
                     Algorithm::Dp,
-                    EnumeratorKind::LevelScan,
                     Budget::default().max_model_bytes
                 ),
                 None
@@ -234,14 +223,7 @@ mod tests {
     #[test]
     fn the_paper_frontier_is_predicted() {
         let gib = Budget::default().max_model_bytes;
-        let verdict = |topology, algorithm| {
-            doomed_bound(
-                &rewritten(topology),
-                algorithm,
-                EnumeratorKind::LevelScan,
-                gib,
-            )
-        };
+        let verdict = |topology, algorithm| doomed_bound(&rewritten(topology), algorithm, gib);
         // DP: `*` at Star-20 and Star-Chain-23, never on chains.
         assert!(verdict(Topology::Star(20), Algorithm::Dp).is_some());
         assert!(verdict(Topology::star_chain(23), Algorithm::Dp).is_some());
@@ -262,22 +244,12 @@ mod tests {
         ] {
             assert_eq!(verdict(Topology::Star(23), algorithm), None);
         }
-        // DpConv costs one tree: not exhaustive, not predicted.
-        assert_eq!(
-            doomed_bound(
-                &graph_of(Topology::Star(20)),
-                Algorithm::Dp,
-                EnumeratorKind::DpConv,
-                gib
-            ),
-            None
-        );
     }
 
     #[test]
     fn the_bound_is_the_first_multiple_above_the_budget() {
         let graph = rewritten(Topology::star_chain(14));
-        let bound = doomed_bound(&graph, Algorithm::Dp, EnumeratorKind::LevelScan, 2 << 20);
+        let bound = doomed_bound(&graph, Algorithm::Dp, 2 << 20);
         assert_eq!(bound, Some(228 * CSG_MODEL_BYTES));
         const { assert!(228 * CSG_MODEL_BYTES > 2 << 20 && 227 * CSG_MODEL_BYTES <= 2 << 20) };
     }
@@ -287,15 +259,9 @@ mod tests {
         use sdp_catalog::RelId;
         let relations = (0..20).map(RelId).collect();
         let graph = JoinGraph::new(relations, vec![]);
-        assert_eq!(
-            doomed_bound(&graph, Algorithm::Dp, EnumeratorKind::LevelScan, 0),
-            None
-        );
+        assert_eq!(doomed_bound(&graph, Algorithm::Dp, 0), None);
         let empty = JoinGraph::new(vec![], vec![]);
-        assert_eq!(
-            doomed_bound(&empty, Algorithm::Dp, EnumeratorKind::LevelScan, 0),
-            None
-        );
+        assert_eq!(doomed_bound(&empty, Algorithm::Dp, 0), None);
     }
 
     mod soundness {
@@ -308,24 +274,13 @@ mod tests {
             algorithm: Algorithm,
             budget: Budget,
             threads: usize,
-            enumerator: EnumeratorKind,
         ) -> Result<crate::OptimizedPlan, OptError> {
             let catalog = Catalog::paper();
-            Optimizer::with_enumeration(&catalog, threads, enumerator)
+            Optimizer::with_enumeration(&catalog, threads)
                 .with_budget(budget)
                 .with_closure_inference(false)
                 .optimize(query, algorithm)
         }
-
-        /// Every configuration the verdict must hold under: it reads
-        /// neither the thread count nor which exhaustive enumerator
-        /// generates the pairs.
-        const CONFIGS: [(usize, EnumeratorKind); 4] = [
-            (1, EnumeratorKind::LevelScan),
-            (3, EnumeratorKind::LevelScan),
-            (1, EnumeratorKind::Dpccp),
-            (3, EnumeratorKind::Dpccp),
-        ];
 
         /// `permille` sets the budget relative to what the rung's
         /// connected subgraphs alone need, so that about two cases in
@@ -338,23 +293,25 @@ mod tests {
             permille: u64,
         ) {
             let (query, _) = random_connected_query(n, parents, extras);
-            let max_size = exhaustive_levels(algorithm, EnumeratorKind::LevelScan, n).unwrap();
+            let max_size = exhaustive_levels(algorithm, n).unwrap();
             let needed =
                 count_connected_subgraphs(&query.graph, max_size, u64::MAX) * CSG_MODEL_BYTES;
             // Not only multiples of the per-csg charge.
             let max_model_bytes = needed * permille / 1000 + permille % 7 * 1000;
-            for (threads, enumerator) in CONFIGS {
-                let verdict = doomed_bound(&query.graph, algorithm, enumerator, max_model_bytes);
-                assert_eq!(
-                    verdict.is_some(),
-                    needed > max_model_bytes,
-                    "exact in its count"
-                );
-                let Some(bound) = verdict else { continue };
-                assert!(bound > max_model_bytes && bound <= needed);
+            let verdict = doomed_bound(&query.graph, algorithm, max_model_bytes);
+            assert_eq!(
+                verdict.is_some(),
+                needed > max_model_bytes,
+                "exact in its count"
+            );
+            let Some(bound) = verdict else { return };
+            assert!(bound > max_model_bytes && bound <= needed);
+            // The verdict does not read the thread count, so it must
+            // hold at every one.
+            for threads in [1, 3] {
                 // Sound: never above what the rung really needs …
-                let unbudgeted = run(&query, algorithm, Budget::unlimited(), threads, enumerator)
-                    .expect("unlimited budget");
+                let unbudgeted =
+                    run(&query, algorithm, Budget::unlimited(), threads).expect("unlimited budget");
                 assert!(bound <= unbudgeted.stats.peak_model_bytes);
                 // … so the rung, run anyway, does not fit.
                 let budgeted = run(
@@ -362,7 +319,6 @@ mod tests {
                     algorithm,
                     Budget::with_memory(max_model_bytes),
                     threads,
-                    enumerator,
                 );
                 assert!(
                     matches!(budgeted, Err(OptError::MemoryExhausted { .. })),
@@ -407,32 +363,16 @@ mod tests {
         let query = QueryGenerator::new(&catalog, Topology::Chain(6), 3).instance(0);
         let tight = 20 * CSG_MODEL_BYTES;
         assert_eq!(
-            doomed_bound(
-                &query.graph,
-                Algorithm::Dp,
-                EnumeratorKind::LevelScan,
-                tight
-            ),
+            doomed_bound(&query.graph, Algorithm::Dp, tight),
             Some(21 * CSG_MODEL_BYTES)
         );
-        let mut ctx = EnumContext::new(
-            &query,
-            &model,
-            Budget::with_memory(tight),
-            1,
-            EnumeratorKind::LevelScan,
-        );
+        let mut ctx = EnumContext::new(&query, &model, Budget::with_memory(tight), 1);
         assert!(matches!(
             crate::dp::optimize_complete(&mut ctx, None),
             Err(OptError::MemoryExhausted { .. })
         ));
         assert_eq!(
-            doomed_bound(
-                &query.graph,
-                Algorithm::Dp,
-                EnumeratorKind::LevelScan,
-                21 * CSG_MODEL_BYTES
-            ),
+            doomed_bound(&query.graph, Algorithm::Dp, 21 * CSG_MODEL_BYTES),
             None
         );
     }

@@ -6,11 +6,9 @@
 //! * [`dp`] — the exhaustive bushy DP enumerator (PostgreSQL's
 //!   baseline), generalized over *atoms* so that IDP can reuse it
 //!   after contracting compounds;
-//! * [`enumerate`] — candidate-pair generation strategies behind the
-//!   `PairEnumerator` trait: the level-table scan, DPccp-style
-//!   csg–cmp generation over the join graph, and a DPconv-inspired
-//!   min-plus surrogate prototype, selectable per run
-//!   (`SDP_ENUMERATOR` env or `Optimizer::with_enumerator`);
+//! * [`enumerate`] — candidate-pair generation: the survivor-level
+//!   scan every level-wise strategy runs on, and the count-only
+//!   connected-subgraph walk behind the feasibility oracle;
 //! * [`sdp`] — **Skyline Dynamic Programming**: localized pruning on
 //!   hub partitions with the disjunctive pairwise-skyline function
 //!   over the `[Rows, Cost, Selectivity]` feature vector, including
@@ -87,7 +85,7 @@ fn _assert_service_types_are_send_sync() {
 }
 pub use context::{default_parallelism, EnumContext, LevelStats, RunStats};
 pub use dp::{LevelPruner, PruneStats};
-pub use enumerate::{DpConv, Dpccp, EnumeratorKind, LevelScan, PairEnumerator};
+pub use enumerate::{EnumeratorKind, LevelScan};
 pub use explain::{explain, explain_analyze, worst_estimates};
 pub use memo::{Group, Memo};
 pub use optimizer::{Algorithm, OptimizedPlan, Optimizer};

@@ -113,7 +113,6 @@ pub struct Optimizer<'a> {
     budget: Budget,
     infer_closure: bool,
     parallelism: usize,
-    enumerator: EnumeratorKind,
     #[cfg(feature = "trace")]
     tracer: sdp_trace::Tracer,
 }
@@ -122,28 +121,22 @@ impl<'a> Optimizer<'a> {
     /// Optimizer with PostgreSQL-default cost constants, the paper's
     /// 1 GB memory budget, the transitive-closure rewriter enabled
     /// (as in PostgreSQL), and enumeration parallelism from
-    /// [`default_parallelism`] (`SDP_THREADS` env override, else the
-    /// machine's available parallelism).
+    /// [`default_parallelism`] (`SDP_THREADS` env override, else 1).
     pub fn new(catalog: &'a Catalog) -> Self {
-        Self::with_enumeration(catalog, default_parallelism(), EnumeratorKind::from_env())
+        Self::with_enumeration(catalog, default_parallelism())
     }
 
     /// [`Optimizer::new`] with the enumeration parallelism (clamped to
-    /// at least 1) and pair-enumeration strategy given instead of read
-    /// from the environment — for callers that build an optimizer per
-    /// request and resolved both once.
-    pub fn with_enumeration(
-        catalog: &'a Catalog,
-        parallelism: usize,
-        enumerator: EnumeratorKind,
-    ) -> Self {
+    /// at least 1) given instead of read from the environment — for
+    /// callers that build an optimizer per request and resolved it
+    /// once.
+    pub fn with_enumeration(catalog: &'a Catalog, parallelism: usize) -> Self {
         Optimizer {
             catalog,
             params: CostParams::default(),
             budget: Budget::default(),
             infer_closure: true,
             parallelism: parallelism.max(1),
-            enumerator,
             #[cfg(feature = "trace")]
             tracer: sdp_trace::Tracer::disabled(),
         }
@@ -177,17 +170,6 @@ impl<'a> Optimizer<'a> {
         self
     }
 
-    /// Select the candidate-pair enumeration strategy (`LevelScan`,
-    /// `Dpccp` or `DpConv`; see [`crate::enumerate`]). Defaults to
-    /// the `SDP_ENUMERATOR` env override, else `LevelScan`.
-    /// `LevelScan` and `Dpccp` choose bit-identical plans on
-    /// exhaustive rungs; `DpConv` trades plan quality for a
-    /// super-polynomially smaller costing effort.
-    pub fn with_enumerator(mut self, kind: EnumeratorKind) -> Self {
-        self.enumerator = kind;
-        self
-    }
-
     /// Install a structured-trace handle; every run started from this
     /// optimizer emits its level spans, skyline partition spans and
     /// governor transitions into it. Canonical event sequences are
@@ -208,9 +190,10 @@ impl<'a> Optimizer<'a> {
         self.parallelism
     }
 
-    /// The pair-enumeration strategy in force.
+    /// The pair-generation tag a plan from this optimizer is persisted
+    /// under — a constant; see [`EnumeratorKind`] for why it remains.
     pub fn enumerator(&self) -> EnumeratorKind {
-        self.enumerator
+        EnumeratorKind::LevelScan
     }
 
     /// Optimize `query` with the chosen algorithm.
@@ -427,7 +410,7 @@ impl<'a> Optimizer<'a> {
         budget: Budget,
     ) -> EnumContext<'q> {
         #[allow(unused_mut)]
-        let mut ctx = EnumContext::new(query, model, budget, self.parallelism, self.enumerator);
+        let mut ctx = EnumContext::new(query, model, budget, self.parallelism);
         #[cfg(feature = "trace")]
         ctx.set_tracer(self.tracer.clone());
         ctx
@@ -449,12 +432,8 @@ impl<'a> Optimizer<'a> {
 /// memo already over budget is the rung's own to report — it does so
 /// at its first check — so nothing is predicted then.
 fn predicted_exhaustion(ctx: &mut EnumContext<'_>, attempt: Algorithm) -> Option<u64> {
-    let bound = feasibility::doomed_bound(
-        ctx.graph(),
-        attempt,
-        ctx.enumerator(),
-        ctx.memory.budget().max_model_bytes,
-    )?;
+    let bound =
+        feasibility::doomed_bound(ctx.graph(), attempt, ctx.memory.budget().max_model_bytes)?;
     ctx.memory.check().ok()?;
     Some(bound)
 }

@@ -402,9 +402,7 @@ pub fn optimize_sdp(
 mod tests {
     use super::*;
     use crate::budget::Budget;
-    use crate::context::default_parallelism;
     use crate::dp::optimize_complete;
-    use crate::enumerate::EnumeratorKind;
     use sdp_catalog::Catalog;
     use sdp_cost::CostModel;
     use sdp_query::{QueryGenerator, Topology};
@@ -555,13 +553,7 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::star_chain(13), 3).instance(0);
         let run_threads = |threads: usize| {
-            let mut ctx = EnumContext::new(
-                &q,
-                &model,
-                Budget::unlimited(),
-                threads,
-                EnumeratorKind::from_env(),
-            );
+            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited(), threads);
             let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
             let s = ctx.stats();
             (
@@ -574,38 +566,6 @@ mod tests {
         let sequential = run_threads(1);
         assert_eq!(sequential, run_threads(2));
         assert_eq!(sequential, run_threads(4));
-    }
-
-    #[test]
-    fn sdp_is_enumerator_invariant() {
-        // Candidate-pair generation strategy must not change what SDP
-        // retains: DPccp emits the same joinable pairs as the level
-        // scan (in a different order), and the memo's cost frontier is
-        // insertion-order-insensitive, so plan cost and every counter
-        // must match bit-for-bit.
-        let cat = Catalog::paper();
-        let model = CostModel::with_defaults(&cat);
-        for topo in [
-            Topology::star_chain(12),
-            Topology::Star(9),
-            Topology::Cycle(9),
-        ] {
-            let q = QueryGenerator::new(&cat, topo, 7).instance(0);
-            let run_kind = |kind: EnumeratorKind| {
-                let mut ctx =
-                    EnumContext::new(&q, &model, Budget::unlimited(), default_parallelism(), kind);
-                let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
-                let s = ctx.stats();
-                (
-                    plan.cost.to_bits(),
-                    s.plans_costed,
-                    s.jcrs_processed,
-                    s.jcrs_pruned,
-                )
-            };
-            let scan = run_kind(EnumeratorKind::LevelScan);
-            assert_eq!(scan, run_kind(EnumeratorKind::Dpccp), "{topo:?}");
-        }
     }
 
     #[test]
@@ -634,7 +594,6 @@ mod oracle_tests {
     use super::*;
     use crate::budget::Budget;
     use crate::enumerate::tests::random_connected_query;
-    use crate::enumerate::EnumeratorKind;
     use proptest::prelude::*;
     use sdp_catalog::Catalog;
     use sdp_cost::CostModel;
@@ -750,9 +709,7 @@ mod oracle_tests {
                 &query,
                 &model,
                 Budget::unlimited(),
-                1,
-                EnumeratorKind::LevelScan,
-            );
+                1);
             prop_assert_eq!(ctx.order_target().is_some(), ordered);
             let graph = ctx.graph();
             let order_relations = SdpPruner::new(&ctx, SdpConfig::paper()).order_relations;

@@ -42,7 +42,6 @@ fn replay_workload(
             cache_capacity: 256,
             cache_shards: 4,
             parallelism: Some(1),
-            enumerator: None,
             ..ServiceConfig::default()
         },
     ));

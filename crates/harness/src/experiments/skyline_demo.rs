@@ -7,8 +7,8 @@ use rand::SeedableRng;
 
 use sdp_catalog::{Catalog, ColId, RelId};
 use sdp_core::{
-    default_parallelism, dp::run_levels, Algorithm, Budget, EnumContext, EnumeratorKind, Optimizer,
-    SdpConfig, SkylineOption,
+    default_parallelism, dp::run_levels, Algorithm, Budget, EnumContext, Optimizer, SdpConfig,
+    SkylineOption,
 };
 use sdp_cost::CostModel;
 use sdp_metrics::geometric_mean_ratio;
@@ -123,13 +123,7 @@ pub fn table_2_2(session: &Session) -> ExperimentReport {
     // --- Part 2: live vectors from our optimizer ------------------------
     let query = figure_2_1_query(&session.catalog, session.config.seed);
     let model = CostModel::with_defaults(&session.catalog);
-    let mut ctx = EnumContext::new(
-        &query,
-        &model,
-        Budget::unlimited(),
-        default_parallelism(),
-        EnumeratorKind::from_env(),
-    );
+    let mut ctx = EnumContext::new(&query, &model, Budget::unlimited(), default_parallelism());
     for i in 0..9 {
         ctx.ensure_base_group(i);
     }

@@ -5,7 +5,7 @@
 //! A [`FlightRecorder`] is a [`TraceSink`]: hang it off the service's
 //! tee and it projects the decision-bearing events (`request`,
 //! `served_stale`, `shed`, breaker transitions, …) into
-//! [`FlightRecord`]s — fingerprint, enumerator, rung, degradation
+//! [`FlightRecord`]s — fingerprint, rung, degradation
 //! count, cache outcome, plan structural digest, deadline attainment —
 //! while everything wall-clock (queue-wait microseconds) is quarantined
 //! in a non-canonical field, exactly like [`Event::wall_micros`].
@@ -94,7 +94,7 @@ pub struct FlightRecord {
     /// `breaker_open`, …).
     pub kind: String,
     /// Canonical key/value tags in event-field order: fingerprint,
-    /// outcome, rung, enumerator, plan digest, degradations, deadline
+    /// outcome, rung, plan digest, degradations, deadline
     /// attainment, shed reason — whatever the event carried.
     pub tags: Vec<(String, String)>,
     /// Wall-clock queue-wait in microseconds (zero when the event had

@@ -14,10 +14,8 @@
 //!   decisions after a crash — the post-mortem companion to the DLQ;
 //! * [`qerror`] — the cardinality-accuracy observatory: per-node-kind
 //!   and per-predicate Q-error histograms over the instrumented
-//!   executor's (estimated, actual) row counts, a bounded
-//!   worst-estimated-nodes table, and an append-only calibration log
-//!   of `(fingerprint, node-path, est, actual)` records — the input
-//!   execution-informed recosting (ROADMAP item 6) will consume.
+//!   executor's (estimated, actual) row counts, and a bounded
+//!   worst-estimated-nodes table.
 //!
 //! Determinism discipline matches the rest of the workspace: wall
 //! clock lives only in non-canonical fields ([`FlightRecord::
@@ -37,7 +35,4 @@ pub use flight::{
     canonical_sort, fold_digest, multiset_digest, FlightLog, FlightRecord, FlightRecorder,
     DEFAULT_FLIGHT_CAPACITY, FLIGHT_EVENTS, FLIGHT_FILE, FLIGHT_LOG_KIND,
 };
-pub use qerror::{
-    q_error, CalibrationLog, CalibrationRecord, Observation, QErrorObservatory, CALIBRATION_FILE,
-    CALIBRATION_LOG_KIND,
-};
+pub use qerror::{q_error, Observation, QErrorObservatory};

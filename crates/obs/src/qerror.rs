@@ -4,7 +4,7 @@
 //!
 //! The source paper judges heuristics by plan-quality deviation, and
 //! plan quality lives or dies on cardinality estimates — the
-//! observatory measures exactly where the cost model lies. Three
+//! observatory measures exactly where the cost model lies. Two
 //! surfaces:
 //!
 //! * per-node-kind and per-predicate [`QErrorHistogram`]s (the same
@@ -13,32 +13,15 @@
 //!   report;
 //! * a bounded worst-estimated-nodes table with a total, content-based
 //!   order, so top-K extraction is independent of observation order
-//!   and thread schedule;
-//! * an append-only calibration log of `(fingerprint, node-path, est,
-//!   actual)` records — the input `recost.rs` will consume when
-//!   execution-informed recosting (ROADMAP item 6) closes the loop.
+//!   and thread schedule.
 //!
 //! Everything here is a plain value with commutative merge, so
 //! aggregates are bit-identical regardless of interleaving — enforced
 //! by a proptest over random shard schedules.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 
 use sdp_metrics::QErrorHistogram;
-use sdp_store::{FramedLog, RecoveryStats, StoreError};
-
-use crate::wire::{Reader, Writer};
-
-/// Log-kind tag for calibration telemetry logs (plan segments are 1,
-/// the DLQ 2, flight logs 3).
-pub const CALIBRATION_LOG_KIND: u32 = 4;
-
-/// File name of the calibration log inside its directory.
-pub const CALIBRATION_FILE: &str = "calibration.log";
-
-/// Calibration-record codec version.
-const CALIBRATION_VERSION: u8 = 1;
 
 /// Worst-node candidates retained by the observatory. Top-K queries
 /// are answered from this bounded set; keeping it a few multiples of
@@ -80,16 +63,6 @@ impl Observation {
     /// The observation's Q-error.
     pub fn q_error(&self) -> f64 {
         q_error(self.estimated, self.actual as f64)
-    }
-
-    /// Project into the durable calibration-record form.
-    pub fn calibration(&self) -> CalibrationRecord {
-        CalibrationRecord {
-            fingerprint: self.fingerprint,
-            path: self.path.clone(),
-            estimated: self.estimated,
-            actual: self.actual,
-        }
     }
 }
 
@@ -198,89 +171,6 @@ impl QErrorObservatory {
     }
 }
 
-/// One durable calibration record: the `(fingerprint, node-path, est,
-/// actual)` quadruple future execution-informed recosting consumes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibrationRecord {
-    /// WL fingerprint of the query.
-    pub fingerprint: u128,
-    /// Root-to-node child-index path, rendered `"0.1.0"`.
-    pub path: String,
-    /// Optimizer cardinality estimate.
-    pub estimated: f64,
-    /// Rows actually produced.
-    pub actual: u64,
-}
-
-/// Encode one calibration record (version byte first, fixed-width
-/// fields, estimate as IEEE-754 bits so the round trip is exact).
-pub fn encode_calibration(record: &CalibrationRecord) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(CALIBRATION_VERSION);
-    w.put_u128(record.fingerprint);
-    w.put_str(&record.path);
-    w.put_f64(record.estimated);
-    w.put_u64(record.actual);
-    w.finish()
-}
-
-/// Decode one framed-log payload back into a calibration record.
-pub fn decode_calibration(payload: &[u8]) -> Result<CalibrationRecord, StoreError> {
-    let mut r = Reader::new(payload);
-    let version = r.u8()?;
-    if version != CALIBRATION_VERSION {
-        return Err(StoreError::Codec(format!(
-            "calibration record version {version}, expected {CALIBRATION_VERSION}"
-        )));
-    }
-    let fingerprint = r.u128()?;
-    let path = r.str()?;
-    let estimated = r.f64()?;
-    let actual = r.u64()?;
-    r.finish()?;
-    Ok(CalibrationRecord {
-        fingerprint,
-        path,
-        estimated,
-        actual,
-    })
-}
-
-/// An open append-only calibration telemetry log.
-#[derive(Debug)]
-pub struct CalibrationLog {
-    log: FramedLog,
-}
-
-impl CalibrationLog {
-    /// Path of the calibration log file inside `dir`.
-    pub fn path_in(dir: &Path) -> PathBuf {
-        dir.join(CALIBRATION_FILE)
-    }
-
-    /// Open (creating if absent) the calibration log in `dir`,
-    /// recovering every intact record in write order.
-    pub fn open(
-        dir: &Path,
-    ) -> Result<(CalibrationLog, Vec<CalibrationRecord>, RecoveryStats), StoreError> {
-        std::fs::create_dir_all(dir).map_err(|e| StoreError::Io {
-            path: dir.to_path_buf(),
-            source: e,
-        })?;
-        let (log, payloads, stats) = FramedLog::open(&Self::path_in(dir), CALIBRATION_LOG_KIND)?;
-        let mut records = Vec::with_capacity(payloads.len());
-        for payload in &payloads {
-            records.push(decode_calibration(payload)?);
-        }
-        Ok((CalibrationLog { log }, records, stats))
-    }
-
-    /// Append one record, flushed before returning.
-    pub fn append(&mut self, record: &CalibrationRecord) -> Result<(), StoreError> {
-        self.log.append(&encode_calibration(record)).map(|_| ())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,42 +247,5 @@ mod tests {
         let mut other_way = left.clone();
         other_way.merge(&right);
         assert_eq!(other_way, sequential);
-    }
-
-    #[test]
-    fn calibration_codec_round_trips() {
-        let record = CalibrationRecord {
-            fingerprint: 0xdead_beef_dead_beef_dead_beef_dead_beef,
-            path: "0.1.0".to_string(),
-            estimated: 1234.5678,
-            actual: 42,
-        };
-        let decoded = decode_calibration(&encode_calibration(&record)).unwrap();
-        assert_eq!(decoded, record);
-        assert!(decode_calibration(&[9, 9, 9]).is_err());
-    }
-
-    #[test]
-    fn calibration_log_round_trips_through_reopen() {
-        let dir = std::env::temp_dir().join(format!("sdp-obs-calib-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (mut log, recovered, _) = CalibrationLog::open(&dir).unwrap();
-        assert!(recovered.is_empty());
-        let records: Vec<CalibrationRecord> = (0..5)
-            .map(|i| CalibrationRecord {
-                fingerprint: i as u128,
-                path: format!("0.{i}"),
-                estimated: i as f64 * 1.5,
-                actual: i * 10,
-            })
-            .collect();
-        for r in &records {
-            log.append(r).unwrap();
-        }
-        drop(log);
-        let (_log, recovered, stats) = CalibrationLog::open(&dir).unwrap();
-        assert_eq!(recovered, records);
-        assert_eq!(stats.records, 5);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

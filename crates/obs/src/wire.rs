@@ -1,8 +1,8 @@
-//! Minimal deterministic binary writer/reader for the flight and
-//! calibration codecs — the same hand-rolled little-endian idiom as
+//! Minimal deterministic binary writer/reader for the flight codec —
+//! the same hand-rolled little-endian idiom as
 //! `sdp-store`'s plan codec (whose writer is private to that crate),
-//! kept deliberately tiny: fixed-width integers, IEEE-754 bit
-//! patterns for floats, and `u16`-length-prefixed UTF-8 strings.
+//! kept deliberately tiny: fixed-width integers and
+//! `u16`-length-prefixed UTF-8 strings.
 
 use sdp_store::StoreError;
 
@@ -25,14 +25,6 @@ impl Writer {
 
     pub(crate) fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
     }
 
     pub(crate) fn put_str(&mut self, s: &str) {
@@ -79,14 +71,6 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn u64(&mut self) -> Result<u64, StoreError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u128(&mut self) -> Result<u128, StoreError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     pub(crate) fn str(&mut self) -> Result<String, StoreError> {

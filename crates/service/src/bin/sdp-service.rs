@@ -72,9 +72,7 @@
 //! observatory. The run prints an `EXPLAIN ANALYZE` with the top-K
 //! worst-estimated nodes, per-kind/per-predicate Q-error summaries,
 //! and merges the `qerror` histogram family into `--metrics-json` /
-//! `--metrics-prom` output. With `--flight-dir` the battery also
-//! appends `(fingerprint, node-path, est, actual)` calibration records
-//! to DIR's telemetry log.
+//! `--metrics-prom` output.
 //!
 //! `sdp-service inspect --flight DIR [--last N]` recovers the flight
 //! log (torn tails truncated, digests re-verified) and prints the last
@@ -91,8 +89,8 @@ use sdp_core::{Algorithm, Governor, Optimizer};
 use sdp_engine::{execute_observed, scaled_catalog, Database};
 use sdp_metrics::alloc::CountingAllocator;
 use sdp_obs::{
-    canonical_sort, fold_digest, multiset_digest, CalibrationLog, FlightLog, FlightRecorder,
-    Observation, QErrorObservatory, DEFAULT_FLIGHT_CAPACITY,
+    canonical_sort, fold_digest, multiset_digest, FlightLog, FlightRecorder, Observation,
+    QErrorObservatory, DEFAULT_FLIGHT_CAPACITY,
 };
 use sdp_query::canon::stable_hash;
 use sdp_query::{Query, QueryGenerator, Topology};
@@ -117,7 +115,6 @@ struct ReplayArgs {
     capacity: usize,
     shards: usize,
     threads: Option<usize>,
-    enumerator: Option<sdp_core::EnumeratorKind>,
     ordered: bool,
     seed: u64,
     deadline_ms: Option<u64>,
@@ -149,7 +146,6 @@ impl Default for ReplayArgs {
             capacity: 1024,
             shards: 8,
             threads: None,
-            enumerator: None,
             ordered: false,
             seed: 42,
             deadline_ms: None,
@@ -172,8 +168,8 @@ fn usage() -> &'static str {
     "usage: sdp-service replay [--shape star|chain|cycle|star-chain] \
      [--relations N] [--distinct N] [--requests N] [--clients N] \
      [--workers N] [--capacity N] [--shards N] [--threads N] \
-     [--enumerator levelscan|dpccp|dpconv] [--ordered] [--seed N] \
-     [--deadline-ms N] [--memory-mb N] [--trace PATH] [--metrics-json PATH] \
+     [--ordered] [--seed N] [--deadline-ms N] [--memory-mb N] \
+     [--trace PATH] [--metrics-json PATH] \
      [--metrics-prom PATH] [--store-dir DIR] [--dlq DIR] [--queue-cap N] \
      [--overload ROUNDS] [--flight-dir DIR] [--qerror]\n\
      \x20      sdp-service inspect --flight DIR [--last N]"
@@ -228,13 +224,6 @@ fn parse_replay(args: &[String]) -> Result<ReplayArgs, String> {
                     value("--threads")?
                         .parse()
                         .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--enumerator" => {
-                let name = value("--enumerator")?;
-                out.enumerator = Some(
-                    sdp_core::EnumeratorKind::parse(name)
-                        .ok_or_else(|| format!("--enumerator: unknown strategy {name:?}"))?,
                 )
             }
             "--ordered" => out.ordered = true,
@@ -392,7 +381,6 @@ fn drain_dlq(args: &ReplayArgs, dir: &str) -> Result<(), String> {
             cache_capacity: args.capacity,
             cache_shards: args.shards,
             parallelism: args.threads,
-            enumerator: args.enumerator,
             ..ServiceConfig::default()
         },
     );
@@ -723,7 +711,6 @@ fn replay(args: ReplayArgs) -> Result<(), String> {
         cache_capacity: args.capacity,
         cache_shards: args.shards,
         parallelism: args.threads,
-        enumerator: args.enumerator,
         ..ServiceConfig::default()
     };
     let breaker_threshold = config.breaker_threshold;
@@ -977,8 +964,7 @@ fn replay(args: ReplayArgs) -> Result<(), String> {
 /// and aggregate per-plan-node (estimated, actual) row counts into
 /// the Q-error observatory. Prints an `EXPLAIN ANALYZE` with the
 /// worst-estimated nodes for the first plan and per-series summaries
-/// for the rest; with `--flight-dir` every observation is also
-/// appended to the calibration telemetry log.
+/// for the rest.
 fn run_qerror(args: &ReplayArgs) -> Result<QErrorObservatory, String> {
     // Execution validates estimates; it does not need production
     // cardinalities. Cap the join size so the battery stays a
@@ -989,21 +975,10 @@ fn run_qerror(args: &ReplayArgs) -> Result<QErrorObservatory, String> {
     let topology = topology_for(&args.shape, relations)?;
     let generator = QueryGenerator::new(&catalog, topology, args.seed);
     let mut optimizer = Optimizer::new(&catalog);
-    if let Some(kind) = args.enumerator {
-        optimizer = optimizer.with_enumerator(kind);
-    }
     if let Some(threads) = args.threads {
         optimizer = optimizer.with_parallelism(threads);
     }
     let governor = Governor::new();
-    let mut calibration = match &args.flight_dir {
-        Some(dir) => Some(
-            CalibrationLog::open(std::path::Path::new(dir))
-                .map_err(|e| format!("opening calibration log in {dir}: {e}"))?
-                .0,
-        ),
-        None => None,
-    };
 
     let plans = args.distinct.min(6) as u64;
     println!();
@@ -1013,7 +988,6 @@ fn run_qerror(args: &ReplayArgs) -> Result<QErrorObservatory, String> {
         args.shape,
     );
     let mut observatory = QErrorObservatory::new();
-    let mut calibration_records = 0u64;
     for k in 0..plans {
         let query = generator.instance(k);
         let fingerprint = fingerprint_query(&catalog, &query).0;
@@ -1033,13 +1007,6 @@ fn run_qerror(args: &ReplayArgs) -> Result<QErrorObservatory, String> {
                 actual: n.actual,
             })
             .collect();
-        if let Some(log) = calibration.as_mut() {
-            for obs in &observations {
-                log.append(&obs.calibration())
-                    .map_err(|e| format!("qerror: appending calibration record: {e}"))?;
-                calibration_records += 1;
-            }
-        }
         observatory.observe_all(&observations);
         if k == 0 {
             // The first plan gets the full EXPLAIN ANALYZE treatment,
@@ -1090,9 +1057,6 @@ fn run_qerror(args: &ReplayArgs) -> Result<QErrorObservatory, String> {
         })
         .collect();
     print!("{}", sdp_core::worst_estimates(&worst, 8));
-    if calibration.is_some() {
-        println!("qerror: {calibration_records} calibration records appended");
-    }
     Ok(observatory)
 }
 

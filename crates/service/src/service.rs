@@ -55,11 +55,8 @@ pub struct ServiceConfig {
     /// Number of cache shards (rounded up to a power of two).
     pub cache_shards: usize,
     /// Enumeration parallelism override; `None` inherits the
-    /// optimizer default (`SDP_THREADS` env or machine parallelism).
+    /// optimizer default (`SDP_THREADS` env, else 1).
     pub parallelism: Option<usize>,
-    /// Pair-enumeration strategy override; `None` inherits the
-    /// optimizer default (`SDP_ENUMERATOR` env or `LevelScan`).
-    pub enumerator: Option<sdp_core::EnumeratorKind>,
     /// Consecutive ladder-exhaustion / leader-panic failures on one
     /// fingerprint before its circuit breaker opens (0 disables the
     /// breaker entirely).
@@ -76,7 +73,6 @@ impl Default for ServiceConfig {
             cache_capacity: 1024,
             cache_shards: 8,
             parallelism: None,
-            enumerator: None,
             breaker_threshold: 3,
             breaker_probe_every: 4,
         }
@@ -294,7 +290,7 @@ impl std::error::Error for ServiceError {}
 
 /// Per-fingerprint circuit-breaker state. Keyed by the *raw*
 /// fingerprint rather than the plan key: a query that poisons the
-/// ladder does so regardless of the pinned strategy or enumerator, so
+/// ladder does so regardless of the pinned strategy, so
 /// every variant trips — and recovers — together.
 #[derive(Debug)]
 struct Breaker {
@@ -443,13 +439,9 @@ pub struct OptimizerService {
     store: Option<StoreHandle>,
     dlq: Option<Mutex<DeadLetterQueue>>,
     tracer: Tracer,
-    /// The effective pair-enumeration strategy, resolved once at
-    /// construction (config override or `SDP_ENUMERATOR`): part of the
-    /// plan-cache key, so it must not drift between requests.
-    enumerator: EnumeratorKind,
     /// The effective enumeration parallelism, resolved once at
-    /// construction (config override, `SDP_THREADS`, or the machine's
-    /// parallelism) instead of once per optimized request.
+    /// construction (config override, `SDP_THREADS`, or 1) instead of
+    /// once per optimized request.
     parallelism: usize,
     /// Overload-control counters: sheds, stale serves, breaker
     /// transitions, queue/in-flight gauges.
@@ -481,31 +473,32 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Cache/flight key: the fingerprint folded with the strategy *and*
-/// the active pair enumerator, so a pinned `Dp` request and the
-/// selector's `Sdp` choice for the same query occupy distinct entries,
-/// and plans enumerated under `Dpccp` never satisfy a `LevelScan`
-/// session (the enumerators may legitimately produce different plans
-/// at equal cost). `Algorithm` carries `f64` tuning and is
-/// deliberately not `Hash`, so its `Debug` rendering (which shows
+/// Cache/flight key: the fingerprint folded with the strategy, so a
+/// pinned `Dp` request and the selector's `Sdp` choice for the same
+/// query occupy distinct entries. `Algorithm` carries `f64` tuning and
+/// is deliberately not `Hash`, so its `Debug` rendering (which shows
 /// every tuning field) stands in as the hashable identity — which is
 /// also what lets the durable store reconstruct identical keys at warm
 /// restart from the persisted rendering ([`plan_key_repr`]).
-fn plan_key(fp: Fingerprint, algorithm: Algorithm, enumerator: EnumeratorKind) -> u128 {
-    plan_key_repr(fp, &format!("{algorithm:?}"), enumerator)
+fn plan_key(fp: Fingerprint, algorithm: Algorithm) -> u128 {
+    plan_key_repr(fp, &format!("{algorithm:?}"))
 }
 
 /// [`plan_key`] on a pre-rendered strategy identity — the form the
 /// warm-restart fill uses, since persisted records carry the rendering
 /// rather than the (non-`Hash`) `Algorithm` value.
-fn plan_key_repr(fp: Fingerprint, algo_repr: &str, enumerator: EnumeratorKind) -> u128 {
+fn plan_key_repr(fp: Fingerprint, algo_repr: &str) -> u128 {
     let mut words = [0u64; 4];
     for (i, chunk) in algo_repr.as_bytes().chunks(8).enumerate() {
         let mut w = [0u8; 8];
         w[..chunk.len()].copy_from_slice(chunk);
         words[i % 4] ^= u64::from_le_bytes(w).rotate_left((i / 4) as u32);
     }
-    words[3] ^= (enumerator.stable_tag() as u64) << 56;
+    // The pair-generation tag, from when there was more than one: a
+    // constant now, still folded so that keys — and with them shard
+    // placement, LRU eviction order and warm-restart fills — are what
+    // they were (`plan_key_is_stable`).
+    words[3] ^= (EnumeratorKind::LevelScan.stable_tag() as u64) << 56;
     let algo_hash = stable_hash(0x61_6c_67_6f, &words) as u128;
     fp.0 ^ (algo_hash | (algo_hash << 64))
 }
@@ -513,7 +506,6 @@ fn plan_key_repr(fp: Fingerprint, algo_repr: &str, enumerator: EnumeratorKind) -
 impl OptimizerService {
     /// Service over an initial catalog with the given tuning.
     pub fn new(catalog: Catalog, config: ServiceConfig) -> Self {
-        let enumerator = config.enumerator.unwrap_or_else(EnumeratorKind::from_env);
         let parallelism = config.parallelism.unwrap_or_else(default_parallelism);
         let breaker = Breaker::new(config.breaker_threshold, config.breaker_probe_every);
         OptimizerService {
@@ -528,7 +520,6 @@ impl OptimizerService {
             store: None,
             dlq: None,
             tracer: Tracer::disabled(),
-            enumerator,
             parallelism,
             overload: OverloadCounters::new(),
             stale_shelf: Mutex::new(HashMap::new()),
@@ -586,11 +577,7 @@ impl OptimizerService {
             store.inject_faults(faults);
         }
         for record in &records {
-            let key = plan_key_repr(
-                Fingerprint(record.fingerprint),
-                &record.algo_repr,
-                record.enumerator,
-            );
+            let key = plan_key_repr(Fingerprint(record.fingerprint), &record.algo_repr);
             let plan = CachedPlan {
                 root: Arc::clone(&record.root),
                 cost: record.cost,
@@ -745,7 +732,6 @@ impl OptimizerService {
         let record = DlqRecord {
             fingerprint: fingerprint.0,
             stats_epoch: catalog.stats_epoch(),
-            enumerator: self.enumerator,
             algorithm: request.algorithm,
             error_kind,
             error: error.clone(),
@@ -818,7 +804,7 @@ impl OptimizerService {
         };
         let algorithm = request.algorithm.unwrap_or_else(|| select::choose(&query));
         let fingerprint = fingerprint_query(&catalog, &query);
-        let key = plan_key(fingerprint, algorithm, self.enumerator);
+        let key = plan_key(fingerprint, algorithm);
         let plan = self
             .stale_shelf
             .lock()
@@ -849,7 +835,7 @@ impl OptimizerService {
         };
         let algorithm = request.algorithm.unwrap_or_else(|| select::choose(&query));
         let fingerprint = fingerprint_query(&catalog, &query);
-        let key = plan_key(fingerprint, algorithm, self.enumerator);
+        let key = plan_key(fingerprint, algorithm);
         let epoch = catalog.stats_epoch();
 
         // Circuit-breaker gate: a fingerprint that exhausted the
@@ -899,7 +885,6 @@ impl OptimizerService {
                             .with("outcome", "hit")
                             .with("warm", u64::from(plan.warm))
                             .with("rung", plan.strategy.clone())
-                            .with("enumerator", self.enumerator.label())
                             .with("digest", format!("{:016x}", plan.root.structural_digest()))
                             // Deadline attainment by *presence*, never
                             // remaining time: a served request with a
@@ -940,8 +925,7 @@ impl OptimizerService {
                 Flight::Leader(token) => {
                     let started = Instant::now();
                     #[allow(unused_mut)]
-                    let mut optimizer =
-                        Optimizer::with_enumeration(&catalog, self.parallelism, self.enumerator);
+                    let mut optimizer = Optimizer::with_enumeration(&catalog, self.parallelism);
                     #[cfg(feature = "trace")]
                     {
                         optimizer = optimizer.with_tracer(self.tracer.clone());
@@ -1118,7 +1102,7 @@ impl OptimizerService {
                             fingerprint: fingerprint.0,
                             stats_epoch: epoch,
                             rung: plan.rung,
-                            enumerator: self.enumerator,
+                            enumerator: EnumeratorKind::LevelScan,
                             algo_repr: format!("{algorithm:?}"),
                             strategy: plan.strategy.clone(),
                             degradations: plan.degradations,
@@ -1140,7 +1124,6 @@ impl OptimizerService {
                             .with("rung", plan.strategy.clone())
                             .with("plans_costed", plans_costed)
                             .with("degradations", plan.degradations)
-                            .with("enumerator", self.enumerator.label())
                             .with("digest", format!("{:016x}", plan.root.structural_digest()))
                             .with(
                                 "deadline",
@@ -1165,7 +1148,6 @@ impl OptimizerService {
                             .with("fingerprint", fp_hex(fingerprint))
                             .with("outcome", "coalesced")
                             .with("rung", plan.strategy.clone())
-                            .with("enumerator", self.enumerator.label())
                             .with("digest", format!("{:016x}", plan.root.structural_digest()))
                             .with(
                                 "deadline",
@@ -1242,42 +1224,49 @@ mod tests {
     use sdp_query::{QueryGenerator, Topology};
 
     #[test]
-    fn plan_key_separates_strategies_fingerprints_and_enumerators() {
+    fn plan_key_separates_strategies_and_fingerprints() {
         let fp1 = Fingerprint(0x1234_5678_9abc_def0);
         let fp2 = Fingerprint(0x0fed_cba9_8765_4321);
-        let level = EnumeratorKind::LevelScan;
-        assert_eq!(
-            plan_key(fp1, Algorithm::Dp, level),
-            plan_key(fp1, Algorithm::Dp, level)
-        );
+        assert_eq!(plan_key(fp1, Algorithm::Dp), plan_key(fp1, Algorithm::Dp));
+        assert_ne!(plan_key(fp1, Algorithm::Dp), plan_key(fp1, Algorithm::Goo));
         assert_ne!(
-            plan_key(fp1, Algorithm::Dp, level),
-            plan_key(fp1, Algorithm::Goo, level)
+            plan_key(fp1, Algorithm::Idp { k: 4 }),
+            plan_key(fp1, Algorithm::Idp { k: 7 })
         );
-        assert_ne!(
-            plan_key(fp1, Algorithm::Idp { k: 4 }, level),
-            plan_key(fp1, Algorithm::Idp { k: 7 }, level)
-        );
-        assert_ne!(
-            plan_key(fp1, Algorithm::Dp, level),
-            plan_key(fp2, Algorithm::Dp, level)
-        );
-        // The active enumerator is part of the identity: DPccp and the
-        // level scan may produce different (equal-cost) plans, so they
-        // must not share cache entries.
-        assert_ne!(
-            plan_key(fp1, Algorithm::Dp, EnumeratorKind::LevelScan),
-            plan_key(fp1, Algorithm::Dp, EnumeratorKind::Dpccp)
-        );
+        assert_ne!(plan_key(fp1, Algorithm::Dp), plan_key(fp2, Algorithm::Dp));
         // The repr-based form (used by warm restart) matches exactly.
         assert_eq!(
-            plan_key(fp1, Algorithm::Idp { k: 4 }, EnumeratorKind::Dpccp),
-            plan_key_repr(
-                fp1,
-                &format!("{:?}", Algorithm::Idp { k: 4 }),
-                EnumeratorKind::Dpccp
-            )
+            plan_key(fp1, Algorithm::Idp { k: 4 }),
+            plan_key_repr(fp1, &format!("{:?}", Algorithm::Idp { k: 4 }))
         );
+    }
+
+    /// Keys place entries in cache shards, order LRU eviction and are
+    /// rebuilt from persisted records at warm restart, so they must not
+    /// move: these values were captured before the pair-generation
+    /// choice was removed, with `EnumeratorKind::LevelScan` — the tag
+    /// `plan_key_repr` still folds.
+    #[test]
+    fn plan_key_is_stable() {
+        for (fp, algorithm, key) in [
+            (
+                0x1234_5678_9abc_def0,
+                Algorithm::Dp,
+                0x6bb1_3e33_0afe_491b_7985_684b_9042_97eb_u128,
+            ),
+            (
+                0x0fed_cba9_8765_4321_0123_4567_89ab_cdef,
+                Algorithm::Idp { k: 4 },
+                0x7b5e_377f_3d67_5f9e_7590_b9b1_33a9_d150,
+            ),
+            (
+                u128::MAX,
+                Algorithm::Sdp(Default::default()),
+                0x0e97_344c_46fd_65fc_0e97_344c_46fd_65fc,
+            ),
+        ] {
+            assert_eq!(plan_key(Fingerprint(fp), algorithm), key, "{algorithm:?}");
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@ fn small_config() -> ServiceConfig {
         cache_capacity: 64,
         cache_shards: 4,
         parallelism: None,
-        enumerator: None,
         ..ServiceConfig::default()
     }
 }
@@ -228,7 +227,6 @@ fn capacity_pressure_evicts_lru_entries() {
             cache_capacity: 2,
             cache_shards: 1,
             parallelism: None,
-            enumerator: None,
             ..ServiceConfig::default()
         },
     );

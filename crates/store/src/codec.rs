@@ -53,8 +53,8 @@ pub const CODEC_VERSION: u8 = 2;
 pub const MIN_CODEC_VERSION: u8 = 1;
 
 /// One persisted plan: the record of the `(fingerprint, stats_epoch,
-/// rung, enumerator) → plan` map plus the provenance the service layer
-/// caches alongside.
+/// rung) → plan` map plus the provenance the service layer caches
+/// alongside.
 #[derive(Debug, Clone)]
 pub struct PlanRecord {
     /// WL fingerprint of the query the plan answers.
@@ -64,7 +64,8 @@ pub struct PlanRecord {
     /// Ladder rung that produced the plan (`None` for off-ladder
     /// strategies).
     pub rung: Option<Rung>,
-    /// Pair-enumeration strategy the plan was produced with.
+    /// The pair-generation tag; one value is left (see
+    /// [`EnumeratorKind`]).
     pub enumerator: EnumeratorKind,
     /// Identity of the *requested* strategy (its `Debug` rendering) —
     /// the in-memory cache folds this into the plan key, so warm
@@ -160,8 +161,6 @@ pub struct DlqRecord {
     pub fingerprint: u128,
     /// Statistics epoch the failure happened under.
     pub stats_epoch: u64,
-    /// Pair-enumeration strategy in effect.
-    pub enumerator: EnumeratorKind,
     /// The pinned strategy, canonicalized; `None` when the request let
     /// the topology selector choose (re-optimization re-runs the
     /// selector, which is deterministic for a given query).
@@ -396,6 +395,18 @@ fn decode_node(r: &mut Reader<'_>, counter: &NodeCounter) -> Result<Arc<PlanNode
     ))
 }
 
+/// Read the pair-generation tag byte both record kinds carry. Only
+/// tag 1 (`levelscan`) is live; 2 (`dpccp`) and 3 (the single-tree
+/// surrogate prototype) are retired and never reused. A record
+/// carrying one came from pair generation that no longer exists: it
+/// fails here, and the replayers skip and count it as undecodable
+/// instead of serving it.
+fn decode_enumerator(r: &mut Reader<'_>) -> Result<EnumeratorKind, StoreError> {
+    let tag = r.u8()?;
+    EnumeratorKind::from_stable_tag(tag)
+        .ok_or_else(|| StoreError::Codec(format!("unknown or retired enumerator tag {tag}")))
+}
+
 // ---------------------------------------------------------------------
 // plan records
 
@@ -434,9 +445,7 @@ pub fn decode_plan(payload: &[u8]) -> Result<PlanRecord, StoreError> {
                 .ok_or_else(|| StoreError::Codec(format!("unknown rung tag {tag}")))?,
         ),
     };
-    let enumerator_tag = r.u8()?;
-    let enumerator = EnumeratorKind::from_stable_tag(enumerator_tag)
-        .ok_or_else(|| StoreError::Codec(format!("unknown enumerator tag {enumerator_tag}")))?;
+    let enumerator = decode_enumerator(&mut r)?;
     let algo_repr = r.str()?;
     let strategy = r.str()?;
     let degradations = r.u64()?;
@@ -614,7 +623,7 @@ pub fn encode_dlq(record: &DlqRecord) -> Vec<u8> {
     w.u8(CODEC_VERSION);
     w.u128(record.fingerprint);
     w.u64(record.stats_epoch);
-    w.u8(record.enumerator.stable_tag());
+    w.u8(EnumeratorKind::LevelScan.stable_tag());
     encode_algorithm(&mut w, record.algorithm);
     w.u8(record.error_kind.stable_tag());
     w.str(&record.error);
@@ -639,9 +648,7 @@ pub fn decode_dlq(payload: &[u8]) -> Result<DlqRecord, StoreError> {
     let version = check_version(&mut r)?;
     let fingerprint = r.u128()?;
     let stats_epoch = r.u64()?;
-    let enumerator_tag = r.u8()?;
-    let enumerator = EnumeratorKind::from_stable_tag(enumerator_tag)
-        .ok_or_else(|| StoreError::Codec(format!("unknown enumerator tag {enumerator_tag}")))?;
+    decode_enumerator(&mut r)?;
     let algorithm = decode_algorithm(&mut r)?;
     let kind_tag = r.u8()?;
     let error_kind = DlqErrorKind::from_stable_tag(kind_tag)
@@ -676,7 +683,6 @@ pub fn decode_dlq(payload: &[u8]) -> Result<DlqRecord, StoreError> {
     Ok(DlqRecord {
         fingerprint,
         stats_epoch,
-        enumerator,
         algorithm,
         error_kind,
         error,
@@ -747,7 +753,7 @@ mod tests {
             fingerprint: 0xdead_beef_0123_4567_89ab_cdef_0011_2233,
             stats_epoch: 4,
             rung: Some(Rung::Sdp),
-            enumerator: EnumeratorKind::Dpccp,
+            enumerator: EnumeratorKind::LevelScan,
             algo_repr: "Sdp(SdpConfig { .. })".to_string(),
             strategy: "SDP".to_string(),
             degradations: 1,
@@ -769,7 +775,7 @@ mod tests {
         assert_eq!(decoded.fingerprint, record.fingerprint);
         assert_eq!(decoded.stats_epoch, 4);
         assert_eq!(decoded.rung, Some(Rung::Sdp));
-        assert_eq!(decoded.enumerator, EnumeratorKind::Dpccp);
+        assert_eq!(decoded.enumerator, EnumeratorKind::LevelScan);
         assert_eq!(decoded.algo_repr, record.algo_repr);
         assert_eq!(decoded.strategy, "SDP");
         assert_eq!(decoded.degradations, 1);
@@ -824,7 +830,6 @@ mod tests {
         let record = DlqRecord {
             fingerprint: 9,
             stats_epoch: 1,
-            enumerator: EnumeratorKind::LevelScan,
             algorithm: None,
             error_kind: DlqErrorKind::Timeout,
             error: "deadline".to_string(),
@@ -856,7 +861,6 @@ mod tests {
         let record = DlqRecord {
             fingerprint: 11,
             stats_epoch: 3,
-            enumerator: EnumeratorKind::Dpccp,
             algorithm: Some(Algorithm::Goo),
             error_kind: DlqErrorKind::Cancelled,
             error: "cancelled".to_string(),
@@ -898,7 +902,6 @@ mod tests {
         let record = DlqRecord {
             fingerprint: 77,
             stats_epoch: 2,
-            enumerator: EnumeratorKind::LevelScan,
             algorithm: Some(Algorithm::Idp { k: 4 }),
             error_kind: DlqErrorKind::Memory,
             error: "memory exhausted at GOO".to_string(),
@@ -922,7 +925,6 @@ mod tests {
         let payload = encode_dlq(&record);
         let decoded = decode_dlq(&payload).unwrap();
         assert_eq!(decoded.fingerprint, 77);
-        assert_eq!(decoded.enumerator, EnumeratorKind::LevelScan);
         assert!(matches!(decoded.algorithm, Some(Algorithm::Idp { k: 4 })));
         assert_eq!(decoded.error_kind, DlqErrorKind::Memory);
         assert_eq!(decoded.degradations, record.degradations);

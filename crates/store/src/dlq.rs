@@ -107,7 +107,6 @@ impl DeadLetterQueue {
 #[cfg(test)]
 mod tests {
     use sdp_catalog::{ColId, RelId};
-    use sdp_core::EnumeratorKind;
     use sdp_query::{ColRef, JoinEdge, JoinGraph, Query};
 
     use crate::codec::DlqErrorKind;
@@ -131,7 +130,6 @@ mod tests {
         DlqRecord {
             fingerprint,
             stats_epoch: 1,
-            enumerator: EnumeratorKind::LevelScan,
             algorithm: None,
             error_kind: DlqErrorKind::Timeout,
             error: "deadline expired at GOO".to_string(),

@@ -30,7 +30,6 @@ use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use sdp_core::EnumeratorKind;
 use sdp_metrics::StoreCounters;
 
 use crate::codec::{decode_plan, encode_plan, PlanRecord};
@@ -40,16 +39,14 @@ use crate::StoreError;
 /// Log-kind tag for plan segments.
 pub const PLAN_LOG_KIND: u32 = 1;
 
-/// Identity of a persisted plan: the same triple the service folds
-/// into its in-memory cache key.
+/// Identity of a persisted plan: what the service folds into its
+/// in-memory cache key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RecordKey {
     /// WL fingerprint of the query.
     pub fingerprint: u128,
     /// `Debug` rendering of the requested strategy.
     pub algo_repr: String,
-    /// Pair-enumeration strategy in effect.
-    pub enumerator: EnumeratorKind,
 }
 
 impl RecordKey {
@@ -58,7 +55,6 @@ impl RecordKey {
         RecordKey {
             fingerprint: record.fingerprint,
             algo_repr: record.algo_repr.clone(),
-            enumerator: record.enumerator,
         }
     }
 }
@@ -433,7 +429,7 @@ mod tests {
     use std::sync::Arc;
 
     use sdp_catalog::RelId;
-    use sdp_core::{Children, NodeCounter, PlanNode, PlanOp, Rung};
+    use sdp_core::{Children, EnumeratorKind, NodeCounter, PlanNode, PlanOp, Rung};
     use sdp_query::RelSet;
 
     use super::*;

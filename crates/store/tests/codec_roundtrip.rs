@@ -1,7 +1,7 @@
 //! Property tests for the plan codec (ISSUE 7, satellite 3).
 //!
 //! Random governed plans — star / chain / clique topologies, every
-//! ladder rung, both exhaustive enumerators — must survive
+//! ladder rung — must survive
 //! `decode(encode(p))` bit-identically: same structural digest, same
 //! cost and row *bits*, same rung and enumerator tags, same strategy
 //! identity. Any drift here would poison the warm-restart path, which
@@ -41,7 +41,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// decode(encode(p)) is bit-identical for costing and explain
-    /// across topologies, rungs and enumerators.
+    /// across topologies and rungs.
     #[test]
     fn plan_codec_round_trips_bit_identically(
         shape in 0u8..3,
@@ -49,19 +49,17 @@ proptest! {
         seed in 0u64..1_000,
         k in 0u64..50,
         rung_idx in 0usize..4,
-        enumerator_idx in 0usize..2,
         epoch in 0u64..u64::MAX,
         fp_hi in any::<u64>(),
         fp_lo in any::<u64>(),
     ) {
         let rung = sdp_core::governor::LADDER[rung_idx];
-        let enumerator = [EnumeratorKind::LevelScan, EnumeratorKind::Dpccp][enumerator_idx];
         let algorithm = rung_algorithm(rung);
 
         let catalog = Catalog::paper();
         let gen = QueryGenerator::new(&catalog, topology(shape, n), seed);
         let query = gen.instance(k);
-        let optimizer = Optimizer::new(&catalog).with_enumerator(enumerator);
+        let optimizer = Optimizer::new(&catalog);
         let plan = optimizer
             .optimize(&query, algorithm)
             .expect("generated queries are connected");
@@ -70,7 +68,7 @@ proptest! {
             fingerprint: (u128::from(fp_hi) << 64) | u128::from(fp_lo),
             stats_epoch: epoch,
             rung: Some(rung),
-            enumerator,
+            enumerator: EnumeratorKind::LevelScan,
             algo_repr: format!("{algorithm:?}"),
             strategy: algorithm.label(),
             degradations: rung_idx as u64,

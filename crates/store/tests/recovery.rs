@@ -13,7 +13,10 @@ use sdp_core::governor::Rung;
 use sdp_core::{Algorithm, EnumeratorKind, Optimizer};
 use sdp_metrics::StoreCounters;
 use sdp_query::{QueryGenerator, Topology};
-use sdp_store::{PlanRecord, PlanStore, StoreOptions};
+use sdp_store::codec::{decode_dlq, decode_plan, encode_dlq, encode_plan};
+use sdp_store::{
+    DeadLetterQueue, DlqErrorKind, DlqRecord, PlanRecord, PlanStore, StoreError, StoreOptions,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -149,17 +152,88 @@ fn corrupt_payload_with_valid_frame_is_skipped_not_fatal() {
     // unknown codec version: replay must skip and count it.
     let seg = dir.join("seg-000000.log");
     let payload = [200u8, 1, 2, 3]; // version 200 is from the future
-    let crc = sdp_store::crc32(&payload);
-    let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
-    f.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
-    f.write_all(&crc.to_le_bytes()).unwrap();
-    f.write_all(&payload).unwrap();
-    drop(f);
+    append_frame(&seg, &payload);
 
     let (store, warm, stats, _) = open(&dir, 2);
     assert_eq!(warm.len(), 2, "real records unaffected");
     assert_eq!(stats.undecodable, 1, "future-version record skipped");
     assert!(!stats.recovery.truncated);
     assert_eq!(store.live_len(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Append one CRC-valid frame to a framed log file.
+fn append_frame(path: &Path, payload: &[u8]) {
+    let mut f = OpenOptions::new().append(true).open(path).unwrap();
+    f.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
+    f.write_all(&sdp_store::crc32(payload).to_le_bytes())
+        .unwrap();
+    f.write_all(payload).unwrap();
+}
+
+#[test]
+fn retired_enumerator_tags_are_skipped_and_counted_never_served() {
+    // Tags 2 (dpccp) and 3 (the single-tree surrogate prototype) were
+    // written by pair generation that no longer exists. A
+    // current-version record carrying one is intact on disk but must
+    // not decode — replay skips and counts it like any other
+    // undecodable payload.
+    let dir = temp_dir("retired-plan");
+    {
+        let (mut store, _, _, _) = open(&dir, 5);
+        store.append(&record(0, 5)).unwrap();
+        store.append(&record(1, 5)).unwrap();
+    }
+    // version, fingerprint, stats epoch, rung — then the tag.
+    const PLAN_TAG_AT: usize = 1 + 16 + 8 + 1;
+    for (k, tag) in [(2, 2u8), (3, 3u8)] {
+        let mut payload = encode_plan(&record(k, 5));
+        assert_eq!(payload[PLAN_TAG_AT], 1, "levelscan is tag 1");
+        payload[PLAN_TAG_AT] = tag;
+        let err = decode_plan(&payload).unwrap_err();
+        assert!(matches!(err, StoreError::Codec(_)), "{err}");
+        append_frame(&dir.join("seg-000000.log"), &payload);
+    }
+    let (store, warm, stats, _) = open(&dir, 5);
+    assert_eq!(stats.undecodable, 2, "both retired-tag records counted");
+    assert!(!stats.recovery.truncated, "their frames are intact");
+    assert_eq!(store.live_len(), 2);
+    let mut fps: Vec<u128> = warm.iter().map(|r| r.fingerprint >> 64).collect();
+    fps.sort_unstable();
+    assert_eq!(fps, [0, 1], "only the levelscan records are served");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dir = temp_dir("retired-dlq");
+    let letter = |fingerprint| DlqRecord {
+        fingerprint,
+        stats_epoch: 5,
+        algorithm: Some(Algorithm::Dp),
+        error_kind: DlqErrorKind::Memory,
+        error: "memory exhausted at GOO".into(),
+        degradations: vec![],
+        deadline_ms: None,
+        memory_bytes: Some(1 << 20),
+        sql: "SELECT ...".into(),
+        query: QueryGenerator::new(&Catalog::paper(), Topology::Chain(3), 1).instance(0),
+    };
+    {
+        let (mut dlq, _, _) = DeadLetterQueue::open(&dir).unwrap();
+        dlq.enqueue(letter(7)).unwrap();
+    }
+    // version, fingerprint, stats epoch — then the tag.
+    const DLQ_TAG_AT: usize = 1 + 16 + 8;
+    for tag in [2u8, 3] {
+        let mut payload = encode_dlq(&letter(8));
+        assert_eq!(payload[DLQ_TAG_AT], 1);
+        payload[DLQ_TAG_AT] = tag;
+        let err = decode_dlq(&payload).unwrap_err();
+        assert!(matches!(err, StoreError::Codec(_)), "{err}");
+        append_frame(&dir.join("dlq.log"), &payload);
+    }
+    let (dlq, recovery, undecodable) = DeadLetterQueue::open(&dir).unwrap();
+    assert_eq!(undecodable, 2);
+    assert!(!recovery.truncated);
+    assert_eq!(dlq.len(), 1);
+    assert_eq!(dlq.records()[0].fingerprint, 7);
     std::fs::remove_dir_all(&dir).ok();
 }

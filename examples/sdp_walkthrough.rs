@@ -55,13 +55,7 @@ fn main() {
     // Run the level DP manually with the SDP pruner and report, per
     // level, how many JCRs were enumerated and how many survived.
     let model = CostModel::with_defaults(&catalog);
-    let mut ctx = EnumContext::new(
-        &query,
-        &model,
-        Budget::unlimited(),
-        default_parallelism(),
-        EnumeratorKind::from_env(),
-    );
+    let mut ctx = EnumContext::new(&query, &model, Budget::unlimited(), default_parallelism());
     for i in 0..9 {
         ctx.ensure_base_group(i);
     }

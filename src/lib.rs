@@ -63,8 +63,8 @@ pub mod prelude {
     pub use sdp_catalog::{Catalog, ColId, RelId, SchemaSpec};
     pub use sdp_core::{
         explain::explain, explain::explain_analyze, Algorithm, Budget, CancelHandle, DegradeReason,
-        EnumeratorKind, GovernedPlan, Governor, LevelStats, OptError, OptimizedPlan, Optimizer,
-        Partitioning, Rung, SdpConfig, SkylineOption,
+        GovernedPlan, Governor, LevelStats, OptError, OptimizedPlan, Optimizer, Partitioning, Rung,
+        SdpConfig, SkylineOption,
     };
     pub use sdp_cost::{CostModel, CostParams};
     pub use sdp_engine::{execute, scaled_catalog, Database};

@@ -110,13 +110,7 @@ fn costing_a_dominated_pair_does_not_allocate() {
     let catalog = Catalog::paper();
     let model = CostModel::with_defaults(&catalog);
     let query = QueryGenerator::new(&catalog, Topology::Star(4), 7).instance(0);
-    let mut ctx = EnumContext::new(
-        &query,
-        &model,
-        Budget::unlimited(),
-        default_parallelism(),
-        EnumeratorKind::LevelScan,
-    );
+    let mut ctx = EnumContext::new(&query, &model, Budget::unlimited(), default_parallelism());
     (0..4).for_each(|i| ctx.ensure_base_group(i));
     let (hub, spoke) = (RelSet::single(0), RelSet::single(1));
     assert!(ctx.join_pair(hub, spoke), "first costing creates the JCR");

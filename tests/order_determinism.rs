@@ -7,9 +7,7 @@
 //! coordinating thread in deterministic set order, so an order-aware
 //! run must produce the bit-identical plan, per-level counters
 //! (`order_rescued`, `sort_enforcers`) and canonical trace at 1 worker
-//! thread and at 4 — and the identical plan under the levelscan and
-//! dpccp pair enumerators, which walk the same plan space in different
-//! orders.
+//! thread and at 4.
 
 use sdp::prelude::*;
 use sdp::trace::{canonical_dump, MemorySink, Tracer};
@@ -22,13 +20,11 @@ fn traced_ordered_run(
     catalog: &Catalog,
     query: &Query,
     threads: usize,
-    kind: EnumeratorKind,
 ) -> (String, String, u64, u64) {
     let sink = Arc::new(MemorySink::unbounded());
     let governed = Optimizer::new(catalog)
         .with_tracer(Tracer::new(Arc::clone(&sink) as _))
         .with_parallelism(threads)
-        .with_enumerator(kind)
         .optimize_governed(query, Algorithm::Sdp(SdpConfig::paper()), &Governor::new())
         .expect("ungoverned-budget run must complete");
     (
@@ -53,9 +49,9 @@ fn ordered_traces_and_counters_are_parallelism_invariant() {
         let generator = QueryGenerator::new(&catalog, topology, seed);
         for query in [generator.ordered_instance(0), generator.grouped_instance(1)] {
             let (seq_trace, seq_profile, seq_digest, seq_cost) =
-                traced_ordered_run(&catalog, &query, 1, EnumeratorKind::LevelScan);
+                traced_ordered_run(&catalog, &query, 1);
             let (par_trace, par_profile, par_digest, par_cost) =
-                traced_ordered_run(&catalog, &query, 4, EnumeratorKind::LevelScan);
+                traced_ordered_run(&catalog, &query, 4);
             assert_eq!(
                 seq_trace, par_trace,
                 "{topology}: canonical trace diverged between 1 and 4 threads"
@@ -85,50 +81,12 @@ fn ordered_traces_and_counters_are_parallelism_invariant() {
 }
 
 #[test]
-fn ordered_plans_agree_across_enumerators() {
-    // The levelscan and dpccp enumerators visit the same join pairs in
-    // different orders; with order tracking in the memo the chosen
-    // plan — digest and cost bits — must still be identical.
-    let catalog = Catalog::paper();
-    for (topology, seed) in [
-        (Topology::Star(11), 2u64),
-        (Topology::Chain(10), 4),
-        (Topology::star_chain(11), 6),
-    ] {
-        let generator = QueryGenerator::new(&catalog, topology, seed);
-        for k in 0..3 {
-            let query = if k % 2 == 0 {
-                generator.ordered_instance(k)
-            } else {
-                generator.grouped_instance(k)
-            };
-            for algorithm in [Algorithm::Dp, Algorithm::Sdp(SdpConfig::paper())] {
-                let outcomes: Vec<(u64, u64)> = [EnumeratorKind::LevelScan, EnumeratorKind::Dpccp]
-                    .iter()
-                    .map(|&kind| {
-                        let plan = Optimizer::new(&catalog)
-                            .with_enumerator(kind)
-                            .optimize(&query, algorithm)
-                            .unwrap_or_else(|e| panic!("{topology} #{k}: {e}"));
-                        (plan.root.structural_digest(), plan.cost.to_bits())
-                    })
-                    .collect();
-                assert_eq!(
-                    outcomes[0], outcomes[1],
-                    "{topology} #{k}: ordered plan differs between levelscan and dpccp"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn repeated_ordered_runs_are_pure() {
     // Same ordered query, same thread count, two separate runs: trace,
     // profile, digest and cost are a pure function of the inputs.
     let catalog = Catalog::paper();
     let query = QueryGenerator::new(&catalog, Topology::Star(12), 9).ordered_instance(0);
-    let a = traced_ordered_run(&catalog, &query, 4, EnumeratorKind::LevelScan);
-    let b = traced_ordered_run(&catalog, &query, 4, EnumeratorKind::LevelScan);
+    let a = traced_ordered_run(&catalog, &query, 4);
+    let b = traced_ordered_run(&catalog, &query, 4);
     assert_eq!(a, b);
 }

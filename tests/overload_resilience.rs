@@ -2,8 +2,7 @@
 //! shedding, stale-serve degraded mode, and the poison-query circuit
 //! breaker — end-to-end through the daemon, plus a differential
 //! proptest asserting the whole admit/shed/stale/breaker decision
-//! sequence is bit-identical across enumeration thread counts and
-//! pair-generation strategies.
+//! sequence is bit-identical across enumeration thread counts.
 //!
 //! Every overload decision in the service is *counted*, never
 //! wall-clock: admission reads the queue-depth gauge (released only
@@ -27,7 +26,6 @@ fn service_with_parallelism(catalog: &Catalog, parallelism: usize) -> Arc<Optimi
             cache_capacity: 64,
             cache_shards: 2,
             parallelism: Some(parallelism),
-            enumerator: None,
             ..ServiceConfig::default()
         },
     ))
@@ -342,12 +340,8 @@ fn req_kind(byte: u8) -> ReqKind {
 /// worker — and record one decision tag per ticket, in submission
 /// order. Everything that can influence a tag is counted, so two runs
 /// of the same scenario must produce the same string whatever the
-/// enumeration thread count or pair-generation strategy.
-fn decision_sequence(
-    scenario: &[(bool, Vec<(usize, u8)>)],
-    parallelism: usize,
-    enumerator: EnumeratorKind,
-) -> String {
+/// enumeration thread count.
+fn decision_sequence(scenario: &[(bool, Vec<(usize, u8)>)], parallelism: usize) -> String {
     let catalog = Catalog::paper();
     let queries = star_queries(&catalog, 3, 71);
 
@@ -364,16 +358,7 @@ fn decision_sequence(
         }
     }
 
-    let service = Arc::new(OptimizerService::new(
-        catalog.clone(),
-        ServiceConfig {
-            cache_capacity: 64,
-            cache_shards: 2,
-            parallelism: Some(parallelism),
-            enumerator: Some(enumerator),
-            ..ServiceConfig::default()
-        },
-    ));
+    let service = service_with_parallelism(&catalog, parallelism);
     let daemon = Daemon::with_config(
         Arc::clone(&service),
         DaemonConfig::new(1)
@@ -431,30 +416,19 @@ proptest! {
     /// Satellite: under a fixed chaos schedule, the full
     /// admit/shed/stale-serve/breaker decision sequence is
     /// bit-identical across enumeration thread counts (the
-    /// `SDP_THREADS` axis) *and* across pair-generation strategies.
-    /// Overload policy may not depend on how fast plans are found or
-    /// which enumerator found them.
+    /// `SDP_THREADS` axis). Overload policy may not depend on how fast
+    /// plans are found.
     #[test]
-    fn overload_decisions_are_deterministic_across_threads_and_enumerators(
+    fn overload_decisions_are_deterministic_across_threads(
         scenario in prop::collection::vec(
             (any::<bool>(), prop::collection::vec((0usize..3, any::<u8>()), 2..=8)),
             1..=3,
         ),
     ) {
-        let baseline = decision_sequence(&scenario, 1, EnumeratorKind::LevelScan);
-        for (parallelism, enumerator) in [
-            (4, EnumeratorKind::LevelScan),
-            (1, EnumeratorKind::Dpccp),
-            (4, EnumeratorKind::Dpccp),
-        ] {
-            let got = decision_sequence(&scenario, parallelism, enumerator);
-            prop_assert_eq!(
-                &baseline,
-                &got,
-                "decision sequence diverged at parallelism={} enumerator={:?}",
-                parallelism,
-                enumerator
-            );
-        }
+        prop_assert_eq!(
+            decision_sequence(&scenario, 1),
+            decision_sequence(&scenario, 4),
+            "decision sequence diverged between 1 and 4 enumeration threads"
+        );
     }
 }
