@@ -18,10 +18,26 @@
 # lines stay byte-identical — the feasibility oracle (PR 17) moved
 # 387793 → 156337 there, by no longer costing DP rungs that cannot fit
 # 2 MiB, and nothing else.
+#
+# The same run's `<workload>/allocs_per_req` lines are counts too — the
+# counting allocator's calls per request, the same on any host — and
+# each must stay at or under its ceiling in ci/alloc_ceilings.expected
+# (the value when the ceiling was last set, plus 10 %; `warm_hit`
+# exactly, since nothing a cache hit executes may drift unnoticed). An
+# allocation regression fails here without a timing in sight; a change
+# that means to allocate more raises the ceiling in the same commit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --quick --seed 7 \
-    | grep '^# [a-z_]*: every pass:' \
-    | diff ci/perf_ledger.expected -
+out=$(cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --quick --seed 7)
+grep '^# [a-z_]*: every pass:' <<<"$out" | diff ci/perf_ledger.expected -
 echo "perf ledger ok"
+
+while read -r metric ceiling; do
+    value=$(awk -v m="$metric" '$1 == m { print $2 }' <<<"$out")
+    if ! awk -v v="$value" -v c="$ceiling" 'BEGIN { exit !(v != "" && v + 0 <= c + 0) }'; then
+        echo "$metric: ${value:-missing} is over its ceiling of $ceiling" >&2
+        exit 1
+    fi
+done <ci/alloc_ceilings.expected
+echo "allocation ceilings ok"

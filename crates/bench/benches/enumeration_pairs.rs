@@ -49,13 +49,16 @@ fn bench_generation(c: &mut Criterion) {
         let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
         let table = run_levels(&mut ctx, &atoms, n, None).unwrap();
         g.bench_with_input(BenchmarkId::new("levelscan", label), &table, |b, table| {
-            // One scan per run, as in the engine: the per-level index
-            // is built on first use and reused across iterations.
+            // One scan and one pair buffer per run, as in the engine:
+            // the per-level index is built on first use and reused
+            // across iterations.
             let mut scan = LevelScan::new(n);
+            let mut pairs = Vec::new();
             b.iter(|| {
                 let mut total = 0usize;
                 for s in 2..=n {
-                    total += scan.level_pairs(table, s).len();
+                    scan.level_pairs(table, s, &mut pairs);
+                    total += pairs.len();
                 }
                 black_box(total)
             })

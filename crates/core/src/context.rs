@@ -3,25 +3,26 @@
 //! their level loops.
 //!
 //! The join-costing core (`EnumContext::cost_pair`) takes `&self` and
-//! stages candidate records into a caller-supplied `StagedJcr`, so it
-//! can run either on the coordinating thread (into the level's
-//! `LevelStage`, or — `EnumContext::join_pair` — straight into one
-//! memo group) or on parallel level workers (into
-//! private stages that the barrier merges back deterministically —
-//! see `EnumContext::merge_shard` and the "Threading model" and
-//! "Level stage" sections of DESIGN.md).
+//! costs plan records into a caller-supplied [`Group`], so it can run
+//! either on the coordinating thread (into the level's `LevelStage`,
+//! or — `EnumContext::join_pair` — into one JCR) or on parallel level
+//! workers (into private stages that the barrier merges back
+//! deterministically — see `EnumContext::merge_shard` and the
+//! "Threading model" and "Level stage" sections of DESIGN.md). Plans
+//! stay records (see [`crate::memo`]); [`EnumContext::extract`] builds
+//! the tree of the one that is served.
 
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sdp_cost::{CostModel, IndexProbe, JoinMethod, JoinSide, JoinTerms, ScanKind};
+use sdp_cost::{CostModel, IndexProbe, JoinMethod, JoinTerms, ScanKind};
 use sdp_query::{ClassId, EquivClasses, JoinGraph, Query, RelSet};
 
 use crate::budget::{Budget, BudgetProbe, MemoryModel, OptError};
 use crate::fx::FxHashMap;
-use crate::memo::{Candidate, Group, Memo, StagedJcr};
+use crate::memo::{dominates, Group, Memo, PlanEntry, PlanSource};
 use crate::plan::{Children, NodeCounter, PlanNode, PlanOp};
 #[cfg(feature = "trace")]
 use sdp_trace::{Event, Tracer};
@@ -112,17 +113,28 @@ pub struct LevelStats {
     pub contractions: u64,
 }
 
-/// The JCRs of the level being enumerated, as [`StagedJcr`] records in
-/// first-visit order, with the index that finds a pair's record. It
-/// lives for one level: the barrier prunes it, builds the survivors
-/// into memo groups and drops it, so a pruned JCR never owned a plan
-/// node and the stage's tables never sit beside the finished memo.
+/// A JCR of the level being enumerated: the group its pairs are costed
+/// into, not yet in the memo.
+#[derive(Debug)]
+pub(crate) struct StagedJcr {
+    /// The JCR's estimated properties and the plans retained so far.
+    pub group: Group,
+    /// The set already has a group in the memo — one retained from an
+    /// earlier rung of a governed descent. This record then only holds
+    /// the level's offers until the barrier folds them into that group.
+    pub in_memo: bool,
+}
+
+/// The JCRs of the level being enumerated, in first-visit order, with
+/// the index that finds a pair's JCR. The barrier prunes it and moves
+/// the survivors into the memo as they are; `run_levels` clears it and
+/// uses it again for the next level.
 ///
 /// With one thread the coordinating thread costs every pair straight
 /// into the level's stage. Parallel workers each fill a private stage
 /// from their (contiguous) chunk of the global pair sequence; merging
 /// those in chunk order replays the exact first-visit order — and,
-/// re-offering the retained candidates, the exact frontiers — of the
+/// re-offering the retained entries, the exact frontiers — of the
 /// sequential run.
 #[derive(Debug, Default)]
 pub(crate) struct LevelStage {
@@ -140,9 +152,33 @@ pub(crate) struct LevelStage {
 }
 
 impl LevelStage {
-    /// Candidates the stage holds a [`NodeCounter`] charge for.
+    /// Entries the stage holds a [`NodeCounter`] charge for.
     pub fn charged(&self) -> usize {
-        self.jcrs.iter().map(|jcr| jcr.candidates().len()).sum()
+        self.jcrs.iter().map(|jcr| jcr.group.charged()).sum()
+    }
+
+    /// Append a JCR to `jcrs`; returns its slot. The buffer holds a
+    /// level of whole groups and stays for the run, so it grows by a
+    /// quarter: what doubling leaves unused would show in peak heap.
+    fn push(jcrs: &mut Vec<StagedJcr>, jcr: StagedJcr) -> usize {
+        if jcrs.len() == jcrs.capacity() {
+            jcrs.reserve_exact((jcrs.len() / 4).max(8));
+        }
+        jcrs.push(jcr);
+        jcrs.len() - 1
+    }
+
+    /// Empty the stage for a level of `pairs` pairs, keeping its
+    /// buffers — up to what that level can fill (a JCR per pair): the
+    /// widest level's stage must not sit beside the memo of the last.
+    pub fn reset(&mut self, pairs: usize) {
+        self.index.clear();
+        self.jcrs.clear();
+        self.index.shrink_to(pairs);
+        self.jcrs.shrink_to(pairs);
+        self.plans_costed = 0;
+        #[cfg(feature = "trace")]
+        self.staged_micros.clear();
     }
 }
 
@@ -483,6 +519,18 @@ impl<'a> EnumContext<'a> {
         &self.profile
     }
 
+    /// Move the profile rows out (for the plan the run returns).
+    pub fn take_profile(&mut self) -> Vec<LevelStats> {
+        std::mem::take(&mut self.profile)
+    }
+
+    /// Make room for the rows of `levels` more levels, exactly: the
+    /// rows leave with the plan ([`EnumContext::take_profile`]), slack
+    /// and all.
+    pub(crate) fn reserve_profile(&mut self, levels: usize) {
+        self.profile.reserve_exact(levels);
+    }
+
     /// Append one completed level's profile row.
     pub(crate) fn record_level(&mut self, stats: LevelStats) {
         self.profile.push(stats);
@@ -527,7 +575,8 @@ impl<'a> EnumContext<'a> {
         let width = est.width_for_set(graph, set);
         let neighbors = graph.adjacent(node);
         let selectivity = est.selectivity_for_set(graph, set);
-        let mut group = Group::new(set, rows, selectivity, width, neighbors);
+        let sort_cost = self.model.sort_cost(rows, width);
+        let mut group = Group::new(set, rows, selectivity, width, neighbors, sort_cost);
 
         for path in self.model.scan_paths_for_node(graph, node) {
             self.plans_costed += 1;
@@ -600,44 +649,50 @@ impl<'a> EnumContext<'a> {
         if !self.tables.class_nodes[target as usize].intersects(set) {
             return false;
         }
-        let candidate = {
-            let Some(group) = self.memo.get(set) else {
-                return false;
-            };
-            let best = group.best().clone();
-            if best.ordering == Some(target) {
-                None // already ordered for free
-            } else {
-                let cost = best.cost + self.model.sort_cost(group.rows, group.width);
-                let retain = group.would_retain(cost, Some(target));
-                Some((best, group.rows, cost, retain))
-            }
-        };
-        let Some((best, rows, cost, retain)) = candidate else {
+        let Some(group) = self.memo.get_mut(set) else {
             return false;
         };
+        let best = *group.best();
+        if best.ordering() == Some(target) {
+            return false; // already ordered for free
+        }
+        let cost = best.cost + group.sort_cost;
         self.plans_costed += 1;
-        if !retain {
+        if !group.would_retain(cost, Some(target)) {
             return false;
         }
-        let node = PlanNode::new(
-            &self.nodes,
-            PlanOp::Sort { class: target },
-            set,
-            rows,
-            cost,
-            Some(target),
-            Children::Unary([best]),
-        );
-        let inserted = self
-            .memo
-            .get_mut(set)
-            .expect("group present")
-            .add_plan(node);
-        if inserted {
-            self.sort_enforcers += 1;
+        if dominates(cost, Some(target), best.cost, best.ordering()) {
+            // The sort is free at this cost's precision and evicts the
+            // plan it sorts: the enforcer cannot refer to it, so it is
+            // built, and holds its input as a node.
+            let rows = group.rows;
+            let input = self.memo.extract(set, best.id(), &self.nodes);
+            let sort = PlanNode::new(
+                &self.nodes,
+                PlanOp::Sort { class: target },
+                set,
+                rows,
+                cost,
+                Some(target),
+                Children::Unary([input]),
+            );
+            let group = self.memo.get_mut(set).expect("group present");
+            let charged = group.charged();
+            group.add_plan(sort);
+            self.nodes.release(charged - group.charged());
+        } else {
+            // Entries are named, not positioned: whatever the enforcer
+            // evicts, `best` keeps its id.
+            let source = PlanSource::Sort { input: best.id() };
+            self.nodes.charge(1);
+            Self::reoffer(
+                &self.nodes,
+                group,
+                &[PlanEntry::new(cost, Some(target), source)],
+            );
         }
-        inserted
+        self.sort_enforcers += 1;
+        true
     }
 
     /// Build the (empty) union group for `a ∪ b` with its canonical
@@ -676,45 +731,46 @@ impl<'a> EnumContext<'a> {
                 ln_filter += ln;
             }
         }
+        let rows = est
+            .rows_from_ln(ln_base + ln_internal + ln_filter)
+            .min(MAX_ROWS);
+        let width = a.width + b.width;
         Group::new(
             union,
-            est.rows_from_ln(ln_base + ln_internal + ln_filter)
-                .min(MAX_ROWS),
+            rows,
             est.selectivity_from_ln(ln_internal + ln_filter),
-            a.width + b.width,
+            width,
             (a.neighbors | b.neighbors) - union,
+            self.model.sort_cost(rows, width),
         )
     }
 
     /// Enumerate and cost all join alternatives combining the memo
     /// groups of `a` and `b` (both orientations, every plan pair,
     /// every applicable method), folding survivors into the group for
-    /// `a ∪ b`. Creates that group on first use. The one-pair case of
-    /// a level: stage, cost, materialize.
+    /// `a ∪ b`. Creates that group on first use; one the memo already
+    /// holds is offered what the pair retains among itself, as a level
+    /// barrier offers a level's (`EnumContext::settle_stage`).
     ///
     /// Returns `true` if the union group was newly created.
     pub fn join_pair(&mut self, a: RelSet, b: RelSet) -> bool {
         debug_assert!(a.is_disjoint(b));
-        let union = a | b;
-        // Take the union group's plans out of the memo (the emptied
-        // group stays in place, so the map structure — and hence its
-        // iteration order — is untouched), cost into them with the
-        // shared `&self` core, and put them back.
-        let taken = self.memo.get_mut(union).map(Group::take);
-        let created = taken.is_none();
         let (ga, gb) = self.inputs(a, b);
-        let mut jcr = StagedJcr::new(taken.unwrap_or_else(|| self.new_union_group(ga, gb)));
+        let mut jcr = self.new_union_group(ga, gb);
         let mut costed = 0u64;
         self.cost_pair(ga, gb, &mut jcr, &mut costed);
         self.plans_costed += costed;
-        let group = jcr.materialize(&self.memo, &self.nodes);
-        if created {
-            self.memo.insert(group);
-            self.memory.add_groups(1);
-        } else {
-            *self.memo.get_mut(union).expect("emptied group present") = group;
+        match self.memo.get_mut(a | b) {
+            Some(group) => {
+                Self::reoffer(&self.nodes, group, jcr.entries());
+                false
+            }
+            None => {
+                self.memo.insert(jcr);
+                self.memory.add_groups(1);
+                true
+            }
         }
-        created
     }
 
     /// The memo groups of a candidate pair, resolved once per pair.
@@ -763,14 +819,13 @@ impl<'a> EnumContext<'a> {
     /// to `jcr` (which covers `a ∪ b`). Everything a method's cost
     /// owes to the two JCRs rather than to the plans chosen from them
     /// is computed here, once per pair and orientation.
-    fn cost_pair(&self, a: &Group, b: &Group, jcr: &mut StagedJcr, plans_costed: &mut u64) {
+    fn cost_pair(&self, a: &Group, b: &Group, jcr: &mut Group, plans_costed: &mut u64) {
         debug_assert!(a.set.is_disjoint(b.set));
         let facts = self.pair_facts(a.set, b.set);
         let classes = facts.classes.as_slice();
         let params = self.model.params();
-        let out_rows = jcr.group().rows;
-        let side_a = JoinSide::new(a.rows, a.width, params);
-        let side_b = JoinSide::new(b.rows, b.width, params);
+        let out_rows = jcr.rows;
+        let (side_a, side_b) = (a.side(), b.side());
         let terms = |outer, inner, inner_index| {
             JoinTerms::new(
                 outer,
@@ -781,14 +836,15 @@ impl<'a> EnumContext<'a> {
                 params,
             )
         };
-        let staged_before = jcr.candidates().len();
+        let staged_before = jcr.entries().len();
         let a_b = terms(&side_a, &side_b, facts.b_index);
         self.cost_orientation(a, b, &a_b, classes, jcr, plans_costed);
         let b_a = terms(&side_b, &side_a, facts.a_index);
         self.cost_orientation(b, a, &b_a, classes, jcr, plans_costed);
-        // +1 per candidate retained, −1 per candidate evicted: between
-        // pairs the live-node count is the eager optimizer's.
-        let staged = jcr.candidates().len();
+        // +1 per entry retained, −1 per entry evicted: between pairs
+        // the live-node count is that of an optimizer building every
+        // retained plan.
+        let staged = jcr.entries().len();
         if staged >= staged_before {
             self.nodes.charge(staged - staged_before);
         } else {
@@ -797,7 +853,7 @@ impl<'a> EnumContext<'a> {
     }
 
     /// Cost all methods for a fixed (outer, inner) orientation,
-    /// offering candidates to `jcr` as they are produced (so the
+    /// offering plans to `jcr` as they are produced (so the
     /// dominance early-skip sees every plan retained so far), in the
     /// order of `sdp_cost::join_candidates`: per plan pair a nested
     /// loop, an index nested loop (which does not depend on the inner
@@ -809,30 +865,28 @@ impl<'a> EnumContext<'a> {
         inner_group: &Group,
         terms: &JoinTerms,
         classes: &[ClassId],
-        jcr: &mut StagedJcr,
+        jcr: &mut Group,
         plans_costed: &mut u64,
     ) {
-        let union = jcr.group().set;
+        let union = jcr.set;
         let (outers, inners) = (outer_group.entries(), inner_group.entries());
         let per_plan_pair = 2 + classes.len() as u64;
         let per_outer = inners.len() as u64 * per_plan_pair + u64::from(terms.probes_index());
         *plans_costed += outers.len() as u64 * per_outer;
 
-        for (oi, outer) in outers.iter().enumerate() {
+        for outer in outers {
             // Nested-loop variants preserve the outer order.
-            let carried = self.useful_ordering(outer.ordering, union);
+            let carried = self.useful_ordering(outer.ordering(), union);
             for (ii, inner) in inners.iter().enumerate() {
                 let mut offer = |method, cost, ordering| {
                     if jcr.would_retain(cost, ordering) {
-                        let entry = |i| u16::try_from(i).expect("one plan per order class");
-                        jcr.retain(Candidate {
-                            cost,
-                            outer: outer_group.set,
-                            ordering,
-                            outer_entry: entry(oi),
-                            inner_entry: entry(ii),
+                        let source = PlanSource::Join {
                             method,
-                        });
+                            outer: outer_group.set,
+                            outer_entry: outer.id(),
+                            inner_entry: inner.id(),
+                        };
+                        jcr.retain(cost, ordering, source);
                     }
                 };
                 offer(
@@ -850,8 +904,8 @@ impl<'a> EnumContext<'a> {
                     let cost = terms.merge(
                         outer.cost,
                         inner.cost,
-                        outer.ordering == Some(class),
-                        inner.ordering == Some(class),
+                        outer.ordering() == Some(class),
+                        inner.ordering() == Some(class),
                     );
                     offer(
                         JoinMethod::Merge,
@@ -863,17 +917,18 @@ impl<'a> EnumContext<'a> {
         }
     }
 
-    /// Cost `a ⋈ b` into the stage's record for `a ∪ b`, staging the
-    /// record on first visit; returns its slot then.
+    /// Cost `a ⋈ b` into the stage's JCR for `a ∪ b`, staging it on
+    /// first visit; returns its slot then.
     pub(crate) fn stage_pair(&self, stage: &mut LevelStage, a: RelSet, b: RelSet) -> Option<usize> {
         let (ga, gb) = self.inputs(a, b);
         let (slot, staged_now) = match stage.index.entry(a | b) {
             Entry::Occupied(entry) => (*entry.get(), None),
             Entry::Vacant(entry) => {
-                let slot = *entry.insert(stage.jcrs.len());
-                stage
-                    .jcrs
-                    .push(StagedJcr::new(self.new_union_group(ga, gb)));
+                let jcr = StagedJcr {
+                    group: self.new_union_group(ga, gb),
+                    in_memo: false,
+                };
+                let slot = *entry.insert(LevelStage::push(&mut stage.jcrs, jcr));
                 #[cfg(feature = "trace")]
                 if self.tracer.enabled() {
                     stage.staged_micros.push(self.tracer.wall_micros());
@@ -881,15 +936,16 @@ impl<'a> EnumContext<'a> {
                 (slot, Some(slot))
             }
         };
-        self.cost_pair(ga, gb, &mut stage.jcrs[slot], &mut stage.plans_costed);
+        let jcr = &mut stage.jcrs[slot].group;
+        self.cost_pair(ga, gb, jcr, &mut stage.plans_costed);
         staged_now
     }
 
-    /// Coordinating-thread bookkeeping for a record entering the
-    /// level's stage: a JCR the memo already holds only collects the
-    /// level's offers; a new one is a live group from now on.
+    /// Coordinating-thread bookkeeping for a JCR entering the level's
+    /// stage: one the memo already holds only collects the level's
+    /// offers; a new one is a live group from now on.
     pub(crate) fn admit(&mut self, jcr: &mut StagedJcr) {
-        jcr.in_memo = self.memo.get(jcr.group().set).is_some();
+        jcr.in_memo = self.memo.get(jcr.group.set).is_some();
         if !jcr.in_memo {
             self.memory.add_groups(1);
         }
@@ -925,8 +981,8 @@ impl<'a> EnumContext<'a> {
     /// Fold one worker's shard into the level's stage. Shards must be
     /// merged in chunk order (the chunks partition the sequential pair
     /// order contiguously), which makes the result bit-identical to
-    /// the sequential run: records enter in first-visit order, and
-    /// re-offering each shard's retained candidates in offer order
+    /// the sequential run: JCRs enter in first-visit order, and
+    /// re-offering each shard's retained entries in offer order
     /// reconstructs the same Pareto frontier — dominance is
     /// transitive, so dropping shard-locally dominated offers never
     /// changes the final retained set.
@@ -937,19 +993,19 @@ impl<'a> EnumContext<'a> {
         for mut jcr in shard.jcrs {
             #[cfg(feature = "trace")]
             let micros = staged_micros.next();
-            match stage.index.entry(jcr.group().set) {
+            match stage.index.entry(jcr.group.set) {
                 Entry::Occupied(entry) => {
-                    self.reoffer(&mut stage.jcrs[*entry.get()], jcr.take_candidates());
+                    let target = &mut stage.jcrs[*entry.get()].group;
+                    Self::reoffer(&self.nodes, target, jcr.group.entries());
                 }
                 Entry::Vacant(entry) => {
                     // First shard (in chunk order) to visit this set:
-                    // its candidates already form a Pareto frontier in
+                    // its entries already form a Pareto frontier in
                     // offer order, exactly what offering them one by
-                    // one to an empty record would retain. The
+                    // one to an empty group would retain. The
                     // staging time is that first visit's, too.
-                    entry.insert(stage.jcrs.len());
                     self.admit(&mut jcr);
-                    stage.jcrs.push(jcr);
+                    entry.insert(LevelStage::push(&mut stage.jcrs, jcr));
                     #[cfg(feature = "trace")]
                     stage.staged_micros.extend(micros);
                 }
@@ -962,11 +1018,11 @@ impl<'a> EnumContext<'a> {
     /// those groups, and emit the `jcr` event of every JCR the level
     /// created — only now, so that a mid-level budget trip leaves no
     /// trace of the rolled-back level at any thread count.
+    // Without tracing, what only the events report goes unread.
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     pub(crate) fn settle_stage(&mut self, stage: &mut LevelStage) {
-        // Nothing looks a pair's record up any more.
-        stage.index = FxHashMap::default();
         for (slot, jcr) in stage.jcrs.iter_mut().enumerate() {
-            let set = jcr.group().set;
+            let set = jcr.group.set;
             if !jcr.in_memo {
                 #[cfg(feature = "trace")]
                 if let Some(&micros) = stage.staged_micros.get(slot) {
@@ -978,24 +1034,27 @@ impl<'a> EnumContext<'a> {
                 }
                 continue;
             }
-            // Re-offered against the group's built plans, like a
-            // shard's against an earlier shard's.
-            let offers = jcr.take_candidates();
-            let mut refined = StagedJcr::new(self.memo.get_mut(set).expect("in the memo").take());
-            self.reoffer(&mut refined, offers);
-            let group = refined.materialize(&self.memo, &self.nodes);
-            *self.memo.get_mut(set).expect("emptied group present") = group;
+            // Re-offered against the group's plans, like a shard's
+            // against an earlier shard's. The group is sealed and may
+            // be referred to: what it keeps of the offers is named
+            // afresh, and it evicts nothing — the rung that sealed it
+            // offered it these very pairs.
+            let target = self.memo.get_mut(set).expect("in the memo");
+            Self::reoffer(&self.nodes, target, jcr.group.entries());
+            jcr.group.clear_entries();
         }
     }
 
-    /// Offer candidates retained (and charged for) elsewhere to
-    /// `target`, in order, and release what it does not keep.
-    fn reoffer(&self, target: &mut StagedJcr, offers: Vec<Candidate>) {
-        let charged = target.candidates().len() + offers.len();
-        for candidate in offers {
-            target.offer(candidate);
+    /// Offer entries retained (and charged for) elsewhere to `target`,
+    /// in order, and release what it does not keep of them and of its
+    /// own.
+    fn reoffer(nodes: &NodeCounter, target: &mut Group, offers: &[PlanEntry]) {
+        let charged = target.charged() + offers.len();
+        for e in offers {
+            debug_assert!(e.charged(), "offers are records, counted where retained");
+            target.offer(e.cost, e.ordering(), e.source);
         }
-        self.nodes.release(charged - target.candidates().len());
+        nodes.release(charged - target.charged());
     }
 
     /// Account for a JCR its level created being dropped while still
@@ -1004,7 +1063,7 @@ impl<'a> EnumContext<'a> {
     /// [`EnumContext::prune_group`]).
     pub(crate) fn drop_staged(&mut self, jcr: &StagedJcr) {
         debug_assert!(!jcr.in_memo);
-        self.nodes.release(jcr.candidates().len());
+        self.nodes.release(jcr.group.charged());
         self.memo.count_dropped_while_staged();
         self.memory.remove_groups(1);
         self.jcrs_pruned += 1;
@@ -1015,36 +1074,45 @@ impl<'a> EnumContext<'a> {
     pub(crate) fn roll_back_stage(&mut self, stage: &LevelStage) {
         for jcr in &stage.jcrs {
             if jcr.in_memo {
-                self.nodes.release(jcr.candidates().len());
+                self.nodes.release(jcr.group.charged());
             } else {
                 self.drop_staged(jcr);
             }
         }
     }
 
-    /// Build a JCR that survived its level into a memo group.
-    pub(crate) fn materialize_staged(&mut self, jcr: StagedJcr) {
-        debug_assert!(!jcr.in_memo);
-        let group = jcr.materialize(&self.memo, &self.nodes);
-        let inserted = self.memo.insert(group);
-        debug_assert!(inserted, "a staged JCR is new to the memo");
+    /// The plan tree of entry `entry` of `set`'s group
+    /// ([`Memo::extract`] under the run's node counter): the one place
+    /// a retained plan becomes `Arc<PlanNode>`s.
+    pub fn extract(&mut self, set: RelSet, entry: u16) -> Arc<PlanNode> {
+        self.memo.extract(set, entry, &self.nodes)
+    }
+
+    /// [`EnumContext::extract`] every plan `set`'s group retains, in
+    /// retention order. IDP contracts a block this way *before* it
+    /// drops the groups the block's records refer to.
+    pub fn extract_all(&mut self, set: RelSet) -> Vec<Arc<PlanNode>> {
+        let group = self.memo.get(set).expect("live group");
+        let ids: Vec<u16> = group.entries().iter().map(PlanEntry::id).collect();
+        ids.into_iter().map(|id| self.extract(set, id)).collect()
     }
 
     /// Best complete plan for `full`, enforcing the `ORDER BY` with an
     /// explicit sort when no suitably-ordered plan is cheaper.
     pub fn finalize(&mut self, full: RelSet) -> Result<Arc<PlanNode>, OptError> {
         let group = self.memo.get(full).ok_or(OptError::DisconnectedJoinGraph)?;
-        let best = group.best().clone();
+        let best = *group.best();
         let Some(target) = self.order_target else {
-            return Ok(best);
+            return Ok(self.extract(full, best.id()));
         };
-        let sorted_alternative = group.best_for_order(target).cloned();
-        let sort_cost = best.cost + self.model.sort_cost(group.rows, group.width);
+        let sorted_alternative = group.best_for_order(target).copied();
+        let sort_cost = best.cost + group.sort_cost;
         self.plans_costed += 1;
         match sorted_alternative {
-            Some(p) if p.cost <= sort_cost => Ok(p),
+            Some(p) if p.cost <= sort_cost => Ok(self.extract(full, p.id())),
             _ => {
                 let rows = group.rows;
+                let input = self.extract(full, best.id());
                 Ok(PlanNode::new(
                     &self.nodes,
                     PlanOp::Sort { class: target },
@@ -1052,7 +1120,7 @@ impl<'a> EnumContext<'a> {
                     rows,
                     sort_cost,
                     Some(target),
-                    Children::Unary([best]),
+                    Children::Unary([input]),
                 ))
             }
         }
@@ -1061,10 +1129,21 @@ impl<'a> EnumContext<'a> {
     /// Drop the group for `set` from the memo (pruning), updating the
     /// memory model and prune counter.
     pub fn prune_group(&mut self, set: RelSet) {
-        if self.memo.remove(set).is_some() {
+        if let Some(group) = self.memo.remove(set) {
+            self.nodes.release(group.charged());
             self.memory.remove_groups(1);
             self.jcrs_pruned += 1;
         }
+    }
+}
+
+impl Drop for EnumContext<'_> {
+    /// The memo's records go without ceremony, and the count the run's
+    /// [`NodeCounter`] holds for them with them: a counter that
+    /// outlives the run (on the plan it served) counts that plan's
+    /// nodes only.
+    fn drop(&mut self) {
+        self.nodes.release(self.memo.charged());
     }
 }
 
@@ -1141,8 +1220,10 @@ mod tests {
             }
             let table = crate::dp::run_levels(&mut ctx, &atoms, n, None).unwrap();
             let mut scan = crate::enumerate::LevelScan::new(n);
+            let mut pairs = Vec::new();
             for s in 2..=n {
-                for (a, b) in scan.level_pairs(&table, s) {
+                scan.level_pairs(&table, s, &mut pairs);
+                for &(a, b) in &pairs {
                     let group = ctx.memo.get(a | b).unwrap();
                     assert_eq!(
                         group.rows.to_bits(),
@@ -1210,13 +1291,8 @@ mod tests {
             ctx.ensure_base_group(i);
         }
         ctx.join_pair(RelSet::single(0), RelSet::single(1));
-        for e in ctx
-            .memo
-            .get(RelSet::from_indices([0, 1]))
-            .unwrap()
-            .entries()
-        {
-            e.check_invariants().unwrap();
+        for plan in ctx.extract_all(RelSet::from_indices([0, 1])) {
+            plan.check_invariants().unwrap();
         }
     }
 
@@ -1256,16 +1332,144 @@ mod tests {
         assert_eq!(seq.plans_costed, par.plans_costed + stage.plans_costed);
         assert_eq!(seq.memory.used_bytes(), par.memory.used_bytes());
         for jcr in &stage.jcrs {
-            let built: Vec<_> = (seq.memo.get(jcr.group().set).unwrap().entries().iter())
-                .map(|e| (e.cost.to_bits(), e.ordering))
-                .collect();
-            let staged: Vec<_> = (jcr.candidates().iter())
-                .map(|c| (c.cost.to_bits(), c.ordering))
-                .collect();
-            assert_eq!(built, staged);
+            // Sealing named the one-pair path's entries; the rest of a
+            // record is what it was costed as.
+            let unnamed = |g: &Group| -> Vec<_> {
+                let entries = g.entries().iter();
+                entries
+                    .map(|e| (e.cost.to_bits(), e.ordering(), e.source))
+                    .collect()
+            };
+            let joined = seq.memo.get(jcr.group.set).unwrap();
+            assert_eq!(unnamed(joined), unnamed(&jcr.group));
         }
         par.roll_back_stage(&stage);
         assert_eq!(par.node_counter().live(), base_plans);
+    }
+
+    #[test]
+    fn a_sort_enforcer_evicting_an_earlier_entry_renames_nothing() {
+        // Sealed-group invariant: a pair group whose ordered plan sits
+        // *before* its cheapest one, a triple built over it, and then
+        // the enforcer — cheap enough to evict the ordered plan, so the
+        // cheapest moves up a position. The triple's references and the
+        // enforcer's own must still reach the plans they named.
+        let cat = Catalog::paper();
+        let model = CostModel::with_defaults(&cat);
+        let q = QueryGenerator::new(&cat, Topology::Chain(4), 2).ordered_instance(0);
+        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited(), 1);
+        let target = ctx.order_target().unwrap();
+        (0..4).for_each(|n| ctx.ensure_base_group(n));
+        let pair = (q.graph.edges().iter())
+            .map(|e| e.node_set())
+            .find(|&pair| {
+                let (a, b) = (pair.min_index().unwrap(), pair.iter().nth(1).unwrap());
+                ctx.join_pair(RelSet::single(a), RelSet::single(b));
+                let orderings: Vec<_> = (ctx.memo.get(pair).unwrap().entries().iter())
+                    .map(|e| e.ordering())
+                    .collect();
+                orderings == [Some(target), None]
+            })
+            .expect("a pair whose ordered plan was retained first");
+        let third = q.graph.neighbors(pair).min_index().unwrap();
+        ctx.join_pair(pair, RelSet::single(third));
+        let triple = pair.insert(third);
+        // What the triple's plans take from the pair: `(triple entry,
+        // pair entry)` names, but for the ordered plan about to go (the
+        // level loop offers the enforcer before anything is built over
+        // a group; a plan built over an evicted one is unreachable).
+        let references: Vec<(u16, u16)> = (ctx.memo.get(triple).unwrap().entries().iter())
+            .map(|e| match e.source {
+                PlanSource::Join {
+                    outer,
+                    outer_entry,
+                    inner_entry,
+                    ..
+                } => (
+                    e.id(),
+                    if outer == pair {
+                        outer_entry
+                    } else {
+                        inner_entry
+                    },
+                ),
+                _ => unreachable!("a triple's plans are joins"),
+            })
+            .filter(|&(_, referred)| referred != 0)
+            .collect();
+        let referred = |ctx: &EnumContext<'_>| -> Vec<PlanEntry> {
+            let group = ctx.memo.get(pair).unwrap();
+            references.iter().map(|&(_, id)| *group.entry(id)).collect()
+        };
+        let before = referred(&ctx);
+        let best = *ctx.memo.get(pair).unwrap().best();
+        assert!(
+            before.contains(&best),
+            "the triple builds on the pair's cheapest plan"
+        );
+
+        ctx.memo.get_mut(pair).unwrap().sort_cost = 1e-3;
+        assert!(ctx.offer_sort_enforcer(pair));
+        let group = ctx.memo.get(pair).unwrap();
+        let ids: Vec<u16> = group.entries().iter().map(PlanEntry::id).collect();
+        assert_eq!(ids, [1, 2], "the ordered plan went, the cheapest moved up");
+        assert_eq!(group.entries()[0], best);
+        assert_eq!(group.entry(2).source, PlanSource::Sort { input: best.id() });
+        assert_eq!(referred(&ctx), before);
+
+        let sorted = ctx.extract(pair, 2);
+        sorted.check_invariants().unwrap();
+        assert_eq!(sorted.children[0].cost.to_bits(), best.cost.to_bits());
+        for (&(id, _), referred) in references.iter().zip(&before) {
+            let plan = ctx.extract(triple, id);
+            plan.check_invariants().unwrap();
+            let input = plan.children.iter().find(|c| c.set == pair).unwrap();
+            assert_eq!(input.cost.to_bits(), referred.cost.to_bits());
+            assert_eq!(input.ordering, referred.ordering());
+        }
+    }
+
+    #[test]
+    fn a_free_sort_enforcer_holds_the_plan_it_evicts() {
+        // Where the sort's cost is lost in the precision of the cost it
+        // is added to (here: made zero), the enforcer ties with the plan
+        // it sorts and, being ordered, evicts it. A record cannot refer
+        // to an evicted entry, so this one enforcer is built, with its
+        // input as a node — and the count is still that of the nodes
+        // the memo reaches.
+        let cat = Catalog::paper();
+        let model = CostModel::with_defaults(&cat);
+        let q = QueryGenerator::new(&cat, Topology::Chain(2), 9).ordered_instance(0);
+        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited(), 1);
+        let target = ctx.order_target().unwrap();
+        (0..2).for_each(|n| ctx.ensure_base_group(n));
+        ctx.join_pair(RelSet::single(0), RelSet::single(1));
+        let set = RelSet::from_indices([0, 1]);
+        let group = ctx.memo.get_mut(set).unwrap();
+        group.sort_cost = 0.0;
+        let evicted = *group.best();
+        assert_eq!(evicted.ordering(), None);
+        let live = ctx.node_counter().live();
+        let retained = ctx.memo.get(set).unwrap().entries().len() as u64;
+
+        assert!(ctx.offer_sort_enforcer(set));
+        let group = ctx.memo.get(set).unwrap();
+        let sort = group.best_for_order(target).unwrap();
+        assert_eq!(sort.cost.to_bits(), evicted.cost.to_bits());
+        let node = group.built(sort).expect("built, not a record").clone();
+        assert!(matches!(node.op, PlanOp::Sort { .. }));
+        assert_eq!(node.children[0].cost.to_bits(), evicted.cost.to_bits());
+        assert_eq!(node.children[0].ordering, None);
+        node.check_invariants().unwrap();
+        assert!(group.entries().iter().all(|e| e.id() != evicted.id()));
+        // Entries left the group; the evicted input lives on under the
+        // sort, which is one node more.
+        let gone = retained + 1 - group.entries().len() as u64;
+        assert_eq!(ctx.node_counter().live(), live + 1 - (gone - 1));
+        drop(node);
+        let counter = ctx.node_counter();
+        drop(ctx);
+        assert_eq!(counter.live(), 0);
     }
 
     #[test]

@@ -20,12 +20,15 @@
 //! — the survivors of the levels below, scanned against each other in
 //! a deterministic order.
 //!
-//! A level is *staged*: its pairs are costed into candidate records
-//! (`crate::context::LevelStage`), and only the JCRs that come through
-//! the level barrier are built into memo groups of plan nodes. A
-//! [`LevelPruner`] hook judges the stage at the barrier; SDP plugs its
-//! hub-partitioned skyline pruning in here, exhaustive DP passes
-//! `None`.
+//! A level is *staged*: its pairs are costed into the plan records of
+//! groups held beside the memo (`crate::context::LevelStage`), and the
+//! JCRs that come through the level barrier move into the memo as they
+//! are — no plan node is built at any level; `EnumContext::finalize`
+//! builds the served plan's. A [`LevelPruner`] hook judges the stage at
+//! the barrier; SDP plugs its hub-partitioned skyline pruning in here,
+//! exhaustive DP passes `None`. One set of level buffers (pair list,
+//! stage, the pruner's inputs) serves all levels of a `run_levels`
+//! call.
 //!
 //! # Parallel levels
 //!
@@ -160,24 +163,42 @@ fn run_level_parallel(
     Ok(())
 }
 
+/// What one `run_levels` call keeps from level to level — the pair
+/// list, the stage and the pruner's inputs — so that a level clears
+/// and refills them instead of building its own.
+#[derive(Debug, Default)]
+struct LevelBuffers {
+    pairs: Vec<(RelSet, RelSet)>,
+    stage: LevelStage,
+    sets: Vec<RelSet>,
+    features: Vec<[f64; 3]>,
+    keep: Vec<bool>,
+}
+
 /// Enumerate and prune one DP level, returning its surviving JCRs with
 /// their join-graph neighbourhoods (including groups retained from an
 /// earlier governed rung, recorded on first visit so higher levels can
-/// build on them). The level is costed into `stage`; what comes
-/// through the pruner and both barrier checks is built into memo
-/// groups, the rest never is: on error, the caller rolls back what
-/// `stage` still holds. The barrier checks run after enumeration and
-/// after the pruner — the two deterministic per-level poll points of
-/// the governor.
+/// build on them). The level's pairs (`buffers.pairs`) are costed into
+/// `buffers.stage`; what comes through the pruner and both barrier
+/// checks moves into the memo as it is, the rest is dropped: on error,
+/// the caller rolls back what the stage still holds. The barrier checks
+/// run after enumeration and after the pruner — the two deterministic
+/// per-level poll points of the governor.
 fn run_one_level<'p>(
     ctx: &mut EnumContext<'_>,
-    pairs: &[(RelSet, RelSet)],
+    buffers: &mut LevelBuffers,
     threads: usize,
     level: usize,
     visits: &mut u64,
-    stage: &mut LevelStage,
     pruner: Option<&mut (dyn LevelPruner + 'p)>,
 ) -> Result<Vec<(RelSet, RelSet)>, OptError> {
+    let LevelBuffers {
+        pairs,
+        stage,
+        sets,
+        features,
+        keep,
+    } = buffers;
     let plans_before = ctx.plans_costed;
     let pruned_before = ctx.jcrs_pruned;
     let enforcers_before = ctx.sort_enforcers;
@@ -204,28 +225,32 @@ fn run_one_level<'p>(
     let created = stage.jcrs.iter().filter(|jcr| !jcr.in_memo).count();
     let mut prune_stats = PruneStats::default();
     if let Some(p) = pruner {
-        let (sets, features): (Vec<RelSet>, Vec<[f64; 3]>) = stage
-            .jcrs
-            .iter()
-            .map(|jcr| {
-                let set = jcr.group().set;
-                if jcr.in_memo {
-                    let group = ctx.memo.get(set).expect("in the memo");
-                    (set, group.feature_vector())
-                } else {
-                    (set, jcr.feature_vector())
-                }
-            })
-            .unzip();
-        let mut keep = vec![true; sets.len()];
-        p.prune(ctx, level, &sets, &features, &mut keep);
+        sets.clear();
+        features.clear();
+        keep.clear();
+        // Sized to the level, not doubled: the three stay for the run.
+        sets.reserve_exact(stage.jcrs.len());
+        features.reserve_exact(stage.jcrs.len());
+        keep.reserve_exact(stage.jcrs.len());
+        for jcr in &stage.jcrs {
+            let set = jcr.group.set;
+            let group = if jcr.in_memo {
+                ctx.memo.get(set).expect("in the memo")
+            } else {
+                &jcr.group
+            };
+            sets.push(set);
+            features.push(group.feature_vector());
+        }
+        keep.resize(sets.len(), true);
+        p.prune(ctx, level, sets, features, keep);
         prune_stats = p.last_prune_stats();
-        let mut verdicts = keep.into_iter();
+        let mut verdicts = keep.iter();
         stage.jcrs.retain(|jcr| {
-            let keep = verdicts.next().expect("one verdict per JCR");
+            let keep = *verdicts.next().expect("one verdict per JCR");
             match (keep, jcr.in_memo) {
                 (true, _) => {}
-                (false, true) => ctx.prune_group(jcr.group().set),
+                (false, true) => ctx.prune_group(jcr.group.set),
                 (false, false) => ctx.drop_staged(jcr),
             }
             keep
@@ -233,15 +258,17 @@ fn run_one_level<'p>(
     }
     ctx.memory.barrier_check()?;
 
-    // The survivors become memo groups, in creation order.
+    // The survivors become memo groups, in creation order, sealed: the
+    // records they were costed into are the plans they keep.
     ctx.memo.reserve(stage.jcrs.len());
     let survivors: Vec<(RelSet, RelSet)> = stage
         .jcrs
         .drain(..)
         .map(|jcr| {
-            let row = (jcr.group().set, jcr.group().neighbors);
+            let row = (jcr.group.set, jcr.group.neighbors);
             if !jcr.in_memo {
-                ctx.materialize_staged(jcr);
+                let inserted = ctx.memo.insert(jcr.group);
+                debug_assert!(inserted, "a staged JCR is new to the memo");
             }
             row
         })
@@ -329,18 +356,19 @@ pub fn run_levels(
             .collect(),
     );
 
+    ctx.reserve_profile(up_to - 1);
     let mut visits: u64 = 0;
+    let mut buffers = LevelBuffers::default();
     for s in 2..=up_to {
-        let pairs = scan.level_pairs(&table, s);
-        let threads = ctx.parallelism().min(pairs.len().max(1));
-        let mut stage = LevelStage::default();
+        scan.level_pairs(&table, s, &mut buffers.pairs);
+        buffers.stage.reset(buffers.pairs.len());
+        let threads = ctx.parallelism().min(buffers.pairs.len().max(1));
         match run_one_level(
             ctx,
-            &pairs,
+            &mut buffers,
             threads,
             s,
             &mut visits,
-            &mut stage,
             pruner.as_deref_mut(),
         ) {
             Ok(survivors) => table.levels.push(survivors),
@@ -358,7 +386,7 @@ pub fn run_levels(
                 #[cfg(feature = "trace")]
                 ctx.tracer()
                     .emit_with(|| sdp_trace::Event::new("level_rollback").with("level", s));
-                ctx.roll_back_stage(&stage);
+                ctx.roll_back_stage(&buffers.stage);
                 return Err(e);
             }
         }
@@ -602,7 +630,7 @@ mod tests {
                         .unwrap()
                         .entries()
                         .iter()
-                        .map(|e| (e.cost.to_bits(), e.ordering))
+                        .map(|e| (e.cost.to_bits(), e.ordering()))
                         .collect()
                 })
                 .collect();
@@ -727,32 +755,69 @@ mod tests {
         assert!(plan.ordering.is_some());
     }
 
-    /// The memory model must not notice that a level is staged: at
-    /// every point where nothing is staged, the run's live-node count
-    /// is the number of distinct plan nodes the memo reaches, and its
-    /// group count the memo's.
+    /// Plans are records until one is served. Two things must not
+    /// notice: the memory model — at every point where nothing is
+    /// staged, the run's live-node count is the number of records and
+    /// built nodes the memo reaches through `(set, entry)` references,
+    /// which is the number of nodes an optimizer building every
+    /// retained plan holds (`memo::eager`, the oracle) — and the plans
+    /// themselves: what `extract` builds from the records is, field for
+    /// field, what the oracle built eagerly, level by level.
     mod accounting {
         use super::*;
-        use crate::budget::{GROUP_MODEL_BYTES, NODE_MODEL_BYTES};
+        use crate::budget::{Budget, GROUP_MODEL_BYTES, NODE_MODEL_BYTES};
         use crate::enumerate::tests::random_connected_query;
+        use crate::goo::optimize_goo;
         use crate::governor::prepare_handoff;
+        use crate::idp::{contract, optimize_idp, IdpConfig};
+        use crate::memo::eager::EagerMemo;
+        use crate::memo::PlanSource;
         use crate::sdp::{optimize_sdp, SdpConfig, SdpPruner};
         use proptest::prelude::*;
         use std::collections::HashSet;
 
-        fn assert_counted(ctx: &EnumContext<'_>, when: &str) {
-            fn walk(node: &Arc<PlanNode>, seen: &mut HashSet<*const PlanNode>) {
+        /// Bring the oracle up to date and compare the counts.
+        fn assert_counted(ctx: &EnumContext<'_>, eager: &mut EagerMemo, when: &str) {
+            fn walk_node(node: &Arc<PlanNode>, seen: &mut HashSet<*const PlanNode>) {
                 if seen.insert(Arc::as_ptr(node)) {
-                    node.children.iter().for_each(|c| walk(c, seen));
+                    node.children.iter().for_each(|c| walk_node(c, seen));
                 }
             }
-            let mut reached = HashSet::new();
-            for set in ctx.memo.sets() {
-                let group = ctx.memo.get(set).expect("live set");
-                group.entries().iter().for_each(|e| walk(e, &mut reached));
+            #[derive(Default)]
+            struct Reached {
+                records: HashSet<(RelSet, u16)>,
+                nodes: HashSet<*const PlanNode>,
             }
-            let reached = reached.len() as u64;
+            fn walk(ctx: &EnumContext<'_>, set: RelSet, id: u16, reached: &mut Reached) {
+                let group = ctx.memo.get(set).expect("a referenced JCR is live");
+                let entry = group.entry(id);
+                match entry.source {
+                    PlanSource::Built(_) => {
+                        walk_node(group.built(entry).unwrap(), &mut reached.nodes)
+                    }
+                    _ if !reached.records.insert((set, id)) => {}
+                    PlanSource::Sort { input } => walk(ctx, set, input, reached),
+                    PlanSource::Join {
+                        outer,
+                        outer_entry,
+                        inner_entry,
+                        ..
+                    } => {
+                        walk(ctx, outer, outer_entry, reached);
+                        walk(ctx, set - outer, inner_entry, reached);
+                    }
+                }
+            }
+            let mut reached = Reached::default();
+            for set in ctx.memo.sets() {
+                for e in ctx.memo.get(set).expect("live set").entries() {
+                    walk(ctx, set, e.id(), &mut reached);
+                }
+            }
+            let reached = (reached.records.len() + reached.nodes.len()) as u64;
+            eager.sync(&ctx.memo);
             assert_eq!(ctx.node_counter().live(), reached, "live nodes {when}");
+            assert_eq!(eager.nodes.live(), reached, "eagerly built nodes {when}");
             assert_eq!(
                 ctx.memory.used_bytes(),
                 ctx.memo.len() as u64 * GROUP_MODEL_BYTES + reached * NODE_MODEL_BYTES,
@@ -760,25 +825,112 @@ mod tests {
             );
         }
 
+        /// Extract every plan the memo retains and hold it against the
+        /// oracle's; the counts must not notice the extraction.
+        fn assert_extracted(ctx: &mut EnumContext<'_>, eager: &mut EagerMemo, when: &str) {
+            assert_counted(ctx, eager, when);
+            for set in ctx.memo.sets().collect::<Vec<_>>() {
+                let ids: Vec<u16> = (ctx.memo.get(set).unwrap().entries().iter())
+                    .map(|e| e.id())
+                    .collect();
+                for (id, plan) in ids.into_iter().zip(ctx.extract_all(set)) {
+                    let oracle = eager.plan(set, id);
+                    assert_eq!(
+                        plan.cost.to_bits(),
+                        oracle.cost.to_bits(),
+                        "{set:?}/{id} {when}"
+                    );
+                    assert_eq!(
+                        plan.structural_digest(),
+                        oracle.structural_digest(),
+                        "{set:?}/{id} {when}"
+                    );
+                    plan.check_invariants().unwrap();
+                }
+            }
+            assert_counted(ctx, eager, &format!("{when}, everything extracted"));
+        }
+
+        fn graph_inputs() -> impl Strategy<Value = (sdp_query::Query, usize)> {
+            (
+                3usize..=10,
+                prop::collection::vec(any::<u64>(), 9usize),
+                prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=8),
+                any::<bool>(),
+            )
+                .prop_map(|(n, parents, extras, ordered)| {
+                    // Low-numbered parents make hubs (and SDP pruning) likely.
+                    let parents: Vec<u64> = parents.iter().map(|p| p % 3).collect();
+                    let (mut query, _) = random_connected_query(n, &parents, &extras);
+                    if ordered {
+                        let column = query.graph.edges()[0].left;
+                        query = query.with_order_by(column);
+                    }
+                    (query, n)
+                })
+        }
+
+        /// Sealed-group invariant, the governed half: the rung below
+        /// re-offers a retained pair group the very pairs the abandoned
+        /// rung offered it, so the group keeps every entry under the
+        /// name it had — and serves the plan a from-scratch run serves.
+        #[test]
+        fn a_retained_pair_group_is_reoffered_without_renaming_a_plan() {
+            let cat = Catalog::paper();
+            let model = CostModel::with_defaults(&cat);
+            let q = QueryGenerator::new(&cat, Topology::star_chain(8), 5).ordered_instance(0);
+            let mut ctx =
+                EnumContext::new(&q, &model, Budget::with_memory(60 * GROUP_MODEL_BYTES), 1);
+            let abandoned = optimize_complete(&mut ctx, None);
+            assert!(matches!(abandoned, Err(OptError::MemoryExhausted { .. })));
+            prepare_handoff(&mut ctx, Budget::unlimited());
+            ctx.memory.set_budget(Budget::unlimited());
+            let pairs: Vec<RelSet> = ctx.memo.sets().filter(|s| s.len() == 2).collect();
+            assert!(pairs.len() >= 7, "the abandoned rung completed level 2");
+            let entries =
+                |ctx: &EnumContext<'_>, set| ctx.memo.get(set).map(|g| g.entries().to_vec());
+            let before: Vec<_> = pairs.iter().map(|&p| entries(&ctx, p)).collect();
+            assert!(
+                before
+                    .iter()
+                    .flatten()
+                    .flatten()
+                    .any(|e| matches!(e.source, PlanSource::Sort { .. })),
+                "some pair holds a sort enforcer"
+            );
+
+            let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
+            for (&pair, before) in pairs.iter().zip(&before) {
+                // Pruned by the skyline, or as it was — but for entries
+                // the served plan runs through, which are built now.
+                let Some(after) = entries(&ctx, pair) else {
+                    continue;
+                };
+                let before = before.as_ref().unwrap();
+                assert_eq!(after.len(), before.len(), "{pair:?}");
+                for (a, b) in after.iter().zip(before) {
+                    assert_eq!(
+                        (a.id(), a.cost.to_bits(), a.ordering()),
+                        (b.id(), b.cost.to_bits(), b.ordering())
+                    );
+                    assert!(a.source == b.source || matches!(a.source, PlanSource::Built(_)));
+                }
+            }
+            let mut scratch = EnumContext::new(&q, &model, Budget::unlimited(), 1);
+            let from_scratch = optimize_sdp(&mut scratch, SdpConfig::paper()).unwrap();
+            assert_eq!(plan.structural_digest(), from_scratch.structural_digest());
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
             #[test]
             fn live_nodes_are_the_nodes_the_memo_reaches(
-                n in 3usize..=10,
-                parents in prop::collection::vec(any::<u64>(), 9usize),
-                extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=8),
-                ordered in any::<bool>(),
+                (query, n) in graph_inputs(),
                 threads in prop_oneof![Just(1usize), Just(3usize)],
                 budget_groups in 4u64..80,
+                winner in any::<usize>(),
             ) {
-                // Low-numbered parents make hubs (and SDP pruning) likely.
-                let parents: Vec<u64> = parents.iter().map(|p| p % 3).collect();
-                let (mut query, _) = random_connected_query(n, &parents, &extras);
-                if ordered {
-                    let column = query.graph.edges()[0].left;
-                    query = query.with_order_by(column);
-                }
                 let cat = Catalog::paper();
                 let model = CostModel::with_defaults(&cat);
                 let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
@@ -788,38 +940,135 @@ mod tests {
 
                 // Level by level, exhaustive and pruned. Each call
                 // re-enumerates the levels below over the groups the
-                // memo already holds, so records that only collect
-                // offers for such groups are covered as well.
+                // memo already holds, so JCRs that only collect offers
+                // for such groups are covered as well.
                 for pruned in [false, true] {
                     let mut ctx = context(Budget::unlimited());
+                    let mut eager = EagerMemo::default();
                     (0..n).for_each(|i| ctx.ensure_base_group(i));
                     for up_to in 2..=n {
                         let mut pruner = SdpPruner::new(&ctx, SdpConfig::paper());
                         let pruner: Option<&mut dyn LevelPruner> =
                             if pruned { Some(&mut pruner) } else { None };
                         run_levels(&mut ctx, &atoms, up_to, pruner).unwrap();
-                        assert_counted(&ctx, &format!("after level {up_to} (pruned: {pruned})"));
+                        let when = format!("after level {up_to} (pruned: {pruned})");
+                        assert_counted(&ctx, &mut eager, &when);
                     }
                 }
+
+                // An IDP iteration: a block of the first levels is
+                // contracted — its plans built, everything they were
+                // records over dropped — and the levels run again over
+                // the compound atom.
+                let mut ctx = context(Budget::unlimited());
+                let mut eager = EagerMemo::default();
+                (0..n).for_each(|i| ctx.ensure_base_group(i));
+                let block = 2.max(n / 2);
+                let table = run_levels(&mut ctx, &atoms, block, None).unwrap();
+                assert_counted(&ctx, &mut eager, "after the block's levels");
+                let blocks: Vec<RelSet> = table.sets_at(block).collect();
+                let atoms = contract(&mut ctx, &atoms, blocks[winner % blocks.len()]);
+                assert_counted(&ctx, &mut eager, "after the contraction");
+                run_levels(&mut ctx, &atoms, atoms.len(), None).unwrap();
+                assert_counted(&ctx, &mut eager, "over the compound atom");
+                let plan = ctx.finalize(query.graph.all_nodes()).unwrap();
+                plan.check_invariants().unwrap();
+                // A root sort is the caller's, not the memo's.
+                drop(plan);
+                assert_counted(&ctx, &mut eager, "after serving the plan");
 
                 // A governed descent: exhaustive DP under a budget it
                 // (usually) cannot meet rolls a level back; the memo is
                 // handed down and SDP finishes over the retained pairs.
                 let mut ctx = context(Budget::with_memory(budget_groups * GROUP_MODEL_BYTES));
+                let mut eager = EagerMemo::default();
                 let exhaustive = optimize_complete(&mut ctx, None);
                 if let Err(e) = &exhaustive {
                     prop_assert!(matches!(e, OptError::MemoryExhausted { .. }), "{e}");
                 }
-                // A root sort is the caller's, not the memo's.
                 drop(exhaustive);
-                assert_counted(&ctx, "after the abandoned rung");
+                assert_counted(&ctx, &mut eager, "after the abandoned rung");
                 prepare_handoff(&mut ctx, Budget::unlimited());
-                assert_counted(&ctx, "after the handoff");
+                assert_counted(&ctx, &mut eager, "after the handoff");
                 ctx.memory.set_budget(Budget::unlimited());
                 let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
                 plan.check_invariants().unwrap();
                 drop(plan);
-                assert_counted(&ctx, "after the descent");
+                assert_counted(&ctx, &mut eager, "after the descent");
+
+                // The run's counter outlives it, on nothing.
+                let counter = ctx.node_counter();
+                drop(ctx);
+                prop_assert_eq!(counter.live(), 0);
+            }
+
+            #[test]
+            fn extracted_plans_equal_eager_plans(
+                (query, n) in graph_inputs(),
+                k in 2usize..=4,
+                budget_groups in 4u64..80,
+            ) {
+                let cat = Catalog::paper();
+                let model = CostModel::with_defaults(&cat);
+                let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
+                let all = query.graph.all_nodes();
+                let mut served: Vec<Vec<u64>> = Vec::new();
+                for threads in [1, 3] {
+                    let context = |budget| EnumContext::new(&query, &model, budget, threads);
+                    let mut digests = Vec::new();
+
+                    // DP and SDP, level by level.
+                    for pruned in [false, true] {
+                        let mut ctx = context(Budget::unlimited());
+                        let mut eager = EagerMemo::default();
+                        (0..n).for_each(|i| ctx.ensure_base_group(i));
+                        for up_to in 2..=n {
+                            let mut pruner = SdpPruner::new(&ctx, SdpConfig::paper());
+                            let pruner: Option<&mut dyn LevelPruner> =
+                                if pruned { Some(&mut pruner) } else { None };
+                            run_levels(&mut ctx, &atoms, up_to, pruner).unwrap();
+                            let when = format!("level {up_to} (pruned: {pruned}, {threads} threads)");
+                            assert_extracted(&mut ctx, &mut eager, &when);
+                        }
+                        if ctx.memo.get(all).is_some() {
+                            digests.push(ctx.finalize(all).unwrap().structural_digest());
+                        }
+                    }
+
+                    // IDP(k) and GOO, whole: the oracle sees IDP's last
+                    // iteration (compound atoms arrive built) and every
+                    // group GOO joined.
+                    for idp in [true, false] {
+                        let mut ctx = context(Budget::unlimited());
+                        let mut eager = EagerMemo::default();
+                        let plan = if idp {
+                            optimize_idp(&mut ctx, IdpConfig::paper(k)).unwrap()
+                        } else {
+                            optimize_goo(&mut ctx).unwrap()
+                        };
+                        plan.check_invariants().unwrap();
+                        digests.push(plan.structural_digest());
+                        drop(plan);
+                        let when = format!("{} ({threads} threads)", if idp { "IDP" } else { "GOO" });
+                        assert_extracted(&mut ctx, &mut eager, &when);
+                    }
+
+                    // A rolled-back rung, the handoff, SDP over what it left.
+                    let mut ctx = context(Budget::with_memory(budget_groups * GROUP_MODEL_BYTES));
+                    let mut eager = EagerMemo::default();
+                    drop(optimize_complete(&mut ctx, None));
+                    assert_extracted(&mut ctx, &mut eager, "the abandoned rung");
+                    prepare_handoff(&mut ctx, Budget::unlimited());
+                    assert_counted(&ctx, &mut eager, "the handoff");
+                    ctx.memory.set_budget(Budget::unlimited());
+                    let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
+                    plan.check_invariants().unwrap();
+                    digests.push(plan.structural_digest());
+                    drop(plan);
+                    assert_extracted(&mut ctx, &mut eager, "the descent");
+                    served.push(digests);
+                }
+                prop_assert_eq!(&served[0], &served[1], "1 and 3 threads serve the same plans");
             }
         }
     }

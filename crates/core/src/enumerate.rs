@@ -135,14 +135,15 @@ impl LevelScan {
         }
     }
 
-    /// Level `s`'s candidate pairs in canonical order: pairs `(a, b)`
+    /// Level `s`'s candidate pairs in canonical order, written over
+    /// `pairs` (a buffer the caller keeps across levels): pairs `(a, b)`
     /// of disjoint survivor sets from `table` (which holds the
     /// survivors of all levels below `s`) with `|a| + |b| = s` atoms
     /// that are joinable (graph-connected), each unordered pair exactly
     /// once. Both sides are live in the memo — the engine joins the
     /// pairs as given.
-    pub fn level_pairs(&mut self, table: &LevelTable, s: usize) -> Vec<(RelSet, RelSet)> {
-        let mut pairs = Vec::new();
+    pub fn level_pairs(&mut self, table: &LevelTable, s: usize, pairs: &mut Vec<(RelSet, RelSet)>) {
+        pairs.clear();
         if self.index.len() < table.levels.len() {
             self.index.resize_with(table.levels.len(), || None);
         }
@@ -174,7 +175,6 @@ impl LevelScan {
                 }
             }
         }
-        pairs
     }
 }
 
@@ -465,10 +465,12 @@ pub(crate) mod tests {
         what: &str,
     ) {
         let mut scan = LevelScan::new(graph.len());
+        let mut pairs = Vec::new();
         let oracle = Dpccp::over(graph, atoms);
         for s in 2..=atoms.len() {
+            scan.level_pairs(table, s, &mut pairs);
             assert_eq!(
-                normalized_pair_multiset(&scan.level_pairs(table, s)),
+                normalized_pair_multiset(&pairs),
                 normalized_pair_multiset(&oracle.level_pairs(table, s)),
                 "{what}: level {s}"
             );
@@ -608,6 +610,7 @@ pub(crate) mod tests {
                 let (atoms, _) = contracted_atoms(n, &tree, contract);
 
                 let mut scan = LevelScan::new(n);
+                let mut pairs = Vec::new();
                 let mut table = LevelTable::default();
                 table
                     .levels
@@ -615,7 +618,8 @@ pub(crate) mod tests {
                 let mut hole_bits = holes;
                 for s in 2..=atoms.len() {
                     let expected = double_loop_level_pairs(&table, s);
-                    prop_assert_eq!(&scan.level_pairs(&table, s), &expected, "level {}", s);
+                    scan.level_pairs(&table, s, &mut pairs);
+                    prop_assert_eq!(&pairs, &expected, "level {}", s);
                     // The level's survivors: unions in first-creation
                     // order (as `run_levels` records them), minus a
                     // pseudo-random eighth.

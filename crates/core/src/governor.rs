@@ -429,7 +429,9 @@ impl GovernedPlan {
 /// trusted blindly: the next rung re-offers its own plans into them,
 /// and the memo's dominance rule makes identical re-offers no-ops, so
 /// reuse never changes which plan a rung would have found from
-/// scratch.
+/// scratch. No plan needs building for the handoff: what survives are
+/// access paths and pair-group records, which refer to base groups
+/// only.
 pub fn prepare_handoff(ctx: &mut EnumContext<'_>, next_budget: Budget) {
     let compound: Vec<RelSet> = ctx.memo.sets().filter(|s| s.len() > 2).collect();
     for set in compound {

@@ -16,8 +16,9 @@
 //! 3. *balloon* each pick to a complete plan by greedily appending the
 //!    MinRows-adjacent atom at every step;
 //! 4. commit the pick whose ballooned completion is cheapest, contract
-//!    it into a compound atom, discard every other memo entry, and
-//!    restart.
+//!    it into a compound atom — its plans extracted into trees first,
+//!    since the records they are kept as refer to the groups below —
+//!    discard every other memo entry, and restart.
 //!
 //! "Balanced" means the block size is evened out so the final
 //! iteration is not a stub: with `r` atoms remaining, the iteration
@@ -135,21 +136,26 @@ pub fn optimize_idp(
         }
         let (winner_set, _) = winner.expect("at least one candidate");
 
-        // --- contract: winner becomes a compound atom -------------------
-        let remaining: Vec<RelSet> = atoms
-            .iter()
-            .copied()
-            .filter(|a| a.is_disjoint(winner_set))
-            .collect();
-        let mut keep: FxHashSet<RelSet> = remaining.iter().copied().collect();
-        keep.insert(winner_set);
-        let to_drop: Vec<RelSet> = ctx.memo.sets().filter(|s| !keep.contains(s)).collect();
-        for s in to_drop {
-            ctx.prune_group(s);
-        }
-        atoms = std::iter::once(winner_set).chain(remaining).collect();
+        atoms = contract(ctx, &atoms, winner_set);
         ctx.memory.check()?;
     }
+}
+
+/// Contract `winner` into a compound atom: drop every memo group that
+/// is neither it nor one of the atoms it leaves, and return the next
+/// iteration's atoms, the winner first. The winner's plans are records
+/// referring into the groups about to go, so they are built first;
+/// from here on the block's plans are nodes, like an access path's.
+pub(crate) fn contract(ctx: &mut EnumContext<'_>, atoms: &[RelSet], winner: RelSet) -> Vec<RelSet> {
+    ctx.extract_all(winner);
+    let remaining = atoms.iter().copied().filter(|a| a.is_disjoint(winner));
+    let atoms: Vec<RelSet> = std::iter::once(winner).chain(remaining).collect();
+    let keep: FxHashSet<RelSet> = atoms.iter().copied().collect();
+    let to_drop: Vec<RelSet> = ctx.memo.sets().filter(|s| !keep.contains(s)).collect();
+    for s in to_drop {
+        ctx.prune_group(s);
+    }
+    atoms
 }
 
 /// Greedily complete `start` to `all` by repeatedly appending the

@@ -87,7 +87,7 @@ pub use context::{default_parallelism, EnumContext, LevelStats, RunStats};
 pub use dp::{LevelPruner, PruneStats};
 pub use enumerate::{EnumeratorKind, LevelScan};
 pub use explain::{explain, explain_analyze, worst_estimates};
-pub use memo::{Group, Memo};
+pub use memo::{Group, Memo, PlanEntry, PlanSource};
 pub use optimizer::{Algorithm, OptimizedPlan, Optimizer};
 pub use plan::{Children, NodeCounter, PlanNode, PlanOp};
 pub use recost::recost;

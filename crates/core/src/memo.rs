@@ -1,4 +1,4 @@
-//! The memo: per-JCR groups of Pareto-optimal plans.
+//! The memo: per-JCR groups of Pareto-optimal plans, kept as records.
 //!
 //! A *Join-Composite-Relation* (JCR) in the paper is "any group of
 //! relations that are joined together during the optimization
@@ -12,16 +12,42 @@
 //! `[Rows, Cost, Selectivity]` that SDP's skyline pruning consumes
 //! (paper Figure 2.3).
 //!
-//! While the enumerator is still costing into a JCR it is a
-//! `StagedJcr`: the same properties and the same dominance rule, but
-//! over `Candidate` records instead of plan nodes. Only what is still
-//! retained when the JCR has survived its level barrier is built into
-//! `Arc<PlanNode>`s (`StagedJcr::materialize`).
+//! # One plan form
+//!
+//! A retained plan is a [`PlanEntry`]: what the dominance rule and the
+//! costing of the levels above read (cost, ordering), plus a
+//! [`PlanSource`] saying how to build it — a join of two entries of
+//! lower groups, a sort over an entry of its own group, or a node that
+//! already exists (access paths, and whatever was extracted earlier).
+//! The enumerator costs straight into these records and a JCR that
+//! survives its level keeps them; an `Arc<PlanNode>` tree is built
+//! only where one is needed — the plan an optimization returns, the
+//! block IDP contracts — by [`Memo::extract`], which replaces each
+//! record it builds with the built node, so a subplan shared by two
+//! extracted plans is one node, as it was when every retained plan was
+//! a node.
+//!
+//! **References.** An entry is named `(set, id)`. Until its group is
+//! sealed — [`Memo::insert`], when its level is complete — nothing
+//! refers to an entry and evictions are free. From then on ids are
+//! stable: the entries present get `0..`, a later one (a sort
+//! enforcer, a governed rung's re-offer) a fresh id, and an eviction
+//! renames nothing, so a reference never comes to mean another plan.
+//! An entry something refers to is not evicted: once referred to, a
+//! group only receives offers its frontier already dominates (the
+//! rung above re-offers the same pairs), and [`Group::entry`] panics
+//! rather than serve a different plan should that ever fail.
+//!
+//! **Accounting.** The run's [`NodeCounter`] counts an entry like the
+//! node it stands for: whoever retains, evicts or drops `Join` and
+//! `Sort` entries settles the count (`EnumContext::cost_pair` and
+//! friends); a `Built` entry's node counts itself. Extraction moves
+//! an entry's count to its node, so the total never notices.
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-use sdp_cost::JoinMethod;
+use sdp_cost::{JoinMethod, JoinSide};
 use sdp_query::{ClassId, RelSet};
 
 use crate::fx::FxHashMap;
@@ -31,13 +57,158 @@ use crate::plan::{Children, NodeCounter, PlanNode, PlanOp};
 /// provides an ordering at least as useful (`b` unordered, or the
 /// same ordering).
 #[inline]
-fn dominates(
+pub(crate) fn dominates(
     a_cost: f64,
     a_ordering: Option<ClassId>,
     b_cost: f64,
     b_ordering: Option<ClassId>,
 ) -> bool {
     a_cost <= b_cost && (b_ordering.is_none() || a_ordering == b_ordering)
+}
+
+/// How to build a retained plan's node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanSource {
+    /// A join of entry `outer_entry` of the group of `outer` with entry
+    /// `inner_entry` of the group of the JCR's set minus `outer`.
+    Join {
+        /// Algorithm used.
+        method: JoinMethod,
+        /// Relations of the outer input.
+        outer: RelSet,
+        /// Id of the outer plan in its group.
+        outer_entry: u16,
+        /// Id of the inner plan in its group.
+        inner_entry: u16,
+    },
+    /// A sort enforcer over entry `input` of the same group, producing
+    /// the entry's ordering.
+    Sort {
+        /// Id of the plan sorted.
+        input: u16,
+    },
+    /// A node that exists: slot of the group's built nodes.
+    Built(u16),
+}
+
+/// One retained plan of a JCR, as a record (32 bytes).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanEntry {
+    /// Total (cumulative) cost including the inputs.
+    pub cost: f64,
+    /// How to build the plan's node.
+    pub source: PlanSource,
+    /// [`PlanEntry::ordering`] in four bytes: `NO_ORDER` for `None`.
+    order: ClassId,
+    id: u16,
+}
+
+/// No order class is ever this large: classes index a query's columns.
+const NO_ORDER: ClassId = ClassId::MAX;
+
+impl PlanEntry {
+    /// A record not yet in a group (which names it on retention).
+    pub(crate) fn new(cost: f64, ordering: Option<ClassId>, source: PlanSource) -> Self {
+        debug_assert_ne!(ordering, Some(NO_ORDER));
+        PlanEntry {
+            cost,
+            source,
+            order: ordering.unwrap_or(NO_ORDER),
+            id: 0,
+        }
+    }
+
+    /// Useful order class of the output, if any.
+    #[inline]
+    pub fn ordering(&self) -> Option<ClassId> {
+        (self.order != NO_ORDER).then_some(self.order)
+    }
+
+    /// The entry's name within its group, stable once the group is
+    /// sealed (meaningless before).
+    pub fn id(&self) -> u16 {
+        self.id
+    }
+
+    /// Whether the run's [`NodeCounter`] counts this record (a built
+    /// node counts itself).
+    pub(crate) fn charged(&self) -> bool {
+        !matches!(self.source, PlanSource::Built(_))
+    }
+}
+
+/// Entries held inside the group up to this many — most JCRs only ever
+/// keep one plan, or one and an ordered one.
+const INLINE_PLANS: usize = 2;
+
+/// A group's entries in retention order.
+#[derive(Debug, Clone)]
+enum Entries {
+    Inline {
+        plans: [PlanEntry; INLINE_PLANS],
+        len: u8,
+    },
+    /// Holds *all* entries once the inline buffer has overflowed.
+    Spilled(Vec<PlanEntry>),
+}
+
+impl Entries {
+    const EMPTY: Entries = Entries::Inline {
+        plans: [PlanEntry {
+            cost: 0.0,
+            source: PlanSource::Built(0),
+            order: NO_ORDER,
+            id: 0,
+        }; INLINE_PLANS],
+        len: 0,
+    };
+
+    fn as_slice(&self) -> &[PlanEntry] {
+        match self {
+            Entries::Inline { plans, len } => &plans[..usize::from(*len)],
+            Entries::Spilled(plans) => plans,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [PlanEntry] {
+        match self {
+            Entries::Inline { plans, len } => &mut plans[..usize::from(*len)],
+            Entries::Spilled(plans) => plans,
+        }
+    }
+
+    fn push(&mut self, entry: PlanEntry) {
+        match self {
+            Entries::Inline { plans, len } if usize::from(*len) < INLINE_PLANS => {
+                plans[usize::from(*len)] = entry;
+                *len += 1;
+            }
+            Entries::Inline { plans, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_PLANS);
+                spilled.extend_from_slice(plans);
+                spilled.push(entry);
+                *self = Entries::Spilled(spilled);
+            }
+            Entries::Spilled(plans) => plans.push(entry),
+        }
+    }
+
+    /// `Vec::retain`, order-preserving.
+    fn retain(&mut self, mut keep: impl FnMut(&PlanEntry) -> bool) {
+        match self {
+            Entries::Inline { plans, len } => {
+                let mut kept = 0;
+                for i in 0..usize::from(*len) {
+                    if keep(&plans[i]) {
+                        plans[kept] = plans[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+            }
+            Entries::Spilled(plans) => plans.retain(keep),
+        }
+    }
 }
 
 /// All Pareto-optimal plans for one JCR, plus its estimated
@@ -54,61 +225,152 @@ pub struct Group {
     pub width: f64,
     /// Cached external neighbourhood in the join graph.
     pub neighbors: RelSet,
-    entries: Vec<Arc<PlanNode>>,
+    /// `sdp_cost::sort_cost` of the JCR's output, computed once: what a
+    /// merge join above pays for an input plan not already ordered on
+    /// its class, and what a sort enforcer adds.
+    pub sort_cost: f64,
+    entries: Entries,
+    /// The nodes of the `Built` entries; an evicted entry's slot is
+    /// emptied, so the group never keeps a node alive it has dropped.
+    built: Vec<Option<Arc<PlanNode>>>,
+    /// Id of the next entry retained once sealed.
+    next_id: u16,
+    sealed: bool,
 }
 
 impl Group {
     /// Create an empty group with known estimated properties. Does
-    /// not allocate: a JCR's plans are sized when it materializes.
-    pub fn new(set: RelSet, rows: f64, selectivity: f64, width: f64, neighbors: RelSet) -> Self {
+    /// not allocate.
+    pub fn new(
+        set: RelSet,
+        rows: f64,
+        selectivity: f64,
+        width: f64,
+        neighbors: RelSet,
+        sort_cost: f64,
+    ) -> Self {
         Group {
             set,
             rows,
             selectivity,
             width,
             neighbors,
-            entries: Vec::new(),
+            sort_cost,
+            entries: Entries::EMPTY,
+            built: Vec::new(),
+            next_id: 0,
+            sealed: false,
         }
     }
 
-    /// Move the retained plans out into a group of the same
-    /// properties, leaving this one empty in place (no allocation
-    /// either way). The enumerator costs into the taken group while
-    /// reading the memo, then puts it back.
-    pub(crate) fn take(&mut self) -> Group {
-        Group {
-            entries: std::mem::take(&mut self.entries),
-            ..*self
+    /// What every plan of the JCR has in common as a join input.
+    pub fn side(&self) -> JoinSide {
+        JoinSide {
+            rows: self.rows,
+            width: self.width,
+            sort_cost: self.sort_cost,
         }
+    }
+
+    /// Offer a built plan to the group. Returns `true` if it was
+    /// retained (and any newly-dominated entries were evicted).
+    pub fn add_plan(&mut self, plan: Arc<PlanNode>) -> bool {
+        debug_assert_eq!(plan.set, self.set, "plan covers a different JCR");
+        let (cost, ordering) = (plan.cost, plan.ordering);
+        if !self.would_retain(cost, ordering) {
+            return false;
+        }
+        let slot = u16::try_from(self.built.len()).expect("a handful of built plans per JCR");
+        self.built.push(Some(plan));
+        self.retain(cost, ordering, PlanSource::Built(slot));
+        true
     }
 
     /// Offer a plan to the group. Returns `true` if it was retained
     /// (and any newly-dominated entries were evicted).
-    pub fn add_plan(&mut self, plan: Arc<PlanNode>) -> bool {
-        debug_assert_eq!(plan.set, self.set, "plan covers a different JCR");
-        if !self.would_retain(plan.cost, plan.ordering) {
-            return false;
+    pub fn offer(&mut self, cost: f64, ordering: Option<ClassId>, source: PlanSource) -> bool {
+        let retained = self.would_retain(cost, ordering);
+        if retained {
+            self.retain(cost, ordering, source);
         }
-        self.evict_dominated(plan.cost, plan.ordering);
-        self.entries.push(plan);
-        true
+        retained
     }
 
     /// Whether a plan with the given cost and ordering would be
-    /// retained if offered — the dominance test of [`Group::add_plan`]
-    /// without constructing the node.
+    /// retained if offered — the dominance test on its own.
+    #[inline]
     pub fn would_retain(&self, cost: f64, ordering: Option<ClassId>) -> bool {
         !self
-            .entries
+            .entries()
             .iter()
-            .any(|e| dominates(e.cost, e.ordering, cost, ordering))
+            .any(|e| dominates(e.cost, e.ordering(), cost, ordering))
     }
 
-    /// Drop every plan that one of the given cost and ordering makes
-    /// redundant.
-    fn evict_dominated(&mut self, cost: f64, ordering: Option<ClassId>) {
-        self.entries
-            .retain(|e| !dominates(cost, ordering, e.cost, e.ordering));
+    /// Retain a plan that [`Group::would_retain`], evicting what it
+    /// makes redundant.
+    pub(crate) fn retain(&mut self, cost: f64, ordering: Option<ClassId>, source: PlanSource) {
+        debug_assert!(self.would_retain(cost, ordering));
+        let built = &mut self.built;
+        self.entries.retain(|e| {
+            let evicted = dominates(cost, ordering, e.cost, e.ordering());
+            if let (true, PlanSource::Built(slot)) = (evicted, e.source) {
+                built[usize::from(slot)] = None;
+            }
+            !evicted
+        });
+        let id = self.next_id;
+        if self.sealed {
+            self.next_id = id
+                .checked_add(1)
+                .expect("a sealed JCR is refined a handful of times");
+        }
+        self.entries.push(PlanEntry {
+            id,
+            ..PlanEntry::new(cost, ordering, source)
+        });
+    }
+
+    /// Name the entries `0..` and keep their names stable from here
+    /// on: the group's level is complete, other groups may refer to
+    /// its plans.
+    fn seal(&mut self) {
+        debug_assert!(!self.sealed, "a group is sealed once");
+        let entries = self.entries.as_mut_slice();
+        for (id, e) in entries.iter_mut().enumerate() {
+            e.id = u16::try_from(id).expect("one plan per order class");
+        }
+        self.next_id = entries.len() as u16;
+        self.sealed = true;
+    }
+
+    /// The entry named `id`.
+    ///
+    /// # Panics
+    /// Panics if the entry has been evicted: the sealed-group invariant
+    /// (module docs) is broken, and serving another plan in its place
+    /// would be silent.
+    pub fn entry(&self, id: u16) -> &PlanEntry {
+        debug_assert!(self.sealed, "entries have names once sealed");
+        self.entries()
+            .iter()
+            .find(|e| e.id == id)
+            .expect("a plan another plan refers to is never evicted")
+    }
+
+    /// The node of a `Built` entry of this group.
+    pub fn built(&self, entry: &PlanEntry) -> Option<&Arc<PlanNode>> {
+        match entry.source {
+            PlanSource::Built(slot) => self.built[usize::from(slot)].as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Replace entry `id`'s source with the node built from it.
+    fn set_built(&mut self, id: u16, node: Arc<PlanNode>) {
+        let slot = u16::try_from(self.built.len()).expect("a handful of built plans per JCR");
+        self.built.push(Some(node));
+        let entry = self.entries.as_mut_slice().iter_mut().find(|e| e.id == id);
+        entry.expect("extracted entry is live").source = PlanSource::Built(slot);
     }
 
     /// The cheapest plan in the group.
@@ -116,8 +378,8 @@ impl Group {
     /// # Panics
     /// Panics if the group is empty (groups are always populated
     /// before being published to the memo).
-    pub fn best(&self) -> &Arc<PlanNode> {
-        self.entries
+    pub fn best(&self) -> &PlanEntry {
+        self.entries()
             .iter()
             .min_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"))
             .expect("group has at least one plan")
@@ -129,21 +391,33 @@ impl Group {
     }
 
     /// Cheapest plan whose output carries the given order class.
-    pub fn best_for_order(&self, class: ClassId) -> Option<&Arc<PlanNode>> {
-        self.entries
+    pub fn best_for_order(&self, class: ClassId) -> Option<&PlanEntry> {
+        self.entries()
             .iter()
-            .filter(|e| e.ordering == Some(class))
+            .filter(|e| e.ordering() == Some(class))
             .min_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"))
     }
 
-    /// All retained plans.
-    pub fn entries(&self) -> &[Arc<PlanNode>] {
-        &self.entries
+    /// All retained plans, in retention order.
+    #[inline]
+    pub fn entries(&self) -> &[PlanEntry] {
+        self.entries.as_slice()
     }
 
     /// Whether no plan has been retained yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries().is_empty()
+    }
+
+    /// Entries the run's [`NodeCounter`] counts on the group's behalf.
+    pub(crate) fn charged(&self) -> usize {
+        self.entries().iter().filter(|e| e.charged()).count()
+    }
+
+    /// Drop every entry (their count is the caller's to settle).
+    pub(crate) fn clear_entries(&mut self) {
+        self.entries = Entries::EMPTY;
+        self.built.clear();
     }
 
     /// The SDP feature vector `[Rows, Cost, Selectivity]` of
@@ -153,165 +427,14 @@ impl Group {
     }
 }
 
-/// A costed join alternative that has not been built into a plan node:
-/// what [`Group::add_plan`]'s dominance rule reads (cost, ordering),
-/// plus where its two inputs sit in the memo. The inner input covers
-/// the JCR's set minus `outer`; the entry indices stay valid because
-/// the groups of a pair's inputs do not change between the pair's
-/// costing and its JCR's materialization (lower levels are immutable
-/// while a level runs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Candidate {
-    /// Total (cumulative) cost including both inputs.
-    pub cost: f64,
-    /// Relations of the outer input.
-    pub outer: RelSet,
-    /// Useful order class of the output, if any.
-    pub ordering: Option<ClassId>,
-    /// Index of the outer plan among its group's entries.
-    pub outer_entry: u16,
-    /// Index of the inner plan among its group's entries.
-    pub inner_entry: u16,
-    /// Algorithm used.
-    pub method: JoinMethod,
-}
-
-/// A JCR the enumerator is still costing into: a [`Group`] whose new
-/// plans are held as [`Candidate`]s under the group's own dominance
-/// rule, in the group's own insertion order. The group's built entries
-/// (none for a JCR its level created; the plans so far when
-/// [`EnumContext::join_pair`](crate::context::EnumContext::join_pair)
-/// refines a group of the memo) take part in the rule on equal terms.
-///
-/// The run's [`NodeCounter`] counts a staged candidate like the node
-/// it may become; whoever stages, evicts or drops candidates settles
-/// the count (`EnumContext::cost_pair` and friends), and
-/// [`StagedJcr::materialize`] hands it over to the nodes it builds.
-#[derive(Debug)]
-pub(crate) struct StagedJcr {
-    group: Group,
-    candidates: Vec<Candidate>,
-    /// The set already has a group in the memo — one retained from an
-    /// earlier rung of a governed descent. This record then only holds
-    /// the level's offers until the barrier folds them into that group.
-    pub in_memo: bool,
-}
-
-impl StagedJcr {
-    /// Start staging into `group` (which is not in the memo).
-    pub fn new(group: Group) -> Self {
-        StagedJcr {
-            group,
-            candidates: Vec::new(),
-            in_memo: false,
-        }
-    }
-
-    /// The JCR's estimated properties and built plans.
-    pub fn group(&self) -> &Group {
-        &self.group
-    }
-
-    /// The candidates currently retained, in offer order.
-    pub fn candidates(&self) -> &[Candidate] {
-        &self.candidates
-    }
-
-    /// Move the retained candidates out, in offer order, leaving none
-    /// staged.
-    pub fn take_candidates(&mut self) -> Vec<Candidate> {
-        std::mem::take(&mut self.candidates)
-    }
-
-    /// [`Group::would_retain`] over built plans and candidates alike.
-    #[inline]
-    pub fn would_retain(&self, cost: f64, ordering: Option<ClassId>) -> bool {
-        self.group.would_retain(cost, ordering)
-            && !self
-                .candidates
-                .iter()
-                .any(|c| dominates(c.cost, c.ordering, cost, ordering))
-    }
-
-    /// Retain a candidate that [`StagedJcr::would_retain`], evicting
-    /// what it makes redundant.
-    pub fn retain(&mut self, candidate: Candidate) {
-        debug_assert!(self.would_retain(candidate.cost, candidate.ordering));
-        let Candidate { cost, ordering, .. } = candidate;
-        self.group.evict_dominated(cost, ordering);
-        self.candidates
-            .retain(|c| !dominates(cost, ordering, c.cost, c.ordering));
-        if self.candidates.capacity() == 0 {
-            // Most JCRs only ever keep one plan at a time (a cheaper
-            // one replaces it in place): size for that, and let `Vec`
-            // growth take over from the second. A level's worth of
-            // four-slot minimum buffers is what shows in peak heap.
-            self.candidates.reserve_exact(1);
-        }
-        self.candidates.push(candidate);
-    }
-
-    /// [`Group::add_plan`] for a candidate.
-    pub fn offer(&mut self, candidate: Candidate) -> bool {
-        let retained = self.would_retain(candidate.cost, candidate.ordering);
-        if retained {
-            self.retain(candidate);
-        }
-        retained
-    }
-
-    /// [`Group::feature_vector`] of the JCR as staged.
-    ///
-    /// # Panics
-    /// Panics if nothing has been retained yet.
-    pub fn feature_vector(&self) -> [f64; 3] {
-        let built = self.group.entries.iter().map(|e| e.cost);
-        let staged = self.candidates.iter().map(|c| c.cost);
-        let best = built
-            .chain(staged)
-            .min_by(|a, b| a.partial_cmp(b).expect("finite costs"))
-            .expect("a staged JCR has at least one plan");
-        [self.group.rows, best, self.group.selectivity]
-    }
-
-    /// Build the retained candidates into plan nodes — after the
-    /// group's built entries, in offer order, in a `Vec` sized once —
-    /// by cloning each one's two input plans out of `memo`. The nodes
-    /// charge `nodes` themselves, so the candidates' count is released.
-    pub fn materialize(self, memo: &Memo, nodes: &NodeCounter) -> Group {
-        let StagedJcr {
-            mut group,
-            candidates,
-            ..
-        } = self;
-        let input = |set: RelSet, entry: u16| {
-            let inputs = memo.get(set).expect("a candidate's inputs outlive it");
-            inputs.entries[usize::from(entry)].clone()
-        };
-        group.entries.reserve_exact(candidates.len());
-        for c in &candidates {
-            group.entries.push(PlanNode::new(
-                nodes,
-                PlanOp::Join { method: c.method },
-                group.set,
-                group.rows,
-                c.cost,
-                c.ordering,
-                Children::Binary([
-                    input(c.outer, c.outer_entry),
-                    input(group.set - c.outer, c.inner_entry),
-                ]),
-            ));
-        }
-        nodes.release(candidates.len());
-        group
-    }
-}
-
-/// The memo table: JCR set → group.
+/// The memo table: JCR set → group. Groups sit in one arena in
+/// creation order (a removal moves the last one into the gap) behind
+/// an index of their sets, so a level's survivors cost one sized
+/// growth of each, not an allocation per JCR.
 #[derive(Debug, Default)]
 pub struct Memo {
-    groups: FxHashMap<RelSet, Group>,
+    slots: FxHashMap<RelSet, u32>,
+    groups: Vec<Group>,
     /// Total number of distinct JCRs ever materialized (the paper's
     /// "JCRs processed" metric, Table 2.3).
     created: u64,
@@ -339,32 +462,40 @@ impl Memo {
     }
 
     /// Fetch a group.
+    #[inline]
     pub fn get(&self, set: RelSet) -> Option<&Group> {
-        self.groups.get(&set)
+        self.slots
+            .get(&set)
+            .map(|&slot| &self.groups[slot as usize])
     }
 
     /// Fetch a group mutably.
     pub fn get_mut(&mut self, set: RelSet) -> Option<&mut Group> {
-        self.groups.get_mut(&set)
+        self.slots
+            .get(&set)
+            .map(|&slot| &mut self.groups[slot as usize])
     }
 
-    /// Insert a new group. Returns `false` (and keeps the old group)
-    /// if the set is already present.
-    pub fn insert(&mut self, group: Group) -> bool {
-        match self.groups.entry(group.set) {
+    /// Insert a new group and seal it. Returns `false` (and drops the
+    /// group) if the set is already present.
+    pub fn insert(&mut self, mut group: Group) -> bool {
+        match self.slots.entry(group.set) {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
+                slot.insert(u32::try_from(self.groups.len()).expect("fewer than 2^32 JCRs"));
                 self.created += 1;
-                slot.insert(group);
+                group.seal();
+                self.groups.push(group);
                 true
             }
         }
     }
 
-    /// Make room for `additional` more groups in one step (a level's
-    /// survivors, about to be inserted).
+    /// Make room for exactly `additional` more groups in one step (a
+    /// level's survivors, about to be inserted).
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.groups.reserve(additional);
+        self.slots.reserve(additional);
+        self.groups.reserve_exact(additional);
     }
 
     /// Count a JCR that was created and dropped again (pruned, or
@@ -376,17 +507,200 @@ impl Memo {
 
     /// Remove a group (SDP pruning), returning it if present.
     pub fn remove(&mut self, set: RelSet) -> Option<Group> {
-        self.groups.remove(&set)
+        let slot = self.slots.remove(&set)? as usize;
+        let group = self.groups.swap_remove(slot);
+        if let Some(moved) = self.groups.get(slot) {
+            *self.slots.get_mut(&moved.set).expect("indexed group") = slot as u32;
+        }
+        Some(group)
     }
 
-    /// Drop every group, e.g. between IDP iterations.
-    pub fn clear(&mut self) {
-        self.groups.clear();
-    }
-
-    /// Iterate over the live JCR sets (arbitrary order).
+    /// Iterate over the live JCR sets (arena order).
     pub fn sets(&self) -> impl Iterator<Item = RelSet> + '_ {
-        self.groups.keys().copied()
+        self.groups.iter().map(|g| g.set)
+    }
+
+    /// Entries the run's [`NodeCounter`] counts on the memo's behalf.
+    pub(crate) fn charged(&self) -> usize {
+        self.groups.iter().map(Group::charged).sum()
+    }
+
+    /// The plan tree of entry `entry` of `set`'s group, built bottom-up
+    /// from the records it refers to. Every entry built on the way is
+    /// replaced by its node (`PlanSource::Built`), so extracting the
+    /// same entry again — directly, or as a subplan of another — clones
+    /// that node. `nodes` is the run's counter: each entry's count
+    /// passes to its node.
+    pub fn extract(&mut self, set: RelSet, entry: u16, nodes: &NodeCounter) -> Arc<PlanNode> {
+        let slot = *self
+            .slots
+            .get(&set)
+            .expect("a JCR outlives what refers to it") as usize;
+        let group = &self.groups[slot];
+        let e = *group.entry(entry);
+        let (op, children) = match e.source {
+            PlanSource::Built(_) => {
+                return group
+                    .built(&e)
+                    .expect("a live entry's node is held")
+                    .clone()
+            }
+            PlanSource::Join {
+                method,
+                outer,
+                outer_entry,
+                inner_entry,
+            } => (
+                PlanOp::Join { method },
+                Children::Binary([
+                    self.extract(outer, outer_entry, nodes),
+                    self.extract(set - outer, inner_entry, nodes),
+                ]),
+            ),
+            PlanSource::Sort { input } => (
+                PlanOp::Sort {
+                    class: e.ordering().expect("a sort enforces an order"),
+                },
+                Children::Unary([self.extract(set, input, nodes)]),
+            ),
+        };
+        // Extraction removes no group, so `slot` still names this one.
+        let group = &mut self.groups[slot];
+        let node = PlanNode::new(nodes, op, set, group.rows, e.cost, e.ordering(), children);
+        nodes.release(1);
+        group.set_built(entry, node.clone());
+        node
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod eager {
+    //! The eager build the records replaced, kept as the tests' oracle:
+    //! every retained plan of every group as an `Arc<PlanNode>`, built
+    //! the first time the oracle sees it — level by level, children
+    //! cloned out of the oracle's own groups, never through
+    //! [`Memo::extract`] — and dropped when its group drops it. Nodes
+    //! charge the oracle's own counter, so its live count is the one an
+    //! optimizer building every retained plan shows.
+
+    use super::*;
+
+    #[derive(Debug, Default)]
+    pub(crate) struct EagerMemo {
+        pub nodes: NodeCounter,
+        groups: FxHashMap<RelSet, Vec<(u16, Arc<PlanNode>)>>,
+    }
+
+    impl EagerMemo {
+        /// Bring the oracle up to date with `memo`: forget the groups
+        /// and plans it no longer holds, build the ones it gained —
+        /// smaller JCRs first, so that a join's inputs exist. Sync
+        /// between a group's removal and its return (a handoff, then the
+        /// next rung), or the oracle takes the new one for the old.
+        pub fn sync(&mut self, memo: &Memo) {
+            self.groups.retain(|&set, _| memo.get(set).is_some());
+            let mut sets: Vec<RelSet> = memo.sets().collect();
+            sets.sort_by_key(|s| (s.len(), s.0));
+            for set in sets {
+                let plans = self.materialize(memo, memo.get(set).expect("live set"));
+                self.groups.insert(set, plans);
+            }
+        }
+
+        /// The group's entries as nodes: the ones the oracle already
+        /// holds as they are, new ones built from their sources.
+        fn materialize(&self, memo: &Memo, group: &Group) -> Vec<(u16, Arc<PlanNode>)> {
+            let held = self.groups.get(&group.set).map_or(&[][..], Vec::as_slice);
+            let mut plans: Vec<(u16, Arc<PlanNode>)> = Vec::new();
+            for e in group.entries() {
+                if let Some((_, node)) = held.iter().find(|(id, _)| *id == e.id()) {
+                    assert_eq!(
+                        node.cost.to_bits(),
+                        e.cost.to_bits(),
+                        "an id names one plan"
+                    );
+                    plans.push((e.id(), node.clone()));
+                    continue;
+                }
+                let node = |op, children| {
+                    let (rows, ordering) = (group.rows, e.ordering());
+                    PlanNode::new(&self.nodes, op, group.set, rows, e.cost, ordering, children)
+                };
+                let built = match e.source {
+                    PlanSource::Join {
+                        method,
+                        outer,
+                        outer_entry,
+                        inner_entry,
+                    } => node(
+                        PlanOp::Join { method },
+                        Children::Binary([
+                            self.plan(outer, outer_entry).clone(),
+                            self.plan(group.set - outer, inner_entry).clone(),
+                        ]),
+                    ),
+                    PlanSource::Sort { input } => {
+                        let (_, input) = plans.iter().find(|(id, _)| *id == input).unwrap();
+                        let class = e.ordering().unwrap();
+                        node(PlanOp::Sort { class }, Children::Unary([input.clone()]))
+                    }
+                    PlanSource::Built(_) => self.adopt(memo, &plans, group.built(e).unwrap()),
+                };
+                plans.push((e.id(), built));
+            }
+            plans
+        }
+
+        /// A node the optimizer built before the oracle saw its record
+        /// (an access path; a plan extracted within the step just
+        /// synced), again under the oracle's counter. A child that is a
+        /// memo entry's node is the oracle's plan of that name — of
+        /// `siblings`, for an entry of the group being built — so what
+        /// the optimizer shares, the oracle shares.
+        fn adopt(
+            &self,
+            memo: &Memo,
+            siblings: &[(u16, Arc<PlanNode>)],
+            node: &Arc<PlanNode>,
+        ) -> Arc<PlanNode> {
+            let child = |c: &Arc<PlanNode>| {
+                let group = memo.get(c.set);
+                let named = group.and_then(|g| {
+                    let mut entries = g.entries().iter();
+                    entries.find(|e| g.built(e).is_some_and(|b| Arc::ptr_eq(b, c)))
+                });
+                match named {
+                    Some(e) if c.set == node.set => {
+                        let (_, plan) = siblings.iter().find(|(id, _)| *id == e.id()).unwrap();
+                        plan.clone()
+                    }
+                    Some(e) => self.plan(c.set, e.id()).clone(),
+                    None => self.adopt(memo, &[], c),
+                }
+            };
+            let children = match &node.children[..] {
+                [] => Children::Leaf,
+                [input] => Children::Unary([child(input)]),
+                [outer, inner] => Children::Binary([child(outer), child(inner)]),
+                _ => unreachable!("at most two children"),
+            };
+            let (op, set) = (node.op.clone(), node.set);
+            PlanNode::new(
+                &self.nodes,
+                op,
+                set,
+                node.rows,
+                node.cost,
+                node.ordering,
+                children,
+            )
+        }
+
+        /// The oracle's node for entry `id` of `set`'s group.
+        pub fn plan(&self, set: RelSet, id: u16) -> &Arc<PlanNode> {
+            let plans = &self.groups[&set];
+            &plans.iter().find(|(i, _)| *i == id).expect("held plan").1
+        }
     }
 }
 
@@ -410,8 +724,12 @@ mod tests {
         )
     }
 
+    fn group_of(set: RelSet) -> Group {
+        Group::new(set, 10.0, 1.0, 100.0, RelSet::EMPTY, 5.0)
+    }
+
     fn group() -> Group {
-        Group::new(RelSet::single(0), 10.0, 1.0, 100.0, RelSet::EMPTY)
+        group_of(RelSet::single(0))
     }
 
     #[test]
@@ -442,7 +760,7 @@ mod tests {
         assert!(g.add_plan(plan(g.set, 8.0, Some(1))));
         // The ordered plan is cheaper AND ordered: unordered evicted.
         assert_eq!(g.entries().len(), 1);
-        assert_eq!(g.best().ordering, Some(1));
+        assert_eq!(g.best().ordering(), Some(1));
     }
 
     #[test]
@@ -455,10 +773,30 @@ mod tests {
 
     #[test]
     fn feature_vector_matches_definition() {
-        let mut g = Group::new(RelSet::single(0), 184_736.0, 2.54e-10, 64.0, RelSet::EMPTY);
+        let set = RelSet::single(0);
+        let mut g = Group::new(set, 184_736.0, 2.54e-10, 64.0, RelSet::EMPTY, 0.0);
         g.add_plan(plan(g.set, 57_726.0, None));
         let fv = g.feature_vector();
         assert_eq!(fv, [184_736.0, 57_726.0, 2.54e-10]);
+    }
+
+    #[test]
+    fn a_record_is_32_bytes() {
+        // Two of them sit inside every group of the memo and the stage:
+        // eight bytes here are 5 % of `cold_sdp`'s request heap.
+        assert_eq!(std::mem::size_of::<PlanEntry>(), 32);
+    }
+
+    #[test]
+    fn an_evicted_built_plan_is_dropped() {
+        let mut g = group();
+        let scan = plan(g.set, 10.0, None);
+        let counter = scan.counter();
+        g.add_plan(scan);
+        assert_eq!(counter.live(), 1);
+        assert!(g.add_plan(plan(g.set, 5.0, None)));
+        assert_eq!(counter.live(), 0, "the group kept a node it had evicted");
+        assert!(g.built(g.best()).is_some());
     }
 
     #[test]
@@ -478,14 +816,107 @@ mod tests {
     }
 
     #[test]
-    fn memo_clear_resets_groups_not_counter() {
+    fn removal_keeps_every_other_group_findable() {
         let mut m = Memo::new();
-        let mut g = group();
-        g.add_plan(plan(g.set, 1.0, None));
+        for i in 0..5 {
+            let mut g = group_of(RelSet::single(i));
+            g.add_plan(plan(g.set, i as f64 + 1.0, None));
+            m.insert(g);
+        }
+        // From the middle, then what was moved into the gap, then the end.
+        for (gone, i) in [1, 4, 3].into_iter().enumerate() {
+            assert_eq!(m.remove(RelSet::single(i)).unwrap().set, RelSet::single(i));
+            assert!(m.get(RelSet::single(i)).is_none());
+            assert_eq!(m.len(), 4 - gone);
+            for set in m.sets().collect::<Vec<_>>() {
+                assert_eq!(m.get(set).unwrap().set, set);
+            }
+        }
+        assert_eq!(m.get(RelSet::single(2)).unwrap().best_cost(), 3.0);
+    }
+
+    /// Two base relations, their join kept as two records sharing the
+    /// outer scan, and a sort enforcer over the cheaper one.
+    fn small_memo(nodes: &NodeCounter) -> (Memo, RelSet) {
+        let mut m = Memo::new();
+        for i in 0..2 {
+            let mut g = group_of(RelSet::single(i));
+            g.add_plan(PlanNode::new(
+                nodes,
+                PlanOp::SeqScan {
+                    rel: RelId(i as u32),
+                    node: i,
+                },
+                g.set,
+                10.0,
+                1.0,
+                None,
+                Children::Leaf,
+            ));
+            m.insert(g);
+        }
+        let set = RelSet::from_indices([0, 1]);
+        let mut g = group_of(set);
+        let join = |method| PlanSource::Join {
+            method,
+            outer: RelSet::single(0),
+            outer_entry: 0,
+            inner_entry: 0,
+        };
+        assert!(g.offer(9.0, Some(7), join(JoinMethod::Merge)));
+        assert!(g.offer(4.0, None, join(JoinMethod::Hash)));
         m.insert(g);
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.jcrs_created(), 1);
+        let g = m.get_mut(set).unwrap();
+        let input = g.best().id();
+        assert!(g.offer(6.0, Some(7), PlanSource::Sort { input }));
+        nodes.charge(2); // the hash join and the sort; the merge join went
+        (m, set)
+    }
+
+    #[test]
+    fn sealed_ids_survive_evictions() {
+        let nodes = NodeCounter::new();
+        let (m, set) = small_memo(&nodes);
+        let g = m.get(set).unwrap();
+        // The merge join held id 0 and position 0; the sort evicted it.
+        // The hash join moved to position 0 and is still entry 1.
+        let ids: Vec<u16> = g.entries().iter().map(PlanEntry::id).collect();
+        assert_eq!(ids, [1, 2]);
+        assert_eq!(g.entry(1).cost, 4.0);
+        assert_eq!(g.entry(2).source, PlanSource::Sort { input: 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "never evicted")]
+    fn a_dangling_reference_panics_rather_than_serve_another_plan() {
+        let nodes = NodeCounter::new();
+        let (m, set) = small_memo(&nodes);
+        m.get(set).unwrap().entry(0);
+    }
+
+    #[test]
+    fn extraction_builds_once_and_moves_the_count() {
+        let nodes = NodeCounter::new();
+        let (mut m, set) = small_memo(&nodes);
+        assert_eq!(nodes.live(), 4);
+        let sorted = m.extract(set, 2, &nodes);
+        assert_eq!(nodes.live(), 4, "each record's count passed to its node");
+        sorted.check_invariants().unwrap();
+        assert_eq!(sorted.node_count(), 4);
+        assert!(matches!(sorted.op, PlanOp::Sort { class: 7 }));
+        // The sort's input is the group's other entry: one node, and
+        // the scans below it are the base groups' own.
+        let join = m.extract(set, 1, &nodes);
+        assert!(Arc::ptr_eq(&join, &sorted.children[0]));
+        assert!(Arc::ptr_eq(&m.extract(set, 2, &nodes), &sorted));
+        let scan = m.get(RelSet::single(0)).unwrap();
+        assert!(Arc::ptr_eq(
+            scan.built(scan.best()).unwrap(),
+            &join.children[0]
+        ));
+        assert_eq!(m.charged(), 0);
+        drop((m, sorted, join));
+        assert_eq!(nodes.live(), 0);
     }
 }
 
@@ -510,6 +941,10 @@ mod property_tests {
         )
     }
 
+    fn group() -> Group {
+        Group::new(RelSet::single(0), 10.0, 1.0, 80.0, RelSet::EMPTY, 0.0)
+    }
+
     proptest! {
         /// After any insertion sequence, the group is a Pareto set:
         /// no retained entry dominates another, and the cheapest
@@ -519,18 +954,18 @@ mod property_tests {
         fn group_maintains_pareto_invariants(
             offers in prop::collection::vec((1.0f64..1000.0, prop::option::of(0u32..3)), 1..60)
         ) {
-            let mut g = Group::new(RelSet::single(0), 10.0, 1.0, 80.0, RelSet::EMPTY);
+            let mut g = group();
             for (cost, ordering) in &offers {
                 g.add_plan(plan(*cost, *ordering));
             }
             // (1) mutual non-dominance among retained entries
-            for a in g.entries() {
-                for b in g.entries() {
-                    if Arc::ptr_eq(a, b) {
+            for (i, a) in g.entries().iter().enumerate() {
+                for (j, b) in g.entries().iter().enumerate() {
+                    if i == j {
                         continue;
                     }
                     let dominates = a.cost <= b.cost
-                        && (b.ordering.is_none() || a.ordering == b.ordering);
+                        && (b.ordering().is_none() || a.ordering() == b.ordering());
                     prop_assert!(!dominates, "{:?} dominates {:?}", a.cost, b.cost);
                 }
             }
@@ -562,50 +997,58 @@ mod property_tests {
             }
         }
 
-        /// The candidate container is `add_plan` without the nodes:
-        /// any offer sequence retains the same (cost, ordering)
-        /// entries in the same order through a [`StagedJcr`] as through
-        /// a [`Group`] — over an empty group (a JCR its level creates)
-        /// and over one that already holds built plans (`join_pair`
-        /// refining a memo group), whose evictions must match too.
+        /// The entries of a group — inline, then spilled — are a `Vec`
+        /// under the dominance rule: any offer sequence, before and
+        /// after sealing, retains the (cost, ordering) a plain vector
+        /// does, in its order; a sealed entry keeps its id for as long
+        /// as it is retained and no id is given twice.
         #[test]
-        fn staged_candidates_retain_what_add_plan_retains(
-            offers in prop::collection::vec((1.0f64..50.0, prop::option::of(0u32..3)), 1..60),
-            built in 0usize..8,
+        fn entries_behave_like_a_vector_and_sealed_ids_are_stable(
+            offers in prop::collection::vec((1.0f64..50.0, prop::option::of(0u32..6)), 1..60),
+            sealed_after in 0usize..20,
         ) {
             // Coarse costs, so that ties — where `<=` matters — occur.
             let offers: Vec<(f64, Option<u32>)> =
                 offers.into_iter().map(|(c, o)| (c.floor(), o)).collect();
-            let built = built.min(offers.len());
-            let mut eager = Group::new(RelSet::single(0), 10.0, 1.0, 80.0, RelSet::EMPTY);
-            for &(cost, ordering) in &offers[..built] {
-                eager.add_plan(plan(cost, ordering));
-            }
-            let mut staged = StagedJcr::new(eager.clone());
-            for (k, &(cost, ordering)) in offers[built..].iter().enumerate() {
-                let retained = eager.add_plan(plan(cost, ordering));
-                let candidate = Candidate {
-                    cost,
-                    outer: RelSet::EMPTY,
-                    ordering,
-                    outer_entry: k as u16,
-                    inner_entry: 0,
-                    method: JoinMethod::Hash,
+            let source = |k: usize| PlanSource::Sort { input: k as u16 };
+            let mut model: Vec<(f64, Option<u32>, usize)> = Vec::new();
+            let mut memo = Memo::new();
+            let mut unsealed = Some(group());
+            let mut names: Vec<(usize, u16)> = Vec::new();
+            for (k, &(cost, ordering)) in offers.iter().enumerate() {
+                if k == sealed_after {
+                    memo.insert(unsealed.take().unwrap());
+                }
+                let retained = !model.iter().any(|&(c, o, _)| dominates(c, o, cost, ordering));
+                if retained {
+                    model.retain(|&(c, o, _)| !dominates(cost, ordering, c, o));
+                    model.push((cost, ordering, k));
+                }
+                let g = match &mut unsealed {
+                    Some(g) => g,
+                    None => memo.get_mut(RelSet::single(0)).unwrap(),
                 };
-                prop_assert_eq!(staged.would_retain(cost, ordering), retained);
-                prop_assert_eq!(staged.offer(candidate), retained);
+                prop_assert_eq!(g.would_retain(cost, ordering), retained);
+                prop_assert_eq!(g.offer(cost, ordering, source(k)), retained);
+                let got: Vec<_> = (g.entries().iter())
+                    .map(|e| (e.cost, e.ordering(), e.source))
+                    .collect();
+                let want: Vec<_> = model.iter().map(|&(c, o, k)| (c, o, source(k))).collect();
+                prop_assert_eq!(got, want);
+                if k >= sealed_after {
+                    for e in g.entries() {
+                        let PlanSource::Sort { input } = e.source else { unreachable!() };
+                        match names.iter().find(|(offer, _)| *offer == usize::from(input)) {
+                            Some(&(_, id)) => prop_assert_eq!(id, e.id(), "renamed"),
+                            None => {
+                                prop_assert!(names.iter().all(|&(_, id)| id != e.id()), "id reused");
+                                names.push((usize::from(input), e.id()));
+                            }
+                        }
+                        prop_assert_eq!(g.entry(e.id()), e);
+                    }
+                }
             }
-            let frontier = |g: &Group| -> Vec<(u64, Option<u32>)> {
-                g.entries().iter().map(|e| (e.cost.to_bits(), e.ordering)).collect()
-            };
-            let mut through_stage = frontier(staged.group());
-            through_stage.extend(staged.candidates().iter().map(|c| (c.cost.to_bits(), c.ordering)));
-            prop_assert_eq!(through_stage, frontier(&eager));
-            // Offer order survives, too: the stand-in entry indices of
-            // the retained candidates ascend.
-            prop_assert!(staged.candidates().windows(2).all(|w| w[0].outer_entry < w[1].outer_entry));
-            let [rows, best, selectivity] = staged.feature_vector();
-            prop_assert_eq!([rows, best, selectivity], eager.feature_vector());
         }
 
         /// Insertion order never changes the retained cost frontier.
@@ -614,14 +1057,14 @@ mod property_tests {
             mut offers in prop::collection::vec((1.0f64..1000.0, prop::option::of(0u32..3)), 1..30)
         ) {
             let build = |offers: &[(f64, Option<u32>)]| {
-                let mut g = Group::new(RelSet::single(0), 10.0, 1.0, 80.0, RelSet::EMPTY);
+                let mut g = group();
                 for (cost, ordering) in offers {
                     g.add_plan(plan(*cost, *ordering));
                 }
                 let mut frontier: Vec<(Option<u32>, u64)> = g
                     .entries()
                     .iter()
-                    .map(|e| (e.ordering, e.cost.to_bits()))
+                    .map(|e| (e.ordering(), e.cost.to_bits()))
                     .collect();
                 frontier.sort();
                 frontier

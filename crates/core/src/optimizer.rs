@@ -212,7 +212,7 @@ impl<'a> Optimizer<'a> {
             rows: root.rows,
             root,
             stats,
-            profile: ctx.profile().to_vec(),
+            profile: ctx.take_profile(),
         })
     }
 
@@ -271,7 +271,7 @@ impl<'a> Optimizer<'a> {
                     rows: root.rows,
                     root,
                     stats,
-                    profile: ctx.profile().to_vec(),
+                    profile: ctx.take_profile(),
                 },
                 requested: algorithm,
                 produced: algorithm,
@@ -327,7 +327,7 @@ impl<'a> Optimizer<'a> {
                                 rows: root.rows,
                                 root,
                                 stats,
-                                profile: ctx.profile().to_vec(),
+                                profile: ctx.take_profile(),
                             },
                             requested: algorithm,
                             produced: attempt,

@@ -1,26 +1,26 @@
 //! Physical plan trees.
 //!
 //! Plans are immutable `Arc` trees: subplans are shared between every
-//! memo group that references them, and dropping a group's `Arc`s
-//! (a governed descent's handoff, IDP's block contraction) frees any
-//! node no longer reachable. `Arc` (rather than `Rc`) makes plans
+//! tree that contains them. `Arc` (rather than `Rc`) makes plans
 //! `Send + Sync`, so finished plans cross threads freely.
 //!
-//! A join alternative becomes a node only once its JCR has survived
-//! its level: while the level runs it is a plain candidate record in
-//! the level stage (see [`crate::memo`]), so a JCR that SDP prunes —
-//! most of them, SDP's whole point — and a plan that a cheaper one
-//! evicts are never allocated at all.
+//! The optimizer does not keep its plans in this form. While it runs, a
+//! retained plan is a record in its memo group (see [`crate::memo`]);
+//! nodes exist for access paths, and for the plans that
+//! `EnumContext::extract` builds from records: the one an optimization
+//! returns, the blocks IDP contracts. A JCR that SDP prunes — most of
+//! them, SDP's whole point —, a plan that a cheaper one evicts and a
+//! plan that is kept but not served are never allocated at all.
 //!
-//! A per-run [`NodeCounter`] tracks exactly how many plan nodes of
-//! that run are alive at any instant — built ones and staged
-//! candidates alike, so the count is the one an optimizer building
-//! every retained plan eagerly would show, which is what makes the
-//! memory-overhead measurements (paper Tables 1.2, 1.4, 2.1, 3.2, 3.3)
-//! meaningful; [`crate::budget::MemoryModel`] converts it (plus the
-//! group count) into paper-equivalent megabytes. The counter is a
-//! shared atomic, so candidates staged on worker threads charge the
-//! same budget as nodes created on the coordinating thread.
+//! A per-run [`NodeCounter`] tracks how many plan nodes an optimizer
+//! holding every retained plan as a node would have alive at any
+//! instant — nodes count themselves, and the memo's records are counted
+//! one each on their behalf — which is what makes the memory-overhead
+//! measurements (paper Tables 1.2, 1.4, 2.1, 3.2, 3.3) meaningful;
+//! [`crate::budget::MemoryModel`] converts it (plus the group count)
+//! into paper-equivalent megabytes. The counter is a shared atomic, so
+//! records retained on worker threads charge the same budget as nodes
+//! created on the coordinating thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,15 +49,15 @@ impl NodeCounter {
         self.0.load(Ordering::Relaxed)
     }
 
-    /// Count `n` more nodes alive: a node being built, or candidates
-    /// a level stage retains on behalf of the nodes they may become.
+    /// Count `n` more nodes alive: a node being built, or plan records
+    /// retained, which stand for the nodes they may become.
     pub(crate) fn charge(&self, n: usize) {
         self.0.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// Count `n` nodes gone: a node dropped, or staged candidates
-    /// evicted, pruned, rolled back or built into nodes (which charge
-    /// themselves).
+    /// Count `n` nodes gone: a node dropped, or plan records evicted,
+    /// pruned, rolled back, dropped with their run, or built into
+    /// nodes (which charge themselves).
     pub(crate) fn release(&self, n: usize) {
         self.0.fetch_sub(n as u64, Ordering::Relaxed);
     }

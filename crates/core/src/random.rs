@@ -76,7 +76,7 @@ impl OrderCoster<'_, '_> {
         let mut cost = g0.best().cost;
         let mut rows = g0.rows;
         let mut width = g0.width;
-        let mut ordering: Option<ClassId> = g0.best().ordering;
+        let mut ordering: Option<ClassId> = g0.best().ordering();
 
         for &next in &order[1..] {
             let nset = RelSet::single(next);
@@ -86,7 +86,7 @@ impl OrderCoster<'_, '_> {
             self.ctx.ensure_base_group(next);
             let (n_rows, n_width, n_cost, n_ordering) = {
                 let g = self.ctx.memo.get(nset).expect("base");
-                (g.rows, g.width, g.best().cost, g.best().ordering)
+                (g.rows, g.width, g.best().cost, g.best().ordering())
             };
             let crossing = est.crossing_selectivity(graph, set, nset);
             let out_rows = est.rows_for_set(graph, set | nset);
@@ -258,7 +258,8 @@ fn search(
         }
     }
 
-    // Materialize the winning order as a real plan through the memo.
+    // Cost the winning order through the memo, as a chain of pair
+    // groups; `finalize` builds the chain's tree.
     let (order, _) = best_order.expect("at least one restart ran");
     let mut set = RelSet::single(order[0]);
     ctx.ensure_base_group(order[0]);

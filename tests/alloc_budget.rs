@@ -1,12 +1,15 @@
 //! Allocation budget of the enumeration core, measured with a
 //! call-counting global allocator (hence a test binary of its own).
 //!
-//! Costing a candidate must not touch the allocator, and neither may a
-//! plan that is evicted or a JCR that is pruned before its level ends:
-//! only the level stage's records, the plans of JCRs that survive
-//! their level (one `Arc` each) and the per-level pair lists may. The
-//! budget is stated per plan costed, the paper's effort unit, so it
-//! holds at any query size.
+//! Costing a candidate must not touch the allocator, and neither may
+//! retaining it, evicting it, pruning its JCR or keeping that JCR for
+//! the levels above: a plan is a record inside its group, groups sit
+//! in per-run buffers that grow a level at a time, and only a JCR that
+//! keeps more than two plans spills. What allocates is per run (the
+//! context's tables, the access paths, the level buffers) or per level
+//! (its survivor list and index, the memo's growth) — and the served
+//! plan's nodes. The budget is stated per plan costed, the paper's
+//! effort unit, so it holds at any query size.
 //!
 //! The same allocator counts live bytes, for what the durable store
 //! may keep resident per persisted plan: a frame reference, not the
@@ -15,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sdp::core::{default_parallelism, Budget, EnumContext, EnumeratorKind};
+use sdp::core::{default_parallelism, Budget, EnumContext, EnumeratorKind, RunStats};
 use sdp::cost::{join_candidates, InnerIndex, JoinInput};
 use sdp::prelude::*;
 
@@ -68,45 +71,69 @@ fn calls_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, CALLS.with(Cell::get) - before)
 }
 
-/// Allocator calls per plan costed of one single-threaded run (so
-/// that every allocation of the run lands on this thread).
-fn calls_per_plan(topology: Topology, algorithm: Algorithm) -> f64 {
+/// Allocator calls, and the run's counters, of one single-threaded
+/// run (so that every allocation of the run lands on this thread).
+fn calls_of_a_run(topology: Topology, algorithm: Algorithm) -> (u64, RunStats) {
     let catalog = Catalog::paper();
     let optimizer = Optimizer::new(&catalog).with_parallelism(1);
     let query = QueryGenerator::new(&catalog, topology, 7).instance(0);
     let (plan, calls) = calls_during(|| optimizer.optimize(&query, algorithm).unwrap());
-    let per_plan = calls as f64 / plan.stats.plans_costed as f64;
     println!(
-        "{topology} {}: {calls} allocator calls for {} plans costed ({per_plan:.3} per plan)",
+        "{topology} {}: {calls} allocator calls for {} plans costed ({:.4} per plan), {} JCRs",
         algorithm.label(),
-        plan.stats.plans_costed
+        plan.stats.plans_costed,
+        calls as f64 / plan.stats.plans_costed as f64,
+        plan.stats.jcrs_processed
     );
-    per_plan
+    (calls, plan.stats)
+}
+
+fn calls_per_plan(topology: Topology, algorithm: Algorithm) -> f64 {
+    let (calls, stats) = calls_of_a_run(topology, algorithm);
+    calls as f64 / stats.plans_costed as f64
 }
 
 #[test]
 fn exhaustive_dp_stays_under_the_allocation_budget() {
     for topology in [Topology::Star(10), Topology::star_chain(12)] {
         let per_plan = calls_per_plan(topology, Algorithm::Dp);
-        assert!(per_plan < 0.08, "{topology}: {per_plan:.3} per plan");
+        assert!(per_plan < 0.02, "{topology}: {per_plan:.4} per plan");
     }
 }
 
 #[test]
 fn sdp_stays_under_the_allocation_budget() {
     // Fewer plans per JCR than exhaustive DP, and the pruner's own
-    // (reused) buffers: a wider budget, which building a node per
-    // retained candidate of every pruned JCR would still break.
+    // (reused) buffers: a wider budget, which an allocation per JCR —
+    // pruned or kept — would still break.
     let topology = Topology::star_chain(16);
     let per_plan = calls_per_plan(topology, Algorithm::Sdp(SdpConfig::paper()));
-    assert!(per_plan < 0.2, "{topology}: {per_plan:.3} per plan");
+    assert!(per_plan < 0.05, "{topology}: {per_plan:.4} per plan");
+}
+
+#[test]
+fn allocations_follow_levels_not_jcrs() {
+    // Three more spokes are eight times the JCRs and three more levels:
+    // a run that allocated per JCR — a node, an entry vector — would
+    // allocate about eight times as often.
+    let (small_calls, small) = calls_of_a_run(Topology::Star(9), Algorithm::Dp);
+    let (large_calls, large) = calls_of_a_run(Topology::Star(12), Algorithm::Dp);
+    assert_eq!(
+        (small.jcrs_processed, large.jcrs_processed),
+        (256 + 8, 2048 + 11)
+    );
+    assert!(
+        large_calls < 2 * small_calls,
+        "{small_calls} allocator calls at Star-9, {large_calls} at Star-12"
+    );
 }
 
 #[test]
 fn costing_a_dominated_pair_does_not_allocate() {
     // The second costing of a pair offers the first one's plans again:
-    // every candidate is dominated (an equal plan is in the group), so
-    // nothing is staged, nothing built, nothing allocated.
+    // every one is dominated (an equal plan is in the group), so the
+    // group keeps none of what the pair retained among itself — and
+    // that, too, was held inline.
     let catalog = Catalog::paper();
     let model = CostModel::with_defaults(&catalog);
     let query = QueryGenerator::new(&catalog, Topology::Star(4), 7).instance(0);
