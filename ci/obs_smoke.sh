@@ -13,7 +13,7 @@
 #    form; arrival seq is deterministic under one client).
 # 2. The Q-error aggregates (`qerror` family in the metrics JSON) are
 #    bit-identical across thread counts, non-empty, and the report
-#    carries schema version 2.
+#    carries schema version 3.
 # 3. A torn tail (garbage appended to flight.log) is truncated on
 #    recovery without losing any intact record, and a second run over
 #    the same directory recovers the first run's records.
@@ -66,7 +66,7 @@ diff -u "$WORK/records-1.txt" "$WORK/records-4.txt" || {
 python3 - "$WORK/metrics-1.json" "$WORK/metrics-4.json" <<'EOF'
 import json, sys
 a, b = (json.load(open(p)) for p in sys.argv[1:3])
-assert a["schema"] == 2, f"expected schema 2, got {a['schema']}"
+assert a["schema"] == 3, f"expected schema 3, got {a['schema']}"
 assert a["qerror"], "qerror family empty after --qerror replay"
 assert any(k.startswith("node:") for k in a["qerror"]), "no per-kind series"
 assert any(k.startswith("pred:") for k in a["qerror"]), "no per-predicate series"

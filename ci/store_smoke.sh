@@ -46,6 +46,10 @@ store = json.load(open(sys.argv[1]))["store"]
 assert store["warm_fills"] > 0, f"no warm fills after restart: {store}"
 assert store["warm_hits"] > 0, f"no warm hits after restart: {store}"
 assert store["write_errors"] == 0, store
+# The epoch counters are table rows like any other: present in the
+# document, and nothing straddled an epoch bump here.
+assert "epoch_adoptions" in store, store
+assert store["stale_rejected"] == 0, store
 print(f"restart ok: {store['warm_fills']} warm fills, "
       f"{store['warm_hits']} warm hits, "
       f"{store['torn_truncations']} torn tails truncated")

@@ -21,14 +21,17 @@ use crate::service::{
     CountersSnapshot, GovernorSnapshot, LatencyHistogram, LatencyStats, OverloadSnapshot,
 };
 use crate::store::StoreSnapshot;
+use crate::table::{Kind, MetricDef};
 
 /// Version stamped into [`MetricsReport::to_json`] as the leading
 /// `"schema"` field. Bumped whenever the document shape changes so
 /// inspect tooling and replay smoke scripts can reject incompatible
 /// documents instead of mis-parsing them. Version 1 was the implicit,
 /// unstamped PR 5 shape; version 2 added the stamp itself and the
-/// `qerror` family.
-pub const METRICS_SCHEMA_VERSION: u32 = 2;
+/// `qerror` family; version 3 is rendered from the metric table
+/// ([`crate::table`]) and gained `governor.predicted_descents`,
+/// `store.epoch_adoptions` and `store.stale_rejected`.
+pub const METRICS_SCHEMA_VERSION: u32 = 3;
 
 /// Point-in-time bundle of every metric family the service exposes.
 #[derive(Debug, Clone, Default)]
@@ -64,212 +67,80 @@ fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
 
+/// The scalar gauges that belong to no counter family: one owned by
+/// the cache, two by the allocator.
+const CACHED_PLANS: MetricDef = MetricDef {
+    field: "cached_plans",
+    kind: Kind::Gauge,
+    name: "sdp_cached_plans",
+    help: "Plans currently resident in the cache.",
+};
+const ALLOC_LIVE: MetricDef = MetricDef {
+    field: "live_bytes",
+    kind: Kind::Gauge,
+    name: "sdp_alloc_live_bytes",
+    help: "Bytes currently allocated by the process.",
+};
+const ALLOC_PEAK: MetricDef = MetricDef {
+    field: "peak_bytes",
+    kind: Kind::Gauge,
+    name: "sdp_alloc_peak_bytes",
+    help: "Peak allocated bytes since the last reset.",
+};
+
+/// One scalar in the text format: `# HELP`, `# TYPE`, sample. The
+/// static parts are pushed, not formatted — only the value goes
+/// through `fmt`.
+fn prom_row(out: &mut String, def: &MetricDef, value: u64) {
+    out.extend(["# HELP ", def.name, " ", def.help, "\n"]);
+    out.extend(["# TYPE ", def.name, " ", def.kind.label(), "\n"]);
+    out.extend([def.name, " "]);
+    let _ = writeln!(out, "{value}");
+}
+
+/// The rows of one family that are of `kind`, in table order.
+fn prom_rows<'a>(out: &mut String, rows: impl Iterator<Item = (&'a MetricDef, u64)>, kind: Kind) {
+    for (def, value) in rows.filter(|(def, _)| def.kind == kind) {
+        prom_row(out, def, value);
+    }
+}
+
+/// One JSON object of scalars, `"key": value` per row in table order,
+/// followed by a comma (every family is followed by another member).
+fn json_family<'a>(
+    out: &mut String,
+    key: &str,
+    rows: impl Iterator<Item = (&'a MetricDef, u64)>,
+    derived: &[(&str, u64)],
+) {
+    out.extend(["  \"", key, "\": {"]);
+    let fields = rows.map(|(def, value)| (def.field, value));
+    for (i, (field, value)) in fields.chain(derived.iter().copied()).enumerate() {
+        out.extend([if i == 0 { "\n" } else { ",\n" }, "    \"", field, "\": "]);
+        let _ = write!(out, "{value}");
+    }
+    out.push_str("\n  },\n");
+}
+
 impl MetricsReport {
     /// Render as Prometheus text exposition format (version 0.0.4):
     /// `# HELP`/`# TYPE` headers, counters suffixed `_total`,
     /// histograms as cumulative `_bucket{le=...}` series ending in
-    /// `+Inf`, durations in seconds.
+    /// `+Inf`, durations in seconds. Every family's counters come
+    /// first, then the gauges, then the three labelled families.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
-        let c = &self.counters;
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        counter(
-            "sdp_cache_hits_total",
-            "Requests served from the plan cache.",
-            c.hits,
-        );
-        counter(
-            "sdp_cache_misses_total",
-            "Requests that led an enumeration.",
-            c.misses,
-        );
-        counter(
-            "sdp_coalesced_total",
-            "Requests coalesced onto an in-flight enumeration.",
-            c.coalesced,
-        );
-        counter(
-            "sdp_cache_evicted_total",
-            "Cache entries evicted by LRU capacity pressure.",
-            c.evicted,
-        );
-        counter(
-            "sdp_cache_stale_evicted_total",
-            "Cache entries invalidated by statistics-epoch changes.",
-            c.stale_evicted,
-        );
-        counter(
-            "sdp_enumerations_total",
-            "Optimizer enumerations actually run.",
-            c.enumerations,
-        );
-        counter(
-            "sdp_plans_costed_total",
-            "Plan alternatives costed across all enumerations.",
-            c.plans_costed,
-        );
-        let g = &self.governor;
-        counter(
-            "sdp_degradations_total",
-            "Governor ladder descents taken.",
-            g.degradations,
-        );
-        counter(
-            "sdp_degradations_deadline_total",
-            "Descents caused by an expired deadline slice.",
-            g.deadline_degradations,
-        );
-        counter(
-            "sdp_degradations_memory_total",
-            "Descents caused by the memory budget.",
-            g.memory_degradations,
-        );
-        counter(
-            "sdp_degradations_cancel_total",
-            "Jumps to the bottom rung on caller cancellation.",
-            g.cancel_degradations,
-        );
-        counter(
-            "sdp_timeouts_total",
-            "Requests that failed outright on a deadline error.",
-            g.timeouts,
-        );
-        counter(
-            "sdp_leader_retries_total",
-            "Panicking single-flight leaders retried on a cheaper rung.",
-            g.leader_retries,
-        );
-        let s = &self.store;
-        counter(
-            "sdp_store_writes_total",
-            "Plan records appended to the durable store.",
-            s.writes,
-        );
-        counter(
-            "sdp_store_write_errors_total",
-            "Durable-store appends that failed with an I/O error.",
-            s.write_errors,
-        );
-        counter(
-            "sdp_store_warm_fills_total",
-            "Recovered records that pre-populated the cache at startup.",
-            s.warm_fills,
-        );
-        counter(
-            "sdp_store_warm_hits_total",
-            "Cache hits served by entries from the persistent tier.",
-            s.warm_hits,
-        );
-        counter(
-            "sdp_store_stale_dropped_total",
-            "Recovered records dropped for a stale statistics epoch.",
-            s.stale_dropped,
-        );
-        counter(
-            "sdp_store_torn_truncations_total",
-            "Torn segment tails truncated during recovery.",
-            s.torn_truncations,
-        );
-        counter(
-            "sdp_store_compactions_total",
-            "Segment compactions run.",
-            s.compactions,
-        );
-        counter(
-            "sdp_dlq_enqueued_total",
-            "Failed requests serialized into the dead-letter queue.",
-            s.dlq_enqueued,
-        );
-        counter(
-            "sdp_dlq_drained_total",
-            "Dead-letter records re-optimized and removed.",
-            s.dlq_drained,
-        );
-        let o = &self.overload;
-        counter(
-            "sdp_shed_queue_full_total",
-            "Requests rejected at submit because the admission queue was full.",
-            o.shed_queue_full,
-        );
-        counter(
-            "sdp_shed_deadline_total",
-            "Dequeued requests dropped for an already-expired deadline.",
-            o.shed_deadline,
-        );
-        counter(
-            "sdp_served_stale_total",
-            "Requests answered with an epoch-stale plan under admission pressure.",
-            o.served_stale,
-        );
-        counter(
-            "sdp_breaker_trips_total",
-            "Per-fingerprint circuit breakers opened.",
-            o.breaker_trips,
-        );
-        counter(
-            "sdp_breaker_rejections_total",
-            "Arrivals rejected fast by an open circuit breaker.",
-            o.breaker_rejections,
-        );
-        counter(
-            "sdp_breaker_probes_total",
-            "Arrivals admitted through an open breaker as half-open probes.",
-            o.breaker_probes,
-        );
-        counter(
-            "sdp_breaker_recoveries_total",
-            "Half-open probes that succeeded and closed their breaker.",
-            o.breaker_recoveries,
-        );
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        gauge(
-            "sdp_cached_plans",
-            "Plans currently resident in the cache.",
-            self.cached_plans,
-        );
-        gauge(
-            "sdp_alloc_live_bytes",
-            "Bytes currently allocated by the process.",
-            self.alloc.live,
-        );
-        gauge(
-            "sdp_alloc_peak_bytes",
-            "Peak allocated bytes since the last reset.",
-            self.alloc.peak,
-        );
-        gauge(
-            "sdp_dlq_depth",
-            "Dead-letter records currently live.",
-            s.dlq_depth,
-        );
-        gauge(
-            "sdp_queue_depth",
-            "Requests currently waiting in the admission queue.",
-            o.queue_depth,
-        );
-        gauge(
-            "sdp_queue_depth_high_water",
-            "High-water admission-queue depth.",
-            o.queue_depth_hwm,
-        );
-        gauge(
-            "sdp_inflight",
-            "Requests currently being optimized by workers.",
-            o.inflight,
-        );
-        gauge(
-            "sdp_inflight_high_water",
-            "High-water in-flight request count.",
-            o.inflight_hwm,
-        );
+        for kind in [Kind::Counter, Kind::Gauge] {
+            if kind == Kind::Gauge {
+                prom_row(&mut out, &CACHED_PLANS, self.cached_plans);
+                prom_row(&mut out, &ALLOC_LIVE, self.alloc.live);
+                prom_row(&mut out, &ALLOC_PEAK, self.alloc.peak);
+            }
+            prom_rows(&mut out, self.counters.rows(), kind);
+            prom_rows(&mut out, self.governor.rows(), kind);
+            prom_rows(&mut out, self.store.rows(), kind);
+            prom_rows(&mut out, self.overload.rows(), kind);
+        }
 
         if !self.strategies.is_empty() {
             let _ = writeln!(
@@ -357,46 +228,17 @@ impl MetricsReport {
         out
     }
 
-    /// Render as one pretty-printed JSON document: counter and
-    /// governor tables verbatim, strategy aggregates and rung
+    /// Render as one pretty-printed JSON document: the scalar families
+    /// as objects keyed by field name, strategy aggregates and rung
     /// histograms (with p50/p95/p99 extracted) keyed by label,
     /// durations in microseconds.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        let c = &self.counters;
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": {METRICS_SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"counters\": {{");
-        let _ = writeln!(out, "    \"hits\": {},", c.hits);
-        let _ = writeln!(out, "    \"misses\": {},", c.misses);
-        let _ = writeln!(out, "    \"coalesced\": {},", c.coalesced);
-        let _ = writeln!(out, "    \"evicted\": {},", c.evicted);
-        let _ = writeln!(out, "    \"stale_evicted\": {},", c.stale_evicted);
-        let _ = writeln!(out, "    \"enumerations\": {},", c.enumerations);
-        let _ = writeln!(out, "    \"plans_costed\": {},", c.plans_costed);
-        let _ = writeln!(out, "    \"requests\": {}", c.requests());
-        let _ = writeln!(out, "  }},");
-        let g = &self.governor;
-        let _ = writeln!(out, "  \"governor\": {{");
-        let _ = writeln!(out, "    \"degradations\": {},", g.degradations);
-        let _ = writeln!(
-            out,
-            "    \"deadline_degradations\": {},",
-            g.deadline_degradations
-        );
-        let _ = writeln!(
-            out,
-            "    \"memory_degradations\": {},",
-            g.memory_degradations
-        );
-        let _ = writeln!(
-            out,
-            "    \"cancel_degradations\": {},",
-            g.cancel_degradations
-        );
-        let _ = writeln!(out, "    \"timeouts\": {},", g.timeouts);
-        let _ = writeln!(out, "    \"leader_retries\": {}", g.leader_retries);
-        let _ = writeln!(out, "  }},");
+        let requests = [("requests", self.counters.requests())];
+        json_family(&mut out, "counters", self.counters.rows(), &requests);
+        json_family(&mut out, "governor", self.governor.rows(), &[]);
         let _ = writeln!(out, "  \"strategies\": {{");
         let n = self.strategies.len();
         for (i, (label, s)) in self.strategies.iter().enumerate() {
@@ -450,37 +292,13 @@ impl MetricsReport {
             let _ = writeln!(out, "    }}{comma}");
         }
         let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"alloc\": {{");
-        let _ = writeln!(out, "    \"live_bytes\": {},", self.alloc.live);
-        let _ = writeln!(out, "    \"peak_bytes\": {}", self.alloc.peak);
-        let _ = writeln!(out, "  }},");
-        let s = &self.store;
-        let _ = writeln!(out, "  \"store\": {{");
-        let _ = writeln!(out, "    \"writes\": {},", s.writes);
-        let _ = writeln!(out, "    \"write_errors\": {},", s.write_errors);
-        let _ = writeln!(out, "    \"warm_fills\": {},", s.warm_fills);
-        let _ = writeln!(out, "    \"warm_hits\": {},", s.warm_hits);
-        let _ = writeln!(out, "    \"stale_dropped\": {},", s.stale_dropped);
-        let _ = writeln!(out, "    \"torn_truncations\": {},", s.torn_truncations);
-        let _ = writeln!(out, "    \"compactions\": {},", s.compactions);
-        let _ = writeln!(out, "    \"dlq_enqueued\": {},", s.dlq_enqueued);
-        let _ = writeln!(out, "    \"dlq_drained\": {},", s.dlq_drained);
-        let _ = writeln!(out, "    \"dlq_depth\": {}", s.dlq_depth);
-        let _ = writeln!(out, "  }},");
-        let o = &self.overload;
-        let _ = writeln!(out, "  \"overload\": {{");
-        let _ = writeln!(out, "    \"shed_queue_full\": {},", o.shed_queue_full);
-        let _ = writeln!(out, "    \"shed_deadline\": {},", o.shed_deadline);
-        let _ = writeln!(out, "    \"served_stale\": {},", o.served_stale);
-        let _ = writeln!(out, "    \"breaker_trips\": {},", o.breaker_trips);
-        let _ = writeln!(out, "    \"breaker_rejections\": {},", o.breaker_rejections);
-        let _ = writeln!(out, "    \"breaker_probes\": {},", o.breaker_probes);
-        let _ = writeln!(out, "    \"breaker_recoveries\": {},", o.breaker_recoveries);
-        let _ = writeln!(out, "    \"queue_depth\": {},", o.queue_depth);
-        let _ = writeln!(out, "    \"queue_depth_hwm\": {},", o.queue_depth_hwm);
-        let _ = writeln!(out, "    \"inflight\": {},", o.inflight);
-        let _ = writeln!(out, "    \"inflight_hwm\": {}", o.inflight_hwm);
-        let _ = writeln!(out, "  }},");
+        let alloc = [
+            (&ALLOC_LIVE, self.alloc.live),
+            (&ALLOC_PEAK, self.alloc.peak),
+        ];
+        json_family(&mut out, "alloc", alloc.into_iter(), &[]);
+        json_family(&mut out, "store", self.store.rows(), &[]);
+        json_family(&mut out, "overload", self.overload.rows(), &[]);
         let _ = writeln!(out, "  \"cached_plans\": {}", self.cached_plans);
         out.push_str("}\n");
         out
@@ -552,24 +370,13 @@ mod tests {
         report
     }
 
+    // Every scalar line of both formats is pinned byte for byte by
+    // tests/exposition_golden.rs; what stays here is the shape of the
+    // documents.
+
     #[test]
     fn prometheus_text_has_headers_and_series() {
         let text = sample_report().prometheus_text();
-        assert!(text.contains("# TYPE sdp_cache_hits_total counter"));
-        assert!(text.contains("sdp_cache_hits_total 5"));
-        assert!(text.contains("sdp_degradations_memory_total 1"));
-        assert!(text.contains("sdp_cached_plans 2"));
-        assert!(text.contains("# TYPE sdp_store_writes_total counter"));
-        assert!(text.contains("sdp_store_warm_hits_total 2"));
-        assert!(text.contains("# TYPE sdp_dlq_depth gauge"));
-        assert!(text.contains("sdp_dlq_depth 1"));
-        assert!(text.contains("# TYPE sdp_shed_queue_full_total counter"));
-        assert!(text.contains("sdp_shed_queue_full_total 7"));
-        assert!(text.contains("sdp_served_stale_total 3"));
-        assert!(text.contains("sdp_breaker_trips_total 1"));
-        assert!(text.contains("# TYPE sdp_queue_depth_high_water gauge"));
-        assert!(text.contains("sdp_queue_depth_high_water 9"));
-        assert!(text.contains("sdp_inflight_high_water 4"));
         assert!(text.contains("sdp_strategy_latency_seconds_count{strategy=\"SDP\"} 2"));
         assert!(text.contains("sdp_rung_latency_seconds_bucket{rung=\"SDP\",le=\"+Inf\"} 3"));
         assert!(text.contains("# TYPE sdp_qerror histogram"));
@@ -587,20 +394,10 @@ mod tests {
     #[test]
     fn json_report_is_parseable_shape() {
         let json = sample_report().to_json();
-        assert!(json.starts_with("{\n  \"schema\": 2,\n"));
+        assert!(json.starts_with("{\n  \"schema\": 3,\n"));
         assert!(json.contains("\"node:Join(Hash)\""));
-        assert!(json.contains("\"hits\": 5"));
         assert!(json.contains("\"requests\": 8"));
-        assert!(json.contains("\"memory_degradations\": 1"));
         assert!(json.contains("\"p95_micros\""));
-        assert!(json.contains("\"cached_plans\": 2"));
-        assert!(json.contains("\"warm_hits\": 2"));
-        assert!(json.contains("\"dlq_depth\": 1"));
-        assert!(json.contains("\"shed_queue_full\": 7"));
-        assert!(json.contains("\"served_stale\": 3"));
-        assert!(json.contains("\"breaker_rejections\": 4"));
-        assert!(json.contains("\"queue_depth_hwm\": 9"));
-        assert!(json.contains("\"inflight_hwm\": 4"));
         // Structural sanity without a JSON parser: balanced braces and
         // brackets, no trailing comma before a closer.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -615,10 +412,8 @@ mod tests {
     fn empty_report_renders_cleanly() {
         let report = MetricsReport::default();
         let text = report.prometheus_text();
-        assert!(text.contains("sdp_cache_hits_total 0"));
         assert!(!text.contains("sdp_rung_latency_seconds"));
         let json = report.to_json();
-        assert!(json.contains("\"schema\": 2"));
         assert!(json.contains("\"strategies\": {"));
         assert!(json.contains("\"qerror\": {"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -49,8 +49,21 @@ impl HistogramSample for Duration {
     }
 
     fn div_by(self, count: u64) -> Self {
-        self / count as u32
+        mean_duration(self, count)
     }
+}
+
+/// `total / count` for any `u64` count (zero when empty). `Duration`
+/// only divides by `u32`: a count cast down to it gives a wrong mean
+/// past 2³² − 1 samples and a division by zero at exactly 2³², so the
+/// division runs in `u128` nanoseconds.
+pub(crate) fn mean_duration(total: Duration, count: u64) -> Duration {
+    const NANOS_PER_SEC: u128 = 1_000_000_000;
+    let nanos = total.as_nanos().checked_div(count.into()).unwrap_or(0);
+    Duration::new(
+        (nanos / NANOS_PER_SEC) as u64,
+        (nanos % NANOS_PER_SEC) as u32,
+    )
 }
 
 /// Q-error ratios are dimensionless `f64`s ≥ 1; 10 fractional bits of

@@ -26,6 +26,7 @@ pub mod overhead;
 pub mod quality;
 pub mod service;
 pub mod store;
+pub mod table;
 
 pub use alloc::AllocSnapshot;
 pub use expo::{MetricsReport, METRICS_SCHEMA_VERSION};
@@ -33,8 +34,9 @@ pub use histogram::{Histogram, HistogramSample, QErrorHistogram};
 pub use overhead::{OverheadSample, OverheadSummary};
 pub use quality::{geometric_mean_ratio, QualityClass, QualitySummary};
 pub use service::{
-    CountersSnapshot, GovernorCounters, GovernorSnapshot, LatencyHistogram, LatencyStats,
-    OverloadCounters, OverloadSnapshot, RungLatencies, ServiceCounters, StrategyLatencies,
-    HISTOGRAM_BUCKETS,
+    CountersSnapshot, DescentReason, GovernorCounters, GovernorSnapshot, LatencyHistogram,
+    LatencyStats, OverloadCounters, OverloadSnapshot, RungLatencies, ServiceCounters,
+    StrategyLatencies, HISTOGRAM_BUCKETS,
 };
 pub use store::{StoreCounters, StoreSnapshot};
+pub use table::{Kind, MetricDef};

@@ -7,45 +7,28 @@
 //! lock is noise against its cost).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Monotonic counters for one service instance.
-#[derive(Debug, Default)]
-pub struct ServiceCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    evicted: AtomicU64,
-    stale_evicted: AtomicU64,
-    enumerations: AtomicU64,
-    plans_costed: AtomicU64,
+use crate::histogram::mean_duration;
+use crate::table::metric_family;
+
+metric_family! {
+    /// Monotonic counters for one service instance.
+    live ServiceCounters;
+    /// Point-in-time copy of [`ServiceCounters`].
+    snapshot CountersSnapshot;
+    hits: counter "sdp_cache_hits_total" "Requests served from the plan cache." => record_hit;
+    misses: counter "sdp_cache_misses_total" "Requests that led an enumeration." => record_miss;
+    coalesced: counter "sdp_coalesced_total" "Requests coalesced onto an in-flight enumeration." => record_coalesced;
+    evicted: counter "sdp_cache_evicted_total" "Cache entries evicted by LRU capacity pressure.";
+    stale_evicted: counter "sdp_cache_stale_evicted_total" "Cache entries invalidated by statistics-epoch changes.";
+    enumerations: counter "sdp_enumerations_total" "Optimizer enumerations actually run.";
+    plans_costed: counter "sdp_plans_costed_total" "Plan alternatives costed across all enumerations.";
 }
 
 impl ServiceCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        ServiceCounters::default()
-    }
-
-    /// A request was served from the plan cache.
-    pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request missed the cache (and triggered or joined an
-    /// enumeration as its leader).
-    pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request was coalesced onto another request's in-flight
-    /// enumeration.
-    pub fn record_coalesced(&self) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// `n` entries were evicted by LRU capacity pressure.
     pub fn add_evicted(&self, n: u64) {
         self.evicted.fetch_add(n, Ordering::Relaxed);
@@ -62,39 +45,6 @@ impl ServiceCounters {
         self.enumerations.fetch_add(1, Ordering::Relaxed);
         self.plans_costed.fetch_add(plans, Ordering::Relaxed);
     }
-
-    /// Consistent-enough snapshot of all counters (each counter is
-    /// read atomically; the set is not a single atomic transaction).
-    pub fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            stale_evicted: self.stale_evicted.load(Ordering::Relaxed),
-            enumerations: self.enumerations.load(Ordering::Relaxed),
-            plans_costed: self.plans_costed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of [`ServiceCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountersSnapshot {
-    /// Requests served from the cache.
-    pub hits: u64,
-    /// Requests that led an enumeration.
-    pub misses: u64,
-    /// Requests coalesced onto an in-flight enumeration.
-    pub coalesced: u64,
-    /// Entries evicted by LRU capacity pressure.
-    pub evicted: u64,
-    /// Entries invalidated by statistics-epoch changes.
-    pub stale_evicted: u64,
-    /// Optimizer enumerations actually run.
-    pub enumerations: u64,
-    /// Total plan alternatives costed across all enumerations.
-    pub plans_costed: u64,
 }
 
 impl CountersSnapshot {
@@ -135,11 +85,7 @@ impl LatencyStats {
 
     /// Mean latency (zero when empty).
     pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
-        }
+        mean_duration(self.total, self.count)
     }
 }
 
@@ -172,175 +118,118 @@ impl StrategyLatencies {
     }
 }
 
-/// Monotonic counters for the resource governor's degradation ladder:
-/// how often requests descended, why, and how the daemon's leader
-/// retry policy behaved.
-#[derive(Debug, Default)]
-pub struct GovernorCounters {
-    degradations: AtomicU64,
-    deadline_degradations: AtomicU64,
-    memory_degradations: AtomicU64,
-    cancel_degradations: AtomicU64,
-    predicted_descents: AtomicU64,
-    timeouts: AtomicU64,
-    leader_retries: AtomicU64,
+metric_family! {
+    /// Monotonic counters for the resource governor's degradation
+    /// ladder: how often requests descended, why, and how the daemon's
+    /// leader retry policy behaved.
+    live GovernorCounters;
+    /// Point-in-time copy of [`GovernorCounters`].
+    snapshot GovernorSnapshot;
+    degradations: counter "sdp_degradations_total" "Governor ladder descents taken.";
+    deadline_degradations: counter "sdp_degradations_deadline_total" "Descents caused by an expired deadline slice.";
+    memory_degradations: counter "sdp_degradations_memory_total" "Descents caused by the memory budget.";
+    cancel_degradations: counter "sdp_degradations_cancel_total" "Jumps to the bottom rung on caller cancellation.";
+    predicted_descents: counter "sdp_degradations_predicted_total" "Memory descents past a rung the feasibility oracle proved infeasible, so it was never run." => record_predicted_descent;
+    timeouts: counter "sdp_timeouts_total" "Requests that failed outright on a deadline error." => record_timeout;
+    leader_retries: counter "sdp_leader_retries_total" "Panicking single-flight leaders retried on a cheaper rung." => record_leader_retry;
+}
+
+/// Why a governed run left a rung — the breakdown
+/// [`GovernorCounters::record_descent`] counts by. Mirrors
+/// `sdp_core::DegradeReason` without depending on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DescentReason {
+    /// The rung's deadline slice expired.
+    Deadline,
+    /// The memory budget tripped, or the feasibility oracle proved it
+    /// would.
+    Memory,
+    /// The caller cancelled: a jump to the cheapest rung.
+    Cancelled,
 }
 
 impl GovernorCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        GovernorCounters::default()
-    }
-
     /// A request descended one rung because its deadline slice
     /// expired.
     pub fn record_deadline_degradation(&self) {
-        self.degradations.fetch_add(1, Ordering::Relaxed);
-        self.deadline_degradations.fetch_add(1, Ordering::Relaxed);
+        self.record_descent(DescentReason::Deadline, false);
     }
 
     /// A request descended one rung because the memory budget tripped.
     pub fn record_memory_degradation(&self) {
-        self.degradations.fetch_add(1, Ordering::Relaxed);
-        self.memory_degradations.fetch_add(1, Ordering::Relaxed);
+        self.record_descent(DescentReason::Memory, false);
     }
 
     /// A request jumped to the cheapest rung on caller cancellation.
     pub fn record_cancel_degradation(&self) {
+        self.record_descent(DescentReason::Cancelled, false);
+    }
+
+    /// One ladder descent: the total, its reason's breakdown counter
+    /// and — when the feasibility oracle `predicted` it, so the rung
+    /// was never run — `predicted_descents` *beside* them, not instead.
+    pub fn record_descent(&self, reason: DescentReason, predicted: bool) {
         self.degradations.fetch_add(1, Ordering::Relaxed);
-        self.cancel_degradations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A memory descent was predicted by the feasibility oracle: the
-    /// rung was descended past without being run. Counted *beside* the
-    /// descent's [`GovernorCounters::record_memory_degradation`], not
-    /// instead of it.
-    pub fn record_predicted_descent(&self) {
-        self.predicted_descents.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request failed outright with a deadline error (even the
-    /// bottom rung could not finish in time).
-    pub fn record_timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A panicking single-flight leader was retried on the next-
-    /// cheaper rung.
-    pub fn record_leader_retry(&self) {
-        self.leader_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of all counters.
-    pub fn snapshot(&self) -> GovernorSnapshot {
-        GovernorSnapshot {
-            degradations: self.degradations.load(Ordering::Relaxed),
-            deadline_degradations: self.deadline_degradations.load(Ordering::Relaxed),
-            memory_degradations: self.memory_degradations.load(Ordering::Relaxed),
-            cancel_degradations: self.cancel_degradations.load(Ordering::Relaxed),
-            predicted_descents: self.predicted_descents.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            leader_retries: self.leader_retries.load(Ordering::Relaxed),
+        let by_reason = match reason {
+            DescentReason::Deadline => &self.deadline_degradations,
+            DescentReason::Memory => &self.memory_degradations,
+            DescentReason::Cancelled => &self.cancel_degradations,
+        };
+        by_reason.fetch_add(1, Ordering::Relaxed);
+        if predicted {
+            self.record_predicted_descent();
         }
     }
 }
 
-/// Point-in-time copy of [`GovernorCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GovernorSnapshot {
-    /// Total ladder descents taken.
-    pub degradations: u64,
-    /// Descents caused by an expired deadline slice.
-    pub deadline_degradations: u64,
-    /// Descents caused by the memory budget.
-    pub memory_degradations: u64,
-    /// Jumps to the bottom rung caused by caller cancellation.
-    pub cancel_degradations: u64,
-    /// Memory descents past a rung the feasibility oracle proved
-    /// infeasible, so it was never run (a subset of
-    /// `memory_degradations`). In the snapshot and the `replay` summary
-    /// only — not in the Prometheus/JSON expositions yet.
-    pub predicted_descents: u64,
-    /// Requests that failed outright on a deadline error.
-    pub timeouts: u64,
-    /// Panicking leaders retried on a cheaper rung.
-    pub leader_retries: u64,
-}
-
-/// Monotonic counters and gauges for the daemon's overload-control
-/// layer: bounded-admission sheds, stale serves, the per-fingerprint
-/// circuit breaker, and queue-depth / in-flight occupancy (current
-/// value plus high-water mark).
-///
-/// The gauges are updated through paired enter/leave methods so the
-/// high-water marks are exact regardless of interleaving: the mark is
-/// folded in with `fetch_max` at every increment.
-#[derive(Debug, Default)]
-pub struct OverloadCounters {
-    shed_queue_full: AtomicU64,
-    shed_deadline: AtomicU64,
-    served_stale: AtomicU64,
-    breaker_trips: AtomicU64,
-    breaker_rejections: AtomicU64,
-    breaker_probes: AtomicU64,
-    breaker_recoveries: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_depth_hwm: AtomicU64,
-    inflight: AtomicU64,
-    inflight_hwm: AtomicU64,
+metric_family! {
+    /// Monotonic counters and gauges for the daemon's overload-control
+    /// layer: bounded-admission sheds, stale serves, the
+    /// per-fingerprint circuit breaker, and queue-depth / in-flight
+    /// occupancy (current value plus high-water mark).
+    ///
+    /// The gauges are updated through paired enter/leave methods so the
+    /// high-water marks are exact regardless of interleaving: the mark
+    /// is folded in with `fetch_max` at every increment.
+    live OverloadCounters;
+    /// Point-in-time copy of [`OverloadCounters`].
+    snapshot OverloadSnapshot;
+    shed_queue_full: counter "sdp_shed_queue_full_total" "Requests rejected at submit because the admission queue was full." => record_shed_queue_full;
+    shed_deadline: counter "sdp_shed_deadline_total" "Dequeued requests dropped for an already-expired deadline." => record_shed_deadline;
+    served_stale: counter "sdp_served_stale_total" "Requests answered with an epoch-stale plan under admission pressure." => record_served_stale;
+    breaker_trips: counter "sdp_breaker_trips_total" "Per-fingerprint circuit breakers opened." => record_breaker_trip;
+    breaker_rejections: counter "sdp_breaker_rejections_total" "Arrivals rejected fast by an open circuit breaker." => record_breaker_rejection;
+    breaker_probes: counter "sdp_breaker_probes_total" "Arrivals admitted through an open breaker as half-open probes." => record_breaker_probe;
+    breaker_recoveries: counter "sdp_breaker_recoveries_total" "Half-open probes that succeeded and closed their breaker." => record_breaker_recovery;
+    queue_depth: gauge "sdp_queue_depth" "Requests currently waiting in the admission queue.";
+    queue_depth_hwm: gauge "sdp_queue_depth_high_water" "High-water admission-queue depth.";
+    inflight: gauge "sdp_inflight" "Requests currently being optimized by workers.";
+    inflight_hwm: gauge "sdp_inflight_high_water" "High-water in-flight request count.";
 }
 
 impl OverloadCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        OverloadCounters::default()
-    }
-
-    /// A request was rejected at submit because the admission queue
-    /// was full.
-    pub fn record_shed_queue_full(&self) {
-        self.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A dequeued request was dropped because its remaining deadline
-    /// (after charged queue-wait) was below the cheapest rung's floor.
-    pub fn record_shed_deadline(&self) {
-        self.shed_deadline.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request under admission pressure was answered with an
-    /// epoch-stale plan instead of being shed.
-    pub fn record_served_stale(&self) {
-        self.served_stale.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A fingerprint's circuit breaker opened (K consecutive
-    /// failures).
-    pub fn record_breaker_trip(&self) {
-        self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An arrival was rejected fast by an open breaker.
-    pub fn record_breaker_rejection(&self) {
-        self.breaker_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An arrival was let through an open breaker as a half-open
-    /// probe.
-    pub fn record_breaker_probe(&self) {
-        self.breaker_probes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A probe succeeded and closed its breaker.
-    pub fn record_breaker_recovery(&self) {
-        self.breaker_recoveries.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A request entered the admission queue; returns the new depth.
     pub fn queue_entered(&self) -> u64 {
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
         depth
+    }
+
+    /// Bounded admission in one step: enter the queue unless it
+    /// already holds `cap` requests. The depth check and the increment
+    /// are one `fetch_update`, so concurrent submitters can never
+    /// overshoot `cap`; the high-water mark moves on success only.
+    pub fn try_enter_queue(&self, cap: u64) -> bool {
+        let entered =
+            self.queue_depth
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
+                    (depth < cap).then_some(depth + 1)
+                });
+        if let Ok(before) = entered {
+            self.queue_depth_hwm
+                .fetch_max(before + 1, Ordering::Relaxed);
+        }
+        entered.is_ok()
     }
 
     /// A request left the admission queue (dequeued past the gate, or
@@ -364,50 +253,6 @@ impl OverloadCounters {
     pub fn job_finished(&self) {
         self.inflight.fetch_sub(1, Ordering::Relaxed);
     }
-
-    /// Point-in-time copy of all counters and gauges.
-    pub fn snapshot(&self) -> OverloadSnapshot {
-        OverloadSnapshot {
-            shed_queue_full: self.shed_queue_full.load(Ordering::Relaxed),
-            shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
-            served_stale: self.served_stale.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            breaker_rejections: self.breaker_rejections.load(Ordering::Relaxed),
-            breaker_probes: self.breaker_probes.load(Ordering::Relaxed),
-            breaker_recoveries: self.breaker_recoveries.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_depth_hwm: self.queue_depth_hwm.load(Ordering::Relaxed),
-            inflight: self.inflight.load(Ordering::Relaxed),
-            inflight_hwm: self.inflight_hwm.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of [`OverloadCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverloadSnapshot {
-    /// Requests rejected at submit (admission queue full).
-    pub shed_queue_full: u64,
-    /// Dequeued requests dropped for an already-expired deadline.
-    pub shed_deadline: u64,
-    /// Requests answered with an epoch-stale plan under pressure.
-    pub served_stale: u64,
-    /// Circuit-breaker opens.
-    pub breaker_trips: u64,
-    /// Arrivals rejected fast by an open breaker.
-    pub breaker_rejections: u64,
-    /// Arrivals admitted through an open breaker as half-open probes.
-    pub breaker_probes: u64,
-    /// Probes that succeeded and closed their breaker.
-    pub breaker_recoveries: u64,
-    /// Current admission-queue depth.
-    pub queue_depth: u64,
-    /// High-water admission-queue depth.
-    pub queue_depth_hwm: u64,
-    /// Requests currently being optimized by workers.
-    pub inflight: u64,
-    /// High-water in-flight count.
-    pub inflight_hwm: u64,
 }
 
 impl OverloadSnapshot {
@@ -496,6 +341,28 @@ mod tests {
     }
 
     #[test]
+    fn means_survive_counts_past_u32() {
+        // `Duration` divides by `u32` only: a count cast down to it
+        // divides by zero at exactly 2³² and by the wrong number past
+        // it.
+        for count in [1u64 << 32, (1 << 32) + 1] {
+            let total = Duration::from_micros(3 * count);
+            let stats = LatencyStats {
+                count,
+                total,
+                max: Duration::from_micros(3),
+            };
+            assert_eq!(stats.mean(), Duration::from_micros(3));
+            let h = LatencyHistogram {
+                count,
+                total,
+                ..LatencyHistogram::default()
+            };
+            assert_eq!(h.mean(), Duration::from_micros(3));
+        }
+    }
+
+    #[test]
     fn strategy_table_is_keyed_by_label() {
         let t = StrategyLatencies::new();
         t.record("SDP", Duration::from_millis(5));
@@ -512,8 +379,7 @@ mod tests {
         let g = GovernorCounters::new();
         g.record_deadline_degradation();
         g.record_deadline_degradation();
-        g.record_memory_degradation();
-        g.record_predicted_descent();
+        g.record_descent(DescentReason::Memory, true);
         g.record_cancel_degradation();
         g.record_timeout();
         g.record_leader_retry();
@@ -689,6 +555,19 @@ mod tests {
         assert_eq!(s.queue_depth_hwm, 2, "high-water survives the drain");
         assert_eq!(s.inflight, 1);
         assert_eq!(s.inflight_hwm, 2);
+    }
+
+    #[test]
+    fn bounded_entry_never_overshoots_the_cap() {
+        let o = OverloadCounters::new();
+        assert!(o.try_enter_queue(2));
+        assert!(o.try_enter_queue(2));
+        assert!(!o.try_enter_queue(2), "full at the cap");
+        assert!(!o.try_enter_queue(0), "a zero cap admits nothing");
+        o.queue_left();
+        assert!(o.try_enter_queue(2), "a freed slot is reusable");
+        let s = o.snapshot();
+        assert_eq!((s.queue_depth, s.queue_depth_hwm), (2, 2));
     }
 
     #[test]

@@ -7,85 +7,31 @@
 //! enumeration, warm fills at startup). `dlq_depth` is a gauge — it
 //! moves both ways as records are enqueued and drained.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Monotonic counters (plus the `dlq_depth` gauge) for one durable
-/// plan store.
-#[derive(Debug, Default)]
-pub struct StoreCounters {
-    writes: AtomicU64,
-    write_errors: AtomicU64,
-    warm_fills: AtomicU64,
-    warm_hits: AtomicU64,
-    stale_dropped: AtomicU64,
-    epoch_adoptions: AtomicU64,
-    stale_rejected: AtomicU64,
-    torn_truncations: AtomicU64,
-    compactions: AtomicU64,
-    dlq_enqueued: AtomicU64,
-    dlq_drained: AtomicU64,
-    dlq_depth: AtomicU64,
+use crate::table::metric_family;
+
+metric_family! {
+    /// Monotonic counters (plus the `dlq_depth` gauge) for one durable
+    /// plan store.
+    live StoreCounters;
+    /// Point-in-time copy of [`StoreCounters`].
+    snapshot StoreSnapshot;
+    writes: counter "sdp_store_writes_total" "Plan records appended to the durable store." => record_write;
+    write_errors: counter "sdp_store_write_errors_total" "Durable-store appends that failed with an I/O error." => record_write_error;
+    warm_fills: counter "sdp_store_warm_fills_total" "Recovered records that pre-populated the cache at startup." => record_warm_fill;
+    warm_hits: counter "sdp_store_warm_hits_total" "Cache hits served by entries from the persistent tier." => record_warm_hit;
+    stale_dropped: counter "sdp_store_stale_dropped_total" "Recovered records dropped for a stale statistics epoch." => record_stale_dropped;
+    epoch_adoptions: counter "sdp_store_epoch_adoptions_total" "Times the open store adopted a newer statistics epoch." => record_epoch_adopted;
+    stale_rejected: counter "sdp_store_stale_rejected_total" "Appends refused for an epoch older than the store's." => record_stale_rejected;
+    torn_truncations: counter "sdp_store_torn_truncations_total" "Torn segment tails truncated during recovery." => record_torn_truncation;
+    compactions: counter "sdp_store_compactions_total" "Segment compactions run." => record_compaction;
+    dlq_enqueued: counter "sdp_dlq_enqueued_total" "Failed requests serialized into the dead-letter queue.";
+    dlq_drained: counter "sdp_dlq_drained_total" "Dead-letter records re-optimized and removed.";
+    dlq_depth: gauge "sdp_dlq_depth" "Dead-letter records currently live.";
 }
 
 impl StoreCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        StoreCounters::default()
-    }
-
-    /// A plan record was appended to the segment log.
-    pub fn record_write(&self) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A segment append failed (I/O error); the plan stays cached in
-    /// memory but is lost to the persistent tier.
-    pub fn record_write_error(&self) {
-        self.write_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A recovered record pre-populated the in-memory cache at
-    /// startup.
-    pub fn record_warm_fill(&self) {
-        self.warm_fills.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request hit a cache entry that came from the persistent tier
-    /// rather than an enumeration in this process lifetime.
-    pub fn record_warm_hit(&self) {
-        self.warm_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A recovered record was dropped because its statistics epoch no
-    /// longer matches the catalog.
-    pub fn record_stale_dropped(&self) {
-        self.stale_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The open store moved to a newer statistics epoch (the catalog
-    /// was bumped under it), retiring its previous live generation.
-    pub fn record_epoch_adopted(&self) {
-        self.epoch_adoptions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An append was refused because the record's statistics epoch is
-    /// older than the one the store has already adopted.
-    pub fn record_stale_rejected(&self) {
-        self.stale_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A torn tail (partial or corrupt trailing record) was truncated
-    /// during recovery.
-    pub fn record_torn_truncation(&self) {
-        self.torn_truncations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A segment compaction ran (live records rewritten, old segments
-    /// deleted).
-    pub fn record_compaction(&self) {
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A failed request was serialized into the dead-letter queue.
     pub fn record_dlq_enqueued(&self) {
         self.dlq_enqueued.fetch_add(1, Ordering::Relaxed);
@@ -93,22 +39,14 @@ impl StoreCounters {
     }
 
     /// `n` dead-letter records were drained (re-optimized and
-    /// removed).
+    /// removed); the depth gauge saturates at zero.
     pub fn add_dlq_drained(&self, n: u64) {
         self.dlq_drained.fetch_add(n, Ordering::Relaxed);
-        let mut depth = self.dlq_depth.load(Ordering::Relaxed);
-        loop {
-            let next = depth.saturating_sub(n);
-            match self.dlq_depth.compare_exchange_weak(
-                depth,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(observed) => depth = observed,
-            }
-        }
+        let _ = self
+            .dlq_depth
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
+                Some(depth.saturating_sub(n))
+            });
     }
 
     /// Set the `dlq_depth` gauge outright (recovery knows the exact
@@ -121,54 +59,6 @@ impl StoreCounters {
     pub fn dlq_depth(&self) -> u64 {
         self.dlq_depth.load(Ordering::Relaxed)
     }
-
-    /// Consistent-enough snapshot of all counters (each counter is
-    /// read atomically; the set is not a single atomic transaction).
-    pub fn snapshot(&self) -> StoreSnapshot {
-        StoreSnapshot {
-            writes: self.writes.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-            warm_fills: self.warm_fills.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            stale_dropped: self.stale_dropped.load(Ordering::Relaxed),
-            epoch_adoptions: self.epoch_adoptions.load(Ordering::Relaxed),
-            stale_rejected: self.stale_rejected.load(Ordering::Relaxed),
-            torn_truncations: self.torn_truncations.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            dlq_enqueued: self.dlq_enqueued.load(Ordering::Relaxed),
-            dlq_drained: self.dlq_drained.load(Ordering::Relaxed),
-            dlq_depth: self.dlq_depth.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of [`StoreCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreSnapshot {
-    /// Plan records appended to the segment log.
-    pub writes: u64,
-    /// Segment appends that failed with an I/O error.
-    pub write_errors: u64,
-    /// Recovered records that pre-populated the cache at startup.
-    pub warm_fills: u64,
-    /// Cache hits served by entries from the persistent tier.
-    pub warm_hits: u64,
-    /// Recovered records dropped for a stale statistics epoch.
-    pub stale_dropped: u64,
-    /// Times the open store adopted a newer statistics epoch.
-    pub epoch_adoptions: u64,
-    /// Appends refused for an epoch older than the store's.
-    pub stale_rejected: u64,
-    /// Torn tails truncated during recovery.
-    pub torn_truncations: u64,
-    /// Segment compactions run.
-    pub compactions: u64,
-    /// Requests serialized into the dead-letter queue.
-    pub dlq_enqueued: u64,
-    /// Dead-letter records drained.
-    pub dlq_drained: u64,
-    /// Dead-letter records currently live (gauge).
-    pub dlq_depth: u64,
 }
 
 #[cfg(test)]

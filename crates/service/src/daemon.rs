@@ -45,6 +45,10 @@ use crate::service::{OptimizerService, ServiceError, ServiceRequest, ServiceResp
 
 type Reply = Result<ServiceResponse, ServiceError>;
 struct Job {
+    /// The job's claim on the admission queue, declared first so it is
+    /// released first: a job dropped unserved (in the channel when the
+    /// last worker died) frees its slot before its ticket resolves.
+    slot: QueueSlot,
     request: ServiceRequest,
     reply: Sender<Reply>,
     /// When the request entered the queue; queue-wait is charged
@@ -53,6 +57,44 @@ struct Job {
     /// Arrival sequence number (counts every submission, shed or
     /// admitted) — the logical clock chaos schedules key on.
     seq: u64,
+}
+
+/// One occupied slot of the admission queue: taken at submit, released
+/// on drop — past the pause gate, or wherever an unserved job dies.
+struct QueueSlot(Arc<OptimizerService>);
+
+impl Drop for QueueSlot {
+    fn drop(&mut self) {
+        self.0.overload_counters().queue_left();
+    }
+}
+
+/// Admission pressure on arrival `seq`: answer from the stale shelf
+/// when allowed and possible, else shed for `reason` — the one place a
+/// shed is counted and traced (keyed by arrival: nothing is parsed yet).
+fn stale_or_shed(
+    service: &OptimizerService,
+    stale_serve: bool,
+    request: &ServiceRequest,
+    seq: u64,
+    reason: ShedReason,
+) -> Reply {
+    if stale_serve {
+        if let Some(response) = service.serve_stale(request) {
+            return Ok(response);
+        }
+    }
+    let overload = service.overload_counters();
+    match reason {
+        ShedReason::QueueFull => overload.record_shed_queue_full(),
+        ShedReason::DeadlineExpired => overload.record_shed_deadline(),
+    }
+    service.tracer().emit_with(|| {
+        sdp_trace::Event::new("shed")
+            .with("seq", seq)
+            .with("reason", reason.label())
+    });
+    Err(ServiceError::Shed(reason))
 }
 
 /// Tuning for one [`Daemon`]: worker count plus overload-control
@@ -258,8 +300,7 @@ impl Daemon {
                         // daemon's admission decisions depend only on
                         // submission order (see module docs).
                         let draining = gate.wait_until_open();
-                        let overload = service.overload_counters();
-                        overload.queue_left();
+                        drop(job.slot);
                         if draining {
                             let _ = job.reply.send(Err(ServiceError::Shutdown));
                             continue;
@@ -288,23 +329,13 @@ impl Daemon {
                             _ => false,
                         };
                         if expired {
-                            if stale_serve {
-                                if let Some(resp) = service.serve_stale(&job.request) {
-                                    let _ = job.reply.send(Ok(resp));
-                                    continue;
-                                }
-                            }
-                            overload.record_shed_deadline();
-                            service.tracer().emit_with(|| {
-                                sdp_trace::Event::new("shed")
-                                    .with("seq", job.seq)
-                                    .with("reason", ShedReason::DeadlineExpired.label())
-                            });
-                            let _ = job
-                                .reply
-                                .send(Err(ServiceError::Shed(ShedReason::DeadlineExpired)));
+                            let reason = ShedReason::DeadlineExpired;
+                            let answer =
+                                stale_or_shed(&service, stale_serve, &job.request, job.seq, reason);
+                            let _ = job.reply.send(answer);
                             continue;
                         }
+                        let overload = service.overload_counters();
                         overload.job_started();
                         let guard = ReplyGuard {
                             reply: Some(job.reply),
@@ -365,36 +396,32 @@ impl Daemon {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let overload = self.service.overload_counters();
         let (reply, rx) = channel();
-        if let Some(cap) = self.queue_capacity {
-            if overload.queue_depth() >= cap as u64 {
-                if self.stale_serve {
-                    if let Some(resp) = self.service.serve_stale(&request) {
-                        let _ = reply.send(Ok(resp));
-                        return Ticket(rx);
-                    }
-                }
-                overload.record_shed_queue_full();
-                self.service.tracer().emit_with(|| {
-                    sdp_trace::Event::new("shed")
-                        .with("seq", seq)
-                        .with("reason", ShedReason::QueueFull.label())
-                });
-                let _ = reply.send(Err(ServiceError::Shed(ShedReason::QueueFull)));
-                return Ticket(rx);
-            }
+        // Bounded admission checks the depth and takes the slot in one
+        // atomic step: concurrent submitters cannot overshoot the cap
+        // (an unbounded queue is one whose cap is never reached).
+        let cap = self.queue_capacity.map_or(u64::MAX, |cap| cap as u64);
+        if !overload.try_enter_queue(cap) {
+            let reason = ShedReason::QueueFull;
+            let answer = stale_or_shed(&self.service, self.stale_serve, &request, seq, reason);
+            let _ = reply.send(answer);
+            return Ticket(rx);
         }
-        overload.queue_entered();
         let job = Job {
+            slot: QueueSlot(Arc::clone(&self.service)),
             request,
             reply,
             submitted: Instant::now(),
             seq,
         };
-        self.queue
+        // A pool whose last worker died has dropped the receiver: the
+        // job comes back (or, sent a moment earlier, dies with the
+        // channel), and dropping it frees its slot and resolves the
+        // ticket to `WorkerDied` — the client is answered, not panicked.
+        let _ = self
+            .queue
             .as_ref()
             .expect("daemon already shut down")
-            .send(job)
-            .expect("daemon workers all exited");
+            .send(job);
         Ticket(rx)
     }
 

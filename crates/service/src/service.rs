@@ -25,12 +25,12 @@ use std::time::{Duration, Instant};
 
 use sdp_catalog::{AnalyzedRelation, Catalog};
 use sdp_core::{
-    default_parallelism, Algorithm, DegradeReason, EnumeratorKind, GovernedFailure, GovernedPlan,
+    default_parallelism, Algorithm, DegradeEvent, DegradeReason, EnumeratorKind, GovernedPlan,
     Governor, OptError, Optimizer, PlanNode, Rung,
 };
 use sdp_metrics::{
-    CountersSnapshot, GovernorCounters, GovernorSnapshot, MetricsReport, OverloadCounters,
-    RungLatencies, ServiceCounters, StoreCounters, StrategyLatencies,
+    CountersSnapshot, DescentReason, GovernorCounters, GovernorSnapshot, MetricsReport,
+    OverloadCounters, RungLatencies, ServiceCounters, StoreCounters, StrategyLatencies,
 };
 use sdp_query::canon::stable_hash;
 use sdp_query::Query;
@@ -322,16 +322,6 @@ enum BreakerVerdict {
     },
 }
 
-/// What a recorded success meant for the fingerprint's breaker.
-enum BreakerSuccess {
-    /// No state was tracked (the common healthy path).
-    Untracked,
-    /// A closed entry's failure streak was reset.
-    Reset,
-    /// An *open* breaker closed — the half-open probe succeeded.
-    Recovered,
-}
-
 impl Breaker {
     fn new(threshold: u32, probe_every: u64) -> Self {
         Breaker {
@@ -392,23 +382,18 @@ impl Breaker {
     }
 
     /// Record a served plan for the fingerprint, clearing any tracked
-    /// failure streak.
-    fn record_success(&self, fp: u128) -> BreakerSuccess {
+    /// failure streak. Returns whether that closed an *open* breaker —
+    /// the half-open probe succeeded.
+    fn record_success(&self, fp: u128) -> bool {
         if self.tracked.load(Ordering::Relaxed) == 0 {
-            return BreakerSuccess::Untracked;
+            return false;
         }
         let mut entries = self.lock();
-        match entries.remove(&fp) {
-            Some(entry) => {
-                self.tracked.fetch_sub(1, Ordering::Relaxed);
-                if entry.open {
-                    BreakerSuccess::Recovered
-                } else {
-                    BreakerSuccess::Reset
-                }
-            }
-            None => BreakerSuccess::Untracked,
-        }
+        let Some(entry) = entries.remove(&fp) else {
+            return false;
+        };
+        self.tracked.fetch_sub(1, Ordering::Relaxed);
+        entry.open
     }
 }
 
@@ -455,10 +440,44 @@ pub struct OptimizerService {
     store_faults: Option<sdp_testkit::FaultPlan>,
 }
 
-/// Fingerprints render as fixed-width hex in trace events so they can
-/// be grepped and joined across the request lifecycle.
-fn fp_hex(fp: Fingerprint) -> String {
-    format!("{:032x}", fp.0)
+/// A request bound against one catalog snapshot: everything the
+/// request path derives from it before looking anything up.
+struct Resolved<'a> {
+    request: &'a ServiceRequest,
+    catalog: Arc<Catalog>,
+    query: Query,
+    algorithm: Algorithm,
+    fingerprint: Fingerprint,
+    /// Cache/flight/shelf key: the fingerprint folded with the strategy.
+    key: u128,
+    epoch: u64,
+}
+
+/// What a stage of the request path decided about one request. Stages
+/// only decide; [`OptimizerService::observe`] is the single projection
+/// of a decision onto counters and trace events.
+#[derive(Clone, Copy)]
+enum Outcome<'a> {
+    Hit(&'a CachedPlan),
+    Coalesced(&'a CachedPlan),
+    /// Led this run and published its plan: wall time, cache evictions.
+    Fresh(&'a CachedPlan, &'a GovernedPlan, Duration, u64),
+    ServedStale(&'a CachedPlan),
+    StoreWrite(&'a CachedPlan),
+    /// The probe found, and removed, an entry of an older epoch.
+    CacheStale,
+    BreakerProbe,
+    /// Carries the consecutive failures that opened the breaker.
+    BreakerReject(u32),
+    BreakerOpen(u32),
+    BreakerClose,
+    LeaderRetry(Algorithm, Rung),
+    /// The leader gave up on this rung with this error: `true` for a
+    /// deadline even the bottom rung could not meet.
+    RequestError(Algorithm, &'a str, bool),
+    DlqEnqueue(DlqErrorKind, &'a str),
+    /// The dead-letter append itself failed.
+    DlqWriteError,
 }
 
 /// Render a panic payload as a message, as `std::panic::catch_unwind`
@@ -712,28 +731,154 @@ impl OptimizerService {
         self.cache.len()
     }
 
+    /// Bind the request against the current catalog snapshot and
+    /// derive what the request path keys on: one prologue, so
+    /// `get_plan` and `serve_stale` look a query up under the same key.
+    fn resolve<'a>(&self, request: &'a ServiceRequest) -> Result<Resolved<'a>, SqlError> {
+        let catalog = self.catalog();
+        let query = match &request.spec {
+            QuerySpec::Sql(text) => sdp_sql::parse_query(&catalog, text)?,
+            QuerySpec::Query(q) => q.clone(),
+        };
+        let algorithm = request.algorithm.unwrap_or_else(|| select::choose(&query));
+        let fingerprint = fingerprint_query(&catalog, &query);
+        Ok(Resolved {
+            request,
+            key: plan_key(fingerprint, algorithm),
+            epoch: catalog.stats_epoch(),
+            catalog,
+            query,
+            algorithm,
+            fingerprint,
+        })
+    }
+
+    /// The one place the request path moves a counter or builds a
+    /// trace event: first the counters an outcome moves, then — only
+    /// when a sink listens — its event. Event names, field order and
+    /// values are a contract: the flight recorder parses them and
+    /// `tests/lifecycle_trace_golden.rs` pins them.
+    fn observe(&self, r: &Resolved<'_>, outcome: Outcome<'_>) {
+        let (counters, overload, governor) =
+            (&self.counters, &self.overload, &self.governor_counters);
+        match outcome {
+            Outcome::Hit(plan) => {
+                counters.record_hit();
+                if plan.warm {
+                    self.store_counters.record_warm_hit();
+                }
+            }
+            Outcome::Coalesced(_) => counters.record_coalesced(),
+            Outcome::Fresh(plan, run, elapsed, evicted) => {
+                for descent in &run.degradations {
+                    let reason = match descent.reason {
+                        DegradeReason::Deadline => DescentReason::Deadline,
+                        DegradeReason::Memory => DescentReason::Memory,
+                        DegradeReason::Cancelled => DescentReason::Cancelled,
+                    };
+                    governor.record_descent(reason, descent.predicted.is_some());
+                }
+                counters.record_miss();
+                counters.record_enumeration(run.plan.stats.plans_costed);
+                counters.add_evicted(evicted);
+                self.latencies.record(&plan.strategy, elapsed);
+                let rung = run.rung.map(|r| r.label()).unwrap_or(&plan.strategy);
+                self.rung_latencies.record(rung, elapsed);
+            }
+            Outcome::ServedStale(_) => overload.record_served_stale(),
+            Outcome::CacheStale => counters.add_stale_evicted(1),
+            Outcome::BreakerProbe => overload.record_breaker_probe(),
+            Outcome::BreakerReject(_) => overload.record_breaker_rejection(),
+            Outcome::BreakerOpen(_) => overload.record_breaker_trip(),
+            Outcome::BreakerClose => overload.record_breaker_recovery(),
+            Outcome::LeaderRetry(..) => governor.record_leader_retry(),
+            Outcome::RequestError(_, _, timed_out) if timed_out => governor.record_timeout(),
+            Outcome::RequestError(..) | Outcome::StoreWrite(_) => {}
+            Outcome::DlqEnqueue(..) => self.store_counters.record_dlq_enqueued(),
+            // The one outcome without an event.
+            Outcome::DlqWriteError => return self.store_counters.record_write_error(),
+        }
+        self.tracer.emit_with(|| {
+            // Fixed-width hex, so fingerprints can be grepped and joined
+            // across the request lifecycle.
+            let about =
+                |event: Event| event.with("fingerprint", format!("{:032x}", r.fingerprint.0));
+            // A served request: `warm` on hits, the plans costed and
+            // descents taken when it led the enumeration.
+            let served = |how: &'static str, plan: &CachedPlan, costed: Option<u64>| {
+                let mut event = about(Event::new("request")).with("outcome", how);
+                if how == "hit" {
+                    event = event.with("warm", u64::from(plan.warm));
+                }
+                event = event.with("rung", plan.strategy.clone());
+                if let Some(costed) = costed {
+                    event = event
+                        .with("plans_costed", costed)
+                        .with("degradations", plan.degradations);
+                }
+                // Deadline attainment by *presence*, never remaining
+                // time: a served request with a deadline met it.
+                // Wall-clock margins would break cross-thread-count
+                // trace diffs.
+                let deadline = r.request.deadline.map_or("none", |_| "met");
+                event
+                    .with("digest", format!("{:016x}", plan.root.structural_digest()))
+                    .with("deadline", deadline)
+            };
+            match outcome {
+                Outcome::Hit(plan) => served("hit", plan, None),
+                Outcome::Coalesced(plan) => served("coalesced", plan, None),
+                Outcome::Fresh(plan, run, ..) => {
+                    served("fresh", plan, Some(run.plan.stats.plans_costed))
+                }
+                Outcome::ServedStale(plan) => about(Event::new("served_stale"))
+                    .with("rung", plan.strategy.clone())
+                    .with("stats_epoch", plan.stats_epoch),
+                Outcome::StoreWrite(plan) => about(Event::new("store_write"))
+                    .with("rung", plan.strategy.clone())
+                    .with("epoch", r.epoch),
+                Outcome::CacheStale => about(Event::new("cache_stale")).with("epoch", r.epoch),
+                Outcome::BreakerProbe => about(Event::new("breaker_probe")),
+                Outcome::BreakerReject(failures) => {
+                    about(Event::new("breaker_reject")).with("failures", u64::from(failures))
+                }
+                Outcome::BreakerOpen(failures) => {
+                    about(Event::new("breaker_open")).with("failures", u64::from(failures))
+                }
+                Outcome::BreakerClose => about(Event::new("breaker_close")),
+                Outcome::LeaderRetry(from, to) => about(Event::new("leader_retry"))
+                    .with("from", from.label())
+                    .with("to", to.label()),
+                Outcome::RequestError(rung, error, _) => about(Event::new("request_error"))
+                    .with("rung", rung.label())
+                    .with("error", error),
+                Outcome::DlqEnqueue(kind, error) => about(Event::new("dlq_enqueue"))
+                    .with("kind", kind.label())
+                    .with("error", error),
+                Outcome::DlqWriteError => unreachable!("returned above"),
+            }
+        });
+    }
+
     /// Serialize a failed request into the dead-letter queue (no-op
     /// without one). Only replayable faults land here: resource
-    /// exhaustion at the bottom of the ladder, cancellation, and
-    /// exhausted leader-panic retries — semantic errors (disconnected
-    /// graph, empty query) would fail identically on replay.
-    #[allow(clippy::too_many_arguments)]
+    /// exhaustion at the bottom of the ladder, cancellation, exhausted
+    /// leader-panic retries and breaker rejections — semantic errors
+    /// (disconnected graph, empty query) would fail identically on
+    /// replay.
     fn enqueue_dead_letter(
         &self,
-        catalog: &Catalog,
-        query: &Query,
-        fingerprint: Fingerprint,
-        request: &ServiceRequest,
-        error_kind: DlqErrorKind,
+        r: &Resolved<'_>,
+        kind: DlqErrorKind,
         error: String,
-        degradations: &[sdp_core::DegradeEvent],
+        degradations: &[DegradeEvent],
     ) {
         let Some(dlq) = &self.dlq else { return };
         let record = DlqRecord {
-            fingerprint: fingerprint.0,
-            stats_epoch: catalog.stats_epoch(),
-            algorithm: request.algorithm,
-            error_kind,
+            fingerprint: r.fingerprint.0,
+            stats_epoch: r.epoch,
+            algorithm: r.request.algorithm,
+            error_kind: kind,
             error: error.clone(),
             degradations: degradations
                 .iter()
@@ -743,23 +888,16 @@ impl OptimizerService {
                     reason: e.reason,
                 })
                 .collect(),
-            deadline_ms: request.deadline.map(|d| d.as_millis() as u64),
-            memory_bytes: request.memory_budget,
-            sql: sdp_sql::render_sql(catalog, query),
-            query: query.clone(),
+            deadline_ms: r.request.deadline.map(|d| d.as_millis() as u64),
+            memory_bytes: r.request.memory_budget,
+            sql: sdp_sql::render_sql(&r.catalog, &r.query),
+            query: r.query.clone(),
         };
-        match dlq.lock().expect("dlq lock poisoned").enqueue(record) {
-            Ok(()) => {
-                self.store_counters.record_dlq_enqueued();
-                self.tracer.emit_with(|| {
-                    Event::new("dlq_enqueue")
-                        .with("fingerprint", fp_hex(fingerprint))
-                        .with("kind", error_kind.label())
-                        .with("error", error.clone())
-                });
-            }
-            Err(_) => self.store_counters.record_write_error(),
-        }
+        let outcome = match dlq.lock().expect("dlq lock poisoned").enqueue(record) {
+            Ok(()) => Outcome::DlqEnqueue(kind, &error),
+            Err(_) => Outcome::DlqWriteError,
+        };
+        self.observe(r, outcome);
     }
 
     /// Park an epoch-evicted plan on the stale shelf (bounded at the
@@ -772,22 +910,11 @@ impl OptimizerService {
         }
     }
 
-    fn note_breaker_failure(&self, fingerprint: Fingerprint) {
-        if let Some(failures) = self.breaker.record_failure(fingerprint.0) {
-            self.overload.record_breaker_trip();
-            self.tracer.emit_with(|| {
-                Event::new("breaker_open")
-                    .with("fingerprint", fp_hex(fingerprint))
-                    .with("failures", u64::from(failures))
-            });
-        }
-    }
-
-    fn note_breaker_success(&self, fingerprint: Fingerprint) {
-        if let BreakerSuccess::Recovered = self.breaker.record_success(fingerprint.0) {
-            self.overload.record_breaker_recovery();
-            self.tracer
-                .emit_with(|| Event::new("breaker_close").with("fingerprint", fp_hex(fingerprint)));
+    /// A plan was served for the fingerprint: clear its failure
+    /// streak, closing the breaker if this was the half-open probe.
+    fn breaker_succeeded(&self, r: &Resolved<'_>) {
+        if self.breaker.record_success(r.fingerprint.0) {
+            self.observe(r, Outcome::BreakerClose);
         }
     }
 
@@ -797,27 +924,11 @@ impl OptimizerService {
     /// nothing is shelved for its key; the daemon tries this before
     /// shedding under admission pressure.
     pub fn serve_stale(&self, request: &ServiceRequest) -> Option<ServiceResponse> {
-        let catalog = self.catalog();
-        let query = match &request.spec {
-            QuerySpec::Sql(text) => sdp_sql::parse_query(&catalog, text).ok()?,
-            QuerySpec::Query(q) => q.clone(),
-        };
-        let algorithm = request.algorithm.unwrap_or_else(|| select::choose(&query));
-        let fingerprint = fingerprint_query(&catalog, &query);
-        let key = plan_key(fingerprint, algorithm);
-        let plan = self
-            .stale_shelf
-            .lock()
-            .expect("stale shelf poisoned")
-            .get(&key)
-            .cloned()?;
-        self.overload.record_served_stale();
-        self.tracer.emit_with(|| {
-            Event::new("served_stale")
-                .with("fingerprint", fp_hex(fingerprint))
-                .with("rung", plan.strategy.clone())
-                .with("stats_epoch", plan.stats_epoch)
-        });
+        let r = self.resolve(request).ok()?;
+        let shelf = self.stale_shelf.lock().expect("stale shelf poisoned");
+        let plan = shelf.get(&r.key).cloned()?;
+        drop(shelf);
+        self.observe(&r, Outcome::ServedStale(&plan));
         Some(ServiceResponse {
             plan,
             source: PlanSource::Stale,
@@ -825,339 +936,33 @@ impl OptimizerService {
         })
     }
 
-    /// Serve one request: bind, fingerprint, probe the cache, and
-    /// enumerate (or coalesce) on a miss.
+    /// Serve one request: resolve → breaker gate → cache probe →
+    /// single flight (govern + bounded retry) → publish/persist →
+    /// respond.
     pub fn get_plan(&self, request: &ServiceRequest) -> Result<ServiceResponse, ServiceError> {
-        let catalog = self.catalog();
-        let query = match &request.spec {
-            QuerySpec::Sql(text) => sdp_sql::parse_query(&catalog, text)?,
-            QuerySpec::Query(q) => q.clone(),
-        };
-        let algorithm = request.algorithm.unwrap_or_else(|| select::choose(&query));
-        let fingerprint = fingerprint_query(&catalog, &query);
-        let key = plan_key(fingerprint, algorithm);
-        let epoch = catalog.stats_epoch();
-
-        // Circuit-breaker gate: a fingerprint that exhausted the
-        // ladder `breaker_threshold` times in a row fails fast here
-        // (straight into the DLQ) instead of burning another full
-        // ladder walk. Every `breaker_probe_every`-th arrival is
-        // admitted as the half-open recovery probe.
-        match self.breaker.admit(fingerprint.0) {
-            BreakerVerdict::Proceed => {}
-            BreakerVerdict::Probe => {
-                self.overload.record_breaker_probe();
-                self.tracer.emit_with(|| {
-                    Event::new("breaker_probe").with("fingerprint", fp_hex(fingerprint))
-                });
-            }
-            BreakerVerdict::Reject { failures } => {
-                self.overload.record_breaker_rejection();
-                self.tracer.emit_with(|| {
-                    Event::new("breaker_reject")
-                        .with("fingerprint", fp_hex(fingerprint))
-                        .with("failures", u64::from(failures))
-                });
-                self.enqueue_dead_letter(
-                    &catalog,
-                    &query,
-                    fingerprint,
-                    request,
-                    DlqErrorKind::BreakerOpen,
-                    format!("circuit breaker open ({failures} consecutive failures)"),
-                    &[],
-                );
-                return Err(ServiceError::BreakerOpen { failures });
-            }
-        }
-
+        let r = self.resolve(request)?;
+        self.breaker_gate(&r)?;
         loop {
-            match self.cache.get(key, epoch) {
-                Lookup::Hit(plan) => {
-                    self.counters.record_hit();
-                    self.note_breaker_success(fingerprint);
-                    if plan.warm {
-                        self.store_counters.record_warm_hit();
-                    }
-                    self.tracer.emit_with(|| {
-                        Event::new("request")
-                            .with("fingerprint", fp_hex(fingerprint))
-                            .with("outcome", "hit")
-                            .with("warm", u64::from(plan.warm))
-                            .with("rung", plan.strategy.clone())
-                            .with("digest", format!("{:016x}", plan.root.structural_digest()))
-                            // Deadline attainment by *presence*, never
-                            // remaining time: a served request with a
-                            // deadline met it. Wall-clock margins would
-                            // break cross-thread-count trace diffs.
-                            .with(
-                                "deadline",
-                                if request.deadline().is_some() {
-                                    "met"
-                                } else {
-                                    "none"
-                                },
-                            )
-                    });
-                    return Ok(ServiceResponse {
-                        plan,
-                        source: PlanSource::Cache,
-                        plans_costed: 0,
-                    });
-                }
-                // The evicted value is parked on the stale shelf: under
-                // admission pressure the daemon hands it back (tagged
-                // [`PlanSource::Stale`]) rather than shedding the
-                // request outright.
-                Lookup::Stale(stale) => {
-                    self.counters.add_stale_evicted(1);
-                    self.shelve(key, stale);
-                    self.tracer.emit_with(|| {
-                        Event::new("cache_stale")
-                            .with("fingerprint", fp_hex(fingerprint))
-                            .with("epoch", epoch)
-                    });
-                }
-                Lookup::Miss => {}
+            if let Some(plan) = self.probe_cache(&r) {
+                return Ok(ServiceResponse {
+                    plan,
+                    source: PlanSource::Cache,
+                    plans_costed: 0,
+                });
             }
-
-            match self.flights.join(key) {
+            match self.flights.join(r.key) {
+                // A failing leader returns from here and drops the
+                // token: the flight is abandoned, so waiters retry and
+                // surface the error themselves.
                 Flight::Leader(token) => {
                     let started = Instant::now();
-                    #[allow(unused_mut)]
-                    let mut optimizer = Optimizer::with_enumeration(&catalog, self.parallelism);
-                    #[cfg(feature = "trace")]
-                    {
-                        optimizer = optimizer.with_tracer(self.tracer.clone());
-                    }
-                    let mut governor = Governor::new();
-                    if let Some(deadline) = request.deadline {
-                        governor = governor.with_deadline(deadline);
-                    }
-                    if let Some(bytes) = request.memory_budget {
-                        governor = governor.with_memory_budget(bytes);
-                    }
-                    #[cfg(feature = "testkit")]
-                    let faults = request.faults.clone();
-                    #[cfg(feature = "testkit")]
-                    if let Some(plan) = faults.clone() {
-                        governor = governor.with_fault_plan(plan);
-                    }
-
-                    // Bounded retry-with-degradation: a panicking
-                    // leader gets exactly one retry, one rung cheaper.
-                    // Optimizer errors are NOT retried here — the
-                    // governor already walked the ladder for those —
-                    // and they drop the token, abandoning the flight
-                    // so waiters retry and surface them themselves.
-                    let mut attempt = algorithm;
-                    let mut retried = false;
-                    let governed: GovernedPlan = loop {
-                        let attempt_now = attempt;
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            #[cfg(feature = "testkit")]
-                            if let Some(faults) = &faults {
-                                if faults.take_leader_panic(&attempt_now.label()) {
-                                    panic!("injected leader panic ({})", attempt_now.label());
-                                }
-                            }
-                            optimizer.optimize_governed_full(&query, attempt_now, &governor)
-                        }));
-                        match run {
-                            Ok(Ok(governed)) => break governed,
-                            Ok(Err(GovernedFailure {
-                                error: e,
-                                degradations,
-                            })) => {
-                                if matches!(e, OptError::TimedOut { .. }) {
-                                    self.governor_counters.record_timeout();
-                                }
-                                self.tracer.emit_with(|| {
-                                    Event::new("request_error")
-                                        .with("fingerprint", fp_hex(fingerprint))
-                                        .with("rung", attempt_now.label())
-                                        .with("error", format!("{e}"))
-                                });
-                                // A resource failure here means the
-                                // *bottom* rung was exhausted (the
-                                // governor already walked the ladder):
-                                // dead-letter it for offline replay.
-                                let kind = match &e {
-                                    OptError::TimedOut { .. } => Some(DlqErrorKind::Timeout),
-                                    OptError::MemoryExhausted { .. } => Some(DlqErrorKind::Memory),
-                                    OptError::Cancelled => Some(DlqErrorKind::Cancelled),
-                                    _ => None,
-                                };
-                                if let Some(kind) = kind {
-                                    self.enqueue_dead_letter(
-                                        &catalog,
-                                        &query,
-                                        fingerprint,
-                                        request,
-                                        kind,
-                                        format!("{e}"),
-                                        &degradations,
-                                    );
-                                    // Only replayable exhaustion feeds
-                                    // the breaker — a semantic error
-                                    // is not a poison signal.
-                                    self.note_breaker_failure(fingerprint);
-                                }
-                                return Err(e.into());
-                            }
-                            Err(payload) => {
-                                let next =
-                                    Rung::for_algorithm(attempt_now).and_then(|r| r.next_down());
-                                match next {
-                                    Some(rung) if !retried => {
-                                        retried = true;
-                                        self.governor_counters.record_leader_retry();
-                                        self.tracer.emit_with(|| {
-                                            Event::new("leader_retry")
-                                                .with("fingerprint", fp_hex(fingerprint))
-                                                .with("from", attempt_now.label())
-                                                .with("to", rung.label())
-                                        });
-                                        attempt = rung.algorithm();
-                                    }
-                                    _ => {
-                                        let message = panic_message(payload.as_ref());
-                                        self.tracer.emit_with(|| {
-                                            Event::new("request_error")
-                                                .with("fingerprint", fp_hex(fingerprint))
-                                                .with("rung", attempt_now.label())
-                                                .with(
-                                                    "error",
-                                                    format!("leader panicked: {message}"),
-                                                )
-                                        });
-                                        self.enqueue_dead_letter(
-                                            &catalog,
-                                            &query,
-                                            fingerprint,
-                                            request,
-                                            DlqErrorKind::LeaderPanicked,
-                                            message.clone(),
-                                            &[],
-                                        );
-                                        self.note_breaker_failure(fingerprint);
-                                        return Err(ServiceError::LeaderPanicked(message));
-                                    }
-                                }
-                            }
-                        }
-                    };
-
-                    for event in &governed.degradations {
-                        match event.reason {
-                            DegradeReason::Deadline => {
-                                self.governor_counters.record_deadline_degradation()
-                            }
-                            DegradeReason::Memory => {
-                                self.governor_counters.record_memory_degradation()
-                            }
-                            DegradeReason::Cancelled => {
-                                self.governor_counters.record_cancel_degradation()
-                            }
-                        }
-                        if event.predicted.is_some() {
-                            self.governor_counters.record_predicted_descent();
-                        }
-                    }
-                    let plan = CachedPlan {
-                        cost: governed.plan.cost,
-                        rows: governed.plan.rows,
-                        root: Arc::clone(&governed.plan.root),
-                        strategy: governed.rung_label(),
-                        rung: governed.rung,
-                        degradations: governed.degradations.len() as u64,
-                        fingerprint,
-                        stats_epoch: epoch,
-                        warm: false,
-                    };
-                    let plans_costed = governed.plan.stats.plans_costed;
-                    self.counters.record_miss();
-                    self.counters.record_enumeration(plans_costed);
-                    let elapsed = started.elapsed();
-                    self.latencies.record(&plan.strategy, elapsed);
-                    self.rung_latencies.record(
-                        governed.rung.map(|r| r.label()).unwrap_or(&plan.strategy),
-                        elapsed,
-                    );
-                    let evicted = self.cache.insert(key, plan.clone(), epoch);
-                    self.counters.add_evicted(evicted);
-                    // A current-epoch plan supersedes any shelved
-                    // stale one for the key.
-                    self.stale_shelf
-                        .lock()
-                        .expect("stale shelf poisoned")
-                        .remove(&key);
-                    self.note_breaker_success(fingerprint);
-                    if let Some(store) = &self.store {
-                        // Write-behind: the request returns without
-                        // waiting on storage. The record carries the
-                        // *requested* strategy's rendering — the key
-                        // component — alongside the producing rung.
-                        store.write(PlanRecord {
-                            fingerprint: fingerprint.0,
-                            stats_epoch: epoch,
-                            rung: plan.rung,
-                            enumerator: EnumeratorKind::LevelScan,
-                            algo_repr: format!("{algorithm:?}"),
-                            strategy: plan.strategy.clone(),
-                            degradations: plan.degradations,
-                            cost: plan.cost,
-                            rows: plan.rows,
-                            root: Arc::clone(&plan.root),
-                        });
-                        self.tracer.emit_with(|| {
-                            Event::new("store_write")
-                                .with("fingerprint", fp_hex(fingerprint))
-                                .with("rung", plan.strategy.clone())
-                                .with("epoch", epoch)
-                        });
-                    }
-                    self.tracer.emit_with(|| {
-                        Event::new("request")
-                            .with("fingerprint", fp_hex(fingerprint))
-                            .with("outcome", "fresh")
-                            .with("rung", plan.strategy.clone())
-                            .with("plans_costed", plans_costed)
-                            .with("degradations", plan.degradations)
-                            .with("digest", format!("{:016x}", plan.root.structural_digest()))
-                            .with(
-                                "deadline",
-                                if request.deadline().is_some() {
-                                    "met"
-                                } else {
-                                    "none"
-                                },
-                            )
-                    });
-                    token.publish(plan.clone());
-                    return Ok(ServiceResponse {
-                        plan,
-                        source: PlanSource::Fresh,
-                        plans_costed,
-                    });
+                    let run = self.lead(&r)?;
+                    let response = self.publish(&r, run, started.elapsed());
+                    token.publish(response.plan.clone());
+                    return Ok(response);
                 }
                 Flight::Coalesced(Some(plan)) => {
-                    self.counters.record_coalesced();
-                    self.tracer.emit_with(|| {
-                        Event::new("request")
-                            .with("fingerprint", fp_hex(fingerprint))
-                            .with("outcome", "coalesced")
-                            .with("rung", plan.strategy.clone())
-                            .with("digest", format!("{:016x}", plan.root.structural_digest()))
-                            .with(
-                                "deadline",
-                                if request.deadline().is_some() {
-                                    "met"
-                                } else {
-                                    "none"
-                                },
-                            )
-                    });
+                    self.observe(&r, Outcome::Coalesced(&plan));
                     return Ok(ServiceResponse {
                         plan,
                         source: PlanSource::Coalesced,
@@ -1169,6 +974,172 @@ impl OptimizerService {
                 // the next leader and observes the error directly.
                 Flight::Coalesced(None) => continue,
             }
+        }
+    }
+
+    /// Circuit-breaker gate: a fingerprint that exhausted the ladder
+    /// `breaker_threshold` times in a row fails fast here (straight
+    /// into the DLQ) instead of burning another full ladder walk.
+    /// Every `breaker_probe_every`-th arrival is admitted as the
+    /// half-open recovery probe.
+    fn breaker_gate(&self, r: &Resolved<'_>) -> Result<(), ServiceError> {
+        match self.breaker.admit(r.fingerprint.0) {
+            BreakerVerdict::Proceed => {}
+            BreakerVerdict::Probe => self.observe(r, Outcome::BreakerProbe),
+            BreakerVerdict::Reject { failures } => {
+                self.observe(r, Outcome::BreakerReject(failures));
+                let error = ServiceError::BreakerOpen { failures };
+                self.enqueue_dead_letter(r, DlqErrorKind::BreakerOpen, error.to_string(), &[]);
+                return Err(error);
+            }
+        }
+        Ok(())
+    }
+
+    /// Probe the cache under the snapshot's epoch. An entry of an
+    /// older epoch is parked on the stale shelf: under admission
+    /// pressure the daemon hands it back (tagged
+    /// [`PlanSource::Stale`]) rather than shedding the request.
+    fn probe_cache(&self, r: &Resolved<'_>) -> Option<CachedPlan> {
+        match self.cache.get(r.key, r.epoch) {
+            Lookup::Hit(plan) => {
+                self.breaker_succeeded(r);
+                self.observe(r, Outcome::Hit(&plan));
+                return Some(plan);
+            }
+            Lookup::Stale(stale) => {
+                self.shelve(r.key, stale);
+                self.observe(r, Outcome::CacheStale);
+            }
+            Lookup::Miss => {}
+        }
+        None
+    }
+
+    /// The single flight's leader: run the governed ladder, with the
+    /// bounded retry-with-degradation — a panicking leader gets
+    /// exactly one retry, one rung cheaper. Optimizer errors are NOT
+    /// retried here: the governor already walked the ladder for those.
+    fn lead(&self, r: &Resolved<'_>) -> Result<GovernedPlan, ServiceError> {
+        #[allow(unused_mut)]
+        let mut optimizer = Optimizer::with_enumeration(&r.catalog, self.parallelism);
+        #[cfg(feature = "trace")]
+        {
+            optimizer = optimizer.with_tracer(self.tracer.clone());
+        }
+        let mut governor = Governor::new();
+        if let Some(deadline) = r.request.deadline {
+            governor = governor.with_deadline(deadline);
+        }
+        if let Some(bytes) = r.request.memory_budget {
+            governor = governor.with_memory_budget(bytes);
+        }
+        #[cfg(feature = "testkit")]
+        if let Some(plan) = r.request.faults.clone() {
+            governor = governor.with_fault_plan(plan);
+        }
+
+        let mut attempt = r.algorithm;
+        let mut retried = false;
+        loop {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                #[cfg(feature = "testkit")]
+                if let Some(faults) = &r.request.faults {
+                    if faults.take_leader_panic(&attempt.label()) {
+                        panic!("injected leader panic ({})", attempt.label());
+                    }
+                }
+                optimizer.optimize_governed_full(&r.query, attempt, &governor)
+            }));
+            // The error to return, what the trace calls it, and — for
+            // a replayable failure only — its dead-letter kind, message
+            // and descent history.
+            let (error, shown, dead_letter) = match run {
+                Ok(Ok(governed)) => return Ok(governed),
+                // A resource failure here means the *bottom* rung was
+                // exhausted (the governor already walked the ladder).
+                Ok(Err(failure)) => {
+                    let kind = match &failure.error {
+                        OptError::TimedOut { .. } => Some(DlqErrorKind::Timeout),
+                        OptError::MemoryExhausted { .. } => Some(DlqErrorKind::Memory),
+                        OptError::Cancelled => Some(DlqErrorKind::Cancelled),
+                        _ => None,
+                    };
+                    let shown = failure.error.to_string();
+                    let dead_letter = kind.map(|k| (k, shown.clone(), failure.degradations));
+                    (failure.error.into(), shown, dead_letter)
+                }
+                Err(payload) => {
+                    let next = Rung::for_algorithm(attempt).and_then(|r| r.next_down());
+                    if let (Some(rung), false) = (next, retried) {
+                        retried = true;
+                        self.observe(r, Outcome::LeaderRetry(attempt, rung));
+                        attempt = rung.algorithm();
+                        continue;
+                    }
+                    let message = panic_message(payload.as_ref());
+                    let error = ServiceError::LeaderPanicked(message.clone());
+                    let dead_letter = (DlqErrorKind::LeaderPanicked, message, vec![]);
+                    (error.clone(), error.to_string(), Some(dead_letter))
+                }
+            };
+            let timed_out = matches!(dead_letter, Some((DlqErrorKind::Timeout, ..)));
+            self.observe(r, Outcome::RequestError(attempt, &shown, timed_out));
+            // Only replayable exhaustion is dead-lettered and feeds the
+            // breaker — a semantic error is not a poison signal.
+            if let Some((kind, message, degradations)) = dead_letter {
+                self.enqueue_dead_letter(r, kind, message, &degradations);
+                if let Some(failures) = self.breaker.record_failure(r.fingerprint.0) {
+                    self.observe(r, Outcome::BreakerOpen(failures));
+                }
+            }
+            return Err(error);
+        }
+    }
+
+    /// Publish and persist the leader's plan: into the cache (where a
+    /// current-epoch plan supersedes any shelved stale one for the
+    /// key), past the breaker, and down the write-behind channel — the
+    /// request returns without waiting on storage.
+    fn publish(&self, r: &Resolved<'_>, run: GovernedPlan, elapsed: Duration) -> ServiceResponse {
+        let plan = CachedPlan {
+            cost: run.plan.cost,
+            rows: run.plan.rows,
+            root: Arc::clone(&run.plan.root),
+            strategy: run.rung_label(),
+            rung: run.rung,
+            degradations: run.degradations.len() as u64,
+            fingerprint: r.fingerprint,
+            stats_epoch: r.epoch,
+            warm: false,
+        };
+        let evicted = self.cache.insert(r.key, plan.clone(), r.epoch);
+        let mut shelf = self.stale_shelf.lock().expect("stale shelf poisoned");
+        shelf.remove(&r.key);
+        drop(shelf);
+        self.breaker_succeeded(r);
+        if let Some(store) = &self.store {
+            // The record carries the *requested* strategy's rendering
+            // — the key component — alongside the producing rung.
+            store.write(PlanRecord {
+                fingerprint: r.fingerprint.0,
+                stats_epoch: r.epoch,
+                rung: plan.rung,
+                enumerator: EnumeratorKind::LevelScan,
+                algo_repr: format!("{:?}", r.algorithm),
+                strategy: plan.strategy.clone(),
+                degradations: plan.degradations,
+                cost: plan.cost,
+                rows: plan.rows,
+                root: Arc::clone(&plan.root),
+            });
+            self.observe(r, Outcome::StoreWrite(&plan));
+        }
+        self.observe(r, Outcome::Fresh(&plan, &run, elapsed, evicted));
+        ServiceResponse {
+            plan,
+            source: PlanSource::Fresh,
+            plans_costed: run.plan.stats.plans_costed,
         }
     }
 

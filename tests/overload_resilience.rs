@@ -306,6 +306,79 @@ fn killed_worker_surfaces_internal_error_not_shutdown() {
     // The dying worker's guard released its in-flight slot on the way
     // down; after the join the gauge must balance.
     assert_eq!(service.overload_counters().snapshot().inflight, 0);
+
+    // A pool of one: once its only worker is dead, nobody is left to
+    // dequeue. Later submissions must be answered `WorkerDied` — not
+    // panic the submitting client — and must not hold a queue slot.
+    let service = service_with_parallelism(&catalog, 1);
+    let chaos = ChaosSchedule::new().with_worker_kill(0);
+    let daemon = Daemon::with_config(Arc::clone(&service), DaemonConfig::new(1).with_chaos(chaos));
+    for query in queries.iter().chain(&queries) {
+        let reply = daemon.execute(ServiceRequest::query(query.clone()));
+        assert_eq!(reply.unwrap_err(), ServiceError::WorkerDied);
+    }
+    daemon.shutdown();
+    let snap = service.overload_counters().snapshot();
+    assert_eq!((snap.queue_depth, snap.inflight), (0, 0));
+}
+
+/// Satellite: bounded admission is one atomic step. Submitters
+/// released together by a barrier against a paused daemon can never
+/// push the queue past its capacity, and every submission is either
+/// admitted or shed.
+#[test]
+fn concurrent_submitters_never_overshoot_the_queue_capacity() {
+    const CAP: usize = 2;
+    const SUBMITTERS: usize = 4;
+    const ROUNDS: usize = 1500;
+    let catalog = Catalog::paper();
+    let service = service_with_parallelism(&catalog, 1);
+    let daemon = Daemon::with_config(
+        Arc::clone(&service),
+        DaemonConfig::new(1)
+            .with_queue_capacity(CAP)
+            .without_stale_serve(),
+    );
+    let query = star_queries(&catalog, 1, 3).remove(0);
+    let barrier = std::sync::Barrier::new(SUBMITTERS);
+    let (mut admitted, mut shed) = (0usize, 0usize);
+    for _ in 0..ROUNDS {
+        daemon.pause();
+        let tickets: Vec<_> = std::thread::scope(|scope| {
+            let submitters: Vec<_> = (0..SUBMITTERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        daemon.submit(ServiceRequest::query(query.clone()))
+                    })
+                })
+                .collect();
+            submitters.into_iter().map(|s| s.join().unwrap()).collect()
+        });
+        daemon.resume();
+        for ticket in tickets {
+            match ticket.wait() {
+                Ok(_) => admitted += 1,
+                Err(ServiceError::Shed(ShedReason::QueueFull)) => shed += 1,
+                Err(e) => panic!("unexpected reply: {e}"),
+            }
+        }
+    }
+    daemon.shutdown();
+    let snap = service.overload_counters().snapshot();
+    assert!(
+        snap.queue_depth_hwm <= CAP as u64,
+        "queue reached {} past its capacity {CAP}",
+        snap.queue_depth_hwm
+    );
+    assert_eq!(admitted + shed, ROUNDS * SUBMITTERS);
+    assert_eq!(shed as u64, snap.shed_queue_full);
+    assert_eq!(
+        admitted,
+        ROUNDS * CAP,
+        "every round fills the queue exactly"
+    );
+    assert_eq!(snap.queue_depth, 0);
 }
 
 // ---------------------------------------------------------------
