@@ -18,6 +18,20 @@ pub enum CatalogError {
     /// A schema specification was internally inconsistent (for example
     /// zero relations or zero columns per relation).
     InvalidSpec(String),
+    /// Replacement statistics do not fit the schema: `found` entries of
+    /// `what` where it has `expected` — `AnalyzedRelation`s for the
+    /// catalog (`relation: None`), or one relation's column statistics
+    /// or histograms.
+    StatsShape {
+        /// The relation whose statistics are misshapen, if not the list.
+        relation: Option<usize>,
+        /// What was counted.
+        what: &'static str,
+        /// What the schema calls for.
+        expected: usize,
+        /// What was supplied.
+        found: usize,
+    },
 }
 
 impl fmt::Display for CatalogError {
@@ -28,6 +42,18 @@ impl fmt::Display for CatalogError {
                 write!(f, "unknown column {column} on relation {relation}")
             }
             CatalogError::InvalidSpec(msg) => write!(f, "invalid schema specification: {msg}"),
+            CatalogError::StatsShape {
+                relation,
+                what,
+                expected,
+                found,
+            } => {
+                write!(f, "statistics do not fit the schema: {found} {what}")?;
+                if let Some(relation) = relation {
+                    write!(f, " for relation {relation}")?;
+                }
+                write!(f, ", expected {expected}")
+            }
         }
     }
 }
@@ -50,5 +76,15 @@ mod tests {
         assert!(s.contains('3') && s.contains('9'));
         let e = CatalogError::InvalidSpec("no relations".into());
         assert!(e.to_string().contains("no relations"));
+        let e = CatalogError::StatsShape {
+            relation: Some(4),
+            what: "histograms",
+            expected: 24,
+            found: 23,
+        };
+        assert_eq!(
+            e.to_string(),
+            "statistics do not fit the schema: 23 histograms for relation 4, expected 24"
+        );
     }
 }

@@ -163,13 +163,37 @@ impl Catalog {
             .expect("catalog is never empty")
     }
 
+    /// Whether `analyzed` has the shape [`Catalog::replace_stats`] needs
+    /// and the estimator reads: one `AnalyzedRelation` per relation,
+    /// each with one `ColumnStats` and one histogram per schema column.
+    pub fn check_stats(&self, analyzed: &[AnalyzedRelation]) -> Result<(), CatalogError> {
+        let shape = |relation, what, expected, found| {
+            (expected == found)
+                .then_some(())
+                .ok_or(CatalogError::StatsShape {
+                    relation,
+                    what,
+                    expected,
+                    found,
+                })
+        };
+        shape(None, "relation statistics", self.len(), analyzed.len())?;
+        for (r, (rel, stats)) in self.relations.iter().zip(analyzed).enumerate() {
+            let columns = rel.columns.len();
+            shape(Some(r), "column statistics", columns, stats.columns.len())?;
+            shape(Some(r), "histograms", columns, stats.histograms.len())?;
+        }
+        Ok(())
+    }
+
     /// Replace the derived statistics with externally computed ones —
     /// e.g. `sdp-engine`'s sampled re-analysis of materialized data.
     /// Bumps the [statistics epoch](Catalog::stats_epoch).
     ///
     /// # Panics
     /// Panics unless exactly one `AnalyzedRelation` per relation is
-    /// supplied (in relation-id order).
+    /// supplied (in relation-id order); [`Catalog::check_stats`] checks
+    /// that and the rest of the shape without panicking.
     pub fn replace_stats(&mut self, analyzed: Vec<AnalyzedRelation>) {
         assert_eq!(
             analyzed.len(),
@@ -326,6 +350,37 @@ fn geometric_series(min: u64, max: u64, _nominal_ratio: f64, count: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_stats_names_the_first_misfit() {
+        let c = Catalog::paper();
+        let mut analyzed: Vec<AnalyzedRelation> = c
+            .relations()
+            .iter()
+            .map(AnalyzedRelation::analyze)
+            .collect();
+        assert_eq!(c.check_stats(&analyzed), Ok(()));
+        let misfit = |relation, what, expected, found| {
+            Err(CatalogError::StatsShape {
+                relation,
+                what,
+                expected,
+                found,
+            })
+        };
+        assert_eq!(
+            c.check_stats(&[]),
+            misfit(None, "relation statistics", 25, 0)
+        );
+        analyzed[3].histograms.pop();
+        assert_eq!(
+            c.check_stats(&analyzed),
+            misfit(Some(3), "histograms", 24, 23)
+        );
+        analyzed[1].columns.truncate(2);
+        let columns = misfit(Some(1), "column statistics", 24, 2);
+        assert_eq!(c.check_stats(&analyzed), columns);
+    }
 
     #[test]
     fn paper_schema_matches_parameters() {

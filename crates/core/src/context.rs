@@ -22,7 +22,7 @@ use sdp_query::{ClassId, EquivClasses, JoinGraph, Query, RelSet};
 
 use crate::budget::{Budget, BudgetProbe, MemoryModel, OptError};
 use crate::fx::FxHashMap;
-use crate::memo::{dominates, Group, Memo, PlanEntry, PlanSource};
+use crate::memo::{dominates, EdgeWords, Group, Memo, PlanEntry, PlanSource};
 use crate::plan::{Children, NodeCounter, PlanNode, PlanOp};
 #[cfg(feature = "trace")]
 use sdp_trace::{Event, Tracer};
@@ -142,6 +142,8 @@ pub(crate) struct LevelStage {
     index: FxHashMap<RelSet, usize>,
     /// The level's JCRs in first-visit order.
     pub jcrs: Vec<StagedJcr>,
+    /// Their edge-set words past the first (`Group::wide_at`).
+    wide: Vec<EdgeWords>,
     /// Plans costed into this stage and not yet added to the run's
     /// counter.
     pub plans_costed: u64,
@@ -176,6 +178,7 @@ impl LevelStage {
         self.jcrs.clear();
         self.index.shrink_to(pairs);
         self.jcrs.shrink_to(pairs);
+        self.wide.clear();
         self.plans_costed = 0;
         #[cfg(feature = "trace")]
         self.staged_micros.clear();
@@ -186,22 +189,20 @@ impl LevelStage {
 /// query, computed once per run in [`EnumContext::new`]: the
 /// estimator's ln terms (so no `ln`, `sqrt` or catalog look-up is
 /// repeated per pair), each edge's order class and index usability,
-/// and per-node incident-edge bitmaps that make a pair's crossing
-/// edges an AND of two ORs. Edges, nodes and filters keep the join
-/// graph's indexing, so walking a table in ascending index adds the
-/// same `f64` terms in the same order as the estimator's own scans.
+/// and per-node edge and filter bitmaps from which the groups' edge
+/// sets start. Edges, nodes and filters keep the join graph's
+/// indexing, so walking a table in ascending index adds the same `f64`
+/// terms in the same order as the estimator's own scans.
 #[derive(Debug)]
 struct RunTables {
     /// `ln(edge_selectivity(e))`.
     edge_ln_sel: Vec<f64>,
     /// Order class of the edge's join columns.
     edge_class: Vec<ClassId>,
-    /// The edge's two endpoints.
-    edge_nodes: Vec<RelSet>,
     /// The endpoints whose side of the edge is their relation's
     /// indexed column (an index nested-loop can probe them).
     edge_indexed: Vec<RelSet>,
-    /// `u64` words per incident-edge bitmap.
+    /// `u64` words per edge set (at least one).
     edge_words: usize,
     /// `incident[n * edge_words ..][.. edge_words]`: bitmap, by edge
     /// index, of the edges touching node `n`.
@@ -210,10 +211,26 @@ struct RunTables {
     node_ln_card: Vec<f64>,
     /// Probe costing of the index on the node's relation.
     node_index: Vec<IndexProbe>,
-    /// `(node, ln(predicate_selectivity))` per local predicate.
-    filter_ln_sel: Vec<(usize, f64)>,
+    /// `ln(predicate_selectivity)` per local predicate.
+    filter_ln_sel: Vec<f64>,
+    /// `u64` words per filter bitmap (at least one).
+    filter_words: usize,
+    /// Like `incident`, by filter index: the local predicates on node `n`.
+    node_filters: Vec<u64>,
     /// Nodes owning a member column of each order class.
     class_nodes: Vec<RelSet>,
+}
+
+/// The positions of `word`'s set bits, ascending.
+#[inline]
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 impl RunTables {
@@ -221,12 +238,18 @@ impl RunTables {
         let est = model.estimator();
         let catalog = model.catalog();
         let edges = graph.edges();
-        let edge_words = edges.len().div_ceil(64);
+        let filters = graph.filters();
+        let edge_words = edges.len().div_ceil(64).max(1);
         let mut incident = vec![0u64; graph.len() * edge_words];
         for (e, edge) in edges.iter().enumerate() {
             for node in [edge.left.node, edge.right.node] {
                 incident[node * edge_words + e / 64] |= 1 << (e % 64);
             }
+        }
+        let filter_words = filters.len().div_ceil(64).max(1);
+        let mut node_filters = vec![0u64; graph.len() * filter_words];
+        for (f, filter) in filters.iter().enumerate() {
+            node_filters[filter.column.node * filter_words + f / 64] |= 1 << (f % 64);
         }
         let indexed = |c: sdp_query::ColRef| {
             catalog
@@ -243,7 +266,6 @@ impl RunTables {
                 .iter()
                 .map(|e| classes.class_of(e.left).expect("edge columns are classed"))
                 .collect(),
-            edge_nodes: edges.iter().map(|e| e.node_set()).collect(),
             edge_indexed: edges
                 .iter()
                 .map(|e| {
@@ -265,24 +287,30 @@ impl RunTables {
                     IndexProbe::new(stats.relation.tuples, stats.relation.pages, model.params())
                 })
                 .collect(),
-            filter_ln_sel: graph
-                .filters()
+            filter_ln_sel: filters
                 .iter()
-                .map(|f| (f.column.node, est.predicate_selectivity(graph, f).ln()))
+                .map(|f| est.predicate_selectivity(graph, f).ln())
                 .collect(),
+            filter_words,
+            node_filters,
             class_nodes: classes
                 .iter()
                 .map(|(_, members)| members.iter().map(|m| m.node).collect())
                 .collect(),
         }
     }
+}
 
-    /// Bitmap word `w` of the edges touching any node of `set`.
-    #[inline]
-    fn incident_word(&self, set: RelSet, w: usize) -> u64 {
-        set.iter()
-            .fold(0, |m, n| m | self.incident[n * self.edge_words + w])
-    }
+/// The `Group::wide_at` of words pushed next to the side table `wide`.
+fn wide_end(wide: &[EdgeWords]) -> u32 {
+    u32::try_from(wide.len()).expect("a side table under 2^32 words")
+}
+
+/// Move `group`'s `len` words past the first from side table `from` to `to`.
+fn move_wide(group: &mut Group, len: usize, from: &[EdgeWords], to: &mut Vec<EdgeWords>) {
+    let at = group.wide_at as usize;
+    group.wide_at = wide_end(to);
+    to.extend_from_slice(&from[at..at + len]);
 }
 
 /// Crossing classes held inline up to this many; a pair with more
@@ -363,6 +391,11 @@ pub struct EnumContext<'a> {
     parallelism: usize,
     /// The memo of JCR groups.
     pub memo: Memo,
+    /// The memo groups' edge-set words past the first (`Group::wide_at`).
+    wide: Vec<EdgeWords>,
+    /// Sort costs computed so far: one per group entering the memo.
+    #[cfg(test)]
+    pub(crate) sort_costs: u64,
     /// Memory model / budget tracking.
     pub memory: MemoryModel,
     /// Plans costed so far.
@@ -417,6 +450,9 @@ impl<'a> EnumContext<'a> {
             nodes,
             parallelism: parallelism.max(1),
             memo: Memo::new(),
+            wide: Vec::new(),
+            #[cfg(test)]
+            sort_costs: 0,
             plans_costed: 0,
             jcrs_pruned: 0,
             sort_enforcers: 0,
@@ -573,10 +609,16 @@ impl<'a> EnumContext<'a> {
         let est = self.model.estimator();
         let rows = est.rows_for_set(graph, set);
         let width = est.width_for_set(graph, set);
-        let neighbors = graph.adjacent(node);
         let selectivity = est.selectivity_for_set(graph, set);
-        let sort_cost = self.model.sort_cost(rows, width);
-        let mut group = Group::new(set, rows, selectivity, width, neighbors, sort_cost);
+        let t = &self.tables;
+        let incident = &t.incident[node * t.edge_words..][..t.edge_words];
+        let word = |&incident| EdgeWords {
+            incident,
+            internal: 0,
+        };
+        let mut group = Group::new(set, rows, selectivity, width, word(&incident[0]));
+        group.wide_at = wide_end(&self.wide);
+        self.wide.extend(incident[1..].iter().map(word));
 
         for path in self.model.scan_paths_for_node(graph, node) {
             self.plans_costed += 1;
@@ -618,7 +660,7 @@ impl<'a> EnumContext<'a> {
             }
         }
         debug_assert!(!group.is_empty());
-        if self.memo.insert(group) {
+        if self.insert_group(group) {
             self.memory.add_groups(1);
             // Sort-ahead at the leaves: a base relation owning a
             // column of the order target can be sorted before any
@@ -695,54 +737,75 @@ impl<'a> EnumContext<'a> {
         true
     }
 
-    /// Build the (empty) union group for `a ∪ b` with its canonical
-    /// estimated properties. Rows and selectivity are computed over
-    /// the whole set (not incrementally from this particular
-    /// decomposition): the ≥ 1-row clamp would otherwise make the
-    /// estimate depend on which pair reached the set first, and plans
-    /// for the same JCR must agree on its cardinality. The sums walk
-    /// the per-run tables in ascending node, edge and filter index —
-    /// only the edges touching the set, of which the internal ones are
-    /// a subset — from the `-0.0` `Iterator::sum` starts from: the
-    /// terms and order of `Estimator::rows_for_set` and
-    /// `selectivity_for_set`, so the results are theirs bit for bit.
-    fn new_union_group(&self, a: &Group, b: &Group) -> Group {
+    /// Word `w` of a memo group's edge sets.
+    fn edge_word(&self, group: &Group, w: usize) -> EdgeWords {
+        match w {
+            0 => group.edges,
+            _ => self.wide[group.wide_at as usize + w - 1],
+        }
+    }
+
+    /// Build the (empty) union group for `a ∪ b` (edge words past the
+    /// first to `wide`): it touches the edges either touches and holds
+    /// those either holds or both touch. Rows and selectivity are
+    /// computed over the whole set, not from this decomposition: the
+    /// ≥ 1-row clamp would otherwise make the estimate depend on which
+    /// pair reached the set first. The sums run over its nodes, internal
+    /// edges and filters in ascending index from the `-0.0`
+    /// `Iterator::sum` starts from: the terms and order of
+    /// `Estimator::rows_for_set` and `selectivity_for_set`, so the
+    /// results are theirs bit for bit.
+    fn new_union_group(&self, a: &Group, b: &Group, wide: &mut Vec<EdgeWords>) -> Group {
         let union = a.set | b.set;
         let t = &self.tables;
         let est = self.model.estimator();
         let mut ln_base = -0.0;
-        for n in union.iter() {
-            ln_base += t.node_ln_card[n];
+        let mut ln_filter = -0.0;
+        for w in 0..t.filter_words {
+            let mut filters = 0;
+            for n in union.iter() {
+                if w == 0 {
+                    ln_base += t.node_ln_card[n];
+                }
+                filters |= t.node_filters[n * t.filter_words + w];
+            }
+            for f in bits(filters) {
+                ln_filter += t.filter_ln_sel[w * 64 + f];
+            }
         }
         let mut ln_internal = -0.0;
+        let mut edges = EdgeWords::default();
+        let wide_at = wide_end(wide);
         for w in 0..t.edge_words {
-            let mut touching = t.incident_word(union, w);
-            while touching != 0 {
-                let e = w * 64 + touching.trailing_zeros() as usize;
-                touching &= touching - 1;
-                if union.is_superset(t.edge_nodes[e]) {
-                    ln_internal += t.edge_ln_sel[e];
-                }
+            let (ea, eb) = (self.edge_word(a, w), self.edge_word(b, w));
+            let word = EdgeWords {
+                incident: ea.incident | eb.incident,
+                internal: ea.internal | eb.internal | (ea.incident & eb.incident),
+            };
+            for e in bits(word.internal) {
+                ln_internal += t.edge_ln_sel[w * 64 + e];
+            }
+            match w {
+                0 => edges = word,
+                _ => wide.push(word),
             }
         }
-        let mut ln_filter = -0.0;
-        for &(node, ln) in &t.filter_ln_sel {
-            if union.contains(node) {
-                ln_filter += ln;
-            }
-        }
-        let rows = est
-            .rows_from_ln(ln_base + ln_internal + ln_filter)
-            .min(MAX_ROWS);
+        let rows = est.rows_from_ln(ln_base + ln_internal + ln_filter);
+        let selectivity = est.selectivity_from_ln(ln_internal + ln_filter);
         let width = a.width + b.width;
-        Group::new(
-            union,
-            rows,
-            est.selectivity_from_ln(ln_internal + ln_filter),
-            width,
-            (a.neighbors | b.neighbors) - union,
-            self.model.sort_cost(rows, width),
-        )
+        let mut group = Group::new(union, rows.min(MAX_ROWS), selectivity, width, edges);
+        group.wide_at = wide_at;
+        group
+    }
+
+    /// `Memo::insert`, with the sort cost only memo groups are asked for.
+    fn insert_group(&mut self, mut group: Group) -> bool {
+        group.sort_cost = self.model.sort_cost(group.rows, group.width);
+        #[cfg(test)]
+        {
+            self.sort_costs += 1;
+        }
+        self.memo.insert(group)
     }
 
     /// Enumerate and cost all join alternatives combining the memo
@@ -756,7 +819,8 @@ impl<'a> EnumContext<'a> {
     pub fn join_pair(&mut self, a: RelSet, b: RelSet) -> bool {
         debug_assert!(a.is_disjoint(b));
         let (ga, gb) = self.inputs(a, b);
-        let mut jcr = self.new_union_group(ga, gb);
+        let mut wide = Vec::new();
+        let mut jcr = self.new_union_group(ga, gb, &mut wide);
         let mut costed = 0u64;
         self.cost_pair(ga, gb, &mut jcr, &mut costed);
         self.plans_costed += costed;
@@ -766,7 +830,8 @@ impl<'a> EnumContext<'a> {
                 false
             }
             None => {
-                self.memo.insert(jcr);
+                move_wide(&mut jcr, wide.len(), &wide, &mut self.wide);
+                self.insert_group(jcr);
                 self.memory.add_groups(1);
                 true
             }
@@ -786,17 +851,16 @@ impl<'a> EnumContext<'a> {
     /// `Estimator::crossing_selectivity` in its order; summing from
     /// `0.0` where `Iterator::sum` may start from `-0.0` can only flip
     /// the sign of a zero, which `exp` erases).
-    fn pair_facts(&self, a: RelSet, b: RelSet) -> PairFacts {
+    fn pair_facts(&self, a: &Group, b: &Group) -> PairFacts {
         let t = &self.tables;
         let mut ln_sel = 0.0;
         let mut classes = CrossingClasses::new();
         let mut indexed = RelSet::EMPTY;
         for w in 0..t.edge_words {
+            let (ea, eb) = (self.edge_word(a, w), self.edge_word(b, w));
             // An edge touching both of two disjoint sets crosses them.
-            let mut crossing = t.incident_word(a, w) & t.incident_word(b, w);
-            while crossing != 0 {
-                let e = w * 64 + crossing.trailing_zeros() as usize;
-                crossing &= crossing - 1;
+            for e in bits(ea.incident & eb.incident) {
+                let e = w * 64 + e;
                 ln_sel += t.edge_ln_sel[e];
                 classes.insert(t.edge_class[e]);
                 indexed = indexed | t.edge_indexed[e];
@@ -809,8 +873,8 @@ impl<'a> EnumContext<'a> {
         PairFacts {
             crossing_sel: self.model.estimator().selectivity_from_ln(ln_sel),
             classes,
-            a_index: index_of(a),
-            b_index: index_of(b),
+            a_index: index_of(a.set),
+            b_index: index_of(b.set),
         }
     }
 
@@ -821,7 +885,7 @@ impl<'a> EnumContext<'a> {
     /// is computed here, once per pair and orientation.
     fn cost_pair(&self, a: &Group, b: &Group, jcr: &mut Group, plans_costed: &mut u64) {
         debug_assert!(a.set.is_disjoint(b.set));
-        let facts = self.pair_facts(a.set, b.set);
+        let facts = self.pair_facts(a, b);
         let classes = facts.classes.as_slice();
         let params = self.model.params();
         let out_rows = jcr.rows;
@@ -925,7 +989,7 @@ impl<'a> EnumContext<'a> {
             Entry::Occupied(entry) => (*entry.get(), None),
             Entry::Vacant(entry) => {
                 let jcr = StagedJcr {
-                    group: self.new_union_group(ga, gb),
+                    group: self.new_union_group(ga, gb, &mut stage.wide),
                     in_memo: false,
                 };
                 let slot = *entry.insert(LevelStage::push(&mut stage.jcrs, jcr));
@@ -1005,6 +1069,8 @@ impl<'a> EnumContext<'a> {
                     // one to an empty group would retain. The
                     // staging time is that first visit's, too.
                     self.admit(&mut jcr);
+                    let len = self.tables.edge_words - 1;
+                    move_wide(&mut jcr.group, len, &shard.wide, &mut stage.wide);
                     entry.insert(LevelStage::push(&mut stage.jcrs, jcr));
                     #[cfg(feature = "trace")]
                     stage.staged_micros.extend(micros);
@@ -1079,6 +1145,23 @@ impl<'a> EnumContext<'a> {
                 self.drop_staged(jcr);
             }
         }
+    }
+
+    /// Move the level's survivors into the memo as they are, in creation
+    /// order; returns the level's row of the survivor table.
+    pub(crate) fn seal_stage(&mut self, stage: &mut LevelStage) -> Vec<(RelSet, RelSet)> {
+        self.memo.reserve(stage.jcrs.len());
+        let (graph, len) = (self.graph(), self.tables.edge_words - 1);
+        let survivors = stage.jcrs.drain(..).map(|mut jcr| {
+            let set = jcr.group.set;
+            if !jcr.in_memo {
+                move_wide(&mut jcr.group, len, &stage.wide, &mut self.wide);
+                let inserted = self.insert_group(jcr.group);
+                debug_assert!(inserted, "a staged JCR is new to the memo");
+            }
+            (set, graph.neighbors(set))
+        });
+        survivors.collect()
     }
 
     /// The plan tree of entry `entry` of `set`'s group
@@ -1191,76 +1274,230 @@ mod tests {
         assert!(!ctx.join_pair(RelSet::single(0), RelSet::single(1)));
     }
 
-    #[test]
-    fn tables_reproduce_the_estimator_bit_for_bit() {
-        // The per-run tables and the fused crossing-edge pass against
-        // the scans they replaced, over every pair of an exhaustive
-        // run: same rows, selectivities, merge classes and index
-        // applicability — rewriter-inferred edges, shared join columns
-        // and local predicates included.
-        let cat = Catalog::paper();
-        let model = CostModel::with_defaults(&cat);
-        let est = model.estimator();
-        for (topo, seed) in [
-            (Topology::Chain(6), 3),
-            (Topology::Star(7), 5),
-            (Topology::Clique(6), 2),
-            (Topology::star_chain(9), 4),
-        ] {
-            let mut q = QueryGenerator::new(&cat, topo, seed)
-                .with_filter_probability(0.5)
-                .instance(0);
-            sdp_query::infer_transitive_edges(&mut q.graph);
-            let graph = &q.graph;
-            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited(), 1);
-            let n = graph.len();
-            let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
-            for i in 0..n {
-                ctx.ensure_base_group(i);
-            }
-            let table = crate::dp::run_levels(&mut ctx, &atoms, n, None).unwrap();
-            let mut scan = crate::enumerate::LevelScan::new(n);
-            let mut pairs = Vec::new();
-            for s in 2..=n {
-                scan.level_pairs(&table, s, &mut pairs);
-                for &(a, b) in &pairs {
-                    let group = ctx.memo.get(a | b).unwrap();
-                    assert_eq!(
-                        group.rows.to_bits(),
-                        est.rows_for_set(graph, a | b).min(MAX_ROWS).to_bits()
-                    );
-                    assert_eq!(
-                        group.selectivity.to_bits(),
-                        est.selectivity_for_set(graph, a | b).to_bits()
-                    );
-                    assert_eq!(group.neighbors, graph.neighbors(a | b));
+    /// The union recurrence and the per-run tables against the scans
+    /// they replaced. Rows, selectivity and both edge sets of a JCR are
+    /// functions of its set, so every way of building it must give the
+    /// estimator's whole-set values bit for bit — and a pair's crossing
+    /// selectivity, merge classes and index applicability its scans'.
+    mod union_recurrence {
+        use super::*;
+        use crate::dp::run_levels;
+        use crate::enumerate::tests::random_connected_query;
+        use proptest::prelude::*;
+        use sdp_catalog::ColId;
+        use sdp_query::{ColRef, JoinEdge, PredOp, Predicate};
 
-                    let facts = ctx.pair_facts(a, b);
-                    assert_eq!(
-                        facts.crossing_sel.to_bits(),
-                        est.crossing_selectivity(graph, a, b).to_bits()
-                    );
-                    let mut classes: Vec<ClassId> = graph
-                        .crossing_edges(a, b)
-                        .filter_map(|e| ctx.classes().class_of(e.left))
-                        .collect();
-                    classes.sort_unstable();
-                    classes.dedup();
-                    assert_eq!(facts.classes.as_slice(), classes);
-                    for (outer, inner, index) in [(a, b, facts.b_index), (b, a, facts.a_index)] {
-                        let usable = inner.len() == 1
-                            && graph.crossing_edges(outer, inner).any(|e| {
-                                let c = if inner.contains(e.left.node) {
-                                    e.left
-                                } else {
-                                    e.right
-                                };
-                                let rel = cat.relation(graph.relation(c.node)).unwrap();
-                                rel.has_index_on(c.col)
-                            });
-                        assert_eq!(index.is_some(), usable, "{topo} {outer:?} ⋈ {inner:?}");
+        /// A connected graph of `n` relations: a random tree plus extra
+        /// edges, closure-inferred cliques — one per class mask, over
+        /// its nodes' column `19 + k` — and local predicates, so that
+        /// both more than 64 edges and more than 64 filters occur.
+        fn wide_query(
+            n: usize,
+            parents: &[u64],
+            extras: &[(u64, u64)],
+            cliques: &[u64],
+            filters: &[(u64, u8, u64)],
+        ) -> (Query, Vec<(usize, usize)>) {
+            let (mut q, tree) = random_connected_query(n, parents, extras);
+            for (k, &mask) in cliques.iter().enumerate() {
+                let dense = mask | mask >> 16 | mask >> 32;
+                let members: Vec<usize> = RelSet(dense & RelSet::first_n(n).0).iter().collect();
+                let col = |node| ColRef::new(node, ColId(19 + k as u16));
+                for pair in members.windows(2) {
+                    q.graph.add_edge(JoinEdge::new(col(pair[0]), col(pair[1])));
+                }
+            }
+            sdp_query::infer_transitive_edges(&mut q.graph);
+            for &(at, op, value) in filters {
+                let ops = [PredOp::Eq, PredOp::Lt, PredOp::Le, PredOp::Gt, PredOp::Ge];
+                let column = ColRef::new(at as usize % n, ColId((at >> 32) as u16 % 24));
+                let op = ops[usize::from(op) % ops.len()];
+                q.graph
+                    .add_filter(Predicate::new(column, op, (value % 1000) as i64));
+            }
+            (q, tree)
+        }
+
+        /// `group`, its edge words past the first in the side table
+        /// `wide`, holds the estimator's rows, selectivity and edge sets.
+        fn assert_whole_set_values(ctx: &EnumContext<'_>, group: &Group, wide: &[EdgeWords]) {
+            let (graph, est, set) = (ctx.graph(), ctx.model().estimator(), group.set);
+            assert_eq!(
+                group.rows.to_bits(),
+                est.rows_for_set(graph, set).min(MAX_ROWS).to_bits(),
+                "rows of {set:?}"
+            );
+            assert_eq!(
+                group.selectivity.to_bits(),
+                est.selectivity_for_set(graph, set).to_bits(),
+                "selectivity of {set:?}"
+            );
+            let mut expected = vec![EdgeWords::default(); ctx.tables.edge_words];
+            for (e, edge) in graph.edges().iter().enumerate() {
+                let word = &mut expected[e / 64];
+                if edge.node_set().intersects(set) {
+                    word.incident |= 1 << (e % 64);
+                }
+                if edge.within(set) {
+                    word.internal |= 1 << (e % 64);
+                }
+            }
+            let wide = &wide[group.wide_at as usize..][..ctx.tables.edge_words - 1];
+            let words: Vec<EdgeWords> = std::iter::once(group.edges)
+                .chain(wide.iter().copied())
+                .collect();
+            assert_eq!(words, expected, "edge sets of {set:?}");
+        }
+
+        /// `a ∪ b` built afresh from the two memo groups.
+        fn assert_union(ctx: &EnumContext<'_>, a: RelSet, b: RelSet) {
+            let (ga, gb) = ctx.inputs(a, b);
+            let mut wide = Vec::new();
+            let union = ctx.new_union_group(ga, gb, &mut wide);
+            assert_whole_set_values(ctx, &union, &wide);
+        }
+
+        /// The crossing-edge facts of `a ⋈ b` against the estimator's
+        /// and the graph's scans.
+        fn assert_pair_facts(ctx: &EnumContext<'_>, a: RelSet, b: RelSet) {
+            let (graph, cat) = (ctx.graph(), ctx.model().catalog());
+            let (ga, gb) = ctx.inputs(a, b);
+            let facts = ctx.pair_facts(ga, gb);
+            assert_eq!(
+                facts.crossing_sel.to_bits(),
+                ctx.model()
+                    .estimator()
+                    .crossing_selectivity(graph, a, b)
+                    .to_bits()
+            );
+            let mut classes: Vec<ClassId> = graph
+                .crossing_edges(a, b)
+                .filter_map(|e| ctx.classes().class_of(e.left))
+                .collect();
+            classes.sort_unstable();
+            classes.dedup();
+            assert_eq!(facts.classes.as_slice(), classes);
+            for (outer, inner, index) in [(a, b, facts.b_index), (b, a, facts.a_index)] {
+                let usable = inner.len() == 1
+                    && graph.crossing_edges(outer, inner).any(|e| {
+                        let c = if inner.contains(e.left.node) {
+                            e.left
+                        } else {
+                            e.right
+                        };
+                        cat.relation(graph.relation(c.node))
+                            .unwrap()
+                            .has_index_on(c.col)
+                    });
+                assert_eq!(index.is_some(), usable, "{outer:?} ⋈ {inner:?}");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Base groups; JCRs built through random split orders;
+            /// and an exhaustive run over IDP-style compound atoms at
+            /// 1 and 3 threads — every union of every pair of every
+            /// level, every memo group, every survivor row's
+            /// neighbourhood — on graphs up to 16 relations, with more
+            /// than 64 edges and more than 64 filters among them.
+            #[test]
+            fn tables_reproduce_the_estimator_bit_for_bit(
+                n in 2usize..=16,
+                parents in prop::collection::vec(any::<u64>(), 15usize),
+                extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=16),
+                cliques in prop::collection::vec(any::<u64>(), 0usize..=5),
+                filters in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u64>()), 0usize..=120),
+                splits in any::<u64>(),
+                contract in any::<u64>(),
+            ) {
+                let (query, tree) = wide_query(n, &parents, &extras, &cliques, &filters);
+                let graph = &query.graph;
+                let cat = Catalog::paper();
+                let model = CostModel::with_defaults(&cat);
+                let mut state = splits;
+                let mut next = || {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (state >> 33) as usize
+                };
+
+                // Random split orders: merge connected components two
+                // at a time until one is left, three times over.
+                let mut ctx = EnumContext::new(&query, &model, Budget::unlimited(), 1);
+                for node in 0..n {
+                    ctx.ensure_base_group(node);
+                    let base = ctx.memo.get(RelSet::single(node)).unwrap();
+                    assert_whole_set_values(&ctx, base, &ctx.wide);
+                }
+                for _ in 0..3 {
+                    let mut parts: Vec<RelSet> = (0..n).map(RelSet::single).collect();
+                    while parts.len() > 1 {
+                        let a = next() % parts.len();
+                        let joinable: Vec<usize> = (0..parts.len())
+                            .filter(|&b| graph.sets_connected(parts[a], parts[b]))
+                            .collect();
+                        let b = joinable[next() % joinable.len()];
+                        let (sa, sb) = (parts[a], parts[b]);
+                        assert_union(&ctx, sa, sb);
+                        assert_pair_facts(&ctx, sa, sb);
+                        ctx.join_pair(sa, sb);
+                        let joined = ctx.memo.get(sa | sb).unwrap();
+                        assert_whole_set_values(&ctx, joined, &ctx.wide);
+                        parts[a] = sa | sb;
+                        parts.swap_remove(b);
                     }
                 }
+
+                // Compound atoms — tree edges contracted at random, and
+                // until at most eight atoms are left — then every level.
+                let mut atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
+                let mut merges = Vec::new();
+                for (k, &(u, v)) in tree.iter().enumerate() {
+                    if contract >> (2 * k) & 3 != 0 && atoms.len() <= 8 {
+                        continue;
+                    }
+                    let block = |r| *atoms.iter().find(|a: &&RelSet| a.contains(r)).unwrap();
+                    let (a, b) = (block(u), block(v));
+                    atoms.retain(|&x| x != a && x != b);
+                    atoms.push(a | b);
+                    merges.push((a, b));
+                }
+                atoms.sort();
+                let mut memos = Vec::new();
+                for threads in [1, 3] {
+                    let mut ctx = EnumContext::new(&query, &model, Budget::unlimited(), threads);
+                    (0..n).for_each(|node| ctx.ensure_base_group(node));
+                    for &(a, b) in &merges {
+                        ctx.join_pair(a, b);
+                    }
+                    let table = run_levels(&mut ctx, &atoms, atoms.len(), None).unwrap();
+                    let mut scan = crate::enumerate::LevelScan::new(n);
+                    let mut pairs = Vec::new();
+                    for s in 2..=atoms.len() {
+                        scan.level_pairs(&table, s, &mut pairs);
+                        for &(a, b) in &pairs {
+                            assert_union(&ctx, a, b);
+                            assert_pair_facts(&ctx, a, b);
+                        }
+                    }
+                    for level in &table.levels {
+                        for &(set, neighbors) in level {
+                            prop_assert_eq!(neighbors, graph.neighbors(set));
+                        }
+                    }
+                    let mut memo = Vec::new();
+                    for set in ctx.memo.sets() {
+                        let group = ctx.memo.get(set).unwrap();
+                        assert_whole_set_values(&ctx, group, &ctx.wide);
+                        let entries: Vec<_> = (group.entries().iter())
+                            .map(|e| (e.cost.to_bits(), e.ordering(), e.source))
+                            .collect();
+                        memo.push((set, entries));
+                    }
+                    memos.push(memo);
+                }
+                prop_assert_eq!(&memos[0], &memos[1], "1 and 3 threads build the same memo");
             }
         }
     }

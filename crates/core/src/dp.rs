@@ -258,21 +258,7 @@ fn run_one_level<'p>(
     }
     ctx.memory.barrier_check()?;
 
-    // The survivors become memo groups, in creation order, sealed: the
-    // records they were costed into are the plans they keep.
-    ctx.memo.reserve(stage.jcrs.len());
-    let survivors: Vec<(RelSet, RelSet)> = stage
-        .jcrs
-        .drain(..)
-        .map(|jcr| {
-            let row = (jcr.group.set, jcr.group.neighbors);
-            if !jcr.in_memo {
-                let inserted = ctx.memo.insert(jcr.group);
-                debug_assert!(inserted, "a staged JCR is new to the memo");
-            }
-            row
-        })
-        .collect();
+    let survivors = ctx.seal_stage(stage);
 
     // Sort-ahead placement (post-barrier, coordinating thread only):
     // offer each surviving JCR of the level an explicit Sort enforcer
@@ -742,6 +728,7 @@ mod tests {
         assert_eq!(plan.set, q.graph.all_nodes());
         plan.check_invariants().unwrap();
         assert!(ctx.completed_greedily);
+        accounting::assert_sort_costs(&ctx, "after greedy completion");
     }
 
     #[test]
@@ -775,6 +762,21 @@ mod tests {
         use crate::sdp::{optimize_sdp, SdpConfig, SdpPruner};
         use proptest::prelude::*;
         use std::collections::HashSet;
+
+        /// Every memo group carries the sort cost of its rows and width,
+        /// bit for bit — computed at the barrier it survived, or where
+        /// a base or `join_pair` group entered the memo.
+        pub(super) fn assert_sort_costs(ctx: &EnumContext<'_>, when: &str) {
+            for set in ctx.memo.sets() {
+                let group = ctx.memo.get(set).expect("live set");
+                let expected = ctx.model().sort_cost(group.rows, group.width);
+                assert_eq!(
+                    group.sort_cost.to_bits(),
+                    expected.to_bits(),
+                    "sort cost of {set:?} {when}"
+                );
+            }
+        }
 
         /// Bring the oracle up to date and compare the counts.
         fn assert_counted(ctx: &EnumContext<'_>, eager: &mut EagerMemo, when: &str) {
@@ -815,6 +817,7 @@ mod tests {
                 }
             }
             let reached = (reached.records.len() + reached.nodes.len()) as u64;
+            assert_sort_costs(ctx, when);
             eager.sync(&ctx.memo);
             assert_eq!(ctx.node_counter().live(), reached, "live nodes {when}");
             assert_eq!(eager.nodes.live(), reached, "eagerly built nodes {when}");

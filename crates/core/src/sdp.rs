@@ -407,6 +407,27 @@ mod tests {
     use sdp_cost::CostModel;
     use sdp_query::{QueryGenerator, Topology};
 
+    #[test]
+    fn only_base_groups_and_survivors_pay_for_a_sort_cost() {
+        // The sort cost is asked of memo groups only, so a JCR its
+        // level barrier prunes never computes one.
+        let cat = Catalog::paper();
+        let model = CostModel::with_defaults(&cat);
+        let q = QueryGenerator::new(&cat, Topology::star_chain(16), 3).ordered_instance(0);
+        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited(), 1);
+        optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
+        assert!(!ctx.completed_greedily);
+        let stats = ctx.stats();
+        let survivors: u64 = ctx.profile().iter().map(|l| l.jcrs_retained).sum();
+        assert_eq!(ctx.sort_costs, 16 + survivors);
+        assert_eq!(ctx.sort_costs, stats.jcrs_processed - stats.jcrs_pruned);
+        assert!(
+            stats.jcrs_pruned > survivors,
+            "most of the {} JCRs are pruned",
+            stats.jcrs_processed
+        );
+    }
+
     fn run(
         topo: Topology,
         seed: u64,

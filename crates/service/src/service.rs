@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use sdp_catalog::{AnalyzedRelation, Catalog};
+use sdp_catalog::{AnalyzedRelation, Catalog, CatalogError};
 use sdp_core::{
     default_parallelism, Algorithm, DegradeEvent, DegradeReason, EnumeratorKind, GovernedPlan,
     Governor, OptError, Optimizer, PlanNode, Rung,
@@ -1146,9 +1146,14 @@ impl OptimizerService {
     /// Install fresh statistics: swaps a new catalog snapshot in
     /// (bumping the statistics epoch atomically with respect to new
     /// requests) and eagerly purges plans optimized under older
-    /// epochs. Returns the new epoch.
-    pub fn update_stats(&self, analyzed: Vec<AnalyzedRelation>) -> u64 {
-        self.swap_catalog(|c| c.replace_stats(analyzed))
+    /// epochs. Returns the new epoch — or, with the epoch, the cache
+    /// and the stale shelf untouched, why `analyzed` does not fit the
+    /// schema. The shape is checked before the catalog lock is taken
+    /// (a statistics update never changes the schema), so misshapen
+    /// statistics can neither poison the lock nor reach the estimator.
+    pub fn update_stats(&self, analyzed: Vec<AnalyzedRelation>) -> Result<u64, CatalogError> {
+        self.catalog().check_stats(&analyzed)?;
+        Ok(self.swap_catalog(|c| c.replace_stats(analyzed)))
     }
 
     /// Bump the statistics epoch without changing the estimates —

@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Barrier};
 
-use sdp_catalog::Catalog;
+use sdp_catalog::{AnalyzedRelation, Catalog, CatalogError};
 use sdp_core::{Algorithm, Optimizer, SdpConfig};
 use sdp_query::canon::permute_graph;
 use sdp_query::{ColRef, JoinEdge, JoinGraph, Query, QueryGenerator, Topology};
@@ -205,7 +205,7 @@ fn replacing_stats_changes_the_served_plan_cost() {
             a
         })
         .collect();
-    service.update_stats(analyzed);
+    service.update_stats(analyzed).unwrap();
 
     let after = service.get_plan(&request).unwrap();
     assert_eq!(after.source, PlanSource::Fresh);
@@ -215,6 +215,85 @@ fn replacing_stats_changes_the_served_plan_cost() {
         after.plan.cost,
         before.plan.cost
     );
+}
+
+/// Offer `service` misshapen statistics: they are refused with a typed
+/// error, and the epoch, the cache and the purge counter are as they
+/// were — the cached plan is still a hit — and a new request touching
+/// every relation (star instance `seed`) plans: no poisoned catalog
+/// lock, no estimator panic.
+fn assert_refused_and_unharmed(
+    catalog: &Catalog,
+    service: &OptimizerService,
+    cached: &ServiceRequest,
+    seed: u64,
+    analyzed: Vec<AnalyzedRelation>,
+) {
+    let cached_plans = service.cached_plans();
+    let refused = service.update_stats(analyzed);
+    assert!(
+        matches!(refused, Err(CatalogError::StatsShape { .. })),
+        "{refused:?}"
+    );
+    assert_eq!(service.catalog().stats_epoch(), 0);
+    assert_eq!(service.cached_plans(), cached_plans);
+    assert_eq!(service.counters_snapshot().stale_evicted, 0);
+    assert_eq!(service.get_plan(cached).unwrap().source, PlanSource::Cache);
+    let star = QueryGenerator::new(catalog, Topology::Star(catalog.len()), seed).instance(0);
+    let fresh = ServiceRequest::query(star).with_algorithm(Algorithm::Goo);
+    assert_eq!(service.get_plan(&fresh).unwrap().source, PlanSource::Fresh);
+}
+
+fn analyzed(catalog: &Catalog) -> Vec<AnalyzedRelation> {
+    catalog
+        .relations()
+        .iter()
+        .map(AnalyzedRelation::analyze)
+        .collect()
+}
+
+/// Statistics for the wrong number of relations are refused with a
+/// typed error instead of panicking under the catalog's write lock —
+/// which used to poison it and fail every later request.
+#[test]
+fn statistics_for_the_wrong_relations_are_refused() {
+    let catalog = Catalog::paper();
+    let service = OptimizerService::new(catalog.clone(), small_config());
+    let query = QueryGenerator::new(&catalog, Topology::Chain(5), 2).instance(0);
+    let request = ServiceRequest::query(query).with_algorithm(Algorithm::Dp);
+    service.get_plan(&request).unwrap();
+
+    assert_refused_and_unharmed(&catalog, &service, &request, 1, Vec::new());
+    let mut one_short = analyzed(&catalog);
+    one_short.pop();
+    assert_refused_and_unharmed(&catalog, &service, &request, 2, one_short);
+}
+
+/// Truncated per-column statistics or histograms are refused too: once
+/// installed, every request reading a missing column used to panic in
+/// the estimator, surface as `LeaderPanicked` and feed the DLQ and the
+/// breaker.
+#[test]
+fn truncated_column_statistics_are_refused() {
+    let catalog = Catalog::paper();
+    let service = OptimizerService::new(catalog.clone(), small_config());
+    let query = QueryGenerator::new(&catalog, Topology::Chain(5), 2).instance(0);
+    let request = ServiceRequest::query(query).with_algorithm(Algorithm::Dp);
+    service.get_plan(&request).unwrap();
+
+    let mut seed = 0;
+    for relation in [0, catalog.len() - 1] {
+        let mut columns = analyzed(&catalog);
+        columns[relation].columns.truncate(1);
+        seed += 1;
+        assert_refused_and_unharmed(&catalog, &service, &request, seed, columns);
+        let mut histograms = analyzed(&catalog);
+        histograms[relation].histograms.clear();
+        seed += 1;
+        assert_refused_and_unharmed(&catalog, &service, &request, seed, histograms);
+    }
+    let accepted = service.update_stats(analyzed(&catalog));
+    assert_eq!(accepted, Ok(1), "well-shaped statistics go in");
 }
 
 /// LRU capacity pressure evicts; the counters see it.
