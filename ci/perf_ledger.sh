@@ -19,6 +19,13 @@
 # 387793 → 156337 there, by no longer costing DP rungs that cannot fit
 # 2 MiB, and nothing else.
 #
+# Incumbent-bounded DP moved one field the same way: `plans costed` of
+# the `cold_dp` line, 665698 → 177535. Its exhaustive DP now drops every
+# JCR costing more than a greedy plan (that greedy's ~190 plans per
+# request are counted), and serves the same plans: the digest, the
+# other counts and the other three lines are unchanged. Its
+# `allocs_per_req` ceiling fell with it (533 → 524 calls, 710 → 236 kB).
+#
 # The same run's `<workload>/allocs_per_req` and
 # `<workload>/alloc_bytes_per_req` lines are counts too — the counting
 # allocator's calls and bytes per request, the same on any host — and

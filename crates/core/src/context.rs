@@ -47,6 +47,21 @@ pub struct RunStats {
     /// plan because pruning starved the final DP levels (never the
     /// case for exhaustive DP).
     pub completed_greedily: bool,
+    /// The bound an exhaustive DP run pruned against (`None` for every
+    /// other strategy).
+    pub incumbent: Option<Incumbent>,
+}
+
+/// The incumbent of an exhaustive DP run: the cost of the plan a
+/// costs-only greedy finds before the levels run
+/// (`EnumContext::incumbent`), root sort included. It bounds every
+/// JCR of two or more relations the plan DP returns can contain.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Incumbent {
+    /// Cost of the greedy plan, as `EnumContext::finalize` would serve it.
+    pub cost: f64,
+    /// Plans the greedy costed (part of the run's `plans_costed`).
+    pub plans_costed: u64,
 }
 
 /// One row of the per-level enumeration profile, recorded at every
@@ -374,6 +389,8 @@ pub struct EnumContext<'a> {
     pub sort_enforcers: u64,
     /// Set by the greedy completion fallback.
     pub completed_greedily: bool,
+    /// Set by exhaustive DP before its levels run.
+    pub incumbent: Option<Incumbent>,
     /// Compound atoms (contracted subtrees) in the current
     /// enumeration, stamped onto every level row — see
     /// [`LevelStats::contractions`].
@@ -416,6 +433,7 @@ impl<'a> EnumContext<'a> {
             jcrs_pruned: 0,
             sort_enforcers: 0,
             completed_greedily: false,
+            incumbent: None,
             contractions: 0,
             profile: Vec::new(),
             phase: "",
@@ -539,6 +557,7 @@ impl<'a> EnumContext<'a> {
             peak_model_bytes: self.memory.peak_bytes(),
             elapsed: self.memory.elapsed(),
             completed_greedily: self.completed_greedily,
+            incumbent: self.incumbent,
         }
     }
 
@@ -820,6 +839,114 @@ impl<'a> EnumContext<'a> {
             a_index: index_of(a.set),
             b_index: index_of(b.set),
         }
+    }
+
+    /// The crossing selectivity of disjoint `a` and `b` — the terms and
+    /// order of [`EnumContext::pair_facts`], so the estimator's bit for
+    /// bit — or `None` when no edge crosses them.
+    fn crossing_selectivity(&self, a: &Group, b: &Group) -> Option<f64> {
+        let t = &self.tables;
+        let (mut ln_sel, mut crossing) = (0.0, false);
+        for w in 0..t.edge_words {
+            let (ea, eb) = (self.edge_word(a, w), self.edge_word(b, w));
+            for e in bits(ea.incident & eb.incident) {
+                ln_sel += t.edge_ln_sel[w * 64 + e];
+                crossing = true;
+            }
+        }
+        crossing.then(|| self.model.estimator().selectivity_from_ln(ln_sel))
+    }
+
+    /// The MinRows step of greedy operator ordering over `len`
+    /// components, `group(i)` the group of the `i`-th: the connected
+    /// pair `(i, j)`, `i < j`, whose join has the fewest estimated rows
+    /// (the first in that order on ties), or `None` when no two are
+    /// connected. The GOO rung and the DP incumbent both merge by it.
+    pub(crate) fn min_rows_pair<'g>(
+        &self,
+        len: usize,
+        group: impl Fn(usize) -> &'g Group,
+    ) -> Option<(usize, usize)> {
+        let mut best: Option<(f64, usize, usize)> = None;
+        for i in 0..len {
+            for j in i + 1..len {
+                let (a, b) = (group(i), group(j));
+                let Some(sel) = self.crossing_selectivity(a, b) else {
+                    continue;
+                };
+                let rows = a.rows * b.rows * sel;
+                if best.is_none_or(|(r, _, _)| rows < r) {
+                    best = Some((rows, i, j));
+                }
+            }
+        }
+        best.map(|(_, i, j)| (i, j))
+    }
+
+    /// The incumbent of an exhaustive DP run, computed once the base
+    /// groups exist: GOO's merge order costed into scratch groups, which
+    /// never enter the memo and build no node — what GOO would serve,
+    /// at the cost of its joins' plan records alone. The greedy's plans
+    /// count towards `plans_costed`; its records give back their node
+    /// count as they are dropped, and its edge words their room in the
+    /// side table, so the run goes on as if it had not been.
+    pub(crate) fn incumbent(&mut self) -> Incumbent {
+        /// A component of the greedy: a base relation's memo group, or
+        /// a join of components the memo never sees.
+        enum Part {
+            Base(RelSet),
+            Joined(Group),
+        }
+        fn group<'m>(memo: &'m Memo, part: &'m Part) -> &'m Group {
+            match part {
+                Part::Base(set) => memo.get(*set).expect("base groups exist"),
+                Part::Joined(group) => group,
+            }
+        }
+        let nodes = self.nodes.clone();
+        let drop_part = |part: Part| {
+            if let Part::Joined(group) = part {
+                nodes.release(group.charged());
+            }
+        };
+
+        let wide_len = self.wide.len();
+        let mut plans_costed = 0;
+        let mut parts: Vec<Part> = (0..self.graph().len())
+            .map(|node| Part::Base(RelSet::single(node)))
+            .collect();
+        while parts.len() > 1 {
+            let (i, j) = self
+                .min_rows_pair(parts.len(), |k| group(&self.memo, &parts[k]))
+                .expect("the join graph is connected");
+            let (a, b) = (group(&self.memo, &parts[i]), group(&self.memo, &parts[j]));
+            let mut wide = Vec::new();
+            let mut jcr = self.new_union_group(a, b, &mut wide);
+            self.cost_pair(a, b, &mut jcr, &mut plans_costed);
+            jcr.sort_cost = self.model.sort_cost(jcr.rows, jcr.width);
+            move_wide(&mut jcr, wide.len(), &wide, &mut self.wide);
+            drop_part(parts.swap_remove(j));
+            drop_part(std::mem::replace(&mut parts[i], Part::Joined(jcr)));
+        }
+
+        // The root, as `finalize` serves it.
+        let root = group(&self.memo, &parts[0]);
+        let best = root.best().cost;
+        let cost = match self.order_target {
+            None => best,
+            Some(target) => {
+                plans_costed += 1;
+                let sorted = best + root.sort_cost;
+                match root.best_for_order(target) {
+                    Some(p) if p.cost <= sorted => p.cost,
+                    _ => sorted,
+                }
+            }
+        };
+        parts.into_iter().for_each(drop_part);
+        self.wide.truncate(wide_len);
+        self.plans_costed += plans_costed;
+        Incumbent { cost, plans_costed }
     }
 
     /// The costing core shared by the level stage and `join_pair`:
@@ -1157,41 +1284,8 @@ mod tests {
     mod union_recurrence {
         use super::*;
         use crate::dp::run_levels;
-        use crate::enumerate::tests::random_connected_query;
+        use crate::enumerate::tests::wide_query;
         use proptest::prelude::*;
-        use sdp_catalog::ColId;
-        use sdp_query::{ColRef, JoinEdge, PredOp, Predicate};
-
-        /// A connected graph of `n` relations: a random tree plus extra
-        /// edges, closure-inferred cliques — one per class mask, over
-        /// its nodes' column `19 + k` — and local predicates, so that
-        /// both more than 64 edges and more than 64 filters occur.
-        fn wide_query(
-            n: usize,
-            parents: &[u64],
-            extras: &[(u64, u64)],
-            cliques: &[u64],
-            filters: &[(u64, u8, u64)],
-        ) -> (Query, Vec<(usize, usize)>) {
-            let (mut q, tree) = random_connected_query(n, parents, extras);
-            for (k, &mask) in cliques.iter().enumerate() {
-                let dense = mask | mask >> 16 | mask >> 32;
-                let members: Vec<usize> = RelSet(dense & RelSet::first_n(n).0).iter().collect();
-                let col = |node| ColRef::new(node, ColId(19 + k as u16));
-                for pair in members.windows(2) {
-                    q.graph.add_edge(JoinEdge::new(col(pair[0]), col(pair[1])));
-                }
-            }
-            sdp_query::infer_transitive_edges(&mut q.graph);
-            for &(at, op, value) in filters {
-                let ops = [PredOp::Eq, PredOp::Lt, PredOp::Le, PredOp::Gt, PredOp::Ge];
-                let column = ColRef::new(at as usize % n, ColId((at >> 32) as u16 % 24));
-                let op = ops[usize::from(op) % ops.len()];
-                q.graph
-                    .add_filter(Predicate::new(column, op, (value % 1000) as i64));
-            }
-            (q, tree)
-        }
 
         /// `group`, its edge words past the first in the side table
         /// `wide`, holds the estimator's rows, selectivity and edge sets.

@@ -27,17 +27,18 @@
 //! node is built at any level; `EnumContext::finalize` builds the
 //! served plan's. A [`LevelPruner`] hook judges the stage at the
 //! barrier; SDP plugs its hub-partitioned skyline pruning in here,
-//! exhaustive DP passes `None`. One set of level buffers (pair list,
-//! stage, the pruner's inputs) serves all levels of a `run_levels`
-//! call.
+//! exhaustive DP its incumbent bound (`IncumbentPruner`). One set of
+//! level buffers (pair list, stage, the pruner's inputs) serves all
+//! levels of a `run_levels` call.
 
 use std::sync::Arc;
 
 use sdp_query::RelSet;
 
 use crate::budget::OptError;
-use crate::context::{EnumContext, LevelStage, LevelStats};
+use crate::context::{EnumContext, LevelStage, LevelStats, StagedJcr};
 use crate::enumerate::LevelScan;
+use crate::memo::Group;
 use crate::plan::PlanNode;
 
 /// Budget-check cadence, in candidate pair visits.
@@ -68,6 +69,14 @@ pub trait LevelPruner {
     /// skyline structure keep the default zeros.
     fn last_prune_stats(&self) -> PruneStats {
         PruneStats::default()
+    }
+
+    /// `Some(bound)` when the verdict is "keep exactly the JCRs whose
+    /// cheapest plan costs at most `bound`": the barrier then applies
+    /// it to the stage as it is, without building the level's feature
+    /// vectors or calling [`LevelPruner::prune`].
+    fn cost_bound(&self) -> Option<f64> {
+        None
     }
 }
 
@@ -158,7 +167,14 @@ fn run_one_level<'p>(
 
     let created = stage.jcrs.iter().filter(|jcr| !jcr.in_memo).count();
     let mut prune_stats = PruneStats::default();
-    if let Some(p) = pruner {
+    if let Some(bound) = pruner.as_ref().and_then(|p| p.cost_bound()) {
+        // A verdict that reads the cheapest cost alone needs no
+        // feature vectors.
+        stage.jcrs.retain(|jcr| {
+            let keep = judged(ctx, jcr).best_cost() <= bound;
+            verdict(ctx, jcr, keep)
+        });
+    } else if let Some(p) = pruner {
         sets.clear();
         features.clear();
         keep.clear();
@@ -167,28 +183,16 @@ fn run_one_level<'p>(
         features.reserve_exact(stage.jcrs.len());
         keep.reserve_exact(stage.jcrs.len());
         for jcr in &stage.jcrs {
-            let set = jcr.group.set;
-            let group = if jcr.in_memo {
-                ctx.memo.get(set).expect("in the memo")
-            } else {
-                &jcr.group
-            };
-            sets.push(set);
-            features.push(group.feature_vector());
+            sets.push(jcr.group.set);
+            features.push(judged(ctx, jcr).feature_vector());
         }
         keep.resize(sets.len(), true);
         p.prune(ctx, level, sets, features, keep);
         prune_stats = p.last_prune_stats();
         let mut verdicts = keep.iter();
-        stage.jcrs.retain(|jcr| {
-            let keep = *verdicts.next().expect("one verdict per JCR");
-            match (keep, jcr.in_memo) {
-                (true, _) => {}
-                (false, true) => ctx.prune_group(jcr.group.set),
-                (false, false) => ctx.drop_staged(jcr),
-            }
-            keep
-        });
+        stage
+            .jcrs
+            .retain(|jcr| verdict(ctx, jcr, *verdicts.next().expect("one verdict per JCR")));
     }
     ctx.memory.barrier_check()?;
 
@@ -223,6 +227,28 @@ fn run_one_level<'p>(
     #[cfg(feature = "trace")]
     ctx.tracer().emit_with(|| level_event(&stats));
     Ok(survivors)
+}
+
+/// The group a staged JCR is judged by: its own, or — for a set the
+/// memo already holds, whose level's offers are folded in by now — the
+/// memo's.
+fn judged<'g>(ctx: &'g EnumContext<'_>, jcr: &'g StagedJcr) -> &'g Group {
+    if jcr.in_memo {
+        ctx.memo.get(jcr.group.set).expect("in the memo")
+    } else {
+        &jcr.group
+    }
+}
+
+/// Carry out the barrier's verdict on a staged JCR: a pruned one
+/// leaves, and its accounting goes with it. Returns `keep`.
+fn verdict(ctx: &mut EnumContext<'_>, jcr: &StagedJcr, keep: bool) -> bool {
+    match (keep, jcr.in_memo) {
+        (true, _) => {}
+        (false, true) => ctx.prune_group(jcr.group.set),
+        (false, false) => ctx.drop_staged(jcr),
+    }
+    keep
 }
 
 /// The per-level span summarizing one completed level barrier. Every
@@ -302,13 +328,83 @@ pub fn run_levels(
     Ok(table)
 }
 
+/// Exhaustive DP (`Algorithm::Dp`), bounded by an incumbent: once the
+/// base groups exist, a costs-only greedy prices GOO's plan at `B`
+/// (`EnumContext::incumbent`), and every level barrier drops the
+/// JCRs whose cheapest plan already costs more (`IncumbentPruner`).
+/// The plan, its cost bits and its tie-breaking are those of
+/// `optimize_complete(ctx, None)`; see "Incumbent-bounded DP" in
+/// DESIGN.md for why.
+pub fn optimize_dp(ctx: &mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError> {
+    let all = prepare(ctx)?;
+    let incumbent = ctx.incumbent();
+    ctx.incumbent = Some(incumbent);
+    #[cfg(feature = "trace")]
+    ctx.tracer().emit_with(|| {
+        sdp_trace::Event::new("incumbent")
+            .with("bound", incumbent.cost)
+            .with("plans_costed", incumbent.plans_costed)
+    });
+    let mut pruner = IncumbentPruner {
+        bound: incumbent.cost,
+    };
+    complete(ctx, all, Some(&mut pruner))
+}
+
+/// The level pruner of exhaustive DP: drops every JCR whose cheapest
+/// plan costs strictly more than `bound`, a complete plan's cost.
+///
+/// Every join costs at least the inputs it includes, and only an
+/// index nested loop leaves one out — its inner, always a single base
+/// relation (`sdp_cost::JoinTerms`). A JCR of two or more relations
+/// costing more than `bound` therefore only ever feeds offers costing
+/// more than `bound`, which evict only entries costing more than
+/// `bound`: every entry at or under it, the served plan among them,
+/// is retained as it would be without the pruner, in the same order.
+/// The levels DP runs over singleton atoms hold only such JCRs; base
+/// groups are never staged.
+#[derive(Debug, Clone, Copy)]
+struct IncumbentPruner {
+    /// Cost of a complete plan for the query, root sort included.
+    bound: f64,
+}
+
+impl LevelPruner for IncumbentPruner {
+    fn prune(
+        &mut self,
+        _ctx: &EnumContext<'_>,
+        _level: usize,
+        _level_sets: &[RelSet],
+        features: &[[f64; 3]],
+        keep: &mut [bool],
+    ) {
+        for ([_, cost, _], keep) in features.iter().zip(keep) {
+            *keep = *cost <= self.bound;
+        }
+    }
+
+    fn cost_bound(&self) -> Option<f64> {
+        Some(self.bound)
+    }
+}
+
 /// Run the engine from singleton atoms all the way to the complete
 /// query, with an optional pruner, and finish the plan (greedy
-/// completion safety-net included).
+/// completion safety-net included). With no pruner this is the
+/// unbounded enumeration, which keeps every connected subgraph: the
+/// oracle bounded DP ([`optimize_dp`]) and the feasibility oracle are
+/// held against.
 pub fn optimize_complete(
     ctx: &mut EnumContext<'_>,
     pruner: Option<&mut dyn LevelPruner>,
 ) -> Result<Arc<PlanNode>, OptError> {
+    let all = prepare(ctx)?;
+    complete(ctx, all, pruner)
+}
+
+/// Reject an empty or disconnected query, create the base groups and
+/// poll the budget once; returns the complete set.
+fn prepare(ctx: &mut EnumContext<'_>) -> Result<RelSet, OptError> {
     let n = ctx.graph().len();
     if n == 0 {
         return Err(OptError::EmptyQuery);
@@ -317,12 +413,21 @@ pub fn optimize_complete(
     if !ctx.graph().is_connected(all) {
         return Err(OptError::DisconnectedJoinGraph);
     }
-    let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
     for i in 0..n {
         ctx.ensure_base_group(i);
     }
     ctx.memory.check()?;
-    run_levels(ctx, &atoms, n, pruner)?;
+    Ok(all)
+}
+
+/// The levels over singleton atoms, then the plan for `all`.
+fn complete(
+    ctx: &mut EnumContext<'_>,
+    all: RelSet,
+    pruner: Option<&mut dyn LevelPruner>,
+) -> Result<Arc<PlanNode>, OptError> {
+    let atoms: Vec<RelSet> = (0..ctx.graph().len()).map(RelSet::single).collect();
+    run_levels(ctx, &atoms, atoms.len(), pruner)?;
     if ctx.memo.get(all).is_none() {
         greedy_complete(ctx, all)?;
         ctx.completed_greedily = true;
@@ -598,6 +703,91 @@ mod tests {
         assert!(plan.ordering.is_some());
     }
 
+    /// Incumbent-bounded DP against the unbounded enumeration, its
+    /// oracle: the same plan bit for bit, GOO's cost as the bound, and
+    /// a memo that lacks exactly groups costing more than the bound —
+    /// on random connected graphs, over 64 edges and filters among
+    /// them, ordered or not, and with the hub joining on its own
+    /// indexed column (every group above it keeping a Pareto pair).
+    mod bounded {
+        use super::*;
+        use crate::enumerate::tests::wide_query;
+        use crate::goo::optimize_goo;
+        use crate::memo::Group;
+        use proptest::prelude::*;
+        use sdp_catalog::ColId;
+        use sdp_query::{ColRef, JoinEdge};
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn bounded_dp_serves_the_unbounded_plan(
+                n in 2usize..=10,
+                parents in prop::collection::vec(any::<u64>(), 9usize),
+                extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=8),
+                cliques in prop::collection::vec(any::<u64>(), 0usize..=4),
+                filters in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u64>()), 0usize..=80),
+                ordered in any::<bool>(),
+                hub_index in any::<bool>(),
+            ) {
+                let cat = Catalog::paper();
+                let model = CostModel::with_defaults(&cat);
+                let (mut query, _) = wide_query(n, &parents, &extras, &cliques, &filters);
+                if hub_index {
+                    // Node 1 hangs off node 0 in every generated tree.
+                    let rel = cat.relation(query.graph.relation(0)).unwrap();
+                    query.graph.add_edge(JoinEdge::new(
+                        ColRef::new(0, rel.indexed_column),
+                        ColRef::new(1, ColId(18)),
+                    ));
+                }
+                if ordered {
+                    let column = query.graph.edges()[0].left;
+                    query = query.with_order_by(column);
+                }
+
+                let mut oracle = EnumContext::new(&query, &model, Budget::unlimited());
+                let expected = optimize_complete(&mut oracle, None).unwrap();
+                let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
+                let plan = optimize_dp(&mut ctx).unwrap();
+                prop_assert_eq!(plan.cost.to_bits(), expected.cost.to_bits());
+                prop_assert_eq!(plan.structural_digest(), expected.structural_digest());
+                prop_assert!(!ctx.completed_greedily);
+
+                let incumbent = ctx.incumbent.unwrap();
+                let mut goo = EnumContext::new(&query, &model, Budget::unlimited());
+                let greedy = optimize_goo(&mut goo).unwrap();
+                prop_assert_eq!(incumbent.cost.to_bits(), greedy.cost.to_bits());
+                prop_assert!(
+                    ctx.plans_costed <= oracle.plans_costed + incumbent.plans_costed
+                );
+
+                let bound = incumbent.cost;
+                let at_most_bound = |group: &Group| -> Vec<_> {
+                    (group.entries().iter())
+                        .filter(|e| e.cost <= bound)
+                        .map(|e| (e.cost.to_bits(), e.ordering()))
+                        .collect()
+                };
+                for set in oracle.memo.sets() {
+                    let unbounded = oracle.memo.get(set).unwrap();
+                    match ctx.memo.get(set) {
+                        None => prop_assert!(
+                            unbounded.best_cost() > bound,
+                            "{:?} dropped at {} under the bound {}",
+                            set, unbounded.best_cost(), bound
+                        ),
+                        Some(kept) => {
+                            prop_assert!(set.len() == 1 || kept.best_cost() <= bound);
+                            prop_assert_eq!(at_most_bound(kept), at_most_bound(unbounded));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Plans are records until one is served. Two things must not
     /// notice: the memory model — at every point where nothing is
     /// staged, the run's live-node count is the number of records and
@@ -810,6 +1000,13 @@ mod tests {
                         assert_counted(&ctx, &mut eager, &when);
                     }
                 }
+
+                // Bounded DP: the greedy's scratch records give their
+                // count back, the barrier's drops theirs.
+                let mut ctx = context(Budget::unlimited());
+                let mut eager = EagerMemo::default();
+                drop(optimize_dp(&mut ctx).unwrap());
+                assert_counted(&ctx, &mut eager, "after bounded DP");
 
                 // An IDP iteration: a block of the first levels is
                 // contracted — its plans built, everything they were

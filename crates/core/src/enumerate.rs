@@ -559,6 +559,39 @@ pub(crate) mod tests {
         )
     }
 
+    /// A connected graph of `n` relations: a random tree plus extra
+    /// edges, closure-inferred cliques — one per class mask, over
+    /// its nodes' column `19 + k` — and local predicates, so that
+    /// both more than 64 edges and more than 64 filters occur.
+    pub(crate) fn wide_query(
+        n: usize,
+        parents: &[u64],
+        extras: &[(u64, u64)],
+        cliques: &[u64],
+        filters: &[(u64, u8, u64)],
+    ) -> (sdp_query::Query, Vec<(usize, usize)>) {
+        use sdp_catalog::ColId;
+        use sdp_query::{ColRef, JoinEdge, PredOp, Predicate};
+        let (mut q, tree) = random_connected_query(n, parents, extras);
+        for (k, &mask) in cliques.iter().enumerate() {
+            let dense = mask | mask >> 16 | mask >> 32;
+            let members: Vec<usize> = RelSet(dense & RelSet::first_n(n).0).iter().collect();
+            let col = |node| ColRef::new(node, ColId(19 + k as u16));
+            for pair in members.windows(2) {
+                q.graph.add_edge(JoinEdge::new(col(pair[0]), col(pair[1])));
+            }
+        }
+        sdp_query::infer_transitive_edges(&mut q.graph);
+        for &(at, op, value) in filters {
+            let ops = [PredOp::Eq, PredOp::Lt, PredOp::Le, PredOp::Gt, PredOp::Ge];
+            let column = ColRef::new(at as usize % n, ColId((at >> 32) as u16 % 24));
+            let op = ops[usize::from(op) % ops.len()];
+            q.graph
+                .add_filter(Predicate::new(column, op, (value % 1000) as i64));
+        }
+        (q, tree)
+    }
+
     /// Contract about an eighth of the tree edges (three bits of
     /// `contract` per edge): the atoms are the resulting connected
     /// blocks, sorted, and the merges that formed them come back in

@@ -78,7 +78,8 @@ mod tests {
 
 /// Render a governed optimization as an `EXPLAIN ANALYZE`-style
 /// report carrying plan provenance: a header naming the requested and
-/// producing strategies plus the governor's descent history, the plan
+/// producing strategies plus the governor's descent history (and, when
+/// exhaustive DP ran, the incumbent bound it pruned against), the plan
 /// tree annotated per node with cumulative and self cost and the rung
 /// that produced it, and the per-level enumeration profile (pairs
 /// considered, plans costed, pruning counters, skyline partitions and
@@ -114,6 +115,13 @@ pub fn explain_analyze(governed: &GovernedPlan) -> String {
             ""
         }
     );
+    if let Some(incumbent) = stats.incumbent {
+        let _ = writeln!(
+            out,
+            "incumbent bound={:.2}  greedy_plans_costed={}",
+            incumbent.cost, incumbent.plans_costed
+        );
+    }
     for d in &governed.degradations {
         let _ = write!(
             out,
@@ -217,6 +225,9 @@ mod analyze_tests {
         assert!(text.contains("skyline_partitions="));
         assert!(text.contains("contractions="));
         assert!(text.contains("self="));
+        let bound = governed.plan.stats.incumbent.unwrap().cost;
+        assert!(bound >= governed.plan.cost);
+        assert!(text.contains(&format!("incumbent bound={bound:.2}  greedy_plans_costed=")));
         // One tree line per plan node, all tagged with the rung.
         assert_eq!(
             text.matches("[rung=").count(),
@@ -245,6 +256,7 @@ mod analyze_tests {
         );
         assert!(line.ends_with("(predicted, needs ≥ 1.0 MB)"), "{line}");
         assert!(!text.contains("[DP] level"), "no DP level was run");
+        assert!(!text.contains("incumbent"), "nor its incumbent computed");
     }
 }
 

@@ -84,6 +84,15 @@ fn exhaustive_levels(algorithm: Algorithm, n: usize) -> Option<usize> {
 /// [`OptError::MemoryExhausted`](crate::OptError::MemoryExhausted).
 /// `None` means "not provably doomed", never "fits".
 ///
+/// For DP the bound is that of the *unbounded* enumeration
+/// (`dp::optimize_complete` with no pruner), which keeps every
+/// connected subgraph. `Algorithm::Dp` runs bounded by a greedy
+/// incumbent (`dp::optimize_dp`) and drops the JCRs that cost more, so
+/// it can fit a budget this oracle calls doomed. The oracle stays
+/// conservative on purpose: which JCRs the bound drops depends on
+/// costs, which it does not read, and keeping the verdict a function
+/// of the graph alone keeps every governed rung choice where it was.
+///
 /// The bound returned is the smallest multiple of [`CSG_MODEL_BYTES`]
 /// above the budget (the count stops there), not the rung's true peak.
 pub fn doomed_bound(graph: &JoinGraph, algorithm: Algorithm, max_model_bytes: u64) -> Option<u64> {
@@ -268,17 +277,25 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// Run `algorithm` from scratch under `budget`.
+        /// Run `algorithm` from scratch under `budget`, DP as the
+        /// unbounded enumeration the oracle counts: `Algorithm::Dp`'s
+        /// incumbent bound can fit where the oracle says doomed.
         fn run(
             query: &sdp_query::Query,
             algorithm: Algorithm,
             budget: Budget,
-        ) -> Result<crate::OptimizedPlan, OptError> {
+        ) -> Result<crate::RunStats, OptError> {
             let catalog = Catalog::paper();
+            if algorithm == Algorithm::Dp {
+                let model = CostModel::with_defaults(&catalog);
+                let mut ctx = EnumContext::new(query, &model, budget);
+                return crate::dp::optimize_complete(&mut ctx, None).map(|_| ctx.stats());
+            }
             Optimizer::new(&catalog)
                 .with_budget(budget)
                 .with_closure_inference(false)
                 .optimize(query, algorithm)
+                .map(|plan| plan.stats)
         }
 
         /// `permille` sets the budget relative to what the rung's
@@ -307,7 +324,7 @@ mod tests {
             assert!(bound > max_model_bytes && bound <= needed);
             // Sound: never above what the rung really needs …
             let unbudgeted = run(&query, algorithm, Budget::unlimited()).expect("unlimited budget");
-            assert!(bound <= unbudgeted.stats.peak_model_bytes);
+            assert!(bound <= unbudgeted.peak_model_bytes);
             // … so the rung, run anyway, does not fit.
             let budgeted = run(&query, algorithm, Budget::with_memory(max_model_bytes));
             assert!(

@@ -5,6 +5,10 @@
 //! connected pair of components with the smallest estimated result,
 //! costing only `O(n²)` plans, and typically lands well above DP cost
 //! on hub-bearing graphs.
+//!
+//! Exhaustive DP runs the same merge order costs-only, for the bound it
+//! prunes against (`EnumContext::incumbent`); both pick their next
+//! merge with `EnumContext::min_rows_pair`.
 
 use std::sync::Arc;
 
@@ -30,24 +34,11 @@ pub fn optimize_goo(ctx: &mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError
     }
 
     while components.len() > 1 {
-        let graph = ctx.graph();
-        let est = ctx.model().estimator();
-        let mut best: Option<(f64, usize, usize)> = None;
-        for i in 0..components.len() {
-            for j in i + 1..components.len() {
-                let (a, b) = (components[i], components[j]);
-                if !graph.sets_connected(a, b) {
-                    continue;
-                }
-                let rows = ctx.memo.get(a).expect("live").rows
-                    * ctx.memo.get(b).expect("live").rows
-                    * est.crossing_selectivity(graph, a, b);
-                if best.is_none_or(|(r, _, _)| rows < r) {
-                    best = Some((rows, i, j));
-                }
-            }
-        }
-        let (_, i, j) = best.ok_or(OptError::DisconnectedJoinGraph)?;
+        let (i, j) = ctx
+            .min_rows_pair(components.len(), |k| {
+                ctx.memo.get(components[k]).expect("live")
+            })
+            .ok_or(OptError::DisconnectedJoinGraph)?;
         let (a, b) = (components[i], components[j]);
         ctx.join_pair(a, b);
         components.swap_remove(j);

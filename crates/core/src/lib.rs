@@ -83,7 +83,7 @@ fn _assert_service_types_are_send_sync() {
     #[cfg(feature = "trace")]
     check::<sdp_trace::Tracer>();
 }
-pub use context::{EnumContext, LevelStats, RunStats};
+pub use context::{EnumContext, Incumbent, LevelStats, RunStats};
 pub use dp::{LevelPruner, PruneStats};
 pub use enumerate::{EnumeratorKind, LevelScan};
 pub use explain::{explain, explain_analyze, worst_estimates};

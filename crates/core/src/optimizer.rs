@@ -20,7 +20,7 @@ use sdp_query::{infer_transitive_edges, Query};
 
 use crate::budget::{Budget, OptError};
 use crate::context::{EnumContext, LevelStats, RunStats};
-use crate::dp::optimize_complete;
+use crate::dp::optimize_dp;
 use crate::enumerate::EnumeratorKind;
 use crate::feasibility;
 use crate::goo::optimize_goo;
@@ -35,7 +35,9 @@ use crate::sdp::{optimize_sdp, SdpConfig};
 /// Which enumeration strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Algorithm {
-    /// Exhaustive bushy dynamic programming (PostgreSQL's baseline).
+    /// Exhaustive bushy dynamic programming (PostgreSQL's baseline),
+    /// bounded by a greedy incumbent: the optimal plan at a fraction of
+    /// the plans costed ([`crate::dp::optimize_dp`]).
     Dp,
     /// Iterative DP, the `IDP1-balanced-bestRow` variant, with block
     /// parameter `k` (paper: 4 or 7).
@@ -434,7 +436,7 @@ fn dispatch(ctx: &mut EnumContext<'_>, algorithm: Algorithm) -> Result<Arc<PlanN
         Algorithm::SimulatedAnnealing(_) => "SA",
     });
     match algorithm {
-        Algorithm::Dp => optimize_complete(ctx, None),
+        Algorithm::Dp => optimize_dp(ctx),
         Algorithm::Idp { k } => optimize_idp(ctx, IdpConfig::paper(k)),
         Algorithm::IdpStandard { k } => optimize_idp(ctx, IdpConfig::standard(k)),
         Algorithm::Sdp(cfg) => optimize_sdp(ctx, cfg),

@@ -280,6 +280,19 @@ impl JoinSide {
 /// [`join_candidates`] in its order, so their results are its results
 /// bit for bit; offer them in its order (nested loop, index nested
 /// loop, hash, merge) to retain the plans it would.
+///
+/// **A join costs at least the inputs it includes.** With non-negative
+/// rows, widths and selectivities and positive [`CostParams`], every
+/// term is non-negative and is added after the input costs, so
+/// [`JoinTerms::nested_loop`], [`JoinTerms::hash`] and
+/// [`JoinTerms::merge`] are `≥ outer_cost + inner_cost` in `f64`
+/// (rounding is monotone), and a sort enforcer (`input + sort_cost`)
+/// is `≥` its input. [`JoinTerms::index_nested_loop`] is only
+/// `≥ outer_cost`: its inner plan is replaced by index probes. That
+/// inner is always a single base relation, which is why an
+/// exhaustive enumeration bounded by a complete plan's cost may drop
+/// any JCR of two or more relations costing more than the bound, but
+/// never a base relation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinTerms {
     emit: f64,
@@ -641,6 +654,45 @@ mod property_tests {
                 prop_assert_eq!(h.method, r.method);
                 prop_assert_eq!(h.ordering, r.ordering);
                 prop_assert_eq!(h.cost.to_bits(), r.cost.to_bits(), "{:?}", h.method);
+            }
+        }
+
+        /// The invariant `JoinTerms` documents, over non-negative rows,
+        /// widths and selectivities, spilling hash builds and merges
+        /// over presorted inputs included: every method but the index
+        /// nested loop costs at least both inputs, that one at least its
+        /// outer, and a sort at least what it sorts.
+        #[test]
+        fn a_join_costs_at_least_the_inputs_it_includes(
+            outer_rows in 0.0f64..1e9,
+            inner_rows in 0.0f64..1e9,
+            outer_width in 0.0f64..1e4,
+            inner_width in 0.0f64..1e4,
+            outer_cost in 0.0f64..1e12,
+            inner_cost in 0.0f64..1e12,
+            sel in 0.0f64..=1.0,
+            out_rows in 0.0f64..1e12,
+            index in prop::option::of((0.0f64..1e9, 0.0f64..1e7)),
+            outer_ordered in any::<bool>(),
+            inner_ordered in any::<bool>(),
+        ) {
+            let p = CostParams::default();
+            let outer = JoinSide::new(outer_rows, outer_width, &p);
+            let inner = JoinSide::new(inner_rows, inner_width, &p);
+            let probe = index.map(|(tuples, pages)| IndexProbe::new(tuples, pages, &p));
+            let terms = JoinTerms::new(&outer, &inner, sel, out_rows, probe, &p);
+            let both = outer_cost + inner_cost;
+            prop_assert!(terms.nested_loop(outer_cost, inner_cost) >= both);
+            prop_assert!(terms.hash(outer_cost, inner_cost) >= both);
+            prop_assert!(
+                terms.merge(outer_cost, inner_cost, outer_ordered, inner_ordered) >= both
+            );
+            if let Some(cost) = terms.index_nested_loop(outer_cost) {
+                prop_assert!(cost >= outer_cost);
+            }
+            for (side, cost) in [(&outer, outer_cost), (&inner, inner_cost)] {
+                prop_assert!(side.sort_cost >= 0.0);
+                prop_assert!(cost + side.sort_cost >= cost);
             }
         }
 

@@ -102,6 +102,7 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "extra-topologies",
     "extra-idp-variants",
     "extra-robustness",
+    "extra-incumbent-dp",
     "extra-service-replay",
 ];
 
@@ -126,6 +127,7 @@ pub fn run_experiment(session: &Session, id: &str) -> Option<ExperimentReport> {
         "extra-topologies" => extensions::extra_topologies(session),
         "extra-idp-variants" => extensions::extra_idp_variants(session),
         "extra-robustness" => extensions::extra_robustness(session),
+        "extra-incumbent-dp" => extensions::extra_incumbent_dp(session),
         "extra-service-replay" => service::extra_service_replay(session),
         _ => return None,
     })

@@ -2,9 +2,10 @@
 //! aggregate quality and overheads.
 
 use sdp_catalog::Catalog;
-use sdp_core::{Algorithm, Budget, OptError, Optimizer, RunStats};
+use sdp_core::{Algorithm, Budget, EnumContext, OptError, Optimizer, RunStats};
+use sdp_cost::CostModel;
 use sdp_metrics::{OverheadSample, OverheadSummary, QualitySummary};
-use sdp_query::{QueryGenerator, Topology};
+use sdp_query::{infer_transitive_edges, Query, QueryGenerator, Topology};
 
 /// Configuration of one experiment run.
 #[derive(Debug, Clone, Copy)]
@@ -105,7 +106,11 @@ impl<'a> Runner<'a> {
     /// Optimize every instance of `topology` with `algorithm`.
     ///
     /// Instance `k` of the stream is identical across algorithms
-    /// (same seed), so per-instance cost ratios are meaningful.
+    /// (same seed), so per-instance cost ratios are meaningful. The
+    /// paper's DP is PostgreSQL's exhaustive enumeration, so that is
+    /// what a DP row runs ([`paper_dp`]): `Algorithm::Dp` serves the
+    /// same plan bounded by a greedy incumbent, costing a fraction of
+    /// the plans and fitting budgets the paper's DP does not.
     pub fn run(&self, topology: Topology, algorithm: Algorithm) -> Vec<RunOutcome> {
         let generator = QueryGenerator::new(self.catalog, topology, self.config.seed);
         let optimizer = Optimizer::new(self.catalog).with_budget(self.config.budget);
@@ -116,11 +121,14 @@ impl<'a> Runner<'a> {
             } else {
                 generator.instance(k)
             };
-            match optimizer.optimize(&query, algorithm) {
-                Ok(plan) => outcomes.push(RunOutcome::Plan {
-                    cost: plan.cost,
-                    stats: plan.stats,
-                }),
+            let optimized = match algorithm {
+                Algorithm::Dp => paper_dp(self.catalog, self.config.budget, &query),
+                _ => optimizer
+                    .optimize(&query, algorithm)
+                    .map(|plan| (plan.cost, plan.stats)),
+            };
+            match optimized {
+                Ok((cost, stats)) => outcomes.push(RunOutcome::Plan { cost, stats }),
                 Err(e) => {
                     // Infeasibility is structural (the memory wall does
                     // not depend on which relations fill the template):
@@ -145,6 +153,23 @@ impl<'a> Runner<'a> {
     pub fn is_infeasible(outcomes: &[RunOutcome]) -> bool {
         outcomes.iter().any(|o| o.cost().is_none())
     }
+}
+
+/// The paper's DP over `query` under `budget`: the unbounded level
+/// enumeration (`sdp_core::dp::optimize_complete` with no pruner) over
+/// the rewritten query, as `Optimizer::optimize` would see it. Returns
+/// the plan's cost and the run's counters.
+pub fn paper_dp(
+    catalog: &Catalog,
+    budget: Budget,
+    query: &Query,
+) -> Result<(f64, RunStats), OptError> {
+    let model = CostModel::with_defaults(catalog);
+    let mut rewritten = query.clone();
+    infer_transitive_edges(&mut rewritten.graph);
+    let mut ctx = EnumContext::new(&rewritten, &model, budget);
+    let plan = sdp_core::dp::optimize_complete(&mut ctx, None)?;
+    Ok((plan.cost, ctx.stats()))
 }
 
 /// Per-instance cost ratios of `candidate` against `reference`,

@@ -93,11 +93,49 @@ fn calls_per_plan(topology: Topology, algorithm: Algorithm) -> f64 {
     calls as f64 / stats.plans_costed as f64
 }
 
+/// Allocator calls, and the run's counters, of the enumeration alone
+/// over the rewritten query: the incumbent-bounded DP `Algorithm::Dp`
+/// runs (`bounded`), or the unbounded one, which costs every connected
+/// subgraph.
+fn calls_of_the_enumeration(topology: Topology, bounded: bool) -> (u64, RunStats) {
+    let catalog = Catalog::paper();
+    let model = CostModel::with_defaults(&catalog);
+    let mut query = QueryGenerator::new(&catalog, topology, 7).instance(0);
+    sdp::query::infer_transitive_edges(&mut query.graph);
+    let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
+    let (_, calls) = calls_during(|| {
+        if bounded {
+            sdp::core::dp::optimize_dp(&mut ctx)
+        } else {
+            sdp::core::dp::optimize_complete(&mut ctx, None)
+        }
+        .unwrap()
+    });
+    let stats = ctx.stats();
+    println!(
+        "{topology} DP (bounded: {bounded}): {calls} allocator calls for {} plans costed \
+         ({:.4} per plan), {} JCRs",
+        stats.plans_costed,
+        calls as f64 / stats.plans_costed as f64,
+        stats.jcrs_processed
+    );
+    (calls, stats)
+}
+
 #[test]
 fn exhaustive_dp_stays_under_the_allocation_budget() {
+    // Per plan costed, the unbounded enumeration; and the bound, which
+    // costs a fraction of its plans, allocates no more than it does:
+    // its greedy keeps no plan and the barrier drops JCRs in place.
     for topology in [Topology::Star(10), Topology::star_chain(12)] {
-        let per_plan = calls_per_plan(topology, Algorithm::Dp);
+        let (unbounded, stats) = calls_of_the_enumeration(topology, false);
+        let per_plan = unbounded as f64 / stats.plans_costed as f64;
         assert!(per_plan < 0.02, "{topology}: {per_plan:.4} per plan");
+        let (bounded, _) = calls_of_the_enumeration(topology, true);
+        assert!(
+            bounded <= unbounded,
+            "{topology}: {bounded} allocator calls bounded, {unbounded} unbounded"
+        );
     }
 }
 
@@ -115,9 +153,10 @@ fn sdp_stays_under_the_allocation_budget() {
 fn allocations_follow_levels_not_jcrs() {
     // Three more spokes are eight times the JCRs and three more levels:
     // a run that allocated per JCR — a node, an entry vector — would
-    // allocate about eight times as often.
-    let (small_calls, small) = calls_of_a_run(Topology::Star(9), Algorithm::Dp);
-    let (large_calls, large) = calls_of_a_run(Topology::Star(12), Algorithm::Dp);
+    // allocate about eight times as often. The unbounded enumeration
+    // creates every connected subgraph, so the JCR counts are known.
+    let (small_calls, small) = calls_of_the_enumeration(Topology::Star(9), false);
+    let (large_calls, large) = calls_of_the_enumeration(Topology::Star(12), false);
     assert_eq!(
         (small.jcrs_processed, large.jcrs_processed),
         (256 + 8, 2048 + 11)

@@ -69,6 +69,7 @@ fn undegraded_report_shows_requested_rung() {
     assert!(text.contains("produced=DP"), "{text}");
     assert!(!text.contains("(degraded)"), "{text}");
     assert!(text.contains("[DP] level"), "{text}");
-    // DP prunes nothing: every level retains what it creates.
+    // DP prunes against its incumbent, not with a skyline.
+    assert!(text.contains("incumbent bound="), "{text}");
     assert!(text.contains("skyline_partitions=0"), "{text}");
 }
