@@ -26,6 +26,14 @@
 # other counts and the other three lines are unchanged. Its
 # `allocs_per_req` ceiling fell with it (533 → 524 calls, 710 → 236 kB).
 #
+# The same bound applied to plan pairs moved that field once more,
+# 177535 → 82525: each DP level now leaves uncosted every plan pair
+# whose two inputs plus the output's emission already cost more than
+# the greedy plan (`JoinTerms::floor`). Such alternatives could never
+# be part of, or evict, a plan at or under the bound, so the digest,
+# the other counts, the other three lines and both allocation ceilings
+# are unchanged.
+#
 # The same run's `<workload>/allocs_per_req` and
 # `<workload>/alloc_bytes_per_req` lines are counts too — the counting
 # allocator's calls and bytes per request, the same on any host — and

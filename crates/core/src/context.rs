@@ -50,12 +50,15 @@ pub struct RunStats {
     /// The bound an exhaustive DP run pruned against (`None` for every
     /// other strategy).
     pub incumbent: Option<Incumbent>,
+    /// Plan alternatives that bound ruled out uncosted, their floor
+    /// (`sdp_cost::JoinTerms::floor`) above it; not in `plans_costed`.
+    pub ruled_out: u64,
 }
 
 /// The incumbent of an exhaustive DP run: the cost of the plan a
 /// costs-only greedy finds before the levels run
 /// (`EnumContext::incumbent`), root sort included. It bounds every
-/// JCR of two or more relations the plan DP returns can contain.
+/// JCR and plan pair the plan DP returns can contain.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Incumbent {
     /// Cost of the greedy plan, as `EnumContext::finalize` would serve it.
@@ -109,6 +112,16 @@ pub struct LevelStats {
     pub contractions: u64,
 }
 
+/// A costing pass's bound, if any, and its account
+/// (`EnumContext::cost_pair`): plans costed, and alternatives ruled out
+/// uncosted because their floor exceeds the bound.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Costing {
+    pub bound: Option<f64>,
+    pub plans_costed: u64,
+    pub ruled_out: u64,
+}
+
 /// A JCR of the level being enumerated: the group its pairs are costed
 /// into, not yet in the memo.
 #[derive(Debug)]
@@ -133,9 +146,9 @@ pub(crate) struct LevelStage {
     pub jcrs: Vec<StagedJcr>,
     /// Their edge-set words past the first (`Group::wide_at`).
     wide: Vec<EdgeWords>,
-    /// Plans costed into this stage and not yet added to the run's
-    /// counter.
-    pub plans_costed: u64,
+    /// The level's bound (its pruner's `cost_bound`) and what was costed
+    /// into this stage, not yet added to the run's counters.
+    pub costing: Costing,
     /// When tracing: `Tracer::wall_micros` at each record's staging,
     /// for the `jcr` event the barrier emits on its behalf.
     #[cfg(feature = "trace")]
@@ -163,7 +176,7 @@ impl LevelStage {
         self.index.shrink_to(pairs);
         self.jcrs.shrink_to(pairs);
         self.wide.clear();
-        self.plans_costed = 0;
+        self.costing = Costing::default();
         #[cfg(feature = "trace")]
         self.staged_micros.clear();
     }
@@ -383,6 +396,8 @@ pub struct EnumContext<'a> {
     pub memory: MemoryModel,
     /// Plans costed so far.
     pub plans_costed: u64,
+    /// Plan alternatives ruled out by a level's bound so far.
+    pub ruled_out: u64,
     /// JCRs pruned so far.
     pub jcrs_pruned: u64,
     /// Sort-ahead enforcer plans retained so far.
@@ -430,6 +445,7 @@ impl<'a> EnumContext<'a> {
             #[cfg(test)]
             sort_costs: 0,
             plans_costed: 0,
+            ruled_out: 0,
             jcrs_pruned: 0,
             sort_enforcers: 0,
             completed_greedily: false,
@@ -558,6 +574,7 @@ impl<'a> EnumContext<'a> {
             elapsed: self.memory.elapsed(),
             completed_greedily: self.completed_greedily,
             incumbent: self.incumbent,
+            ruled_out: self.ruled_out,
         }
     }
 
@@ -784,9 +801,9 @@ impl<'a> EnumContext<'a> {
         let (ga, gb) = self.inputs(a, b);
         let mut wide = Vec::new();
         let mut jcr = self.new_union_group(ga, gb, &mut wide);
-        let mut costed = 0u64;
-        self.cost_pair(ga, gb, &mut jcr, &mut costed);
-        self.plans_costed += costed;
+        let mut costing = Costing::default();
+        self.cost_pair(ga, gb, &mut jcr, &mut costing);
+        self.plans_costed += costing.plans_costed;
         match self.memo.get_mut(a | b) {
             Some(group) => {
                 Self::reoffer(&self.nodes, group, jcr.entries());
@@ -844,7 +861,7 @@ impl<'a> EnumContext<'a> {
     /// The crossing selectivity of disjoint `a` and `b` — the terms and
     /// order of [`EnumContext::pair_facts`], so the estimator's bit for
     /// bit — or `None` when no edge crosses them.
-    fn crossing_selectivity(&self, a: &Group, b: &Group) -> Option<f64> {
+    pub(crate) fn crossing_selectivity(&self, a: &Group, b: &Group) -> Option<f64> {
         let t = &self.tables;
         let (mut ln_sel, mut crossing) = (0.0, false);
         for w in 0..t.edge_words {
@@ -911,7 +928,7 @@ impl<'a> EnumContext<'a> {
         };
 
         let wide_len = self.wide.len();
-        let mut plans_costed = 0;
+        let mut costing = Costing::default();
         let mut parts: Vec<Part> = (0..self.graph().len())
             .map(|node| Part::Base(RelSet::single(node)))
             .collect();
@@ -922,7 +939,7 @@ impl<'a> EnumContext<'a> {
             let (a, b) = (group(&self.memo, &parts[i]), group(&self.memo, &parts[j]));
             let mut wide = Vec::new();
             let mut jcr = self.new_union_group(a, b, &mut wide);
-            self.cost_pair(a, b, &mut jcr, &mut plans_costed);
+            self.cost_pair(a, b, &mut jcr, &mut costing);
             jcr.sort_cost = self.model.sort_cost(jcr.rows, jcr.width);
             move_wide(&mut jcr, wide.len(), &wide, &mut self.wide);
             drop_part(parts.swap_remove(j));
@@ -932,6 +949,7 @@ impl<'a> EnumContext<'a> {
         // The root, as `finalize` serves it.
         let root = group(&self.memo, &parts[0]);
         let best = root.best().cost;
+        let mut plans_costed = costing.plans_costed;
         let cost = match self.order_target {
             None => best,
             Some(target) => {
@@ -951,10 +969,11 @@ impl<'a> EnumContext<'a> {
 
     /// The costing core shared by the level stage and `join_pair`:
     /// cost every join alternative for `a ⋈ b` and offer the survivors
-    /// to `jcr` (which covers `a ∪ b`). Everything a method's cost
-    /// owes to the two JCRs rather than to the plans chosen from them
-    /// is computed here, once per pair and orientation.
-    fn cost_pair(&self, a: &Group, b: &Group, jcr: &mut Group, plans_costed: &mut u64) {
+    /// to `jcr` (which covers `a ∪ b`), within `costing`'s bound and on
+    /// its account. Everything a method's cost owes to the two JCRs
+    /// rather than to the plans chosen from them is computed here, once
+    /// per pair and orientation.
+    fn cost_pair(&self, a: &Group, b: &Group, jcr: &mut Group, costing: &mut Costing) {
         debug_assert!(a.set.is_disjoint(b.set));
         let facts = self.pair_facts(a, b);
         let classes = facts.classes.as_slice();
@@ -973,9 +992,9 @@ impl<'a> EnumContext<'a> {
         };
         let staged_before = jcr.entries().len();
         let a_b = terms(&side_a, &side_b, facts.b_index);
-        self.cost_orientation(a, b, &a_b, classes, jcr, plans_costed);
+        self.cost_orientation(a, b, &a_b, classes, jcr, costing);
         let b_a = terms(&side_b, &side_a, facts.a_index);
-        self.cost_orientation(b, a, &b_a, classes, jcr, plans_costed);
+        self.cost_orientation(b, a, &b_a, classes, jcr, costing);
         // +1 per entry retained, −1 per entry evicted: between pairs
         // the live-node count is that of an optimizer building every
         // retained plan.
@@ -993,7 +1012,10 @@ impl<'a> EnumContext<'a> {
     /// order of `sdp_cost::join_candidates`: per plan pair a nested
     /// loop, an index nested loop (which does not depend on the inner
     /// plan choice: costed once, against the first inner entry), a
-    /// hash join, then one merge join per crossing class.
+    /// hash join, then one merge join per crossing class. An outer plan
+    /// whose `outer_floor` exceeds the bound, and a plan pair's joins
+    /// but the index nested loop when its `floor` does, are ruled out
+    /// uncosted: none could be part of, or evict, a plan within it.
     fn cost_orientation(
         &self,
         outer_group: &Group,
@@ -1001,18 +1023,23 @@ impl<'a> EnumContext<'a> {
         terms: &JoinTerms,
         classes: &[ClassId],
         jcr: &mut Group,
-        plans_costed: &mut u64,
+        costing: &mut Costing,
     ) {
         let union = jcr.set;
         let (outers, inners) = (outer_group.entries(), inner_group.entries());
         let per_plan_pair = 2 + classes.len() as u64;
         let per_outer = inners.len() as u64 * per_plan_pair + u64::from(terms.probes_index());
-        *plans_costed += outers.len() as u64 * per_outer;
+        let (bound, mut ruled_out) = (costing.bound.unwrap_or(f64::INFINITY), 0);
 
         for outer in outers {
+            if terms.outer_floor(outer.cost) > bound {
+                ruled_out += per_outer;
+                continue;
+            }
             // Nested-loop variants preserve the outer order.
             let carried = self.useful_ordering(outer.ordering(), union);
             for (ii, inner) in inners.iter().enumerate() {
+                let out_of_reach = terms.floor(outer.cost, inner.cost) > bound;
                 let mut offer = |method, cost, ordering| {
                     if jcr.would_retain(cost, ordering) {
                         let source = PlanSource::Join {
@@ -1024,15 +1051,21 @@ impl<'a> EnumContext<'a> {
                         jcr.retain(cost, ordering, source);
                     }
                 };
-                offer(
-                    JoinMethod::NestedLoop,
-                    terms.nested_loop(outer.cost, inner.cost),
-                    carried,
-                );
+                if !out_of_reach {
+                    offer(
+                        JoinMethod::NestedLoop,
+                        terms.nested_loop(outer.cost, inner.cost),
+                        carried,
+                    );
+                }
                 if ii == 0 {
                     if let Some(cost) = terms.index_nested_loop(outer.cost) {
                         offer(JoinMethod::IndexNestedLoop, cost, carried);
                     }
+                }
+                if out_of_reach {
+                    ruled_out += per_plan_pair;
+                    continue;
                 }
                 offer(JoinMethod::Hash, terms.hash(outer.cost, inner.cost), None);
                 for &class in classes {
@@ -1050,6 +1083,8 @@ impl<'a> EnumContext<'a> {
                 }
             }
         }
+        costing.plans_costed += outers.len() as u64 * per_outer - ruled_out;
+        costing.ruled_out += ruled_out;
     }
 
     /// Cost `a ⋈ b` into the stage's JCR for `a ∪ b`, staging it on
@@ -1076,7 +1111,7 @@ impl<'a> EnumContext<'a> {
             }
         };
         let jcr = &mut stage.jcrs[slot].group;
-        self.cost_pair(ga, gb, jcr, &mut stage.plans_costed);
+        self.cost_pair(ga, gb, jcr, &mut stage.costing);
         if created {
             self.memory.add_groups(1);
         }
@@ -1339,6 +1374,8 @@ mod tests {
                     .crossing_selectivity(graph, a, b)
                     .to_bits()
             );
+            let sel = ctx.crossing_selectivity(ga, gb).map(f64::to_bits);
+            assert_eq!(sel, Some(facts.crossing_sel.to_bits()));
             let mut classes: Vec<ClassId> = graph
                 .crossing_edges(a, b)
                 .filter_map(|e| ctx.classes().class_of(e.left))
@@ -1522,7 +1559,10 @@ mod tests {
         }
 
         assert_eq!(stage.jcrs.len(), 4);
-        assert_eq!(seq.plans_costed, staged.plans_costed + stage.plans_costed);
+        assert_eq!(
+            seq.plans_costed,
+            staged.plans_costed + stage.costing.plans_costed
+        );
         assert_eq!(seq.memory.used_bytes(), staged.memory.used_bytes());
         for jcr in &stage.jcrs {
             // Sealing named the one-pair path's entries; the rest of a

@@ -72,9 +72,10 @@ pub trait LevelPruner {
     }
 
     /// `Some(bound)` when the verdict is "keep exactly the JCRs whose
-    /// cheapest plan costs at most `bound`": the barrier then applies
-    /// it to the stage as it is, without building the level's feature
-    /// vectors or calling [`LevelPruner::prune`].
+    /// cheapest plan costs at most `bound`": the level leaves uncosted
+    /// what costs more (`EnumContext::cost_orientation`'s floors), and
+    /// the barrier applies it to the stage as it is, without building
+    /// the level's feature vectors or calling [`LevelPruner::prune`].
     fn cost_bound(&self) -> Option<f64> {
         None
     }
@@ -151,6 +152,9 @@ fn run_one_level<'p>(
     let plans_before = ctx.plans_costed;
     let pruned_before = ctx.jcrs_pruned;
     let enforcers_before = ctx.sort_enforcers;
+    // The bound is this rung's, handed to this level's stage: nothing
+    // that outlives the rung may carry it to the next.
+    stage.costing.bound = pruner.as_ref().and_then(|p| p.cost_bound());
     let enumerated = pairs.iter().try_for_each(|&(a, b)| {
         *visits += 1;
         if visits.is_multiple_of(CHECK_INTERVAL) {
@@ -160,18 +164,20 @@ fn run_one_level<'p>(
         Ok(())
     });
     // Costed is costed, even in a level that is about to roll back.
-    ctx.plans_costed += std::mem::take(&mut stage.plans_costed);
+    ctx.plans_costed += std::mem::take(&mut stage.costing.plans_costed);
+    ctx.ruled_out += std::mem::take(&mut stage.costing.ruled_out);
     enumerated?;
     ctx.settle_stage(stage);
     ctx.memory.barrier_check()?;
 
     let created = stage.jcrs.iter().filter(|jcr| !jcr.in_memo).count();
     let mut prune_stats = PruneStats::default();
-    if let Some(bound) = pruner.as_ref().and_then(|p| p.cost_bound()) {
+    if let Some(bound) = stage.costing.bound {
         // A verdict that reads the cheapest cost alone needs no
-        // feature vectors.
+        // feature vectors. A JCR the bound left with no plan goes.
         stage.jcrs.retain(|jcr| {
-            let keep = judged(ctx, jcr).best_cost() <= bound;
+            let group = judged(ctx, jcr);
+            let keep = !group.is_empty() && group.best_cost() <= bound;
             verdict(ctx, jcr, keep)
         });
     } else if let Some(p) = pruner {
@@ -330,8 +336,9 @@ pub fn run_levels(
 
 /// Exhaustive DP (`Algorithm::Dp`), bounded by an incumbent: once the
 /// base groups exist, a costs-only greedy prices GOO's plan at `B`
-/// (`EnumContext::incumbent`), and every level barrier drops the
-/// JCRs whose cheapest plan already costs more (`IncumbentPruner`).
+/// (`EnumContext::incumbent`). Every level then leaves uncosted the
+/// plan pairs whose floor already exceeds `B`, and its barrier drops
+/// the JCRs whose cheapest plan costs more (`IncumbentPruner`).
 /// The plan, its cost bits and its tie-breaking are those of
 /// `optimize_complete(ctx, None)`; see "Incumbent-bounded DP" in
 /// DESIGN.md for why.
@@ -352,17 +359,18 @@ pub fn optimize_dp(ctx: &mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError>
 }
 
 /// The level pruner of exhaustive DP: drops every JCR whose cheapest
-/// plan costs strictly more than `bound`, a complete plan's cost.
+/// plan costs strictly more than `bound`, a complete plan's cost (and,
+/// as a [`LevelPruner::cost_bound`], every plan pair whose floor does).
 ///
 /// Every join costs at least the inputs it includes, and only an
 /// index nested loop leaves one out — its inner, always a single base
 /// relation (`sdp_cost::JoinTerms`). A JCR of two or more relations
-/// costing more than `bound` therefore only ever feeds offers costing
-/// more than `bound`, which evict only entries costing more than
-/// `bound`: every entry at or under it, the served plan among them,
-/// is retained as it would be without the pruner, in the same order.
-/// The levels DP runs over singleton atoms hold only such JCRs; base
-/// groups are never staged.
+/// costing more than `bound`, like a plan pair whose floor exceeds it,
+/// therefore only ever yields offers costing more than `bound`, which
+/// evict only entries costing more than `bound`: every entry at or
+/// under it, the served plan among them, is retained as it would be
+/// without the pruner, in the same order. The levels DP runs over
+/// singleton atoms hold only such JCRs; base groups are never staged.
 #[derive(Debug, Clone, Copy)]
 struct IncumbentPruner {
     /// Cost of a complete plan for the query, root sort included.
@@ -469,19 +477,17 @@ fn greedy_complete(ctx: &mut EnumContext<'_>, all: RelSet) -> Result<(), OptErro
             return Err(OptError::DisconnectedJoinGraph);
         }
         // MinRows greedy step over adjacent base relations.
-        let est = ctx.model().estimator();
+        let group = |set| ctx.memo.get(set).expect("current and base groups exist");
+        let cur = group(current);
         let mut best: Option<(f64, usize)> = None;
         for node in frontier.iter() {
-            let a = RelSet::single(node);
-            let cur_rows = ctx.memo.get(current).expect("current exists").rows;
-            let a_rows = est.rows_for_set(graph, a);
-            let rows = cur_rows * a_rows * est.crossing_selectivity(graph, current, a);
+            let a = group(RelSet::single(node));
+            let rows = cur.rows * a.rows * ctx.crossing_selectivity(cur, a).expect("adjacent");
             if best.is_none_or(|(r, _)| rows < r) {
                 best = Some((rows, node));
             }
         }
         let (_, node) = best.expect("frontier non-empty");
-        ctx.ensure_base_group(node);
         ctx.join_pair(current, RelSet::single(node));
         current = current.insert(node);
         ctx.memory.check()?;
@@ -494,7 +500,7 @@ mod tests {
     use super::*;
     use crate::budget::Budget;
     use sdp_catalog::Catalog;
-    use sdp_cost::CostModel;
+    use sdp_cost::{CostModel, CostParams};
     use sdp_query::{Query, QueryGenerator, Topology};
 
     fn optimize(q: &Query, cat: &Catalog) -> Arc<PlanNode> {
@@ -713,7 +719,9 @@ mod tests {
         use super::*;
         use crate::enumerate::tests::wide_query;
         use crate::goo::optimize_goo;
+        use crate::governor::prepare_handoff;
         use crate::memo::Group;
+        use crate::sdp::{optimize_sdp, SdpConfig};
         use proptest::prelude::*;
         use sdp_catalog::ColId;
         use sdp_query::{ColRef, JoinEdge};
@@ -763,7 +771,20 @@ mod tests {
                     ctx.plans_costed <= oracle.plans_costed + incumbent.plans_costed
                 );
 
+                // The same bound on JCRs alone: plan-pair floors cost
+                // no more, and drop the very JCRs (some for having no
+                // plan at all) the barrier drops for costing too much.
                 let bound = incumbent.cost;
+                let mut jcrs_only = EnumContext::new(&query, &model, Budget::unlimited());
+                let all = prepare(&mut jcrs_only).unwrap();
+                prop_assert_eq!(jcrs_only.incumbent(), incumbent);
+                let mut pruner = JcrsOnly(IncumbentPruner { bound });
+                let barrier_bounded = complete(&mut jcrs_only, all, Some(&mut pruner)).unwrap();
+                prop_assert_eq!(barrier_bounded.structural_digest(), expected.structural_digest());
+                prop_assert!(ctx.plans_costed <= jcrs_only.plans_costed);
+                prop_assert_eq!(ctx.jcrs_pruned, jcrs_only.jcrs_pruned);
+                prop_assert_eq!(jcrs_only.ruled_out, 0);
+
                 let at_most_bound = |group: &Group| -> Vec<_> {
                     (group.entries().iter())
                         .filter(|e| e.cost <= bound)
@@ -785,6 +806,118 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// [`IncumbentPruner`]'s verdict at the barrier, without its
+        /// cost bound: every plan pair is costed.
+        struct JcrsOnly(IncumbentPruner);
+
+        impl LevelPruner for JcrsOnly {
+            fn prune(
+                &mut self,
+                ctx: &EnumContext<'_>,
+                level: usize,
+                level_sets: &[RelSet],
+                features: &[[f64; 3]],
+                keep: &mut [bool],
+            ) {
+                self.0.prune(ctx, level, level_sets, features, keep);
+            }
+        }
+
+        /// The bound's inequality is strict. CPU costs too small to
+        /// survive rounding, sorts in memory and index probes dear make
+        /// every join over sequential scans cost the sum of their page
+        /// counts exactly: GOO's plan is an optimum, `B` equals it to
+        /// the bit, and so does the floor of every plan pair the served
+        /// plan's root can be built from. Ruling out a floor equal to
+        /// `B` would leave the whole query without a plan.
+        #[test]
+        fn a_floor_equal_to_the_bound_is_costed() {
+            let cat = Catalog::paper();
+            let tiny = 1e-300;
+            let params = CostParams {
+                seq_page_cost: 1.0,
+                random_page_cost: 1e6,
+                cpu_tuple_cost: tiny,
+                cpu_index_tuple_cost: tiny,
+                cpu_operator_cost: tiny,
+                work_mem_bytes: 1e300,
+            };
+            let model = CostModel::new(&cat, params);
+            for topology in [Topology::Chain(5), Topology::Star(6), Topology::Cycle(5)] {
+                let q = QueryGenerator::new(&cat, topology, 3).instance(0);
+                let mut oracle = EnumContext::new(&q, &model, Budget::unlimited());
+                let expected = optimize_complete(&mut oracle, None).unwrap();
+                let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+                let plan = optimize_dp(&mut ctx).unwrap();
+                let bound = ctx.incumbent.unwrap().cost;
+                assert_eq!(
+                    bound.to_bits(),
+                    expected.cost.to_bits(),
+                    "{topology}: B is optimal"
+                );
+                assert!(!ctx.completed_greedily, "{topology}");
+                assert_eq!(plan.cost.to_bits(), expected.cost.to_bits(), "{topology}");
+                assert_eq!(plan.structural_digest(), expected.structural_digest());
+                assert!(ctx.ruled_out > 0, "{topology}: dearer plans are ruled out");
+            }
+        }
+
+        /// A JCR whose every alternative the bound rules out has no plan
+        /// to be judged by: the barrier drops it as pruned, and the
+        /// greedy completion finishes the query.
+        #[test]
+        fn a_jcr_left_without_a_plan_is_pruned_at_the_barrier() {
+            let cat = Catalog::paper();
+            let model = CostModel::with_defaults(&cat);
+            let q = QueryGenerator::new(&cat, Topology::Chain(4), 1).instance(0);
+            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+            let all = prepare(&mut ctx).unwrap();
+            // Under the floor of every join.
+            let mut pruner = IncumbentPruner { bound: 0.0 };
+            let plan = complete(&mut ctx, all, Some(&mut pruner)).unwrap();
+            let pairs = &ctx.profile()[0];
+            assert_eq!((pairs.level, pairs.pairs, pairs.plans_costed), (2, 3, 0));
+            assert_eq!((pairs.jcrs_created, pairs.jcrs_pruned), (3, 3));
+            assert_eq!(pairs.jcrs_retained, 0);
+            assert_eq!(ctx.jcrs_pruned, 3);
+            assert!(ctx.ruled_out > 0);
+            assert!(ctx.completed_greedily);
+            plan.check_invariants().unwrap();
+        }
+
+        /// The bound is the DP rung's, not the run's. A DP rung that
+        /// trips after pricing its incumbent leaves
+        /// `EnumContext::incumbent` set; SDP, run over its handoff, must
+        /// cost, create, prune and serve exactly what it does over the
+        /// same handoff with no incumbent on record.
+        #[test]
+        fn a_tripped_dp_rung_leaves_its_bound_behind() {
+            let cat = Catalog::paper();
+            let model = CostModel::with_defaults(&cat);
+            let q = QueryGenerator::new(&cat, Topology::star_chain(9), 5).ordered_instance(0);
+            let descend = |forget_incumbent: bool| {
+                let budget = Budget::with_memory(60 * crate::budget::GROUP_MODEL_BYTES);
+                let mut ctx = EnumContext::new(&q, &model, budget);
+                let tripped = optimize_dp(&mut ctx);
+                assert!(matches!(tripped, Err(OptError::MemoryExhausted { .. })));
+                assert!(ctx.incumbent.is_some());
+                assert!(ctx.ruled_out > 0, "the rung ran bounded levels");
+                if forget_incumbent {
+                    ctx.incumbent = None;
+                }
+                prepare_handoff(&mut ctx, Budget::unlimited());
+                ctx.memory.set_budget(Budget::unlimited());
+                let ruled_out = ctx.ruled_out;
+                let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
+                assert_eq!(ctx.ruled_out, ruled_out, "SDP rules nothing out");
+                let served = (plan.cost.to_bits(), plan.structural_digest());
+                (served, ctx.take_profile())
+            };
+            let (served, unaware) = (descend(false), descend(true));
+            assert!(served.1.len() > 1, "DP's level 2 and SDP's levels");
+            assert_eq!(served, unaware);
         }
     }
 

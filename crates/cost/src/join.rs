@@ -343,6 +343,21 @@ impl JoinTerms {
         }
     }
 
+    /// A floor under the nested loop, hash and merge joins of the given
+    /// plans: their operands but the non-negative middle ones, in their
+    /// order (rounding is monotone only so: `o + (i + emit)` is no floor).
+    #[inline]
+    pub fn floor(&self, outer_cost: f64, inner_cost: f64) -> f64 {
+        outer_cost + inner_cost + self.emit
+    }
+
+    /// A floor under every method over an outer plan of `outer_cost`,
+    /// the index nested loop included.
+    #[inline]
+    pub fn outer_floor(&self, outer_cost: f64) -> f64 {
+        outer_cost + self.emit
+    }
+
     /// Cost of the [`JoinMethod::NestedLoop`] alternative over plans
     /// of the given costs.
     #[inline]
@@ -558,6 +573,11 @@ mod property_tests {
             })
     }
 
+    /// 0, 1e299, or a value in `0..below`.
+    fn extreme(below: f64) -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(1e299), 0.0..below]
+    }
+
     proptest! {
         /// Costing laws that every candidate must obey: finite,
         /// non-negative, and at least the outer input's cost (the one
@@ -694,6 +714,45 @@ mod property_tests {
                 prop_assert!(side.sort_cost >= 0.0);
                 prop_assert!(cost + side.sort_cost >= cost);
             }
+        }
+
+        /// The floors an enumeration rules plan pairs out by: `floor` is
+        /// at most the nested loop, the hash join and the merge join with
+        /// either input ordered or not, and `outer_floor` at most `floor`
+        /// and the index nested loop — compared as bit patterns, which
+        /// order non-negative `f64`s (infinities included) as their
+        /// values do. Rows, widths and costs reach 0 and 1e299, where
+        /// products overflow and sums round away whole terms.
+        #[test]
+        fn the_floors_are_at_most_the_methods_they_stand_for(
+            outer_rows in extreme(1e9),
+            inner_rows in extreme(1e9),
+            outer_width in extreme(1e4),
+            inner_width in extreme(1e4),
+            outer_cost in extreme(1e12),
+            inner_cost in extreme(1e12),
+            sel in 0.0f64..=1.0,
+            out_rows in extreme(1e12),
+            index in (extreme(1e9), extreme(1e7)),
+            work_mem_kb in 1.0f64..1e6,
+        ) {
+            let p = CostParams { work_mem_bytes: work_mem_kb * 1024.0, ..CostParams::default() };
+            let outer = JoinSide::new(outer_rows, outer_width, &p);
+            let inner = JoinSide::new(inner_rows, inner_width, &p);
+            let probe = IndexProbe::new(index.0, index.1, &p);
+            let terms = JoinTerms::new(&outer, &inner, sel, out_rows, Some(probe), &p);
+            let at_most = |floor: f64, cost: f64| floor.to_bits() <= cost.to_bits();
+            let floor = terms.floor(outer_cost, inner_cost);
+            prop_assert!(at_most(floor, terms.nested_loop(outer_cost, inner_cost)));
+            prop_assert!(at_most(floor, terms.hash(outer_cost, inner_cost)));
+            for (outer_ordered, inner_ordered) in [(false, false), (false, true), (true, false), (true, true)] {
+                let merge = terms.merge(outer_cost, inner_cost, outer_ordered, inner_ordered);
+                prop_assert!(at_most(floor, merge), "{outer_ordered} {inner_ordered}");
+            }
+            let outer_floor = terms.outer_floor(outer_cost);
+            prop_assert!(at_most(outer_floor, floor));
+            let inl = terms.index_nested_loop(outer_cost).expect("an inner index");
+            prop_assert!(at_most(outer_floor, inl));
         }
 
         /// More output rows never makes any method cheaper (emit CPU is
