@@ -1008,11 +1008,11 @@ impl<'a> EnumContext<'a> {
 
     /// Cost all methods for a fixed (outer, inner) orientation,
     /// offering plans to `jcr` as they are produced (so the
-    /// dominance early-skip sees every plan retained so far), in the
-    /// order of `sdp_cost::join_candidates`: per plan pair a nested
-    /// loop, an index nested loop (which does not depend on the inner
-    /// plan choice: costed once, against the first inner entry), a
-    /// hash join, then one merge join per crossing class. An outer plan
+    /// dominance early-skip sees every plan retained so far), in
+    /// [`JoinTerms`]' method order: per plan pair a nested loop, an
+    /// index nested loop (which does not depend on the inner plan
+    /// choice: costed once, against the first inner entry), a hash
+    /// join, then one merge join per crossing class. An outer plan
     /// whose `outer_floor` exceeds the bound, and a plan pair's joins
     /// but the index nested loop when its `floor` does, are ruled out
     /// uncosted: none could be part of, or evict, a plan within it.

@@ -935,7 +935,7 @@ mod tests {
         use crate::enumerate::tests::random_connected_query;
         use crate::goo::optimize_goo;
         use crate::governor::prepare_handoff;
-        use crate::idp::{contract, optimize_idp, IdpConfig};
+        use crate::idp::{contract, optimize_idp};
         use crate::memo::eager::EagerMemo;
         use crate::memo::PlanSource;
         use crate::sdp::{optimize_sdp, SdpConfig, SdpPruner};
@@ -1220,7 +1220,7 @@ mod tests {
                     let mut ctx = context(Budget::unlimited());
                     let mut eager = EagerMemo::default();
                     let plan = if idp {
-                        optimize_idp(&mut ctx, IdpConfig::paper(k)).unwrap()
+                        optimize_idp(&mut ctx, k).unwrap()
                     } else {
                         optimize_goo(&mut ctx).unwrap()
                     };

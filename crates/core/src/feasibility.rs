@@ -65,15 +65,12 @@ pub fn count_connected_subgraphs(graph: &JoinGraph, max_size: usize, limit: u64)
 /// The largest JCR size (in relations) the first level run of
 /// `algorithm` enumerates exhaustively over singleton atoms, or `None`
 /// when the strategy keeps a cost-dependent subset (SDP) or enumerates
-/// no levels (GOO, II, SA).
+/// no levels (GOO).
 fn exhaustive_levels(algorithm: Algorithm, n: usize) -> Option<usize> {
     match algorithm {
         Algorithm::Dp => Some(n),
-        Algorithm::Idp { k } | Algorithm::IdpStandard { k } => Some(balanced_block_size(n, k)),
-        Algorithm::Sdp(_)
-        | Algorithm::Goo
-        | Algorithm::IterativeImprovement(_)
-        | Algorithm::SimulatedAnnealing(_) => None,
+        Algorithm::Idp { k } => Some(balanced_block_size(n, k)),
+        Algorithm::Sdp(_) | Algorithm::Goo => None,
     }
 }
 
@@ -246,11 +243,7 @@ mod tests {
         assert_eq!(verdict(Topology::Star(23), Algorithm::Idp { k: 7 }), None);
         assert!(verdict(Topology::Star(24), Algorithm::Idp { k: 7 }).is_some());
         // Cost-dependent or level-free strategies are never predicted.
-        for algorithm in [
-            Algorithm::Sdp(Default::default()),
-            Algorithm::Goo,
-            Algorithm::ii(),
-        ] {
+        for algorithm in [Algorithm::Sdp(Default::default()), Algorithm::Goo] {
             assert_eq!(verdict(Topology::Star(23), algorithm), None);
         }
     }

@@ -52,7 +52,6 @@ use sdp_query::RelSet;
 
 use crate::budget::{Budget, OptError};
 use crate::context::EnumContext;
-use crate::idp::IdpConfig;
 use crate::optimizer::{Algorithm, OptimizedPlan};
 use crate::sdp::SdpConfig;
 
@@ -92,16 +91,13 @@ impl Rung {
         }
     }
 
-    /// The ladder rung a requested algorithm starts on, or `None` for
-    /// off-ladder strategies (II/SA), which run single-shot under the
-    /// governor's full budget.
-    pub fn for_algorithm(algorithm: Algorithm) -> Option<Rung> {
+    /// The ladder rung a requested algorithm starts on.
+    pub fn for_algorithm(algorithm: Algorithm) -> Rung {
         match algorithm {
-            Algorithm::Dp => Some(Rung::Dp),
-            Algorithm::Sdp(_) => Some(Rung::Sdp),
-            Algorithm::Idp { .. } | Algorithm::IdpStandard { .. } => Some(Rung::Idp),
-            Algorithm::Goo => Some(Rung::Goo),
-            Algorithm::IterativeImprovement(_) | Algorithm::SimulatedAnnealing(_) => None,
+            Algorithm::Dp => Rung::Dp,
+            Algorithm::Sdp(_) => Rung::Sdp,
+            Algorithm::Idp { .. } => Rung::Idp,
+            Algorithm::Goo => Rung::Goo,
         }
     }
 
@@ -113,9 +109,7 @@ impl Rung {
         match self {
             Rung::Dp => Algorithm::Dp,
             Rung::Sdp => Algorithm::Sdp(SdpConfig::paper()),
-            Rung::Idp => Algorithm::Idp {
-                k: IdpConfig::paper(4).k,
-            },
+            Rung::Idp => Algorithm::Idp { k: 4 },
             Rung::Goo => Algorithm::Goo,
         }
     }
@@ -348,12 +342,6 @@ impl Governor {
             },
         }
     }
-
-    /// The [`Budget`] for a single-shot (off-ladder) run: full memory
-    /// budget, full deadline.
-    pub fn full_budget(&self) -> Budget {
-        self.rung_budget(Rung::Goo)
-    }
 }
 
 /// The result of a governed optimization: the plan, the rung that
@@ -368,8 +356,8 @@ pub struct GovernedPlan {
     /// The strategy that actually produced the plan (equals
     /// `requested` when nothing degraded).
     pub produced: Algorithm,
-    /// The ladder rung that produced the plan; `None` for off-ladder
-    /// strategies (II/SA), which never degrade.
+    /// The ladder rung that produced the plan: always `Some` (every
+    /// strategy is a rung).
     pub rung: Option<Rung>,
     /// Every descent taken, in order.
     pub degradations: Vec<DegradeEvent>,
@@ -469,14 +457,9 @@ mod tests {
     fn rung_labels_match_their_algorithms() {
         for rung in LADDER {
             assert_eq!(rung.label(), rung.algorithm().label(), "{rung:?}");
-            assert_eq!(Rung::for_algorithm(rung.algorithm()), Some(rung));
+            assert_eq!(Rung::for_algorithm(rung.algorithm()), rung);
         }
-        assert_eq!(Rung::for_algorithm(Algorithm::ii()), None);
-        assert_eq!(Rung::for_algorithm(Algorithm::sa()), None);
-        assert_eq!(
-            Rung::for_algorithm(Algorithm::IdpStandard { k: 7 }),
-            Some(Rung::Idp)
-        );
+        assert_eq!(Rung::for_algorithm(Algorithm::Idp { k: 7 }), Rung::Idp);
     }
 
     #[test]
@@ -497,7 +480,6 @@ mod tests {
         assert_eq!(goo.max_elapsed, Duration::from_secs(10));
         assert_eq!(dp.max_model_bytes, 1 << 20);
         assert_eq!(goo.max_model_bytes, 1 << 20, "memory is absolute");
-        assert_eq!(gov.full_budget().max_elapsed, Duration::from_secs(10));
     }
 
     #[test]

@@ -35,42 +35,9 @@ use crate::dp::run_levels;
 use crate::fx::FxHashSet;
 use crate::plan::PlanNode;
 
-/// IDP tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IdpConfig {
-    /// Number of DP levels per iteration (the paper's `k`).
-    pub k: usize,
-    /// Fraction of block-size subplans selected for ballooning
-    /// (paper: 5 %).
-    pub selection_fraction: f64,
-    /// Balloon the selected blocks to complete plans before
-    /// committing (the `bestRow`-hybrid of the paper). `false` gives
-    /// Kossmann's *standard* IDP1: commit the MinRows-best block
-    /// directly — kept as an ablation showing why the paper calls the
-    /// ballooning variant "the best overall performer".
-    pub ballooning: bool,
-}
-
-impl IdpConfig {
-    /// The paper's configuration for a given `k` (4 or 7 in the
-    /// evaluation).
-    pub fn paper(k: usize) -> Self {
-        assert!(k >= 2, "IDP needs k >= 2");
-        IdpConfig {
-            k,
-            selection_fraction: 0.05,
-            ballooning: true,
-        }
-    }
-
-    /// Kossmann's standard IDP1 (no ballooning).
-    pub fn standard(k: usize) -> Self {
-        IdpConfig {
-            ballooning: false,
-            ..IdpConfig::paper(k)
-        }
-    }
-}
+/// Fraction of the block-size subplans selected for ballooning
+/// (paper: 5 %).
+const SELECTION_FRACTION: f64 = 0.05;
 
 /// Balanced block size for `r` remaining atoms under parameter `k`.
 ///
@@ -86,11 +53,13 @@ pub fn balanced_block_size(r: usize, k: usize) -> usize {
     (1 + (r - 1).div_ceil(iterations)).min(r)
 }
 
-/// Optimize with IDP1-balanced-bestRow.
-pub fn optimize_idp(
-    ctx: &mut EnumContext<'_>,
-    config: IdpConfig,
-) -> Result<Arc<PlanNode>, OptError> {
+/// Optimize with IDP1-balanced-bestRow, `k` DP levels per iteration
+/// (the paper's `k`: 4 or 7 in the evaluation).
+///
+/// # Panics
+/// Panics if `k < 2`: a block of one atom contracts nothing.
+pub fn optimize_idp(ctx: &mut EnumContext<'_>, k: usize) -> Result<Arc<PlanNode>, OptError> {
+    assert!(k >= 2, "IDP needs k >= 2");
     let n = ctx.graph().len();
     if n == 0 {
         return Err(OptError::EmptyQuery);
@@ -108,7 +77,7 @@ pub fn optimize_idp(
 
     loop {
         let r = atoms.len();
-        let bk = balanced_block_size(r, config.k);
+        let bk = balanced_block_size(r, k);
         let table = run_levels(ctx, &atoms, bk, None)?;
         if bk == r {
             return ctx.finalize(all);
@@ -122,7 +91,7 @@ pub fn optimize_idp(
             let rb = ctx.memo.get(b).expect("live").rows;
             ra.partial_cmp(&rb).expect("finite rows")
         });
-        let take = ((candidates.len() as f64 * config.selection_fraction).ceil() as usize)
+        let take = ((candidates.len() as f64 * SELECTION_FRACTION).ceil() as usize)
             .clamp(1, candidates.len());
         candidates.truncate(take);
 
@@ -229,23 +198,10 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, topo, seed).instance(0);
         let mut idp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let idp = optimize_idp(&mut idp_ctx, IdpConfig::paper(k)).unwrap();
+        let idp = optimize_idp(&mut idp_ctx, k).unwrap();
         let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
         let dp = optimize_complete(&mut dp_ctx, None).unwrap();
         (idp.cost, dp.cost)
-    }
-
-    #[test]
-    fn standard_variant_runs_and_never_beats_hybrid_by_much() {
-        let cat = Catalog::paper();
-        let model = CostModel::with_defaults(&cat);
-        let q = QueryGenerator::new(&cat, Topology::star_chain(10), 6).instance(0);
-        let mut std_ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let std_plan = optimize_idp(&mut std_ctx, IdpConfig::standard(4)).unwrap();
-        std_plan.check_invariants().unwrap();
-        let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let dp = optimize_complete(&mut dp_ctx, None).unwrap();
-        assert!(std_plan.cost >= dp.cost * (1.0 - 1e-9));
     }
 
     #[test]
@@ -265,7 +221,7 @@ mod tests {
         ] {
             let q = QueryGenerator::new(&cat, topo, 5).instance(0);
             let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-            let plan = optimize_idp(&mut ctx, IdpConfig::paper(4)).unwrap();
+            let plan = optimize_idp(&mut ctx, 4).unwrap();
             assert_eq!(plan.set, q.graph.all_nodes(), "{topo}");
             plan.check_invariants().unwrap();
             assert_eq!(plan.join_count(), 9);
@@ -286,7 +242,7 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(11), 2).instance(0);
         let mut idp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        optimize_idp(&mut idp_ctx, IdpConfig::paper(4)).unwrap();
+        optimize_idp(&mut idp_ctx, 4).unwrap();
         let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
         optimize_complete(&mut dp_ctx, None).unwrap();
         assert!(idp_ctx.stats().plans_costed < dp_ctx.stats().plans_costed);
@@ -298,7 +254,7 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(8), 6).ordered_instance(0);
         let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let plan = optimize_idp(&mut ctx, IdpConfig::paper(4)).unwrap();
+        let plan = optimize_idp(&mut ctx, 4).unwrap();
         assert_eq!(plan.ordering, ctx.order_target());
     }
 
@@ -308,7 +264,7 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(12), 7).instance(0);
         let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        optimize_idp(&mut ctx, IdpConfig::paper(4)).unwrap();
+        optimize_idp(&mut ctx, 4).unwrap();
         // After the run, the memo holds far fewer groups than were
         // ever created — contraction dropped the rest.
         assert!(ctx.memo.len() as u64 * 4 < ctx.memo.jcrs_created());

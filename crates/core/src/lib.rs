@@ -19,8 +19,6 @@
 //! * [`goo`] — Greedy Operator Ordering, a cheap baseline;
 //! * [`feasibility`] — the oracle that lets the governor descend past
 //!   an exhaustive rung which provably cannot fit its memory budget;
-//! * [`random`] — Iterative Improvement and Simulated Annealing, the
-//!   "jettison DP entirely" baselines from the paper's related work;
 //! * [`optimizer`] — the public entry point tying everything together.
 //!
 //! Every enumerator runs under a [`budget::Budget`] that models the
@@ -43,8 +41,6 @@ pub mod idp;
 pub mod memo;
 pub mod optimizer;
 pub mod plan;
-pub mod random;
-pub mod recost;
 pub mod sdp;
 
 pub use budget::{Budget, OptError};
@@ -90,5 +86,4 @@ pub use explain::{explain, explain_analyze, worst_estimates};
 pub use memo::{Group, Memo, PlanEntry, PlanSource};
 pub use optimizer::{Algorithm, OptimizedPlan, Optimizer};
 pub use plan::{Children, NodeCounter, PlanNode, PlanOp};
-pub use recost::recost;
 pub use sdp::{Partitioning, SdpConfig, SkylineOption};

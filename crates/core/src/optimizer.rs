@@ -27,12 +27,12 @@ use crate::goo::optimize_goo;
 use crate::governor::{
     prepare_handoff, DegradeEvent, DegradeReason, GovernedFailure, GovernedPlan, Governor, Rung,
 };
-use crate::idp::{optimize_idp, IdpConfig};
+use crate::idp::optimize_idp;
 use crate::plan::PlanNode;
-use crate::random::{optimize_ii, optimize_sa, RandomConfig};
 use crate::sdp::{optimize_sdp, SdpConfig};
 
-/// Which enumeration strategy to use.
+/// Which enumeration strategy to use: the strategies of the governor's
+/// ladder ([`Rung`]), each with its configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Algorithm {
     /// Exhaustive bushy dynamic programming (PostgreSQL's baseline),
@@ -45,19 +45,10 @@ pub enum Algorithm {
         /// DP levels per iteration.
         k: usize,
     },
-    /// Kossmann's standard IDP1 (no ballooning) — an ablation.
-    IdpStandard {
-        /// DP levels per iteration.
-        k: usize,
-    },
     /// Skyline Dynamic Programming (the paper's contribution).
     Sdp(SdpConfig),
     /// Greedy operator ordering baseline.
     Goo,
-    /// Iterative Improvement (randomized restarts + hill-climbing).
-    IterativeImprovement(RandomConfig),
-    /// Simulated Annealing.
-    SimulatedAnnealing(RandomConfig),
 }
 
 impl Algorithm {
@@ -66,23 +57,10 @@ impl Algorithm {
         match self {
             Algorithm::Dp => "DP".into(),
             Algorithm::Idp { k } => format!("IDP({k})"),
-            Algorithm::IdpStandard { k } => format!("IDP-std({k})"),
             Algorithm::Sdp(cfg) if *cfg == SdpConfig::paper() => "SDP".into(),
             Algorithm::Sdp(cfg) => format!("SDP[{:?}/{:?}]", cfg.partitioning, cfg.skyline),
             Algorithm::Goo => "GOO".into(),
-            Algorithm::IterativeImprovement(_) => "II".into(),
-            Algorithm::SimulatedAnnealing(_) => "SA".into(),
         }
-    }
-
-    /// Iterative Improvement with default tuning.
-    pub fn ii() -> Self {
-        Algorithm::IterativeImprovement(RandomConfig::default())
-    }
-
-    /// Simulated Annealing with default tuning.
-    pub fn sa() -> Self {
-        Algorithm::SimulatedAnnealing(RandomConfig::default())
     }
 }
 
@@ -239,32 +217,7 @@ impl<'a> Optimizer<'a> {
         let rewritten = self.rewrite(query);
         let model = CostModel::new(self.catalog, self.params);
 
-        let Some(mut rung) = Rung::for_algorithm(algorithm) else {
-            // Off-ladder strategies (II/SA) run single-shot under the
-            // governor's full budget: their anytime nature makes a
-            // ladder descent meaningless.
-            let mut ctx = self.context(&rewritten, &model, governor.full_budget());
-            ctx.memory.set_cancel_flag(governor.cancel_flag());
-            let root = dispatch(&mut ctx, algorithm).map_err(|error| GovernedFailure {
-                error,
-                degradations: Vec::new(),
-            })?;
-            let stats = ctx.stats();
-            return Ok(GovernedPlan {
-                plan: OptimizedPlan {
-                    cost: root.cost,
-                    rows: root.rows,
-                    root,
-                    stats,
-                    profile: ctx.take_profile(),
-                },
-                requested: algorithm,
-                produced: algorithm,
-                rung: None,
-                degradations: Vec::new(),
-            });
-        };
-
+        let mut rung = Rung::for_algorithm(algorithm);
         let mut ctx = self.context(&rewritten, &model, governor.rung_budget(rung));
         ctx.memory.set_cancel_flag(governor.cancel_flag());
         #[cfg(feature = "testkit")]
@@ -429,20 +382,14 @@ fn dispatch(ctx: &mut EnumContext<'_>, algorithm: Algorithm) -> Result<Arc<PlanN
     ctx.set_phase(match algorithm {
         Algorithm::Dp => "DP",
         Algorithm::Idp { .. } => "IDP",
-        Algorithm::IdpStandard { .. } => "IDP-std",
         Algorithm::Sdp(_) => "SDP",
         Algorithm::Goo => "GOO",
-        Algorithm::IterativeImprovement(_) => "II",
-        Algorithm::SimulatedAnnealing(_) => "SA",
     });
     match algorithm {
         Algorithm::Dp => optimize_dp(ctx),
-        Algorithm::Idp { k } => optimize_idp(ctx, IdpConfig::paper(k)),
-        Algorithm::IdpStandard { k } => optimize_idp(ctx, IdpConfig::standard(k)),
+        Algorithm::Idp { k } => optimize_idp(ctx, k),
         Algorithm::Sdp(cfg) => optimize_sdp(ctx, cfg),
         Algorithm::Goo => optimize_goo(ctx),
-        Algorithm::IterativeImprovement(cfg) => optimize_ii(ctx, cfg),
-        Algorithm::SimulatedAnnealing(cfg) => optimize_sa(ctx, cfg),
     }
 }
 
@@ -616,18 +563,6 @@ mod tests {
                 .err(),
             Some(OptError::DisconnectedJoinGraph)
         );
-    }
-
-    #[test]
-    fn off_ladder_strategies_run_single_shot() {
-        let cat = Catalog::paper();
-        let q = QueryGenerator::new(&cat, Topology::Chain(5), 2).instance(0);
-        let governed = Optimizer::new(&cat)
-            .optimize_governed(&q, Algorithm::ii(), &Governor::new())
-            .unwrap();
-        assert_eq!(governed.rung, None);
-        assert!(!governed.degraded());
-        assert_eq!(governed.rung_label(), "II");
     }
 
     #[test]

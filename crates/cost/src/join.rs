@@ -8,10 +8,9 @@
 //! star-query workhorse) yet disastrous for large outers.
 
 use sdp_catalog::PAGE_SIZE_BYTES;
-use sdp_query::ClassId;
 
 use crate::params::CostParams;
-use crate::scan::{index_probe_cost, sort_cost, IndexProbe};
+use crate::scan::{sort_cost, IndexProbe};
 
 /// Physical join algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,187 +64,9 @@ impl JoinMethod {
     }
 }
 
-/// Properties of one join input as the costing functions see it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JoinInput {
-    /// Estimated rows produced.
-    pub rows: f64,
-    /// Cost of producing them.
-    pub cost: f64,
-    /// Average tuple width in bytes.
-    pub width: f64,
-    /// Order class the output is sorted on, if any.
-    pub ordering: Option<ClassId>,
-}
-
-impl JoinInput {
-    fn pages(&self) -> f64 {
-        pages(self.rows, self.width)
-    }
-}
-
 /// Heap pages `rows` tuples of `width` bytes occupy (at least one).
 fn pages(rows: f64, width: f64) -> f64 {
     (rows * width.max(1.0) / PAGE_SIZE_BYTES as f64).max(1.0)
-}
-
-/// Index metadata enabling an index nested-loop on the inner side.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InnerIndex {
-    /// Tuples in the inner base relation.
-    pub tuples: f64,
-    /// Heap pages of the inner base relation.
-    pub pages: f64,
-}
-
-/// A costed join alternative.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JoinCandidate {
-    /// Algorithm used.
-    pub method: JoinMethod,
-    /// Total (cumulative) cost including both inputs.
-    pub cost: f64,
-    /// Order class of the output, if any.
-    pub ordering: Option<ClassId>,
-}
-
-/// The costed alternatives of one `outer ⋈ inner` call: at most one
-/// per [`JoinMethod`], held inline so costing never touches the
-/// allocator. Reads as a `[JoinCandidate]` slice and iterates by value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JoinCandidates {
-    items: [JoinCandidate; 4],
-    len: usize,
-}
-
-impl JoinCandidates {
-    fn push(&mut self, candidate: JoinCandidate) {
-        self.items[self.len] = candidate;
-        self.len += 1;
-    }
-}
-
-impl std::ops::Deref for JoinCandidates {
-    type Target = [JoinCandidate];
-
-    fn deref(&self) -> &[JoinCandidate] {
-        &self.items[..self.len]
-    }
-}
-
-impl IntoIterator for JoinCandidates {
-    type Item = JoinCandidate;
-    type IntoIter = std::iter::Take<std::array::IntoIter<JoinCandidate, 4>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.into_iter().take(self.len)
-    }
-}
-
-impl<'a> IntoIterator for &'a JoinCandidates {
-    type Item = &'a JoinCandidate;
-    type IntoIter = std::slice::Iter<'a, JoinCandidate>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// Enumerate and cost every join method applicable to
-/// `outer ⋈ inner`, in the fixed order nested loop, index nested loop,
-/// hash, merge.
-///
-/// * `crossing_sel` — joint selectivity of the connecting edges;
-/// * `out_rows` — estimated output cardinality;
-/// * `join_class` — the order class of the join columns (drives merge
-///   join); `None` disables merge;
-/// * `inner_index` — present when the inner is a base relation with an
-///   index on the join column, enabling index nested-loop.
-pub fn join_candidates(
-    outer: &JoinInput,
-    inner: &JoinInput,
-    crossing_sel: f64,
-    out_rows: f64,
-    join_class: Option<ClassId>,
-    inner_index: Option<InnerIndex>,
-    params: &CostParams,
-) -> JoinCandidates {
-    let mut out = JoinCandidates {
-        items: [JoinCandidate {
-            method: JoinMethod::NestedLoop,
-            cost: 0.0,
-            ordering: None,
-        }; 4],
-        len: 0,
-    };
-    let emit_cpu = out_rows * params.cpu_tuple_cost;
-
-    // --- Nested loop over a materialized inner ------------------------
-    out.push(JoinCandidate {
-        method: JoinMethod::NestedLoop,
-        cost: outer.cost
-            + inner.cost
-            + inner.rows * params.cpu_tuple_cost // materialization
-            + outer.rows * inner.rows * params.cpu_operator_cost
-            + emit_cpu,
-        ordering: outer.ordering,
-    });
-
-    // --- Index nested loop --------------------------------------------
-    if let Some(idx) = inner_index {
-        let matched = (inner.rows * crossing_sel).max(1e-6);
-        let probe = index_probe_cost(idx.tuples, idx.pages, matched, params);
-        out.push(JoinCandidate {
-            method: JoinMethod::IndexNestedLoop,
-            cost: outer.cost + outer.rows * probe + emit_cpu,
-            ordering: outer.ordering,
-        });
-    }
-
-    // --- Hash join (build = inner) -------------------------------------
-    {
-        let build_bytes = inner.rows * inner.width.max(1.0);
-        let spill = if build_bytes > params.work_mem_bytes {
-            // Hybrid hash: write and re-read both sides once per extra
-            // batch round.
-            2.0 * (inner.pages() + outer.pages()) * params.seq_page_cost
-        } else {
-            0.0
-        };
-        out.push(JoinCandidate {
-            method: JoinMethod::Hash,
-            cost: outer.cost
-                + inner.cost
-                + inner.rows * params.cpu_operator_cost * 2.0 // build
-                + outer.rows * params.cpu_operator_cost // probe
-                + spill
-                + emit_cpu,
-            ordering: None,
-        });
-    }
-
-    // --- Merge join -----------------------------------------------------
-    if let Some(class) = join_class {
-        let sort_side = |input: &JoinInput| {
-            if input.ordering == Some(class) {
-                0.0
-            } else {
-                sort_cost(input.rows, input.width, params)
-            }
-        };
-        out.push(JoinCandidate {
-            method: JoinMethod::Merge,
-            cost: outer.cost
-                + inner.cost
-                + sort_side(outer)
-                + sort_side(inner)
-                + (outer.rows + inner.rows) * params.cpu_operator_cost
-                + emit_cpu,
-            ordering: Some(class),
-        });
-    }
-
-    out
 }
 
 /// What every plan of one join input has in common: the JCR's
@@ -276,10 +97,11 @@ impl JoinSide {
 /// JCRs joined, not on which of their plans is: each method costs
 /// `outer.cost + inner.cost +` such terms, so an enumerator costing
 /// every plan pair of one `outer ⋈ inner` orientation computes them
-/// once and then only adds. The cost methods add the operands of
-/// [`join_candidates`] in its order, so their results are its results
-/// bit for bit; offer them in its order (nested loop, index nested
-/// loop, hash, merge) to retain the plans it would.
+/// once and then only adds. It is the one join-cost formula every
+/// strategy uses; a per-call reference formula, kept as a test oracle
+/// in this module, pins its results bit for bit. Offer the methods in
+/// the fixed order nested loop, index nested loop, hash, merge, so
+/// that of two equal-cost plans every strategy keeps the same one.
 ///
 /// **A join costs at least the inputs it includes.** With non-negative
 /// rows, widths and selectivities and positive [`CostParams`], every
@@ -309,9 +131,11 @@ pub struct JoinTerms {
 }
 
 impl JoinTerms {
-    /// Terms for `outer ⋈ inner`; `crossing_sel` and `out_rows` as in
-    /// [`join_candidates`], `inner_index` the probe costing of the
-    /// index its `inner_index` describes.
+    /// Terms for `outer ⋈ inner`: `crossing_sel` is the joint
+    /// selectivity of the edges connecting them, `out_rows` the
+    /// estimated output cardinality, and `inner_index` the probe
+    /// costing of the inner's index, present when the inner is a base
+    /// relation indexed on a join column.
     pub fn new(
         outer: &JoinSide,
         inner: &JoinSide,
@@ -408,7 +232,148 @@ impl JoinTerms {
 }
 
 #[cfg(test)]
+/// The per-call join-cost formula [`JoinTerms`] was hoisted from: every
+/// applicable method of one `outer ⋈ inner`, costed from scratch. The
+/// property tests below hold `JoinTerms` to it bit for bit.
+mod reference {
+    use sdp_query::ClassId;
+
+    use super::*;
+    use crate::scan::index_probe_cost;
+
+    /// Properties of one join input as the costing functions see it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct JoinInput {
+        /// Estimated rows produced.
+        pub rows: f64,
+        /// Cost of producing them.
+        pub cost: f64,
+        /// Average tuple width in bytes.
+        pub width: f64,
+        /// Order class the output is sorted on, if any.
+        pub ordering: Option<ClassId>,
+    }
+
+    impl JoinInput {
+        fn pages(&self) -> f64 {
+            pages(self.rows, self.width)
+        }
+    }
+
+    /// Index metadata enabling an index nested-loop on the inner side.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct InnerIndex {
+        /// Tuples in the inner base relation.
+        pub tuples: f64,
+        /// Heap pages of the inner base relation.
+        pub pages: f64,
+    }
+
+    /// A costed join alternative.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct JoinCandidate {
+        /// Algorithm used.
+        pub method: JoinMethod,
+        /// Total (cumulative) cost including both inputs.
+        pub cost: f64,
+        /// Order class of the output, if any.
+        pub ordering: Option<ClassId>,
+    }
+
+    /// Enumerate and cost every join method applicable to
+    /// `outer ⋈ inner`, in the fixed order nested loop, index nested loop,
+    /// hash, merge.
+    ///
+    /// * `crossing_sel` — joint selectivity of the connecting edges;
+    /// * `out_rows` — estimated output cardinality;
+    /// * `join_class` — the order class of the join columns (drives merge
+    ///   join); `None` disables merge;
+    /// * `inner_index` — present when the inner is a base relation with an
+    ///   index on the join column, enabling index nested-loop.
+    pub fn join_candidates(
+        outer: &JoinInput,
+        inner: &JoinInput,
+        crossing_sel: f64,
+        out_rows: f64,
+        join_class: Option<ClassId>,
+        inner_index: Option<InnerIndex>,
+        params: &CostParams,
+    ) -> Vec<JoinCandidate> {
+        let mut out = Vec::with_capacity(4);
+        let emit_cpu = out_rows * params.cpu_tuple_cost;
+
+        // --- Nested loop over a materialized inner ------------------------
+        out.push(JoinCandidate {
+            method: JoinMethod::NestedLoop,
+            cost: outer.cost
+                + inner.cost
+                + inner.rows * params.cpu_tuple_cost // materialization
+                + outer.rows * inner.rows * params.cpu_operator_cost
+                + emit_cpu,
+            ordering: outer.ordering,
+        });
+
+        // --- Index nested loop --------------------------------------------
+        if let Some(idx) = inner_index {
+            let matched = (inner.rows * crossing_sel).max(1e-6);
+            let probe = index_probe_cost(idx.tuples, idx.pages, matched, params);
+            out.push(JoinCandidate {
+                method: JoinMethod::IndexNestedLoop,
+                cost: outer.cost + outer.rows * probe + emit_cpu,
+                ordering: outer.ordering,
+            });
+        }
+
+        // --- Hash join (build = inner) -------------------------------------
+        {
+            let build_bytes = inner.rows * inner.width.max(1.0);
+            let spill = if build_bytes > params.work_mem_bytes {
+                // Hybrid hash: write and re-read both sides once per extra
+                // batch round.
+                2.0 * (inner.pages() + outer.pages()) * params.seq_page_cost
+            } else {
+                0.0
+            };
+            out.push(JoinCandidate {
+                method: JoinMethod::Hash,
+                cost: outer.cost
+                    + inner.cost
+                    + inner.rows * params.cpu_operator_cost * 2.0 // build
+                    + outer.rows * params.cpu_operator_cost // probe
+                    + spill
+                    + emit_cpu,
+                ordering: None,
+            });
+        }
+
+        // --- Merge join -----------------------------------------------------
+        if let Some(class) = join_class {
+            let sort_side = |input: &JoinInput| {
+                if input.ordering == Some(class) {
+                    0.0
+                } else {
+                    sort_cost(input.rows, input.width, params)
+                }
+            };
+            out.push(JoinCandidate {
+                method: JoinMethod::Merge,
+                cost: outer.cost
+                    + inner.cost
+                    + sort_side(outer)
+                    + sort_side(inner)
+                    + (outer.rows + inner.rows) * params.cpu_operator_cost
+                    + emit_cpu,
+                ordering: Some(class),
+            });
+        }
+
+        out
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::reference::*;
     use super::*;
 
     fn input(rows: f64, cost: f64) -> JoinInput {
@@ -425,7 +390,7 @@ mod tests {
         inner: &JoinInput,
         sel: f64,
         idx: Option<InnerIndex>,
-    ) -> JoinCandidates {
+    ) -> Vec<JoinCandidate> {
         let out_rows = (outer.rows * inner.rows * sel).max(1.0);
         join_candidates(
             outer,
@@ -555,6 +520,7 @@ mod tests {
 
 #[cfg(test)]
 mod property_tests {
+    use super::reference::*;
     use super::*;
     use proptest::prelude::*;
 
@@ -598,10 +564,10 @@ mod property_tests {
             let cands = join_candidates(
                 &outer, &inner, sel, out_rows, class, idx, &CostParams::default(),
             );
-            // Exactly the methods the `Vec`-returning version pushed, in
-            // its order: NL and Hash always; INL iff index; Merge iff
-            // class. The enumerator's offer order (and so which of two
-            // equal-cost plans a group keeps) depends on it.
+            // Exactly these methods, in this order: NL and Hash always;
+            // INL iff index; Merge iff class. The enumerator's offer
+            // order (and so which of two equal-cost plans a group keeps)
+            // depends on it.
             let expected: Vec<JoinMethod> = [
                 Some(JoinMethod::NestedLoop),
                 with_index.then_some(JoinMethod::IndexNestedLoop),
@@ -613,8 +579,6 @@ mod property_tests {
             .collect();
             let methods: Vec<JoinMethod> = cands.iter().map(|c| c.method).collect();
             prop_assert_eq!(&methods, &expected);
-            // By-value iteration yields the same candidates as the slice.
-            prop_assert_eq!(cands.into_iter().collect::<Vec<_>>(), cands.to_vec());
             for c in &cands {
                 prop_assert!(c.cost.is_finite() && c.cost >= 0.0);
                 prop_assert!(c.cost + 1e-9 >= outer.cost, "{:?} below outer cost", c.method);

@@ -33,10 +33,7 @@ mod params;
 mod scan;
 
 pub use estimate::Estimator;
-pub use join::{
-    join_candidates, InnerIndex, JoinCandidate, JoinCandidates, JoinInput, JoinMethod, JoinSide,
-    JoinTerms,
-};
+pub use join::{JoinMethod, JoinSide, JoinTerms};
 pub use model::CostModel;
 pub use params::CostParams;
 pub use scan::{

@@ -1,10 +1,8 @@
 //! The cost-model facade consumed by the enumerators.
 
 use sdp_catalog::{Catalog, RelId};
-use sdp_query::ClassId;
 
 use crate::estimate::Estimator;
-use crate::join::{join_candidates, InnerIndex, JoinCandidates, JoinInput};
 use crate::params::CostParams;
 use crate::scan::{scan_paths, scan_paths_for_node, sort_cost, ScanPath};
 
@@ -59,29 +57,6 @@ impl<'a> CostModel<'a> {
     /// into the scans.
     pub fn scan_paths_for_node(&self, graph: &sdp_query::JoinGraph, node: usize) -> Vec<ScanPath> {
         scan_paths_for_node(self.catalog(), graph, node, &self.params)
-    }
-
-    /// All join methods applicable to `outer ⋈ inner`. See
-    /// [`join_candidates`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn join_candidates(
-        &self,
-        outer: &JoinInput,
-        inner: &JoinInput,
-        crossing_sel: f64,
-        out_rows: f64,
-        join_class: Option<ClassId>,
-        inner_index: Option<InnerIndex>,
-    ) -> JoinCandidates {
-        join_candidates(
-            outer,
-            inner,
-            crossing_sel,
-            out_rows,
-            join_class,
-            inner_index,
-            &self.params,
-        )
     }
 
     /// Cost of explicitly sorting `rows` tuples of `width` bytes (the

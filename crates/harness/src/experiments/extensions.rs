@@ -6,9 +6,8 @@
 //!   table on the skewed catalog;
 //! * `extra-topologies` — "our results for the other topologies are
 //!   similar in flavor": cycle and clique quality tables;
-//! * `extra-idp-variants` — why the paper calls IDP1-balanced-bestRow
-//!   "the best overall performer": the ballooning hybrid versus
-//!   standard IDP1, plus the randomized II/SA baselines, on one
+//! * `extra-idp-variants` — IDP1-balanced-bestRow at both block sizes
+//!   against SDP, GOO and the randomized II/SA baselines, on one
 //!   quality/effort table;
 //! * `extra-incumbent-dp` — how much of the paper's DP effort goes to
 //!   JCRs and plan pairs that cost more than a complete greedy plan:
@@ -22,7 +21,8 @@ use sdp_core::{Algorithm, EnumContext, SdpConfig};
 use sdp_metrics::{geometric_mean_ratio, QualitySummary};
 use sdp_query::{infer_transitive_edges, QueryGenerator, Topology};
 
-use crate::runner::{overheads, ExperimentConfig, Runner};
+use crate::recost::recost;
+use crate::runner::{overheads, ExperimentConfig, Runner, Technique};
 use crate::tables::{markdown_quality_rows, render_quality_table, QualityRow};
 
 use super::{ExperimentReport, Session};
@@ -111,22 +111,20 @@ pub fn extra_topologies(session: &Session) -> ExperimentReport {
     }
 }
 
-/// `extra-idp-variants` — ballooning hybrid vs standard IDP1 vs the
+/// `extra-idp-variants` — IDP(7) and IDP(4) vs SDP, GOO and the
 /// randomized baselines, quality and effort on Star-Chain-15.
 pub fn extra_idp_variants(session: &Session) -> ExperimentReport {
     let topo = Topology::star_chain(15);
-    let algs = [
-        Algorithm::Dp,
-        Algorithm::Idp { k: 7 },
-        Algorithm::IdpStandard { k: 7 },
-        Algorithm::Idp { k: 4 },
-        Algorithm::IdpStandard { k: 4 },
-        SDP,
-        Algorithm::ii(),
-        Algorithm::sa(),
-        Algorithm::Goo,
+    let dp = Technique::Ladder(Algorithm::Dp);
+    let techniques: [Technique; 7] = [
+        dp,
+        Algorithm::Idp { k: 7 }.into(),
+        Algorithm::Idp { k: 4 }.into(),
+        SDP.into(),
+        Technique::Ii,
+        Technique::Sa,
+        Algorithm::Goo.into(),
     ];
-    let n = session.config.instances;
     let runner = Runner::new(&session.catalog, session.config);
     let reference = runner.run(topo, Algorithm::Dp);
 
@@ -137,8 +135,8 @@ pub fn extra_idp_variants(session: &Session) -> ExperimentReport {
     ));
     let mut markdown =
         String::from("| Technique | ρ | W | Plans costed | Time (ms) |\n|---|---|---|---|---|\n");
-    for a in algs {
-        let outcomes = if a == Algorithm::Dp {
+    for a in techniques {
+        let outcomes = if a == dp {
             reference.clone()
         } else {
             runner.run(topo, a)
@@ -164,7 +162,6 @@ pub fn extra_idp_variants(session: &Session) -> ExperimentReport {
             o.time_s * 1000.0
         ));
     }
-    let _ = n;
     ExperimentReport {
         id: "extra-idp-variants",
         title: "Extra — IDP Variants and Randomized Baselines".into(),
@@ -178,15 +175,14 @@ pub fn extra_idp_variants(session: &Session) -> ExperimentReport {
 /// the *true* analytic model. A robust heuristic should lose little
 /// quality to statistics noise; a brittle one compounds it.
 pub fn extra_robustness(session: &Session) -> ExperimentReport {
-    use sdp_core::{recost, Optimizer};
-    use sdp_engine::{analyze_database, scaled_catalog, Database, DEFAULT_SAMPLE};
+    use sdp_core::Optimizer;
+    use sdp_engine::{analyze_database, scaled_catalog, Database};
 
     let analytic = scaled_catalog(12, 2000, 7);
     let db = Database::generate(&analytic, 42);
     let mut sampled = analytic.clone();
     // A deliberately small sample (PostgreSQL's would be ~3000 rows)
     // so the statistics noise is material.
-    let _ = DEFAULT_SAMPLE;
     sampled.replace_stats(analyze_database(&analytic, &db, 150, 99));
 
     let true_model = sdp_cost::CostModel::with_defaults(&analytic);

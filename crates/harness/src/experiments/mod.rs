@@ -13,10 +13,9 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use sdp_catalog::Catalog;
-use sdp_core::Algorithm;
 use sdp_query::Topology;
 
-use crate::runner::{ExperimentConfig, RunOutcome, Runner};
+use crate::runner::{ExperimentConfig, RunOutcome, Runner, Technique};
 
 /// The output of one experiment: a console report and a markdown
 /// fragment for `EXPERIMENTS.md`.
@@ -62,11 +61,12 @@ impl Session {
     pub fn outcomes(
         &self,
         topology: Topology,
-        algorithm: Algorithm,
+        technique: impl Into<Technique>,
         ordered: bool,
         instances: usize,
     ) -> Rc<Vec<RunOutcome>> {
-        let key = format!("{topology}|{}|{ordered}|{instances}", algorithm.label());
+        let technique = technique.into();
+        let key = format!("{topology}|{}|{ordered}|{instances}", technique.label());
         if let Some(hit) = self.cache.borrow().get(&key) {
             return hit.clone();
         }
@@ -76,7 +76,7 @@ impl Session {
             ..self.config
         };
         let runner = Runner::new(&self.catalog, cfg);
-        let outcomes = Rc::new(runner.run(topology, algorithm));
+        let outcomes = Rc::new(runner.run(topology, technique));
         self.cache.borrow_mut().insert(key, outcomes.clone());
         outcomes
     }
@@ -137,6 +137,7 @@ pub fn run_experiment(session: &Session, id: &str) -> Option<ExperimentReport> {
 mod tests {
     use super::*;
     use crate::runner::ExperimentConfig;
+    use sdp_core::Algorithm;
 
     fn tiny_session() -> Session {
         Session::new(ExperimentConfig {

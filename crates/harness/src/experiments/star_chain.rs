@@ -4,7 +4,7 @@
 use sdp_core::{Algorithm, Partitioning, SdpConfig};
 use sdp_query::Topology;
 
-use crate::runner::{overheads, quality_against, RunOutcome, Runner};
+use crate::runner::{overheads, quality_against, RunOutcome, Runner, Technique};
 use crate::tables::{
     markdown_overhead_rows, markdown_quality_rows, render_overhead_table, render_quality_table,
     OverheadRow, QualityRow,
@@ -22,35 +22,39 @@ const SDP: Algorithm = Algorithm::Sdp(SdpConfig {
 pub(super) fn quality_rows(
     session: &Session,
     topology: Topology,
-    algorithms: &[Algorithm],
+    techniques: &[impl Into<Technique> + Copy],
     ordered: bool,
     instances: usize,
 ) -> Vec<QualityRow> {
-    let runs: Vec<(Algorithm, std::rc::Rc<Vec<RunOutcome>>)> = algorithms
+    let (dp, sdp) = (Technique::Ladder(Algorithm::Dp), Technique::Ladder(SDP));
+    let runs: Vec<(Technique, std::rc::Rc<Vec<RunOutcome>>)> = techniques
         .iter()
-        .map(|&a| (a, session.outcomes(topology, a, ordered, instances)))
+        .map(|&t| {
+            let t = t.into();
+            (t, session.outcomes(topology, t, ordered, instances))
+        })
         .collect();
 
     let dp_feasible = runs
         .iter()
-        .find(|(a, _)| *a == Algorithm::Dp)
+        .find(|(t, _)| *t == dp)
         .map(|(_, o)| !Runner::is_infeasible(o))
         .unwrap_or(false);
     let reference: std::rc::Rc<Vec<RunOutcome>> = if dp_feasible {
         runs.iter()
-            .find(|(a, _)| *a == Algorithm::Dp)
+            .find(|(t, _)| *t == dp)
             .map(|(_, o)| o.clone())
             .expect("DP present")
     } else {
         runs.iter()
-            .find(|(a, _)| *a == SDP)
+            .find(|(t, _)| *t == sdp)
             .map(|(_, o)| o.clone())
             .expect("SDP always present")
     };
 
     runs.iter()
         .map(|(a, outcomes)| {
-            let is_reference = (dp_feasible && *a == Algorithm::Dp) || (!dp_feasible && *a == SDP);
+            let is_reference = (dp_feasible && *a == dp) || (!dp_feasible && *a == sdp);
             let summary = if Runner::is_infeasible(outcomes) {
                 None
             } else if is_reference {
@@ -70,21 +74,22 @@ pub(super) fn quality_rows(
 pub(super) fn overhead_rows(
     session: &Session,
     topology: Topology,
-    algorithms: &[Algorithm],
+    techniques: &[impl Into<Technique> + Copy],
     ordered: bool,
     instances: usize,
 ) -> Vec<OverheadRow> {
-    algorithms
+    techniques
         .iter()
-        .map(|&a| {
-            let outcomes = session.outcomes(topology, a, ordered, instances);
+        .map(|&t| {
+            let t = t.into();
+            let outcomes = session.outcomes(topology, t, ordered, instances);
             let summary = if Runner::is_infeasible(&outcomes) {
                 None
             } else {
                 Some(overheads(&outcomes))
             };
             OverheadRow {
-                technique: a.label(),
+                technique: t.label(),
                 summary,
             }
         })
@@ -120,14 +125,14 @@ pub fn table_1_2(session: &Session) -> ExperimentReport {
 /// Figure 1.2 — plan quality ρ versus optimization effort.
 pub fn figure_1_2(session: &Session) -> ExperimentReport {
     let topo = Topology::star_chain(15);
-    let algs = [
-        Algorithm::Dp,
-        Algorithm::Idp { k: 4 },
-        Algorithm::Idp { k: 7 },
-        SDP,
-        Algorithm::Goo,
-        Algorithm::ii(),
-        Algorithm::sa(),
+    let algs: [Technique; 7] = [
+        Algorithm::Dp.into(),
+        Algorithm::Idp { k: 4 }.into(),
+        Algorithm::Idp { k: 7 }.into(),
+        SDP.into(),
+        Algorithm::Goo.into(),
+        Technique::Ii,
+        Technique::Sa,
     ];
     let n = session.config.instances;
     let quality = quality_rows(session, topo, &algs, false, n);

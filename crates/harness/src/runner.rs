@@ -1,11 +1,45 @@
-//! Shared experiment machinery: run algorithms over instance streams,
+//! Shared experiment machinery: run techniques over instance streams,
 //! aggregate quality and overheads.
 
+use std::sync::Arc;
+
 use sdp_catalog::Catalog;
-use sdp_core::{Algorithm, Budget, EnumContext, OptError, Optimizer, RunStats};
+use sdp_core::{Algorithm, Budget, EnumContext, OptError, Optimizer, PlanNode, RunStats};
 use sdp_cost::CostModel;
 use sdp_metrics::{OverheadSample, OverheadSummary, QualitySummary};
 use sdp_query::{infer_transitive_edges, Query, QueryGenerator, Topology};
+
+use crate::random;
+
+/// What one experiment row runs: a strategy of the optimizer's ladder,
+/// or one of the randomized baselines only the harness carries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Technique {
+    /// A ladder strategy, run by `Optimizer::optimize` — except DP,
+    /// which runs as the paper's unbounded enumeration ([`paper_dp`]).
+    Ladder(Algorithm),
+    /// Iterative Improvement ([`random::optimize_ii`]).
+    Ii,
+    /// Simulated Annealing ([`random::optimize_sa`]).
+    Sa,
+}
+
+impl Technique {
+    /// Display label matching the paper's table rows.
+    pub fn label(&self) -> String {
+        match self {
+            Technique::Ladder(algorithm) => algorithm.label(),
+            Technique::Ii => "II".into(),
+            Technique::Sa => "SA".into(),
+        }
+    }
+}
+
+impl From<Algorithm> for Technique {
+    fn from(algorithm: Algorithm) -> Self {
+        Technique::Ladder(algorithm)
+    }
+}
 
 /// Configuration of one experiment run.
 #[derive(Debug, Clone, Copy)]
@@ -103,17 +137,19 @@ impl<'a> Runner<'a> {
         self.config
     }
 
-    /// Optimize every instance of `topology` with `algorithm`.
+    /// Optimize every instance of `topology` with `technique`.
     ///
-    /// Instance `k` of the stream is identical across algorithms
+    /// Instance `k` of the stream is identical across techniques
     /// (same seed), so per-instance cost ratios are meaningful. The
     /// paper's DP is PostgreSQL's exhaustive enumeration, so that is
     /// what a DP row runs ([`paper_dp`]): `Algorithm::Dp` serves the
     /// same plan bounded by a greedy incumbent, costing a fraction of
     /// the plans and fitting budgets the paper's DP does not.
-    pub fn run(&self, topology: Topology, algorithm: Algorithm) -> Vec<RunOutcome> {
+    pub fn run(&self, topology: Topology, technique: impl Into<Technique>) -> Vec<RunOutcome> {
+        let technique = technique.into();
+        let budget = self.config.budget;
         let generator = QueryGenerator::new(self.catalog, topology, self.config.seed);
-        let optimizer = Optimizer::new(self.catalog).with_budget(self.config.budget);
+        let optimizer = Optimizer::new(self.catalog).with_budget(budget);
         let mut outcomes = Vec::with_capacity(self.config.instances);
         for k in 0..self.config.instances as u64 {
             let query = if self.config.ordered {
@@ -121,11 +157,13 @@ impl<'a> Runner<'a> {
             } else {
                 generator.instance(k)
             };
-            let optimized = match algorithm {
-                Algorithm::Dp => paper_dp(self.catalog, self.config.budget, &query),
-                _ => optimizer
+            let optimized = match technique {
+                Technique::Ladder(Algorithm::Dp) => paper_dp(self.catalog, budget, &query),
+                Technique::Ladder(algorithm) => optimizer
                     .optimize(&query, algorithm)
                     .map(|plan| (plan.cost, plan.stats)),
+                Technique::Ii => run_rewritten(self.catalog, budget, &query, random::optimize_ii),
+                Technique::Sa => run_rewritten(self.catalog, budget, &query, random::optimize_sa),
             };
             match optimized {
                 Ok((cost, stats)) => outcomes.push(RunOutcome::Plan { cost, stats }),
@@ -164,11 +202,25 @@ pub fn paper_dp(
     budget: Budget,
     query: &Query,
 ) -> Result<(f64, RunStats), OptError> {
+    run_rewritten(catalog, budget, query, |ctx| {
+        sdp_core::dp::optimize_complete(ctx, None)
+    })
+}
+
+/// Run `strategy` over `query` as `Optimizer::optimize` runs a ladder
+/// strategy: on the rewritten query, with default cost constants, under
+/// `budget`. Returns the plan's cost and the run's counters.
+fn run_rewritten(
+    catalog: &Catalog,
+    budget: Budget,
+    query: &Query,
+    strategy: impl FnOnce(&mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError>,
+) -> Result<(f64, RunStats), OptError> {
     let model = CostModel::with_defaults(catalog);
     let mut rewritten = query.clone();
     infer_transitive_edges(&mut rewritten.graph);
     let mut ctx = EnumContext::new(&rewritten, &model, budget);
-    let plan = sdp_core::dp::optimize_complete(&mut ctx, None)?;
+    let plan = strategy(&mut ctx)?;
     Ok((plan.cost, ctx.stats()))
 }
 

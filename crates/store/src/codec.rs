@@ -61,8 +61,9 @@ pub struct PlanRecord {
     pub fingerprint: u128,
     /// Statistics epoch the plan was optimized under.
     pub stats_epoch: u64,
-    /// Ladder rung that produced the plan (`None` for off-ladder
-    /// strategies).
+    /// Ladder rung that produced the plan: always `Some` when written
+    /// now, `None` only in records of the retired off-ladder
+    /// strategies.
     pub rung: Option<Rung>,
     /// The pair-generation tag; one value is left (see
     /// [`EnumeratorKind`]).
@@ -623,20 +624,19 @@ fn decode_query(r: &mut Reader<'_>, version: u8) -> Result<Query, StoreError> {
 }
 
 /// The requested strategy, canonicalized to the nearest paper-default
-/// configuration (non-default `f64` tunings do not survive the trip;
-/// the fault context is what matters for replay, and descents use
-/// canonical configurations anyway). Tag 0 means "let the selector
-/// choose".
+/// configuration (the fault context is what matters for replay, and
+/// descents use canonical configurations anyway). Tag 0 means "let the
+/// selector choose". Tags 4 (standard IDP1), 6 (Iterative Improvement)
+/// and 7 (Simulated Annealing) are retired and never reused: those
+/// strategies left the optimizer, so a record carrying one fails to
+/// decode and is skipped and counted, like a retired enumerator tag.
 fn encode_algorithm(w: &mut Writer, algorithm: Option<Algorithm>) {
     let (tag, param): (u8, u64) = match algorithm {
         None => (0, 0),
         Some(Algorithm::Dp) => (1, 0),
         Some(Algorithm::Sdp(_)) => (2, 0),
         Some(Algorithm::Idp { k }) => (3, k as u64),
-        Some(Algorithm::IdpStandard { k }) => (4, k as u64),
         Some(Algorithm::Goo) => (5, 0),
-        Some(Algorithm::IterativeImprovement(_)) => (6, 0),
-        Some(Algorithm::SimulatedAnnealing(_)) => (7, 0),
     };
     w.u8(tag);
     w.u64(param);
@@ -645,23 +645,29 @@ fn encode_algorithm(w: &mut Writer, algorithm: Option<Algorithm>) {
 fn decode_algorithm(r: &mut Reader<'_>) -> Result<Option<Algorithm>, StoreError> {
     let tag = r.u8()?;
     let param = r.u64()?;
-    // Only IDP's block size is a parameter; the others write 0.
-    if param != 0 && !matches!(tag, 3 | 4) {
-        return Err(StoreError::Codec(format!(
-            "parameter {param} for algorithm tag {tag}"
-        )));
+    // Only IDP's block size is a parameter; the others write 0. A block
+    // of fewer than two atoms contracts nothing: IDP would panic on it.
+    match (tag, param) {
+        (3, k) if k < 2 => {
+            return Err(StoreError::Codec(format!("IDP block size {k} below 2")));
+        }
+        (3, _) | (_, 0) => {}
+        _ => {
+            return Err(StoreError::Codec(format!(
+                "parameter {param} for algorithm tag {tag}"
+            )));
+        }
     }
     Ok(match tag {
         0 => None,
         1 => Some(Algorithm::Dp),
         2 => Some(Algorithm::Sdp(SdpConfig::paper())),
         3 => Some(Algorithm::Idp { k: param as usize }),
-        4 => Some(Algorithm::IdpStandard { k: param as usize }),
         5 => Some(Algorithm::Goo),
-        6 => Some(Algorithm::ii()),
-        7 => Some(Algorithm::sa()),
         other => {
-            return Err(StoreError::Codec(format!("unknown algorithm tag {other}")));
+            return Err(StoreError::Codec(format!(
+                "unknown or retired algorithm tag {other}"
+            )));
         }
     })
 }

@@ -14,8 +14,10 @@ use sdp_core::{Algorithm, EnumeratorKind, Optimizer};
 use sdp_metrics::StoreCounters;
 use sdp_query::{QueryGenerator, Topology};
 use sdp_store::codec::{decode_dlq, decode_plan, encode_dlq, encode_plan};
+use sdp_store::dlq::{DLQ_FILE, DLQ_LOG_KIND};
 use sdp_store::{
-    DeadLetterQueue, DlqErrorKind, DlqRecord, PlanRecord, PlanStore, StoreError, StoreOptions,
+    DeadLetterQueue, DlqErrorKind, DlqRecord, FramedLog, PlanRecord, PlanStore, StoreError,
+    StoreOptions,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -48,6 +50,22 @@ fn record(k: u64, epoch: u64) -> PlanRecord {
         cost: plan.cost,
         rows: plan.rows,
         root: plan.root,
+    }
+}
+
+/// A dead-letter record for a request that asked for `algorithm`.
+fn dead_letter(fingerprint: u128, algorithm: Algorithm) -> DlqRecord {
+    DlqRecord {
+        fingerprint,
+        stats_epoch: 5,
+        algorithm: Some(algorithm),
+        error_kind: DlqErrorKind::Memory,
+        error: "memory exhausted at GOO".into(),
+        degradations: vec![],
+        deadline_ms: None,
+        memory_bytes: Some(1 << 20),
+        sql: "SELECT ...".into(),
+        query: QueryGenerator::new(&Catalog::paper(), Topology::Chain(3), 1).instance(0),
     }
 }
 
@@ -177,7 +195,9 @@ fn retired_enumerator_tags_are_skipped_and_counted_never_served() {
     // written by pair generation that no longer exists. A
     // current-version record carrying one is intact on disk but must
     // not decode — replay skips and counts it like any other
-    // undecodable payload.
+    // undecodable payload. So must a dead letter asking for a retired
+    // strategy: algorithm tags 4 (standard IDP1), 6 (Iterative
+    // Improvement) and 7 (Simulated Annealing).
     let dir = temp_dir("retired-plan");
     {
         let (mut store, _, _, _) = open(&dir, 5);
@@ -204,36 +224,66 @@ fn retired_enumerator_tags_are_skipped_and_counted_never_served() {
     std::fs::remove_dir_all(&dir).ok();
 
     let dir = temp_dir("retired-dlq");
-    let letter = |fingerprint| DlqRecord {
-        fingerprint,
-        stats_epoch: 5,
-        algorithm: Some(Algorithm::Dp),
-        error_kind: DlqErrorKind::Memory,
-        error: "memory exhausted at GOO".into(),
-        degradations: vec![],
-        deadline_ms: None,
-        memory_bytes: Some(1 << 20),
-        sql: "SELECT ...".into(),
-        query: QueryGenerator::new(&Catalog::paper(), Topology::Chain(3), 1).instance(0),
-    };
     {
         let (mut dlq, _, _) = DeadLetterQueue::open(&dir).unwrap();
-        dlq.enqueue(letter(7)).unwrap();
+        dlq.enqueue(dead_letter(7, Algorithm::Dp)).unwrap();
     }
     // version, fingerprint, stats epoch — then the tag.
     const DLQ_TAG_AT: usize = 1 + 16 + 8;
     for tag in [2u8, 3] {
-        let mut payload = encode_dlq(&letter(8));
+        let mut payload = encode_dlq(&dead_letter(8, Algorithm::Dp));
         assert_eq!(payload[DLQ_TAG_AT], 1);
         payload[DLQ_TAG_AT] = tag;
         let err = decode_dlq(&payload).unwrap_err();
         assert!(matches!(err, StoreError::Codec(_)), "{err}");
         append_frame(&dir.join("dlq.log"), &payload);
     }
+    // The algorithm tag follows the enumerator tag, its parameter after
+    // it. Each record is what the retired strategy wrote: standard
+    // IDP1 its block size, II and SA a zero.
+    const ALGORITHM_TAG_AT: usize = DLQ_TAG_AT + 1;
+    for (tag, written_as, live_tag) in [
+        (4u8, Algorithm::Idp { k: 4 }, 3u8),
+        (6, Algorithm::Dp, 1),
+        (7, Algorithm::Dp, 1),
+    ] {
+        let mut payload = encode_dlq(&dead_letter(9, written_as));
+        assert_eq!(payload[ALGORITHM_TAG_AT], live_tag);
+        payload[ALGORITHM_TAG_AT] = tag;
+        let err = decode_dlq(&payload).unwrap_err();
+        assert!(matches!(err, StoreError::Codec(_)), "tag {tag}: {err}");
+        append_frame(&dir.join("dlq.log"), &payload);
+    }
     let (dlq, recovery, undecodable) = DeadLetterQueue::open(&dir).unwrap();
-    assert_eq!(undecodable, 2);
+    assert_eq!(undecodable, 5, "two enumerator and three algorithm tags");
     assert!(!recovery.truncated);
     assert_eq!(dlq.len(), 1);
     assert_eq!(dlq.records()[0].fingerprint, 7);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn dead_letters_with_an_idp_block_below_two_are_skipped_and_counted() {
+    // IDP's block size must be at least 2: `k = 1` divides by `k − 1`
+    // before the rung starts and `k = 0` trips IDP's assertion, so
+    // replaying such a record would panic its leader. It must not
+    // decode.
+    let dir = temp_dir("idp-block");
+    {
+        let (mut log, _, _) = FramedLog::open(&dir.join(DLQ_FILE), DLQ_LOG_KIND).unwrap();
+        for (fingerprint, k) in [(1, 0), (2, 1), (3, 2)] {
+            log.append(&encode_dlq(&dead_letter(fingerprint, Algorithm::Idp { k })))
+                .unwrap();
+        }
+    }
+    let (dlq, recovery, undecodable) = DeadLetterQueue::open(&dir).unwrap();
+    assert_eq!(recovery.records, 3, "every frame is intact");
+    assert_eq!(undecodable, 2, "k = 0 and k = 1 are skipped and counted");
+    assert_eq!(dlq.len(), 1);
+    assert_eq!(dlq.records()[0].fingerprint, 3);
+    assert!(matches!(
+        dlq.records()[0].algorithm,
+        Some(Algorithm::Idp { k: 2 })
+    ));
     std::fs::remove_dir_all(&dir).ok();
 }

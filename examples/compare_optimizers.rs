@@ -25,8 +25,6 @@ fn main() {
         Algorithm::Idp { k: 4 },
         Algorithm::Sdp(SdpConfig::paper()),
         Algorithm::Goo,
-        Algorithm::ii(),
-        Algorithm::sa(),
     ];
 
     let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); algorithms.len()];

@@ -61,11 +61,9 @@ impl Shell {
                 skyline: SkylineOption::PairwiseUnion,
             }),
             "goo" => Algorithm::Goo,
-            "ii" => Algorithm::ii(),
-            "sa" => Algorithm::sa(),
             other => {
                 return Err(format!(
-                    "unknown algorithm `{other}` (dp|idp4|idp7|sdp|sdp-global|goo|ii|sa)"
+                    "unknown algorithm `{other}` (dp|idp4|idp7|sdp|sdp-global|goo)"
                 ))
             }
         };
@@ -156,7 +154,7 @@ const HELP: &str = "\
 commands:
   \\help                 this text
   \\tables               list relations of the current catalog
-  \\algorithm <name>     dp | idp4 | idp7 | sdp | sdp-global | goo | ii | sa
+  \\algorithm <name>     dp | idp4 | idp7 | sdp | sdp-global | goo
   \\catalog <name>       paper | skewed | scaled (scaled loads executable data)
   \\execute <sql>        optimize AND run (scaled catalog only)
   \\quit                 exit

@@ -19,7 +19,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sdp::core::{Budget, EnumContext, EnumeratorKind, RunStats};
-use sdp::cost::{join_candidates, InnerIndex, JoinInput};
 use sdp::prelude::*;
 
 thread_local! {
@@ -184,33 +183,6 @@ fn costing_a_dominated_pair_does_not_allocate() {
     let (created, calls) = calls_during(|| ctx.join_pair(hub, spoke));
     assert!(!created);
     assert!(ctx.plans_costed > plans_costed, "the pair was costed again");
-    assert_eq!(calls, 0);
-}
-
-#[test]
-fn costing_a_candidate_does_not_allocate() {
-    let input = |rows: f64, ordering| JoinInput {
-        rows,
-        cost: rows / 10.0,
-        width: 64.0,
-        ordering,
-    };
-    let index = InnerIndex {
-        tuples: 1e6,
-        pages: 2e4,
-    };
-    let (candidates, calls) = calls_during(|| {
-        join_candidates(
-            &input(1e3, Some(1)),
-            &input(1e6, None),
-            1e-6,
-            1e3,
-            Some(2),
-            Some(index),
-            &CostParams::default(),
-        )
-    });
-    assert_eq!(candidates.len(), 4, "every method applies");
     assert_eq!(calls, 0);
 }
 
