@@ -34,6 +34,17 @@
 # the other counts, the other three lines and both allocation ceilings
 # are unchanged.
 #
+# A falling bound moved it a third time, 82525 → 80925: after a level
+# that kept more than twice as many JCRs as a greedy completion from it
+# takes merges, DP greedy-completes the level's cheapest survivor and
+# lowers the bound to that complete plan's cost when it is cheaper.
+# The completions' plans are counted. These four Star-12 statements
+# gain little (−1.9 %); the full `cold_dp` run costs 22 % fewer plans
+# per optimization. Any complete plan's cost bounds the served plan as
+# GOO's does, so the digest, the other counts and the other three lines
+# are unchanged; both allocation ceilings hold (527 → 538 calls per
+# request).
+#
 # The same run's `<workload>/allocs_per_req` and
 # `<workload>/alloc_bytes_per_req` lines are counts too — the counting
 # allocator's calls and bytes per request, the same on any host — and

@@ -32,6 +32,16 @@ pub enum CatalogError {
         /// What was supplied.
         found: usize,
     },
+    /// A replacement statistic no estimate can be made from: a NaN,
+    /// infinite or negative count, or a null fraction outside `[0, 1]`.
+    StatsValue {
+        /// The relation it describes.
+        relation: usize,
+        /// Its column, for a column statistic.
+        column: Option<usize>,
+        /// The `RelationStats` or `ColumnStats` field that holds it.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for CatalogError {
@@ -53,6 +63,17 @@ impl fmt::Display for CatalogError {
                     write!(f, " for relation {relation}")?;
                 }
                 write!(f, ", expected {expected}")
+            }
+            CatalogError::StatsValue {
+                relation,
+                column,
+                field,
+            } => {
+                write!(f, "statistic {field} out of range for relation {relation}")?;
+                if let Some(column) = column {
+                    write!(f, ", column {column}")?;
+                }
+                Ok(())
             }
         }
     }
@@ -85,6 +106,15 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "statistics do not fit the schema: 23 histograms for relation 4, expected 24"
+        );
+        let e = CatalogError::StatsValue {
+            relation: 2,
+            column: Some(5),
+            field: "null_frac",
+        };
+        assert_eq!(
+            e.to_string(),
+            "statistic null_frac out of range for relation 2, column 5"
         );
     }
 }

@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use crate::column::{ColId, Column, Distribution};
 use crate::error::CatalogError;
 use crate::relation::{RelId, Relation};
-use crate::statistics::AnalyzedRelation;
+use crate::statistics::{AnalyzedRelation, RelationStats};
 
 /// Parameters describing a synthetic schema in the paper's style.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,8 +164,11 @@ impl Catalog {
     }
 
     /// Whether `analyzed` has the shape [`Catalog::replace_stats`] needs
-    /// and the estimator reads: one `AnalyzedRelation` per relation,
-    /// each with one `ColumnStats` and one histogram per schema column.
+    /// and the estimator reads — one `AnalyzedRelation` per relation,
+    /// each with one `ColumnStats` and one histogram per schema column —
+    /// and values it can estimate from: finite, non-negative counts,
+    /// widths and skew factors, and null fractions in `[0, 1]`. A NaN
+    /// there would reach every cost computed from it.
     pub fn check_stats(&self, analyzed: &[AnalyzedRelation]) -> Result<(), CatalogError> {
         let shape = |relation, what, expected, found| {
             (expected == found)
@@ -182,6 +185,29 @@ impl Catalog {
             let columns = rel.columns.len();
             shape(Some(r), "column statistics", columns, stats.columns.len())?;
             shape(Some(r), "histograms", columns, stats.histograms.len())?;
+            let value = |column, field, value: f64, max: f64| {
+                (0.0..=max)
+                    .contains(&value)
+                    .then_some(())
+                    .ok_or(CatalogError::StatsValue {
+                        relation: r,
+                        column,
+                        field,
+                    })
+            };
+            let RelationStats {
+                tuples,
+                pages,
+                tuple_width,
+            } = stats.relation;
+            value(None, "tuples", tuples, f64::MAX)?;
+            value(None, "pages", pages, f64::MAX)?;
+            value(None, "tuple_width", tuple_width, f64::MAX)?;
+            for (c, column) in stats.columns.iter().enumerate() {
+                value(Some(c), "n_distinct", column.n_distinct, f64::MAX)?;
+                value(Some(c), "skew_factor", column.skew_factor, f64::MAX)?;
+                value(Some(c), "null_frac", column.null_frac, 1.0)?;
+            }
         }
         Ok(())
     }
@@ -380,6 +406,53 @@ mod tests {
         analyzed[1].columns.truncate(2);
         let columns = misfit(Some(1), "column statistics", 24, 2);
         assert_eq!(c.check_stats(&analyzed), columns);
+    }
+
+    #[test]
+    fn check_stats_refuses_values_no_estimate_can_use() {
+        let c = Catalog::paper();
+        let analyzed: Vec<AnalyzedRelation> = c
+            .relations()
+            .iter()
+            .map(AnalyzedRelation::analyze)
+            .collect();
+        let out_of_range = |relation, column, field| {
+            Err(CatalogError::StatsValue {
+                relation,
+                column,
+                field,
+            })
+        };
+        type Poison = fn(&mut AnalyzedRelation);
+        let cases: [(Poison, Option<usize>, &str); 9] = [
+            (|a| a.relation.tuples = f64::NAN, None, "tuples"),
+            (|a| a.relation.pages = -1.0, None, "pages"),
+            (
+                |a| a.relation.tuple_width = f64::INFINITY,
+                None,
+                "tuple_width",
+            ),
+            (
+                |a| a.columns[7].n_distinct = f64::NAN,
+                Some(7),
+                "n_distinct",
+            ),
+            (|a| a.columns[0].skew_factor = -0.5, Some(0), "skew_factor"),
+            (|a| a.columns[3].null_frac = 1.5, Some(3), "null_frac"),
+            (|a| a.columns[3].null_frac = -1e-9, Some(3), "null_frac"),
+            (|a| a.columns[3].null_frac = f64::NAN, Some(3), "null_frac"),
+            (|a| a.relation.tuples = f64::NEG_INFINITY, None, "tuples"),
+        ];
+        for (poison, column, field) in cases {
+            let mut stats = analyzed.clone();
+            poison(&mut stats[4]);
+            assert_eq!(c.check_stats(&stats), out_of_range(4, column, field));
+        }
+        // Zero is a count; a null fraction of one is a fraction.
+        let mut edge = analyzed.clone();
+        edge[4].relation.tuples = 0.0;
+        edge[4].columns[3].null_frac = 1.0;
+        assert_eq!(c.check_stats(&edge), Ok(()));
     }
 
     #[test]

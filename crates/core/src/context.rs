@@ -55,15 +55,20 @@ pub struct RunStats {
     pub ruled_out: u64,
 }
 
-/// The incumbent of an exhaustive DP run: the cost of the plan a
-/// costs-only greedy finds before the levels run
-/// (`EnumContext::incumbent`), root sort included. It bounds every
-/// JCR and plan pair the plan DP returns can contain.
+/// The incumbent of an exhaustive DP run: the cost `B` of a complete
+/// plan, root sort included, which bounds every JCR and plan pair the
+/// plan DP returns can contain. A costs-only greedy prices GOO's plan
+/// before the levels run; completions of wide levels' cheapest
+/// survivors lower `B` as the run goes (`EnumContext::incumbent`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Incumbent {
-    /// Cost of the greedy plan, as `EnumContext::finalize` would serve it.
-    pub cost: f64,
-    /// Plans the greedy costed (part of the run's `plans_costed`).
+    /// Cost of GOO's plan, as `EnumContext::finalize` would serve it:
+    /// the bound the first level ran under.
+    pub first: f64,
+    /// The lowest bound the run found: the one its last level ran under.
+    pub last: f64,
+    /// Plans the greedy and its completions costed (part of the run's
+    /// `plans_costed`, in no level's row).
     pub plans_costed: u64,
 }
 
@@ -377,6 +382,14 @@ struct PairFacts {
     b_index: Option<IndexProbe>,
 }
 
+/// A component of a costs-only greedy (`EnumContext::incumbent`): a memo
+/// group, or a join of components the memo never sees.
+#[derive(Debug)]
+enum Part {
+    Base(RelSet),
+    Joined(Group),
+}
+
 /// Mutable state of one optimization run.
 pub struct EnumContext<'a> {
     query: &'a Query,
@@ -404,8 +417,10 @@ pub struct EnumContext<'a> {
     pub sort_enforcers: u64,
     /// Set by the greedy completion fallback.
     pub completed_greedily: bool,
-    /// Set by exhaustive DP before its levels run.
+    /// Set by exhaustive DP once its levels ran (or one tripped).
     pub incumbent: Option<Incumbent>,
+    /// The greedy's components, kept empty between its runs.
+    greedy_parts: Vec<Part>,
     /// Compound atoms (contracted subtrees) in the current
     /// enumeration, stamped onto every level row — see
     /// [`LevelStats::contractions`].
@@ -450,6 +465,7 @@ impl<'a> EnumContext<'a> {
             sort_enforcers: 0,
             completed_greedily: false,
             incumbent: None,
+            greedy_parts: Vec::new(),
             contractions: 0,
             profile: Vec::new(),
             phase: "",
@@ -900,23 +916,20 @@ impl<'a> EnumContext<'a> {
         best.map(|(_, i, j)| (i, j))
     }
 
-    /// The incumbent of an exhaustive DP run, computed once the base
-    /// groups exist: GOO's merge order costed into scratch groups, which
-    /// never enter the memo and build no node — what GOO would serve,
-    /// at the cost of its joins' plan records alone. The greedy's plans
-    /// count towards `plans_costed`; its records give back their node
-    /// count as they are dropped, and its edge words their room in the
-    /// side table, so the run goes on as if it had not been.
-    pub(crate) fn incumbent(&mut self) -> Incumbent {
-        /// A component of the greedy: a base relation's memo group, or
-        /// a join of components the memo never sees.
-        enum Part {
-            Base(RelSet),
-            Joined(Group),
-        }
+    /// A complete plan for an exhaustive DP run's incumbent: the cost, as
+    /// `finalize` would serve it, and the plans costed for it. The greedy
+    /// starts from the memo group of `start` (none when empty) and the
+    /// base relations outside it, and merges them in GOO's order into
+    /// scratch groups, which never enter the memo and build no node —
+    /// what GOO would serve from there, at the cost of its joins' plan
+    /// records alone. The greedy's plans count towards `plans_costed`;
+    /// its records give back their node count as they are dropped, and
+    /// its edge words their room in the side table, so the run goes on
+    /// as if it had not been.
+    pub(crate) fn incumbent(&mut self, start: RelSet) -> (f64, u64) {
         fn group<'m>(memo: &'m Memo, part: &'m Part) -> &'m Group {
             match part {
-                Part::Base(set) => memo.get(*set).expect("base groups exist"),
+                Part::Base(set) => memo.get(*set).expect("the start and base groups exist"),
                 Part::Joined(group) => group,
             }
         }
@@ -929,9 +942,16 @@ impl<'a> EnumContext<'a> {
 
         let wide_len = self.wide.len();
         let mut costing = Costing::default();
-        let mut parts: Vec<Part> = (0..self.graph().len())
-            .map(|node| Part::Base(RelSet::single(node)))
-            .collect();
+        // The components' buffer outlives the call: a run completes
+        // greedily several times, and allocates for it once.
+        let mut parts = std::mem::take(&mut self.greedy_parts);
+        parts.reserve_exact(self.graph().len());
+        parts.extend((!start.is_empty()).then_some(Part::Base(start)));
+        parts.extend(
+            (0..self.graph().len())
+                .filter(|&node| !start.contains(node))
+                .map(|node| Part::Base(RelSet::single(node))),
+        );
         while parts.len() > 1 {
             let (i, j) = self
                 .min_rows_pair(parts.len(), |k| group(&self.memo, &parts[k]))
@@ -961,10 +981,11 @@ impl<'a> EnumContext<'a> {
                 }
             }
         };
-        parts.into_iter().for_each(drop_part);
+        parts.drain(..).for_each(drop_part);
+        self.greedy_parts = parts;
         self.wide.truncate(wide_len);
         self.plans_costed += plans_costed;
-        Incumbent { cost, plans_costed }
+        (cost, plans_costed)
     }
 
     /// The costing core shared by the level stage and `join_pair`:

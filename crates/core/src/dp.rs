@@ -36,7 +36,7 @@ use std::sync::Arc;
 use sdp_query::RelSet;
 
 use crate::budget::OptError;
-use crate::context::{EnumContext, LevelStage, LevelStats, StagedJcr};
+use crate::context::{EnumContext, Incumbent, LevelStage, LevelStats, StagedJcr};
 use crate::enumerate::LevelScan;
 use crate::memo::Group;
 use crate::plan::PlanNode;
@@ -79,6 +79,10 @@ pub trait LevelPruner {
     fn cost_bound(&self) -> Option<f64> {
         None
     }
+
+    /// Called once the level's survivors (`survivors`, in creation
+    /// order) are memo groups and its profile row is recorded.
+    fn sealed(&mut self, _ctx: &mut EnumContext<'_>, _survivors: &[(RelSet, RelSet)]) {}
 }
 
 /// Per-level skyline accounting reported by a [`LevelPruner`].
@@ -140,7 +144,7 @@ fn run_one_level<'p>(
     buffers: &mut LevelBuffers,
     level: usize,
     visits: &mut u64,
-    pruner: Option<&mut (dyn LevelPruner + 'p)>,
+    mut pruner: Option<&mut (dyn LevelPruner + 'p)>,
 ) -> Result<Vec<(RelSet, RelSet)>, OptError> {
     let LevelBuffers {
         pairs,
@@ -180,7 +184,7 @@ fn run_one_level<'p>(
             let keep = !group.is_empty() && group.best_cost() <= bound;
             verdict(ctx, jcr, keep)
         });
-    } else if let Some(p) = pruner {
+    } else if let Some(p) = pruner.as_deref_mut() {
         sets.clear();
         features.clear();
         keep.clear();
@@ -232,6 +236,9 @@ fn run_one_level<'p>(
     ctx.record_level(stats);
     #[cfg(feature = "trace")]
     ctx.tracer().emit_with(|| level_event(&stats));
+    if let Some(p) = pruner {
+        p.sealed(ctx, &survivors);
+    }
     Ok(survivors)
 }
 
@@ -338,44 +345,56 @@ pub fn run_levels(
 /// base groups exist, a costs-only greedy prices GOO's plan at `B`
 /// (`EnumContext::incumbent`). Every level then leaves uncosted the
 /// plan pairs whose floor already exceeds `B`, and its barrier drops
-/// the JCRs whose cheapest plan costs more (`IncumbentPruner`).
+/// the JCRs whose cheapest plan costs more (`IncumbentPruner`); after
+/// a wide level's barrier, a completion of its cheapest survivor may
+/// lower `B` for the levels above.
 /// The plan, its cost bits and its tie-breaking are those of
 /// `optimize_complete(ctx, None)`; see "Incumbent-bounded DP" in
 /// DESIGN.md for why.
 pub fn optimize_dp(ctx: &mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError> {
     let all = prepare(ctx)?;
-    let incumbent = ctx.incumbent();
+    let (bound, plans_costed) = ctx.incumbent(RelSet::EMPTY);
+    let mut pruner = IncumbentPruner(Incumbent {
+        first: bound,
+        last: bound,
+        plans_costed,
+    });
+    let served = complete(ctx, all, Some(&mut pruner));
+    // Recorded even for a rung that trips: its bound and its plans are
+    // part of the run's account.
+    let incumbent = pruner.0;
     ctx.incumbent = Some(incumbent);
     #[cfg(feature = "trace")]
     ctx.tracer().emit_with(|| {
         sdp_trace::Event::new("incumbent")
-            .with("bound", incumbent.cost)
+            .with("first", incumbent.first)
+            .with("last", incumbent.last)
             .with("plans_costed", incumbent.plans_costed)
     });
-    let mut pruner = IncumbentPruner {
-        bound: incumbent.cost,
-    };
-    complete(ctx, all, Some(&mut pruner))
+    served
 }
 
 /// The level pruner of exhaustive DP: drops every JCR whose cheapest
-/// plan costs strictly more than `bound`, a complete plan's cost (and,
-/// as a [`LevelPruner::cost_bound`], every plan pair whose floor does).
+/// plan costs strictly more than the bound `B` (`Incumbent::last`), a
+/// complete plan's cost (and, as a [`LevelPruner::cost_bound`], every
+/// plan pair whose floor does).
 ///
 /// Every join costs at least the inputs it includes, and only an
 /// index nested loop leaves one out — its inner, always a single base
 /// relation (`sdp_cost::JoinTerms`). A JCR of two or more relations
-/// costing more than `bound`, like a plan pair whose floor exceeds it,
-/// therefore only ever yields offers costing more than `bound`, which
-/// evict only entries costing more than `bound`: every entry at or
-/// under it, the served plan among them, is retained as it would be
-/// without the pruner, in the same order. The levels DP runs over
-/// singleton atoms hold only such JCRs; base groups are never staged.
+/// costing more than `B`, like a plan pair whose floor exceeds it,
+/// therefore only ever yields offers costing more than `B`, which
+/// evict only entries costing more than `B`: every entry at or under
+/// it, the served plan among them, is retained as it would be without
+/// the pruner, in the same order. The levels DP runs over singleton
+/// atoms hold only such JCRs; base groups are never staged.
+///
+/// `B` falls as the run finds cheaper complete plans
+/// ([`LevelPruner::sealed`]). The argument holds for any `B` that is the
+/// cost of a real plan: a level pruned under a looser bound kept a
+/// superset of what a tighter one keeps.
 #[derive(Debug, Clone, Copy)]
-struct IncumbentPruner {
-    /// Cost of a complete plan for the query, root sort included.
-    bound: f64,
-}
+struct IncumbentPruner(Incumbent);
 
 impl LevelPruner for IncumbentPruner {
     fn prune(
@@ -387,12 +406,43 @@ impl LevelPruner for IncumbentPruner {
         keep: &mut [bool],
     ) {
         for ([_, cost, _], keep) in features.iter().zip(keep) {
-            *keep = *cost <= self.bound;
+            *keep = *cost <= self.0.last;
         }
     }
 
     fn cost_bound(&self) -> Option<f64> {
-        Some(self.bound)
+        Some(self.0.last)
+    }
+
+    /// Tighten `B` from a wide level: greedy-complete its cheapest
+    /// survivor (`EnumContext::incumbent`), and lower `B` to the
+    /// complete plan's cost when that is cheaper.
+    ///
+    /// A completion from a JCR of `s` of the query's `n` relations takes
+    /// `n − s` greedy merges; what a lower `B` saves is in the levels
+    /// above, whose pairs grow with this level's survivors. So a level
+    /// tightens when it kept more than twice as many JCRs as a
+    /// completion takes merges. Levels around a hub, and a clique's,
+    /// are exponentially wide and qualify from their third level on; a
+    /// chain's level keeps at most `n − s + 1` JCRs and never does, a
+    /// cycle's `n` only above `s = n / 2`. (Tightening after every level
+    /// costs a chain more plans than it saves.)
+    fn sealed(&mut self, ctx: &mut EnumContext<'_>, survivors: &[(RelSet, RelSet)]) {
+        let n = ctx.graph().len();
+        let s = survivors.first().map_or(n, |&(set, _)| set.len());
+        if s >= n || survivors.len() <= 2 * (n - s) {
+            return;
+        }
+        let cost = |set| {
+            let group = ctx.memo.get(set).expect("a survivor is a memo group");
+            (set, group.best_cost())
+        };
+        let cheapest = (survivors.iter().map(|&(set, _)| cost(set)))
+            .reduce(|a, b| if b.1 < a.1 { b } else { a })
+            .expect("a wide level has survivors");
+        let (complete, plans_costed) = ctx.incumbent(cheapest.0);
+        self.0.plans_costed += plans_costed;
+        self.0.last = self.0.last.min(complete);
     }
 }
 
@@ -766,45 +816,130 @@ mod tests {
                 let incumbent = ctx.incumbent.unwrap();
                 let mut goo = EnumContext::new(&query, &model, Budget::unlimited());
                 let greedy = optimize_goo(&mut goo).unwrap();
-                prop_assert_eq!(incumbent.cost.to_bits(), greedy.cost.to_bits());
+                prop_assert_eq!(incumbent.first.to_bits(), greedy.cost.to_bits());
+                prop_assert!(expected.cost <= incumbent.last && incumbent.last <= incumbent.first);
                 prop_assert!(
                     ctx.plans_costed <= oracle.plans_costed + incumbent.plans_costed
                 );
-
-                // The same bound on JCRs alone: plan-pair floors cost
-                // no more, and drop the very JCRs (some for having no
-                // plan at all) the barrier drops for costing too much.
-                let bound = incumbent.cost;
-                let mut jcrs_only = EnumContext::new(&query, &model, Budget::unlimited());
-                let all = prepare(&mut jcrs_only).unwrap();
-                prop_assert_eq!(jcrs_only.incumbent(), incumbent);
-                let mut pruner = JcrsOnly(IncumbentPruner { bound });
-                let barrier_bounded = complete(&mut jcrs_only, all, Some(&mut pruner)).unwrap();
-                prop_assert_eq!(barrier_bounded.structural_digest(), expected.structural_digest());
-                prop_assert!(ctx.plans_costed <= jcrs_only.plans_costed);
-                prop_assert_eq!(ctx.jcrs_pruned, jcrs_only.jcrs_pruned);
-                prop_assert_eq!(jcrs_only.ruled_out, 0);
-
-                let at_most_bound = |group: &Group| -> Vec<_> {
+                let (first, last) = (incumbent.first, incumbent.last);
+                let at_most = |bound: f64, group: &Group| -> Vec<_> {
                     (group.entries().iter())
                         .filter(|e| e.cost <= bound)
                         .map(|e| (e.cost.to_bits(), e.ordering()))
                         .collect()
                 };
+                // Every level ran under a bound between the two: what it
+                // dropped costs more than the last, what it kept no more
+                // than the first, and at or under the last it kept what
+                // the unbounded run keeps.
                 for set in oracle.memo.sets() {
                     let unbounded = oracle.memo.get(set).unwrap();
                     match ctx.memo.get(set) {
                         None => prop_assert!(
-                            unbounded.best_cost() > bound,
+                            unbounded.best_cost() > last,
                             "{:?} dropped at {} under the bound {}",
-                            set, unbounded.best_cost(), bound
+                            set, unbounded.best_cost(), last
                         ),
                         Some(kept) => {
-                            prop_assert!(set.len() == 1 || kept.best_cost() <= bound);
-                            prop_assert_eq!(at_most_bound(kept), at_most_bound(unbounded));
+                            prop_assert!(set.len() == 1 || kept.best_cost() <= first);
+                            prop_assert_eq!(at_most(last, kept), at_most(last, unbounded));
                         }
                     }
                 }
+
+                // GOO's bound for the whole run: plan-pair floors, then the
+                // same bound on JCRs alone. The floors cost no more, and
+                // drop the very JCRs (some for having no plan at all) the
+                // barrier drops for costing too much.
+                let untightened = |pruner: &mut dyn LevelPruner| {
+                    let mut run = EnumContext::new(&query, &model, Budget::unlimited());
+                    let all = prepare(&mut run).unwrap();
+                    let (bound, _) = run.incumbent(RelSet::EMPTY);
+                    let plan = complete(&mut run, all, Some(pruner)).unwrap();
+                    (bound, plan.structural_digest(), run)
+                };
+                let goo_bound = pruner_at(first);
+                let (bound, digest, floors) = untightened(&mut Untightened(goo_bound));
+                prop_assert_eq!(bound.to_bits(), first.to_bits());
+                prop_assert_eq!(digest, expected.structural_digest());
+                let (_, digest, jcrs_only) = untightened(&mut JcrsOnly(goo_bound));
+                prop_assert_eq!(digest, expected.structural_digest());
+                prop_assert!(floors.plans_costed <= jcrs_only.plans_costed);
+                prop_assert_eq!(floors.jcrs_pruned, jcrs_only.jcrs_pruned);
+                prop_assert_eq!(jcrs_only.ruled_out, 0);
+                for set in oracle.memo.sets() {
+                    let unbounded = oracle.memo.get(set).unwrap();
+                    match floors.memo.get(set) {
+                        None => prop_assert!(unbounded.best_cost() > first),
+                        Some(kept) => {
+                            prop_assert!(set.len() == 1 || kept.best_cost() <= first);
+                            prop_assert_eq!(at_most(first, kept), at_most(first, unbounded));
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Star levels are wide, so the bound falls below GOO's on some
+        /// instances, and the plans stay the unbounded run's; a chain's
+        /// levels never are, so its run costs only GOO's greedy.
+        #[test]
+        fn wide_levels_tighten_the_bound_and_chains_never_do() {
+            let cat = Catalog::paper();
+            let model = CostModel::with_defaults(&cat);
+            let mut tightened = 0;
+            for k in 0..8 {
+                let q = QueryGenerator::new(&cat, Topology::Star(9), 7).instance(k);
+                let mut oracle = EnumContext::new(&q, &model, Budget::unlimited());
+                let expected = optimize_complete(&mut oracle, None).unwrap();
+                let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+                let plan = optimize_dp(&mut ctx).unwrap();
+                assert_eq!(plan.cost.to_bits(), expected.cost.to_bits(), "instance {k}");
+                assert_eq!(plan.structural_digest(), expected.structural_digest());
+                let incumbent = ctx.incumbent.unwrap();
+                assert!(expected.cost <= incumbent.last && incumbent.last <= incumbent.first);
+                tightened += usize::from(incumbent.last < incumbent.first);
+            }
+            assert!(tightened > 0, "no Star-9 instance tightened its bound");
+
+            let q = QueryGenerator::new(&cat, Topology::Chain(12), 7).instance(0);
+            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+            optimize_dp(&mut ctx).unwrap();
+            let mut greedy = EnumContext::new(&q, &model, Budget::unlimited());
+            prepare(&mut greedy).unwrap();
+            let (_, plans_costed) = greedy.incumbent(RelSet::EMPTY);
+            let incumbent = ctx.incumbent.unwrap();
+            assert_eq!(incumbent.plans_costed, plans_costed);
+            assert_eq!(incumbent.last.to_bits(), incumbent.first.to_bits());
+        }
+
+        /// An [`IncumbentPruner`] starting at `bound`, nothing costed for it.
+        fn pruner_at(bound: f64) -> IncumbentPruner {
+            IncumbentPruner(Incumbent {
+                first: bound,
+                last: bound,
+                plans_costed: 0,
+            })
+        }
+
+        /// [`IncumbentPruner`] with its bound fixed: every level runs
+        /// under the bound it starts with.
+        struct Untightened(IncumbentPruner);
+
+        impl LevelPruner for Untightened {
+            fn prune(
+                &mut self,
+                ctx: &EnumContext<'_>,
+                level: usize,
+                level_sets: &[RelSet],
+                features: &[[f64; 3]],
+                keep: &mut [bool],
+            ) {
+                self.0.prune(ctx, level, level_sets, features, keep);
+            }
+
+            fn cost_bound(&self) -> Option<f64> {
+                self.0.cost_bound()
             }
         }
 
@@ -851,7 +986,7 @@ mod tests {
                 let expected = optimize_complete(&mut oracle, None).unwrap();
                 let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
                 let plan = optimize_dp(&mut ctx).unwrap();
-                let bound = ctx.incumbent.unwrap().cost;
+                let bound = ctx.incumbent.unwrap().first;
                 assert_eq!(
                     bound.to_bits(),
                     expected.cost.to_bits(),
@@ -875,7 +1010,7 @@ mod tests {
             let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
             let all = prepare(&mut ctx).unwrap();
             // Under the floor of every join.
-            let mut pruner = IncumbentPruner { bound: 0.0 };
+            let mut pruner = pruner_at(0.0);
             let plan = complete(&mut ctx, all, Some(&mut pruner)).unwrap();
             let pairs = &ctx.profile()[0];
             assert_eq!((pairs.level, pairs.pairs, pairs.plans_costed), (2, 3, 0));

@@ -79,8 +79,8 @@ mod tests {
 /// Render a governed optimization as an `EXPLAIN ANALYZE`-style
 /// report carrying plan provenance: a header naming the requested and
 /// producing strategies plus the governor's descent history (and, when
-/// exhaustive DP ran, the incumbent bound it pruned against and the
-/// plan alternatives that bound ruled out uncosted), the plan
+/// exhaustive DP ran, the first and the last incumbent bound it pruned
+/// against and the plan alternatives they ruled out uncosted), the plan
 /// tree annotated per node with cumulative and self cost and the rung
 /// that produced it, and the per-level enumeration profile (pairs
 /// considered, plans costed, pruning counters, skyline partitions and
@@ -119,8 +119,8 @@ pub fn explain_analyze(governed: &GovernedPlan) -> String {
     if let Some(incumbent) = stats.incumbent {
         let _ = writeln!(
             out,
-            "incumbent bound={:.2}  greedy_plans_costed={}  ruled_out={}",
-            incumbent.cost, incumbent.plans_costed, stats.ruled_out
+            "incumbent bound={:.2} -> {:.2}  plans_costed={}  ruled_out={}",
+            incumbent.first, incumbent.last, incumbent.plans_costed, stats.ruled_out
         );
     }
     for d in &governed.degradations {
@@ -228,11 +228,11 @@ mod analyze_tests {
         assert!(text.contains("self="));
         let stats = &governed.plan.stats;
         let incumbent = stats.incumbent.unwrap();
-        assert!(incumbent.cost >= governed.plan.cost);
+        assert!(incumbent.first >= incumbent.last && incumbent.last >= governed.plan.cost);
         assert!(stats.ruled_out > 0, "the bound rules plan pairs out");
         assert!(text.contains(&format!(
-            "incumbent bound={:.2}  greedy_plans_costed={}  ruled_out={}\n",
-            incumbent.cost, incumbent.plans_costed, stats.ruled_out
+            "incumbent bound={:.2} -> {:.2}  plans_costed={}  ruled_out={}\n",
+            incumbent.first, incumbent.last, incumbent.plans_costed, stats.ruled_out
         )));
         // One tree line per plan node, all tagged with the rung.
         assert_eq!(

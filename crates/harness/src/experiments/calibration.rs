@@ -69,6 +69,7 @@ pub fn table_2_1(session: &Session) -> ExperimentReport {
     }
 
     ExperimentReport {
+        failure: None,
         id: "table-2-1",
         title: "Table 2.1 — DP Overheads (Chain and Star)".into(),
         text,
@@ -159,6 +160,7 @@ pub fn table_3_3(session: &Session) -> ExperimentReport {
     }
 
     ExperimentReport {
+        failure: None,
         id: "table-3-3",
         title: "Table 3.3 — Maximum Star Scale-up".into(),
         text,

@@ -29,6 +29,9 @@ pub struct ExperimentReport {
     pub text: String,
     /// Markdown rendering for EXPERIMENTS.md.
     pub markdown: String,
+    /// What the experiment found wrong, if anything: `sdp-experiments`
+    /// prints it and exits non-zero once every experiment has run.
+    pub failure: Option<String>,
 }
 
 /// Shared state for a batch of experiments: the paper catalog and a

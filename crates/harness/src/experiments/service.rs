@@ -127,6 +127,7 @@ pub fn extra_service_replay(session: &Session) -> ExperimentReport {
          enumeration, so total plans costed stays at the cold-start cost.)\n",
     );
     ExperimentReport {
+        failure: None,
         id: "extra-service-replay",
         title: "Extra — Plan-Cache and Coalescing Amortization".into(),
         text,

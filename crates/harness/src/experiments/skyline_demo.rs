@@ -159,6 +159,7 @@ pub fn table_2_2(session: &Session) -> ExperimentReport {
     ));
 
     ExperimentReport {
+        failure: None,
         id: "table-2-2",
         title: "Table 2.2 — Multi-way Skyline Pruning (worked example)".into(),
         text,
@@ -225,6 +226,7 @@ pub fn table_2_3(session: &Session) -> ExperimentReport {
     }
 
     ExperimentReport {
+        failure: None,
         id: "table-2-3",
         title: "Table 2.3 — Performance of Skyline Options".into(),
         text,

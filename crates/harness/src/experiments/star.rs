@@ -47,6 +47,7 @@ pub fn table_3_1(session: &Session) -> ExperimentReport {
         markdown.push('\n');
     }
     ExperimentReport {
+        failure: None,
         id: "table-3-1",
         title: "Table 3.1 — Star: Plan Quality".into(),
         text,
@@ -73,6 +74,7 @@ pub fn table_3_2(session: &Session) -> ExperimentReport {
         markdown.push('\n');
     }
     ExperimentReport {
+        failure: None,
         id: "table-3-2",
         title: "Table 3.2 — Star: Optimization Overheads".into(),
         text,
@@ -98,6 +100,7 @@ pub fn table_3_4(session: &Session) -> ExperimentReport {
         markdown.push('\n');
     }
     ExperimentReport {
+        failure: None,
         id: "table-3-4",
         title: "Table 3.4 — Ordered Star: Plan Quality".into(),
         text,

@@ -102,6 +102,7 @@ pub fn table_1_1(session: &Session) -> ExperimentReport {
     let algs = [Algorithm::Dp, Algorithm::Idp { k: 7 }, SDP];
     let rows = quality_rows(session, topo, &algs, false, session.config.instances);
     ExperimentReport {
+        failure: None,
         id: "table-1-1",
         title: "Table 1.1 — Plan Quality (DP, IDP, SDP) on Star-Chain-15".into(),
         text: render_quality_table("Table 1.1: Plan Quality", &topo.label(), &rows),
@@ -115,6 +116,7 @@ pub fn table_1_2(session: &Session) -> ExperimentReport {
     let algs = [Algorithm::Dp, Algorithm::Idp { k: 7 }, SDP];
     let rows = overhead_rows(session, topo, &algs, false, session.config.instances);
     ExperimentReport {
+        failure: None,
         id: "table-1-2",
         title: "Table 1.2 — Optimization Overheads on Star-Chain-15".into(),
         text: render_overhead_table("Table 1.2: Optimization Overheads", &topo.label(), &rows),
@@ -201,6 +203,7 @@ pub fn figure_1_2(session: &Session) -> ExperimentReport {
         }
     }
     ExperimentReport {
+        failure: None,
         id: "figure-1-2",
         title: "Figure 1.2 — Plan Quality (ρ) vs. Effort Tradeoff".into(),
         text,
@@ -214,6 +217,7 @@ pub fn table_1_3(session: &Session) -> ExperimentReport {
     let algs = [Algorithm::Dp, Algorithm::Idp { k: 7 }, SDP];
     let rows = quality_rows(session, topo, &algs, false, session.heavy_instances());
     ExperimentReport {
+        failure: None,
         id: "table-1-3",
         title: "Table 1.3 — Scaled Join Graph (Star-Chain-23): Plan Quality".into(),
         text: render_quality_table(
@@ -231,6 +235,7 @@ pub fn table_1_4(session: &Session) -> ExperimentReport {
     let algs = [Algorithm::Dp, Algorithm::Idp { k: 7 }, SDP];
     let rows = overhead_rows(session, topo, &algs, false, session.heavy_instances());
     ExperimentReport {
+        failure: None,
         id: "table-1-4",
         title: "Table 1.4 — Scaled Join Graph (Star-Chain-23): Overheads".into(),
         text: render_overhead_table(
@@ -274,6 +279,7 @@ pub fn table_3_5(session: &Session) -> ExperimentReport {
         markdown.push('\n');
     }
     ExperimentReport {
+        failure: None,
         id: "table-3-5",
         title: "Table 3.5 — Ordered Star-Chain: Plan Quality".into(),
         text,
@@ -305,6 +311,7 @@ pub fn table_3_6(session: &Session) -> ExperimentReport {
         })
         .collect();
     ExperimentReport {
+        failure: None,
         id: "table-3-6",
         title: "Table 3.6 — Local vs Global Pruning (Star-Chain-20)".into(),
         text: render_quality_table("Table 3.6: Local vs Global Pruning", &topo.label(), &rows),

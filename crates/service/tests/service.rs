@@ -216,24 +216,22 @@ fn replacing_stats_changes_the_served_plan_cost() {
     );
 }
 
-/// Offer `service` misshapen statistics: they are refused with a typed
-/// error, and the epoch, the cache and the purge counter are as they
-/// were — the cached plan is still a hit — and a new request touching
-/// every relation (star instance `seed`) plans: no poisoned catalog
-/// lock, no estimator panic.
+/// Offer `service` misshapen or poisoned statistics: they are refused
+/// with a typed error, returned, and the epoch, the cache and the purge
+/// counter are as they were — the cached plan is still a hit — and a new
+/// request touching every relation (star instance `seed`) plans: no
+/// poisoned catalog lock, no estimator panic.
 fn assert_refused_and_unharmed(
     catalog: &Catalog,
     service: &OptimizerService,
     cached: &ServiceRequest,
     seed: u64,
     analyzed: Vec<AnalyzedRelation>,
-) {
+) -> CatalogError {
     let cached_plans = service.cached_plans();
-    let refused = service.update_stats(analyzed);
-    assert!(
-        matches!(refused, Err(CatalogError::StatsShape { .. })),
-        "{refused:?}"
-    );
+    let refused = service
+        .update_stats(analyzed)
+        .expect_err("the statistics are refused");
     assert_eq!(service.catalog().stats_epoch(), 0);
     assert_eq!(service.cached_plans(), cached_plans);
     assert_eq!(service.counters_snapshot().stale_evicted, 0);
@@ -241,6 +239,22 @@ fn assert_refused_and_unharmed(
     let star = QueryGenerator::new(catalog, Topology::Star(catalog.len()), seed).instance(0);
     let fresh = ServiceRequest::query(star).with_algorithm(Algorithm::Goo);
     assert_eq!(service.get_plan(&fresh).unwrap().source, PlanSource::Fresh);
+    refused
+}
+
+/// [`assert_refused_and_unharmed`], refused for their shape.
+fn assert_misshapen(
+    catalog: &Catalog,
+    service: &OptimizerService,
+    cached: &ServiceRequest,
+    seed: u64,
+    analyzed: Vec<AnalyzedRelation>,
+) {
+    let refused = assert_refused_and_unharmed(catalog, service, cached, seed, analyzed);
+    assert!(
+        matches!(refused, CatalogError::StatsShape { .. }),
+        "{refused:?}"
+    );
 }
 
 fn analyzed(catalog: &Catalog) -> Vec<AnalyzedRelation> {
@@ -262,10 +276,10 @@ fn statistics_for_the_wrong_relations_are_refused() {
     let request = ServiceRequest::query(query).with_algorithm(Algorithm::Dp);
     service.get_plan(&request).unwrap();
 
-    assert_refused_and_unharmed(&catalog, &service, &request, 1, Vec::new());
+    assert_misshapen(&catalog, &service, &request, 1, Vec::new());
     let mut one_short = analyzed(&catalog);
     one_short.pop();
-    assert_refused_and_unharmed(&catalog, &service, &request, 2, one_short);
+    assert_misshapen(&catalog, &service, &request, 2, one_short);
 }
 
 /// Truncated per-column statistics or histograms are refused too: once
@@ -285,14 +299,59 @@ fn truncated_column_statistics_are_refused() {
         let mut columns = analyzed(&catalog);
         columns[relation].columns.truncate(1);
         seed += 1;
-        assert_refused_and_unharmed(&catalog, &service, &request, seed, columns);
+        assert_misshapen(&catalog, &service, &request, seed, columns);
         let mut histograms = analyzed(&catalog);
         histograms[relation].histograms.clear();
         seed += 1;
-        assert_refused_and_unharmed(&catalog, &service, &request, seed, histograms);
+        assert_misshapen(&catalog, &service, &request, seed, histograms);
     }
     let accepted = service.update_stats(analyzed(&catalog));
     assert_eq!(accepted, Ok(1), "well-shaped statistics go in");
+}
+
+/// Statistics no estimate can be made from are refused like misshapen
+/// ones, naming the relation, the column and the field. Once installed,
+/// a NaN tuple or page count panicked every optimization touching the
+/// relation (`Group::best` compares costs), and a NaN distinct count or
+/// skew factor was clamped into plans costing up to 1e298.
+#[test]
+fn statistics_no_estimate_can_use_are_refused() {
+    let catalog = Catalog::paper();
+    let service = OptimizerService::new(catalog.clone(), small_config());
+    let query = QueryGenerator::new(&catalog, Topology::Chain(5), 2).instance(0);
+    let request = ServiceRequest::query(query).with_algorithm(Algorithm::Dp);
+    service.get_plan(&request).unwrap();
+
+    type Poison = fn(&mut AnalyzedRelation);
+    let cases: [(Poison, Option<usize>, &str); 6] = [
+        (|a| a.relation.tuples = f64::NAN, None, "tuples"),
+        (|a| a.relation.pages = f64::INFINITY, None, "pages"),
+        (|a| a.relation.tuple_width = -8.0, None, "tuple_width"),
+        (
+            |a| a.columns[2].n_distinct = f64::NAN,
+            Some(2),
+            "n_distinct",
+        ),
+        (
+            |a| a.columns[2].skew_factor = f64::NAN,
+            Some(2),
+            "skew_factor",
+        ),
+        (|a| a.columns[0].null_frac = 2.0, Some(0), "null_frac"),
+    ];
+    for (seed, (poison, column, field)) in (1..).zip(cases) {
+        let relation = seed as usize;
+        let mut stats = analyzed(&catalog);
+        poison(&mut stats[relation]);
+        let refused = assert_refused_and_unharmed(&catalog, &service, &request, seed, stats);
+        let expected = CatalogError::StatsValue {
+            relation,
+            column,
+            field,
+        };
+        assert_eq!(refused, expected);
+    }
+    assert_eq!(service.update_stats(analyzed(&catalog)), Ok(1));
 }
 
 /// LRU capacity pressure evicts; the counters see it.
