@@ -45,6 +45,21 @@
 # are unchanged; both allocation ceilings hold (527 → 538 calls per
 # request).
 #
+# Lazy costing for SDP moved two lines. `cold_sdp` moved only its
+# `plans costed`, 235450 → 132354: a level SDP prunes now stages its
+# JCRs uncosted and costs one only where a skyline needs its exact
+# cost, or where it survives. The keep-masks, the plans and the digest
+# are those of the all-costed run. `governed_churn` moved its `plans
+# costed` (156337 → 106105) and its digest (c6e9433aa227151d →
+# c89803d83f2a1b39). Its first barrier of an SDP level now samples only
+# the costed JCRs' records, so SDP rungs that used to trip the 2 MiB
+# budget there now complete, and some statements are served SDP's plan
+# instead of a lower rung's. `cold_sdp`'s allocator calls stay under
+# their ceiling; its bytes ceiling rose 158920 → 162980 (2 % over the
+# 159784 measured): the deferred-pair list (12 bytes a pair) and the
+# sort buffer of the settlement sweeps (16 bytes a partition member)
+# grow with the widest level, once per request.
+#
 # The same run's `<workload>/allocs_per_req` and
 # `<workload>/alloc_bytes_per_req` lines are counts too — the counting
 # allocator's calls and bytes per request, the same on any host — and

@@ -264,8 +264,9 @@ impl MemoryModel {
     /// [`MemoryModel::check`] at a level barrier: ticks the barrier
     /// counter first, and (under the `testkit` feature) applies any
     /// faults scheduled for the new tick before checking. Barriers
-    /// happen twice per DP level — after enumeration and after the
-    /// pruner — so the counter is a deterministic logical clock.
+    /// happen twice per DP level — once the level is costed, before its
+    /// verdict drops anything, and after the verdict — so the counter is
+    /// a deterministic logical clock.
     pub fn barrier_check(&mut self) -> Result<(), OptError> {
         self.barriers += 1;
         #[cfg(feature = "testkit")]

@@ -90,6 +90,10 @@ pub struct LevelStats {
     pub plans_costed: u64,
     /// Distinct JCRs newly materialized.
     pub jcrs_created: u64,
+    /// JCRs the level pruned without ever costing them: no skyline
+    /// needed more than their cost floor (see "Lazy costing" in
+    /// DESIGN.md). Zero for a level that costs as it stages.
+    pub jcrs_uncosted: u64,
     /// JCRs removed by the level pruner.
     pub jcrs_pruned: u64,
     /// JCRs surviving in the level row after pruning.
@@ -127,6 +131,9 @@ pub(crate) struct Costing {
     pub ruled_out: u64,
 }
 
+/// No pair: the end of a [`StagedJcr`]'s chain of deferred pairs.
+const NO_PAIR: u32 = u32::MAX;
+
 /// A JCR of the level being enumerated: the group its pairs are costed
 /// into, not yet in the memo.
 #[derive(Debug)]
@@ -137,6 +144,45 @@ pub(crate) struct StagedJcr {
     /// earlier rung of a governed descent. This record then only holds
     /// the level's offers until the barrier folds them into that group.
     pub in_memo: bool,
+    /// The last of its pairs staged uncosted, which chains back through
+    /// `LevelStage::deferred` to the first; `NO_PAIR` for a JCR that is
+    /// costed (as it was staged, or since).
+    deferred: u32,
+}
+
+impl StagedJcr {
+    /// Whether its pairs are costed into `group`.
+    pub fn costed(&self) -> bool {
+        self.deferred == NO_PAIR
+    }
+}
+
+/// A pair staged uncosted: the memo slots of its two inputs, in the
+/// pair's order, and the previous pair of the same JCR (`NO_PAIR` for
+/// its first).
+#[derive(Debug, Clone, Copy)]
+struct DeferredPair {
+    a: u32,
+    b: u32,
+    previous: u32,
+}
+
+/// What the inputs of `a ⋈ b` put under every join alternative of the
+/// pair: the sum of their cheapest plans' costs, or — where one side is
+/// a single relation, a possible index nested-loop inner whose plan the
+/// probes replace — the other side's cheapest cost alone. Plus the
+/// output's emission, this is at most every alternative's cost: the
+/// argument of `JoinTerms::floor` and `JoinTerms::outer_floor`, since
+/// every input plan costs at least its group's cheapest and `f64`
+/// rounding is monotone.
+fn inputs_floor(a: &Group, b: &Group) -> f64 {
+    let (cost_a, cost_b) = (a.best_cost(), b.best_cost());
+    match (a.set.len() == 1, b.set.len() == 1) {
+        (true, true) => cost_a.min(cost_b),
+        (false, true) => cost_a,
+        (true, false) => cost_b,
+        (false, false) => cost_a + cost_b,
+    }
 }
 
 /// The JCRs of the level being enumerated, in first-visit order, with
@@ -154,6 +200,14 @@ pub(crate) struct LevelStage {
     /// The level's bound (its pruner's `cost_bound`) and what was costed
     /// into this stage, not yet added to the run's counters.
     pub costing: Costing,
+    /// Whether the level stages its new JCRs uncosted
+    /// (`LevelPruner::defers_costing`): their pairs wait in `deferred`
+    /// until [`EnumContext::cost_staged`].
+    defer: bool,
+    /// The pairs staged uncosted, in scan order.
+    deferred: Vec<DeferredPair>,
+    /// One JCR's deferred pairs, last to first, while it is costed.
+    chain: Vec<u32>,
     /// When tracing: `Tracer::wall_micros` at each record's staging,
     /// for the `jcr` event the barrier emits on its behalf.
     #[cfg(feature = "trace")]
@@ -182,8 +236,17 @@ impl LevelStage {
         self.jcrs.shrink_to(pairs);
         self.wide.clear();
         self.costing = Costing::default();
+        self.defer = false;
+        self.deferred.clear();
         #[cfg(feature = "trace")]
         self.staged_micros.clear();
+    }
+
+    /// Stage the level's new JCRs uncosted: [`EnumContext::stage_pair`]
+    /// records each of the `pairs` pairs for [`EnumContext::cost_staged`].
+    pub fn defer_costing(&mut self, pairs: usize) {
+        self.defer = true;
+        self.deferred.reserve_exact(pairs);
     }
 }
 
@@ -1111,9 +1174,12 @@ impl<'a> EnumContext<'a> {
     /// Cost `a ⋈ b` into the stage's JCR for `a ∪ b`, staging it on
     /// first visit: one the memo already holds (retained from an
     /// earlier rung) only collects the level's offers; a new one is a
-    /// live group from now on.
+    /// live group from now on. In a level that defers costing, a new
+    /// JCR's pair is only recorded — its inputs' memo slots — and its
+    /// inputs lower the JCR's cost floor.
     pub(crate) fn stage_pair(&mut self, stage: &mut LevelStage, a: RelSet, b: RelSet) {
-        let (ga, gb) = self.inputs(a, b);
+        let (slot_a, ga) = self.memo.get_slot(a).expect("left group exists");
+        let (slot_b, gb) = self.memo.get_slot(b).expect("right group exists");
         let mut created = false;
         let slot = match stage.index.entry(a | b) {
             Entry::Occupied(entry) => *entry.get(),
@@ -1123,6 +1189,7 @@ impl<'a> EnumContext<'a> {
                 let jcr = StagedJcr {
                     group: self.new_union_group(ga, gb, &mut stage.wide),
                     in_memo,
+                    deferred: NO_PAIR,
                 };
                 #[cfg(feature = "trace")]
                 if self.tracer.enabled() {
@@ -1131,11 +1198,69 @@ impl<'a> EnumContext<'a> {
                 *entry.insert(LevelStage::push(&mut stage.jcrs, jcr))
             }
         };
-        let jcr = &mut stage.jcrs[slot].group;
-        self.cost_pair(ga, gb, jcr, &mut stage.costing);
+        let jcr = &mut stage.jcrs[slot];
+        if stage.defer && !jcr.in_memo {
+            let pair = u32::try_from(stage.deferred.len()).expect("fewer than 2^32 pairs a level");
+            stage.deferred.push(DeferredPair {
+                a: slot_a,
+                b: slot_b,
+                previous: jcr.deferred,
+            });
+            jcr.deferred = pair;
+        } else {
+            self.cost_pair(ga, gb, &mut jcr.group, &mut stage.costing);
+        }
         if created {
             self.memory.add_groups(1);
         }
+    }
+
+    /// The deferred pairs of the JCR in `slot`, last to first.
+    fn deferred_pairs(stage: &LevelStage, slot: usize) -> impl Iterator<Item = u32> + '_ {
+        let last = stage.jcrs[slot].deferred;
+        std::iter::successors((last != NO_PAIR).then_some(last), |&pair| {
+            let previous = stage.deferred[pair as usize].previous;
+            (previous != NO_PAIR).then_some(previous)
+        })
+    }
+
+    /// A cost floor of the JCR staged uncosted in `slot`: at most the
+    /// cost of every plan its pairs can offer — so, once it is costed, at
+    /// most its cheapest plan's cost. The least [`inputs_floor`] over its
+    /// pairs plus the output's emission (`JoinTerms`' `emit`, computed as
+    /// it does).
+    pub(crate) fn cost_floor(&self, stage: &LevelStage, slot: usize) -> f64 {
+        let inputs = Self::deferred_pairs(stage, slot)
+            .map(|pair| {
+                let DeferredPair { a, b, .. } = stage.deferred[pair as usize];
+                inputs_floor(self.memo.at(a), self.memo.at(b))
+            })
+            .fold(f64::INFINITY, f64::min);
+        inputs + stage.jcrs[slot].group.rows * self.model.params().cpu_tuple_cost
+    }
+
+    /// Cost the JCR staged uncosted in `slot` exactly as staging would
+    /// have: all its pairs, in scan order, into its own group, on the
+    /// stage's account. Returns its cheapest plan's cost. The memo must
+    /// have lost no group since the level was staged (its pairs name memo
+    /// slots).
+    pub(crate) fn cost_staged(&self, stage: &mut LevelStage, slot: usize) -> f64 {
+        let mut chain = std::mem::take(&mut stage.chain);
+        chain.extend(Self::deferred_pairs(stage, slot));
+        let LevelStage {
+            jcrs,
+            deferred,
+            costing,
+            ..
+        } = stage;
+        let jcr = &mut jcrs[slot];
+        for pair in chain.drain(..).rev() {
+            let DeferredPair { a, b, .. } = deferred[pair as usize];
+            self.cost_pair(self.memo.at(a), self.memo.at(b), &mut jcr.group, costing);
+        }
+        jcr.deferred = NO_PAIR;
+        stage.chain = chain;
+        stage.jcrs[slot].group.best_cost()
     }
 
     /// End a level's enumeration, before its first barrier check: fold
@@ -1211,6 +1336,7 @@ impl<'a> EnumContext<'a> {
         self.memo.reserve(stage.jcrs.len());
         let (graph, len) = (self.graph(), self.tables.edge_words - 1);
         let survivors = stage.jcrs.drain(..).map(|mut jcr| {
+            debug_assert!(jcr.costed(), "a survivor is costed before it is sealed");
             let set = jcr.group.set;
             if !jcr.in_memo {
                 move_wide(&mut jcr.group, len, &stage.wide, &mut self.wide);

@@ -27,7 +27,11 @@
 //! node is built at any level; `EnumContext::finalize` builds the
 //! served plan's. A [`LevelPruner`] hook judges the stage at the
 //! barrier; SDP plugs its hub-partitioned skyline pruning in here,
-//! exhaustive DP its incumbent bound (`IncumbentPruner`). One set of
+//! exhaustive DP its incumbent bound (`IncumbentPruner`). A pruner may
+//! have a level staged uncosted ([`LevelPruner::defers_costing`]): its
+//! JCRs are then costed, each whole and in scan order, only where the
+//! verdict needs an exact cost ([`LevelJcrs::cost`]) and where they
+//! survive. One set of
 //! level buffers (pair list, stage, the pruner's inputs) serves all
 //! levels of a `run_levels` call.
 
@@ -46,21 +50,19 @@ const CHECK_INTERVAL: u64 = 1 << 16;
 
 /// Pruning hook invoked after each DP level is complete.
 pub trait LevelPruner {
-    /// Judge the fully-enumerated `level` (number of atoms joined).
-    /// `level_sets` lists its JCRs in creation order and `features`
-    /// their `[Rows, Cost, Selectivity]` vectors (paper Figure 2.3),
-    /// index for index; `keep`, as long and all `true` on entry, is
-    /// the verdict: clear a JCR's flag to prune it.
+    /// Judge the fully-enumerated `level` (number of atoms joined) by
+    /// `jcrs`; `keep`, as long and all `true` on entry, is the verdict:
+    /// clear a JCR's flag to prune it. What survives and is still
+    /// uncosted is costed after the call.
     ///
     /// The level's JCRs are not in `ctx.memo` yet — what survives is
     /// built into memo groups after the call — so everything there is
-    /// to know about them is in the two slices.
+    /// to know about them is in `jcrs`.
     fn prune(
         &mut self,
         ctx: &EnumContext<'_>,
         level: usize,
-        level_sets: &[RelSet],
-        features: &[[f64; 3]],
+        jcrs: &mut LevelJcrs<'_>,
         keep: &mut [bool],
     );
 
@@ -69,6 +71,13 @@ pub trait LevelPruner {
     /// skyline structure keep the default zeros.
     fn last_prune_stats(&self) -> PruneStats {
         PruneStats::default()
+    }
+
+    /// Whether `level` may stage its new JCRs uncosted: `prune` then
+    /// sees a cost floor for each and costs, through
+    /// [`LevelJcrs::cost`], those whose exact cost its verdict needs.
+    fn defers_costing(&self, _level: usize) -> bool {
+        false
     }
 
     /// `Some(bound)` when the verdict is "keep exactly the JCRs whose
@@ -83,6 +92,80 @@ pub trait LevelPruner {
     /// Called once the level's survivors (`survivors`, in creation
     /// order) are memo groups and its profile row is recorded.
     fn sealed(&mut self, _ctx: &mut EnumContext<'_>, _survivors: &[(RelSet, RelSet)]) {}
+}
+
+/// A level as a [`LevelPruner`] judges it: its JCRs' sets and their
+/// `[Rows, Cost, Selectivity]` vectors (paper Figure 2.3), index for
+/// index, in creation order. Rows and Selectivity are exact from
+/// staging on. Cost is exact for a costed JCR; for one its level staged
+/// uncosted ([`LevelPruner::defers_costing`]) it is a floor, at most the
+/// JCR's cheapest plan's cost, until [`LevelJcrs::cost`] costs it.
+pub struct LevelJcrs<'l> {
+    sets: &'l [RelSet],
+    features: &'l mut [[f64; 3]],
+    costed: &'l mut [bool],
+    cost: &'l mut dyn FnMut(usize) -> f64,
+}
+
+impl<'l> LevelJcrs<'l> {
+    /// The level as `sets` and `features` describe it, `costed` flagging
+    /// the exact costs among the features; `cost(i)` costs JCR `i` and
+    /// returns its cheapest plan's cost.
+    pub(crate) fn new(
+        sets: &'l [RelSet],
+        features: &'l mut [[f64; 3]],
+        costed: &'l mut [bool],
+        cost: &'l mut dyn FnMut(usize) -> f64,
+    ) -> Self {
+        LevelJcrs {
+            sets,
+            features,
+            costed,
+            cost,
+        }
+    }
+
+    /// Number of JCRs in the level.
+    pub fn len(&self) -> usize {
+        self.sets.len()
+    }
+
+    /// Whether the level is empty.
+    pub fn is_empty(&self) -> bool {
+        self.sets.is_empty()
+    }
+
+    /// The JCRs' relation sets.
+    pub fn sets(&self) -> &'l [RelSet] {
+        self.sets
+    }
+
+    /// The JCRs' `[Rows, Cost, Selectivity]` vectors, Cost a floor where
+    /// a JCR is not costed yet.
+    pub fn features(&self) -> &[[f64; 3]] {
+        self.features
+    }
+
+    /// Whether JCR `i`'s Cost is exact.
+    pub fn is_costed(&self, i: usize) -> bool {
+        self.costed[i]
+    }
+
+    /// Cost JCR `i` (if it is not yet) and return its exact Cost.
+    pub fn cost(&mut self, i: usize) -> f64 {
+        if !self.costed[i] {
+            self.features[i][1] = (self.cost)(i);
+            self.costed[i] = true;
+        }
+        self.features[i][1]
+    }
+
+    /// Cost every JCR of the level.
+    pub fn cost_all(&mut self) {
+        (0..self.len()).for_each(|i| {
+            self.cost(i);
+        });
+    }
 }
 
 /// Per-level skyline accounting reported by a [`LevelPruner`].
@@ -127,18 +210,21 @@ struct LevelBuffers {
     stage: LevelStage,
     sets: Vec<RelSet>,
     features: Vec<[f64; 3]>,
+    costed: Vec<bool>,
     keep: Vec<bool>,
 }
 
 /// Enumerate and prune one DP level, returning its surviving JCRs with
 /// their join-graph neighbourhoods (including groups retained from an
 /// earlier governed rung, recorded on first visit so higher levels can
-/// build on them). The level's pairs (`buffers.pairs`) are costed into
-/// `buffers.stage`; what comes through the pruner and both barrier
-/// checks moves into the memo as it is, the rest is dropped: on error,
-/// the caller rolls back what the stage still holds. The barrier checks
-/// run after enumeration and after the pruner — the two deterministic
-/// per-level poll points of the governor.
+/// build on them). The level's pairs (`buffers.pairs`) are staged into
+/// `buffers.stage` — costed as they come, or, where the pruner defers
+/// costing, each JCR when the pruner asks for its cost or it survives.
+/// What comes through the pruner and both barrier checks moves into the
+/// memo as it is, the rest is dropped: on error, the caller rolls back
+/// what the stage still holds. The barrier checks run once the level is
+/// costed, before the verdict drops anything, and after it — the two
+/// deterministic per-level poll points of the governor.
 fn run_one_level<'p>(
     ctx: &mut EnumContext<'_>,
     buffers: &mut LevelBuffers,
@@ -151,6 +237,7 @@ fn run_one_level<'p>(
         stage,
         sets,
         features,
+        costed,
         keep,
     } = buffers;
     let plans_before = ctx.plans_costed;
@@ -158,7 +245,11 @@ fn run_one_level<'p>(
     let enforcers_before = ctx.sort_enforcers;
     // The bound is this rung's, handed to this level's stage: nothing
     // that outlives the rung may carry it to the next.
-    stage.costing.bound = pruner.as_ref().and_then(|p| p.cost_bound());
+    let bound = pruner.as_ref().and_then(|p| p.cost_bound());
+    stage.costing.bound = bound;
+    if bound.is_none() && pruner.as_ref().is_some_and(|p| p.defers_costing(level)) {
+        stage.defer_costing(pairs.len());
+    }
     let enumerated = pairs.iter().try_for_each(|&(a, b)| {
         *visits += 1;
         if visits.is_multiple_of(CHECK_INTERVAL) {
@@ -172,11 +263,55 @@ fn run_one_level<'p>(
     ctx.ruled_out += std::mem::take(&mut stage.costing.ruled_out);
     enumerated?;
     ctx.settle_stage(stage);
-    ctx.memory.barrier_check()?;
 
     let created = stage.jcrs.iter().filter(|jcr| !jcr.in_memo).count();
     let mut prune_stats = PruneStats::default();
-    if let Some(bound) = stage.costing.bound {
+    let mut uncosted = 0;
+    let judge = pruner.as_deref_mut().filter(|_| bound.is_none());
+    if let Some(p) = judge {
+        sets.clear();
+        features.clear();
+        costed.clear();
+        keep.clear();
+        // Sized to the level, not doubled: the four stay for the run.
+        sets.reserve_exact(stage.jcrs.len());
+        features.reserve_exact(stage.jcrs.len());
+        costed.reserve_exact(stage.jcrs.len());
+        keep.reserve_exact(stage.jcrs.len());
+        for (slot, jcr) in stage.jcrs.iter().enumerate() {
+            let group = judged(ctx, jcr);
+            let cost = if jcr.costed() {
+                group.best_cost()
+            } else {
+                ctx.cost_floor(stage, slot)
+            };
+            sets.push(jcr.group.set);
+            features.push([group.rows, cost, group.selectivity]);
+            costed.push(jcr.costed());
+        }
+        keep.resize(sets.len(), true);
+        let ctx: &EnumContext<'_> = ctx;
+        let mut cost = |i| ctx.cost_staged(stage, i);
+        p.prune(
+            ctx,
+            level,
+            &mut LevelJcrs::new(sets, features, costed, &mut cost),
+            keep,
+        );
+        prune_stats = p.last_prune_stats();
+        // A survivor is costed as it would have been when staged.
+        for (i, (&keep, costed)) in keep.iter().zip(costed.iter_mut()).enumerate() {
+            if keep && !*costed {
+                ctx.cost_staged(stage, i);
+                *costed = true;
+            }
+        }
+        uncosted = costed.iter().filter(|&&c| !c).count();
+    }
+    ctx.plans_costed += std::mem::take(&mut stage.costing.plans_costed);
+    ctx.memory.barrier_check()?;
+
+    if let Some(bound) = bound {
         // A verdict that reads the cheapest cost alone needs no
         // feature vectors. A JCR the bound left with no plan goes.
         stage.jcrs.retain(|jcr| {
@@ -184,21 +319,7 @@ fn run_one_level<'p>(
             let keep = !group.is_empty() && group.best_cost() <= bound;
             verdict(ctx, jcr, keep)
         });
-    } else if let Some(p) = pruner.as_deref_mut() {
-        sets.clear();
-        features.clear();
-        keep.clear();
-        // Sized to the level, not doubled: the three stay for the run.
-        sets.reserve_exact(stage.jcrs.len());
-        features.reserve_exact(stage.jcrs.len());
-        keep.reserve_exact(stage.jcrs.len());
-        for jcr in &stage.jcrs {
-            sets.push(jcr.group.set);
-            features.push(judged(ctx, jcr).feature_vector());
-        }
-        keep.resize(sets.len(), true);
-        p.prune(ctx, level, sets, features, keep);
-        prune_stats = p.last_prune_stats();
+    } else if pruner.is_some() {
         let mut verdicts = keep.iter();
         stage
             .jcrs
@@ -223,6 +344,7 @@ fn run_one_level<'p>(
         pairs: pairs.len() as u64,
         plans_costed: ctx.plans_costed - plans_before,
         jcrs_created: created as u64,
+        jcrs_uncosted: uncosted as u64,
         jcrs_pruned: ctx.jcrs_pruned - pruned_before,
         jcrs_retained: survivors.len() as u64,
         skyline_partitions: prune_stats.partitions,
@@ -274,6 +396,7 @@ fn level_event(stats: &LevelStats) -> sdp_trace::Event {
         .with("pairs", stats.pairs)
         .with("costed", stats.plans_costed)
         .with("created", stats.jcrs_created)
+        .with("uncosted", stats.jcrs_uncosted)
         .with("pruned", stats.jcrs_pruned)
         .with("retained", stats.jcrs_retained)
         .with("skyline_partitions", stats.skyline_partitions)
@@ -401,11 +524,10 @@ impl LevelPruner for IncumbentPruner {
         &mut self,
         _ctx: &EnumContext<'_>,
         _level: usize,
-        _level_sets: &[RelSet],
-        features: &[[f64; 3]],
+        jcrs: &mut LevelJcrs<'_>,
         keep: &mut [bool],
     ) {
-        for ([_, cost, _], keep) in features.iter().zip(keep) {
+        for ([_, cost, _], keep) in jcrs.features().iter().zip(keep) {
             *keep = *cost <= self.0.last;
         }
     }
@@ -729,8 +851,7 @@ mod tests {
                 &mut self,
                 _ctx: &EnumContext<'_>,
                 _level: usize,
-                _sets: &[RelSet],
-                _features: &[[f64; 3]],
+                _jcrs: &mut LevelJcrs<'_>,
                 keep: &mut [bool],
             ) {
                 keep.fill(false);
@@ -931,11 +1052,10 @@ mod tests {
                 &mut self,
                 ctx: &EnumContext<'_>,
                 level: usize,
-                level_sets: &[RelSet],
-                features: &[[f64; 3]],
+                jcrs: &mut LevelJcrs<'_>,
                 keep: &mut [bool],
             ) {
-                self.0.prune(ctx, level, level_sets, features, keep);
+                self.0.prune(ctx, level, jcrs, keep);
             }
 
             fn cost_bound(&self) -> Option<f64> {
@@ -952,11 +1072,10 @@ mod tests {
                 &mut self,
                 ctx: &EnumContext<'_>,
                 level: usize,
-                level_sets: &[RelSet],
-                features: &[[f64; 3]],
+                jcrs: &mut LevelJcrs<'_>,
                 keep: &mut [bool],
             ) {
-                self.0.prune(ctx, level, level_sets, features, keep);
+                self.0.prune(ctx, level, jcrs, keep);
             }
         }
 
@@ -1053,6 +1172,249 @@ mod tests {
             let (served, unaware) = (descend(false), descend(true));
             assert!(served.1.len() > 1, "DP's level 2 and SDP's levels");
             assert_eq!(served, unaware);
+        }
+    }
+
+    /// Lazy costing against the all-costed stage, its oracle: SDP's
+    /// pruner wrapped so that no level defers costing. Same plans, same
+    /// level rows, the same survivors costed into the same records, and
+    /// never more plans costed — on random hub graphs of over 64 edges,
+    /// ordered or not, for every partitioning × skyline function, from
+    /// scratch and over a governed handoff.
+    mod lazy {
+        use super::*;
+        use crate::budget::GROUP_MODEL_BYTES;
+        use crate::enumerate::tests::wide_query;
+        use crate::governor::prepare_handoff;
+        use crate::sdp::{optimize_sdp, Partitioning, SdpConfig, SdpPruner, SkylineOption};
+        use proptest::prelude::*;
+        use sdp_catalog::ColId;
+        use sdp_query::{ColRef, JoinEdge};
+
+        /// SDP's pruner costing every level as it is staged.
+        struct AllCosted(SdpPruner);
+
+        impl LevelPruner for AllCosted {
+            fn prune(
+                &mut self,
+                ctx: &EnumContext<'_>,
+                level: usize,
+                jcrs: &mut LevelJcrs<'_>,
+                keep: &mut [bool],
+            ) {
+                self.0.prune(ctx, level, jcrs, keep);
+            }
+
+            fn last_prune_stats(&self) -> PruneStats {
+                self.0.last_prune_stats()
+            }
+        }
+
+        /// The served plan, the run's counters and, per set, the memo's
+        /// records.
+        type Outcome = (
+            (u64, u64),
+            Vec<LevelStats>,
+            u64,
+            Vec<(RelSet, Vec<crate::memo::PlanEntry>)>,
+        );
+
+        /// SDP under `config` over what `ctx` holds, lazy or all-costed.
+        fn run(mut ctx: EnumContext<'_>, config: SdpConfig, all_costed: bool) -> Outcome {
+            let plan = if all_costed {
+                let mut pruner = AllCosted(SdpPruner::new(&ctx, config));
+                optimize_complete(&mut ctx, Some(&mut pruner))
+            } else {
+                optimize_sdp(&mut ctx, config)
+            }
+            .unwrap();
+            let mut memo: Vec<_> = (ctx.memo.sets())
+                .map(|set| (set, ctx.memo.get(set).unwrap().entries().to_vec()))
+                .collect();
+            memo.sort_by_key(|&(set, _)| set.0);
+            let served = (plan.cost.to_bits(), plan.structural_digest());
+            (served, ctx.take_profile(), ctx.plans_costed, memo)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn lazy_sdp_serves_the_all_costed_plan(
+                n in 4usize..=10,
+                parents in prop::collection::vec(any::<u64>(), 9usize),
+                extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=6),
+                cliques in prop::collection::vec(any::<u64>(), 0usize..=4),
+                filters in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u64>()), 0usize..=80),
+                ordered in any::<bool>(),
+                budget_groups in 8u64..60,
+            ) {
+                // Low-numbered parents make hubs (and SDP pruning) likely.
+                let parents: Vec<u64> = parents.iter().map(|p| p % 3).collect();
+                let (mut query, _) = wide_query(n, &parents, &extras, &cliques, &filters);
+                if ordered {
+                    let column = query.graph.edges()[0].left;
+                    query = query.with_order_by(column);
+                }
+                let cat = Catalog::paper();
+                let model = CostModel::with_defaults(&cat);
+                let fresh = || EnumContext::new(&query, &model, Budget::unlimited());
+                // An exhaustive rung tripped by the budget, its memo handed
+                // down: some of SDP's staged JCRs are then memo groups.
+                let handed_down = || {
+                    let budget = Budget::with_memory(budget_groups * GROUP_MODEL_BYTES);
+                    let mut ctx = EnumContext::new(&query, &model, budget);
+                    let _ = optimize_complete(&mut ctx, None);
+                    prepare_handoff(&mut ctx, Budget::unlimited());
+                    ctx.memory.set_budget(Budget::unlimited());
+                    ctx
+                };
+                for partitioning in [Partitioning::RootHub, Partitioning::ParentHub, Partitioning::Global] {
+                    for skyline in [
+                        SkylineOption::PairwiseUnion,
+                        SkylineOption::FullVector,
+                        SkylineOption::KDominant(2),
+                    ] {
+                        let config = SdpConfig { partitioning, skyline };
+                        for handoff in [false, true] {
+                            let start = || if handoff { handed_down() } else { fresh() };
+                            let (served, rows, costed, memo) = run(start(), config, false);
+                            let (o_served, o_rows, o_costed, o_memo) = run(start(), config, true);
+                            let what = format!("{partitioning:?} × {skyline:?}");
+                            prop_assert_eq!(served, o_served, "{}", what);
+                            prop_assert!(costed <= o_costed, "{}: {} > {}", what, costed, o_costed);
+                            prop_assert_eq!(rows.len(), o_rows.len());
+                            for (row, oracle) in rows.iter().zip(&o_rows) {
+                                let counts = |r: &LevelStats| (
+                                    (r.level, r.pairs, r.jcrs_created, r.jcrs_pruned, r.jcrs_retained),
+                                    (r.skyline_partitions, r.skyline_survivors, r.order_rescued),
+                                    (r.sort_enforcers, r.memo_groups),
+                                );
+                                prop_assert_eq!(counts(row), counts(oracle), "{}", what);
+                                prop_assert_eq!(oracle.jcrs_uncosted, 0);
+                                prop_assert!(row.jcrs_uncosted <= row.jcrs_pruned, "{}", what);
+                                prop_assert!(row.plans_costed <= oracle.plans_costed, "{}", what);
+                                if matches!(skyline, SkylineOption::KDominant(_)) {
+                                    prop_assert_eq!(row.jcrs_uncosted, 0);
+                                }
+                            }
+                            // Every survivor was costed into the records the
+                            // oracle holds: the uncosted JCRs were all pruned.
+                            prop_assert_eq!(&memo, &o_memo, "{}", what);
+                        }
+                    }
+                }
+            }
+
+            /// A staged JCR's cost floor is at most its cheapest plan's
+            /// cost, bit patterns ordered by `f64::total_cmp` — index
+            /// nested loops included (the hub joins on its own indexed
+            /// column), ordered or not, over 64 edges and filters. Every
+            /// level is staged uncosted and costed whole; the plan is the
+            /// all-costed run's.
+            #[test]
+            fn a_cost_floor_is_at_most_the_cheapest_plan(
+                n in 2usize..=9,
+                parents in prop::collection::vec(any::<u64>(), 9usize),
+                extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=6),
+                cliques in prop::collection::vec(any::<u64>(), 0usize..=4),
+                filters in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u64>()), 0usize..=80),
+                ordered in any::<bool>(),
+                hub_index in any::<bool>(),
+            ) {
+                let cat = Catalog::paper();
+                let model = CostModel::with_defaults(&cat);
+                let (mut query, _) = wide_query(n, &parents, &extras, &cliques, &filters);
+                if hub_index {
+                    // Node 1 hangs off node 0 in every generated tree.
+                    let rel = cat.relation(query.graph.relation(0)).unwrap();
+                    query.graph.add_edge(JoinEdge::new(
+                        ColRef::new(0, rel.indexed_column),
+                        ColRef::new(1, ColId(18)),
+                    ));
+                }
+                if ordered {
+                    let column = query.graph.edges()[0].left;
+                    query = query.with_order_by(column);
+                }
+                let mut oracle = EnumContext::new(&query, &model, Budget::unlimited());
+                let expected = optimize_complete(&mut oracle, None).unwrap();
+                let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
+                let mut probe = FloorProbe::default();
+                let plan = optimize_complete(&mut ctx, Some(&mut probe)).unwrap();
+                prop_assert_eq!(plan.cost.to_bits(), expected.cost.to_bits());
+                prop_assert_eq!(plan.structural_digest(), expected.structural_digest());
+                prop_assert_eq!(ctx.plans_costed, oracle.plans_costed);
+                for &(set, floor, cost) in &probe.0 {
+                    prop_assert!(floor.total_cmp(&cost).is_le(), "{:?}: floor {} > {}", set, floor, cost);
+                    let best = ctx.memo.get(set).unwrap().best_cost();
+                    prop_assert_eq!(cost.to_bits(), best.to_bits());
+                }
+            }
+        }
+
+        /// Defers every level, and records each JCR's floor beside the
+        /// cost it then asks for; keeps everything.
+        #[derive(Default)]
+        struct FloorProbe(Vec<(RelSet, f64, f64)>);
+
+        impl LevelPruner for FloorProbe {
+            fn prune(
+                &mut self,
+                _ctx: &EnumContext<'_>,
+                _level: usize,
+                jcrs: &mut LevelJcrs<'_>,
+                _keep: &mut [bool],
+            ) {
+                for i in 0..jcrs.len() {
+                    let floor = jcrs.features()[i][1];
+                    self.0.push((jcrs.sets()[i], floor, jcrs.cost(i)));
+                }
+            }
+
+            fn defers_costing(&self, _level: usize) -> bool {
+                true
+            }
+        }
+
+        /// Star-6 of the instance whose plan probes an index: some JCRs'
+        /// cheapest plan is an index nested loop, which leaves its inner
+        /// plan's cost out, and their floors hold. On Star-Chain-16 most
+        /// pruned JCRs are never costed, and the plan is the same.
+        #[test]
+        fn index_probes_keep_under_the_floor_and_star_chains_go_uncosted() {
+            let cat = Catalog::paper();
+            let model = CostModel::with_defaults(&cat);
+            let q = QueryGenerator::new(&cat, Topology::Star(6), 13).instance(0);
+            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+            let mut probe = FloorProbe::default();
+            optimize_complete(&mut ctx, Some(&mut probe)).unwrap();
+            let probed = probe.0.iter().filter(|&&(set, floor, cost)| {
+                let best = ctx.memo.get(set).unwrap().best().source;
+                let inl = matches!(
+                    best,
+                    crate::memo::PlanSource::Join {
+                        method: sdp_cost::JoinMethod::IndexNestedLoop,
+                        ..
+                    }
+                );
+                assert!(floor <= cost, "{set:?}");
+                inl
+            });
+            assert!(probed.count() > 0, "no JCR's cheapest plan probes an index");
+
+            let q = QueryGenerator::new(&cat, Topology::star_chain(16), 7).instance(0);
+            let fresh = || EnumContext::new(&q, &model, Budget::unlimited());
+            let (served, rows, costed, _) = run(fresh(), SdpConfig::paper(), false);
+            let (o_served, _, o_costed, _) = run(fresh(), SdpConfig::paper(), true);
+            assert_eq!(served, o_served);
+            let uncosted: u64 = rows.iter().map(|r| r.jcrs_uncosted).sum();
+            let pruned: u64 = rows.iter().map(|r| r.jcrs_pruned).sum();
+            assert!(
+                2 * uncosted > pruned,
+                "{uncosted} of {pruned} pruned JCRs uncosted"
+            );
+            assert!(costed < o_costed, "{costed} vs {o_costed}");
         }
     }
 

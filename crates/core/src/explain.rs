@@ -149,7 +149,7 @@ pub fn explain_analyze(governed: &GovernedPlan) -> String {
         for row in &plan.profile {
             let _ = writeln!(
                 out,
-                "  [{}] level {}: pairs={} costed={} created={} pruned={} retained={} \
+                "  [{}] level {}: pairs={} costed={} created={} uncosted={} pruned={} retained={} \
                  skyline_partitions={} skyline_survivors={} order_rescued={} sort_enforcers={} \
                  memo={} model_bytes={} contractions={}",
                 row.phase,
@@ -157,6 +157,7 @@ pub fn explain_analyze(governed: &GovernedPlan) -> String {
                 row.pairs,
                 row.plans_costed,
                 row.jcrs_created,
+                row.jcrs_uncosted,
                 row.jcrs_pruned,
                 row.jcrs_retained,
                 row.skyline_partitions,

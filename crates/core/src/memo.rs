@@ -467,6 +467,21 @@ impl Memo {
             .map(|&slot| &self.groups[slot as usize])
     }
 
+    /// The arena slot of `set`'s group and the group. A slot names the
+    /// group until the next removal ([`Memo::at`]).
+    #[inline]
+    pub(crate) fn get_slot(&self, set: RelSet) -> Option<(u32, &Group)> {
+        let slot = *self.slots.get(&set)?;
+        Some((slot, &self.groups[slot as usize]))
+    }
+
+    /// The group in arena slot `slot` (from [`Memo::get_slot`], with no
+    /// removal since).
+    #[inline]
+    pub(crate) fn at(&self, slot: u32) -> &Group {
+        &self.groups[slot as usize]
+    }
+
     /// Fetch a group mutably.
     pub fn get_mut(&mut self, set: RelSet) -> Option<&mut Group> {
         self.slots

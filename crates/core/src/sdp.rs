@@ -31,12 +31,17 @@
 //!    JCRs *not* containing the relation; their skyline survivors are
 //!    added to the output so that order-producing combinations remain
 //!    reachable (Section 2.1.4).
+//! 5. **What to cost.** Rows and Selectivity are known once a JCR is
+//!    staged; Cost only once its pairs are costed. A level SDP prunes is
+//!    staged uncosted, each JCR with a cost floor, and `settle` costs
+//!    only the JCRs whose exact Cost some skyline's verdict needs ("Lazy
+//!    costing" in DESIGN.md): the keep-mask is the all-costed level's.
 
 use sdp_query::{hubs, RelSet};
-use sdp_skyline::{k_dominant_skyline_of, pairwise_union_skyline_of, skyline_sfs_of};
+use sdp_skyline::{dominates, k_dominant_skyline_of, pairwise_union_skyline_of, skyline_sfs_of};
 
 use crate::context::EnumContext;
-use crate::dp::{LevelPruner, PruneStats};
+use crate::dp::{LevelJcrs, LevelPruner, PruneStats};
 
 /// How the PruneGroup is partitioned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -101,6 +106,8 @@ pub struct SdpPruner {
     /// Relations owning a column of the `ORDER BY` class, each of
     /// which sponsors an extra "interesting order" partition.
     order_relations: Vec<usize>,
+    /// Relations in the query: levels `2 ..= relations − 2` are pruned.
+    relations: usize,
     /// Skyline accounting for the most recent `prune_level` call.
     last: PruneStats,
     scratch: Scratch,
@@ -125,6 +132,11 @@ struct Scratch {
     order_members: Vec<usize>,
     /// Skyline of the partition being judged.
     winners: Vec<usize>,
+    /// A partition's members in the order [`settle`] sweeps them, each
+    /// beside its sort key.
+    sweep: Vec<(u64, u32)>,
+    /// The costed members swept so far that no other one dominates.
+    window: Vec<u32>,
 }
 
 impl Scratch {
@@ -173,6 +185,122 @@ fn skyline(
     }
 }
 
+/// The coordinate of the feature vector that costing reveals.
+const COST: usize = 1;
+
+/// Cost the JCRs whose exact Cost a partition's skylines need; leave the
+/// rest on their floors. Afterwards, in each of the `partitions` and for
+/// each skyline projection that reads Cost, every uncosted member is
+/// dominated, with its floor for its Cost, by a costed member. Such a
+/// member is off that projection's skyline with any Cost at or above the
+/// floor, and — dominance being transitive — whatever it dominates on
+/// its floor a costed member dominates as well: the projection's skyline
+/// over the floors is the one over the exact costs. The k-dominant
+/// skyline is not transitive, so it asks for every cost.
+fn settle<'m>(
+    option: SkylineOption,
+    partitions: impl Iterator<Item = &'m [usize]>,
+    jcrs: &mut LevelJcrs<'_>,
+    sweep: &mut Vec<(u64, u32)>,
+    window: &mut Vec<u32>,
+) {
+    for members in partitions {
+        match option {
+            // RC and CS: Rows and Selectivity are the cost-free sides.
+            SkylineOption::PairwiseUnion => {
+                settle_pair(members, 0, jcrs, sweep);
+                settle_pair(members, 2, jcrs, sweep);
+            }
+            SkylineOption::FullVector => settle_full(members, jcrs, sweep, window),
+            SkylineOption::KDominant(_) => return jcrs.cost_all(),
+        }
+    }
+}
+
+/// `x`'s place in the order of `f64::total_cmp`, as a `u64`.
+fn total_order(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// Overwrite `sweep` with `members`, each beside its `key`, in ascending
+/// order of key and then of index.
+fn sort_members(members: &[usize], sweep: &mut Vec<(u64, u32)>, key: impl Fn(usize) -> u64) {
+    sweep.clear();
+    sweep.reserve_exact(members.len());
+    sweep.extend(members.iter().map(|&i| (key(i), i as u32)));
+    sweep.sort_unstable();
+}
+
+/// [`settle`] one partition on the projection of Cost and the cost-free
+/// coordinate `free`. The members are swept in ascending order of `free`.
+/// Only a member swept before can
+/// dominate one: from a smaller `free` at a Cost no higher, or from an
+/// equal `free` at a lower Cost. So the least Cost of the costed members
+/// swept before the current run of equal `free`, and the least within
+/// it, decide; a member they leave undominated on its floor is costed.
+fn settle_pair(
+    members: &[usize],
+    free: usize,
+    jcrs: &mut LevelJcrs<'_>,
+    sweep: &mut Vec<(u64, u32)>,
+) {
+    let features = jcrs.features();
+    sort_members(members, sweep, |i| total_order(features[i][free]));
+    let (mut before, mut run, mut run_free) = (f64::INFINITY, f64::INFINITY, f64::NAN);
+    for x in sweep.iter().map(|&(_, x)| x as usize) {
+        let row = jcrs.features()[x];
+        if row[free] != run_free {
+            (before, run, run_free) = (before.min(run), f64::INFINITY, row[free]);
+        }
+        let cost = if jcrs.is_costed(x) {
+            row[COST]
+        } else if before <= row[COST] || run < row[COST] {
+            continue;
+        } else {
+            jcrs.cost(x)
+        };
+        run = run.min(cost);
+    }
+}
+
+/// [`settle`] one partition on the full vector: the members swept in
+/// ascending order of Rows, each costed unless a costed member swept
+/// before dominates it on its floor (Cost a floor where uncosted). `window` keeps the costed members swept so far that
+/// none of them dominates — by transitivity, all a dominance test needs.
+fn settle_full(
+    members: &[usize],
+    jcrs: &mut LevelJcrs<'_>,
+    sweep: &mut Vec<(u64, u32)>,
+    window: &mut Vec<u32>,
+) {
+    let features = jcrs.features();
+    sort_members(members, sweep, |i| total_order(features[i][0]));
+    window.clear();
+    for x in sweep.iter().map(|&(_, x)| x as usize) {
+        let dominated = |jcrs: &LevelJcrs<'_>| {
+            let features = jcrs.features();
+            (window.iter()).any(|&w| dominates(&features[w as usize], &features[x]))
+        };
+        if dominated(jcrs) {
+            continue;
+        }
+        if !jcrs.is_costed(x) {
+            jcrs.cost(x);
+            if dominated(jcrs) {
+                continue;
+            }
+        }
+        let features = jcrs.features();
+        window.retain(|&w| !dominates(&features[x], &features[w as usize]));
+        window.push(x as u32);
+    }
+}
+
 impl SdpPruner {
     /// Build the pruner for the query in `ctx`.
     pub fn new(ctx: &EnumContext<'_>, config: SdpConfig) -> Self {
@@ -199,24 +327,28 @@ impl SdpPruner {
             root_hubs,
             hub_parents,
             order_relations,
+            relations: graph.len(),
             last: PruneStats::default(),
             scratch: Scratch::default(),
         }
+    }
+
+    /// Whether `level` is one SDP prunes (Figure 2.2).
+    fn prunes(&self, level: usize) -> bool {
+        (2..=self.relations.saturating_sub(2)).contains(&level)
     }
 
     fn prune_level(
         &mut self,
         ctx: &EnumContext<'_>,
         level: usize,
-        level_sets: &[RelSet],
-        features: &[[f64; 3]],
+        jcrs: &mut LevelJcrs<'_>,
         keep: &mut [bool],
     ) {
-        let n = ctx.graph().len();
         self.last = PruneStats::default();
         // Plain DP at level 1 and the last two levels (Figure 2.2).
-        if (2..=n.saturating_sub(2)).contains(&level) {
-            self.prune_partitions(ctx, level, level_sets, features, keep);
+        if self.prunes(level) {
+            self.prune_partitions(ctx, level, jcrs, keep);
         }
 
         // Recompute the hub-parents from the survivors of the level
@@ -224,25 +356,26 @@ impl SdpPruner {
         // computed afresh in each iteration of SDP with the current
         // version of the join graph").
         if self.config.partitioning == Partitioning::ParentHub {
-            let survivors = level_sets.iter().zip(&*keep).filter(|(_, &k)| k);
+            let survivors = jcrs.sets().iter().zip(&*keep).filter(|(_, &k)| k);
             self.hub_parents = hubs::hub_parents(ctx.graph(), survivors.map(|(s, _)| s));
             self.hub_parents.sort_unstable(); // partitions go in key order
         }
     }
 
     /// Partition a prunable level and clear the `keep` flag of every
-    /// JCR its partitions' skylines leave out.
+    /// JCR its partitions' skylines leave out. The skylines run on the
+    /// level's features once [`settle`] has costed what they need.
     // Without tracing, what only the spans report goes unread.
     #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     fn prune_partitions(
         &mut self,
         ctx: &EnumContext<'_>,
         level: usize,
-        level_sets: &[RelSet],
-        features: &[[f64; 3]],
+        jcrs: &mut LevelJcrs<'_>,
         keep: &mut [bool],
     ) {
         let option = self.config.skyline;
+        let level_sets = jcrs.sets();
         let sc = &mut self.scratch;
         sc.partitions.clear();
         sc.members.clear();
@@ -266,6 +399,30 @@ impl SdpPruner {
         if sc.partitions.is_empty() {
             return;
         }
+
+        if (0..jcrs.len()).any(|i| !jcrs.is_costed(i)) {
+            // The FreeGroup survives whole: costed first, it may settle
+            // members of the interesting-order partitions.
+            for (i, _) in sc.membership.iter().enumerate().filter(|(_, &m)| m == 0) {
+                jcrs.cost(i);
+            }
+            let hub_partitions = sc.partitions.iter().scan(0, |start, &(_, end)| {
+                let members = &sc.members[*start..end];
+                *start = end;
+                Some(members)
+            });
+            settle(option, hub_partitions, jcrs, &mut sc.sweep, &mut sc.window);
+            for &t in &self.order_relations {
+                sdp_skyline::exclusion_partition(
+                    level_sets.len(),
+                    |i| level_sets[i].contains(t),
+                    &mut sc.order_members,
+                );
+                let order_partition = std::iter::once(&sc.order_members[..]);
+                settle(option, order_partition, jcrs, &mut sc.sweep, &mut sc.window);
+            }
+        }
+        let features = jcrs.features();
 
         // Survival in every containing partition is required. The
         // partitions are judged — and their spans emitted — in
@@ -345,12 +502,17 @@ impl SdpPruner {
             if members.iter().any(|&i| keep[i]) {
                 continue;
             }
+            // The cheapest by exact cost.
+            members.iter().for_each(|&i| {
+                jcrs.cost(i);
+            });
+            let features = jcrs.features();
             let best = members
                 .iter()
                 .copied()
                 .min_by(|&a, &b| {
-                    features[a][1]
-                        .partial_cmp(&features[b][1])
+                    features[a][COST]
+                        .partial_cmp(&features[b][COST])
                         .expect("finite costs")
                 })
                 .expect("partition non-empty");
@@ -377,15 +539,27 @@ impl LevelPruner for SdpPruner {
         &mut self,
         ctx: &EnumContext<'_>,
         level: usize,
-        level_sets: &[RelSet],
-        features: &[[f64; 3]],
+        jcrs: &mut LevelJcrs<'_>,
         keep: &mut [bool],
     ) {
-        self.prune_level(ctx, level, level_sets, features, keep);
+        self.prune_level(ctx, level, jcrs, keep);
     }
 
     fn last_prune_stats(&self) -> PruneStats {
         self.last
+    }
+
+    /// A level SDP prunes stages uncosted when a hub partition can form
+    /// and its skyline is transitive (not k-dominant).
+    fn defers_costing(&self, level: usize) -> bool {
+        let partitions = match self.config.partitioning {
+            Partitioning::Global => true,
+            Partitioning::RootHub => !self.root_hubs.is_empty(),
+            Partitioning::ParentHub => !self.hub_parents.is_empty(),
+        };
+        partitions
+            && self.prunes(level)
+            && !matches!(self.config.skyline, SkylineOption::KDominant(_))
     }
 }
 
@@ -590,6 +764,7 @@ mod tests {
 mod oracle_tests {
     use super::*;
     use crate::budget::Budget;
+    use crate::dp::LevelJcrs;
     use crate::enumerate::tests::random_connected_query;
     use proptest::prelude::*;
     use sdp_catalog::Catalog;
@@ -678,7 +853,10 @@ mod oracle_tests {
         /// of the copying oracle, for every partitioning × skyline
         /// function, with and without an order target, over two
         /// consecutive levels (so Parent-Hub's refreshed hub-parents
-        /// and the reused scratch are exercised).
+        /// and the reused scratch are exercised). So does a second
+        /// pruner handed every Cost as a floor — the exact cost less a
+        /// random slack, zero included — and costing on request: the
+        /// same mask and skyline counts, and no JCR costed twice.
         #[test]
         fn flat_pruner_keeps_what_the_copying_oracle_keeps(
             n in 6usize..=10,
@@ -687,7 +865,7 @@ mod oracle_tests {
             ordered in any::<bool>(),
             levels in prop::collection::vec(
                 prop::collection::vec(
-                    (any::<u64>(), 0.0f64..6.0, 0.0f64..6.0, 0.0f64..6.0),
+                    ((any::<u64>(), 0.0f64..6.0), 0.0f64..6.0, 0.0f64..6.0, 0.0f64..6.0),
                     1..40,
                 ),
                 2usize,
@@ -714,7 +892,9 @@ mod oracle_tests {
                     SkylineOption::FullVector,
                     SkylineOption::KDominant(2),
                 ] {
-                    let mut pruner = SdpPruner::new(&ctx, SdpConfig { partitioning, skyline });
+                    let config = SdpConfig { partitioning, skyline };
+                    let mut pruner = SdpPruner::new(&ctx, config);
+                    let mut lazy = SdpPruner::new(&ctx, config);
                     let mut hub_parents: Vec<RelSet> =
                         hubs::root_hubs(graph).iter().map(RelSet::single).collect();
                     for (level, rows) in (2..).zip(&levels) {
@@ -722,11 +902,13 @@ mod oracle_tests {
                         // that ties occur.
                         let mut sets: Vec<RelSet> = Vec::new();
                         let mut features: Vec<[f64; 3]> = Vec::new();
-                        for &(mask, r, c, s) in rows {
+                        let mut floors: Vec<[f64; 3]> = Vec::new();
+                        for &((mask, slack), r, c, s) in rows {
                             let set = RelSet(mask % (1 << n));
                             if !set.is_empty() && !sets.contains(&set) {
                                 sets.push(set);
                                 features.push([r.floor(), c.floor(), s.floor()]);
+                                floors.push([r.floor(), c.floor() - slack.floor(), s.floor()]);
                             }
                         }
 
@@ -758,11 +940,43 @@ mod oracle_tests {
                         };
 
                         let mut keep = vec![true; sets.len()];
-                        pruner.prune(&ctx, level, &sets, &features, &mut keep);
+                        let (mut exact, mut costed) = (features.clone(), vec![true; sets.len()]);
+                        let mut unasked = |_| -> f64 { unreachable!("every cost is exact") };
+                        let mut jcrs = LevelJcrs::new(&sets, &mut exact, &mut costed, &mut unasked);
+                        pruner.prune(&ctx, level, &mut jcrs, &mut keep);
                         prop_assert_eq!(
                             &keep, &expected,
                             "{:?} × {:?}, level {}", partitioning, skyline, level
                         );
+
+                        let mut lazy_keep = vec![true; sets.len()];
+                        let mut costed = vec![false; sets.len()];
+                        let mut asked = vec![0; sets.len()];
+                        let mut cost = |i: usize| {
+                            asked[i] += 1;
+                            features[i][1]
+                        };
+                        let mut jcrs = LevelJcrs::new(&sets, &mut floors, &mut costed, &mut cost);
+                        lazy.prune(&ctx, level, &mut jcrs, &mut lazy_keep);
+                        prop_assert_eq!(
+                            &lazy_keep, &expected,
+                            "lazy {:?} × {:?}, level {}", partitioning, skyline, level
+                        );
+                        prop_assert_eq!(lazy.last, pruner.last);
+                        // The level loop costs the survivors.
+                        for (i, costed) in costed.iter_mut().enumerate() {
+                            if lazy_keep[i] && !*costed {
+                                *costed = true;
+                                asked[i] += 1;
+                            }
+                        }
+                        for i in 0..sets.len() {
+                            prop_assert!(asked[i] <= 1, "{} costed twice", i);
+                            prop_assert_eq!(asked[i] == 1, costed[i]);
+                            if matches!(skyline, SkylineOption::KDominant(_)) {
+                                prop_assert!(costed[i], "k-dominance asks for every cost");
+                            }
+                        }
 
                         let survivors = sets.iter().zip(&keep).filter(|(_, &k)| k);
                         hub_parents = hubs::hub_parents(graph, survivors.map(|(s, _)| s));

@@ -18,9 +18,9 @@
 
 use sdp_catalog::Catalog;
 use sdp_core::dp::{optimize_complete, optimize_dp};
-use sdp_core::{Algorithm, EnumContext, LevelPruner, SdpConfig};
+use sdp_core::{Algorithm, EnumContext, LevelJcrs, LevelPruner, SdpConfig};
 use sdp_metrics::{geometric_mean_ratio, QualitySummary};
-use sdp_query::{infer_transitive_edges, QueryGenerator, RelSet, Topology};
+use sdp_query::{infer_transitive_edges, QueryGenerator, Topology};
 
 use crate::recost::recost;
 use crate::runner::{overheads, ExperimentConfig, Runner, Technique};
@@ -258,11 +258,10 @@ impl LevelPruner for FixedBound {
         &mut self,
         _ctx: &EnumContext<'_>,
         _level: usize,
-        _level_sets: &[RelSet],
-        features: &[[f64; 3]],
+        jcrs: &mut LevelJcrs<'_>,
         keep: &mut [bool],
     ) {
-        for ([_, cost, _], keep) in features.iter().zip(keep) {
+        for ([_, cost, _], keep) in jcrs.features().iter().zip(keep) {
             *keep = *cost <= self.0;
         }
     }

@@ -6,8 +6,7 @@
 //! cargo run --release --example sdp_walkthrough
 //! ```
 
-use sdp::core::dp::{run_levels, LevelPruner};
-use sdp::core::sdp::SdpPruner;
+use sdp::core::sdp::optimize_sdp;
 use sdp::core::{Budget, EnumContext};
 use sdp::prelude::*;
 use sdp::query::hubs;
@@ -52,42 +51,25 @@ fn main() {
     );
 
     // --- SDP iterations (Figure 2.2) ------------------------------------
-    // Run the level DP manually with the SDP pruner and report, per
-    // level, how many JCRs were enumerated and how many survived.
+    // Run SDP and report, per level, from the run's profile: how many
+    // JCRs were enumerated, how many of them were costed (a pruned JCR
+    // whose cost floor settled every skyline that judged it never is),
+    // and how many survived.
     let model = CostModel::with_defaults(&catalog);
     let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
-    for i in 0..9 {
-        ctx.ensure_base_group(i);
+    let root = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
+    println!("level  enumerated  costed  uncosted  pruned  survive");
+    for row in ctx.profile() {
+        println!(
+            "{:>5}  {:>10}  {:>6}  {:>8}  {:>6}  {:>7}",
+            row.level,
+            row.jcrs_created,
+            row.jcrs_created - row.jcrs_uncosted,
+            row.jcrs_uncosted,
+            row.jcrs_pruned,
+            row.jcrs_retained
+        );
     }
-    let atoms: Vec<RelSet> = (0..9).map(RelSet::single).collect();
-
-    struct Reporting {
-        inner: SdpPruner,
-    }
-    impl LevelPruner for Reporting {
-        fn prune(
-            &mut self,
-            ctx: &EnumContext<'_>,
-            level: usize,
-            sets: &[RelSet],
-            features: &[[f64; 3]],
-            keep: &mut [bool],
-        ) {
-            self.inner.prune(ctx, level, sets, features, keep);
-            let survive = keep.iter().filter(|&&k| k).count();
-            println!(
-                "level {level}: {:>4} JCRs enumerated, {:>4} pruned, {:>4} survive",
-                sets.len(),
-                sets.len() - survive,
-                survive
-            );
-        }
-    }
-    let mut pruner = Reporting {
-        inner: SdpPruner::new(&ctx, SdpConfig::paper()),
-    };
-    run_levels(&mut ctx, &atoms, 9, Some(&mut pruner)).unwrap();
-    let root = ctx.finalize(query.graph.all_nodes()).unwrap();
     println!(
         "\nfinal plan cost {:.0} after costing {} plans ({} JCRs pruned):\n",
         root.cost,
