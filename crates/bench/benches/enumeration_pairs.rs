@@ -47,7 +47,7 @@ fn bench_generation(c: &mut Criterion) {
             ctx.ensure_base_group(i);
         }
         let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
-        let table = run_levels(&mut ctx, &atoms, n, None).unwrap();
+        let table = run_levels(&mut ctx, &atoms, n).unwrap();
         g.bench_with_input(BenchmarkId::new("levelscan", label), &table, |b, table| {
             // One scan and one pair buffer per run, as in the engine:
             // the per-level index is built on first use and reused

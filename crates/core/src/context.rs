@@ -43,10 +43,6 @@ pub struct RunStats {
     pub peak_model_bytes: u64,
     /// Wall-clock optimization time (paper: "Time (in sec)").
     pub elapsed: Duration,
-    /// Whether the greedy completion safety-net had to finish the
-    /// plan because pruning starved the final DP levels (never the
-    /// case for exhaustive DP).
-    pub completed_greedily: bool,
     /// The bound an exhaustive DP run pruned against (`None` for every
     /// other strategy).
     pub incumbent: Option<Incumbent>,
@@ -478,8 +474,6 @@ pub struct EnumContext<'a> {
     pub jcrs_pruned: u64,
     /// Sort-ahead enforcer plans retained so far.
     pub sort_enforcers: u64,
-    /// Set by the greedy completion fallback.
-    pub completed_greedily: bool,
     /// Set by exhaustive DP once its levels ran (or one tripped).
     pub incumbent: Option<Incumbent>,
     /// The greedy's components, kept empty between its runs.
@@ -526,7 +520,6 @@ impl<'a> EnumContext<'a> {
             ruled_out: 0,
             jcrs_pruned: 0,
             sort_enforcers: 0,
-            completed_greedily: false,
             incumbent: None,
             greedy_parts: Vec::new(),
             contractions: 0,
@@ -651,7 +644,6 @@ impl<'a> EnumContext<'a> {
             jcrs_pruned: self.jcrs_pruned,
             peak_model_bytes: self.memory.peak_bytes(),
             elapsed: self.memory.elapsed(),
-            completed_greedily: self.completed_greedily,
             incumbent: self.incumbent,
             ruled_out: self.ruled_out,
         }
@@ -666,10 +658,9 @@ impl<'a> EnumContext<'a> {
         }
         let graph = self.graph();
         let rel = graph.relation(node);
-        let est = self.model.estimator();
-        let rows = est.rows_for_set(graph, set);
-        let width = est.width_for_set(graph, set);
-        let selectivity = est.selectivity_for_set(graph, set);
+        // A relation's rows are far under `MAX_ROWS` and stay unclamped.
+        let (rows, selectivity) = self.estimate(set);
+        let width = self.model.estimator().width_for_set(graph, set);
         let t = &self.tables;
         let incident = &t.incident[node * t.edge_words..][..t.edge_words];
         let word = |&incident| EdgeWords {
@@ -804,25 +795,19 @@ impl<'a> EnumContext<'a> {
         }
     }
 
-    /// Build the (empty) union group for `a ∪ b` (edge words past the
-    /// first to `wide`): it touches the edges either touches and holds
-    /// those either holds or both touch. Rows and selectivity are
-    /// computed over the whole set, not from this decomposition: the
-    /// ≥ 1-row clamp would otherwise make the estimate depend on which
-    /// pair reached the set first. The sums run over its nodes, internal
-    /// edges and filters in ascending index from the `-0.0`
-    /// `Iterator::sum` starts from: the terms and order of
+    /// The estimated rows and selectivity of `set`, rows before they are
+    /// clamped to `MAX_ROWS`: the one place the request path estimates a
+    /// set. The sums run over its nodes, the internal edges `internal(w)`
+    /// flags in edge word `w`, and its filters, in ascending index from
+    /// the `-0.0` `Iterator::sum` starts from: the terms and order of
     /// `Estimator::rows_for_set` and `selectivity_for_set`, so the
     /// results are theirs bit for bit.
-    fn new_union_group(&self, a: &Group, b: &Group, wide: &mut Vec<EdgeWords>) -> Group {
-        let union = a.set | b.set;
+    fn estimate_with(&self, set: RelSet, internal: impl Fn(usize) -> u64) -> (f64, f64) {
         let t = &self.tables;
-        let est = self.model.estimator();
-        let mut ln_base = -0.0;
-        let mut ln_filter = -0.0;
+        let (mut ln_base, mut ln_filter, mut ln_internal) = (-0.0, -0.0, -0.0);
         for w in 0..t.filter_words {
             let mut filters = 0;
-            for n in union.iter() {
+            for n in set.iter() {
                 if w == 0 {
                     ln_base += t.node_ln_card[n];
                 }
@@ -832,25 +817,57 @@ impl<'a> EnumContext<'a> {
                 ln_filter += t.filter_ln_sel[w * 64 + f];
             }
         }
-        let mut ln_internal = -0.0;
+        for w in 0..t.edge_words {
+            for e in bits(internal(w)) {
+                ln_internal += t.edge_ln_sel[w * 64 + e];
+            }
+        }
+        let est = self.model.estimator();
+        let rows = est.rows_from_ln(ln_base + ln_internal + ln_filter);
+        (rows, est.selectivity_from_ln(ln_internal + ln_filter))
+    }
+
+    /// [`EnumContext::estimate_with`] of any set: an edge is internal
+    /// when a second of its nodes touches it.
+    pub(crate) fn estimate(&self, set: RelSet) -> (f64, f64) {
+        let t = &self.tables;
+        self.estimate_with(set, |w| {
+            let (mut touched, mut internal) = (0, 0);
+            for n in set.iter() {
+                let incident = t.incident[n * t.edge_words + w];
+                internal |= touched & incident;
+                touched |= incident;
+            }
+            internal
+        })
+    }
+
+    /// Build the (empty) union group for `a ∪ b` (edge words past the
+    /// first to `wide`): it touches the edges either touches and holds
+    /// those either holds or both touch. Rows and selectivity are
+    /// computed over the whole set ([`EnumContext::estimate_with`]), not from
+    /// this decomposition: the ≥ 1-row clamp would otherwise make the
+    /// estimate depend on which pair reached the set first.
+    fn new_union_group(&self, a: &Group, b: &Group, wide: &mut Vec<EdgeWords>) -> Group {
+        let union = a.set | b.set;
         let mut edges = EdgeWords::default();
         let wide_at = wide_end(wide);
-        for w in 0..t.edge_words {
+        for w in 0..self.tables.edge_words {
             let (ea, eb) = (self.edge_word(a, w), self.edge_word(b, w));
             let word = EdgeWords {
                 incident: ea.incident | eb.incident,
                 internal: ea.internal | eb.internal | (ea.incident & eb.incident),
             };
-            for e in bits(word.internal) {
-                ln_internal += t.edge_ln_sel[w * 64 + e];
-            }
             match w {
                 0 => edges = word,
                 _ => wide.push(word),
             }
         }
-        let rows = est.rows_from_ln(ln_base + ln_internal + ln_filter);
-        let selectivity = est.selectivity_from_ln(ln_internal + ln_filter);
+        let internal = |w| match w {
+            0 => edges.internal,
+            _ => wide[wide_at as usize + w - 1].internal,
+        };
+        let (rows, selectivity) = self.estimate_with(union, internal);
         let width = a.width + b.width;
         let mut group = Group::new(union, rows.min(MAX_ROWS), selectivity, width, edges);
         group.wide_at = wide_at;
@@ -1030,20 +1047,9 @@ impl<'a> EnumContext<'a> {
         }
 
         // The root, as `finalize` serves it.
-        let root = group(&self.memo, &parts[0]);
-        let best = root.best().cost;
-        let mut plans_costed = costing.plans_costed;
-        let cost = match self.order_target {
-            None => best,
-            Some(target) => {
-                plans_costed += 1;
-                let sorted = best + root.sort_cost;
-                match root.best_for_order(target) {
-                    Some(p) if p.cost <= sorted => p.cost,
-                    _ => sorted,
-                }
-            }
-        };
+        let (entry, sort) = self.served_root(group(&self.memo, &parts[0]));
+        let cost = sort.map_or(entry.cost, |(_, cost)| cost);
+        let plans_costed = costing.plans_costed + u64::from(self.order_target.is_some());
         parts.drain(..).for_each(drop_part);
         self.greedy_parts = parts;
         self.wide.truncate(wide_len);
@@ -1364,33 +1370,44 @@ impl<'a> EnumContext<'a> {
         ids.into_iter().map(|id| self.extract(set, id)).collect()
     }
 
+    /// How `root`, a group of the complete set, is served: the entry to
+    /// extract, and the root sort over it when one is needed (its class
+    /// and the sorted plan's cost). With no order target, the cheapest
+    /// entry; with one, the cheapest entry in it unless sorting the
+    /// cheapest entry costs less — a plan costed, which the caller
+    /// counts. [`EnumContext::finalize`] serves it, the incumbent prices
+    /// it.
+    fn served_root(&self, root: &Group) -> (PlanEntry, Option<(ClassId, f64)>) {
+        let best = *root.best();
+        let Some(target) = self.order_target else {
+            return (best, None);
+        };
+        let sorted = best.cost + root.sort_cost;
+        match root.best_for_order(target) {
+            Some(&p) if p.cost <= sorted => (p, None),
+            _ => (best, Some((target, sorted))),
+        }
+    }
+
     /// Best complete plan for `full`, enforcing the `ORDER BY` with an
     /// explicit sort when no suitably-ordered plan is cheaper.
     pub fn finalize(&mut self, full: RelSet) -> Result<Arc<PlanNode>, OptError> {
         let group = self.memo.get(full).ok_or(OptError::DisconnectedJoinGraph)?;
-        let best = *group.best();
-        let Some(target) = self.order_target else {
-            return Ok(self.extract(full, best.id()));
-        };
-        let sorted_alternative = group.best_for_order(target).copied();
-        let sort_cost = best.cost + group.sort_cost;
-        self.plans_costed += 1;
-        match sorted_alternative {
-            Some(p) if p.cost <= sort_cost => Ok(self.extract(full, p.id())),
-            _ => {
-                let rows = group.rows;
-                let input = self.extract(full, best.id());
-                Ok(PlanNode::new(
-                    &self.nodes,
-                    PlanOp::Sort { class: target },
-                    full,
-                    rows,
-                    sort_cost,
-                    Some(target),
-                    Children::Unary([input]),
-                ))
-            }
-        }
+        let (rows, (entry, sort)) = (group.rows, self.served_root(group));
+        self.plans_costed += u64::from(self.order_target.is_some());
+        let plan = self.extract(full, entry.id());
+        Ok(match sort {
+            None => plan,
+            Some((class, cost)) => PlanNode::new(
+                &self.nodes,
+                PlanOp::Sort { class },
+                full,
+                rows,
+                cost,
+                Some(class),
+                Children::Unary([plan]),
+            ),
+        })
     }
 
     /// Drop the group for `set` from the memo (pruning), updating the
@@ -1470,19 +1487,23 @@ mod tests {
         use proptest::prelude::*;
 
         /// `group`, its edge words past the first in the side table
-        /// `wide`, holds the estimator's rows, selectivity and edge sets.
+        /// `wide`, holds the estimator's rows, selectivity and edge sets;
+        /// and [`EnumContext::estimate`] gives its set the
+        /// estimator's rows, unclamped, and selectivity.
         fn assert_whole_set_values(ctx: &EnumContext<'_>, group: &Group, wide: &[EdgeWords]) {
             let (graph, est, set) = (ctx.graph(), ctx.model().estimator(), group.set);
-            assert_eq!(
-                group.rows.to_bits(),
-                est.rows_for_set(graph, set).min(MAX_ROWS).to_bits(),
-                "rows of {set:?}"
+            let bits = |(rows, sel): (f64, f64)| (rows.to_bits(), sel.to_bits());
+            let whole = (
+                est.rows_for_set(graph, set),
+                est.selectivity_for_set(graph, set),
             );
+            let held = bits((group.rows, group.selectivity));
             assert_eq!(
-                group.selectivity.to_bits(),
-                est.selectivity_for_set(graph, set).to_bits(),
-                "selectivity of {set:?}"
+                held,
+                bits((whole.0.min(MAX_ROWS), whole.1)),
+                "group of {set:?}"
             );
+            assert_eq!(bits(ctx.estimate(set)), bits(whole), "estimate of {set:?}");
             let mut expected = vec![EdgeWords::default(); ctx.tables.edge_words];
             for (e, edge) in graph.edges().iter().enumerate() {
                 let word = &mut expected[e / 64];
@@ -1580,8 +1601,10 @@ mod tests {
                 let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
                 for node in 0..n {
                     ctx.ensure_base_group(node);
-                    let base = ctx.memo.get(RelSet::single(node)).unwrap();
+                    let (set, est) = (RelSet::single(node), model.estimator());
+                    let base = ctx.memo.get(set).unwrap();
                     assert_whole_set_values(&ctx, base, &ctx.wide);
+                    prop_assert_eq!(base.rows.to_bits(), est.rows_for_set(graph, set).to_bits());
                 }
                 for _ in 0..3 {
                     let mut parts: Vec<RelSet> = (0..n).map(RelSet::single).collect();
@@ -1622,7 +1645,7 @@ mod tests {
                 for &(a, b) in &merges {
                     ctx.join_pair(a, b);
                 }
-                let table = run_levels(&mut ctx, &atoms, atoms.len(), None).unwrap();
+                let table = run_levels(&mut ctx, &atoms, atoms.len()).unwrap();
                 let mut scan = crate::enumerate::LevelScan::new(n);
                 let mut pairs = Vec::new();
                 for s in 2..=atoms.len() {

@@ -25,13 +25,11 @@
 //! the memo (`crate::context::LevelStage`), and the JCRs that come
 //! through the level barrier move into the memo as they are — no plan
 //! node is built at any level; `EnumContext::finalize` builds the
-//! served plan's. A [`LevelPruner`] hook judges the stage at the
-//! barrier; SDP plugs its hub-partitioned skyline pruning in here,
-//! exhaustive DP its incumbent bound (`IncumbentPruner`). A pruner may
-//! have a level staged uncosted ([`LevelPruner::defers_costing`]): its
+//! served plan's. A crate-private level pruner judges the stage at the
+//! barrier: SDP's hub-partitioned skyline pruning, or exhaustive DP's
+//! incumbent bound. A pruner may have a level staged uncosted: its
 //! JCRs are then costed, each whole and in scan order, only where the
-//! verdict needs an exact cost ([`LevelJcrs::cost`]) and where they
-//! survive. One set of
+//! verdict needs an exact cost and where they survive. One set of
 //! level buffers (pair list, stage, the pruner's inputs) serves all
 //! levels of a `run_levels` call.
 
@@ -48,28 +46,27 @@ use crate::plan::PlanNode;
 /// Budget-check cadence, in candidate pair visits.
 const CHECK_INTERVAL: u64 = 1 << 16;
 
-/// Pruning hook invoked after each DP level is complete.
-pub trait LevelPruner {
+/// Pruning hook invoked after each DP level is complete: SDP's skylines
+/// (`crate::sdp::SdpPruner`), exhaustive DP's bound ([`IncumbentPruner`],
+/// [`FixedBound`]), and the test oracles that stand in for them.
+pub(crate) trait LevelPruner {
     /// Judge the fully-enumerated `level` (number of atoms joined) by
     /// `jcrs`; `keep`, as long and all `true` on entry, is the verdict:
     /// clear a JCR's flag to prune it. What survives and is still
-    /// uncosted is costed after the call.
+    /// uncosted is costed after the call. Returns the skyline
+    /// accounting folded into the level's profile row. The default
+    /// keeps every JCR and reports zeros.
     ///
     /// The level's JCRs are not in `ctx.memo` yet — what survives is
     /// built into memo groups after the call — so everything there is
     /// to know about them is in `jcrs`.
     fn prune(
         &mut self,
-        ctx: &EnumContext<'_>,
-        level: usize,
-        jcrs: &mut LevelJcrs<'_>,
-        keep: &mut [bool],
-    );
-
-    /// Skyline accounting for the most recent [`LevelPruner::prune`]
-    /// call, folded into the level's profile row. Pruners without
-    /// skyline structure keep the default zeros.
-    fn last_prune_stats(&self) -> PruneStats {
+        _ctx: &EnumContext<'_>,
+        _level: usize,
+        _jcrs: &mut LevelJcrs<'_>,
+        _keep: &mut [bool],
+    ) -> PruneStats {
         PruneStats::default()
     }
 
@@ -100,7 +97,7 @@ pub trait LevelPruner {
 /// staging on. Cost is exact for a costed JCR; for one its level staged
 /// uncosted ([`LevelPruner::defers_costing`]) it is a floor, at most the
 /// JCR's cheapest plan's cost, until [`LevelJcrs::cost`] costs it.
-pub struct LevelJcrs<'l> {
+pub(crate) struct LevelJcrs<'l> {
     sets: &'l [RelSet],
     features: &'l mut [[f64; 3]],
     costed: &'l mut [bool],
@@ -111,7 +108,7 @@ impl<'l> LevelJcrs<'l> {
     /// The level as `sets` and `features` describe it, `costed` flagging
     /// the exact costs among the features; `cost(i)` costs JCR `i` and
     /// returns its cheapest plan's cost.
-    pub(crate) fn new(
+    pub fn new(
         sets: &'l [RelSet],
         features: &'l mut [[f64; 3]],
         costed: &'l mut [bool],
@@ -128,11 +125,6 @@ impl<'l> LevelJcrs<'l> {
     /// Number of JCRs in the level.
     pub fn len(&self) -> usize {
         self.sets.len()
-    }
-
-    /// Whether the level is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
     }
 
     /// The JCRs' relation sets.
@@ -159,18 +151,11 @@ impl<'l> LevelJcrs<'l> {
         }
         self.features[i][1]
     }
-
-    /// Cost every JCR of the level.
-    pub fn cost_all(&mut self) {
-        (0..self.len()).for_each(|i| {
-            self.cost(i);
-        });
-    }
 }
 
 /// Per-level skyline accounting reported by a [`LevelPruner`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PruneStats {
+pub(crate) struct PruneStats {
     /// Hub (or global) partitions the skyline examined.
     pub partitions: u64,
     /// Skyline survivors summed over partitions.
@@ -292,13 +277,8 @@ fn run_one_level<'p>(
         keep.resize(sets.len(), true);
         let ctx: &EnumContext<'_> = ctx;
         let mut cost = |i| ctx.cost_staged(stage, i);
-        p.prune(
-            ctx,
-            level,
-            &mut LevelJcrs::new(sets, features, costed, &mut cost),
-            keep,
-        );
-        prune_stats = p.last_prune_stats();
+        let mut jcrs = LevelJcrs::new(sets, features, costed, &mut cost);
+        prune_stats = p.prune(ctx, level, &mut jcrs, keep);
         // A survivor is costed as it would have been when staged.
         for (i, (&keep, costed)) in keep.iter().zip(costed.iter_mut()).enumerate() {
             if keep && !*costed {
@@ -409,10 +389,19 @@ fn level_event(stats: &LevelStats) -> sdp_trace::Event {
 }
 
 /// Run bottom-up DP over `atoms` (each must already have a memo
-/// group), building levels `2 ..= up_to` (in atom count), applying
-/// `pruner` after each level when provided. Each invocation scans
-/// afresh, so IDP iterations re-index their shrinking atom lists.
+/// group), building levels `2 ..= up_to` (in atom count) and keeping
+/// every JCR. Each invocation scans afresh, so IDP iterations re-index
+/// their shrinking atom lists.
 pub fn run_levels(
+    ctx: &mut EnumContext<'_>,
+    atoms: &[RelSet],
+    up_to: usize,
+) -> Result<LevelTable, OptError> {
+    run_levels_with(ctx, atoms, up_to, None)
+}
+
+/// [`run_levels`], applying `pruner` after each level when provided.
+pub(crate) fn run_levels_with(
     ctx: &mut EnumContext<'_>,
     atoms: &[RelSet],
     up_to: usize,
@@ -472,8 +461,8 @@ pub fn run_levels(
 /// a wide level's barrier, a completion of its cheapest survivor may
 /// lower `B` for the levels above.
 /// The plan, its cost bits and its tie-breaking are those of
-/// `optimize_complete(ctx, None)`; see "Incumbent-bounded DP" in
-/// DESIGN.md for why.
+/// [`optimize_complete`]; see "Incumbent-bounded DP" in DESIGN.md for
+/// why.
 pub fn optimize_dp(ctx: &mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError> {
     let all = prepare(ctx)?;
     let (bound, plans_costed) = ctx.incumbent(RelSet::EMPTY);
@@ -497,10 +486,10 @@ pub fn optimize_dp(ctx: &mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError>
     served
 }
 
-/// The level pruner of exhaustive DP: drops every JCR whose cheapest
-/// plan costs strictly more than the bound `B` (`Incumbent::last`), a
-/// complete plan's cost (and, as a [`LevelPruner::cost_bound`], every
-/// plan pair whose floor does).
+/// The level pruner of exhaustive DP: a [`LevelPruner::cost_bound`] at
+/// `B` (`Incumbent::last`), a complete plan's cost. Each level leaves
+/// uncosted every plan pair whose floor exceeds `B`, and its barrier
+/// drops every JCR whose cheapest plan costs strictly more.
 ///
 /// Every join costs at least the inputs it includes, and only an
 /// index nested loop leaves one out — its inner, always a single base
@@ -520,18 +509,6 @@ pub fn optimize_dp(ctx: &mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError>
 struct IncumbentPruner(Incumbent);
 
 impl LevelPruner for IncumbentPruner {
-    fn prune(
-        &mut self,
-        _ctx: &EnumContext<'_>,
-        _level: usize,
-        jcrs: &mut LevelJcrs<'_>,
-        keep: &mut [bool],
-    ) {
-        for ([_, cost, _], keep) in jcrs.features().iter().zip(keep) {
-            *keep = *cost <= self.0.last;
-        }
-    }
-
     fn cost_bound(&self) -> Option<f64> {
         Some(self.0.last)
     }
@@ -568,23 +545,37 @@ impl LevelPruner for IncumbentPruner {
     }
 }
 
+/// [`IncumbentPruner`] without its tightening.
+struct FixedBound(f64);
+
+impl LevelPruner for FixedBound {
+    fn cost_bound(&self) -> Option<f64> {
+        Some(self.0)
+    }
+}
+
 /// Run the engine from singleton atoms all the way to the complete
-/// query, with an optional pruner, and finish the plan (greedy
-/// completion safety-net included). With no pruner this is the
-/// unbounded enumeration, which keeps every connected subgraph: the
-/// oracle bounded DP ([`optimize_dp`]) and the feasibility oracle are
-/// held against.
-pub fn optimize_complete(
-    ctx: &mut EnumContext<'_>,
-    pruner: Option<&mut dyn LevelPruner>,
-) -> Result<Arc<PlanNode>, OptError> {
+/// query, keeping every JCR, and serve the plan: the unbounded
+/// enumeration, which keeps every connected subgraph — the oracle
+/// bounded DP ([`optimize_dp`]) and the feasibility oracle are held
+/// against, and the harness's paper-table DP.
+pub fn optimize_complete(ctx: &mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError> {
     let all = prepare(ctx)?;
-    complete(ctx, all, pruner)
+    complete(ctx, all, None)
+}
+
+/// Exhaustive DP's levels under `bound` held fixed ([`optimize_dp`]'s
+/// without its tightening): at the optimum's cost, the fewest plans any
+/// incumbent can leave DP to cost. A bound under it may leave the query
+/// with no plan, and the run fails with [`OptError::DisconnectedJoinGraph`].
+pub fn optimize_bounded(ctx: &mut EnumContext<'_>, bound: f64) -> Result<Arc<PlanNode>, OptError> {
+    let all = prepare(ctx)?;
+    complete(ctx, all, Some(&mut FixedBound(bound)))
 }
 
 /// Reject an empty or disconnected query, create the base groups and
 /// poll the budget once; returns the complete set.
-fn prepare(ctx: &mut EnumContext<'_>) -> Result<RelSet, OptError> {
+pub(crate) fn prepare(ctx: &mut EnumContext<'_>) -> Result<RelSet, OptError> {
     let n = ctx.graph().len();
     if n == 0 {
         return Err(OptError::EmptyQuery);
@@ -600,71 +591,21 @@ fn prepare(ctx: &mut EnumContext<'_>) -> Result<RelSet, OptError> {
     Ok(all)
 }
 
-/// The levels over singleton atoms, then the plan for `all`.
-fn complete(
+/// The levels over singleton atoms, then the plan for `all`, which
+/// always has a group: a level SDP prunes keeps a JCR (its FreeGroup
+/// whole, one or more of each hub partition), each kept JCR of `k < n`
+/// relations yields one of `k + 1` with an adjacent base relation, and
+/// no JCR of the served plan costs more than DP's bound, a real plan's
+/// cost (DESIGN.md, "Why no level leaves the query unplanned"). A
+/// pruner that breaks this gets `finalize`'s typed error.
+pub(crate) fn complete(
     ctx: &mut EnumContext<'_>,
     all: RelSet,
     pruner: Option<&mut dyn LevelPruner>,
 ) -> Result<Arc<PlanNode>, OptError> {
     let atoms: Vec<RelSet> = (0..ctx.graph().len()).map(RelSet::single).collect();
-    run_levels(ctx, &atoms, atoms.len(), pruner)?;
-    if ctx.memo.get(all).is_none() {
-        greedy_complete(ctx, all)?;
-        ctx.completed_greedily = true;
-    }
+    run_levels_with(ctx, &atoms, atoms.len(), pruner)?;
     ctx.finalize(all)
-}
-
-/// Safety net for aggressive pruning configurations: when no complete
-/// JCR survived the level DP, finish the plan by greedily extending
-/// the largest surviving JCR one base relation at a time (MinRows
-/// selection). Exhaustive DP never needs this; the paper's SDP
-/// configurations virtually never do either, but a pruner is
-/// user-pluggable and completeness must not depend on its good
-/// behaviour.
-fn greedy_complete(ctx: &mut EnumContext<'_>, all: RelSet) -> Result<(), OptError> {
-    // Start from the largest surviving group (ties: cheapest), so the
-    // work DP already did is reused.
-    let mut current = {
-        let mut best: Option<(RelSet, usize, f64)> = None;
-        let sets: Vec<RelSet> = ctx.memo.sets().collect();
-        for s in sets {
-            let cost = ctx.memo.get(s).expect("live set").best_cost();
-            let better = match best {
-                None => true,
-                Some((_, len, c)) => s.len() > len || (s.len() == len && cost < c),
-            };
-            if better {
-                best = Some((s, s.len(), cost));
-            }
-        }
-        best.map(|(s, _, _)| s)
-            .ok_or(OptError::DisconnectedJoinGraph)?
-    };
-
-    while current != all {
-        let graph = ctx.graph();
-        let frontier = graph.neighbors(current) & all;
-        if frontier.is_empty() {
-            return Err(OptError::DisconnectedJoinGraph);
-        }
-        // MinRows greedy step over adjacent base relations.
-        let group = |set| ctx.memo.get(set).expect("current and base groups exist");
-        let cur = group(current);
-        let mut best: Option<(f64, usize)> = None;
-        for node in frontier.iter() {
-            let a = group(RelSet::single(node));
-            let rows = cur.rows * a.rows * ctx.crossing_selectivity(cur, a).expect("adjacent");
-            if best.is_none_or(|(r, _)| rows < r) {
-                best = Some((rows, node));
-            }
-        }
-        let (_, node) = best.expect("frontier non-empty");
-        ctx.join_pair(current, RelSet::single(node));
-        current = current.insert(node);
-        ctx.memory.check()?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -675,10 +616,30 @@ mod tests {
     use sdp_cost::{CostModel, CostParams};
     use sdp_query::{Query, QueryGenerator, Topology};
 
+    /// The levels over singleton atoms under `pruner`, then the plan.
+    fn pruned(
+        ctx: &mut EnumContext<'_>,
+        pruner: &mut dyn LevelPruner,
+    ) -> Result<Arc<PlanNode>, OptError> {
+        let all = prepare(ctx)?;
+        complete(ctx, all, Some(pruner))
+    }
+
     fn optimize(q: &Query, cat: &Catalog) -> Arc<PlanNode> {
         let model = CostModel::with_defaults(cat);
         let mut ctx = EnumContext::new(q, &model, Budget::unlimited());
-        optimize_complete(&mut ctx, None).expect("optimization succeeds")
+        optimize_complete(&mut ctx).expect("optimization succeeds")
+    }
+
+    /// Every level row of a run over `n` relations kept a JCR, and the
+    /// last is level `n`, which kept the complete set. SDP's pruning
+    /// guarantees the first, which is what `complete` relies on; under
+    /// DP's bound `complete` needs only the served plan's JCRs, and the
+    /// levels hold it on every graph tried too.
+    fn assert_every_level_kept_a_jcr(rows: &[LevelStats], n: usize) {
+        let kept: Vec<_> = rows.iter().map(|r| (r.level, r.jcrs_retained)).collect();
+        assert!(kept.iter().all(|&(_, k)| k >= 1), "levels kept {kept:?}");
+        assert_eq!(kept.last(), Some(&(n, 1)), "the complete set is kept");
     }
 
     #[test]
@@ -712,7 +673,7 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
 
         let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let dp_plan = optimize_complete(&mut ctx, None).unwrap();
+        let dp_plan = optimize_complete(&mut ctx).unwrap();
 
         // The brute force reuses the same EnumContext machinery but
         // enumerates sets recursively; since join_pair is exactly the
@@ -790,7 +751,7 @@ mod tests {
             ctx.ensure_base_group(i);
         }
         let atoms: Vec<RelSet> = (0..4).map(RelSet::single).collect();
-        let table = run_levels(&mut ctx, &atoms, 4, None).unwrap();
+        let table = run_levels(&mut ctx, &atoms, 4).unwrap();
         // Chain-4 has 3 pairs, 2 triples, 1 quad of connected sets.
         assert_eq!(table.sets_at(1).count(), 4);
         assert_eq!(table.sets_at(2).count(), 3);
@@ -808,7 +769,7 @@ mod tests {
             &model,
             Budget::with_memory(64 * crate::budget::GROUP_MODEL_BYTES),
         );
-        match optimize_complete(&mut ctx, None) {
+        match optimize_complete(&mut ctx) {
             Err(OptError::MemoryExhausted { .. }) => {}
             other => panic!("expected memory exhaustion, got {other:?}"),
         }
@@ -823,7 +784,7 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
         assert!(matches!(
-            optimize_complete(&mut ctx, None),
+            optimize_complete(&mut ctx),
             Err(OptError::DisconnectedJoinGraph)
         ));
     }
@@ -836,37 +797,9 @@ mod tests {
         let q = Query::new(g);
         let model = CostModel::with_defaults(&cat);
         let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let plan = optimize_complete(&mut ctx, None).unwrap();
+        let plan = optimize_complete(&mut ctx).unwrap();
         assert_eq!(plan.set, RelSet::single(0));
         assert_eq!(plan.join_count(), 0);
-    }
-
-    #[test]
-    fn a_hostile_pruner_cannot_break_completeness() {
-        // Prune EVERYTHING at every level; greedy completion must
-        // still deliver a valid full plan.
-        struct PruneAll;
-        impl LevelPruner for PruneAll {
-            fn prune(
-                &mut self,
-                _ctx: &EnumContext<'_>,
-                _level: usize,
-                _jcrs: &mut LevelJcrs<'_>,
-                keep: &mut [bool],
-            ) {
-                keep.fill(false);
-            }
-        }
-        let cat = Catalog::paper();
-        let q = QueryGenerator::new(&cat, Topology::star_chain(8), 4).instance(0);
-        let model = CostModel::with_defaults(&cat);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let mut pruner = PruneAll;
-        let plan = optimize_complete(&mut ctx, Some(&mut pruner)).unwrap();
-        assert_eq!(plan.set, q.graph.all_nodes());
-        plan.check_invariants().unwrap();
-        assert!(ctx.completed_greedily);
-        accounting::assert_sort_costs(&ctx, "after greedy completion");
     }
 
     #[test]
@@ -875,7 +808,7 @@ mod tests {
         let q = QueryGenerator::new(&cat, Topology::Star(5), 8).ordered_instance(0);
         let model = CostModel::with_defaults(&cat);
         let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let plan = optimize_complete(&mut ctx, None).unwrap();
+        let plan = optimize_complete(&mut ctx).unwrap();
         assert_eq!(plan.ordering, ctx.order_target());
         assert!(plan.ordering.is_some());
     }
@@ -927,12 +860,12 @@ mod tests {
                 }
 
                 let mut oracle = EnumContext::new(&query, &model, Budget::unlimited());
-                let expected = optimize_complete(&mut oracle, None).unwrap();
+                let expected = optimize_complete(&mut oracle).unwrap();
                 let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
                 let plan = optimize_dp(&mut ctx).unwrap();
                 prop_assert_eq!(plan.cost.to_bits(), expected.cost.to_bits());
                 prop_assert_eq!(plan.structural_digest(), expected.structural_digest());
-                prop_assert!(!ctx.completed_greedily);
+                assert_every_level_kept_a_jcr(ctx.profile(), n);
 
                 let incumbent = ctx.incumbent.unwrap();
                 let mut goo = EnumContext::new(&query, &model, Budget::unlimited());
@@ -972,19 +905,12 @@ mod tests {
                 // same bound on JCRs alone. The floors cost no more, and
                 // drop the very JCRs (some for having no plan at all) the
                 // barrier drops for costing too much.
-                let untightened = |pruner: &mut dyn LevelPruner| {
-                    let mut run = EnumContext::new(&query, &model, Budget::unlimited());
-                    let all = prepare(&mut run).unwrap();
-                    let (bound, _) = run.incumbent(RelSet::EMPTY);
-                    let plan = complete(&mut run, all, Some(pruner)).unwrap();
-                    (bound, plan.structural_digest(), run)
-                };
-                let goo_bound = pruner_at(first);
-                let (bound, digest, floors) = untightened(&mut Untightened(goo_bound));
-                prop_assert_eq!(bound.to_bits(), first.to_bits());
-                prop_assert_eq!(digest, expected.structural_digest());
-                let (_, digest, jcrs_only) = untightened(&mut JcrsOnly(goo_bound));
-                prop_assert_eq!(digest, expected.structural_digest());
+                let mut floors = EnumContext::new(&query, &model, Budget::unlimited());
+                let plan = optimize_bounded(&mut floors, first).unwrap();
+                prop_assert_eq!(plan.structural_digest(), expected.structural_digest());
+                let mut jcrs_only = EnumContext::new(&query, &model, Budget::unlimited());
+                let plan = pruned(&mut jcrs_only, &mut JcrsOnly(first)).unwrap();
+                prop_assert_eq!(plan.structural_digest(), expected.structural_digest());
                 prop_assert!(floors.plans_costed <= jcrs_only.plans_costed);
                 prop_assert_eq!(floors.jcrs_pruned, jcrs_only.jcrs_pruned);
                 prop_assert_eq!(jcrs_only.ruled_out, 0);
@@ -1012,7 +938,7 @@ mod tests {
             for k in 0..8 {
                 let q = QueryGenerator::new(&cat, Topology::Star(9), 7).instance(k);
                 let mut oracle = EnumContext::new(&q, &model, Budget::unlimited());
-                let expected = optimize_complete(&mut oracle, None).unwrap();
+                let expected = optimize_complete(&mut oracle).unwrap();
                 let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
                 let plan = optimize_dp(&mut ctx).unwrap();
                 assert_eq!(plan.cost.to_bits(), expected.cost.to_bits(), "instance {k}");
@@ -1034,48 +960,22 @@ mod tests {
             assert_eq!(incumbent.last.to_bits(), incumbent.first.to_bits());
         }
 
-        /// An [`IncumbentPruner`] starting at `bound`, nothing costed for it.
-        fn pruner_at(bound: f64) -> IncumbentPruner {
-            IncumbentPruner(Incumbent {
-                first: bound,
-                last: bound,
-                plans_costed: 0,
-            })
-        }
-
-        /// [`IncumbentPruner`] with its bound fixed: every level runs
-        /// under the bound it starts with.
-        struct Untightened(IncumbentPruner);
-
-        impl LevelPruner for Untightened {
-            fn prune(
-                &mut self,
-                ctx: &EnumContext<'_>,
-                level: usize,
-                jcrs: &mut LevelJcrs<'_>,
-                keep: &mut [bool],
-            ) {
-                self.0.prune(ctx, level, jcrs, keep);
-            }
-
-            fn cost_bound(&self) -> Option<f64> {
-                self.0.cost_bound()
-            }
-        }
-
-        /// [`IncumbentPruner`]'s verdict at the barrier, without its
-        /// cost bound: every plan pair is costed.
-        struct JcrsOnly(IncumbentPruner);
+        /// [`FixedBound`]'s verdict at the barrier, without its cost
+        /// bound: every plan pair is costed.
+        struct JcrsOnly(f64);
 
         impl LevelPruner for JcrsOnly {
             fn prune(
                 &mut self,
-                ctx: &EnumContext<'_>,
-                level: usize,
+                _ctx: &EnumContext<'_>,
+                _level: usize,
                 jcrs: &mut LevelJcrs<'_>,
                 keep: &mut [bool],
-            ) {
-                self.0.prune(ctx, level, jcrs, keep);
+            ) -> PruneStats {
+                for ([_, cost, _], keep) in jcrs.features().iter().zip(keep) {
+                    *keep = *cost <= self.0;
+                }
+                PruneStats::default()
             }
         }
 
@@ -1102,7 +1002,7 @@ mod tests {
             for topology in [Topology::Chain(5), Topology::Star(6), Topology::Cycle(5)] {
                 let q = QueryGenerator::new(&cat, topology, 3).instance(0);
                 let mut oracle = EnumContext::new(&q, &model, Budget::unlimited());
-                let expected = optimize_complete(&mut oracle, None).unwrap();
+                let expected = optimize_complete(&mut oracle).unwrap();
                 let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
                 let plan = optimize_dp(&mut ctx).unwrap();
                 let bound = ctx.incumbent.unwrap().first;
@@ -1111,7 +1011,7 @@ mod tests {
                     expected.cost.to_bits(),
                     "{topology}: B is optimal"
                 );
-                assert!(!ctx.completed_greedily, "{topology}");
+                assert_every_level_kept_a_jcr(ctx.profile(), q.num_relations());
                 assert_eq!(plan.cost.to_bits(), expected.cost.to_bits(), "{topology}");
                 assert_eq!(plan.structural_digest(), expected.structural_digest());
                 assert!(ctx.ruled_out > 0, "{topology}: dearer plans are ruled out");
@@ -1119,26 +1019,24 @@ mod tests {
         }
 
         /// A JCR whose every alternative the bound rules out has no plan
-        /// to be judged by: the barrier drops it as pruned, and the
-        /// greedy completion finishes the query.
+        /// to be judged by: the barrier drops it as pruned. Under the
+        /// floor of every join nothing survives level 2, and the query
+        /// is left without a plan: the run fails with `finalize`'s
+        /// typed error.
         #[test]
         fn a_jcr_left_without_a_plan_is_pruned_at_the_barrier() {
             let cat = Catalog::paper();
             let model = CostModel::with_defaults(&cat);
             let q = QueryGenerator::new(&cat, Topology::Chain(4), 1).instance(0);
             let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-            let all = prepare(&mut ctx).unwrap();
-            // Under the floor of every join.
-            let mut pruner = pruner_at(0.0);
-            let plan = complete(&mut ctx, all, Some(&mut pruner)).unwrap();
+            let served = optimize_bounded(&mut ctx, 0.0);
+            assert!(matches!(served, Err(OptError::DisconnectedJoinGraph)));
             let pairs = &ctx.profile()[0];
             assert_eq!((pairs.level, pairs.pairs, pairs.plans_costed), (2, 3, 0));
             assert_eq!((pairs.jcrs_created, pairs.jcrs_pruned), (3, 3));
             assert_eq!(pairs.jcrs_retained, 0);
             assert_eq!(ctx.jcrs_pruned, 3);
             assert!(ctx.ruled_out > 0);
-            assert!(ctx.completed_greedily);
-            plan.check_invariants().unwrap();
         }
 
         /// The bound is the DP rung's, not the run's. A DP rung that
@@ -1201,12 +1099,8 @@ mod tests {
                 level: usize,
                 jcrs: &mut LevelJcrs<'_>,
                 keep: &mut [bool],
-            ) {
-                self.0.prune(ctx, level, jcrs, keep);
-            }
-
-            fn last_prune_stats(&self) -> PruneStats {
-                self.0.last_prune_stats()
+            ) -> PruneStats {
+                self.0.prune(ctx, level, jcrs, keep)
             }
         }
 
@@ -1223,7 +1117,7 @@ mod tests {
         fn run(mut ctx: EnumContext<'_>, config: SdpConfig, all_costed: bool) -> Outcome {
             let plan = if all_costed {
                 let mut pruner = AllCosted(SdpPruner::new(&ctx, config));
-                optimize_complete(&mut ctx, Some(&mut pruner))
+                pruned(&mut ctx, &mut pruner)
             } else {
                 optimize_sdp(&mut ctx, config)
             }
@@ -1264,7 +1158,7 @@ mod tests {
                 let handed_down = || {
                     let budget = Budget::with_memory(budget_groups * GROUP_MODEL_BYTES);
                     let mut ctx = EnumContext::new(&query, &model, budget);
-                    let _ = optimize_complete(&mut ctx, None);
+                    let _ = optimize_complete(&mut ctx);
                     prepare_handoff(&mut ctx, Budget::unlimited());
                     ctx.memory.set_budget(Budget::unlimited());
                     ctx
@@ -1283,6 +1177,7 @@ mod tests {
                             let what = format!("{partitioning:?} × {skyline:?}");
                             prop_assert_eq!(served, o_served, "{}", what);
                             prop_assert!(costed <= o_costed, "{}: {} > {}", what, costed, o_costed);
+                            assert_every_level_kept_a_jcr(&rows, n);
                             prop_assert_eq!(rows.len(), o_rows.len());
                             for (row, oracle) in rows.iter().zip(&o_rows) {
                                 let counts = |r: &LevelStats| (
@@ -1338,10 +1233,10 @@ mod tests {
                     query = query.with_order_by(column);
                 }
                 let mut oracle = EnumContext::new(&query, &model, Budget::unlimited());
-                let expected = optimize_complete(&mut oracle, None).unwrap();
+                let expected = optimize_complete(&mut oracle).unwrap();
                 let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
                 let mut probe = FloorProbe::default();
-                let plan = optimize_complete(&mut ctx, Some(&mut probe)).unwrap();
+                let plan = pruned(&mut ctx, &mut probe).unwrap();
                 prop_assert_eq!(plan.cost.to_bits(), expected.cost.to_bits());
                 prop_assert_eq!(plan.structural_digest(), expected.structural_digest());
                 prop_assert_eq!(ctx.plans_costed, oracle.plans_costed);
@@ -1365,11 +1260,12 @@ mod tests {
                 _level: usize,
                 jcrs: &mut LevelJcrs<'_>,
                 _keep: &mut [bool],
-            ) {
+            ) -> PruneStats {
                 for i in 0..jcrs.len() {
                     let floor = jcrs.features()[i][1];
                     self.0.push((jcrs.sets()[i], floor, jcrs.cost(i)));
                 }
+                PruneStats::default()
             }
 
             fn defers_costing(&self, _level: usize) -> bool {
@@ -1388,7 +1284,7 @@ mod tests {
             let q = QueryGenerator::new(&cat, Topology::Star(6), 13).instance(0);
             let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
             let mut probe = FloorProbe::default();
-            optimize_complete(&mut ctx, Some(&mut probe)).unwrap();
+            pruned(&mut ctx, &mut probe).unwrap();
             let probed = probe.0.iter().filter(|&&(set, floor, cost)| {
                 let best = ctx.memo.get(set).unwrap().best().source;
                 let inl = matches!(
@@ -1559,7 +1455,7 @@ mod tests {
             let model = CostModel::with_defaults(&cat);
             let q = QueryGenerator::new(&cat, Topology::star_chain(8), 5).ordered_instance(0);
             let mut ctx = EnumContext::new(&q, &model, Budget::with_memory(60 * GROUP_MODEL_BYTES));
-            let abandoned = optimize_complete(&mut ctx, None);
+            let abandoned = optimize_complete(&mut ctx);
             assert!(matches!(abandoned, Err(OptError::MemoryExhausted { .. })));
             prepare_handoff(&mut ctx, Budget::unlimited());
             ctx.memory.set_budget(Budget::unlimited());
@@ -1625,7 +1521,7 @@ mod tests {
                         let mut pruner = SdpPruner::new(&ctx, SdpConfig::paper());
                         let pruner: Option<&mut dyn LevelPruner> =
                             if pruned { Some(&mut pruner) } else { None };
-                        run_levels(&mut ctx, &atoms, up_to, pruner).unwrap();
+                        run_levels_with(&mut ctx, &atoms, up_to, pruner).unwrap();
                         let when = format!("after level {up_to} (pruned: {pruned})");
                         assert_counted(&ctx, &mut eager, &when);
                     }
@@ -1646,12 +1542,12 @@ mod tests {
                 let mut eager = EagerMemo::default();
                 (0..n).for_each(|i| ctx.ensure_base_group(i));
                 let block = 2.max(n / 2);
-                let table = run_levels(&mut ctx, &atoms, block, None).unwrap();
+                let table = run_levels(&mut ctx, &atoms, block).unwrap();
                 assert_counted(&ctx, &mut eager, "after the block's levels");
                 let blocks: Vec<RelSet> = table.sets_at(block).collect();
                 let atoms = contract(&mut ctx, &atoms, blocks[winner % blocks.len()]);
                 assert_counted(&ctx, &mut eager, "after the contraction");
-                run_levels(&mut ctx, &atoms, atoms.len(), None).unwrap();
+                run_levels(&mut ctx, &atoms, atoms.len()).unwrap();
                 assert_counted(&ctx, &mut eager, "over the compound atom");
                 let plan = ctx.finalize(query.graph.all_nodes()).unwrap();
                 plan.check_invariants().unwrap();
@@ -1664,7 +1560,7 @@ mod tests {
                 // handed down and SDP finishes over the retained pairs.
                 let mut ctx = context(Budget::with_memory(budget_groups * GROUP_MODEL_BYTES));
                 let mut eager = EagerMemo::default();
-                let exhaustive = optimize_complete(&mut ctx, None);
+                let exhaustive = optimize_complete(&mut ctx);
                 if let Err(e) = &exhaustive {
                     prop_assert!(matches!(e, OptError::MemoryExhausted { .. }), "{e}");
                 }
@@ -1704,7 +1600,7 @@ mod tests {
                         let mut pruner = SdpPruner::new(&ctx, SdpConfig::paper());
                         let pruner: Option<&mut dyn LevelPruner> =
                             if pruned { Some(&mut pruner) } else { None };
-                        run_levels(&mut ctx, &atoms, up_to, pruner).unwrap();
+                        run_levels_with(&mut ctx, &atoms, up_to, pruner).unwrap();
                         let when = format!("level {up_to} (pruned: {pruned})");
                         assert_extracted(&mut ctx, &mut eager, &when);
                     }
@@ -1729,7 +1625,7 @@ mod tests {
                 // A rolled-back rung, the handoff, SDP over what it left.
                 let mut ctx = context(Budget::with_memory(budget_groups * GROUP_MODEL_BYTES));
                 let mut eager = EagerMemo::default();
-                drop(optimize_complete(&mut ctx, None));
+                drop(optimize_complete(&mut ctx));
                 assert_extracted(&mut ctx, &mut eager, "the abandoned rung");
                 prepare_handoff(&mut ctx, Budget::unlimited());
                 assert_counted(&ctx, &mut eager, "the handoff");

@@ -286,7 +286,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::budget::Budget;
     use crate::context::EnumContext;
-    use crate::dp::{run_levels, LevelPruner};
+    use crate::dp::{run_levels, run_levels_with, LevelPruner};
     use crate::fx::FxHashMap;
     use crate::sdp::{SdpConfig, SdpPruner};
     use sdp_catalog::Catalog;
@@ -492,7 +492,7 @@ pub(crate) mod tests {
             let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
             (0..n).for_each(|i| ctx.ensure_base_group(i));
             let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
-            let table = run_levels(&mut ctx, &atoms, n, None).unwrap();
+            let table = run_levels(&mut ctx, &atoms, n).unwrap();
             assert_scan_matches_oracle(&q.graph, &atoms, &table, &topo.to_string());
         }
     }
@@ -700,7 +700,7 @@ pub(crate) mod tests {
                     let mut pruner = SdpPruner::new(&ctx, SdpConfig::paper());
                     let pruner: Option<&mut dyn LevelPruner> =
                         if pruned { Some(&mut pruner) } else { None };
-                    let table = run_levels(&mut ctx, &atoms, atoms.len(), pruner).unwrap();
+                    let table = run_levels_with(&mut ctx, &atoms, atoms.len(), pruner).unwrap();
                     assert_scan_matches_oracle(
                         &query.graph,
                         &atoms,

@@ -55,7 +55,7 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Chain(4), 3).instance(0);
         let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let plan = optimize_complete(&mut ctx, None).unwrap();
+        let plan = optimize_complete(&mut ctx).unwrap();
         let text = explain(&plan);
         assert_eq!(text.lines().count(), plan.node_count());
         assert!(text.contains("Scan"));
@@ -68,7 +68,7 @@ mod tests {
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Chain(3), 1).instance(0);
         let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let plan = optimize_complete(&mut ctx, None).unwrap();
+        let plan = optimize_complete(&mut ctx).unwrap();
         let text = explain(&plan);
         let lines: Vec<&str> = text.lines().collect();
         assert!(!lines[0].starts_with(' '));
@@ -103,18 +103,13 @@ pub fn explain_analyze(governed: &GovernedPlan) -> String {
     );
     let _ = writeln!(
         out,
-        "cost={:.2}  rows={:.0}  plans_costed={}  jcrs_processed={}  jcrs_pruned={}  peak_model_bytes={}{}",
+        "cost={:.2}  rows={:.0}  plans_costed={}  jcrs_processed={}  jcrs_pruned={}  peak_model_bytes={}",
         plan.cost,
         plan.rows,
         stats.plans_costed,
         stats.jcrs_processed,
         stats.jcrs_pruned,
         stats.peak_model_bytes,
-        if stats.completed_greedily {
-            "  (completed greedily)"
-        } else {
-            ""
-        }
     );
     if let Some(incumbent) = stats.incumbent {
         let _ = writeln!(
@@ -385,7 +380,7 @@ mod dot_tests {
         let model = CostModel::with_defaults(&cat);
         let q = QueryGenerator::new(&cat, Topology::Star(5), 2).instance(0);
         let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let plan = optimize_complete(&mut ctx, None).unwrap();
+        let plan = optimize_complete(&mut ctx).unwrap();
         let dot = plan_to_dot(&plan, "plan");
         assert_eq!(dot.matches("\\ncost ").count(), plan.node_count());
         // n - 1 joins + scans: each non-root node has one outgoing edge.

@@ -82,7 +82,7 @@ fn exhaustive_levels(algorithm: Algorithm, n: usize) -> Option<usize> {
 /// `None` means "not provably doomed", never "fits".
 ///
 /// For DP the bound is that of the *unbounded* enumeration
-/// (`dp::optimize_complete` with no pruner), which keeps every
+/// (`dp::optimize_complete`), which keeps every
 /// connected subgraph. `Algorithm::Dp` runs bounded by a greedy
 /// incumbent (`dp::optimize_dp`) and drops the JCRs that cost more, so
 /// it can fit a budget this oracle calls doomed. The oracle stays
@@ -282,7 +282,7 @@ mod tests {
             if algorithm == Algorithm::Dp {
                 let model = CostModel::with_defaults(&catalog);
                 let mut ctx = EnumContext::new(query, &model, budget);
-                return crate::dp::optimize_complete(&mut ctx, None).map(|_| ctx.stats());
+                return crate::dp::optimize_complete(&mut ctx).map(|_| ctx.stats());
             }
             Optimizer::new(&catalog)
                 .with_budget(budget)
@@ -367,7 +367,7 @@ mod tests {
         );
         let mut ctx = EnumContext::new(&query, &model, Budget::with_memory(tight));
         assert!(matches!(
-            crate::dp::optimize_complete(&mut ctx, None),
+            crate::dp::optimize_complete(&mut ctx),
             Err(OptError::MemoryExhausted { .. })
         ));
         assert_eq!(

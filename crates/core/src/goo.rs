@@ -82,7 +82,7 @@ mod tests {
         let mut goo_ctx = EnumContext::new(&q, &model, Budget::unlimited());
         let goo = optimize_goo(&mut goo_ctx).unwrap();
         let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let dp = optimize_complete(&mut dp_ctx, None).unwrap();
+        let dp = optimize_complete(&mut dp_ctx).unwrap();
         assert!(goo.cost >= dp.cost * (1.0 - 1e-9));
         assert!(goo_ctx.stats().plans_costed * 10 < dp_ctx.stats().plans_costed);
     }

@@ -31,7 +31,7 @@ use sdp_query::RelSet;
 
 use crate::budget::OptError;
 use crate::context::EnumContext;
-use crate::dp::run_levels;
+use crate::dp::{prepare, run_levels};
 use crate::fx::FxHashSet;
 use crate::plan::PlanNode;
 
@@ -60,25 +60,12 @@ pub fn balanced_block_size(r: usize, k: usize) -> usize {
 /// Panics if `k < 2`: a block of one atom contracts nothing.
 pub fn optimize_idp(ctx: &mut EnumContext<'_>, k: usize) -> Result<Arc<PlanNode>, OptError> {
     assert!(k >= 2, "IDP needs k >= 2");
-    let n = ctx.graph().len();
-    if n == 0 {
-        return Err(OptError::EmptyQuery);
-    }
-    let all = ctx.graph().all_nodes();
-    if !ctx.graph().is_connected(all) {
-        return Err(OptError::DisconnectedJoinGraph);
-    }
-
-    let mut atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
-    for i in 0..n {
-        ctx.ensure_base_group(i);
-    }
-    ctx.memory.check()?;
-
+    let all = prepare(ctx)?;
+    let mut atoms: Vec<RelSet> = all.iter().map(RelSet::single).collect();
     loop {
         let r = atoms.len();
         let bk = balanced_block_size(r, k);
-        let table = run_levels(ctx, &atoms, bk, None)?;
+        let table = run_levels(ctx, &atoms, bk)?;
         if bk == r {
             return ctx.finalize(all);
         }
@@ -138,14 +125,16 @@ pub(crate) fn contract(ctx: &mut EnumContext<'_>, atoms: &[RelSet], winner: RelS
 /// cardinalities. No plans are constructed or costed: ballooning only
 /// *selects* the block to commit; the committed block's plans come
 /// from the preceding exhaustive DP.
+///
+/// Rows are the estimator's, bit for bit and unclamped
+/// (`EnumContext::estimate`).
 fn balloon_mir(
-    ctx: &mut EnumContext<'_>,
+    ctx: &EnumContext<'_>,
     start: RelSet,
     atoms: &[RelSet],
     all: RelSet,
 ) -> Result<f64, OptError> {
     let graph = ctx.graph();
-    let est = ctx.model().estimator();
     let mut cur = start;
     let mut mir = 0.0;
     while cur != all {
@@ -154,7 +143,7 @@ fn balloon_mir(
             if !a.is_disjoint(cur) || !graph.sets_connected(cur, a) {
                 continue;
             }
-            let rows = est.rows_for_set(graph, cur | a);
+            let (rows, _) = ctx.estimate(cur | a);
             if best.is_none_or(|(r, _)| rows < r) {
                 best = Some((rows, a));
             }
@@ -171,6 +160,8 @@ mod tests {
     use super::*;
     use crate::budget::Budget;
     use crate::dp::optimize_complete;
+    use crate::enumerate::tests::wide_query;
+    use proptest::prelude::*;
     use sdp_catalog::Catalog;
     use sdp_cost::CostModel;
     use sdp_query::{QueryGenerator, Topology};
@@ -200,7 +191,7 @@ mod tests {
         let mut idp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
         let idp = optimize_idp(&mut idp_ctx, k).unwrap();
         let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let dp = optimize_complete(&mut dp_ctx, None).unwrap();
+        let dp = optimize_complete(&mut dp_ctx).unwrap();
         (idp.cost, dp.cost)
     }
 
@@ -244,7 +235,7 @@ mod tests {
         let mut idp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
         optimize_idp(&mut idp_ctx, 4).unwrap();
         let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        optimize_complete(&mut dp_ctx, None).unwrap();
+        optimize_complete(&mut dp_ctx).unwrap();
         assert!(idp_ctx.stats().plans_costed < dp_ctx.stats().plans_costed);
     }
 
@@ -256,6 +247,77 @@ mod tests {
         let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
         let plan = optimize_idp(&mut ctx, 4).unwrap();
         assert_eq!(plan.ordering, ctx.order_target());
+    }
+
+    /// Ballooning as the estimator scores it: [`balloon_mir`]'s oracle.
+    fn balloon_mir_by_estimator(
+        ctx: &EnumContext<'_>,
+        start: RelSet,
+        atoms: &[RelSet],
+        all: RelSet,
+    ) -> Result<f64, OptError> {
+        let graph = ctx.graph();
+        let est = ctx.model().estimator();
+        let mut cur = start;
+        let mut mir = 0.0;
+        while cur != all {
+            let mut best: Option<(f64, RelSet)> = None;
+            for &a in atoms {
+                if !a.is_disjoint(cur) || !graph.sets_connected(cur, a) {
+                    continue;
+                }
+                let rows = est.rows_for_set(graph, cur | a);
+                if best.is_none_or(|(r, _)| rows < r) {
+                    best = Some((rows, a));
+                }
+            }
+            let (rows, next) = best.ok_or(OptError::DisconnectedJoinGraph)?;
+            mir += rows;
+            cur = cur | next;
+        }
+        Ok(mir)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Ballooning from the run tables against the estimator's: every
+        /// block of every iteration, and every atom, scores the same MIR
+        /// bits, so IDP commits the same block — over compound atoms (a
+        /// random block contracted each iteration) and graphs of more
+        /// than 64 edges and filters.
+        #[test]
+        fn ballooning_scores_blocks_as_the_estimator_does(
+            n in 3usize..=14,
+            parents in prop::collection::vec(any::<u64>(), 13usize),
+            extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=12),
+            cliques in prop::collection::vec(any::<u64>(), 0usize..=5),
+            filters in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u64>()), 0usize..=100),
+            k in 2usize..=5,
+            contracted in any::<usize>(),
+        ) {
+            let (query, _) = wide_query(n, &parents, &extras, &cliques, &filters);
+            let cat = Catalog::paper();
+            let model = CostModel::with_defaults(&cat);
+            let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
+            (0..n).for_each(|i| ctx.ensure_base_group(i));
+            let all = query.graph.all_nodes();
+            let mut atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
+            loop {
+                let bk = balanced_block_size(atoms.len(), k);
+                let table = run_levels(&mut ctx, &atoms, bk).unwrap();
+                if bk == atoms.len() {
+                    break;
+                }
+                let blocks: Vec<RelSet> = table.sets_at(bk).collect();
+                for &block in blocks.iter().chain(&atoms) {
+                    let mir = balloon_mir(&ctx, block, &atoms, all).unwrap();
+                    let oracle = balloon_mir_by_estimator(&ctx, block, &atoms, all).unwrap();
+                    prop_assert_eq!(mir.to_bits(), oracle.to_bits(), "{:?}", block);
+                }
+                atoms = contract(&mut ctx, &atoms, blocks[contracted % blocks.len()]);
+            }
+        }
     }
 
     #[test]

@@ -80,7 +80,6 @@ fn _assert_service_types_are_send_sync() {
     check::<sdp_trace::Tracer>();
 }
 pub use context::{EnumContext, Incumbent, LevelStats, RunStats};
-pub use dp::{LevelJcrs, LevelPruner, PruneStats};
 pub use enumerate::{EnumeratorKind, LevelScan};
 pub use explain::{explain, explain_analyze, worst_estimates};
 pub use memo::{Group, Memo, PlanEntry, PlanSource};

@@ -96,7 +96,7 @@ impl SdpConfig {
 
 /// The SDP pruning hook plugged into the DP level loop.
 #[derive(Debug)]
-pub struct SdpPruner {
+pub(crate) struct SdpPruner {
     config: SdpConfig,
     /// Hubs of the original join graph (computed once), ascending.
     root_hubs: Vec<usize>,
@@ -108,8 +108,6 @@ pub struct SdpPruner {
     order_relations: Vec<usize>,
     /// Relations in the query: levels `2 ..= relations − 2` are pruned.
     relations: usize,
-    /// Skyline accounting for the most recent `prune_level` call.
-    last: PruneStats,
     scratch: Scratch,
 }
 
@@ -212,7 +210,7 @@ fn settle<'m>(
                 settle_pair(members, 2, jcrs, sweep);
             }
             SkylineOption::FullVector => settle_full(members, jcrs, sweep, window),
-            SkylineOption::KDominant(_) => return jcrs.cost_all(),
+            SkylineOption::KDominant(_) => return (0..jcrs.len()).for_each(|i| _ = jcrs.cost(i)),
         }
     }
 }
@@ -303,7 +301,7 @@ fn settle_full(
 
 impl SdpPruner {
     /// Build the pruner for the query in `ctx`.
-    pub fn new(ctx: &EnumContext<'_>, config: SdpConfig) -> Self {
+    pub(crate) fn new(ctx: &EnumContext<'_>, config: SdpConfig) -> Self {
         let graph = ctx.graph();
         let root_hubs: Vec<usize> = hubs::root_hubs(graph).iter().collect();
         // Level-1 hub-parents are exactly the root hubs.
@@ -328,7 +326,6 @@ impl SdpPruner {
             hub_parents,
             order_relations,
             relations: graph.len(),
-            last: PruneStats::default(),
             scratch: Scratch::default(),
         }
     }
@@ -338,33 +335,10 @@ impl SdpPruner {
         (2..=self.relations.saturating_sub(2)).contains(&level)
     }
 
-    fn prune_level(
-        &mut self,
-        ctx: &EnumContext<'_>,
-        level: usize,
-        jcrs: &mut LevelJcrs<'_>,
-        keep: &mut [bool],
-    ) {
-        self.last = PruneStats::default();
-        // Plain DP at level 1 and the last two levels (Figure 2.2).
-        if self.prunes(level) {
-            self.prune_partitions(ctx, level, jcrs, keep);
-        }
-
-        // Recompute the hub-parents from the survivors of the level
-        // just finished ("the identification of hub relations … is
-        // computed afresh in each iteration of SDP with the current
-        // version of the join graph").
-        if self.config.partitioning == Partitioning::ParentHub {
-            let survivors = jcrs.sets().iter().zip(&*keep).filter(|(_, &k)| k);
-            self.hub_parents = hubs::hub_parents(ctx.graph(), survivors.map(|(s, _)| s));
-            self.hub_parents.sort_unstable(); // partitions go in key order
-        }
-    }
-
     /// Partition a prunable level and clear the `keep` flag of every
-    /// JCR its partitions' skylines leave out. The skylines run on the
-    /// level's features once [`settle`] has costed what they need.
+    /// JCR its partitions' skylines leave out; returns the skyline
+    /// accounting. The skylines run on the level's features once
+    /// [`settle`] has costed what they need.
     // Without tracing, what only the spans report goes unread.
     #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     fn prune_partitions(
@@ -373,7 +347,7 @@ impl SdpPruner {
         level: usize,
         jcrs: &mut LevelJcrs<'_>,
         keep: &mut [bool],
-    ) {
+    ) -> PruneStats {
         let option = self.config.skyline;
         let level_sets = jcrs.sets();
         let sc = &mut self.scratch;
@@ -397,7 +371,7 @@ impl SdpPruner {
         // No hub partition formed (e.g. chain region only, or an empty
         // level): nothing to prune at this level.
         if sc.partitions.is_empty() {
-            return;
+            return PruneStats::default();
         }
 
         if (0..jcrs.len()).any(|i| !jcrs.is_costed(i)) {
@@ -526,11 +500,11 @@ impl SdpPruner {
             });
         }
 
-        self.last = PruneStats {
+        PruneStats {
             partitions: sc.partitions.len() as u64,
             survivors: total_survivors,
             order_rescued,
-        };
+        }
     }
 }
 
@@ -541,12 +515,24 @@ impl LevelPruner for SdpPruner {
         level: usize,
         jcrs: &mut LevelJcrs<'_>,
         keep: &mut [bool],
-    ) {
-        self.prune_level(ctx, level, jcrs, keep);
-    }
+    ) -> PruneStats {
+        // Plain DP at level 1 and the last two levels (Figure 2.2).
+        let stats = if self.prunes(level) {
+            self.prune_partitions(ctx, level, jcrs, keep)
+        } else {
+            PruneStats::default()
+        };
 
-    fn last_prune_stats(&self) -> PruneStats {
-        self.last
+        // Recompute the hub-parents from the survivors of the level
+        // just finished ("the identification of hub relations … is
+        // computed afresh in each iteration of SDP with the current
+        // version of the join graph").
+        if self.config.partitioning == Partitioning::ParentHub {
+            let survivors = jcrs.sets().iter().zip(&*keep).filter(|(_, &k)| k);
+            self.hub_parents = hubs::hub_parents(ctx.graph(), survivors.map(|(s, _)| s));
+            self.hub_parents.sort_unstable(); // partitions go in key order
+        }
+        stats
     }
 
     /// A level SDP prunes stages uncosted when a hub partition can form
@@ -569,7 +555,8 @@ pub fn optimize_sdp(
     config: SdpConfig,
 ) -> Result<std::sync::Arc<crate::plan::PlanNode>, crate::budget::OptError> {
     let mut pruner = SdpPruner::new(ctx, config);
-    crate::dp::optimize_complete(ctx, Some(&mut pruner))
+    let all = crate::dp::prepare(ctx)?;
+    crate::dp::complete(ctx, all, Some(&mut pruner))
 }
 
 #[cfg(test)]
@@ -590,7 +577,6 @@ mod tests {
         let q = QueryGenerator::new(&cat, Topology::star_chain(16), 3).ordered_instance(0);
         let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
         optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
-        assert!(!ctx.completed_greedily);
         let stats = ctx.stats();
         let survivors: u64 = ctx.profile().iter().map(|l| l.jcrs_retained).sum();
         assert_eq!(ctx.sort_costs, 16 + survivors);
@@ -622,7 +608,7 @@ mod tests {
         let sdp_stats = sdp_ctx.stats();
 
         let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let dp_plan = optimize_complete(&mut dp_ctx, None).unwrap();
+        let dp_plan = optimize_complete(&mut dp_ctx).unwrap();
 
         (sdp_plan.cost, sdp_stats, dp_plan.cost)
     }
@@ -645,7 +631,6 @@ mod tests {
     fn sdp_prunes_star_queries_strongly() {
         let (_, stats, _) = run(Topology::Star(9), 5, SdpConfig::paper(), false);
         assert!(stats.jcrs_pruned > 0, "stars must trigger pruning");
-        assert!(!stats.completed_greedily);
     }
 
     #[test]
@@ -667,7 +652,7 @@ mod tests {
         let mut sdp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
         optimize_sdp(&mut sdp_ctx, SdpConfig::paper()).unwrap();
         let mut dp_ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        optimize_complete(&mut dp_ctx, None).unwrap();
+        optimize_complete(&mut dp_ctx).unwrap();
         assert!(
             sdp_ctx.stats().plans_costed * 2 < dp_ctx.stats().plans_costed,
             "SDP {} vs DP {}",
@@ -943,7 +928,7 @@ mod oracle_tests {
                         let (mut exact, mut costed) = (features.clone(), vec![true; sets.len()]);
                         let mut unasked = |_| -> f64 { unreachable!("every cost is exact") };
                         let mut jcrs = LevelJcrs::new(&sets, &mut exact, &mut costed, &mut unasked);
-                        pruner.prune(&ctx, level, &mut jcrs, &mut keep);
+                        let stats = pruner.prune(&ctx, level, &mut jcrs, &mut keep);
                         prop_assert_eq!(
                             &keep, &expected,
                             "{:?} × {:?}, level {}", partitioning, skyline, level
@@ -957,12 +942,12 @@ mod oracle_tests {
                             features[i][1]
                         };
                         let mut jcrs = LevelJcrs::new(&sets, &mut floors, &mut costed, &mut cost);
-                        lazy.prune(&ctx, level, &mut jcrs, &mut lazy_keep);
+                        let lazy_stats = lazy.prune(&ctx, level, &mut jcrs, &mut lazy_keep);
                         prop_assert_eq!(
                             &lazy_keep, &expected,
                             "lazy {:?} × {:?}, level {}", partitioning, skyline, level
                         );
-                        prop_assert_eq!(lazy.last, pruner.last);
+                        prop_assert_eq!(lazy_stats, stats);
                         // The level loop costs the survivors.
                         for (i, costed) in costed.iter_mut().enumerate() {
                             if lazy_keep[i] && !*costed {

@@ -132,6 +132,8 @@ impl<'a> Estimator<'a> {
 
     /// Estimated output rows of the join-composite `set`, local
     /// predicates included.
+    /// Reference code for the harness and the optimizer's oracles, which
+    /// sums its ln terms from per-run tables and matches it bit for bit.
     pub fn rows_for_set(&self, graph: &JoinGraph, set: RelSet) -> f64 {
         self.rows_from_ln(
             self.ln_base_product(graph, set)
@@ -161,6 +163,7 @@ impl<'a> Estimator<'a> {
     /// The paper's JCR *Selectivity* feature: output rows relative to
     /// the product of base cardinalities (`Π sel` over internal edges
     /// and local predicates; 1.0 for unfiltered singletons).
+    /// Reference code, like [`Estimator::rows_for_set`].
     pub fn selectivity_for_set(&self, graph: &JoinGraph, set: RelSet) -> f64 {
         self.selectivity_from_ln(
             self.ln_internal_selectivity(graph, set) + self.ln_filter_selectivity(graph, set),
@@ -170,6 +173,7 @@ impl<'a> Estimator<'a> {
     /// Joint selectivity of the edges crossing between disjoint sets
     /// `a` and `b` — the factor a join of the two applies on top of
     /// the input cardinalities.
+    /// Reference code, like [`Estimator::rows_for_set`].
     pub fn crossing_selectivity(&self, graph: &JoinGraph, a: RelSet, b: RelSet) -> f64 {
         let ln: f64 = graph
             .crossing_edges(a, b)

@@ -17,8 +17,8 @@
 //!   at the optimum's cost.
 
 use sdp_catalog::Catalog;
-use sdp_core::dp::{optimize_complete, optimize_dp};
-use sdp_core::{Algorithm, EnumContext, LevelJcrs, LevelPruner, SdpConfig};
+use sdp_core::dp::{optimize_bounded, optimize_complete, optimize_dp};
+use sdp_core::{Algorithm, EnumContext, SdpConfig};
 use sdp_metrics::{geometric_mean_ratio, QualitySummary};
 use sdp_query::{infer_transitive_edges, QueryGenerator, Topology};
 
@@ -249,28 +249,6 @@ pub fn extra_robustness(session: &Session) -> ExperimentReport {
     }
 }
 
-/// Exhaustive DP's levels under a bound that never moves: at the
-/// optimum's cost, the fewest plans any incumbent can leave DP to cost.
-struct FixedBound(f64);
-
-impl LevelPruner for FixedBound {
-    fn prune(
-        &mut self,
-        _ctx: &EnumContext<'_>,
-        _level: usize,
-        jcrs: &mut LevelJcrs<'_>,
-        keep: &mut [bool],
-    ) {
-        for ([_, cost, _], keep) in jcrs.features().iter().zip(keep) {
-            *keep = *cost <= self.0;
-        }
-    }
-
-    fn cost_bound(&self) -> Option<f64> {
-        Some(self.0)
-    }
-}
-
 /// `extra-incumbent-dp` — the paper's (unbounded) DP against the
 /// incumbent-bounded DP `Algorithm::Dp` runs: plans costed, the
 /// incumbent's share of them (GOO's greedy and the completions that
@@ -326,13 +304,12 @@ pub fn extra_incumbent_dp(session: &Session) -> ExperimentReport {
             let served =
                 |plan: &sdp_core::PlanNode| (plan.cost.to_bits(), plan.structural_digest());
             let mut oracle = EnumContext::new(&query, &model, budget);
-            let expected = optimize_complete(&mut oracle, None).expect("unbudgeted DP");
+            let expected = optimize_complete(&mut oracle).expect("unbudgeted DP");
             let mut ctx = EnumContext::new(&query, &model, budget);
             let plan = optimize_dp(&mut ctx).expect("unbudgeted DP");
             let mut at_optimum = EnumContext::new(&query, &model, budget);
-            let mut pruner = FixedBound(expected.cost);
             let floor_plan =
-                optimize_complete(&mut at_optimum, Some(&mut pruner)).expect("unbudgeted DP");
+                optimize_bounded(&mut at_optimum, expected.cost).expect("unbudgeted DP");
             let bound = ctx.incumbent.expect("DP prices an incumbent");
             unbounded += oracle.plans_costed;
             bounded += ctx.plans_costed;

@@ -127,7 +127,7 @@ pub fn table_2_2(session: &Session) -> ExperimentReport {
         ctx.ensure_base_group(i);
     }
     let atoms: Vec<RelSet> = (0..9).map(RelSet::single).collect();
-    let table = run_levels(&mut ctx, &atoms, 3, None).expect("small DP");
+    let table = run_levels(&mut ctx, &atoms, 3).expect("small DP");
     let hub0 = 0usize;
     let partition: Vec<RelSet> = table.sets_at(3).filter(|s| s.contains(hub0)).collect();
     let features: Vec<Vec<f64>> = partition

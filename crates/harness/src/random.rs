@@ -248,7 +248,7 @@ mod tests {
         let mut rctx = EnumContext::new(&q, &model, Budget::unlimited());
         let random = search(&mut rctx, anneal).unwrap();
         let mut dctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let dp = sdp_core::dp::optimize_complete(&mut dctx, None).unwrap();
+        let dp = sdp_core::dp::optimize_complete(&mut dctx).unwrap();
         (random.cost, dp.cost)
     }
 

@@ -211,7 +211,7 @@ mod tests {
                 infer_transitive_edges(&mut q.graph);
                 let classes = q.equiv_classes();
                 let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-                let plan = sdp_core::dp::optimize_complete(&mut ctx, None).unwrap();
+                let plan = sdp_core::dp::optimize_complete(&mut ctx).unwrap();
                 let re = recost(&plan, &model, &q.graph, &classes);
                 let rel = (re - plan.cost).abs() / plan.cost;
                 assert!(

@@ -102,6 +102,22 @@ pub enum RunOutcome {
 }
 
 impl RunOutcome {
+    /// The outcome of one optimization: its plan, or the paper's `*`
+    /// when the budget stopped it (memory or deadline).
+    ///
+    /// # Panics
+    /// On any other error — a defect, not infeasibility — naming the run
+    /// with `what()`: it fails the experiment.
+    fn of(optimized: Result<(f64, RunStats), OptError>, what: impl Fn() -> String) -> Self {
+        match optimized {
+            Ok((cost, stats)) => RunOutcome::Plan { cost, stats },
+            Err(e @ (OptError::MemoryExhausted { .. } | OptError::TimedOut { .. })) => {
+                RunOutcome::Infeasible(e)
+            }
+            Err(e) => panic!("{}: {e}", what()),
+        }
+    }
+
     /// Plan cost if feasible.
     pub fn cost(&self) -> Option<f64> {
         match self {
@@ -165,17 +181,16 @@ impl<'a> Runner<'a> {
                 Technique::Ii => run_rewritten(self.catalog, budget, &query, random::optimize_ii),
                 Technique::Sa => run_rewritten(self.catalog, budget, &query, random::optimize_sa),
             };
-            match optimized {
-                Ok((cost, stats)) => outcomes.push(RunOutcome::Plan { cost, stats }),
-                Err(e) => {
+            let what = || format!("{} on {topology}, instance {k}", technique.label());
+            match RunOutcome::of(optimized, what) {
+                outcome @ RunOutcome::Plan { .. } => outcomes.push(outcome),
+                infeasible => {
                     // Infeasibility is structural (the memory wall does
                     // not depend on which relations fill the template):
                     // one failure condemns the whole configuration, so
                     // skip the remaining instances — exactly how the
                     // paper reports a single `*` per configuration.
-                    for _ in k..self.config.instances as u64 {
-                        outcomes.push(RunOutcome::Infeasible(e.clone()));
-                    }
+                    outcomes.resize(self.config.instances, infeasible);
                     break;
                 }
             }
@@ -194,7 +209,7 @@ impl<'a> Runner<'a> {
 }
 
 /// The paper's DP over `query` under `budget`: the unbounded level
-/// enumeration (`sdp_core::dp::optimize_complete` with no pruner) over
+/// enumeration (`sdp_core::dp::optimize_complete`) over
 /// the rewritten query, as `Optimizer::optimize` would see it. Returns
 /// the plan's cost and the run's counters.
 pub fn paper_dp(
@@ -203,7 +218,7 @@ pub fn paper_dp(
     query: &Query,
 ) -> Result<(f64, RunStats), OptError> {
     run_rewritten(catalog, budget, query, |ctx| {
-        sdp_core::dp::optimize_complete(ctx, None)
+        sdp_core::dp::optimize_complete(ctx)
     })
 }
 
@@ -273,6 +288,38 @@ pub fn overheads(outcomes: &[RunOutcome]) -> OverheadSummary {
 mod tests {
     use super::*;
     use sdp_core::SdpConfig;
+    use std::time::Duration;
+
+    /// Only the budget's errors print as the paper's `*`; any other
+    /// error fails the experiment, naming the run.
+    #[test]
+    fn only_budget_errors_become_stars() {
+        let (used_bytes, budget_bytes) = (2, 1);
+        let (elapsed, limit) = (Duration::from_millis(2), Duration::from_millis(1));
+        let budget = [
+            OptError::MemoryExhausted {
+                used_bytes,
+                budget_bytes,
+            },
+            OptError::TimedOut { elapsed, limit },
+        ];
+        for e in budget {
+            let outcome = RunOutcome::of(Err(e), || unreachable!("a star names no run"));
+            assert!(matches!(outcome, RunOutcome::Infeasible(_)));
+        }
+        for e in [
+            OptError::DisconnectedJoinGraph,
+            OptError::EmptyQuery,
+            OptError::Cancelled,
+        ] {
+            let run = || RunOutcome::of(Err(e.clone()), || "SDP on Star-6, instance 3".into());
+            let message = *std::panic::catch_unwind(run)
+                .unwrap_err()
+                .downcast::<String>()
+                .unwrap();
+            assert_eq!(message, format!("SDP on Star-6, instance 3: {e}"));
+        }
+    }
 
     #[test]
     fn runner_produces_per_instance_outcomes() {

@@ -106,7 +106,7 @@ fn calls_of_the_enumeration(topology: Topology, bounded: bool) -> (u64, RunStats
         if bounded {
             sdp::core::dp::optimize_dp(&mut ctx)
         } else {
-            sdp::core::dp::optimize_complete(&mut ctx, None)
+            sdp::core::dp::optimize_complete(&mut ctx)
         }
         .unwrap()
     });

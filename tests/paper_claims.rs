@@ -76,7 +76,7 @@ fn unbounded_dp_plans_costed(catalog: &Catalog, query: &Query) -> u64 {
     let mut query = query.clone();
     sdp::query::infer_transitive_edges(&mut query.graph);
     let mut ctx = sdp::core::EnumContext::new(&query, &model, Budget::unlimited());
-    sdp::core::dp::optimize_complete(&mut ctx, None).unwrap();
+    sdp::core::dp::optimize_complete(&mut ctx).unwrap();
     ctx.stats().plans_costed
 }
 
