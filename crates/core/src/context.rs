@@ -136,10 +136,6 @@ const NO_PAIR: u32 = u32::MAX;
 pub(crate) struct StagedJcr {
     /// The JCR's estimated properties and the plans retained so far.
     pub group: Group,
-    /// The set already has a group in the memo — one retained from an
-    /// earlier rung of a governed descent. This record then only holds
-    /// the level's offers until the barrier folds them into that group.
-    pub in_memo: bool,
     /// The last of its pairs staged uncosted, which chains back through
     /// `LevelStage::deferred` to the first; `NO_PAIR` for a JCR that is
     /// costed (as it was staged, or since).
@@ -888,8 +884,7 @@ impl<'a> EnumContext<'a> {
     /// groups of `a` and `b` (both orientations, every plan pair,
     /// every applicable method), folding survivors into the group for
     /// `a ∪ b`. Creates that group on first use; one the memo already
-    /// holds is offered what the pair retains among itself, as a level
-    /// barrier offers a level's (`EnumContext::settle_stage`).
+    /// holds is offered what the pair retains among itself.
     ///
     /// Returns `true` if the union group was newly created.
     pub fn join_pair(&mut self, a: RelSet, b: RelSet) -> bool {
@@ -1177,35 +1172,32 @@ impl<'a> EnumContext<'a> {
         costing.ruled_out += ruled_out;
     }
 
-    /// Cost `a ⋈ b` into the stage's JCR for `a ∪ b`, staging it on
-    /// first visit: one the memo already holds (retained from an
-    /// earlier rung) only collects the level's offers; a new one is a
-    /// live group from now on. In a level that defers costing, a new
-    /// JCR's pair is only recorded — its inputs' memo slots — and its
-    /// inputs lower the JCR's cost floor.
+    /// Cost `a ⋈ b` into the stage's JCR for `a ∪ b`, staging it — a
+    /// live group from now on — on first visit. The memo holds no group
+    /// of `a ∪ b` ([`crate::dp::run_levels`]' precondition). In a level
+    /// that defers costing, the pair is only recorded — its inputs'
+    /// memo slots — and its inputs lower the JCR's cost floor.
     pub(crate) fn stage_pair(&mut self, stage: &mut LevelStage, a: RelSet, b: RelSet) {
         let (slot_a, ga) = self.memo.get_slot(a).expect("left group exists");
         let (slot_b, gb) = self.memo.get_slot(b).expect("right group exists");
-        let mut created = false;
         let slot = match stage.index.entry(a | b) {
             Entry::Occupied(entry) => *entry.get(),
             Entry::Vacant(entry) => {
-                let in_memo = self.memo.get(a | b).is_some();
-                created = !in_memo;
+                debug_assert!(self.memo.get(a | b).is_none(), "a staged JCR is new");
                 let jcr = StagedJcr {
                     group: self.new_union_group(ga, gb, &mut stage.wide),
-                    in_memo,
                     deferred: NO_PAIR,
                 };
                 #[cfg(feature = "trace")]
                 if self.tracer.enabled() {
                     stage.staged_micros.push(self.tracer.wall_micros());
                 }
+                self.memory.add_groups(1);
                 *entry.insert(LevelStage::push(&mut stage.jcrs, jcr))
             }
         };
         let jcr = &mut stage.jcrs[slot];
-        if stage.defer && !jcr.in_memo {
+        if stage.defer {
             let pair = u32::try_from(stage.deferred.len()).expect("fewer than 2^32 pairs a level");
             stage.deferred.push(DeferredPair {
                 a: slot_a,
@@ -1215,9 +1207,6 @@ impl<'a> EnumContext<'a> {
             jcr.deferred = pair;
         } else {
             self.cost_pair(ga, gb, &mut jcr.group, &mut stage.costing);
-        }
-        if created {
-            self.memory.add_groups(1);
         }
     }
 
@@ -1269,34 +1258,19 @@ impl<'a> EnumContext<'a> {
         stage.jcrs[slot].group.best_cost()
     }
 
-    /// End a level's enumeration, before its first barrier check: fold
-    /// the offers collected for groups the memo already holds into
-    /// those groups, and emit the `jcr` event of every JCR the level
-    /// created — only now, so that a mid-level budget trip leaves no
-    /// trace of the rolled-back level.
-    // Without tracing, what only the events report goes unread.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
-    pub(crate) fn settle_stage(&mut self, stage: &mut LevelStage) {
-        for (slot, jcr) in stage.jcrs.iter_mut().enumerate() {
+    /// End a level's enumeration, before its first barrier check: emit
+    /// the `jcr` event of every JCR the level created — only now, so
+    /// that a mid-level budget trip leaves no trace of the rolled-back
+    /// level.
+    #[cfg(feature = "trace")]
+    pub(crate) fn emit_staged(&self, stage: &LevelStage) {
+        for (jcr, &micros) in stage.jcrs.iter().zip(&stage.staged_micros) {
             let set = jcr.group.set;
-            if !jcr.in_memo {
-                #[cfg(feature = "trace")]
-                if let Some(&micros) = stage.staged_micros.get(slot) {
-                    let mut event = Event::new("jcr")
-                        .with("level", set.len())
-                        .with("set", set.0);
-                    event.wall_micros = micros;
-                    self.tracer.emit(event);
-                }
-                continue;
-            }
-            // Re-offered against the group's plans. The group is sealed
-            // and may be referred to: what it keeps of the offers is named
-            // afresh, and it evicts nothing — the rung that sealed it
-            // offered it these very pairs.
-            let target = self.memo.get_mut(set).expect("in the memo");
-            Self::reoffer(&self.nodes, target, jcr.group.entries());
-            jcr.group.clear_entries();
+            let mut event = Event::new("jcr")
+                .with("level", set.len())
+                .with("set", set.0);
+            event.wall_micros = micros;
+            self.tracer.emit(event);
         }
     }
 
@@ -1317,7 +1291,6 @@ impl<'a> EnumContext<'a> {
     /// move as if it had been a memo group (see
     /// [`EnumContext::prune_group`]).
     pub(crate) fn drop_staged(&mut self, jcr: &StagedJcr) {
-        debug_assert!(!jcr.in_memo);
         self.nodes.release(jcr.group.charged());
         self.memo.count_dropped_while_staged();
         self.memory.remove_groups(1);
@@ -1328,11 +1301,7 @@ impl<'a> EnumContext<'a> {
     /// dropped with it: the level did not complete.
     pub(crate) fn roll_back_stage(&mut self, stage: &LevelStage) {
         for jcr in &stage.jcrs {
-            if jcr.in_memo {
-                self.nodes.release(jcr.group.charged());
-            } else {
-                self.drop_staged(jcr);
-            }
+            self.drop_staged(jcr);
         }
     }
 
@@ -1344,11 +1313,9 @@ impl<'a> EnumContext<'a> {
         let survivors = stage.jcrs.drain(..).map(|mut jcr| {
             debug_assert!(jcr.costed(), "a survivor is costed before it is sealed");
             let set = jcr.group.set;
-            if !jcr.in_memo {
-                move_wide(&mut jcr.group, len, &stage.wide, &mut self.wide);
-                let inserted = self.insert_group(jcr.group);
-                debug_assert!(inserted, "a staged JCR is new to the memo");
-            }
+            move_wide(&mut jcr.group, len, &stage.wide, &mut self.wide);
+            let inserted = self.insert_group(jcr.group);
+            debug_assert!(inserted, "a staged JCR is new to the memo");
             (set, graph.neighbors(set))
         });
         survivors.collect()

@@ -40,7 +40,6 @@ use sdp_query::RelSet;
 use crate::budget::OptError;
 use crate::context::{EnumContext, Incumbent, LevelStage, LevelStats, StagedJcr};
 use crate::enumerate::LevelScan;
-use crate::memo::Group;
 use crate::plan::PlanNode;
 
 /// Budget-check cadence, in candidate pair visits.
@@ -200,11 +199,10 @@ struct LevelBuffers {
 }
 
 /// Enumerate and prune one DP level, returning its surviving JCRs with
-/// their join-graph neighbourhoods (including groups retained from an
-/// earlier governed rung, recorded on first visit so higher levels can
-/// build on them). The level's pairs (`buffers.pairs`) are staged into
-/// `buffers.stage` — costed as they come, or, where the pruner defers
-/// costing, each JCR when the pruner asks for its cost or it survives.
+/// their join-graph neighbourhoods. The level's pairs (`buffers.pairs`)
+/// are staged into `buffers.stage`, whose JCRs are all new to the memo
+/// — costed as they come, or, where the pruner defers costing, each JCR
+/// when the pruner asks for its cost or it survives.
 /// What comes through the pruner and both barrier checks moves into the
 /// memo as it is, the rest is dropped: on error, the caller rolls back
 /// what the stage still holds. The barrier checks run once the level is
@@ -247,9 +245,10 @@ fn run_one_level<'p>(
     ctx.plans_costed += std::mem::take(&mut stage.costing.plans_costed);
     ctx.ruled_out += std::mem::take(&mut stage.costing.ruled_out);
     enumerated?;
-    ctx.settle_stage(stage);
+    #[cfg(feature = "trace")]
+    ctx.emit_staged(stage);
 
-    let created = stage.jcrs.iter().filter(|jcr| !jcr.in_memo).count();
+    let created = stage.jcrs.len();
     let mut prune_stats = PruneStats::default();
     let mut uncosted = 0;
     let judge = pruner.as_deref_mut().filter(|_| bound.is_none());
@@ -264,7 +263,7 @@ fn run_one_level<'p>(
         costed.reserve_exact(stage.jcrs.len());
         keep.reserve_exact(stage.jcrs.len());
         for (slot, jcr) in stage.jcrs.iter().enumerate() {
-            let group = judged(ctx, jcr);
+            let group = &jcr.group;
             let cost = if jcr.costed() {
                 group.best_cost()
             } else {
@@ -295,7 +294,7 @@ fn run_one_level<'p>(
         // A verdict that reads the cheapest cost alone needs no
         // feature vectors. A JCR the bound left with no plan goes.
         stage.jcrs.retain(|jcr| {
-            let group = judged(ctx, jcr);
+            let group = &jcr.group;
             let keep = !group.is_empty() && group.best_cost() <= bound;
             verdict(ctx, jcr, keep)
         });
@@ -344,24 +343,11 @@ fn run_one_level<'p>(
     Ok(survivors)
 }
 
-/// The group a staged JCR is judged by: its own, or — for a set the
-/// memo already holds, whose level's offers are folded in by now — the
-/// memo's.
-fn judged<'g>(ctx: &'g EnumContext<'_>, jcr: &'g StagedJcr) -> &'g Group {
-    if jcr.in_memo {
-        ctx.memo.get(jcr.group.set).expect("in the memo")
-    } else {
-        &jcr.group
-    }
-}
-
 /// Carry out the barrier's verdict on a staged JCR: a pruned one
 /// leaves, and its accounting goes with it. Returns `keep`.
 fn verdict(ctx: &mut EnumContext<'_>, jcr: &StagedJcr, keep: bool) -> bool {
-    match (keep, jcr.in_memo) {
-        (true, _) => {}
-        (false, true) => ctx.prune_group(jcr.group.set),
-        (false, false) => ctx.drop_staged(jcr),
+    if !keep {
+        ctx.drop_staged(jcr);
     }
     keep
 }
@@ -392,6 +378,11 @@ fn level_event(stats: &LevelStats) -> sdp_trace::Event {
 /// group), building levels `2 ..= up_to` (in atom count) and keeping
 /// every JCR. Each invocation scans afresh, so IDP iterations re-index
 /// their shrinking atom lists.
+///
+/// Precondition: the memo holds no union of two or more atoms, so every
+/// JCR a level stages is new to it. A fresh context and a governed
+/// handoff (`prepare_handoff`) hold only base groups; IDP's `contract`
+/// drops every group but the atoms'.
 pub fn run_levels(
     ctx: &mut EnumContext<'_>,
     atoms: &[RelSet],
@@ -1059,7 +1050,7 @@ mod tests {
                 if forget_incumbent {
                     ctx.incumbent = None;
                 }
-                prepare_handoff(&mut ctx, Budget::unlimited());
+                prepare_handoff(&mut ctx);
                 ctx.memory.set_budget(Budget::unlimited());
                 let ruled_out = ctx.ruled_out;
                 let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
@@ -1154,12 +1145,12 @@ mod tests {
                 let model = CostModel::with_defaults(&cat);
                 let fresh = || EnumContext::new(&query, &model, Budget::unlimited());
                 // An exhaustive rung tripped by the budget, its memo handed
-                // down: some of SDP's staged JCRs are then memo groups.
+                // down.
                 let handed_down = || {
                     let budget = Budget::with_memory(budget_groups * GROUP_MODEL_BYTES);
                     let mut ctx = EnumContext::new(&query, &model, budget);
                     let _ = optimize_complete(&mut ctx);
-                    prepare_handoff(&mut ctx, Budget::unlimited());
+                    prepare_handoff(&mut ctx);
                     ctx.memory.set_budget(Budget::unlimited());
                     ctx
                 };
@@ -1445,56 +1436,6 @@ mod tests {
                 })
         }
 
-        /// Sealed-group invariant, the governed half: the rung below
-        /// re-offers a retained pair group the very pairs the abandoned
-        /// rung offered it, so the group keeps every entry under the
-        /// name it had — and serves the plan a from-scratch run serves.
-        #[test]
-        fn a_retained_pair_group_is_reoffered_without_renaming_a_plan() {
-            let cat = Catalog::paper();
-            let model = CostModel::with_defaults(&cat);
-            let q = QueryGenerator::new(&cat, Topology::star_chain(8), 5).ordered_instance(0);
-            let mut ctx = EnumContext::new(&q, &model, Budget::with_memory(60 * GROUP_MODEL_BYTES));
-            let abandoned = optimize_complete(&mut ctx);
-            assert!(matches!(abandoned, Err(OptError::MemoryExhausted { .. })));
-            prepare_handoff(&mut ctx, Budget::unlimited());
-            ctx.memory.set_budget(Budget::unlimited());
-            let pairs: Vec<RelSet> = ctx.memo.sets().filter(|s| s.len() == 2).collect();
-            assert!(pairs.len() >= 7, "the abandoned rung completed level 2");
-            let entries =
-                |ctx: &EnumContext<'_>, set| ctx.memo.get(set).map(|g| g.entries().to_vec());
-            let before: Vec<_> = pairs.iter().map(|&p| entries(&ctx, p)).collect();
-            assert!(
-                before
-                    .iter()
-                    .flatten()
-                    .flatten()
-                    .any(|e| matches!(e.source, PlanSource::Sort { .. })),
-                "some pair holds a sort enforcer"
-            );
-
-            let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
-            for (&pair, before) in pairs.iter().zip(&before) {
-                // Pruned by the skyline, or as it was — but for entries
-                // the served plan runs through, which are built now.
-                let Some(after) = entries(&ctx, pair) else {
-                    continue;
-                };
-                let before = before.as_ref().unwrap();
-                assert_eq!(after.len(), before.len(), "{pair:?}");
-                for (a, b) in after.iter().zip(before) {
-                    assert_eq!(
-                        (a.id(), a.cost.to_bits(), a.ordering()),
-                        (b.id(), b.cost.to_bits(), b.ordering())
-                    );
-                    assert!(a.source == b.source || matches!(a.source, PlanSource::Built(_)));
-                }
-            }
-            let mut scratch = EnumContext::new(&q, &model, Budget::unlimited());
-            let from_scratch = optimize_sdp(&mut scratch, SdpConfig::paper()).unwrap();
-            assert_eq!(plan.structural_digest(), from_scratch.structural_digest());
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1509,15 +1450,13 @@ mod tests {
                 let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
                 let context = |budget| EnumContext::new(&query, &model, budget);
 
-                // Level by level, exhaustive and pruned. Each call
-                // re-enumerates the levels below over the groups the
-                // memo already holds, so JCRs that only collect offers
-                // for such groups are covered as well.
+                // Level by level, exhaustive and pruned: each `up_to`
+                // from a fresh context, whose memo holds no JCR yet.
                 for pruned in [false, true] {
-                    let mut ctx = context(Budget::unlimited());
-                    let mut eager = EagerMemo::default();
-                    (0..n).for_each(|i| ctx.ensure_base_group(i));
                     for up_to in 2..=n {
+                        let mut ctx = context(Budget::unlimited());
+                        let mut eager = EagerMemo::default();
+                        (0..n).for_each(|i| ctx.ensure_base_group(i));
                         let mut pruner = SdpPruner::new(&ctx, SdpConfig::paper());
                         let pruner: Option<&mut dyn LevelPruner> =
                             if pruned { Some(&mut pruner) } else { None };
@@ -1557,7 +1496,7 @@ mod tests {
 
                 // A governed descent: exhaustive DP under a budget it
                 // (usually) cannot meet rolls a level back; the memo is
-                // handed down and SDP finishes over the retained pairs.
+                // handed down and SDP finishes over the base groups.
                 let mut ctx = context(Budget::with_memory(budget_groups * GROUP_MODEL_BYTES));
                 let mut eager = EagerMemo::default();
                 let exhaustive = optimize_complete(&mut ctx);
@@ -1566,7 +1505,7 @@ mod tests {
                 }
                 drop(exhaustive);
                 assert_counted(&ctx, &mut eager, "after the abandoned rung");
-                prepare_handoff(&mut ctx, Budget::unlimited());
+                prepare_handoff(&mut ctx);
                 assert_counted(&ctx, &mut eager, "after the handoff");
                 ctx.memory.set_budget(Budget::unlimited());
                 let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();
@@ -1591,12 +1530,13 @@ mod tests {
                 let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
                 let context = |budget| EnumContext::new(&query, &model, budget);
 
-                // DP and SDP, level by level.
+                // DP and SDP, level by level: each `up_to` from a fresh
+                // context, whose memo holds no JCR yet.
                 for pruned in [false, true] {
-                    let mut ctx = context(Budget::unlimited());
-                    let mut eager = EagerMemo::default();
-                    (0..n).for_each(|i| ctx.ensure_base_group(i));
                     for up_to in 2..=n {
+                        let mut ctx = context(Budget::unlimited());
+                        let mut eager = EagerMemo::default();
+                        (0..n).for_each(|i| ctx.ensure_base_group(i));
                         let mut pruner = SdpPruner::new(&ctx, SdpConfig::paper());
                         let pruner: Option<&mut dyn LevelPruner> =
                             if pruned { Some(&mut pruner) } else { None };
@@ -1627,7 +1567,7 @@ mod tests {
                 let mut eager = EagerMemo::default();
                 drop(optimize_complete(&mut ctx));
                 assert_extracted(&mut ctx, &mut eager, "the abandoned rung");
-                prepare_handoff(&mut ctx, Budget::unlimited());
+                prepare_handoff(&mut ctx);
                 assert_counted(&ctx, &mut eager, "the handoff");
                 ctx.memory.set_budget(Budget::unlimited());
                 let plan = optimize_sdp(&mut ctx, SdpConfig::paper()).unwrap();

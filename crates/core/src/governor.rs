@@ -408,28 +408,18 @@ impl GovernedPlan {
     }
 }
 
-/// Prepare the memo for a descent: keep what the next rung can afford
-/// and drop the rest. Base-relation groups are always retained (every
-/// strategy needs them and re-deriving access paths is pure waste);
-/// larger JCRs from the abandoned rung are dropped — two-relation
-/// groups first survive, but go too when the memo still exceeds the
-/// next rung's memory budget. The retained groups are *refined*, not
-/// trusted blindly: the next rung re-offers its own plans into them,
-/// and the memo's dominance rule makes identical re-offers no-ops, so
-/// reuse never changes which plan a rung would have found from
-/// scratch. No plan needs building for the handoff: what survives are
-/// access paths and pair-group records, which refer to base groups
-/// only.
-pub fn prepare_handoff(ctx: &mut EnumContext<'_>, next_budget: Budget) {
-    let compound: Vec<RelSet> = ctx.memo.sets().filter(|s| s.len() > 2).collect();
+/// Prepare the memo for a descent: keep the base-relation groups and
+/// drop every compound group the abandoned rung left. Every strategy
+/// needs the base groups, and re-deriving access paths is pure waste;
+/// a compound group would save no costing — the next rung's levels
+/// build each JCR afresh from the groups below it — and its levels
+/// stage only sets new to the memo (the precondition of
+/// [`crate::dp::run_levels`]). No plan needs building for the handoff:
+/// base groups hold access paths, which refer to nothing.
+pub fn prepare_handoff(ctx: &mut EnumContext<'_>) {
+    let compound: Vec<RelSet> = ctx.memo.sets().filter(|s| s.len() > 1).collect();
     for set in compound {
         ctx.prune_group(set);
-    }
-    if ctx.memory.used_bytes() > next_budget.max_model_bytes {
-        let pairs: Vec<RelSet> = ctx.memo.sets().filter(|s| s.len() == 2).collect();
-        for set in pairs {
-            ctx.prune_group(set);
-        }
     }
 }
 
@@ -439,6 +429,15 @@ mod tests {
     use sdp_catalog::Catalog;
     use sdp_cost::CostModel;
     use sdp_query::{QueryGenerator, Topology};
+
+    use crate::budget::GROUP_MODEL_BYTES;
+    use crate::dp::optimize_dp;
+    use crate::enumerate::tests::random_connected_query;
+    use crate::goo::optimize_goo;
+    use crate::idp::optimize_idp;
+    use crate::plan::PlanNode;
+    use crate::sdp::optimize_sdp;
+    use proptest::prelude::*;
 
     #[test]
     fn ladder_descends_dp_to_goo() {
@@ -542,17 +541,64 @@ mod tests {
         ctx.join_pair(RelSet::from_indices([0, 1]), RelSet::single(2));
         assert_eq!(ctx.memo.len(), 5);
 
-        // A roomy next budget: pairs survive, the triple does not.
-        prepare_handoff(&mut ctx, Budget::unlimited());
-        assert_eq!(ctx.memo.len(), 4);
-        assert!(ctx.memo.get(RelSet::from_indices([0, 1])).is_some());
-        assert!(ctx.memo.get(RelSet::from_indices([0, 1, 2])).is_none());
-
-        // A zero budget: pairs go too; bases are always retained.
-        prepare_handoff(&mut ctx, Budget::with_memory(0));
+        // Pairs go with the triple, at any budget; bases stay.
+        prepare_handoff(&mut ctx);
         assert_eq!(ctx.memo.len(), 3);
         for i in 0..3 {
             assert!(ctx.memo.get(RelSet::single(i)).is_some());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A rung run over a handoff is a rung run from scratch: the
+        /// handoff leaves it nothing but base groups, so it serves the
+        /// same plan, and its levels pair, create, prune and retain what
+        /// they do over a fresh context.
+        #[test]
+        fn a_rung_over_a_handoff_serves_its_from_scratch_plan(
+            n in 3usize..=10,
+            parents in prop::collection::vec(any::<u64>(), 9usize),
+            extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=8),
+            ordered in any::<bool>(),
+            budget_groups in 4u64..80,
+        ) {
+            // Low-numbered parents make hubs (and SDP pruning) likely.
+            let parents: Vec<u64> = parents.iter().map(|p| p % 3).collect();
+            let (mut query, _) = random_connected_query(n, &parents, &extras);
+            if ordered {
+                let column = query.graph.edges()[0].left;
+                query = query.with_order_by(column);
+            }
+            let cat = Catalog::paper();
+            let model = CostModel::with_defaults(&cat);
+            let budget = Budget::with_memory(budget_groups * GROUP_MODEL_BYTES);
+            type RungFn = fn(&mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError>;
+            let rungs: [(&str, RungFn); 3] = [
+                ("SDP", |ctx| optimize_sdp(ctx, SdpConfig::paper())),
+                ("IDP(4)", |ctx| optimize_idp(ctx, 4)),
+                ("GOO", optimize_goo),
+            ];
+            for (label, rung) in rungs {
+                let served = |ctx: &mut EnumContext<'_>| {
+                    let plan = rung(ctx).unwrap();
+                    let levels: Vec<_> = (ctx.take_profile().iter())
+                        .map(|l| (l.level, l.pairs, l.jcrs_created, l.jcrs_pruned, l.jcrs_retained))
+                        .collect();
+                    (plan.cost.to_bits(), plan.structural_digest(), levels)
+                };
+                let mut ctx = EnumContext::new(&query, &model, budget);
+                let tripped = optimize_dp(&mut ctx).map(drop);
+                prop_assume!(tripped.is_err());
+                prop_assert!(matches!(tripped, Err(OptError::MemoryExhausted { .. })), "{:?}", tripped);
+                ctx.take_profile();
+                prepare_handoff(&mut ctx);
+                prop_assert!(ctx.memo.sets().all(|s| s.len() == 1), "{}", label);
+                ctx.memory.set_budget(Budget::unlimited());
+                let fresh = served(&mut EnumContext::new(&query, &model, Budget::unlimited()));
+                prop_assert_eq!(served(&mut ctx), fresh, "{}", label);
+            }
         }
     }
 

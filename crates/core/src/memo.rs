@@ -411,13 +411,6 @@ impl Group {
         self.entries().iter().filter(|e| e.charged()).count()
     }
 
-    /// Drop every entry (their count is the caller's to settle).
-    pub(crate) fn clear_entries(&mut self) {
-        self.entries = Entries::EMPTY;
-        self.inline_len = 0;
-        self.built.clear();
-    }
-
     /// The SDP feature vector `[Rows, Cost, Selectivity]` of
     /// Figure 2.3.
     pub fn feature_vector(&self) -> [f64; 3] {

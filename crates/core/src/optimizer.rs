@@ -181,7 +181,7 @@ impl<'a> Optimizer<'a> {
 
     /// Optimize `query` under a [`Governor`]: on budget exhaustion
     /// the run descends the degradation ladder **DP → SDP → IDP(4) →
-    /// GOO** instead of failing, reusing retained memo state between
+    /// GOO** instead of failing, reusing the base groups between
     /// rungs (see [`prepare_handoff`]). An exhaustive rung (DP, IDP's
     /// first block) that provably cannot fit the memory budget in
     /// force is descended past without being run — a
@@ -326,7 +326,7 @@ impl<'a> Optimizer<'a> {
                 }
             });
             let next_budget = governor.rung_budget(next);
-            prepare_handoff(&mut ctx, next_budget);
+            prepare_handoff(&mut ctx);
             ctx.memory.set_budget(next_budget);
             #[cfg(feature = "trace")]
             ctx.tracer().emit_with(|| {

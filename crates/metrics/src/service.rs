@@ -89,8 +89,11 @@ impl LatencyStats {
     }
 }
 
-/// Per-strategy latency table, keyed by the strategy's display label
-/// (e.g. `"SDP"`, `"DP"`, `"IDP(4)"`).
+/// Per-strategy latency table: the mean and max of each fresh
+/// enumeration's wall-clock time, keyed by the label of the algorithm
+/// that produced the plan, after any governed descent (`"DP"`,
+/// `"SDP"`, `"IDP(7)"`, …). [`RungLatencies`] files the same samples
+/// under the producing ladder rung, as histograms.
 #[derive(Debug, Default)]
 pub struct StrategyLatencies {
     inner: Mutex<BTreeMap<String, LatencyStats>>,
@@ -264,11 +267,13 @@ impl OverloadSnapshot {
 
 pub use crate::histogram::{LatencyHistogram, HISTOGRAM_BUCKETS};
 
-/// Per-rung latency histograms, keyed by the producing strategy's
-/// display label (e.g. `"SDP"`, `"GOO"`) — unlike
-/// [`StrategyLatencies`] this tracks the rung that actually *produced*
-/// the plan after any governed degradation, with full distributions
-/// instead of mean/max only.
+/// Per-rung latency histograms: the samples [`StrategyLatencies`]
+/// files — each fresh enumeration's wall-clock time, under what
+/// produced the plan after any governed descent — keyed by ladder rung
+/// (`"DP"`, `"SDP"`, `"IDP(4)"`, `"GOO"`). The two tables differ in
+/// granularity: a pinned IDP(7) run counts as `"IDP(7)"` there and
+/// under `"IDP(4)"` here. And in shape: full distributions here, mean
+/// and max only there.
 #[derive(Debug, Default)]
 pub struct RungLatencies {
     inner: Mutex<BTreeMap<String, LatencyHistogram>>,

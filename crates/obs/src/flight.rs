@@ -23,10 +23,9 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use sdp_store::codec::{Reader, Writer};
 use sdp_store::{FramedLog, RecoveryStats, StoreError};
 use sdp_trace::{Event, TraceSink};
-
-use crate::wire::{Reader, Writer};
 
 /// Log-kind tag for flight-recorder logs (plan segments are 1, the
 /// DLQ is 2).
@@ -163,17 +162,22 @@ impl FlightRecord {
 /// digest — re-checked on decode like the plan codec's structural
 /// digest.
 pub fn encode_flight(record: &FlightRecord) -> Vec<u8> {
+    // A record is projected from one of the service's own events: its
+    // strings are event names, field names, labels, numbers and error
+    // messages, and its tags the event's few fields — never request
+    // text, never near a `u16` prefix's limit.
+    let fits = "a flight record fits its length prefixes";
     let mut w = Writer::new();
-    w.put_u8(FLIGHT_VERSION);
-    w.put_u64(record.seq);
-    w.put_u64(record.wait_micros);
-    w.put_str(&record.kind);
-    w.put_u16(u16::try_from(record.tags.len()).expect("over 64k tags"));
+    w.u8(FLIGHT_VERSION);
+    w.u64(record.seq);
+    w.u64(record.wait_micros);
+    w.str("kind", &record.kind).expect(fits);
+    w.len_u16("tags", record.tags.len()).expect(fits);
     for (key, value) in &record.tags {
-        w.put_str(key);
-        w.put_str(value);
+        w.str("tag key", key).expect(fits);
+        w.str("tag value", value).expect(fits);
     }
-    w.put_u64(record.digest());
+    w.u64(record.digest());
     w.finish()
 }
 

@@ -30,7 +30,6 @@
 
 pub mod flight;
 pub mod qerror;
-mod wire;
 
 pub use flight::{
     canonical_sort, fold_digest, multiset_digest, FlightLog, FlightRecord, FlightRecorder,

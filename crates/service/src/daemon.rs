@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sdp_core::CHEAPEST_RUNG_FLOOR;
 
@@ -105,7 +105,6 @@ fn stale_or_shed(
 pub struct DaemonConfig {
     workers: usize,
     queue_capacity: Option<usize>,
-    shed_floor: Option<Duration>,
     stale_serve: bool,
     #[cfg(feature = "testkit")]
     chaos: Option<sdp_testkit::ChaosSchedule>,
@@ -119,7 +118,6 @@ impl DaemonConfig {
         DaemonConfig {
             workers: workers.max(1),
             queue_capacity: None,
-            shed_floor: Some(CHEAPEST_RUNG_FLOOR),
             stale_serve: true,
             #[cfg(feature = "testkit")]
             chaos: None,
@@ -131,20 +129,6 @@ impl DaemonConfig {
     /// shed) instead of queueing.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = Some(capacity.max(1));
-        self
-    }
-
-    /// Shed dequeued jobs whose remaining deadline (after charged
-    /// queue-wait) is at or below `floor` instead of running them.
-    pub fn with_shed_floor(mut self, floor: Duration) -> Self {
-        self.shed_floor = Some(floor);
-        self
-    }
-
-    /// Never shed on deadline: dequeued jobs always run, however
-    /// little deadline remains (the governor still times them out).
-    pub fn without_deadline_shedding(mut self) -> Self {
-        self.shed_floor = None;
         self
     }
 
@@ -274,7 +258,6 @@ impl Daemon {
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let gate = Arc::new(Gate::default());
-        let shed_floor = config.shed_floor;
         let stale_serve = config.stale_serve;
         #[cfg(feature = "testkit")]
         let chaos = config.chaos.clone();
@@ -324,11 +307,8 @@ impl Daemon {
                         // Deadline-aware shedding: at or below the
                         // cheapest rung's floor, even GOO can't finish
                         // — answer now instead of timing out later.
-                        let expired = match (shed_floor, job.request.deadline()) {
-                            (Some(floor), Some(remaining)) => remaining <= floor,
-                            _ => false,
-                        };
-                        if expired {
+                        let remaining = job.request.deadline();
+                        if remaining.is_some_and(|left| left <= CHEAPEST_RUNG_FLOOR) {
                             let reason = ShedReason::DeadlineExpired;
                             let answer =
                                 stale_or_shed(&service, stale_serve, &job.request, job.seq, reason);
@@ -475,6 +455,7 @@ mod tests {
     use crate::service::PlanSource;
     use sdp_catalog::Catalog;
     use sdp_query::{QueryGenerator, Topology};
+    use std::time::Duration;
 
     #[test]
     fn daemon_serves_submissions_across_workers() {

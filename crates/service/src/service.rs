@@ -475,7 +475,8 @@ enum Outcome<'a> {
     /// deadline even the bottom rung could not meet.
     RequestError(Algorithm, &'a str, bool),
     DlqEnqueue(DlqErrorKind, &'a str),
-    /// The dead-letter append itself failed.
+    /// The dead-letter append itself failed, or the codec refused the
+    /// record (a string or count over its `u16` length prefix).
     DlqWriteError,
 }
 
@@ -1630,6 +1631,43 @@ mod tests {
         assert_eq!(record.memory_bytes, Some(0));
         assert!(record.sql.contains("SELECT"), "{}", record.sql);
         assert_eq!(record.query.graph.relations(), q.graph.relations());
+    }
+
+    #[test]
+    fn a_dead_letter_its_codec_cannot_express_is_a_write_error() {
+        // The binder caps relations, not predicates: thousands of
+        // repeated filters render to SQL longer than the `u16` length
+        // prefix the dead-letter codec writes strings behind. Refused
+        // as a write error, the record is neither counted as enqueued
+        // nor left in the log, undecodable, for the next open to skip.
+        let dir = temp_dir("dlq-too-long");
+        let catalog = Catalog::paper();
+        let q = QueryGenerator::new(&catalog, Topology::Chain(2), 7).instance(0);
+        let sql = sdp_sql::render_sql(&catalog, &q);
+        let (_, conjuncts) = sql.split_once(" WHERE ").unwrap();
+        let (column, _) = conjuncts.split_once(" = ").unwrap();
+        let sql = format!("{sql}{}", format!(" AND {column} < 5").repeat(6_000));
+        {
+            let service = OptimizerService::with_defaults(catalog.clone())
+                .with_dlq(&dir)
+                .unwrap();
+            let err = service
+                .get_plan(
+                    &ServiceRequest::sql(&sql)
+                        .with_algorithm(Algorithm::Dp)
+                        .with_memory_budget(0),
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, ServiceError::Opt(OptError::MemoryExhausted { .. })),
+                "{err}"
+            );
+            let snap = service.store_counters().snapshot();
+            assert_eq!((snap.dlq_enqueued, snap.write_errors), (0, 1));
+            assert_eq!(service.dlq_depth(), 0);
+        }
+        let (dlq, _, undecodable) = sdp_store::DeadLetterQueue::open(&dir).unwrap();
+        assert_eq!((dlq.len(), undecodable), (0, 0));
     }
 
     #[test]

@@ -186,55 +186,95 @@ pub struct DlqRecord {
 // ---------------------------------------------------------------------
 // byte-level helpers
 
-struct Writer(Vec<u8>);
+/// The little-endian writer of every payload this crate encodes, and of
+/// the flight log's (`sdp-obs`): fixed-width integers, `f64` bit
+/// patterns, and `u16`-prefixed counts and UTF-8 strings. A length its
+/// prefix cannot express is refused as [`StoreError::TooLong`], never
+/// wrapped.
+#[derive(Debug)]
+pub struct Writer(Vec<u8>);
 
-impl Writer {
-    fn new() -> Self {
-        Writer(Vec::with_capacity(256))
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u128(&mut self, v: u128) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64_bits(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn str(&mut self, s: &str) {
-        debug_assert!(s.len() <= u16::MAX as usize);
-        self.u16(s.len() as u16);
-        self.0.extend_from_slice(s.as_bytes());
+impl Default for Writer {
+    fn default() -> Self {
+        Writer::new()
     }
 }
 
-struct Reader<'a> {
+impl Writer {
+    /// An empty payload.
+    pub fn new() -> Self {
+        Writer(Vec::with_capacity(256))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, v: u8) {
+        self.0.push(v);
+    }
+
+    /// A `u16`, little-endian.
+    pub fn u16(&mut self, v: u16) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// A `u32`, little-endian.
+    pub fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// A `u64`, little-endian.
+    pub fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// A `u128`, little-endian.
+    pub fn u128(&mut self, v: u128) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// An `i64`, little-endian.
+    pub fn i64(&mut self, v: i64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// An `f64` as its exact bit pattern.
+    pub fn f64_bits(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// A count or length as a `u16` prefix; `field` names it in the
+    /// [`StoreError::TooLong`] a `len` over `u16::MAX` is refused with.
+    pub fn len_u16(&mut self, field: &'static str, len: usize) -> Result<(), StoreError> {
+        let prefix = u16::try_from(len).map_err(|_| StoreError::TooLong { field, len })?;
+        self.u16(prefix);
+        Ok(())
+    }
+
+    /// A UTF-8 string behind its `u16` byte length (see
+    /// [`Writer::len_u16`]).
+    pub fn str(&mut self, field: &'static str, s: &str) -> Result<(), StoreError> {
+        self.len_u16(field, s.len())?;
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+
+    /// The bytes written.
+    pub fn finish(self) -> Vec<u8> {
+        self.0
+    }
+}
+
+/// The reader of [`Writer`]'s payloads. Every read checks the bytes
+/// left, so a short or corrupt payload is a [`StoreError::Codec`],
+/// never a panic.
+#[derive(Debug)]
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
         Reader { bytes, pos: 0 }
     }
 
@@ -250,42 +290,51 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, StoreError> {
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, StoreError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, StoreError> {
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, StoreError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
     }
 
-    fn u32(&mut self) -> Result<u32, StoreError> {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, StoreError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
-    fn u64(&mut self) -> Result<u64, StoreError> {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, StoreError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    fn u128(&mut self) -> Result<u128, StoreError> {
+    /// A little-endian `u128`.
+    pub fn u128(&mut self) -> Result<u128, StoreError> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16")))
     }
 
-    fn i64(&mut self) -> Result<i64, StoreError> {
+    /// A little-endian `i64`.
+    pub fn i64(&mut self) -> Result<i64, StoreError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    fn f64_bits(&mut self) -> Result<f64, StoreError> {
+    /// An `f64` from its bit pattern.
+    pub fn f64_bits(&mut self) -> Result<f64, StoreError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn str(&mut self) -> Result<String, StoreError> {
+    /// A UTF-8 string behind its `u16` byte length.
+    pub fn str(&mut self) -> Result<String, StoreError> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|e| StoreError::Codec(format!("invalid utf-8 string: {e}")))
     }
 
-    fn finish(&self) -> Result<(), StoreError> {
+    /// Refuse bytes left over after the record.
+    pub fn finish(&self) -> Result<(), StoreError> {
         if self.pos != self.bytes.len() {
             return Err(StoreError::Codec(format!(
                 "{} trailing bytes after record",
@@ -419,14 +468,17 @@ pub fn encode_plan(record: &PlanRecord) -> Vec<u8> {
     w.u64(record.stats_epoch);
     w.u8(record.rung.map(|r| r.stable_tag()).unwrap_or(0));
     w.u8(record.enumerator.stable_tag());
-    w.str(&record.algo_repr);
-    w.str(&record.strategy);
+    // Both are labels (`Algorithm::label`, `GovernedPlan::rung_label`),
+    // a few bytes long: never near the prefix's limit.
+    let label = "a label fits its length prefix";
+    w.str("algo_repr", &record.algo_repr).expect(label);
+    w.str("strategy", &record.strategy).expect(label);
     w.u64(record.degradations);
     w.f64_bits(record.cost);
     w.f64_bits(record.rows);
     w.u64(record.root.structural_digest());
     encode_node(&mut w, &record.root);
-    w.0
+    w.finish()
 }
 
 /// Decode a plan record. The plan tree is rebuilt under a fresh
@@ -538,18 +590,18 @@ fn decode_optional_u64(r: &mut Reader<'_>) -> Result<Option<u64>, StoreError> {
     }
 }
 
-fn encode_query(w: &mut Writer, query: &Query) {
+fn encode_query(w: &mut Writer, query: &Query) -> Result<(), StoreError> {
     let graph = &query.graph;
-    w.u16(graph.relations().len() as u16);
+    w.len_u16("relations", graph.relations().len())?;
     for rel in graph.relations() {
         w.u32(rel.0);
     }
-    w.u16(graph.edges().len() as u16);
+    w.len_u16("edges", graph.edges().len())?;
     for edge in graph.edges() {
         encode_colref(w, edge.left);
         encode_colref(w, edge.right);
     }
-    w.u16(graph.filters().len() as u16);
+    w.len_u16("filters", graph.filters().len())?;
     for filter in graph.filters() {
         encode_colref(w, filter.column);
         w.u8(pred_op_tag(filter.op));
@@ -570,6 +622,7 @@ fn encode_query(w: &mut Writer, query: &Query) {
             encode_colref(w, group.column);
         }
     }
+    Ok(())
 }
 
 /// The query of a dead-letter record. Every node index is checked
@@ -672,8 +725,10 @@ fn decode_algorithm(r: &mut Reader<'_>) -> Result<Option<Algorithm>, StoreError>
     })
 }
 
-/// Encode a dead-letter record as one log payload.
-pub fn encode_dlq(record: &DlqRecord) -> Vec<u8> {
+/// Encode a dead-letter record as one log payload. Its strings and
+/// its query come from outside the program: one a `u16` length prefix
+/// cannot express is refused as [`StoreError::TooLong`].
+pub fn encode_dlq(record: &DlqRecord) -> Result<Vec<u8>, StoreError> {
     let mut w = Writer::new();
     w.u8(CODEC_VERSION);
     w.u128(record.fingerprint);
@@ -681,8 +736,8 @@ pub fn encode_dlq(record: &DlqRecord) -> Vec<u8> {
     w.u8(EnumeratorKind::LevelScan.stable_tag());
     encode_algorithm(&mut w, record.algorithm);
     w.u8(record.error_kind.stable_tag());
-    w.str(&record.error);
-    w.u16(record.degradations.len() as u16);
+    w.str("error", &record.error)?;
+    w.len_u16("degradations", record.degradations.len())?;
     for d in &record.degradations {
         w.u8(d.from.stable_tag());
         w.u8(d.to.stable_tag());
@@ -692,9 +747,9 @@ pub fn encode_dlq(record: &DlqRecord) -> Vec<u8> {
     w.u64(record.deadline_ms.unwrap_or(0));
     w.u8(record.memory_bytes.is_some() as u8);
     w.u64(record.memory_bytes.unwrap_or(0));
-    w.str(&record.sql);
-    encode_query(&mut w, &record.query);
-    w.0
+    w.str("sql", &record.sql)?;
+    encode_query(&mut w, &record.query)?;
+    Ok(w.finish())
 }
 
 /// Decode a dead-letter record.
@@ -888,7 +943,7 @@ mod tests {
             sql: "SELECT * FROM ...".to_string(),
             query: Query::new(graph).with_order_by(ColRef::new(0, ColId(0))),
         };
-        let mut payload = encode_dlq(&record);
+        let mut payload = encode_dlq(&record).unwrap();
         assert_eq!(*payload.last().unwrap(), 0, "absent GROUP BY is one 0x00");
         payload.pop();
         payload[0] = 1;
@@ -919,11 +974,11 @@ mod tests {
             sql: "SELECT * FROM ...".to_string(),
             query: Query::new(graph).with_group_by(ColRef::new(1, ColId(0))),
         };
-        let payload = encode_dlq(&record);
+        let payload = encode_dlq(&record).unwrap();
         let decoded = decode_dlq(&payload).unwrap();
         assert_eq!(decoded.query.group_by, record.query.group_by);
         assert_eq!(decoded.query.order_by, None);
-        assert_eq!(payload, encode_dlq(&decoded));
+        assert_eq!(payload, encode_dlq(&decoded).unwrap());
     }
 
     #[test]
@@ -971,7 +1026,7 @@ mod tests {
             sql: "SELECT * FROM ...".to_string(),
             query,
         };
-        let payload = encode_dlq(&record);
+        let payload = encode_dlq(&record).unwrap();
         let decoded = decode_dlq(&payload).unwrap();
         assert_eq!(decoded.fingerprint, 77);
         assert!(matches!(decoded.algorithm, Some(Algorithm::Idp { k: 4 })));
@@ -989,7 +1044,51 @@ mod tests {
             record.query.graph.filters().len()
         );
         assert_eq!(decoded.query.order_by, record.query.order_by);
-        assert_eq!(payload, encode_dlq(&decoded));
+        assert_eq!(payload, encode_dlq(&decoded).unwrap());
+    }
+
+    #[test]
+    fn dlq_fields_a_u16_prefix_cannot_express_are_refused() {
+        let graph = JoinGraph::new(
+            vec![RelId(1), RelId(2)],
+            vec![JoinEdge::new(
+                ColRef::new(0, ColId(0)),
+                ColRef::new(1, ColId(1)),
+            )],
+        );
+        let record = |sql_len: usize, filters: usize| {
+            let mut graph = graph.clone();
+            for _ in 0..filters {
+                graph.add_filter(Predicate::new(ColRef::new(0, ColId(1)), PredOp::Lt, 5));
+            }
+            DlqRecord {
+                fingerprint: 3,
+                stats_epoch: 1,
+                algorithm: None,
+                error_kind: DlqErrorKind::Memory,
+                error: "memory exhausted".to_string(),
+                degradations: vec![],
+                deadline_ms: None,
+                memory_bytes: Some(0),
+                sql: "x".repeat(sql_len),
+                query: Query::new(graph),
+            }
+        };
+        let max = u16::MAX as usize;
+        // At the limit a record round-trips; one past it is refused by
+        // the field that overflows, not written with a wrapped prefix.
+        let at_limit = record(max, max);
+        let decoded = decode_dlq(&encode_dlq(&at_limit).unwrap()).unwrap();
+        assert_eq!(decoded.sql.len(), max);
+        assert_eq!(decoded.query.graph.filters().len(), max);
+        for (record, field) in [(record(max + 1, 0), "sql"), (record(0, max + 1), "filters")] {
+            match encode_dlq(&record) {
+                Err(StoreError::TooLong { field: f, len }) => {
+                    assert_eq!((f, len), (field, max + 1));
+                }
+                other => panic!("{field}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl DeadLetterQueue {
 
     /// Append one failed request.
     pub fn enqueue(&mut self, record: DlqRecord) -> Result<(), StoreError> {
-        self.log.append(&encode_dlq(&record))?;
+        self.log.append(&encode_dlq(&record)?)?;
         self.records.push(record);
         Ok(())
     }
@@ -87,7 +87,7 @@ impl DeadLetterQueue {
         {
             let (mut log, _, _) = FramedLog::open(&tmp, DLQ_LOG_KIND)?;
             for record in &remaining {
-                log.append(&encode_dlq(record))?;
+                log.append(&encode_dlq(record)?)?;
             }
         }
         let live = self.dir.join(DLQ_FILE);

@@ -60,6 +60,15 @@ pub enum StoreError {
     /// A record payload passed its CRC but failed to decode (version
     /// skew, unknown tags, digest mismatch).
     Codec(String),
+    /// A record to encode holds a string or a count longer than the
+    /// `u16` prefix it is written behind: refused before anything is
+    /// written, never wrapped.
+    TooLong {
+        /// The record field.
+        field: &'static str,
+        /// Its length.
+        len: usize,
+    },
     /// A plan record stamped with a statistics epoch older than the
     /// one the store has already moved to: its cost is a lie under the
     /// current statistics, so it is refused, not persisted.
@@ -88,6 +97,11 @@ impl fmt::Display for StoreError {
             }
             StoreError::Format(msg) => write!(f, "log format error: {msg}"),
             StoreError::Codec(msg) => write!(f, "record codec error: {msg}"),
+            StoreError::TooLong { field, len } => write!(
+                f,
+                "record field {field} of length {len} exceeds the codec's limit of {}",
+                u16::MAX
+            ),
             StoreError::StaleEpoch { record, store } => {
                 write!(f, "record of stats epoch {record} refused at epoch {store}")
             }

@@ -231,7 +231,7 @@ fn retired_enumerator_tags_are_skipped_and_counted_never_served() {
     // version, fingerprint, stats epoch — then the tag.
     const DLQ_TAG_AT: usize = 1 + 16 + 8;
     for tag in [2u8, 3] {
-        let mut payload = encode_dlq(&dead_letter(8, Algorithm::Dp));
+        let mut payload = encode_dlq(&dead_letter(8, Algorithm::Dp)).unwrap();
         assert_eq!(payload[DLQ_TAG_AT], 1);
         payload[DLQ_TAG_AT] = tag;
         let err = decode_dlq(&payload).unwrap_err();
@@ -247,7 +247,7 @@ fn retired_enumerator_tags_are_skipped_and_counted_never_served() {
         (6, Algorithm::Dp, 1),
         (7, Algorithm::Dp, 1),
     ] {
-        let mut payload = encode_dlq(&dead_letter(9, written_as));
+        let mut payload = encode_dlq(&dead_letter(9, written_as)).unwrap();
         assert_eq!(payload[ALGORITHM_TAG_AT], live_tag);
         payload[ALGORITHM_TAG_AT] = tag;
         let err = decode_dlq(&payload).unwrap_err();
@@ -272,7 +272,7 @@ fn dead_letters_with_an_idp_block_below_two_are_skipped_and_counted() {
     {
         let (mut log, _, _) = FramedLog::open(&dir.join(DLQ_FILE), DLQ_LOG_KIND).unwrap();
         for (fingerprint, k) in [(1, 0), (2, 1), (3, 2)] {
-            log.append(&encode_dlq(&dead_letter(fingerprint, Algorithm::Idp { k })))
+            log.append(&encode_dlq(&dead_letter(fingerprint, Algorithm::Idp { k })).unwrap())
                 .unwrap();
         }
     }
