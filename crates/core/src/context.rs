@@ -16,8 +16,9 @@ use sdp_cost::{CostModel, IndexProbe, JoinMethod, JoinTerms, ScanKind};
 use sdp_query::{ClassId, EquivClasses, JoinGraph, Query, RelSet};
 
 use crate::budget::{Budget, MemoryModel, OptError};
+use crate::dp::LevelTable;
 use crate::fx::FxHashMap;
-use crate::memo::{dominates, EdgeWords, Group, Memo, PlanEntry, PlanSource};
+use crate::memo::{dominates, BuiltNodes, EdgeWords, Group, Memo, PlanEntry, PlanSource};
 use crate::plan::{Children, NodeCounter, PlanNode, PlanOp};
 #[cfg(feature = "trace")]
 use sdp_trace::{Event, Tracer};
@@ -219,26 +220,33 @@ impl LevelStage {
     }
 
     /// Empty the stage for a level of `pairs` pairs, keeping its
-    /// buffers — up to what that level can fill (a JCR per pair): the
-    /// widest level's stage must not sit beside the memo of the last.
-    pub fn reset(&mut self, pairs: usize) {
+    /// buffers; `defer` stages the level's new JCRs uncosted: each pair
+    /// waits in `deferred` until [`EnumContext::cost_staged`]. A level
+    /// that costs as it stages (DP's) cuts the groups and the index to
+    /// what it can fill, a JCR per pair: the widest level's stage must
+    /// not sit beside the memo of the last. A deferring level (one SDP
+    /// prunes) keeps the index, and cuts the groups only where they are
+    /// over a quarter wider than it can fill: SDP's pruned levels differ
+    /// little in width, and a stage cut to every narrower one regrows at
+    /// the next wider one.
+    pub fn reset(&mut self, pairs: usize, defer: bool) {
         self.index.clear();
         self.jcrs.clear();
-        self.index.shrink_to(pairs);
-        self.jcrs.shrink_to(pairs);
+        self.deferred.clear();
+        if !defer {
+            self.index.shrink_to(pairs);
+            self.jcrs.shrink_to(pairs);
+        } else {
+            self.deferred.reserve(pairs);
+            if self.jcrs.capacity() > pairs + pairs / 4 {
+                self.jcrs.shrink_to(pairs);
+            }
+        }
+        self.defer = defer;
         self.wide.clear();
         self.costing = Costing::default();
-        self.defer = false;
-        self.deferred.clear();
         #[cfg(feature = "trace")]
         self.staged_micros.clear();
-    }
-
-    /// Stage the level's new JCRs uncosted: [`EnumContext::stage_pair`]
-    /// records each of the `pairs` pairs for [`EnumContext::cost_staged`].
-    pub fn defer_costing(&mut self, pairs: usize) {
-        self.defer = true;
-        self.deferred.reserve_exact(pairs);
     }
 }
 
@@ -491,7 +499,19 @@ impl<'a> EnumContext<'a> {
     /// Start a run over `query` (whose graph should already carry any
     /// rewriter-inferred edges) with the given cost model and budget.
     pub fn new(query: &'a Query, model: &'a CostModel<'a>, budget: Budget) -> Self {
-        let classes = query.equiv_classes();
+        Self::with_classes(query, model, budget, query.equiv_classes())
+    }
+
+    /// [`EnumContext::new`] with the query's join-column classes
+    /// computed already (`EquivClasses::new` of its graph, or of the
+    /// graph before the rewriter's closure, which leaves them as they
+    /// are).
+    pub(crate) fn with_classes(
+        query: &'a Query,
+        model: &'a CostModel<'a>,
+        budget: Budget,
+        classes: EquivClasses,
+    ) -> Self {
         let tables = RunTables::new(&query.graph, model, &classes);
         // The effective interesting order: ORDER BY, else GROUP BY
         // (sort-based grouping wants sorted input, so a grouping
@@ -508,7 +528,7 @@ impl<'a> EnumContext<'a> {
             order_target,
             memory: MemoryModel::new(budget, nodes.clone()),
             nodes,
-            memo: Memo::new(),
+            memo: Memo::for_relations(query.graph.len()),
             wide: Vec::new(),
             #[cfg(test)]
             sort_costs: 0,
@@ -667,20 +687,10 @@ impl<'a> EnumContext<'a> {
         group.wide_at = wide_end(&self.wide);
         self.wide.extend(incident[1..].iter().map(word));
 
-        for path in self.model.scan_paths_for_node(graph, node) {
+        for path in &self.model.scan_paths_for_node(graph, node) {
             self.plans_costed += 1;
-            match path.kind {
-                ScanKind::Seq => {
-                    group.add_plan(PlanNode::new(
-                        &self.nodes,
-                        PlanOp::SeqScan { rel, node },
-                        set,
-                        rows,
-                        path.cost,
-                        None,
-                        Children::Leaf,
-                    ));
-                }
+            let (op, class) = match path.kind {
+                ScanKind::Seq => (PlanOp::SeqScan { rel, node }, None),
                 ScanKind::IndexFull | ScanKind::IndexRange => {
                     // Index order is only worth carrying when the
                     // indexed column participates in a join or the
@@ -692,19 +702,14 @@ impl<'a> EnumContext<'a> {
                         .classes
                         .class_of(sdp_query::ColRef::new(node, col))
                         .and_then(|c| self.useful_ordering(Some(c), set));
-                    if class.is_some() || path.kind == ScanKind::IndexRange {
-                        group.add_plan(PlanNode::new(
-                            &self.nodes,
-                            PlanOp::IndexScan { rel, node, col },
-                            set,
-                            rows,
-                            path.cost,
-                            class,
-                            Children::Leaf,
-                        ));
+                    if class.is_none() && path.kind == ScanKind::IndexFull {
+                        continue;
                     }
+                    (PlanOp::IndexScan { rel, node, col }, class)
                 }
-            }
+            };
+            let scan = PlanNode::new(&self.nodes, op, set, rows, path.cost, class, Children::Leaf);
+            group.add_plan(scan, self.memo.built_mut());
         }
         debug_assert!(!group.is_empty());
         if self.insert_group(group) {
@@ -737,7 +742,7 @@ impl<'a> EnumContext<'a> {
         if !self.tables.class_nodes[target as usize].intersects(set) {
             return false;
         }
-        let Some(group) = self.memo.get_mut(set) else {
+        let Some((group, built)) = self.memo.get_mut_with_built(set) else {
             return false;
         };
         let best = *group.best();
@@ -764,9 +769,9 @@ impl<'a> EnumContext<'a> {
                 Some(target),
                 Children::Unary([input]),
             );
-            let group = self.memo.get_mut(set).expect("group present");
+            let (group, built) = self.memo.get_mut_with_built(set).expect("group present");
             let charged = group.charged();
-            group.add_plan(sort);
+            group.add_plan(sort, built);
             self.nodes.release(charged - group.charged());
         } else {
             // Entries are named, not positioned: whatever the enforcer
@@ -775,7 +780,7 @@ impl<'a> EnumContext<'a> {
             self.nodes.charge(1);
             Self::reoffer(
                 &self.nodes,
-                group,
+                (group, built),
                 &[PlanEntry::new(cost, Some(target), source)],
             );
         }
@@ -895,9 +900,9 @@ impl<'a> EnumContext<'a> {
         let mut costing = Costing::default();
         self.cost_pair(ga, gb, &mut jcr, &mut costing);
         self.plans_costed += costing.plans_costed;
-        match self.memo.get_mut(a | b) {
-            Some(group) => {
-                Self::reoffer(&self.nodes, group, jcr.entries());
+        match self.memo.get_mut_with_built(a | b) {
+            Some(target) => {
+                Self::reoffer(&self.nodes, target, jcr.entries());
                 false
             }
             None => {
@@ -1274,14 +1279,18 @@ impl<'a> EnumContext<'a> {
         }
     }
 
-    /// Offer entries retained (and charged for) elsewhere to `target`,
-    /// in order, and release what it does not keep of them and of its
-    /// own.
-    fn reoffer(nodes: &NodeCounter, target: &mut Group, offers: &[PlanEntry]) {
+    /// Offer entries retained (and charged for) elsewhere to `target`, a
+    /// memo group beside the memo's built nodes, in order, and release
+    /// what it does not keep of them and of its own.
+    fn reoffer(
+        nodes: &NodeCounter,
+        (target, built): (&mut Group, &mut BuiltNodes),
+        offers: &[PlanEntry],
+    ) {
         let charged = target.charged() + offers.len();
         for e in offers {
             debug_assert!(e.charged(), "offers are records, counted where retained");
-            target.offer(e.cost, e.ordering(), e.source);
+            target.offer(e.cost, e.ordering(), e.source, built);
         }
         nodes.release(charged - target.charged());
     }
@@ -1306,19 +1315,29 @@ impl<'a> EnumContext<'a> {
     }
 
     /// Move the level's survivors into the memo as they are, in creation
-    /// order; returns the level's row of the survivor table.
-    pub(crate) fn seal_stage(&mut self, stage: &mut LevelStage) -> Vec<(RelSet, RelSet)> {
-        self.memo.reserve(stage.jcrs.len());
+    /// order, and record them as the next level of the survivor table.
+    pub(crate) fn seal_stage(&mut self, stage: &mut LevelStage, table: &mut LevelTable) {
+        // A level SDP prunes keeps few JCRs, and the next about as many:
+        // room for two such levels grows the memo at most every other
+        // level and leaves at most a level's survivors unused. An
+        // exhaustive level's memo grows exactly: geometric growth would
+        // leave up to the whole memo unused, in bytes and peak heap.
+        let survivors = stage.jcrs.len();
+        let room = if stage.defer {
+            2 * survivors
+        } else {
+            survivors
+        };
+        self.memo.reserve(survivors, room);
         let (graph, len) = (self.graph(), self.tables.edge_words - 1);
-        let survivors = stage.jcrs.drain(..).map(|mut jcr| {
+        table.push_level(stage.jcrs.drain(..).map(|mut jcr| {
             debug_assert!(jcr.costed(), "a survivor is costed before it is sealed");
             let set = jcr.group.set;
             move_wide(&mut jcr.group, len, &stage.wide, &mut self.wide);
             let inserted = self.insert_group(jcr.group);
             debug_assert!(inserted, "a staged JCR is new to the memo");
             (set, graph.neighbors(set))
-        });
-        survivors.collect()
+        }));
     }
 
     /// The plan tree of entry `entry` of `set`'s group
@@ -1622,8 +1641,8 @@ mod tests {
                         assert_pair_facts(&ctx, a, b);
                     }
                 }
-                for level in &table.levels {
-                    for &(set, neighbors) in level {
+                for s in 1..=atoms.len() {
+                    for &(set, neighbors) in table.level(s) {
                         prop_assert_eq!(neighbors, graph.neighbors(set));
                     }
                 }
@@ -1826,7 +1845,7 @@ mod tests {
         let group = ctx.memo.get(set).unwrap();
         let sort = group.best_for_order(target).unwrap();
         assert_eq!(sort.cost.to_bits(), evicted.cost.to_bits());
-        let node = group.built(sort).expect("built, not a record").clone();
+        let node = ctx.memo.built(sort).expect("built, not a record").clone();
         assert!(matches!(node.op, PlanOp::Sort { .. }));
         assert_eq!(node.children[0].cost.to_bits(), evicted.cost.to_bits());
         assert_eq!(node.children[0].ordering, None);

@@ -163,25 +163,38 @@ pub(crate) struct PruneStats {
     pub order_rescued: u64,
 }
 
-/// Per-level survivor table produced by [`run_levels`]: entry `s - 1`
-/// holds the surviving JCRs of `s` atoms, paired with their cached
-/// join-graph neighbourhoods.
+/// Survivor table produced by [`run_levels`]: the surviving JCRs of
+/// each level, paired with their cached join-graph neighbourhoods, in
+/// one buffer for the run — level after level, each in survivor order.
 #[derive(Debug, Default)]
 pub struct LevelTable {
-    /// `levels[s - 1]` = surviving `(set, neighbors)` of `s` atoms.
-    pub levels: Vec<Vec<(RelSet, RelSet)>>,
+    /// Every level's surviving `(set, neighbors)`, back to back.
+    survivors: Vec<(RelSet, RelSet)>,
+    /// `ends[s - 1]`: where the survivors of `s` atoms end.
+    ends: Vec<usize>,
 }
 
 impl LevelTable {
+    /// The surviving `(set, neighbors)` of `atom_count` atoms, in
+    /// survivor order (none for a level not run).
+    pub fn level(&self, atom_count: usize) -> &[(RelSet, RelSet)] {
+        let Some(&end) = self.ends.get(atom_count - 1) else {
+            return &[];
+        };
+        let start = atom_count.checked_sub(2).map_or(0, |s| self.ends[s]);
+        &self.survivors[start..end]
+    }
+
     /// Surviving JCR sets at the given atom count, in survivor order.
     /// Borrows the table — collect if you need to outlive it.
     pub fn sets_at(&self, atom_count: usize) -> impl Iterator<Item = RelSet> + '_ {
-        self.levels
-            .get(atom_count - 1)
-            .map(|v| v.as_slice())
-            .unwrap_or_default()
-            .iter()
-            .map(|&(s, _)| s)
+        self.level(atom_count).iter().map(|&(s, _)| s)
+    }
+
+    /// Record the next level's survivors.
+    pub(crate) fn push_level(&mut self, survivors: impl IntoIterator<Item = (RelSet, RelSet)>) {
+        self.survivors.extend(survivors);
+        self.ends.push(self.survivors.len());
     }
 }
 
@@ -198,8 +211,8 @@ struct LevelBuffers {
     keep: Vec<bool>,
 }
 
-/// Enumerate and prune one DP level, returning its surviving JCRs with
-/// their join-graph neighbourhoods. The level's pairs (`buffers.pairs`)
+/// Enumerate and prune one DP level, recording its surviving JCRs with
+/// their join-graph neighbourhoods in `table`. The level's pairs (`buffers.pairs`)
 /// are staged into `buffers.stage`, whose JCRs are all new to the memo
 /// — costed as they come, or, where the pruner defers costing, each JCR
 /// when the pruner asks for its cost or it survives.
@@ -211,10 +224,11 @@ struct LevelBuffers {
 fn run_one_level<'p>(
     ctx: &mut EnumContext<'_>,
     buffers: &mut LevelBuffers,
+    table: &mut LevelTable,
     level: usize,
     visits: &mut u64,
     mut pruner: Option<&mut (dyn LevelPruner + 'p)>,
-) -> Result<Vec<(RelSet, RelSet)>, OptError> {
+) -> Result<(), OptError> {
     let LevelBuffers {
         pairs,
         stage,
@@ -229,10 +243,9 @@ fn run_one_level<'p>(
     // The bound is this rung's, handed to this level's stage: nothing
     // that outlives the rung may carry it to the next.
     let bound = pruner.as_ref().and_then(|p| p.cost_bound());
+    let defer = bound.is_none() && pruner.as_ref().is_some_and(|p| p.defers_costing(level));
+    stage.reset(pairs.len(), defer);
     stage.costing.bound = bound;
-    if bound.is_none() && pruner.as_ref().is_some_and(|p| p.defers_costing(level)) {
-        stage.defer_costing(pairs.len());
-    }
     let enumerated = pairs.iter().try_for_each(|&(a, b)| {
         *visits += 1;
         if visits.is_multiple_of(CHECK_INTERVAL) {
@@ -257,11 +270,12 @@ fn run_one_level<'p>(
         features.clear();
         costed.clear();
         keep.clear();
-        // Sized to the level, not doubled: the four stay for the run.
-        sets.reserve_exact(stage.jcrs.len());
-        features.reserve_exact(stage.jcrs.len());
-        costed.reserve_exact(stage.jcrs.len());
-        keep.reserve_exact(stage.jcrs.len());
+        // The four stay for the run, and double when a level outgrows
+        // every earlier one.
+        sets.reserve(stage.jcrs.len());
+        features.reserve(stage.jcrs.len());
+        costed.reserve(stage.jcrs.len());
+        keep.reserve(stage.jcrs.len());
         for (slot, jcr) in stage.jcrs.iter().enumerate() {
             let group = &jcr.group;
             let cost = if jcr.costed() {
@@ -306,14 +320,15 @@ fn run_one_level<'p>(
     }
     ctx.memory.barrier_check()?;
 
-    let survivors = ctx.seal_stage(stage);
+    ctx.seal_stage(stage, table);
+    let survivors = table.level(level);
 
     // Sort-ahead placement (post-barrier): offer each surviving JCR of
     // the level an explicit Sort enforcer producing the order target,
     // so order-preserving joins at higher levels can carry the order up
     // instead of paying a root sort over the full result. The survivors
     // are in creation order, so the offers are too.
-    for &(set, _) in &survivors {
+    for &(set, _) in survivors {
         ctx.offer_sort_enforcer(set);
     }
 
@@ -338,9 +353,9 @@ fn run_one_level<'p>(
     #[cfg(feature = "trace")]
     ctx.tracer().emit_with(|| level_event(&stats));
     if let Some(p) = pruner {
-        p.sealed(ctx, &survivors);
+        p.sealed(ctx, survivors);
     }
-    Ok(survivors)
+    Ok(())
 }
 
 /// Carry out the barrier's verdict on a staged JCR: a pruned one
@@ -406,39 +421,38 @@ pub(crate) fn run_levels_with(
     // how much of the graph each pass saw pre-contracted.
     ctx.set_contractions(atoms.iter().filter(|a| a.len() > 1).count() as u64);
     let mut table = LevelTable::default();
-    table.levels.push(
-        atoms
-            .iter()
-            .map(|&a| {
-                debug_assert!(ctx.memo.get(a).is_some(), "atom {a:?} lacks a memo group");
-                (a, ctx.graph().neighbors(a))
-            })
-            .collect(),
-    );
+    table.ends.reserve_exact(up_to);
+    table.push_level(atoms.iter().map(|&a| {
+        debug_assert!(ctx.memo.get(a).is_some(), "atom {a:?} lacks a memo group");
+        (a, ctx.graph().neighbors(a))
+    }));
 
     ctx.reserve_profile(up_to - 1);
     let mut visits: u64 = 0;
     let mut buffers = LevelBuffers::default();
     for s in 2..=up_to {
         scan.level_pairs(&table, s, &mut buffers.pairs);
-        buffers.stage.reset(buffers.pairs.len());
-        match run_one_level(ctx, &mut buffers, s, &mut visits, pruner.as_deref_mut()) {
-            Ok(survivors) => table.levels.push(survivors),
-            Err(e) => {
-                // Determinism-by-rollback: drop every JCR this level
-                // created, so the memo a governed descent inherits
-                // equals the last *completed* level regardless of where
-                // inside the level the budget tripped. The rollback
-                // span carries only the level: how far into the level
-                // a wall-clock or cancellation trip was detected (and
-                // hence how many JCRs roll back) depends on timing, so
-                // it must not appear in canonical fields.
-                #[cfg(feature = "trace")]
-                ctx.tracer()
-                    .emit_with(|| sdp_trace::Event::new("level_rollback").with("level", s));
-                ctx.roll_back_stage(&buffers.stage);
-                return Err(e);
-            }
+        if let Err(e) = run_one_level(
+            ctx,
+            &mut buffers,
+            &mut table,
+            s,
+            &mut visits,
+            pruner.as_deref_mut(),
+        ) {
+            // Determinism-by-rollback: drop every JCR this level
+            // created, so the memo a governed descent inherits
+            // equals the last *completed* level regardless of where
+            // inside the level the budget tripped. The rollback
+            // span carries only the level: how far into the level
+            // a wall-clock or cancellation trip was detected (and
+            // hence how many JCRs roll back) depends on timing, so
+            // it must not appear in canonical fields.
+            #[cfg(feature = "trace")]
+            ctx.tracer()
+                .emit_with(|| sdp_trace::Event::new("level_rollback").with("level", s));
+            ctx.roll_back_stage(&buffers.stage);
+            return Err(e);
         }
     }
     Ok(table)
@@ -1358,7 +1372,7 @@ mod tests {
                 let entry = group.entry(id);
                 match entry.source {
                     PlanSource::Built(_) => {
-                        walk_node(group.built(entry).unwrap(), &mut reached.nodes)
+                        walk_node(ctx.memo.built(entry).unwrap(), &mut reached.nodes)
                     }
                     _ if !reached.records.insert((set, id)) => {}
                     PlanSource::Sort { input } => walk(ctx, set, input, reached),

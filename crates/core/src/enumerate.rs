@@ -63,43 +63,44 @@ impl EnumeratorKind {
 }
 
 /// Inverted index over one survivor level: which entries contain
-/// which base relation.
-#[derive(Debug)]
+/// which base relation. Its bitmap is a run of [`LevelScan`]'s one
+/// buffer for every level it indexes.
+#[derive(Debug, Clone, Copy)]
 struct LevelIndex {
     /// Entries in the indexed level.
     len: usize,
-    /// Base relations indexed (the join graph's size).
-    relations: usize,
-    /// `by_rel[w * relations + r]`: word `w` of the bitmap, by entry
-    /// position, of the level's entries containing relation `r`.
-    by_rel: Vec<u64>,
+    /// Where its bitmap starts in the scan's buffer: word
+    /// `start + w * relations + r` is word `w`, by entry position, of
+    /// the bitmap of the level's entries containing relation `r`.
+    start: usize,
     /// Union of the level's sets: a left entry whose neighbourhood
     /// misses it can pair with nothing here.
     frontier: RelSet,
 }
 
 impl LevelIndex {
-    fn new(level: &[(RelSet, RelSet)], relations: usize) -> Self {
-        let mut by_rel = vec![0u64; level.len().div_ceil(64) * relations];
+    /// Index `level`, its bitmap appended to `by_rel`.
+    fn new(level: &[(RelSet, RelSet)], relations: usize, by_rel: &mut Vec<u64>) -> Self {
+        let start = by_rel.len();
+        by_rel.resize(start + level.len().div_ceil(64) * relations, 0);
         let mut frontier = RelSet::EMPTY;
         for (k, &(set, _)) in level.iter().enumerate() {
             frontier = frontier | set;
             for r in set.iter() {
-                by_rel[k / 64 * relations + r] |= 1 << (k % 64);
+                by_rel[start + k / 64 * relations + r] |= 1 << (k % 64);
             }
         }
         LevelIndex {
             len: level.len(),
-            relations,
-            by_rel,
+            start,
             frontier,
         }
     }
 
     /// Word `w` of the bitmap of entries intersecting `set`.
     #[inline]
-    fn intersecting(&self, set: RelSet, w: usize) -> u64 {
-        let row = &self.by_rel[w * self.relations..][..self.relations];
+    fn intersecting(&self, by_rel: &[u64], relations: usize, set: RelSet, w: usize) -> u64 {
+        let row = &by_rel[self.start + w * relations..][..relations];
         set.iter().fold(0, |m, r| m | row[r])
     }
 }
@@ -118,19 +119,24 @@ impl LevelIndex {
 pub struct LevelScan {
     /// Base relations in the join graph.
     relations: usize,
-    /// `index[k]` indexes `table.levels[k]` once a split has needed it
-    /// as its right side. A level never changes after `run_levels`
-    /// pushes it, so entries stay valid for the run.
+    /// `index[k]` indexes the survivors of `k + 1` atoms once a split
+    /// has needed them as its right side. A level never changes after
+    /// `run_levels` records it, so entries stay valid for the run.
     index: Vec<Option<LevelIndex>>,
+    /// The indexed levels' bitmaps, back to back.
+    by_rel: Vec<u64>,
 }
 
 impl LevelScan {
     /// A scan over survivor tables of a join graph with `relations`
     /// base relations.
     pub fn new(relations: usize) -> Self {
+        // A level per relation at most, and — while a level has at most
+        // 64 survivors — one bitmap word per relation for each.
         LevelScan {
             relations,
-            index: Vec::new(),
+            index: vec![None; relations],
+            by_rel: Vec::with_capacity(relations * relations),
         }
     }
 
@@ -143,15 +149,14 @@ impl LevelScan {
     /// pairs as given.
     pub fn level_pairs(&mut self, table: &LevelTable, s: usize, pairs: &mut Vec<(RelSet, RelSet)>) {
         pairs.clear();
-        if self.index.len() < table.levels.len() {
-            self.index.resize_with(table.levels.len(), || None);
-        }
+        let relations = self.relations;
         for i in 1..=s / 2 {
             let j = s - i;
-            let (left_level, right_level) = (&table.levels[i - 1], &table.levels[j - 1]);
-            let right = self.index[j - 1]
-                .get_or_insert_with(|| LevelIndex::new(right_level, self.relations));
+            let (left_level, right_level) = (table.level(i), table.level(j));
+            let right = *self.index[j - 1]
+                .get_or_insert_with(|| LevelIndex::new(right_level, relations, &mut self.by_rel));
             debug_assert_eq!(right.len, right_level.len(), "level changed after indexing");
+            let by_rel = &self.by_rel;
             for (li, &(a, a_nb)) in left_level.iter().enumerate() {
                 if !a_nb.intersects(right.frontier) {
                     continue;
@@ -162,7 +167,8 @@ impl LevelScan {
                 for w in first / 64..right.len.div_ceil(64) {
                     // Joinable (touches the neighbourhood) and not
                     // overlapping — cartesian products never appear.
-                    let mut partners = right.intersecting(a_nb, w) & !right.intersecting(a, w);
+                    let mut partners = right.intersecting(by_rel, relations, a_nb, w)
+                        & !right.intersecting(by_rel, relations, a, w);
                     if w == first / 64 {
                         partners &= !0u64 << (first % 64);
                     }
@@ -412,7 +418,7 @@ pub(crate) mod tests {
             let mut grown: Vec<RelSet> = Vec::new();
             for i in 1..=s / 2 {
                 let j = s - i;
-                let (left_level, right_level) = (&table.levels[i - 1], &table.levels[j - 1]);
+                let (left_level, right_level) = (table.level(i), table.level(j));
                 // Pruning (or a governed descent) can leave holes in
                 // the lattice: only complements that actually survived
                 // level `j` may be joined.
@@ -504,7 +510,7 @@ pub(crate) mod tests {
         let mut pairs = Vec::new();
         for i in 1..=s / 2 {
             let j = s - i;
-            let (left_level, right_level) = (&table.levels[i - 1], &table.levels[j - 1]);
+            let (left_level, right_level) = (table.level(i), table.level(j));
             for (li, &(a, a_nb)) in left_level.iter().enumerate() {
                 for (ri, &(b, _)) in right_level.iter().enumerate() {
                     if i == j && li >= ri {
@@ -644,9 +650,7 @@ pub(crate) mod tests {
                 let mut scan = LevelScan::new(n);
                 let mut pairs = Vec::new();
                 let mut table = LevelTable::default();
-                table
-                    .levels
-                    .push(atoms.iter().map(|&a| (a, graph.neighbors(a))).collect());
+                table.push_level(atoms.iter().map(|&a| (a, graph.neighbors(a))));
                 let mut hole_bits = holes;
                 for s in 2..=atoms.len() {
                     let expected = double_loop_level_pairs(&table, s);
@@ -667,7 +671,7 @@ pub(crate) mod tests {
                             .wrapping_add(1442695040888963407);
                         hole_bits >> 61 != 0
                     });
-                    table.levels.push(level);
+                    table.push_level(level);
                 }
             }
 

@@ -43,6 +43,10 @@
 //! `Sort` entries settles the count (`EnumContext::cost_pair` and
 //! friends); a `Built` entry's node counts itself. Extraction moves
 //! an entry's count to its node, so the total never notices.
+//!
+//! **Built nodes** sit in one side table of the memo ([`BuiltNodes`]),
+//! not in their groups: a group holds no buffer of its own, and the
+//! run allocates for its nodes a growth step at a time.
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -87,8 +91,8 @@ pub enum PlanSource {
         /// Id of the plan sorted.
         input: u16,
     },
-    /// A node that exists: slot of the group's built nodes.
-    Built(u16),
+    /// A node that exists: its slot in the memo's [`BuiltNodes`].
+    Built(u32),
 }
 
 /// One retained plan of a JCR, as a record (32 bytes).
@@ -143,7 +147,7 @@ const INLINE_PLANS: usize = 2;
 
 /// A group's entries in retention order: `Group::inline_len` inline, or
 /// all in a `Vec` once that overflowed. (Without a length field the tag
-/// fits in a niche of the records: the group stays 152 bytes.)
+/// fits in a niche of the records: the group stays 128 bytes.)
 #[derive(Debug, Clone)]
 enum Entries {
     Inline([PlanEntry; INLINE_PLANS]),
@@ -196,9 +200,6 @@ pub struct Group {
     /// memo: a JCR pruned at its level barrier never pays for it.
     pub sort_cost: f64,
     entries: Entries,
-    /// The nodes of the `Built` entries; an evicted entry's slot is
-    /// emptied, so the group never keeps a node alive it has dropped.
-    built: Vec<Option<Arc<PlanNode>>>,
     /// Entries in use of `Entries::Inline`.
     inline_len: u8,
     /// Id of the next entry retained once sealed.
@@ -219,7 +220,6 @@ impl Group {
             wide_at: 0,
             sort_cost: f64::NAN,
             entries: Entries::EMPTY,
-            built: Vec::new(),
             inline_len: 0,
             next_id: 0,
             sealed: false,
@@ -235,26 +235,35 @@ impl Group {
         }
     }
 
-    /// Offer a built plan to the group. Returns `true` if it was
-    /// retained (and any newly-dominated entries were evicted).
-    pub fn add_plan(&mut self, plan: Arc<PlanNode>) -> bool {
+    /// Offer a built plan to the group, its node held in `built`.
+    /// Returns `true` if it was retained (and any newly-dominated
+    /// entries were evicted).
+    pub fn add_plan(&mut self, plan: Arc<PlanNode>, built: &mut BuiltNodes) -> bool {
         debug_assert_eq!(plan.set, self.set, "plan covers a different JCR");
         let (cost, ordering) = (plan.cost, plan.ordering);
         if !self.would_retain(cost, ordering) {
             return false;
         }
-        let slot = u16::try_from(self.built.len()).expect("a handful of built plans per JCR");
-        self.built.push(Some(plan));
-        self.retain(cost, ordering, PlanSource::Built(slot));
+        let slot = built.push(plan);
+        self.retain_with(cost, ordering, PlanSource::Built(slot), |s| {
+            built.drop_slot(s)
+        });
         true
     }
 
-    /// Offer a plan to the group. Returns `true` if it was retained
-    /// (and any newly-dominated entries were evicted).
-    pub fn offer(&mut self, cost: f64, ordering: Option<ClassId>, source: PlanSource) -> bool {
+    /// Offer a plan to the group, whose built nodes `built` holds.
+    /// Returns `true` if it was retained (and any newly-dominated
+    /// entries were evicted).
+    pub fn offer(
+        &mut self,
+        cost: f64,
+        ordering: Option<ClassId>,
+        source: PlanSource,
+        built: &mut BuiltNodes,
+    ) -> bool {
         let retained = self.would_retain(cost, ordering);
         if retained {
-            self.retain(cost, ordering, source);
+            self.retain_with(cost, ordering, source, |slot| built.drop_slot(slot));
         }
         retained
     }
@@ -269,9 +278,26 @@ impl Group {
             .any(|e| dominates(e.cost, e.ordering(), cost, ordering))
     }
 
-    /// Retain a plan that [`Group::would_retain`], evicting what it
-    /// makes redundant.
+    /// Retain a plan that [`Group::would_retain`] in a group that holds
+    /// no built plan — a JCR being costed — evicting what it makes
+    /// redundant.
     pub(crate) fn retain(&mut self, cost: f64, ordering: Option<ClassId>, source: PlanSource) {
+        self.retain_with(cost, ordering, source, |_| {
+            unreachable!("a JCR being costed holds no built plan")
+        });
+    }
+
+    /// Retain a plan that [`Group::would_retain`], evicting what it
+    /// makes redundant; `evicted_built` gets the slot of each `Built`
+    /// entry evicted.
+    #[inline]
+    fn retain_with(
+        &mut self,
+        cost: f64,
+        ordering: Option<ClassId>,
+        source: PlanSource,
+        mut evicted_built: impl FnMut(u32),
+    ) {
         debug_assert!(self.would_retain(cost, ordering));
         let id = self.next_id;
         if self.sealed {
@@ -283,11 +309,10 @@ impl Group {
             id,
             ..PlanEntry::new(cost, ordering, source)
         };
-        let built = &mut self.built;
         let mut keep = |e: &PlanEntry| {
             let evicted = dominates(cost, ordering, e.cost, e.ordering());
             if let (true, PlanSource::Built(slot)) = (evicted, e.source) {
-                built[usize::from(slot)] = None;
+                evicted_built(slot);
             }
             !evicted
         };
@@ -344,18 +369,9 @@ impl Group {
             .expect("a plan another plan refers to is never evicted")
     }
 
-    /// The node of a `Built` entry of this group.
-    pub fn built(&self, entry: &PlanEntry) -> Option<&Arc<PlanNode>> {
-        match entry.source {
-            PlanSource::Built(slot) => self.built[usize::from(slot)].as_ref(),
-            _ => None,
-        }
-    }
-
-    /// Replace entry `id`'s source with the node built from it.
-    fn set_built(&mut self, id: u16, node: Arc<PlanNode>) {
-        let slot = u16::try_from(self.built.len()).expect("a handful of built plans per JCR");
-        self.built.push(Some(node));
+    /// Point entry `id` at the node built from it, in `slot` of the
+    /// memo's [`BuiltNodes`].
+    fn set_built(&mut self, id: u16, slot: u32) {
         let entry = self.entries_mut().iter_mut().find(|e| e.id == id);
         entry.expect("extracted entry is live").source = PlanSource::Built(slot);
     }
@@ -418,6 +434,37 @@ impl Group {
     }
 }
 
+/// The nodes of a memo's `Built` entries, by [`PlanSource::Built`]
+/// slot, for the whole run: what an evicted entry or a removed group
+/// held is emptied, so the memo never keeps a node alive it has
+/// dropped. Slots are not reused — a run builds its access paths, its
+/// sort enforcers that hold their input and the plans it extracts,
+/// each once.
+#[derive(Debug, Default)]
+pub struct BuiltNodes(Vec<Option<Arc<PlanNode>>>);
+
+impl BuiltNodes {
+    /// The node of a `Built` entry (`None` for another entry).
+    pub fn get(&self, entry: &PlanEntry) -> Option<&Arc<PlanNode>> {
+        match entry.source {
+            PlanSource::Built(slot) => self.0[slot as usize].as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Hold `node`; returns its slot.
+    fn push(&mut self, node: Arc<PlanNode>) -> u32 {
+        let slot = u32::try_from(self.0.len()).expect("fewer than 2^32 built nodes");
+        self.0.push(Some(node));
+        slot
+    }
+
+    /// Drop the node in `slot`.
+    fn drop_slot(&mut self, slot: u32) {
+        self.0[slot as usize] = None;
+    }
+}
+
 /// The memo table: JCR set → group. Groups sit in one arena in
 /// creation order (a removal moves the last one into the gap) behind
 /// an index of their sets, so a level's survivors cost one sized
@@ -426,6 +473,8 @@ impl Group {
 pub struct Memo {
     slots: FxHashMap<RelSet, u32>,
     groups: Vec<Group>,
+    /// The nodes of the groups' `Built` entries.
+    built: BuiltNodes,
     /// Total number of distinct JCRs ever materialized (the paper's
     /// "JCRs processed" metric, Table 2.3).
     created: u64,
@@ -435,6 +484,23 @@ impl Memo {
     /// Empty memo.
     pub fn new() -> Self {
         Memo::default()
+    }
+
+    /// Empty memo for a query of `relations` relations, sized for what
+    /// every run over it holds: its index for a group per relation and
+    /// one per join of the plan it serves (`2n − 1`), its arena for the
+    /// base groups (the levels grow it as their survivors arrive), and
+    /// its built nodes for at most three access paths a relation and
+    /// that plan's joins and root sort.
+    pub(crate) fn for_relations(relations: usize) -> Self {
+        let mut slots = FxHashMap::default();
+        slots.reserve(2 * relations);
+        Memo {
+            slots,
+            groups: Vec::with_capacity(relations),
+            built: BuiltNodes(Vec::with_capacity(4 * relations)),
+            created: 0,
+        }
     }
 
     /// Number of live groups.
@@ -482,6 +548,24 @@ impl Memo {
             .map(|&slot| &mut self.groups[slot as usize])
     }
 
+    /// Fetch a group mutably, with the table of built nodes that its
+    /// [`Group::offer`] and [`Group::add_plan`] take.
+    pub fn get_mut_with_built(&mut self, set: RelSet) -> Option<(&mut Group, &mut BuiltNodes)> {
+        let slot = *self.slots.get(&set)?;
+        Some((&mut self.groups[slot as usize], &mut self.built))
+    }
+
+    /// The built nodes of the memo's groups — and of a group about to
+    /// enter it ([`Group::add_plan`]).
+    pub fn built_mut(&mut self) -> &mut BuiltNodes {
+        &mut self.built
+    }
+
+    /// The node of a `Built` entry of one of the memo's groups.
+    pub fn built(&self, entry: &PlanEntry) -> Option<&Arc<PlanNode>> {
+        self.built.get(entry)
+    }
+
     /// Insert a new group and seal it. Returns `false` (and drops the
     /// group) if the set is already present.
     pub fn insert(&mut self, mut group: Group) -> bool {
@@ -497,11 +581,14 @@ impl Memo {
         }
     }
 
-    /// Make room for exactly `additional` more groups in one step (a
-    /// level's survivors, about to be inserted).
-    pub(crate) fn reserve(&mut self, additional: usize) {
+    /// Make room for `additional` more groups — a level's survivors,
+    /// about to be inserted — growing the arena, when it must, by
+    /// exactly `room` of them (at least `additional`).
+    pub(crate) fn reserve(&mut self, additional: usize, room: usize) {
         self.slots.reserve(additional);
-        self.groups.reserve_exact(additional);
+        if self.groups.capacity() - self.groups.len() < additional {
+            self.groups.reserve_exact(room.max(additional));
+        }
     }
 
     /// Count a JCR that was created and dropped again (pruned, or
@@ -511,10 +598,16 @@ impl Memo {
         self.created += 1;
     }
 
-    /// Remove a group (SDP pruning), returning it if present.
+    /// Remove a group (SDP pruning), returning it if present. The nodes
+    /// of its `Built` entries are dropped.
     pub fn remove(&mut self, set: RelSet) -> Option<Group> {
         let slot = self.slots.remove(&set)? as usize;
         let group = self.groups.swap_remove(slot);
+        for e in group.entries() {
+            if let PlanSource::Built(built) = e.source {
+                self.built.drop_slot(built);
+            }
+        }
         if let Some(moved) = self.groups.get(slot) {
             *self.slots.get_mut(&moved.set).expect("indexed group") = slot as u32;
         }
@@ -546,8 +639,9 @@ impl Memo {
         let e = *group.entry(entry);
         let (op, children) = match e.source {
             PlanSource::Built(_) => {
-                return group
-                    .built(&e)
+                return self
+                    .built
+                    .get(&e)
                     .expect("a live entry's node is held")
                     .clone()
             }
@@ -574,7 +668,7 @@ impl Memo {
         let group = &mut self.groups[slot];
         let node = PlanNode::new(nodes, op, set, group.rows, e.cost, e.ordering(), children);
         nodes.release(1);
-        group.set_built(entry, node.clone());
+        group.set_built(entry, self.built.push(node.clone()));
         node
     }
 }
@@ -650,7 +744,7 @@ pub(crate) mod eager {
                         let class = e.ordering().unwrap();
                         node(PlanOp::Sort { class }, Children::Unary([input.clone()]))
                     }
-                    PlanSource::Built(_) => self.adopt(memo, &plans, group.built(e).unwrap()),
+                    PlanSource::Built(_) => self.adopt(memo, &plans, memo.built(e).unwrap()),
                 };
                 plans.push((e.id(), built));
             }
@@ -673,7 +767,7 @@ pub(crate) mod eager {
                 let group = memo.get(c.set);
                 let named = group.and_then(|g| {
                     let mut entries = g.entries().iter();
-                    entries.find(|e| g.built(e).is_some_and(|b| Arc::ptr_eq(b, c)))
+                    entries.find(|e| memo.built(e).is_some_and(|b| Arc::ptr_eq(b, c)))
                 });
                 match named {
                     Some(e) if c.set == node.set => {
@@ -740,19 +834,19 @@ mod tests {
 
     #[test]
     fn cheapest_unordered_plan_wins() {
-        let mut g = group();
-        assert!(g.add_plan(plan(g.set, 10.0, None)));
-        assert!(!g.add_plan(plan(g.set, 20.0, None))); // dominated
-        assert!(g.add_plan(plan(g.set, 5.0, None))); // evicts
+        let (mut g, mut built) = (group(), BuiltNodes::default());
+        assert!(g.add_plan(plan(g.set, 10.0, None), &mut built));
+        assert!(!g.add_plan(plan(g.set, 20.0, None), &mut built)); // dominated
+        assert!(g.add_plan(plan(g.set, 5.0, None), &mut built)); // evicts
         assert_eq!(g.entries().len(), 1);
         assert_eq!(g.best_cost(), 5.0);
     }
 
     #[test]
     fn ordered_plans_survive_despite_higher_cost() {
-        let mut g = group();
-        g.add_plan(plan(g.set, 10.0, None));
-        assert!(g.add_plan(plan(g.set, 15.0, Some(3))));
+        let (mut g, mut built) = (group(), BuiltNodes::default());
+        g.add_plan(plan(g.set, 10.0, None), &mut built);
+        assert!(g.add_plan(plan(g.set, 15.0, Some(3)), &mut built));
         assert_eq!(g.entries().len(), 2);
         assert_eq!(g.best_cost(), 10.0);
         assert_eq!(g.best_for_order(3).unwrap().cost, 15.0);
@@ -761,9 +855,9 @@ mod tests {
 
     #[test]
     fn cheap_ordered_plan_dominates_unordered() {
-        let mut g = group();
-        g.add_plan(plan(g.set, 10.0, None));
-        assert!(g.add_plan(plan(g.set, 8.0, Some(1))));
+        let (mut g, mut built) = (group(), BuiltNodes::default());
+        g.add_plan(plan(g.set, 10.0, None), &mut built);
+        assert!(g.add_plan(plan(g.set, 8.0, Some(1)), &mut built));
         // The ordered plan is cheaper AND ordered: unordered evicted.
         assert_eq!(g.entries().len(), 1);
         assert_eq!(g.best().ordering(), Some(1));
@@ -771,9 +865,9 @@ mod tests {
 
     #[test]
     fn distinct_orders_coexist() {
-        let mut g = group();
-        g.add_plan(plan(g.set, 10.0, Some(1)));
-        g.add_plan(plan(g.set, 10.0, Some(2)));
+        let (mut g, mut built) = (group(), BuiltNodes::default());
+        g.add_plan(plan(g.set, 10.0, Some(1)), &mut built);
+        g.add_plan(plan(g.set, 10.0, Some(2)), &mut built);
         assert_eq!(g.entries().len(), 2);
     }
 
@@ -781,7 +875,8 @@ mod tests {
     fn feature_vector_matches_definition() {
         let set = RelSet::single(0);
         let mut g = Group::new(set, 184_736.0, 2.54e-10, 64.0, EdgeWords::default());
-        g.add_plan(plan(g.set, 57_726.0, None));
+        let mut built = BuiltNodes::default();
+        g.add_plan(plan(g.set, 57_726.0, None), &mut built);
         let fv = g.feature_vector();
         assert_eq!(fv, [184_736.0, 57_726.0, 2.54e-10]);
     }
@@ -794,33 +889,50 @@ mod tests {
     }
 
     #[test]
-    fn a_group_is_at_most_152_bytes() {
+    fn a_group_is_at_most_128_bytes() {
         // Every JCR of a level is one, staged, and every survivor one in
-        // the memo arena: 2 047 groups × 152 B are a seventh of
-        // `cold_dp`'s peak heap. A 176-byte group measured +8.9 %
-        // allocated bytes per request there; one more word needs one
-        // given back.
+        // the memo arena: 2 047 groups × 152 B were a seventh of
+        // `cold_dp`'s peak heap, before built nodes moved to the memo's
+        // side table. A 176-byte group measured +8.9 % allocated bytes
+        // per request there; one more word needs one given back.
         let size = std::mem::size_of::<Group>();
-        assert!(size <= 152, "Group grew to {size} bytes");
+        assert!(size <= 128, "Group grew to {size} bytes");
     }
 
     #[test]
     fn an_evicted_built_plan_is_dropped() {
+        let (mut g, mut built) = (group(), BuiltNodes::default());
+        let scan = plan(g.set, 10.0, None);
+        let counter = scan.counter();
+        g.add_plan(scan, &mut built);
+        assert_eq!(counter.live(), 1);
+        assert!(g.add_plan(plan(g.set, 5.0, None), &mut built));
+        assert_eq!(
+            counter.live(),
+            0,
+            "the table kept a node the group had evicted"
+        );
+        assert!(built.get(g.best()).is_some());
+    }
+
+    #[test]
+    fn a_removed_group_drops_its_built_plans() {
+        let mut m = Memo::new();
         let mut g = group();
         let scan = plan(g.set, 10.0, None);
         let counter = scan.counter();
-        g.add_plan(scan);
+        g.add_plan(scan, m.built_mut());
+        m.insert(g);
         assert_eq!(counter.live(), 1);
-        assert!(g.add_plan(plan(g.set, 5.0, None)));
-        assert_eq!(counter.live(), 0, "the group kept a node it had evicted");
-        assert!(g.built(g.best()).is_some());
+        m.remove(RelSet::single(0));
+        assert_eq!(counter.live(), 0, "the memo kept a removed group's node");
     }
 
     #[test]
     fn memo_insert_get_remove() {
         let mut m = Memo::new();
         let mut g = group();
-        g.add_plan(plan(g.set, 1.0, None));
+        g.add_plan(plan(g.set, 1.0, None), m.built_mut());
         assert!(m.insert(g.clone()));
         assert!(!m.insert(g)); // duplicate rejected
         assert_eq!(m.len(), 1);
@@ -837,7 +949,7 @@ mod tests {
         let mut m = Memo::new();
         for i in 0..5 {
             let mut g = group_of(RelSet::single(i));
-            g.add_plan(plan(g.set, i as f64 + 1.0, None));
+            g.add_plan(plan(g.set, i as f64 + 1.0, None), m.built_mut());
             m.insert(g);
         }
         // From the middle, then what was moved into the gap, then the end.
@@ -858,7 +970,7 @@ mod tests {
         let mut m = Memo::new();
         for i in 0..2 {
             let mut g = group_of(RelSet::single(i));
-            g.add_plan(PlanNode::new(
+            let scan = PlanNode::new(
                 nodes,
                 PlanOp::SeqScan {
                     rel: RelId(i as u32),
@@ -869,7 +981,8 @@ mod tests {
                 1.0,
                 None,
                 Children::Leaf,
-            ));
+            );
+            g.add_plan(scan, m.built_mut());
             m.insert(g);
         }
         let set = RelSet::from_indices([0, 1]);
@@ -880,12 +993,12 @@ mod tests {
             outer_entry: 0,
             inner_entry: 0,
         };
-        assert!(g.offer(9.0, Some(7), join(JoinMethod::Merge)));
-        assert!(g.offer(4.0, None, join(JoinMethod::Hash)));
+        assert!(g.offer(9.0, Some(7), join(JoinMethod::Merge), m.built_mut()));
+        assert!(g.offer(4.0, None, join(JoinMethod::Hash), m.built_mut()));
         m.insert(g);
-        let g = m.get_mut(set).unwrap();
+        let (g, built) = m.get_mut_with_built(set).unwrap();
         let input = g.best().id();
-        assert!(g.offer(6.0, Some(7), PlanSource::Sort { input }));
+        assert!(g.offer(6.0, Some(7), PlanSource::Sort { input }, built));
         nodes.charge(2); // the hash join and the sort; the merge join went
         (m, set)
     }
@@ -928,7 +1041,7 @@ mod tests {
         assert!(Arc::ptr_eq(&m.extract(set, 2, &nodes), &sorted));
         let scan = m.get(RelSet::single(0)).unwrap();
         assert!(Arc::ptr_eq(
-            scan.built(scan.best()).unwrap(),
+            m.built(scan.best()).unwrap(),
             &join.children[0]
         ));
         assert_eq!(m.charged(), 0);
@@ -971,9 +1084,9 @@ mod property_tests {
         fn group_maintains_pareto_invariants(
             offers in prop::collection::vec((1.0f64..1000.0, prop::option::of(0u32..3)), 1..60)
         ) {
-            let mut g = group();
+            let (mut g, mut built) = (group(), BuiltNodes::default());
             for (cost, ordering) in &offers {
-                g.add_plan(plan(*cost, *ordering));
+                g.add_plan(plan(*cost, *ordering), &mut built);
             }
             // (1) mutual non-dominance among retained entries
             for (i, a) in g.entries().iter().enumerate() {
@@ -1041,12 +1154,12 @@ mod property_tests {
                     model.retain(|&(c, o, _)| !dominates(cost, ordering, c, o));
                     model.push((cost, ordering, k));
                 }
-                let g = match &mut unsealed {
-                    Some(g) => g,
-                    None => memo.get_mut(RelSet::single(0)).unwrap(),
+                let (g, built) = match &mut unsealed {
+                    Some(g) => (g, memo.built_mut()),
+                    None => memo.get_mut_with_built(RelSet::single(0)).unwrap(),
                 };
                 prop_assert_eq!(g.would_retain(cost, ordering), retained);
-                prop_assert_eq!(g.offer(cost, ordering, source(k)), retained);
+                prop_assert_eq!(g.offer(cost, ordering, source(k), built), retained);
                 let got: Vec<_> = (g.entries().iter())
                     .map(|e| (e.cost, e.ordering(), e.source))
                     .collect();
@@ -1074,9 +1187,9 @@ mod property_tests {
             mut offers in prop::collection::vec((1.0f64..1000.0, prop::option::of(0u32..3)), 1..30)
         ) {
             let build = |offers: &[(f64, Option<u32>)]| {
-                let mut g = group();
+                let (mut g, mut built) = (group(), BuiltNodes::default());
                 for (cost, ordering) in offers {
-                    g.add_plan(plan(*cost, *ordering));
+                    g.add_plan(plan(*cost, *ordering), &mut built);
                 }
                 let mut frontier: Vec<(Option<u32>, u64)> = g
                     .entries()

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use sdp_catalog::Catalog;
 use sdp_cost::{CostModel, CostParams};
-use sdp_query::{infer_transitive_edges, Query};
+use sdp_query::{EquivClasses, Query};
 
 use crate::budget::{Budget, OptError};
 use crate::context::{EnumContext, LevelStats, RunStats};
@@ -165,9 +165,9 @@ impl<'a> Optimizer<'a> {
     /// closure of shared join columns), exactly as PostgreSQL's
     /// rewriter would before planning.
     pub fn optimize(&self, query: &Query, algorithm: Algorithm) -> Result<OptimizedPlan, OptError> {
-        let rewritten = self.rewrite(query);
+        let (rewritten, classes) = self.rewrite(query);
         let model = CostModel::new(self.catalog, self.params);
-        let mut ctx = self.context(&rewritten, &model, self.budget);
+        let mut ctx = self.context(&rewritten, &model, self.budget, classes);
         let root = dispatch(&mut ctx, algorithm)?;
         let stats = ctx.stats();
         Ok(OptimizedPlan {
@@ -214,11 +214,11 @@ impl<'a> Optimizer<'a> {
         algorithm: Algorithm,
         governor: &Governor,
     ) -> Result<GovernedPlan, GovernedFailure> {
-        let rewritten = self.rewrite(query);
+        let (rewritten, classes) = self.rewrite(query);
         let model = CostModel::new(self.catalog, self.params);
 
         let mut rung = Rung::for_algorithm(algorithm);
-        let mut ctx = self.context(&rewritten, &model, governor.rung_budget(rung));
+        let mut ctx = self.context(&rewritten, &model, governor.rung_budget(rung), classes);
         ctx.memory.set_cancel_flag(governor.cancel_flag());
         #[cfg(feature = "testkit")]
         if let Some(faults) = governor.fault_plan() {
@@ -339,26 +339,33 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// A run context carrying this optimizer's trace handle.
+    /// A run context over the rewritten query and its classes, carrying
+    /// this optimizer's trace handle.
     fn context<'q>(
         &self,
         query: &'q Query,
         model: &'q CostModel<'q>,
         budget: Budget,
+        classes: EquivClasses,
     ) -> EnumContext<'q> {
         #[allow(unused_mut)]
-        let mut ctx = EnumContext::new(query, model, budget);
+        let mut ctx = EnumContext::with_classes(query, model, budget, classes);
         #[cfg(feature = "trace")]
         ctx.set_tracer(self.tracer.clone());
         ctx
     }
 
-    fn rewrite(&self, query: &Query) -> Query {
+    /// The query as the rewriter leaves it, and its join-column classes:
+    /// computed once, they drive the closure and the run alike (the
+    /// closure only joins members of a class, so the classes hold after
+    /// it).
+    fn rewrite(&self, query: &Query) -> (Query, EquivClasses) {
+        let classes = query.equiv_classes();
         let mut rewritten = query.clone();
         if self.infer_closure {
-            infer_transitive_edges(&mut rewritten.graph);
+            classes.close(&mut rewritten.graph);
         }
-        rewritten
+        (rewritten, classes)
     }
 }
 

@@ -115,10 +115,9 @@ pub(crate) struct SdpPruner {
 /// that a level allocates only where it outgrows every earlier one.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Per JCR: number of hub partitions it belongs to.
-    membership: Vec<u32>,
-    /// Per JCR: number of those it is on the skyline of.
-    survived_in: Vec<u32>,
+    /// Per JCR: the number of hub partitions it belongs to, and of
+    /// those it is on the skyline of.
+    membership: Vec<(u32, u32)>,
     /// The non-empty hub partitions in ascending key order: each one's
     /// key and the end of its run in `members` (which starts where the
     /// previous one's ends).
@@ -150,7 +149,7 @@ impl Scratch {
         for (i, &set) in level_sets.iter().enumerate() {
             if belongs(set) {
                 self.members.push(i);
-                self.membership[i] += 1;
+                self.membership[i].0 += 1;
             }
         }
         if self.members.len() > start {
@@ -229,7 +228,6 @@ fn total_order(x: f64) -> u64 {
 /// order of key and then of index.
 fn sort_members(members: &[usize], sweep: &mut Vec<(u64, u32)>, key: impl Fn(usize) -> u64) {
     sweep.clear();
-    sweep.reserve_exact(members.len());
     sweep.extend(members.iter().map(|&i| (key(i), i as u32)));
     sweep.sort_unstable();
 }
@@ -354,7 +352,7 @@ impl SdpPruner {
         sc.partitions.clear();
         sc.members.clear();
         sc.membership.clear();
-        sc.membership.resize(level_sets.len(), 0);
+        sc.membership.resize(level_sets.len(), (0, 0));
         match self.config.partitioning {
             Partitioning::Global => sc.push_partition(level_sets, RelSet::EMPTY, |_| true),
             Partitioning::RootHub => {
@@ -377,7 +375,7 @@ impl SdpPruner {
         if (0..jcrs.len()).any(|i| !jcrs.is_costed(i)) {
             // The FreeGroup survives whole: costed first, it may settle
             // members of the interesting-order partitions.
-            for (i, _) in sc.membership.iter().enumerate().filter(|(_, &m)| m == 0) {
+            for (i, _) in sc.membership.iter().enumerate().filter(|(_, m)| m.0 == 0) {
                 jcrs.cost(i);
             }
             let hub_partitions = sc.partitions.iter().scan(0, |start, &(_, end)| {
@@ -401,8 +399,6 @@ impl SdpPruner {
         // Survival in every containing partition is required. The
         // partitions are judged — and their spans emitted — in
         // ascending key order.
-        sc.survived_in.clear();
-        sc.survived_in.resize(level_sets.len(), 0);
         let mut total_survivors = 0u64;
         let mut start = 0;
         for &(key, end) in &sc.partitions {
@@ -425,14 +421,15 @@ impl SdpPruner {
                     .with("survivors", sc.winners.len())
             });
             for &w in &sc.winners {
-                sc.survived_in[w] += 1;
+                sc.membership[w].1 += 1;
             }
         }
 
         // FreeGroup (membership == 0) always survives; PruneGroup
         // members must have survived in all their partitions.
         for (i, keep) in keep.iter_mut().enumerate() {
-            *keep = sc.membership[i] == 0 || sc.survived_in[i] == sc.membership[i];
+            let (partitions, survived_in) = sc.membership[i];
+            *keep = partitions == 0 || survived_in == partitions;
         }
 
         // Interesting-order partitions rescue JCRs that keep an

@@ -38,4 +38,5 @@ pub use model::CostModel;
 pub use params::CostParams;
 pub use scan::{
     index_probe_cost, scan_paths, scan_paths_for_node, sort_cost, IndexProbe, ScanKind, ScanPath,
+    ScanPaths,
 };

@@ -4,7 +4,7 @@ use sdp_catalog::{Catalog, RelId};
 
 use crate::estimate::Estimator;
 use crate::params::CostParams;
-use crate::scan::{scan_paths, scan_paths_for_node, sort_cost, ScanPath};
+use crate::scan::{scan_paths, scan_paths_for_node, sort_cost, ScanPaths};
 
 /// Everything an enumerator needs to cost plans: statistics access,
 /// cardinality estimation, and operator costing under one roof.
@@ -49,13 +49,13 @@ impl<'a> CostModel<'a> {
     }
 
     /// All access paths for a base relation (no local predicates).
-    pub fn scan_paths(&self, rel: RelId) -> Vec<ScanPath> {
+    pub fn scan_paths(&self, rel: RelId) -> ScanPaths {
         scan_paths(self.catalog(), rel, &self.params)
     }
 
     /// All access paths for a query node, its local predicates pushed
     /// into the scans.
-    pub fn scan_paths_for_node(&self, graph: &sdp_query::JoinGraph, node: usize) -> Vec<ScanPath> {
+    pub fn scan_paths_for_node(&self, graph: &sdp_query::JoinGraph, node: usize) -> ScanPaths {
         scan_paths_for_node(self.catalog(), graph, node, &self.params)
     }
 

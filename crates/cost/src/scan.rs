@@ -33,6 +33,39 @@ pub struct ScanPath {
     pub ordering_col: Option<ColId>,
 }
 
+/// The access paths of one relation or query node, held inline: a
+/// sequential scan, a full index scan and — where a filter on the
+/// indexed column drives it — a range index scan, in that order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScanPaths {
+    paths: [ScanPath; 3],
+    len: usize,
+}
+
+impl ScanPaths {
+    fn push(&mut self, path: ScanPath) {
+        self.paths[self.len] = path;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for ScanPaths {
+    type Target = [ScanPath];
+
+    fn deref(&self) -> &[ScanPath] {
+        &self.paths[..self.len]
+    }
+}
+
+impl<'a> IntoIterator for &'a ScanPaths {
+    type Item = &'a ScanPath;
+    type IntoIter = std::slice::Iter<'a, ScanPath>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Cost all access paths available for `rel`.
 ///
 /// Mirrors PostgreSQL: a sequential scan is always available; a full
@@ -42,7 +75,7 @@ pub struct ScanPath {
 /// correlation — expensive enough that it never wins on raw cost, and
 /// survives in the memo only through its interesting order, exactly
 /// the dynamic interesting-order handling needs.
-pub fn scan_paths(catalog: &Catalog, rel: RelId, params: &CostParams) -> Vec<ScanPath> {
+pub fn scan_paths(catalog: &Catalog, rel: RelId, params: &CostParams) -> ScanPaths {
     let stats = catalog.stats(rel).expect("relation exists").relation;
     let relation = catalog.relation(rel).expect("relation exists");
     let tuples = stats.tuples;
@@ -67,7 +100,10 @@ pub fn scan_paths(catalog: &Catalog, rel: RelId, params: &CostParams) -> Vec<Sca
         ordering_col: Some(relation.indexed_column),
     };
 
-    vec![seq, index]
+    ScanPaths {
+        paths: [seq, index, seq],
+        len: 2,
+    }
 }
 
 /// Cost all access paths for query node `node` of `graph`, local
@@ -85,7 +121,7 @@ pub fn scan_paths_for_node(
     graph: &JoinGraph,
     node: usize,
     params: &CostParams,
-) -> Vec<ScanPath> {
+) -> ScanPaths {
     let rel = graph.relation(node);
     let stats = catalog.stats(rel).expect("relation exists").relation;
     let relation = catalog.relation(rel).expect("relation exists");
@@ -93,7 +129,7 @@ pub fn scan_paths_for_node(
     let filter_cpu = stats.tuples * nfilters * params.cpu_operator_cost;
 
     let mut paths = scan_paths(catalog, rel, params);
-    for p in &mut paths {
+    for p in &mut paths.paths[..paths.len] {
         p.cost += filter_cpu;
     }
 

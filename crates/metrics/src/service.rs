@@ -106,13 +106,13 @@ impl StrategyLatencies {
     }
 
     /// Record one enumeration's wall-clock time under its strategy
-    /// label.
+    /// label; only a label the table has not seen yet allocates its key.
     pub fn record(&self, strategy: &str, sample: Duration) {
         let mut inner = self.inner.lock().expect("latency table poisoned");
-        inner
-            .entry(strategy.to_string())
-            .or_default()
-            .record(sample);
+        match inner.get_mut(strategy) {
+            Some(stats) => stats.record(sample),
+            None => inner.entry(strategy.to_owned()).or_default().record(sample),
+        }
     }
 
     /// Copy of the table, ordered by strategy label.
@@ -286,10 +286,14 @@ impl RungLatencies {
     }
 
     /// Record one governed enumeration's wall-clock time under the
-    /// label of the rung that produced its plan.
+    /// label of the rung that produced its plan; only a label the table
+    /// has not seen yet allocates its key.
     pub fn record(&self, rung: &str, sample: Duration) {
         let mut inner = self.inner.lock().expect("rung latency table poisoned");
-        inner.entry(rung.to_string()).or_default().record(sample);
+        match inner.get_mut(rung) {
+            Some(histogram) => histogram.record(sample),
+            None => inner.entry(rung.to_owned()).or_default().record(sample),
+        }
     }
 
     /// Copy of the table, ordered by rung label.

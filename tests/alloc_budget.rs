@@ -4,12 +4,15 @@
 //! Costing a candidate must not touch the allocator, and neither may
 //! retaining it, evicting it, pruning its JCR or keeping that JCR for
 //! the levels above: a plan is a record inside its group, groups sit
-//! in per-run buffers that grow a level at a time, and only a JCR that
-//! keeps more than two plans spills. What allocates is per run (the
-//! context's tables, the access paths, the level buffers) or per level
-//! (its survivor list and index, the memo's growth) — and the served
-//! plan's nodes. The budget is stated per plan costed, the paper's
-//! effort unit, so it holds at any query size.
+//! in buffers that live for the run, and only a JCR that keeps more
+//! than two plans spills. What allocates is the nodes — of the access
+//! paths and of the served plan — and a logarithmic number of growth
+//! steps of the run's buffers (the context's tables, the join classes,
+//! the survivor table, the stage, the pruner's scratch), plus the memo,
+//! which grows with the levels' survivors: nothing per JCR, per join
+//! class or per level. Budgets are stated per plan costed, the paper's
+//! effort unit, so they hold at any query size, and per optimization
+//! of the benchmark's two cold workloads.
 //!
 //! The same allocator counts live bytes, for what the durable store
 //! may keep resident per persisted plan: a frame reference, not the
@@ -228,4 +231,113 @@ fn the_store_holds_a_frame_reference_per_plan_not_its_bytes() {
     assert!(per_record < 100, "{per_record} B per live record");
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The access-path nodes an optimization of `query` builds, however it
+/// is run: one per path a base group is offered — the sequential scan,
+/// the full index scan where its column joins (its order is then worth
+/// offering) and the range scan where a filter drives it.
+fn access_path_nodes(catalog: &Catalog, query: &Query) -> u64 {
+    let model = CostModel::with_defaults(catalog);
+    let graph = &query.graph;
+    (0..graph.len())
+        .map(|node| {
+            let indexed = catalog
+                .relation(graph.relation(node))
+                .unwrap()
+                .indexed_column;
+            let joins = graph
+                .edges()
+                .iter()
+                .flat_map(|e| [e.left, e.right])
+                .any(|c| c.node == node && c.col == indexed);
+            let range = model
+                .scan_paths_for_node(graph, node)
+                .iter()
+                .any(|p| p.kind == sdp::cost::ScanKind::IndexRange);
+            1 + u64::from(joins) + u64::from(range)
+        })
+        .sum()
+}
+
+/// Allocator calls of one `Optimizer::optimize` of instance `k` of
+/// `topology`, and the calls it cannot avoid: the nodes of the access
+/// paths and those the plan it serves adds above its scans.
+fn calls_beside_nodes(topology: Topology, algorithm: Algorithm, k: u64) -> (u64, u64) {
+    let catalog = Catalog::paper();
+    let optimizer = Optimizer::new(&catalog);
+    let query = QueryGenerator::new(&catalog, topology, 7).instance(k);
+    let (plan, calls) = calls_during(|| optimizer.optimize(&query, algorithm).unwrap());
+    let scans = query.num_relations();
+    let nodes = access_path_nodes(&catalog, &query) + (plan.root.node_count() - scans) as u64;
+    println!(
+        "{topology} {} #{k}: {calls} allocator calls, {nodes} of them nodes",
+        algorithm.label()
+    );
+    (calls, nodes)
+}
+
+#[test]
+fn allocations_follow_the_run_not_the_levels() {
+    // Eight more relations are eight more levels, groups and join
+    // classes. Beside the nodes, what an optimization allocates is its
+    // run-scoped buffers' growth, a logarithmic number of steps: a
+    // buffer per level, group or class would add eight calls or more.
+    let sdp = Algorithm::Sdp(SdpConfig::paper());
+    for k in 0..3 {
+        let (small, small_nodes) = calls_beside_nodes(Topology::star_chain(16), sdp, k);
+        let (large, large_nodes) = calls_beside_nodes(Topology::star_chain(24), sdp, k);
+        let (small, large) = (small - small_nodes, large - large_nodes);
+        println!("instance {k}: {small} calls beside the nodes at 16 relations, {large} at 24");
+        assert!(
+            large <= small + 32,
+            "instance {k}: {small} allocator calls beside the nodes at Star-Chain-16, {large} at Star-Chain-24"
+        );
+    }
+}
+
+#[test]
+fn an_optimization_stays_under_its_allocation_budget() {
+    // The benchmark's two cold workloads, per optimization: SDP on
+    // Star-Chain-23 and exhaustive DP on Star-12.
+    for (topology, algorithm, budget) in [
+        (
+            Topology::star_chain(23),
+            Algorithm::Sdp(SdpConfig::paper()),
+            210,
+        ),
+        (Topology::Star(12), Algorithm::Dp, 120),
+    ] {
+        for k in 0..4 {
+            let (calls, _) = calls_beside_nodes(topology, algorithm, k);
+            assert!(
+                calls <= budget,
+                "{topology} {} #{k}: {calls} allocator calls, over {budget}",
+                algorithm.label()
+            );
+        }
+    }
+}
+
+#[test]
+fn a_latency_sample_under_a_known_label_does_not_allocate() {
+    // The service files every fresh enumeration's time under its
+    // strategy and its rung: a label the tables hold already costs no
+    // key, only a new one does.
+    use sdp::metrics::{RungLatencies, StrategyLatencies};
+    use std::time::Duration;
+
+    let (strategies, rungs) = (StrategyLatencies::new(), RungLatencies::new());
+    let sample = Duration::from_micros(700);
+    let (_, first) = calls_during(|| {
+        strategies.record("SDP", sample);
+        rungs.record("SDP", sample);
+    });
+    assert!(first > 0, "a new label allocates its key");
+    let (_, again) = calls_during(|| {
+        strategies.record("SDP", sample);
+        rungs.record("SDP", sample);
+    });
+    assert_eq!(again, 0);
+    assert_eq!(strategies.snapshot()["SDP"].count, 2);
 }
