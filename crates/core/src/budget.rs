@@ -307,25 +307,22 @@ mod tests {
 
     #[test]
     fn memory_model_counts_live_nodes() {
-        use crate::plan::{Children, PlanNode, PlanOp};
+        use crate::memo::{EdgeWords, Group, Memo};
+        use crate::plan::{PlanNode, PlanOp};
         use sdp_catalog::RelId;
         use sdp_query::RelSet;
-        let counter = NodeCounter::new();
-        let m = MemoryModel::new(Budget::unlimited(), counter.clone());
-        let plan = PlanNode::new(
-            &counter,
-            PlanOp::SeqScan {
-                rel: RelId(0),
-                node: 0,
-            },
-            RelSet::single(0),
-            1.0,
-            1.0,
-            None,
-            Children::Leaf,
-        );
+        let mut memo = Memo::new();
+        let m = MemoryModel::new(Budget::unlimited(), memo.node_counter().clone());
+        let set = RelSet::single(0);
+        let op = PlanOp::SeqScan {
+            rel: RelId(0),
+            node: 0,
+        };
+        let mut group = Group::new(set, 1.0, 1.0, 8.0, EdgeWords::default());
+        group.add_plan(PlanNode::new(op, set, 1.0, 1.0, None), memo.built_mut());
+        memo.insert(group);
         assert_eq!(m.used_bytes(), NODE_MODEL_BYTES);
-        drop(plan);
+        memo.remove(set);
         assert_eq!(m.used_bytes(), 0);
     }
 

@@ -19,7 +19,7 @@ use crate::budget::{Budget, MemoryModel, OptError};
 use crate::dp::LevelTable;
 use crate::fx::FxHashMap;
 use crate::memo::{dominates, BuiltNodes, EdgeWords, Group, Memo, PlanEntry, PlanSource};
-use crate::plan::{Children, NodeCounter, PlanNode, PlanOp};
+use crate::plan::{NodeCounter, PlanNode, PlanOp};
 #[cfg(feature = "trace")]
 use sdp_trace::{Event, Tracer};
 
@@ -253,15 +253,17 @@ impl LevelStage {
 /// Everything the per-pair path needs that is a pure function of the
 /// query, computed once per run in [`EnumContext::new`]: the
 /// estimator's ln terms (so no `ln`, `sqrt` or catalog look-up is
-/// repeated per pair), each edge's order class and index usability,
-/// and per-node edge and filter bitmaps from which the groups' edge
-/// sets start. Edges, nodes and filters keep the join graph's
-/// indexing, so walking a table in ascending index adds the same `f64`
-/// terms in the same order as the estimator's own scans.
+/// repeated per pair), a lone crossing edge's selectivity (so most
+/// pairs of stars and star-chains need no `exp`), each edge's order
+/// class and index usability, and per-node edge and filter bitmaps
+/// from which the groups' edge sets start. Edges, nodes and filters
+/// keep the join graph's indexing, so walking a table in ascending
+/// index adds the same `f64` terms in the same order as the
+/// estimator's own scans.
 #[derive(Debug)]
 struct RunTables {
-    /// `ln(edge_selectivity(e))`.
-    edge_ln_sel: Vec<f64>,
+    /// Per edge, its selectivity's ln term and what it crosses alone.
+    edge_sel: Vec<EdgeSel>,
     /// Order class of the edge's join columns.
     edge_class: Vec<ClassId>,
     /// The endpoints whose side of the edge is their relation's
@@ -284,6 +286,16 @@ struct RunTables {
     node_filters: Vec<u64>,
     /// Nodes owning a member column of each order class.
     class_nodes: Vec<RelSet>,
+}
+
+/// An edge's selectivity, in the forms the per-pair path sums or takes.
+#[derive(Debug, Clone, Copy)]
+struct EdgeSel {
+    /// `ln(edge_selectivity(e))`.
+    ln: f64,
+    /// `selectivity_from_ln(0.0 + ln)`: the crossing selectivity of a
+    /// pair that this edge alone crosses, bit for bit.
+    alone: f64,
 }
 
 /// The positions of `word`'s set bits, ascending.
@@ -323,9 +335,13 @@ impl RunTables {
                 .has_index_on(c.col)
         };
         RunTables {
-            edge_ln_sel: edges
+            edge_sel: edges
                 .iter()
-                .map(|e| est.edge_selectivity(graph, e).ln())
+                .map(|e| {
+                    let ln = est.edge_selectivity(graph, e).ln();
+                    let alone = est.selectivity_from_ln(0.0 + ln);
+                    EdgeSel { ln, alone }
+                })
                 .collect(),
             edge_class: edges
                 .iter()
@@ -527,8 +543,8 @@ impl<'a> EnumContext<'a> {
             tables,
             order_target,
             memory: MemoryModel::new(budget, nodes.clone()),
+            memo: Memo::for_relations(query.graph.len(), nodes.clone()),
             nodes,
-            memo: Memo::for_relations(query.graph.len()),
             wide: Vec::new(),
             #[cfg(test)]
             sort_costs: 0,
@@ -687,10 +703,11 @@ impl<'a> EnumContext<'a> {
         group.wide_at = wide_end(&self.wide);
         self.wide.extend(incident[1..].iter().map(word));
 
+        let idx = u16::try_from(node).expect("a query has at most 64 relations");
         for path in &self.model.scan_paths_for_node(graph, node) {
             self.plans_costed += 1;
             let (op, class) = match path.kind {
-                ScanKind::Seq => (PlanOp::SeqScan { rel, node }, None),
+                ScanKind::Seq => (PlanOp::SeqScan { rel, node: idx }, None),
                 ScanKind::IndexFull | ScanKind::IndexRange => {
                     // Index order is only worth carrying when the
                     // indexed column participates in a join or the
@@ -705,10 +722,17 @@ impl<'a> EnumContext<'a> {
                     if class.is_none() && path.kind == ScanKind::IndexFull {
                         continue;
                     }
-                    (PlanOp::IndexScan { rel, node, col }, class)
+                    (
+                        PlanOp::IndexScan {
+                            rel,
+                            node: idx,
+                            col,
+                        },
+                        class,
+                    )
                 }
             };
-            let scan = PlanNode::new(&self.nodes, op, set, rows, path.cost, class, Children::Leaf);
+            let scan = PlanNode::new(op, set, rows, path.cost, class);
             group.add_plan(scan, self.memo.built_mut());
         }
         debug_assert!(!group.is_empty());
@@ -759,16 +783,12 @@ impl<'a> EnumContext<'a> {
             // plan it sorts: the enforcer cannot refer to it, so it is
             // built, and holds its input as a node.
             let rows = group.rows;
-            let input = self.memo.extract(set, best.id(), &self.nodes);
-            let sort = PlanNode::new(
-                &self.nodes,
-                PlanOp::Sort { class: target },
-                set,
-                rows,
-                cost,
-                Some(target),
-                Children::Unary([input]),
-            );
+            let input = self.memo.extract(set, best.id());
+            let sort = PlanOp::Sort {
+                class: target,
+                input: [input],
+            };
+            let sort = PlanNode::new(sort, set, rows, cost, Some(target));
             let (group, built) = self.memo.get_mut_with_built(set).expect("group present");
             let charged = group.charged();
             group.add_plan(sort, built);
@@ -820,7 +840,7 @@ impl<'a> EnumContext<'a> {
         }
         for w in 0..t.edge_words {
             for e in bits(internal(w)) {
-                ln_internal += t.edge_ln_sel[w * 64 + e];
+                ln_internal += t.edge_sel[w * 64 + e].ln;
             }
         }
         let est = self.model.estimator();
@@ -929,7 +949,7 @@ impl<'a> EnumContext<'a> {
     /// the sign of a zero, which `exp` erases).
     fn pair_facts(&self, a: &Group, b: &Group) -> PairFacts {
         let t = &self.tables;
-        let mut ln_sel = 0.0;
+        let (mut ln_sel, mut crossing, mut last) = (0.0, 0, 0);
         let mut classes = CrossingClasses::new();
         let mut indexed = RelSet::EMPTY;
         for w in 0..t.edge_words {
@@ -937,7 +957,8 @@ impl<'a> EnumContext<'a> {
             // An edge touching both of two disjoint sets crosses them.
             for e in bits(ea.incident & eb.incident) {
                 let e = w * 64 + e;
-                ln_sel += t.edge_ln_sel[e];
+                ln_sel += t.edge_sel[e].ln;
+                (crossing, last) = (crossing + 1, e);
                 classes.insert(t.edge_class[e]);
                 indexed = indexed | t.edge_indexed[e];
             }
@@ -947,7 +968,7 @@ impl<'a> EnumContext<'a> {
             _ => None,
         };
         PairFacts {
-            crossing_sel: self.model.estimator().selectivity_from_ln(ln_sel),
+            crossing_sel: self.crossing_sel(crossing, ln_sel, last),
             classes,
             a_index: index_of(a.set),
             b_index: index_of(b.set),
@@ -959,15 +980,27 @@ impl<'a> EnumContext<'a> {
     /// bit — or `None` when no edge crosses them.
     pub(crate) fn crossing_selectivity(&self, a: &Group, b: &Group) -> Option<f64> {
         let t = &self.tables;
-        let (mut ln_sel, mut crossing) = (0.0, false);
+        let (mut ln_sel, mut crossing, mut last) = (0.0, 0, 0);
         for w in 0..t.edge_words {
             let (ea, eb) = (self.edge_word(a, w), self.edge_word(b, w));
             for e in bits(ea.incident & eb.incident) {
-                ln_sel += t.edge_ln_sel[w * 64 + e];
-                crossing = true;
+                let e = w * 64 + e;
+                ln_sel += t.edge_sel[e].ln;
+                (crossing, last) = (crossing + 1, e);
             }
         }
-        crossing.then(|| self.model.estimator().selectivity_from_ln(ln_sel))
+        (crossing > 0).then(|| self.crossing_sel(crossing, ln_sel, last))
+    }
+
+    /// The joint selectivity of the `crossing` edges of a pair, `ln_sel`
+    /// their ln terms summed from `0.0` and `last` the last of them: a
+    /// lone edge's is in the run tables, which saves the `exp`.
+    #[inline]
+    fn crossing_sel(&self, crossing: usize, ln_sel: f64, last: usize) -> f64 {
+        match crossing {
+            1 => self.tables.edge_sel[last].alone,
+            _ => self.model.estimator().selectivity_from_ln(ln_sel),
+        }
     }
 
     /// The MinRows step of greedy operator ordering over `len`
@@ -1341,10 +1374,10 @@ impl<'a> EnumContext<'a> {
     }
 
     /// The plan tree of entry `entry` of `set`'s group
-    /// ([`Memo::extract`] under the run's node counter): the one place
-    /// a retained plan becomes `Arc<PlanNode>`s.
+    /// ([`Memo::extract`]): the one place a retained plan becomes
+    /// `Arc<PlanNode>`s.
     pub fn extract(&mut self, set: RelSet, entry: u16) -> Arc<PlanNode> {
-        self.memo.extract(set, entry, &self.nodes)
+        self.memo.extract(set, entry)
     }
 
     /// [`EnumContext::extract`] every plan `set`'s group retains, in
@@ -1376,7 +1409,9 @@ impl<'a> EnumContext<'a> {
     }
 
     /// Best complete plan for `full`, enforcing the `ORDER BY` with an
-    /// explicit sort when no suitably-ordered plan is cheaper.
+    /// explicit sort when no suitably-ordered plan is cheaper. A root
+    /// sort is the caller's: no memo entry holds it, and the run does
+    /// not count it.
     pub fn finalize(&mut self, full: RelSet) -> Result<Arc<PlanNode>, OptError> {
         let group = self.memo.get(full).ok_or(OptError::DisconnectedJoinGraph)?;
         let (rows, (entry, sort)) = (group.rows, self.served_root(group));
@@ -1384,15 +1419,13 @@ impl<'a> EnumContext<'a> {
         let plan = self.extract(full, entry.id());
         Ok(match sort {
             None => plan,
-            Some((class, cost)) => PlanNode::new(
-                &self.nodes,
-                PlanOp::Sort { class },
-                full,
-                rows,
-                cost,
-                Some(class),
-                Children::Unary([plan]),
-            ),
+            Some((class, cost)) => {
+                let sort = PlanOp::Sort {
+                    class,
+                    input: [plan],
+                };
+                PlanNode::new(sort, full, rows, cost, Some(class))
+            }
         })
     }
 
@@ -1409,9 +1442,10 @@ impl<'a> EnumContext<'a> {
 
 impl Drop for EnumContext<'_> {
     /// The memo's records go without ceremony, and the count the run's
-    /// [`NodeCounter`] holds for them with them: a counter that
-    /// outlives the run (on the plan it served) counts that plan's
-    /// nodes only.
+    /// [`NodeCounter`] holds for them with them; its built nodes release
+    /// theirs as the memo drops them (`BuiltNodes`). A counter that
+    /// outlives the run counts nothing, unless a caller still holds the
+    /// plan the run served.
     fn drop(&mut self) {
         self.nodes.release(self.memo.charged());
     }
@@ -1808,11 +1842,11 @@ mod tests {
 
         let sorted = ctx.extract(pair, 2);
         sorted.check_invariants().unwrap();
-        assert_eq!(sorted.children[0].cost.to_bits(), best.cost.to_bits());
+        assert_eq!(sorted.children()[0].cost.to_bits(), best.cost.to_bits());
         for (&(id, _), referred) in references.iter().zip(&before) {
             let plan = ctx.extract(triple, id);
             plan.check_invariants().unwrap();
-            let input = plan.children.iter().find(|c| c.set == pair).unwrap();
+            let input = plan.children().iter().find(|c| c.set == pair).unwrap();
             assert_eq!(input.cost.to_bits(), referred.cost.to_bits());
             assert_eq!(input.ordering, referred.ordering());
         }
@@ -1847,18 +1881,78 @@ mod tests {
         assert_eq!(sort.cost.to_bits(), evicted.cost.to_bits());
         let node = ctx.memo.built(sort).expect("built, not a record").clone();
         assert!(matches!(node.op, PlanOp::Sort { .. }));
-        assert_eq!(node.children[0].cost.to_bits(), evicted.cost.to_bits());
-        assert_eq!(node.children[0].ordering, None);
+        assert_eq!(node.children()[0].cost.to_bits(), evicted.cost.to_bits());
+        assert_eq!(node.children()[0].ordering, None);
         node.check_invariants().unwrap();
         assert!(group.entries().iter().all(|e| e.id() != evicted.id()));
         // Entries left the group; the evicted input lives on under the
         // sort, which is one node more.
         let gone = retained + 1 - group.entries().len() as u64;
         assert_eq!(ctx.node_counter().live(), live + 1 - (gone - 1));
+        let weak = [&node, &node.children()[0]].map(Arc::downgrade);
         drop(node);
         let counter = ctx.node_counter();
         drop(ctx);
         assert_eq!(counter.live(), 0);
+        assert!(weak.iter().all(|w| w.upgrade().is_none()));
+    }
+
+    /// Weak handles to every node of a plan tree.
+    fn weak_nodes(node: &Arc<PlanNode>, out: &mut Vec<std::sync::Weak<PlanNode>>) {
+        out.push(Arc::downgrade(node));
+        node.children().iter().for_each(|c| weak_nodes(c, out));
+    }
+
+    #[test]
+    fn a_run_leaves_nothing_behind() {
+        use crate::budget::GROUP_MODEL_BYTES;
+        use crate::dp::{optimize_complete, optimize_dp};
+        use crate::governor::prepare_handoff;
+        use crate::{goo::optimize_goo, idp::optimize_idp, sdp::optimize_sdp, SdpConfig};
+        type Run = fn(&mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError>;
+        let runs: [(&str, Run); 5] = [
+            ("DP", optimize_dp),
+            ("SDP", |ctx| optimize_sdp(ctx, SdpConfig::paper())),
+            ("IDP(4)", |ctx| optimize_idp(ctx, 4)),
+            ("GOO", optimize_goo),
+            ("handoff", |ctx| {
+                let budget = ctx.memory.budget();
+                ctx.memory
+                    .set_budget(Budget::with_memory(8 * GROUP_MODEL_BYTES));
+                let tripped = optimize_complete(ctx);
+                assert!(matches!(tripped, Err(OptError::MemoryExhausted { .. })));
+                prepare_handoff(ctx);
+                ctx.memory.set_budget(budget);
+                optimize_sdp(ctx, SdpConfig::paper())
+            }),
+        ];
+        let cat = Catalog::paper();
+        let model = CostModel::with_defaults(&cat);
+        let generator = QueryGenerator::new(&cat, Topology::star_chain(9), 3);
+        for query in [generator.instance(0), generator.ordered_instance(0)] {
+            for (label, run) in runs {
+                let mut ctx = ctx_fixture(&query, &model);
+                let plan = run(&mut ctx).unwrap();
+                // The served plan, and every node the memo still holds.
+                let mut weak = Vec::new();
+                weak_nodes(&plan, &mut weak);
+                for set in ctx.memo.sets() {
+                    for e in ctx.memo.get(set).unwrap().entries() {
+                        if let Some(node) = ctx.memo.built(e) {
+                            weak_nodes(node, &mut weak);
+                        }
+                    }
+                }
+                drop(plan);
+                let counter = ctx.node_counter();
+                drop(ctx);
+                assert_eq!(counter.live(), 0, "{label}");
+                assert!(
+                    weak.iter().all(|w| w.upgrade().is_none()),
+                    "{label}: a node outlived its run and its plan"
+                );
+            }
+        }
     }
 
     #[test]

@@ -739,9 +739,10 @@ mod tests {
             matches!(
                 p.op,
                 crate::plan::PlanOp::Join {
-                    method: sdp_cost::JoinMethod::IndexNestedLoop
+                    method: sdp_cost::JoinMethod::IndexNestedLoop,
+                    ..
                 }
-            ) || p.children.iter().any(|c| has_inl(c))
+            ) || p.children().iter().any(|c| has_inl(c))
         }
         assert!(has_inl(&plan), "star plan without any index NLJ");
     }
@@ -1359,7 +1360,7 @@ mod tests {
         fn assert_counted(ctx: &EnumContext<'_>, eager: &mut EagerMemo, when: &str) {
             fn walk_node(node: &Arc<PlanNode>, seen: &mut HashSet<*const PlanNode>) {
                 if seen.insert(Arc::as_ptr(node)) {
-                    node.children.iter().for_each(|c| walk_node(c, seen));
+                    node.children().iter().for_each(|c| walk_node(c, seen));
                 }
             }
             #[derive(Default)]

@@ -13,18 +13,23 @@ pub fn explain(plan: &PlanNode) -> String {
     out
 }
 
-fn render(node: &PlanNode, depth: usize, out: &mut String) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    let label = match &node.op {
+/// A node's `EXPLAIN` label.
+fn label(op: &PlanOp) -> String {
+    match op {
         PlanOp::SeqScan { rel, node } => format!("Seq Scan on {rel} (n{node})"),
         PlanOp::IndexScan { rel, node, col } => {
             format!("Index Scan on {rel}.{col} (n{node})")
         }
-        PlanOp::Join { method } => method.label().to_string(),
-        PlanOp::Sort { class } => format!("Sort (class {class})"),
-    };
+        PlanOp::Join { method, .. } => method.label().to_string(),
+        PlanOp::Sort { class, .. } => format!("Sort (class {class})"),
+    }
+}
+
+fn render(node: &PlanNode, depth: usize, out: &mut String) {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+    let label = label(&node.op);
     let ordering = match node.ordering {
         Some(c) => format!(" order=c{c}"),
         None => String::new(),
@@ -34,7 +39,7 @@ fn render(node: &PlanNode, depth: usize, out: &mut String) {
         "{label}  (rows={:.0} cost={:.2}{ordering})",
         node.rows, node.cost
     );
-    for child in &node.children {
+    for child in node.children() {
         render(child, depth + 1, out);
     }
 }
@@ -175,26 +180,19 @@ fn render_analyze(node: &PlanNode, depth: usize, rung: &str, out: &mut String) {
     for _ in 0..depth {
         out.push_str("  ");
     }
-    let label = match &node.op {
-        PlanOp::SeqScan { rel, node } => format!("Seq Scan on {rel} (n{node})"),
-        PlanOp::IndexScan { rel, node, col } => {
-            format!("Index Scan on {rel}.{col} (n{node})")
-        }
-        PlanOp::Join { method } => method.label().to_string(),
-        PlanOp::Sort { class } => format!("Sort (class {class})"),
-    };
+    let label = label(&node.op);
     let ordering = match node.ordering {
         Some(c) => format!(" order=c{c}"),
         None => String::new(),
     };
-    let child_cost: f64 = node.children.iter().map(|c| c.cost).sum();
+    let child_cost: f64 = node.children().iter().map(|c| c.cost).sum();
     let self_cost = (node.cost - child_cost).max(0.0);
     let _ = writeln!(
         out,
         "{label}  (rows={:.0} cost={:.2} self={:.2}{ordering}) [rung={rung}]",
         node.rows, node.cost, self_cost
     );
-    for child in &node.children {
+    for child in node.children() {
         render_analyze(child, depth + 1, rung, out);
     }
 }
@@ -349,11 +347,11 @@ pub fn plan_to_dot(plan: &PlanNode, name: &str) -> String {
         let label = match &node.op {
             PlanOp::SeqScan { rel, .. } => format!("Seq Scan {rel}"),
             PlanOp::IndexScan { rel, col, .. } => format!("Index Scan {rel}.{col}"),
-            PlanOp::Join { method } => method.label().to_string(),
-            PlanOp::Sort { class } => format!("Sort c{class}"),
+            PlanOp::Join { method, .. } => method.label().to_string(),
+            PlanOp::Sort { class, .. } => format!("Sort c{class}"),
         };
         let _ = writeln!(out, "  p{id} [label=\"{label}\\ncost {:.0}\"];", node.cost);
-        for child in &node.children {
+        for child in node.children() {
             let cid = walk(child, counter, out);
             let _ = writeln!(out, "  p{cid} -> p{id} [label=\"{:.0}\"];", child.rows);
         }

@@ -84,5 +84,5 @@ pub use enumerate::{EnumeratorKind, LevelScan};
 pub use explain::{explain, explain_analyze, worst_estimates};
 pub use memo::{Group, Memo, PlanEntry, PlanSource};
 pub use optimizer::{Algorithm, OptimizedPlan, Optimizer};
-pub use plan::{Children, NodeCounter, PlanNode, PlanOp};
+pub use plan::{NodeCounter, PlanNode, PlanOp};
 pub use sdp::{Partitioning, SdpConfig, SkylineOption};

@@ -41,12 +41,17 @@
 //! **Accounting.** The run's [`NodeCounter`] counts an entry like the
 //! node it stands for: whoever retains, evicts or drops `Join` and
 //! `Sort` entries settles the count (`EnumContext::cost_pair` and
-//! friends); a `Built` entry's node counts itself. Extraction moves
-//! an entry's count to its node, so the total never notices.
+//! friends); a `Built` entry's node is counted by the table that holds
+//! it. Extraction moves an entry's count to its node, so the total
+//! never notices.
 //!
 //! **Built nodes** sit in one side table of the memo ([`BuiltNodes`]),
 //! not in their groups: a group holds no buffer of its own, and the
-//! run allocates for its nodes a growth step at a time.
+//! run allocates for its nodes a growth step at a time. The table is
+//! the one place a run holds nodes, so it is what counts them: it
+//! charges a node it takes, and for a node it lets go releases the
+//! nodes actually freed with it (`Arc::into_inner`, down the tree) —
+//! none while another node, or a plan the run served, holds it.
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -55,7 +60,7 @@ use sdp_cost::{JoinMethod, JoinSide};
 use sdp_query::{ClassId, RelSet};
 
 use crate::fx::FxHashMap;
-use crate::plan::{Children, NodeCounter, PlanNode, PlanOp};
+use crate::plan::{NodeCounter, PlanNode, PlanOp};
 
 /// Whether plan `a` makes plan `b` redundant: no more expensive, and
 /// provides an ordering at least as useful (`b` unordered, or the
@@ -135,7 +140,7 @@ impl PlanEntry {
     }
 
     /// Whether the run's [`NodeCounter`] counts this record (a built
-    /// node counts itself).
+    /// node is counted by the table that holds it).
     pub(crate) fn charged(&self) -> bool {
         !matches!(self.source, PlanSource::Built(_))
     }
@@ -439,29 +444,63 @@ impl Group {
 /// held is emptied, so the memo never keeps a node alive it has
 /// dropped. Slots are not reused — a run builds its access paths, its
 /// sort enforcers that hold their input and the plans it extracts,
-/// each once.
+/// each once. The run's [`NodeCounter`] counts the nodes the table
+/// holds, and the nodes they hold.
 #[derive(Debug, Default)]
-pub struct BuiltNodes(Vec<Option<Arc<PlanNode>>>);
+pub struct BuiltNodes {
+    slots: Vec<Option<Arc<PlanNode>>>,
+    nodes: NodeCounter,
+}
 
 impl BuiltNodes {
     /// The node of a `Built` entry (`None` for another entry).
     pub fn get(&self, entry: &PlanEntry) -> Option<&Arc<PlanNode>> {
         match entry.source {
-            PlanSource::Built(slot) => self.0[slot as usize].as_ref(),
+            PlanSource::Built(slot) => self.slots[slot as usize].as_ref(),
             _ => None,
         }
     }
 
-    /// Hold `node`; returns its slot.
+    /// Hold `node`, a node built for it (its inputs are held already):
+    /// charges it, and returns its slot.
     fn push(&mut self, node: Arc<PlanNode>) -> u32 {
-        let slot = u32::try_from(self.0.len()).expect("fewer than 2^32 built nodes");
-        self.0.push(Some(node));
+        let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 built nodes");
+        self.slots.push(Some(node));
+        self.nodes.charge(1);
         slot
     }
 
-    /// Drop the node in `slot`.
+    /// Drop the node in `slot`, releasing what that frees.
     fn drop_slot(&mut self, slot: u32) {
-        self.0[slot as usize] = None;
+        if let Some(node) = self.slots[slot as usize].take() {
+            self.nodes.release(freed(node));
+        }
+    }
+}
+
+impl Drop for BuiltNodes {
+    /// A run's table goes with its run: it releases what it frees, so a
+    /// counter that outlives the run counts nothing — nodes of the plan
+    /// it served included, which are no longer the run's.
+    fn drop(&mut self) {
+        let freed: usize = self.slots.drain(..).flatten().map(freed).sum();
+        self.nodes.release(freed);
+    }
+}
+
+/// Drop `node`, returning how many nodes went with it: none while
+/// another handle holds it, else the node and what its inputs free.
+fn freed(node: Arc<PlanNode>) -> usize {
+    let Some(node) = Arc::into_inner(node) else {
+        return 0;
+    };
+    1 + match node.op {
+        PlanOp::SeqScan { .. } | PlanOp::IndexScan { .. } => 0,
+        PlanOp::Join {
+            inputs: [outer, inner],
+            ..
+        } => freed(outer) + freed(inner),
+        PlanOp::Sort { input: [input], .. } => freed(input),
     }
 }
 
@@ -491,16 +530,25 @@ impl Memo {
     /// one per join of the plan it serves (`2n − 1`), its arena for the
     /// base groups (the levels grow it as their survivors arrive), and
     /// its built nodes for at most three access paths a relation and
-    /// that plan's joins and root sort.
-    pub(crate) fn for_relations(relations: usize) -> Self {
+    /// that plan's joins and root sort. `nodes` is the run's counter.
+    pub(crate) fn for_relations(relations: usize, nodes: NodeCounter) -> Self {
         let mut slots = FxHashMap::default();
         slots.reserve(2 * relations);
         Memo {
             slots,
             groups: Vec::with_capacity(relations),
-            built: BuiltNodes(Vec::with_capacity(4 * relations)),
+            built: BuiltNodes {
+                slots: Vec::with_capacity(4 * relations),
+                nodes,
+            },
             created: 0,
         }
+    }
+
+    /// The counter the memo's built nodes charge.
+    #[cfg(test)]
+    pub(crate) fn node_counter(&self) -> &NodeCounter {
+        &self.built.nodes
     }
 
     /// Number of live groups.
@@ -628,16 +676,15 @@ impl Memo {
     /// from the records it refers to. Every entry built on the way is
     /// replaced by its node (`PlanSource::Built`), so extracting the
     /// same entry again — directly, or as a subplan of another — clones
-    /// that node. `nodes` is the run's counter: each entry's count
-    /// passes to its node.
-    pub fn extract(&mut self, set: RelSet, entry: u16, nodes: &NodeCounter) -> Arc<PlanNode> {
+    /// that node. Each entry's count passes to its node.
+    pub fn extract(&mut self, set: RelSet, entry: u16) -> Arc<PlanNode> {
         let slot = *self
             .slots
             .get(&set)
             .expect("a JCR outlives what refers to it") as usize;
         let group = &self.groups[slot];
         let e = *group.entry(entry);
-        let (op, children) = match e.source {
+        let op = match e.source {
             PlanSource::Built(_) => {
                 return self
                     .built
@@ -650,25 +697,23 @@ impl Memo {
                 outer,
                 outer_entry,
                 inner_entry,
-            } => (
-                PlanOp::Join { method },
-                Children::Binary([
-                    self.extract(outer, outer_entry, nodes),
-                    self.extract(set - outer, inner_entry, nodes),
-                ]),
-            ),
-            PlanSource::Sort { input } => (
-                PlanOp::Sort {
-                    class: e.ordering().expect("a sort enforces an order"),
-                },
-                Children::Unary([self.extract(set, input, nodes)]),
-            ),
+            } => PlanOp::Join {
+                method,
+                inputs: [
+                    self.extract(outer, outer_entry),
+                    self.extract(set - outer, inner_entry),
+                ],
+            },
+            PlanSource::Sort { input } => PlanOp::Sort {
+                class: e.ordering().expect("a sort enforces an order"),
+                input: [self.extract(set, input)],
+            },
         };
         // Extraction removes no group, so `slot` still names this one.
         let group = &mut self.groups[slot];
-        let node = PlanNode::new(nodes, op, set, group.rows, e.cost, e.ordering(), children);
-        nodes.release(1);
+        let node = PlanNode::new(op, set, group.rows, e.cost, e.ordering());
         group.set_built(entry, self.built.push(node.clone()));
+        self.built.nodes.release(1);
         node
     }
 }
@@ -679,9 +724,10 @@ pub(crate) mod eager {
     //! every retained plan of every group as an `Arc<PlanNode>`, built
     //! the first time the oracle sees it — level by level, children
     //! cloned out of the oracle's own groups, never through
-    //! [`Memo::extract`] — and dropped when its group drops it. Nodes
-    //! charge the oracle's own counter, so its live count is the one an
-    //! optimizer building every retained plan shows.
+    //! [`Memo::extract`] — and dropped when its group drops it. The
+    //! oracle's own counter is charged for every node it builds and
+    //! released for every node a dropped plan frees, so its live count
+    //! is the one an optimizer building every retained plan shows.
 
     use super::*;
 
@@ -698,13 +744,38 @@ pub(crate) mod eager {
         /// between a group's removal and its return (a handoff, then the
         /// next rung), or the oracle takes the new one for the old.
         pub fn sync(&mut self, memo: &Memo) {
-            self.groups.retain(|&set, _| memo.get(set).is_some());
+            let nodes = &self.nodes;
+            let release = |plans: Vec<(u16, Arc<PlanNode>)>| {
+                nodes.release(plans.into_iter().map(|(_, plan)| freed(plan)).sum());
+            };
+            self.groups.retain(|&set, plans| {
+                let live = memo.get(set).is_some();
+                if !live {
+                    release(std::mem::take(plans));
+                }
+                live
+            });
             let mut sets: Vec<RelSet> = memo.sets().collect();
             sets.sort_by_key(|s| (s.len(), s.0));
             for set in sets {
                 let plans = self.materialize(memo, memo.get(set).expect("live set"));
-                self.groups.insert(set, plans);
+                if let Some(old) = self.groups.insert(set, plans) {
+                    release(old);
+                }
             }
+        }
+
+        /// A node the oracle built, counted.
+        fn build(
+            &self,
+            op: PlanOp,
+            set: RelSet,
+            rows: f64,
+            cost: f64,
+            ordering: Option<ClassId>,
+        ) -> Arc<PlanNode> {
+            self.nodes.charge(1);
+            PlanNode::new(op, set, rows, cost, ordering)
         }
 
         /// The group's entries as nodes: the ones the oracle already
@@ -722,27 +793,27 @@ pub(crate) mod eager {
                     plans.push((e.id(), node.clone()));
                     continue;
                 }
-                let node = |op, children| {
-                    let (rows, ordering) = (group.rows, e.ordering());
-                    PlanNode::new(&self.nodes, op, group.set, rows, e.cost, ordering, children)
-                };
+                let node = |op| self.build(op, group.set, group.rows, e.cost, e.ordering());
                 let built = match e.source {
                     PlanSource::Join {
                         method,
                         outer,
                         outer_entry,
                         inner_entry,
-                    } => node(
-                        PlanOp::Join { method },
-                        Children::Binary([
+                    } => node(PlanOp::Join {
+                        method,
+                        inputs: [
                             self.plan(outer, outer_entry).clone(),
                             self.plan(group.set - outer, inner_entry).clone(),
-                        ]),
-                    ),
+                        ],
+                    }),
                     PlanSource::Sort { input } => {
                         let (_, input) = plans.iter().find(|(id, _)| *id == input).unwrap();
                         let class = e.ordering().unwrap();
-                        node(PlanOp::Sort { class }, Children::Unary([input.clone()]))
+                        node(PlanOp::Sort {
+                            class,
+                            input: [input.clone()],
+                        })
                     }
                     PlanSource::Built(_) => self.adopt(memo, &plans, memo.built(e).unwrap()),
                 };
@@ -778,22 +849,24 @@ pub(crate) mod eager {
                     None => self.adopt(memo, &[], c),
                 }
             };
-            let children = match &node.children[..] {
-                [] => Children::Leaf,
-                [input] => Children::Unary([child(input)]),
-                [outer, inner] => Children::Binary([child(outer), child(inner)]),
-                _ => unreachable!("at most two children"),
+            let op = match &node.op {
+                PlanOp::SeqScan { .. } | PlanOp::IndexScan { .. } => node.op.clone(),
+                PlanOp::Join {
+                    method,
+                    inputs: [outer, inner],
+                } => PlanOp::Join {
+                    method: *method,
+                    inputs: [child(outer), child(inner)],
+                },
+                PlanOp::Sort {
+                    class,
+                    input: [input],
+                } => PlanOp::Sort {
+                    class: *class,
+                    input: [child(input)],
+                },
             };
-            let (op, set) = (node.op.clone(), node.set);
-            PlanNode::new(
-                &self.nodes,
-                op,
-                set,
-                node.rows,
-                node.cost,
-                node.ordering,
-                children,
-            )
+            self.build(op, node.set, node.rows, node.cost, node.ordering)
         }
 
         /// The oracle's node for entry `id` of `set`'s group.
@@ -810,18 +883,12 @@ mod tests {
     use sdp_catalog::RelId;
 
     fn plan(set: RelSet, cost: f64, ordering: Option<ClassId>) -> Arc<PlanNode> {
-        PlanNode::new(
-            &NodeCounter::new(),
-            PlanOp::SeqScan {
-                rel: RelId(0),
-                node: set.min_index().unwrap(),
-            },
-            set,
-            10.0,
-            cost,
-            ordering,
-            Children::Leaf,
-        )
+        let node = set.min_index().unwrap() as u16;
+        let op = PlanOp::SeqScan {
+            rel: RelId(0),
+            node,
+        };
+        PlanNode::new(op, set, 10.0, cost, ordering)
     }
 
     fn group_of(set: RelSet) -> Group {
@@ -900,18 +967,28 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_node_is_at_most_56_bytes() {
+        // A served Star-Chain-23 plan is 45 of them, each one `Arc`
+        // allocation, and the service caches hundreds of plans: 24
+        // bytes more a node were +0.88 MiB of `cold_sdp`'s peak heap
+        // (DESIGN.md, "What a cached plan costs").
+        let size = std::mem::size_of::<PlanNode>();
+        assert!(size <= 56, "PlanNode grew to {size} bytes");
+    }
+
+    #[test]
     fn an_evicted_built_plan_is_dropped() {
         let (mut g, mut built) = (group(), BuiltNodes::default());
         let scan = plan(g.set, 10.0, None);
-        let counter = scan.counter();
+        let weak = Arc::downgrade(&scan);
         g.add_plan(scan, &mut built);
-        assert_eq!(counter.live(), 1);
+        assert_eq!(built.nodes.live(), 1);
         assert!(g.add_plan(plan(g.set, 5.0, None), &mut built));
-        assert_eq!(
-            counter.live(),
-            0,
+        assert!(
+            weak.upgrade().is_none(),
             "the table kept a node the group had evicted"
         );
+        assert_eq!(built.nodes.live(), 1, "the cheaper scan alone");
         assert!(built.get(g.best()).is_some());
     }
 
@@ -920,12 +997,77 @@ mod tests {
         let mut m = Memo::new();
         let mut g = group();
         let scan = plan(g.set, 10.0, None);
-        let counter = scan.counter();
+        let weak = Arc::downgrade(&scan);
         g.add_plan(scan, m.built_mut());
         m.insert(g);
-        assert_eq!(counter.live(), 1);
+        assert_eq!(m.node_counter().live(), 1);
         m.remove(RelSet::single(0));
-        assert_eq!(counter.live(), 0, "the memo kept a removed group's node");
+        assert!(
+            weak.upgrade().is_none(),
+            "the memo kept a removed group's node"
+        );
+        assert_eq!(m.node_counter().live(), 0);
+    }
+
+    /// Two scans in their base groups, and their join in its group:
+    /// the memo, and a handle to the join.
+    fn joined_scans() -> (Memo, Arc<PlanNode>) {
+        let mut m = Memo::new();
+        let scans = [0, 1].map(|i| {
+            let scan = plan(RelSet::single(i), 1.0, None);
+            let mut g = group_of(scan.set);
+            g.add_plan(scan.clone(), m.built_mut());
+            m.insert(g);
+            scan
+        });
+        let set = RelSet::from_indices([0, 1]);
+        let op = PlanOp::Join {
+            method: JoinMethod::Hash,
+            inputs: scans,
+        };
+        let join = PlanNode::new(op, set, 10.0, 3.0, None);
+        let mut g = group_of(set);
+        g.add_plan(join.clone(), m.built_mut());
+        m.insert(g);
+        assert_eq!(m.node_counter().live(), 3);
+        (m, join)
+    }
+
+    #[test]
+    fn the_table_releases_only_the_nodes_it_frees() {
+        let (mut m, join) = joined_scans();
+        let [outer, inner] = join.children() else {
+            unreachable!("a join has two inputs")
+        };
+        let weak = [&join, outer, inner].map(Arc::downgrade);
+        drop(join);
+        // The join holds the outer scan: its group's removal frees nothing.
+        m.remove(RelSet::single(0));
+        assert_eq!(m.node_counter().live(), 3);
+        assert!(weak[1].upgrade().is_some());
+        // The join's removal frees the join and the scan only it held.
+        m.remove(RelSet::from_indices([0, 1]));
+        assert_eq!(m.node_counter().live(), 1);
+        assert!(weak[0].upgrade().is_none() && weak[1].upgrade().is_none());
+        assert!(weak[2].upgrade().is_some());
+        let counter = m.node_counter().clone();
+        drop(m);
+        assert_eq!(counter.live(), 0);
+        assert!(weak[2].upgrade().is_none());
+    }
+
+    #[test]
+    fn a_served_plan_is_not_the_runs_to_count() {
+        let (m, served) = joined_scans();
+        let weak = Arc::downgrade(&served);
+        let counter = m.node_counter().clone();
+        // The table lets go of nodes a caller still holds: it frees
+        // none of them, and nothing counts them from here on.
+        drop(m);
+        assert_eq!(counter.live(), 3);
+        assert!(weak.upgrade().is_some());
+        drop(served);
+        assert!(weak.upgrade().is_none());
     }
 
     #[test]
@@ -966,22 +1108,15 @@ mod tests {
 
     /// Two base relations, their join kept as two records sharing the
     /// outer scan, and a sort enforcer over the cheaper one.
-    fn small_memo(nodes: &NodeCounter) -> (Memo, RelSet) {
+    fn small_memo() -> (Memo, RelSet) {
         let mut m = Memo::new();
         for i in 0..2 {
             let mut g = group_of(RelSet::single(i));
-            let scan = PlanNode::new(
-                nodes,
-                PlanOp::SeqScan {
-                    rel: RelId(i as u32),
-                    node: i,
-                },
-                g.set,
-                10.0,
-                1.0,
-                None,
-                Children::Leaf,
-            );
+            let op = PlanOp::SeqScan {
+                rel: RelId(i as u32),
+                node: i as u16,
+            };
+            let scan = PlanNode::new(op, g.set, 10.0, 1.0, None);
             g.add_plan(scan, m.built_mut());
             m.insert(g);
         }
@@ -999,14 +1134,14 @@ mod tests {
         let (g, built) = m.get_mut_with_built(set).unwrap();
         let input = g.best().id();
         assert!(g.offer(6.0, Some(7), PlanSource::Sort { input }, built));
-        nodes.charge(2); // the hash join and the sort; the merge join went
+        // The hash join and the sort; the merge join went.
+        m.node_counter().charge(2);
         (m, set)
     }
 
     #[test]
     fn sealed_ids_survive_evictions() {
-        let nodes = NodeCounter::new();
-        let (m, set) = small_memo(&nodes);
+        let (m, set) = small_memo();
         let g = m.get(set).unwrap();
         // The merge join held id 0 and position 0; the sort evicted it.
         // The hash join moved to position 0 and is still entry 1.
@@ -1019,33 +1154,33 @@ mod tests {
     #[test]
     #[should_panic(expected = "never evicted")]
     fn a_dangling_reference_panics_rather_than_serve_another_plan() {
-        let nodes = NodeCounter::new();
-        let (m, set) = small_memo(&nodes);
+        let (m, set) = small_memo();
         m.get(set).unwrap().entry(0);
     }
 
     #[test]
     fn extraction_builds_once_and_moves_the_count() {
-        let nodes = NodeCounter::new();
-        let (mut m, set) = small_memo(&nodes);
+        let (mut m, set) = small_memo();
+        let nodes = m.node_counter().clone();
         assert_eq!(nodes.live(), 4);
-        let sorted = m.extract(set, 2, &nodes);
+        let sorted = m.extract(set, 2);
         assert_eq!(nodes.live(), 4, "each record's count passed to its node");
         sorted.check_invariants().unwrap();
         assert_eq!(sorted.node_count(), 4);
-        assert!(matches!(sorted.op, PlanOp::Sort { class: 7 }));
+        assert!(matches!(sorted.op, PlanOp::Sort { class: 7, .. }));
         // The sort's input is the group's other entry: one node, and
         // the scans below it are the base groups' own.
-        let join = m.extract(set, 1, &nodes);
-        assert!(Arc::ptr_eq(&join, &sorted.children[0]));
-        assert!(Arc::ptr_eq(&m.extract(set, 2, &nodes), &sorted));
+        let join = m.extract(set, 1);
+        assert!(Arc::ptr_eq(&join, &sorted.children()[0]));
+        assert!(Arc::ptr_eq(&m.extract(set, 2), &sorted));
         let scan = m.get(RelSet::single(0)).unwrap();
         assert!(Arc::ptr_eq(
             m.built(scan.best()).unwrap(),
-            &join.children[0]
+            &join.children()[0]
         ));
         assert_eq!(m.charged(), 0);
-        drop((m, sorted, join));
+        drop((sorted, join));
+        drop(m);
         assert_eq!(nodes.live(), 0);
     }
 }
@@ -1057,18 +1192,11 @@ mod property_tests {
     use sdp_catalog::RelId;
 
     fn plan(cost: f64, ordering: Option<ClassId>) -> Arc<PlanNode> {
-        PlanNode::new(
-            &NodeCounter::new(),
-            PlanOp::SeqScan {
-                rel: RelId(0),
-                node: 0,
-            },
-            RelSet::single(0),
-            10.0,
-            cost,
-            ordering,
-            Children::Leaf,
-        )
+        let op = PlanOp::SeqScan {
+            rel: RelId(0),
+            node: 0,
+        };
+        PlanNode::new(op, RelSet::single(0), 10.0, cost, ordering)
     }
 
     fn group() -> Group {

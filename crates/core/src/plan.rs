@@ -2,7 +2,11 @@
 //!
 //! Plans are immutable `Arc` trees: subplans are shared between every
 //! tree that contains them. `Arc` (rather than `Rc`) makes plans
-//! `Send + Sync`, so finished plans cross threads freely.
+//! `Send + Sync`, so finished plans cross threads freely. A node is
+//! its operator, which holds its inputs — none for a scan, one for a
+//! sort, two for a join, so the type enforces the arity — and the
+//! estimates the optimizer derived for it: 56 bytes, 72 with the
+//! `Arc`'s counts (DESIGN.md, "What a cached plan costs").
 //!
 //! The optimizer does not keep its plans in this form. While it runs, a
 //! retained plan is a record in its memo group (see [`crate::memo`]);
@@ -14,14 +18,16 @@
 //!
 //! A per-run [`NodeCounter`] tracks how many plan nodes an optimizer
 //! holding every retained plan as a node would have alive at any
-//! instant — nodes count themselves, and the memo's records are counted
-//! one each on their behalf — which is what makes the memory-overhead
-//! measurements (paper Tables 1.2, 1.4, 2.1, 3.2, 3.3) meaningful;
-//! [`crate::budget::MemoryModel`] converts it (plus the group count)
-//! into paper-equivalent megabytes. One thread runs an optimization,
-//! but the counter is still a shared atomic: every node holds it and
-//! decrements it on drop, and a served plan is dropped on whichever
-//! daemon or client thread last holds it.
+//! instant — the memo's records are counted one each, and the nodes the
+//! run holds are counted by the one table that holds them
+//! ([`crate::memo::BuiltNodes`]) — which is what makes the
+//! memory-overhead measurements (paper Tables 1.2, 1.4, 2.1, 3.2, 3.3)
+//! meaningful; [`crate::budget::MemoryModel`] converts it (plus the
+//! group count) into paper-equivalent megabytes. A node does not know
+//! its run: the table charges a node when it takes one, and when it
+//! lets one go, releases the nodes that go with it — none while a
+//! served plan or another node still holds it. So a plan outlives its
+//! run with nothing of the run attached.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,10 +38,9 @@ use sdp_query::{ClassId, RelSet};
 
 /// Shared live-node counter for one optimization run.
 ///
-/// Every [`PlanNode`] holds a handle to the counter it was created
-/// under and decrements it on drop, so the count is exact regardless
-/// of which thread allocates or frees a node. Cloning the handle
-/// shares the underlying atomic.
+/// The run's context, its memo's built nodes and its memory model hold
+/// handles to one atomic; cloning a handle shares it, so a test can
+/// hold one past the run and see its count fall to zero.
 #[derive(Debug, Clone, Default)]
 pub struct NodeCounter(Arc<AtomicU64>);
 
@@ -50,22 +55,22 @@ impl NodeCounter {
         self.0.load(Ordering::Relaxed)
     }
 
-    /// Count `n` more nodes alive: a node being built, or plan records
-    /// retained, which stand for the nodes they may become.
+    /// Count `n` more nodes alive: nodes the run's table takes, or plan
+    /// records retained, which stand for the nodes they may become.
     pub(crate) fn charge(&self, n: usize) {
         self.0.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// Count `n` nodes gone: a node dropped, or plan records evicted,
-    /// pruned, rolled back, dropped with their run, or built into
-    /// nodes (which charge themselves).
+    /// Count `n` nodes gone: nodes the run's table freed, or plan
+    /// records evicted, pruned, rolled back, dropped with their run, or
+    /// built into nodes (which the table charges).
     pub(crate) fn release(&self, n: usize) {
         self.0.fetch_sub(n as u64, Ordering::Relaxed);
     }
 }
 
-/// The operator at a plan node.
-#[derive(Debug, Clone, PartialEq)]
+/// The operator at a plan node, with its inputs.
+#[derive(Debug, Clone)]
 pub enum PlanOp {
     // Variant tags below (see `stable_tag`) are part of the persisted
     // plan format and the structural digest — never renumber.
@@ -73,27 +78,31 @@ pub enum PlanOp {
     SeqScan {
         /// Catalog relation scanned.
         rel: RelId,
-        /// Query-local node index.
-        node: usize,
+        /// Query-local node index (below `RelSet::MAX_RELATIONS`).
+        node: u16,
     },
     /// Full index-order scan of a base relation.
     IndexScan {
         /// Catalog relation scanned.
         rel: RelId,
-        /// Query-local node index.
-        node: usize,
+        /// Query-local node index (below `RelSet::MAX_RELATIONS`).
+        node: u16,
         /// Indexed column providing the output order.
         col: ColId,
     },
-    /// Binary join (children: outer, inner).
+    /// Binary join.
     Join {
         /// Physical join algorithm.
         method: JoinMethod,
+        /// `[outer, inner]`.
+        inputs: [Arc<PlanNode>; 2],
     },
-    /// Explicit sort enforcing an output order (child: input).
+    /// Explicit sort enforcing an output order.
     Sort {
         /// Order class enforced.
         class: ClassId,
+        /// `[input]`.
+        input: [Arc<PlanNode>; 1],
     },
 }
 
@@ -111,45 +120,11 @@ impl PlanOp {
     }
 }
 
-/// The children of a plan node, held inline (no operator has more
-/// than two), so a retained plan costs one allocation. Reads as a
-/// `[Arc<PlanNode>]` slice.
-#[derive(Debug, Clone)]
-pub enum Children {
-    /// A scan.
-    Leaf,
-    /// A sort: `[input]`.
-    Unary([Arc<PlanNode>; 1]),
-    /// A join: `[outer, inner]`.
-    Binary([Arc<PlanNode>; 2]),
-}
-
-impl std::ops::Deref for Children {
-    type Target = [Arc<PlanNode>];
-
-    fn deref(&self) -> &[Arc<PlanNode>] {
-        match self {
-            Children::Leaf => &[],
-            Children::Unary(c) => c,
-            Children::Binary(c) => c,
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a Children {
-    type Item = &'a Arc<PlanNode>;
-    type IntoIter = std::slice::Iter<'a, Arc<PlanNode>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 /// One node of a physical plan tree, annotated with the estimated
 /// properties the optimizer derived for it.
 #[derive(Debug)]
 pub struct PlanNode {
-    /// Operator.
+    /// Operator and inputs.
     pub op: PlanOp,
     /// Base relations covered by this subtree.
     pub set: RelSet,
@@ -159,67 +134,60 @@ pub struct PlanNode {
     pub cost: f64,
     /// Order class of the output, if any.
     pub ordering: Option<ClassId>,
-    /// Children (empty for scans, `[outer, inner]` for joins,
-    /// `[input]` for sorts).
-    pub children: Children,
-    counter: NodeCounter,
 }
 
 impl PlanNode {
-    /// Construct a node (increments `counter`; the node decrements it
-    /// again when dropped).
+    /// Construct a node.
     pub fn new(
-        counter: &NodeCounter,
         op: PlanOp,
         set: RelSet,
         rows: f64,
         cost: f64,
         ordering: Option<ClassId>,
-        children: Children,
     ) -> Arc<Self> {
         debug_assert!(rows.is_finite() && rows >= 0.0, "rows = {rows}");
         debug_assert!(cost.is_finite() && cost >= 0.0, "cost = {cost}");
-        counter.charge(1);
         Arc::new(PlanNode {
             op,
             set,
             rows,
             cost,
             ordering,
-            children,
-            counter: counter.clone(),
         })
     }
 
-    /// The live-node counter this node charges. Useful for asserting
-    /// that a run's plans were fully reclaimed: clone the handle, drop
-    /// the plan, and check [`NodeCounter::live`] returns to zero.
-    pub fn counter(&self) -> NodeCounter {
-        self.counter.clone()
+    /// The node's inputs: empty for scans, `[outer, inner]` for joins,
+    /// `[input]` for sorts.
+    pub fn children(&self) -> &[Arc<PlanNode>] {
+        match &self.op {
+            PlanOp::SeqScan { .. } | PlanOp::IndexScan { .. } => &[],
+            PlanOp::Join { inputs, .. } => inputs,
+            PlanOp::Sort { input, .. } => input,
+        }
     }
 
     /// Number of nodes in this subtree.
     pub fn node_count(&self) -> usize {
-        1 + self.children.iter().map(|c| c.node_count()).sum::<usize>()
+        (self.children().iter()).fold(1, |n, c| n + c.node_count())
     }
 
     /// Depth of the tree (a scan has depth 1).
     pub fn depth(&self) -> usize {
-        1 + self.children.iter().map(|c| c.depth()).max().unwrap_or(0)
+        1 + self.children().iter().map(|c| c.depth()).max().unwrap_or(0)
     }
 
     /// Number of join operators in the subtree.
     pub fn join_count(&self) -> usize {
         let own = usize::from(matches!(self.op, PlanOp::Join { .. }));
-        own + self.children.iter().map(|c| c.join_count()).sum::<usize>()
+        (self.children().iter()).fold(own, |n, c| n + c.join_count())
     }
 
     /// Whether the tree is *bushy* — some join has two composite
     /// (non-scan) children.
     pub fn is_bushy(&self) -> bool {
         let here = matches!(self.op, PlanOp::Join { .. })
-            && self.children.iter().all(|c| c.set.len() >= 2);
-        here || self.children.iter().any(|c| c.is_bushy())
+            && self.children().iter().all(|c| c.set.len() >= 2);
+        here || self.children().iter().any(|c| c.is_bushy())
     }
 
     /// Stable structural digest of the plan tree: operator identity,
@@ -234,8 +202,8 @@ impl PlanNode {
         let op_words: [u64; 4] = match self.op {
             PlanOp::SeqScan { rel, node } => [tag, rel.0 as u64, node as u64, 0],
             PlanOp::IndexScan { rel, node, col } => [tag, rel.0 as u64, node as u64, col.0 as u64],
-            PlanOp::Join { method } => [tag, method.stable_tag() as u64, 0, 0],
-            PlanOp::Sort { class } => [tag, class as u64, 0, 0],
+            PlanOp::Join { method, .. } => [tag, method.stable_tag() as u64, 0, 0],
+            PlanOp::Sort { class, .. } => [tag, class as u64, 0, 0],
         };
         let mut h = sdp_query::canon::StableHasher::new(0x70_6c_61_6e);
         for w in op_words {
@@ -248,31 +216,32 @@ impl PlanNode {
             None => u64::MAX,
             Some(c) => c as u64,
         });
-        h.write_u64(self.children.len() as u64);
-        for c in &self.children {
+        let children = self.children();
+        h.write_u64(children.len() as u64);
+        for c in children {
             h.write_u64(c.structural_digest());
         }
         h.finish()
     }
 
     /// Validate structural invariants of the subtree; returns a
-    /// description of the first violation. Used by integration tests
-    /// and debug assertions.
+    /// description of the first violation. Used by integration tests,
+    /// debug assertions and the plan decoder.
     pub fn check_invariants(&self) -> Result<(), String> {
         match &self.op {
             PlanOp::SeqScan { node, .. } | PlanOp::IndexScan { node, .. } => {
-                if self.set != RelSet::single(*node) {
+                let node = usize::from(*node);
+                if node >= RelSet::MAX_RELATIONS {
+                    return Err(format!("scan of node {node}, past the relation limit"));
+                }
+                if self.set != RelSet::single(node) {
                     return Err(format!("scan set {:?} != node {node}", self.set));
                 }
-                if !self.children.is_empty() {
-                    return Err("scan with children".into());
-                }
             }
-            PlanOp::Join { method } => {
-                if self.children.len() != 2 {
-                    return Err("join without two children".into());
-                }
-                let (l, r) = (&self.children[0], &self.children[1]);
+            PlanOp::Join {
+                method,
+                inputs: [l, r],
+            } => {
                 if !l.set.is_disjoint(r.set) {
                     return Err(format!("overlapping join inputs {:?} {:?}", l.set, r.set));
                 }
@@ -294,28 +263,22 @@ impl PlanNode {
                     ));
                 }
             }
-            PlanOp::Sort { class } => {
-                if self.children.len() != 1 {
-                    return Err("sort without single child".into());
-                }
+            PlanOp::Sort {
+                class,
+                input: [input],
+            } => {
                 if self.ordering != Some(*class) {
                     return Err("sort not ordered by its class".into());
                 }
-                if self.set != self.children[0].set {
+                if self.set != input.set {
                     return Err("sort changes relation set".into());
                 }
             }
         }
-        for c in &self.children {
+        for c in self.children() {
             c.check_invariants()?;
         }
         Ok(())
-    }
-}
-
-impl Drop for PlanNode {
-    fn drop(&mut self) {
-        self.counter.release(1);
     }
 }
 
@@ -323,172 +286,121 @@ impl Drop for PlanNode {
 mod tests {
     use super::*;
 
-    fn scan(counter: &NodeCounter, node: usize, cost: f64) -> Arc<PlanNode> {
+    fn scan(node: u16, cost: f64) -> Arc<PlanNode> {
         PlanNode::new(
-            counter,
             PlanOp::SeqScan {
-                rel: RelId(node as u32),
+                rel: RelId(u32::from(node)),
                 node,
             },
-            RelSet::single(node),
+            RelSet::single(usize::from(node)),
             100.0,
             cost,
             None,
-            Children::Leaf,
         )
     }
 
-    fn join(counter: &NodeCounter, l: Arc<PlanNode>, r: Arc<PlanNode>) -> Arc<PlanNode> {
-        let set = l.set | r.set;
-        let cost = l.cost + r.cost + 1.0;
-        PlanNode::new(
-            counter,
-            PlanOp::Join {
-                method: JoinMethod::Hash,
+    fn join(l: Arc<PlanNode>, r: Arc<PlanNode>) -> Arc<PlanNode> {
+        join_as(JoinMethod::Hash, l.set | r.set, l.cost + r.cost + 1.0, l, r)
+    }
+
+    fn join_as(
+        method: JoinMethod,
+        set: RelSet,
+        cost: f64,
+        l: Arc<PlanNode>,
+        r: Arc<PlanNode>,
+    ) -> Arc<PlanNode> {
+        let inputs = [l, r];
+        PlanNode::new(PlanOp::Join { method, inputs }, set, 50.0, cost, None)
+    }
+
+    #[test]
+    fn children_follow_the_operator() {
+        let t = join(scan(0, 1.0), scan(1, 2.0));
+        assert_eq!(t.children().len(), 2);
+        assert_eq!(t.children()[1].cost, 2.0);
+        assert!(t.children()[0].children().is_empty());
+        let sorted = PlanNode::new(
+            PlanOp::Sort {
+                class: 3,
+                input: [t.clone()],
             },
-            set,
-            50.0,
-            cost,
-            None,
-            Children::Binary([l, r]),
-        )
-    }
-
-    #[test]
-    fn live_counter_tracks_creation_and_drop() {
-        let counter = NodeCounter::new();
-        {
-            let a = scan(&counter, 0, 1.0);
-            let b = scan(&counter, 1, 1.0);
-            let j = join(&counter, a, b);
-            assert_eq!(counter.live(), 3);
-            drop(j); // drops all three (children moved into the join)
-        }
-        assert_eq!(counter.live(), 0);
-    }
-
-    #[test]
-    fn shared_subplans_freed_only_when_unreachable() {
-        let counter = NodeCounter::new();
-        let shared = scan(&counter, 0, 1.0);
-        let j1 = join(&counter, shared.clone(), scan(&counter, 1, 1.0));
-        let j2 = join(&counter, shared.clone(), scan(&counter, 2, 1.0));
-        drop(shared);
-        assert_eq!(counter.live(), 5);
-        drop(j1);
-        assert_eq!(counter.live(), 3); // shared survives via j2
-        drop(j2);
-        assert_eq!(counter.live(), 0);
-    }
-
-    #[test]
-    fn counter_is_shared_across_threads() {
-        let counter = NodeCounter::new();
-        let plans: Vec<Arc<PlanNode>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|t| {
-                    let counter = &counter;
-                    scope.spawn(move || scan(counter, t, 1.0))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(counter.live(), 4);
-        drop(plans);
-        assert_eq!(counter.live(), 0);
+            t.set,
+            t.rows,
+            t.cost + 1.0,
+            Some(3),
+        );
+        assert!(Arc::ptr_eq(&sorted.children()[0], &t));
+        sorted.check_invariants().unwrap();
     }
 
     #[test]
     fn tree_shape_metrics() {
-        let c = NodeCounter::new();
-        let left = join(&c, scan(&c, 0, 1.0), scan(&c, 1, 1.0));
-        let right = join(&c, scan(&c, 2, 1.0), scan(&c, 3, 1.0));
-        let bushy = join(&c, left, right);
+        let left = join(scan(0, 1.0), scan(1, 1.0));
+        let right = join(scan(2, 1.0), scan(3, 1.0));
+        let bushy = join(left, right);
         assert_eq!(bushy.node_count(), 7);
         assert_eq!(bushy.join_count(), 3);
         assert_eq!(bushy.depth(), 3);
         assert!(bushy.is_bushy());
 
-        let ld = join(
-            &c,
-            join(&c, scan(&c, 0, 1.0), scan(&c, 1, 1.0)),
-            scan(&c, 2, 1.0),
-        );
+        let ld = join(join(scan(0, 1.0), scan(1, 1.0)), scan(2, 1.0));
         assert!(!ld.is_bushy());
     }
 
     #[test]
     fn invariants_accept_valid_trees() {
-        let c = NodeCounter::new();
-        let t = join(&c, scan(&c, 0, 1.0), scan(&c, 1, 2.0));
+        let t = join(scan(0, 1.0), scan(1, 2.0));
         assert!(t.check_invariants().is_ok());
     }
 
     #[test]
     fn invariants_reject_overlapping_join() {
-        let c = NodeCounter::new();
-        let a = scan(&c, 0, 1.0);
-        let bad = PlanNode::new(
-            &c,
-            PlanOp::Join {
-                method: JoinMethod::Hash,
-            },
-            RelSet::single(0),
-            1.0,
-            10.0,
-            None,
-            Children::Binary([a.clone(), a]),
-        );
+        let a = scan(0, 1.0);
+        let bad = join_as(JoinMethod::Hash, RelSet::single(0), 10.0, a.clone(), a);
         assert!(bad.check_invariants().is_err());
     }
 
     #[test]
+    fn invariants_reject_a_scan_past_the_relation_limit() {
+        let bad = PlanNode::new(
+            PlanOp::SeqScan {
+                rel: RelId(0),
+                node: 64,
+            },
+            RelSet::EMPTY,
+            1.0,
+            1.0,
+            None,
+        );
+        assert!(bad.check_invariants().unwrap_err().contains("node 64"));
+    }
+
+    #[test]
     fn structural_digest_separates_equal_from_different() {
-        let c = NodeCounter::new();
-        let a = join(&c, scan(&c, 0, 1.0), scan(&c, 1, 2.0));
-        let b = join(&c, scan(&c, 0, 1.0), scan(&c, 1, 2.0));
+        let a = join(scan(0, 1.0), scan(1, 2.0));
+        let b = join(scan(0, 1.0), scan(1, 2.0));
         assert_eq!(a.structural_digest(), b.structural_digest());
 
         // A different child cost propagates into the root digest.
-        let costlier = join(&c, scan(&c, 0, 1.0), scan(&c, 1, 3.0));
+        let costlier = join(scan(0, 1.0), scan(1, 3.0));
         assert_ne!(a.structural_digest(), costlier.structural_digest());
 
         // A different join method changes the digest even with
         // identical sets, rows and costs.
-        let merge = PlanNode::new(
-            &c,
-            PlanOp::Join {
-                method: JoinMethod::Merge,
-            },
-            a.set,
-            a.rows,
-            a.cost,
-            None,
-            Children::Binary([scan(&c, 0, 1.0), scan(&c, 1, 2.0)]),
-        );
+        let merge = join_as(JoinMethod::Merge, a.set, a.cost, scan(0, 1.0), scan(1, 2.0));
         assert_ne!(a.structural_digest(), merge.structural_digest());
 
         // Child order matters (join inputs are positional).
-        let swapped = join(&c, scan(&c, 1, 2.0), scan(&c, 0, 1.0));
+        let swapped = join(scan(1, 2.0), scan(0, 1.0));
         assert_ne!(a.structural_digest(), swapped.structural_digest());
     }
 
     #[test]
     fn invariants_reject_cost_regression() {
-        let c = NodeCounter::new();
-        let a = scan(&c, 0, 10.0);
-        let b = scan(&c, 1, 10.0);
-        let bad = PlanNode::new(
-            &c,
-            PlanOp::Join {
-                method: JoinMethod::Hash,
-            },
-            RelSet::from_indices([0, 1]),
-            1.0,
-            5.0, // cheaper than its inputs: impossible
-            None,
-            Children::Binary([a, b]),
-        );
+        let set = RelSet::from_indices([0, 1]);
+        // Cheaper than its inputs: impossible.
+        let bad = join_as(JoinMethod::Hash, set, 5.0, scan(0, 10.0), scan(1, 10.0));
         assert!(bad.check_invariants().is_err());
     }
 }

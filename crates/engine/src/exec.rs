@@ -312,14 +312,17 @@ impl ExecCtx<'_> {
                 let parts: Vec<String> = self
                     .query
                     .graph
-                    .filters_on(*node)
+                    .filters_on(usize::from(*node))
                     .map(|f| f.to_string())
                     .collect();
                 parts.join(" AND ")
             }
-            PlanOp::Sort { class } => format!("class {class}"),
-            PlanOp::Join { .. } => {
-                let (lset, rset) = (plan.children[0].set, plan.children[1].set);
+            PlanOp::Sort { class, .. } => format!("class {class}"),
+            PlanOp::Join {
+                inputs: [outer, inner],
+                ..
+            } => {
+                let (lset, rset) = (outer.set, inner.set);
                 let parts: Vec<String> = self
                     .query
                     .graph
@@ -350,7 +353,7 @@ impl ExecCtx<'_> {
                 PlanOp::SeqScan { .. } => "SeqScan".to_string(),
                 PlanOp::IndexScan { .. } => "IndexScan".to_string(),
                 PlanOp::Sort { .. } => "Sort".to_string(),
-                PlanOp::Join { method } => method.label().to_string(),
+                PlanOp::Join { method, .. } => method.label().to_string(),
             };
             out.push(NodeObservation {
                 path: path_string(path),
@@ -370,11 +373,16 @@ impl ExecCtx<'_> {
         obs: &mut Option<&mut Vec<NodeObservation>>,
     ) -> Result<Chunk, ExecError> {
         match &plan.op {
-            PlanOp::SeqScan { node, .. } => Ok(self.scan(*node, None)),
-            PlanOp::IndexScan { node, col, .. } => Ok(self.scan(*node, Some(col.0 as usize))),
-            PlanOp::Sort { class } => {
+            PlanOp::SeqScan { node, .. } => Ok(self.scan(usize::from(*node), None)),
+            PlanOp::IndexScan { node, col, .. } => {
+                Ok(self.scan(usize::from(*node), Some(col.0 as usize)))
+            }
+            PlanOp::Sort {
+                class,
+                input: [input],
+            } => {
                 path.push(0);
-                let child = self.run_observed(&plan.children[0], path, obs)?;
+                let child = self.run_observed(input, path, obs)?;
                 path.pop();
                 // Sort by any member column of the class inside the set.
                 let classes = self.query.equiv_classes();
@@ -392,23 +400,26 @@ impl ExecCtx<'_> {
                     rows,
                 })
             }
-            PlanOp::Join { method } => {
+            PlanOp::Join {
+                method,
+                inputs: [outer, inner],
+            } => {
                 path.push(0);
-                let left = self.run_observed(&plan.children[0], path, obs)?;
+                let left = self.run_observed(outer, path, obs)?;
                 path.pop();
                 path.push(1);
-                let right = self.run_observed(&plan.children[1], path, obs)?;
+                let right = self.run_observed(inner, path, obs)?;
                 path.pop();
-                let (lset, rset) = (plan.children[0].set, plan.children[1].set);
+                let (lset, rset) = (outer.set, inner.set);
                 let (lk, rk) = self.join_keys(&left, &right, lset, rset)?;
                 let rows = match method {
                     JoinMethod::NestedLoop => nested_loop(&left.rows, &right.rows, &lk, &rk)?,
                     JoinMethod::IndexNestedLoop => {
                         // Probe the real B+-tree when the inner child
                         // is a base scan on its indexed join column.
-                        let inner_scan_node = match &plan.children[1].op {
+                        let inner_scan_node = match &inner.op {
                             PlanOp::SeqScan { node, .. } | PlanOp::IndexScan { node, .. } => {
-                                Some(*node)
+                                Some(usize::from(*node))
                             }
                             _ => None,
                         };

@@ -36,7 +36,7 @@ fn walk(
     db: &Database,
     out: &mut Vec<(RelSet, f64, f64)>,
 ) -> Result<(), ExecError> {
-    for c in &node.children {
+    for c in node.children() {
         walk(c, query, catalog, db, out)?;
     }
     let actual = execute(node, query, catalog, db)?.len() as f64;

@@ -114,12 +114,13 @@ fn walk(
     let est = model.estimator();
     match &node.op {
         PlanOp::SeqScan { node: n, .. } | PlanOp::IndexScan { node: n, .. } => {
-            let set = RelSet::single(*n);
+            let n = usize::from(*n);
+            let set = RelSet::single(n);
             let wanted = match node.op {
                 PlanOp::SeqScan { .. } => ScanKind::Seq,
                 _ => ScanKind::IndexFull,
             };
-            let paths = model.scan_paths_for_node(graph, *n);
+            let paths = model.scan_paths_for_node(graph, n);
             let path = paths
                 .iter()
                 .find(|p| {
@@ -135,18 +136,24 @@ fn walk(
                 ordering: node.ordering,
             }
         }
-        PlanOp::Sort { class } => {
-            let child = walk(&node.children[0], model, graph, classes);
+        PlanOp::Sort {
+            class,
+            input: [input],
+        } => {
+            let child = walk(input, model, graph, classes);
             Subplan {
                 cost: child.cost + model.sort_cost(child.rows, child.width),
                 ordering: Some(*class),
                 ..child
             }
         }
-        PlanOp::Join { method } => {
-            let outer = walk(&node.children[0], model, graph, classes);
-            let inner = walk(&node.children[1], model, graph, classes);
-            let (oset, iset) = (node.children[0].set, node.children[1].set);
+        PlanOp::Join {
+            method,
+            inputs: [outer_node, inner_node],
+        } => {
+            let outer = walk(outer_node, model, graph, classes);
+            let inner = walk(inner_node, model, graph, classes);
+            let (oset, iset) = (outer_node.set, inner_node.set);
             let out_rows = est.rows_for_set(graph, oset | iset);
             // The merge class is the plan node's recorded ordering (if
             // merge), else any crossing class.

@@ -37,12 +37,9 @@
 use std::sync::Arc;
 
 use sdp_catalog::{ColId, RelId};
-use sdp_core::{
-    Algorithm, Children, DegradeReason, EnumeratorKind, NodeCounter, PlanNode, PlanOp, Rung,
-    SdpConfig,
-};
+use sdp_core::{Algorithm, DegradeReason, EnumeratorKind, PlanNode, PlanOp, Rung, SdpConfig};
 use sdp_cost::JoinMethod;
-use sdp_query::{ColRef, JoinEdge, JoinGraph, PredOp, Predicate, Query, RelSet};
+use sdp_query::{ClassId, ColRef, JoinEdge, JoinGraph, PredOp, Predicate, Query, RelSet};
 
 use crate::StoreError;
 
@@ -364,7 +361,7 @@ fn encode_node(w: &mut Writer, node: &PlanNode) {
     match node.op {
         PlanOp::SeqScan { rel, node: idx } => {
             w.u32(rel.0);
-            w.u16(idx as u16);
+            w.u16(idx);
         }
         PlanOp::IndexScan {
             rel,
@@ -372,11 +369,11 @@ fn encode_node(w: &mut Writer, node: &PlanNode) {
             col,
         } => {
             w.u32(rel.0);
-            w.u16(idx as u16);
+            w.u16(idx);
             w.u16(col.0);
         }
-        PlanOp::Join { method } => w.u8(method.stable_tag()),
-        PlanOp::Sort { class } => w.u32(class),
+        PlanOp::Join { method, .. } => w.u8(method.stable_tag()),
+        PlanOp::Sort { class, .. } => w.u32(class),
     }
     w.u64(node.set.0);
     w.f64_bits(node.rows);
@@ -385,32 +382,40 @@ fn encode_node(w: &mut Writer, node: &PlanNode) {
         None => u64::MAX,
         Some(class) => class as u64,
     });
-    w.u8(node.children.len() as u8);
-    for child in &node.children {
+    let children = node.children();
+    w.u8(children.len() as u8);
+    for child in children {
         encode_node(w, child);
     }
 }
 
-fn decode_node(r: &mut Reader<'_>, counter: &NodeCounter) -> Result<Arc<PlanNode>, StoreError> {
+/// An operator as a node's bytes open with it: its inputs come last.
+enum OpHead {
+    Scan(PlanOp),
+    Join(JoinMethod),
+    Sort(ClassId),
+}
+
+fn decode_node(r: &mut Reader<'_>) -> Result<Arc<PlanNode>, StoreError> {
     let tag = r.u8()?;
-    let op = match tag {
-        1 => PlanOp::SeqScan {
+    let head = match tag {
+        1 => OpHead::Scan(PlanOp::SeqScan {
             rel: RelId(r.u32()?),
-            node: r.u16()? as usize,
-        },
-        2 => PlanOp::IndexScan {
+            node: r.u16()?,
+        }),
+        2 => OpHead::Scan(PlanOp::IndexScan {
             rel: RelId(r.u32()?),
-            node: r.u16()? as usize,
+            node: r.u16()?,
             col: ColId(r.u16()?),
-        },
+        }),
         3 => {
             let m = r.u8()?;
-            PlanOp::Join {
-                method: JoinMethod::from_stable_tag(m)
+            OpHead::Join(
+                JoinMethod::from_stable_tag(m)
                     .ok_or_else(|| StoreError::Codec(format!("unknown join-method tag {m}")))?,
-            }
+            )
         }
-        4 => PlanOp::Sort { class: r.u32()? },
+        4 => OpHead::Sort(r.u32()?),
         other => {
             return Err(StoreError::Codec(format!("unknown plan-op tag {other}")));
         }
@@ -432,17 +437,29 @@ fn decode_node(r: &mut Reader<'_>, counter: &NodeCounter) -> Result<Arc<PlanNode
             "implausible node estimates (rows {rows}, cost {cost})"
         )));
     }
-    let children = match r.u8()? {
-        0 => Children::Leaf,
-        1 => Children::Unary([decode_node(r, counter)?]),
-        2 => Children::Binary([decode_node(r, counter)?, decode_node(r, counter)?]),
-        n => {
-            return Err(StoreError::Codec(format!("implausible child count {n}")));
-        }
+    let children = r.u8()?;
+    let arity = match head {
+        OpHead::Scan(_) => 0,
+        OpHead::Sort(_) => 1,
+        OpHead::Join(_) => 2,
     };
-    Ok(PlanNode::new(
-        counter, op, set, rows, cost, ordering, children,
-    ))
+    if children != arity {
+        return Err(StoreError::Codec(format!(
+            "{children} children under plan-op tag {tag}"
+        )));
+    }
+    let op = match head {
+        OpHead::Scan(op) => op,
+        OpHead::Join(method) => PlanOp::Join {
+            method,
+            inputs: [decode_node(r)?, decode_node(r)?],
+        },
+        OpHead::Sort(class) => PlanOp::Sort {
+            class,
+            input: [decode_node(r)?],
+        },
+    };
+    Ok(PlanNode::new(op, set, rows, cost, ordering))
 }
 
 /// Read the pair-generation tag byte both record kinds carry. Only
@@ -481,11 +498,12 @@ pub fn encode_plan(record: &PlanRecord) -> Vec<u8> {
     w.finish()
 }
 
-/// Decode a plan record. The plan tree is rebuilt under a fresh
-/// [`NodeCounter`] (persisted plans do not charge any optimization
-/// run's memory model), and the embedded structural digest is
-/// re-checked so a corrupt-but-CRC-valid or version-skewed payload
-/// cannot smuggle in a mutated plan.
+/// Decode a plan record. The embedded structural digest is re-checked
+/// so a corrupt-but-CRC-valid or version-skewed payload cannot smuggle
+/// in a mutated plan, and so are the tree's invariants
+/// ([`PlanNode::check_invariants`]): the decoder refuses a tree the
+/// optimizer could not have served, a node's arity and a scan's node
+/// index included.
 pub fn decode_plan(payload: &[u8]) -> Result<PlanRecord, StoreError> {
     let mut r = Reader::new(payload);
     check_version(&mut r)?;
@@ -505,14 +523,15 @@ pub fn decode_plan(payload: &[u8]) -> Result<PlanRecord, StoreError> {
     let cost = r.f64_bits()?;
     let rows = r.f64_bits()?;
     let digest = r.u64()?;
-    let counter = NodeCounter::new();
-    let root = decode_node(&mut r, &counter)?;
+    let root = decode_node(&mut r)?;
     r.finish()?;
     if root.structural_digest() != digest {
         return Err(StoreError::Codec(
             "plan digest mismatch after decode".to_string(),
         ));
     }
+    root.check_invariants()
+        .map_err(|e| StoreError::Codec(format!("decoded plan is malformed: {e}")))?;
     Ok(PlanRecord {
         fingerprint,
         stats_epoch,
@@ -802,26 +821,17 @@ pub fn decode_dlq(payload: &[u8]) -> Result<DlqRecord, StoreError> {
 mod tests {
     use super::*;
 
-    fn scan(counter: &NodeCounter, node: usize) -> Arc<PlanNode> {
-        PlanNode::new(
-            counter,
-            PlanOp::SeqScan {
-                rel: RelId(node as u32),
-                node,
-            },
-            RelSet::single(node),
-            100.0,
-            3.5,
-            None,
-            Children::Leaf,
-        )
+    fn scan(node: u16) -> Arc<PlanNode> {
+        let op = PlanOp::SeqScan {
+            rel: RelId(u32::from(node)),
+            node,
+        };
+        PlanNode::new(op, RelSet::single(usize::from(node)), 100.0, 3.5, None)
     }
 
     fn sample_plan() -> PlanRecord {
-        let c = NodeCounter::new();
-        let left = scan(&c, 0);
+        let left = scan(0);
         let right = PlanNode::new(
-            &c,
             PlanOp::IndexScan {
                 rel: RelId(7),
                 node: 1,
@@ -831,27 +841,27 @@ mod tests {
             40.0,
             1.25,
             Some(5),
-            Children::Leaf,
         );
+        let set = left.set | right.set;
         let join = PlanNode::new(
-            &c,
             PlanOp::Join {
                 method: JoinMethod::Merge,
+                inputs: [left, right],
             },
-            left.set | right.set,
+            set,
             60.0,
             9.75,
             Some(5),
-            Children::Binary([left, right]),
         );
         let root = PlanNode::new(
-            &c,
-            PlanOp::Sort { class: 3 },
-            join.set,
+            PlanOp::Sort {
+                class: 3,
+                input: [join],
+            },
+            set,
             60.0,
             12.0,
             Some(3),
-            Children::Unary([join]),
         );
         PlanRecord {
             fingerprint: 0xdead_beef_0123_4567_89ab_cdef_0011_2233,
@@ -1095,10 +1105,151 @@ mod tests {
     fn more_than_two_children_is_a_codec_error() {
         // A leaf's child count is the last byte of its encoding.
         let mut w = Writer::new();
-        encode_node(&mut w, &scan(&NodeCounter::new(), 0));
+        encode_node(&mut w, &scan(0));
         *w.0.last_mut().unwrap() = 3;
-        let err = decode_node(&mut Reader::new(&w.0), &NodeCounter::new()).unwrap_err();
+        let err = decode_node(&mut Reader::new(&w.0)).unwrap_err();
         assert!(matches!(err, StoreError::Codec(_)), "{err}");
+    }
+
+    /// A plan node as bytes, whatever the plan types can hold: an
+    /// operator tag (1 scan, 3 hash join, 4 sort), its argument (the
+    /// scan's node index, the sort's class), the relation set, and the
+    /// children.
+    struct RawNode {
+        tag: u8,
+        arg: u16,
+        set: u64,
+        ordering: Option<u32>,
+        children: Vec<RawNode>,
+    }
+
+    impl RawNode {
+        fn scan(node: u16, set: u64) -> Self {
+            RawNode {
+                tag: 1,
+                arg: node,
+                set,
+                ordering: None,
+                children: Vec::new(),
+            }
+        }
+
+        fn with(tag: u8, arg: u16, set: u64, children: Vec<RawNode>) -> Self {
+            let ordering = (tag == 4).then_some(u32::from(arg));
+            RawNode {
+                tag,
+                arg,
+                set,
+                ordering,
+                children,
+            }
+        }
+
+        /// `PlanNode::structural_digest`, from the bytes' fields.
+        fn digest(&self) -> u64 {
+            let arg = match self.tag {
+                3 => u64::from(JoinMethod::Hash.stable_tag()),
+                _ => u64::from(self.arg),
+            };
+            let op_words = match self.tag {
+                1 => [1, 0, arg, 0],
+                tag => [u64::from(tag), arg, 0, 0],
+            };
+            let mut h = sdp_query::canon::StableHasher::new(0x70_6c_61_6e);
+            for word in op_words {
+                h.write_u64(word);
+            }
+            h.write_u64(self.set);
+            h.write_u64(1.0f64.to_bits());
+            h.write_u64(self.cost().to_bits());
+            h.write_u64(self.ordering.map_or(u64::MAX, u64::from));
+            h.write_u64(self.children.len() as u64);
+            for c in &self.children {
+                h.write_u64(c.digest());
+            }
+            h.finish()
+        }
+
+        /// One per node: no join costs less than its inputs.
+        fn cost(&self) -> f64 {
+            1.0 + self.children.iter().map(RawNode::cost).sum::<f64>()
+        }
+
+        fn encode(&self, w: &mut Writer) {
+            w.u8(self.tag);
+            match self.tag {
+                1 => {
+                    w.u32(0);
+                    w.u16(self.arg);
+                }
+                3 => w.u8(JoinMethod::Hash.stable_tag()),
+                _ => w.u32(u32::from(self.arg)),
+            }
+            w.u64(self.set);
+            w.f64_bits(1.0);
+            w.f64_bits(self.cost());
+            w.u64(self.ordering.map_or(u64::MAX, u64::from));
+            w.u8(self.children.len() as u8);
+            for c in &self.children {
+                c.encode(w);
+            }
+        }
+
+        /// A plan record around the node, carrying its digest.
+        fn payload(&self) -> Vec<u8> {
+            let mut w = Writer::new();
+            w.u8(CODEC_VERSION);
+            w.u128(7);
+            w.u64(0);
+            w.u8(Rung::Sdp.stable_tag());
+            w.u8(EnumeratorKind::LevelScan.stable_tag());
+            w.str("algo_repr", "SDP").unwrap();
+            w.str("strategy", "SDP").unwrap();
+            w.u64(0);
+            w.f64_bits(self.cost());
+            w.f64_bits(1.0);
+            w.u64(self.digest());
+            self.encode(&mut w);
+            w.finish()
+        }
+    }
+
+    #[test]
+    fn a_plan_the_optimizer_could_not_serve_is_a_codec_error() {
+        use RawNode as N;
+        let join = |set, children| N::with(3, 0, set, children);
+        // The bytes are well formed: a valid tree decodes.
+        let valid = join(0b11, vec![N::scan(0, 0b1), N::scan(1, 0b10)]);
+        let decoded = decode_plan(&valid.payload()).unwrap();
+        assert_eq!(decoded.root.structural_digest(), valid.digest());
+
+        let malformed = [
+            (
+                "a scan with an input",
+                N::with(1, 0, 0b1, vec![N::scan(1, 0b10)]),
+            ),
+            ("a join with one input", join(0b1, vec![N::scan(0, 0b1)])),
+            (
+                "a sort with two inputs",
+                N::with(4, 2, 0b11, vec![N::scan(0, 0b1), N::scan(1, 0b10)]),
+            ),
+            ("a scan of node 64", N::scan(64, 0)),
+            ("a scan of node 65 535", N::scan(u16::MAX, 1 << 63)),
+            (
+                "a join over more than its inputs",
+                join(0b111, vec![N::scan(0, 0b1), N::scan(1, 0b10)]),
+            ),
+            (
+                "overlapping join inputs",
+                join(0b1, vec![N::scan(0, 0b1), N::scan(0, 0b1)]),
+            ),
+        ];
+        for (what, root) in malformed {
+            match decode_plan(&root.payload()) {
+                Err(StoreError::Codec(_)) => {}
+                other => panic!("{what}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -429,7 +429,7 @@ mod tests {
     use std::sync::Arc;
 
     use sdp_catalog::RelId;
-    use sdp_core::{Children, EnumeratorKind, NodeCounter, PlanNode, PlanOp, Rung};
+    use sdp_core::{EnumeratorKind, PlanNode, PlanOp, Rung};
     use sdp_query::RelSet;
 
     use super::*;
@@ -441,19 +441,11 @@ mod tests {
     }
 
     fn record(fingerprint: u128, epoch: u64, cost: f64) -> PlanRecord {
-        let counter = NodeCounter::new();
-        let root = PlanNode::new(
-            &counter,
-            PlanOp::SeqScan {
-                rel: RelId(0),
-                node: 0,
-            },
-            RelSet::single(0),
-            10.0,
-            cost,
-            None,
-            Children::Leaf,
-        );
+        let op = PlanOp::SeqScan {
+            rel: RelId(0),
+            node: 0,
+        };
+        let root = PlanNode::new(op, RelSet::single(0), 10.0, cost, None);
         PlanRecord {
             fingerprint,
             stats_epoch: epoch,

@@ -320,6 +320,35 @@ fn an_optimization_stays_under_its_allocation_budget() {
 }
 
 #[test]
+fn a_served_plan_keeps_72_bytes_a_node() {
+    // What the service caches is the plan. Once its run is gone, each
+    // node is one `Arc` allocation — a node of at most 56 bytes and the
+    // `Arc`'s two counts — and nothing of the run stays with it.
+    const SLACK: i64 = 64;
+    let catalog = Catalog::paper();
+    let optimizer = Optimizer::new(&catalog);
+    let generator = QueryGenerator::new(&catalog, Topology::star_chain(23), 7);
+    let sdp = Algorithm::Sdp(SdpConfig::paper());
+    // A first run settles whatever the process initializes once.
+    drop(optimizer.optimize(&generator.instance(0), sdp).unwrap());
+    for k in 0..4 {
+        let query = generator.instance(k);
+        let before = LIVE_BYTES.with(Cell::get);
+        let root = optimizer.optimize(&query, sdp).unwrap().root;
+        let kept = LIVE_BYTES.with(Cell::get) - before;
+        let nodes = root.node_count() as i64;
+        println!(
+            "Star-Chain-23 SDP #{k}: {kept} B kept by a plan of {nodes} nodes ({:.1} B a node)",
+            kept as f64 / nodes as f64
+        );
+        assert!(
+            kept <= 72 * nodes + SLACK,
+            "#{k}: {kept} B kept by {nodes} nodes"
+        );
+    }
+}
+
+#[test]
 fn a_latency_sample_under_a_known_label_does_not_allocate() {
     // The service files every fresh enumeration's time under its
     // strategy and its rung: a label the tables hold already costs no

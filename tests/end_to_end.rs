@@ -1,6 +1,8 @@
 //! Cross-crate integration: catalog → workload → optimizer → plan,
 //! for every algorithm and topology combination.
 
+use std::sync::{Arc, Weak};
+
 use sdp::prelude::*;
 
 fn all_algorithms() -> Vec<Algorithm> {
@@ -132,22 +134,54 @@ fn skewed_catalog_full_pipeline() {
     assert!(sdp.cost / dp.cost < 2.0, "SDP not good on skewed data");
 }
 
+/// Weak handles to every node of a plan tree.
+fn weak_nodes(node: &Arc<sdp::core::PlanNode>, out: &mut Vec<Weak<sdp::core::PlanNode>>) {
+    out.push(Arc::downgrade(node));
+    node.children().iter().for_each(|c| weak_nodes(c, out));
+}
+
 #[test]
 fn plan_memory_is_reclaimed_after_runs() {
     let catalog = Catalog::paper();
     let optimizer = Optimizer::new(&catalog);
-    let query = QueryGenerator::new(&catalog, Topology::Star(8), 4).instance(0);
-    let plan = optimizer
-        .optimize(&query, Algorithm::Sdp(SdpConfig::paper()))
-        .unwrap();
-    // The run's node counter outlives the plan; once the returned
-    // tree is dropped, every node of the run must be gone.
-    let counter = plan.root.counter();
-    assert!(counter.live() > 0, "returned plan holds live nodes");
-    drop(plan);
-    assert_eq!(
-        counter.live(),
-        0,
-        "plan nodes leaked after dropping the result"
-    );
+    let generator = QueryGenerator::new(&catalog, Topology::Star(8), 4);
+    let mut served = Vec::new();
+    // Ordered too, so that some plans have a root sort no memo held.
+    for query in [generator.instance(0), generator.ordered_instance(0)] {
+        for algorithm in [
+            Algorithm::Dp,
+            Algorithm::Sdp(SdpConfig::paper()),
+            Algorithm::Idp { k: 4 },
+            Algorithm::Goo,
+        ] {
+            let plan = optimizer.optimize(&query, algorithm).unwrap();
+            served.push((algorithm.label(), plan.root));
+        }
+    }
+    // A governed handoff: DP under a budget it cannot meet hands its
+    // base groups down the ladder.
+    let generator = QueryGenerator::new(&catalog, Topology::star_chain(7), 0xBEEF);
+    let governor = Governor::new().with_memory_budget(192 << 10);
+    let governed = (0..8)
+        .map(|k| {
+            let query = generator.instance(k);
+            optimizer.optimize_governed(&query, Algorithm::Dp, &governor)
+        })
+        .map(Result::unwrap)
+        .find(GovernedPlan::degraded)
+        .expect("a run descends the ladder");
+    served.push(("governed".to_string(), governed.plan.root));
+
+    // The run is over and holds nothing: once the served tree is
+    // dropped, every node of it is gone.
+    for (label, root) in served {
+        let mut weak = Vec::new();
+        weak_nodes(&root, &mut weak);
+        assert_eq!(weak.len(), root.node_count());
+        drop(root);
+        assert!(
+            weak.iter().all(|w| w.upgrade().is_none()),
+            "{label}: plan nodes leaked after dropping the result"
+        );
+    }
 }
