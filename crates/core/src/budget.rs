@@ -15,8 +15,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::plan::NodeCounter;
-
 /// Paper-equivalent bytes charged per live memo group.
 ///
 /// Calibrated (together with [`NODE_MODEL_BYTES`]) so that the paper's
@@ -133,7 +131,6 @@ impl Budget {
 pub struct MemoryModel {
     budget: Budget,
     start: Instant,
-    nodes: NodeCounter,
     live_groups: u64,
     peak_bytes: u64,
     /// Cooperative cancellation flag shared with the caller's
@@ -148,14 +145,13 @@ pub struct MemoryModel {
 }
 
 impl MemoryModel {
-    /// Start tracking. `nodes` is the run's live-node counter — fresh
-    /// per run, so plans owned by the caller (from earlier runs) are
-    /// not charged.
-    pub fn new(budget: Budget, nodes: NodeCounter) -> Self {
+    /// Start tracking. The live-node count is the run's memo's
+    /// ([`crate::Memo::live_nodes`]), passed to every reading, so plans
+    /// owned by the caller (from earlier runs) are not charged.
+    pub fn new(budget: Budget) -> Self {
         MemoryModel {
             budget,
             start: Instant::now(),
-            nodes,
             live_groups: 0,
             peak_bytes: 0,
             cancel: None,
@@ -176,9 +172,9 @@ impl MemoryModel {
         self.live_groups = self.live_groups.saturating_sub(n);
     }
 
-    /// Current model bytes in use.
-    pub fn used_bytes(&self) -> u64 {
-        self.live_groups * GROUP_MODEL_BYTES + self.nodes.live() * NODE_MODEL_BYTES
+    /// Current model bytes in use, with `live_nodes` plan nodes alive.
+    pub fn used_bytes(&self, live_nodes: u64) -> u64 {
+        self.live_groups * GROUP_MODEL_BYTES + live_nodes * NODE_MODEL_BYTES
     }
 
     /// Peak model bytes observed so far.
@@ -237,10 +233,11 @@ impl MemoryModel {
                 .is_some_and(|c| c.load(Ordering::Relaxed))
     }
 
-    /// Check the budget; updates the peak. Call once per enumeration
-    /// batch (checking per-plan would be wasteful).
-    pub fn check(&mut self) -> Result<(), OptError> {
-        let used = self.used_bytes();
+    /// Check the budget with `live_nodes` plan nodes alive; updates the
+    /// peak. Call once per enumeration batch (checking per-plan would be
+    /// wasteful).
+    pub fn check(&mut self, live_nodes: u64) -> Result<(), OptError> {
+        let used = self.used_bytes(live_nodes);
         self.peak_bytes = self.peak_bytes.max(used);
         if self.cancelled() {
             return Err(OptError::Cancelled);
@@ -267,7 +264,7 @@ impl MemoryModel {
     /// happen twice per DP level — once the level is costed, before its
     /// verdict drops anything, and after the verdict — so the counter is
     /// a deterministic logical clock.
-    pub fn barrier_check(&mut self) -> Result<(), OptError> {
+    pub fn barrier_check(&mut self, live_nodes: u64) -> Result<(), OptError> {
         self.barriers += 1;
         #[cfg(feature = "testkit")]
         if let Some(faults) = &self.faults {
@@ -279,7 +276,7 @@ impl MemoryModel {
                 std::thread::sleep(delay);
             }
         }
-        self.check()
+        self.check(live_nodes)
     }
 }
 
@@ -295,13 +292,13 @@ mod tests {
 
     #[test]
     fn memory_model_counts_groups() {
-        let mut m = MemoryModel::new(Budget::unlimited(), NodeCounter::new());
-        assert_eq!(m.used_bytes(), 0);
+        let mut m = MemoryModel::new(Budget::unlimited());
+        assert_eq!(m.used_bytes(0), 0);
         m.add_groups(10);
-        assert_eq!(m.used_bytes(), 10 * GROUP_MODEL_BYTES);
+        assert_eq!(m.used_bytes(0), 10 * GROUP_MODEL_BYTES);
         m.remove_groups(4);
-        assert_eq!(m.used_bytes(), 6 * GROUP_MODEL_BYTES);
-        assert!(m.check().is_ok());
+        assert_eq!(m.used_bytes(0), 6 * GROUP_MODEL_BYTES);
+        assert!(m.check(0).is_ok());
         assert_eq!(m.peak_bytes(), 6 * GROUP_MODEL_BYTES);
     }
 
@@ -312,7 +309,7 @@ mod tests {
         use sdp_catalog::RelId;
         use sdp_query::RelSet;
         let mut memo = Memo::new();
-        let m = MemoryModel::new(Budget::unlimited(), memo.node_counter().clone());
+        let m = MemoryModel::new(Budget::unlimited());
         let set = RelSet::single(0);
         let op = PlanOp::SeqScan {
             rel: RelId(0),
@@ -321,16 +318,16 @@ mod tests {
         let mut group = Group::new(set, 1.0, 1.0, 8.0, EdgeWords::default());
         group.add_plan(PlanNode::new(op, set, 1.0, 1.0, None), memo.built_mut());
         memo.insert(group);
-        assert_eq!(m.used_bytes(), NODE_MODEL_BYTES);
+        assert_eq!(m.used_bytes(memo.live_nodes()), NODE_MODEL_BYTES);
         memo.remove(set);
-        assert_eq!(m.used_bytes(), 0);
+        assert_eq!(m.used_bytes(memo.live_nodes()), 0);
     }
 
     #[test]
     fn budget_trips_on_memory() {
-        let mut m = MemoryModel::new(Budget::with_memory(GROUP_MODEL_BYTES), NodeCounter::new());
+        let mut m = MemoryModel::new(Budget::with_memory(GROUP_MODEL_BYTES));
         m.add_groups(2);
-        match m.check() {
+        match m.check(0) {
             Err(OptError::MemoryExhausted { used_bytes, .. }) => {
                 assert_eq!(used_bytes, 2 * GROUP_MODEL_BYTES)
             }
@@ -340,62 +337,59 @@ mod tests {
 
     #[test]
     fn budget_trips_on_time() {
-        let mut m = MemoryModel::new(
-            Budget {
-                max_model_bytes: u64::MAX,
-                max_elapsed: Duration::from_nanos(1),
-            },
-            NodeCounter::new(),
-        );
+        let mut m = MemoryModel::new(Budget {
+            max_model_bytes: u64::MAX,
+            max_elapsed: Duration::from_nanos(1),
+        });
         std::thread::sleep(Duration::from_millis(2));
-        assert!(matches!(m.check(), Err(OptError::TimedOut { .. })));
+        assert!(matches!(m.check(0), Err(OptError::TimedOut { .. })));
     }
 
     #[test]
     fn cancel_flag_trips_checks_until_acknowledged() {
-        let mut m = MemoryModel::new(Budget::unlimited(), NodeCounter::new());
+        let mut m = MemoryModel::new(Budget::unlimited());
         let flag = Arc::new(AtomicBool::new(false));
         m.set_cancel_flag(Arc::clone(&flag));
-        assert!(m.check().is_ok());
+        assert!(m.check(0).is_ok());
         flag.store(true, Ordering::Relaxed);
-        assert_eq!(m.check(), Err(OptError::Cancelled));
+        assert_eq!(m.check(0), Err(OptError::Cancelled));
         m.acknowledge_cancel();
-        assert!(m.check().is_ok(), "acknowledged cancel no longer trips");
+        assert!(m.check(0).is_ok(), "acknowledged cancel no longer trips");
     }
 
     #[test]
     fn barrier_check_ticks_the_logical_clock() {
-        let mut m = MemoryModel::new(Budget::unlimited(), NodeCounter::new());
+        let mut m = MemoryModel::new(Budget::unlimited());
         assert_eq!(m.barriers(), 0);
-        assert!(m.barrier_check().is_ok());
-        assert!(m.barrier_check().is_ok());
+        assert!(m.barrier_check(0).is_ok());
+        assert!(m.barrier_check(0).is_ok());
         assert_eq!(m.barriers(), 2);
         // Plain checks do not tick the clock.
-        assert!(m.check().is_ok());
+        assert!(m.check(0).is_ok());
         assert_eq!(m.barriers(), 2);
     }
 
     #[test]
     fn set_budget_swaps_limits_mid_run() {
-        let mut m = MemoryModel::new(Budget::unlimited(), NodeCounter::new());
+        let mut m = MemoryModel::new(Budget::unlimited());
         m.add_groups(4);
-        assert!(m.check().is_ok());
+        assert!(m.check(0).is_ok());
         m.set_budget(Budget::with_memory(GROUP_MODEL_BYTES));
-        assert!(matches!(m.check(), Err(OptError::MemoryExhausted { .. })));
+        assert!(matches!(m.check(0), Err(OptError::MemoryExhausted { .. })));
         m.set_budget(Budget::unlimited());
-        assert!(m.check().is_ok());
+        assert!(m.check(0).is_ok());
         assert_eq!(m.budget().max_model_bytes, u64::MAX);
     }
 
     #[cfg(feature = "testkit")]
     #[test]
     fn fault_plan_shrinks_budget_at_its_barrier() {
-        let mut m = MemoryModel::new(Budget::unlimited(), NodeCounter::new());
+        let mut m = MemoryModel::new(Budget::unlimited());
         m.set_fault_plan(sdp_testkit::FaultPlan::new().shrink_memory_at(2, 0));
         m.add_groups(1);
-        assert!(m.barrier_check().is_ok(), "barrier 1 is unscheduled");
+        assert!(m.barrier_check(0).is_ok(), "barrier 1 is unscheduled");
         assert!(
-            matches!(m.barrier_check(), Err(OptError::MemoryExhausted { .. })),
+            matches!(m.barrier_check(0), Err(OptError::MemoryExhausted { .. })),
             "barrier 2 shrinks the budget to zero"
         );
     }

@@ -19,8 +19,7 @@ use crate::budget::{Budget, MemoryModel, OptError};
 use crate::dp::LevelTable;
 use crate::fx::FxHashMap;
 use crate::memo::{dominates, BuiltNodes, EdgeWords, Group, Memo, PlanEntry, PlanSource};
-use crate::plan::{NodeCounter, PlanNode, PlanOp};
-#[cfg(feature = "trace")]
+use crate::plan::{PlanNode, PlanOp};
 use sdp_trace::{Event, Tracer};
 
 /// Ceiling on estimated rows, guarding incremental multiplication
@@ -201,9 +200,9 @@ pub(crate) struct LevelStage {
     deferred: Vec<DeferredPair>,
     /// One JCR's deferred pairs, last to first, while it is costed.
     chain: Vec<u32>,
-    /// When tracing: `Tracer::wall_micros` at each record's staging,
-    /// for the `jcr` event the barrier emits on its behalf.
-    #[cfg(feature = "trace")]
+    /// When the tracer is enabled: `Tracer::wall_micros` at each
+    /// record's staging, for the `jcr` event the barrier emits on its
+    /// behalf.
     staged_micros: Vec<u64>,
 }
 
@@ -245,7 +244,6 @@ impl LevelStage {
         self.defer = defer;
         self.wide.clear();
         self.costing = Costing::default();
-        #[cfg(feature = "trace")]
         self.staged_micros.clear();
     }
 }
@@ -476,7 +474,6 @@ pub struct EnumContext<'a> {
     classes: EquivClasses,
     tables: RunTables,
     order_target: Option<ClassId>,
-    nodes: NodeCounter,
     /// The memo of JCR groups.
     pub memo: Memo,
     /// The memo groups' edge-set words past the first (`Group::wide_at`).
@@ -507,7 +504,6 @@ pub struct EnumContext<'a> {
     /// Strategy label stamped on profile rows (set by the dispatcher).
     phase: &'static str,
     /// Structured-trace emission handle (disabled unless installed).
-    #[cfg(feature = "trace")]
     tracer: Tracer,
 }
 
@@ -535,16 +531,14 @@ impl<'a> EnumContext<'a> {
         let order_target = query
             .interesting_order()
             .and_then(|o| classes.class_of(o.column));
-        let nodes = NodeCounter::new();
         EnumContext {
             query,
             model,
             classes,
             tables,
             order_target,
-            memory: MemoryModel::new(budget, nodes.clone()),
-            memo: Memo::for_relations(query.graph.len(), nodes.clone()),
-            nodes,
+            memory: MemoryModel::new(budget),
+            memo: Memo::for_relations(query.graph.len()),
             wide: Vec::new(),
             #[cfg(test)]
             sort_costs: 0,
@@ -557,7 +551,6 @@ impl<'a> EnumContext<'a> {
             contractions: 0,
             profile: Vec::new(),
             phase: "",
-            #[cfg(feature = "trace")]
             tracer: Tracer::disabled(),
         }
     }
@@ -590,19 +583,12 @@ impl<'a> EnumContext<'a> {
         self.order_target
     }
 
-    /// The run's live plan-node counter.
-    pub fn node_counter(&self) -> NodeCounter {
-        self.nodes.clone()
-    }
-
     /// Install the structured-trace emission handle for this run.
-    #[cfg(feature = "trace")]
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
     /// The run's trace handle (disabled unless one was installed).
-    #[cfg(feature = "trace")]
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -792,14 +778,13 @@ impl<'a> EnumContext<'a> {
             let (group, built) = self.memo.get_mut_with_built(set).expect("group present");
             let charged = group.charged();
             group.add_plan(sort, built);
-            self.nodes.release(charged - group.charged());
+            built.release(charged - group.charged());
         } else {
             // Entries are named, not positioned: whatever the enforcer
             // evicts, `best` keeps its id.
             let source = PlanSource::Sort { input: best.id() };
-            self.nodes.charge(1);
+            built.charge(1);
             Self::reoffer(
-                &self.nodes,
                 (group, built),
                 &[PlanEntry::new(cost, Some(target), source)],
             );
@@ -920,9 +905,10 @@ impl<'a> EnumContext<'a> {
         let mut costing = Costing::default();
         self.cost_pair(ga, gb, &mut jcr, &mut costing);
         self.plans_costed += costing.plans_costed;
+        self.memo.built_mut().charge(jcr.charged());
         match self.memo.get_mut_with_built(a | b) {
             Some(target) => {
-                Self::reoffer(&self.nodes, target, jcr.entries());
+                Self::reoffer(target, jcr.entries());
                 false
             }
             None => {
@@ -1036,9 +1022,9 @@ impl<'a> EnumContext<'a> {
     /// scratch groups, which never enter the memo and build no node —
     /// what GOO would serve from there, at the cost of its joins' plan
     /// records alone. The greedy's plans count towards `plans_costed`;
-    /// its records give back their node count as they are dropped, and
-    /// its edge words their room in the side table, so the run goes on
-    /// as if it had not been.
+    /// its records are never counted as live nodes, and its edge words
+    /// give back their room in the side table, so the run goes on as if
+    /// it had not been.
     pub(crate) fn incumbent(&mut self, start: RelSet) -> (f64, u64) {
         fn group<'m>(memo: &'m Memo, part: &'m Part) -> &'m Group {
             match part {
@@ -1046,13 +1032,6 @@ impl<'a> EnumContext<'a> {
                 Part::Joined(group) => group,
             }
         }
-        let nodes = self.nodes.clone();
-        let drop_part = |part: Part| {
-            if let Part::Joined(group) = part {
-                nodes.release(group.charged());
-            }
-        };
-
         let wide_len = self.wide.len();
         let mut costing = Costing::default();
         // The components' buffer outlives the call: a run completes
@@ -1075,15 +1054,15 @@ impl<'a> EnumContext<'a> {
             self.cost_pair(a, b, &mut jcr, &mut costing);
             jcr.sort_cost = self.model.sort_cost(jcr.rows, jcr.width);
             move_wide(&mut jcr, wide.len(), &wide, &mut self.wide);
-            drop_part(parts.swap_remove(j));
-            drop_part(std::mem::replace(&mut parts[i], Part::Joined(jcr)));
+            parts.swap_remove(j);
+            parts[i] = Part::Joined(jcr);
         }
 
         // The root, as `finalize` serves it.
         let (entry, sort) = self.served_root(group(&self.memo, &parts[0]));
         let cost = sort.map_or(entry.cost, |(_, cost)| cost);
         let plans_costed = costing.plans_costed + u64::from(self.order_target.is_some());
-        parts.drain(..).for_each(drop_part);
+        parts.clear();
         self.greedy_parts = parts;
         self.wide.truncate(wide_len);
         self.plans_costed += plans_costed;
@@ -1095,7 +1074,8 @@ impl<'a> EnumContext<'a> {
     /// to `jcr` (which covers `a ∪ b`), within `costing`'s bound and on
     /// its account. Everything a method's cost owes to the two JCRs
     /// rather than to the plans chosen from them is computed here, once
-    /// per pair and orientation.
+    /// per pair and orientation. It counts no node: the caller settles
+    /// what `jcr` retained and evicted with the live-node count.
     fn cost_pair(&self, a: &Group, b: &Group, jcr: &mut Group, costing: &mut Costing) {
         debug_assert!(a.set.is_disjoint(b.set));
         let facts = self.pair_facts(a, b);
@@ -1113,20 +1093,10 @@ impl<'a> EnumContext<'a> {
                 params,
             )
         };
-        let staged_before = jcr.entries().len();
         let a_b = terms(&side_a, &side_b, facts.b_index);
         self.cost_orientation(a, b, &a_b, classes, jcr, costing);
         let b_a = terms(&side_b, &side_a, facts.a_index);
         self.cost_orientation(b, a, &b_a, classes, jcr, costing);
-        // +1 per entry retained, −1 per entry evicted: between pairs
-        // the live-node count is that of an optimizer building every
-        // retained plan.
-        let staged = jcr.entries().len();
-        if staged >= staged_before {
-            self.nodes.charge(staged - staged_before);
-        } else {
-            self.nodes.release(staged_before - staged);
-        }
     }
 
     /// Cost all methods for a fixed (outer, inner) orientation,
@@ -1226,7 +1196,6 @@ impl<'a> EnumContext<'a> {
                     group: self.new_union_group(ga, gb, &mut stage.wide),
                     deferred: NO_PAIR,
                 };
-                #[cfg(feature = "trace")]
                 if self.tracer.enabled() {
                     stage.staged_micros.push(self.tracer.wall_micros());
                 }
@@ -1244,7 +1213,9 @@ impl<'a> EnumContext<'a> {
             });
             jcr.deferred = pair;
         } else {
+            let held = jcr.group.charged();
             self.cost_pair(ga, gb, &mut jcr.group, &mut stage.costing);
+            self.memo.built_mut().recharge(held, jcr.group.charged());
         }
     }
 
@@ -1300,7 +1271,6 @@ impl<'a> EnumContext<'a> {
     /// the `jcr` event of every JCR the level created — only now, so
     /// that a mid-level budget trip leaves no trace of the rolled-back
     /// level.
-    #[cfg(feature = "trace")]
     pub(crate) fn emit_staged(&self, stage: &LevelStage) {
         for (jcr, &micros) in stage.jcrs.iter().zip(&stage.staged_micros) {
             let set = jcr.group.set;
@@ -1315,17 +1285,13 @@ impl<'a> EnumContext<'a> {
     /// Offer entries retained (and charged for) elsewhere to `target`, a
     /// memo group beside the memo's built nodes, in order, and release
     /// what it does not keep of them and of its own.
-    fn reoffer(
-        nodes: &NodeCounter,
-        (target, built): (&mut Group, &mut BuiltNodes),
-        offers: &[PlanEntry],
-    ) {
+    fn reoffer((target, built): (&mut Group, &mut BuiltNodes), offers: &[PlanEntry]) {
         let charged = target.charged() + offers.len();
         for e in offers {
             debug_assert!(e.charged(), "offers are records, counted where retained");
             target.offer(e.cost, e.ordering(), e.source, built);
         }
-        nodes.release(charged - target.charged());
+        built.release(charged - target.charged());
     }
 
     /// Account for a JCR its level created being dropped while still
@@ -1333,7 +1299,7 @@ impl<'a> EnumContext<'a> {
     /// move as if it had been a memo group (see
     /// [`EnumContext::prune_group`]).
     pub(crate) fn drop_staged(&mut self, jcr: &StagedJcr) {
-        self.nodes.release(jcr.group.charged());
+        self.memo.built_mut().release(jcr.group.charged());
         self.memo.count_dropped_while_staged();
         self.memory.remove_groups(1);
         self.jcrs_pruned += 1;
@@ -1433,21 +1399,10 @@ impl<'a> EnumContext<'a> {
     /// memory model and prune counter.
     pub fn prune_group(&mut self, set: RelSet) {
         if let Some(group) = self.memo.remove(set) {
-            self.nodes.release(group.charged());
+            self.memo.built_mut().release(group.charged());
             self.memory.remove_groups(1);
             self.jcrs_pruned += 1;
         }
-    }
-}
-
-impl Drop for EnumContext<'_> {
-    /// The memo's records go without ceremony, and the count the run's
-    /// [`NodeCounter`] holds for them with them; its built nodes release
-    /// theirs as the memo drops them (`BuiltNodes`). A counter that
-    /// outlives the run counts nothing, unless a caller still holds the
-    /// plan the run served.
-    fn drop(&mut self) {
-        self.nodes.release(self.memo.charged());
     }
 }
 
@@ -1742,7 +1697,7 @@ mod tests {
         for i in 0..5 {
             staged.ensure_base_group(i);
         }
-        let base_plans = staged.node_counter().live();
+        let base_plans = staged.memo.live_nodes();
         let mut stage = LevelStage::default();
         for &(a, b) in &pairs {
             staged.stage_pair(&mut stage, a, b);
@@ -1753,7 +1708,10 @@ mod tests {
             seq.plans_costed,
             staged.plans_costed + stage.costing.plans_costed
         );
-        assert_eq!(seq.memory.used_bytes(), staged.memory.used_bytes());
+        assert_eq!(
+            seq.memory.used_bytes(seq.memo.live_nodes()),
+            staged.memory.used_bytes(staged.memo.live_nodes())
+        );
         for jcr in &stage.jcrs {
             // Sealing named the one-pair path's entries; the rest of a
             // record is what it was costed as.
@@ -1767,7 +1725,7 @@ mod tests {
             assert_eq!(unnamed(joined), unnamed(&jcr.group));
         }
         staged.roll_back_stage(&stage);
-        assert_eq!(staged.node_counter().live(), base_plans);
+        assert_eq!(staged.memo.live_nodes(), base_plans);
     }
 
     #[test]
@@ -1872,7 +1830,7 @@ mod tests {
         group.sort_cost = 0.0;
         let evicted = *group.best();
         assert_eq!(evicted.ordering(), None);
-        let live = ctx.node_counter().live();
+        let live = ctx.memo.live_nodes();
         let retained = ctx.memo.get(set).unwrap().entries().len() as u64;
 
         assert!(ctx.offer_sort_enforcer(set));
@@ -1888,12 +1846,10 @@ mod tests {
         // Entries left the group; the evicted input lives on under the
         // sort, which is one node more.
         let gone = retained + 1 - group.entries().len() as u64;
-        assert_eq!(ctx.node_counter().live(), live + 1 - (gone - 1));
+        assert_eq!(ctx.memo.live_nodes(), live + 1 - (gone - 1));
         let weak = [&node, &node.children()[0]].map(Arc::downgrade);
         drop(node);
-        let counter = ctx.node_counter();
         drop(ctx);
-        assert_eq!(counter.live(), 0);
         assert!(weak.iter().all(|w| w.upgrade().is_none()));
     }
 
@@ -1944,9 +1900,7 @@ mod tests {
                     }
                 }
                 drop(plan);
-                let counter = ctx.node_counter();
                 drop(ctx);
-                assert_eq!(counter.live(), 0, "{label}");
                 assert!(
                     weak.iter().all(|w| w.upgrade().is_none()),
                     "{label}: a node outlived its run and its plan"
@@ -1977,9 +1931,9 @@ mod tests {
         let q = QueryGenerator::new(&cat, Topology::Chain(3), 1).instance(0);
         let mut ctx = ctx_fixture(&q, &model);
         ctx.ensure_base_group(2);
-        let before = ctx.memory.used_bytes();
+        let before = ctx.memory.used_bytes(ctx.memo.live_nodes());
         ctx.prune_group(RelSet::single(2));
-        assert!(ctx.memory.used_bytes() < before);
+        assert!(ctx.memory.used_bytes(ctx.memo.live_nodes()) < before);
         assert_eq!(ctx.jcrs_pruned, 1);
         assert!(ctx.memo.get(RelSet::single(2)).is_none());
         // Pruning a missing group is a no-op.

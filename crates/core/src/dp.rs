@@ -249,7 +249,7 @@ fn run_one_level<'p>(
     let enumerated = pairs.iter().try_for_each(|&(a, b)| {
         *visits += 1;
         if visits.is_multiple_of(CHECK_INTERVAL) {
-            ctx.memory.check()?;
+            ctx.memory.check(ctx.memo.live_nodes())?;
         }
         ctx.stage_pair(stage, a, b);
         Ok(())
@@ -258,7 +258,6 @@ fn run_one_level<'p>(
     ctx.plans_costed += std::mem::take(&mut stage.costing.plans_costed);
     ctx.ruled_out += std::mem::take(&mut stage.costing.ruled_out);
     enumerated?;
-    #[cfg(feature = "trace")]
     ctx.emit_staged(stage);
 
     let created = stage.jcrs.len();
@@ -301,8 +300,15 @@ fn run_one_level<'p>(
         }
         uncosted = costed.iter().filter(|&&c| !c).count();
     }
+    if defer {
+        // The pruner costs through a shared context, so a deferring
+        // level counts its records here, once: nothing reads the count
+        // between its first pair and the barrier below.
+        let records = stage.jcrs.iter().map(|jcr| jcr.group.charged()).sum();
+        ctx.memo.built_mut().charge(records);
+    }
     ctx.plans_costed += std::mem::take(&mut stage.costing.plans_costed);
-    ctx.memory.barrier_check()?;
+    ctx.memory.barrier_check(ctx.memo.live_nodes())?;
 
     if let Some(bound) = bound {
         // A verdict that reads the cheapest cost alone needs no
@@ -318,7 +324,7 @@ fn run_one_level<'p>(
             .jcrs
             .retain(|jcr| verdict(ctx, jcr, *verdicts.next().expect("one verdict per JCR")));
     }
-    ctx.memory.barrier_check()?;
+    ctx.memory.barrier_check(ctx.memo.live_nodes())?;
 
     ctx.seal_stage(stage, table);
     let survivors = table.level(level);
@@ -346,11 +352,10 @@ fn run_one_level<'p>(
         order_rescued: prune_stats.order_rescued,
         sort_enforcers: ctx.sort_enforcers - enforcers_before,
         memo_groups: ctx.memo.len() as u64,
-        model_bytes: ctx.memory.used_bytes(),
+        model_bytes: ctx.memory.used_bytes(ctx.memo.live_nodes()),
         contractions: ctx.contractions(),
     };
     ctx.record_level(stats);
-    #[cfg(feature = "trace")]
     ctx.tracer().emit_with(|| level_event(&stats));
     if let Some(p) = pruner {
         p.sealed(ctx, survivors);
@@ -369,7 +374,6 @@ fn verdict(ctx: &mut EnumContext<'_>, jcr: &StagedJcr, keep: bool) -> bool {
 
 /// The per-level span summarizing one completed level barrier. Every
 /// field is deterministic: a function of the query and the budget.
-#[cfg(feature = "trace")]
 fn level_event(stats: &LevelStats) -> sdp_trace::Event {
     sdp_trace::Event::new("level")
         .with("level", stats.level)
@@ -448,7 +452,6 @@ pub(crate) fn run_levels_with(
             // a wall-clock or cancellation trip was detected (and
             // hence how many JCRs roll back) depends on timing, so
             // it must not appear in canonical fields.
-            #[cfg(feature = "trace")]
             ctx.tracer()
                 .emit_with(|| sdp_trace::Event::new("level_rollback").with("level", s));
             ctx.roll_back_stage(&buffers.stage);
@@ -481,7 +484,6 @@ pub fn optimize_dp(ctx: &mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError>
     // part of the run's account.
     let incumbent = pruner.0;
     ctx.incumbent = Some(incumbent);
-    #[cfg(feature = "trace")]
     ctx.tracer().emit_with(|| {
         sdp_trace::Event::new("incumbent")
             .with("first", incumbent.first)
@@ -592,7 +594,7 @@ pub(crate) fn prepare(ctx: &mut EnumContext<'_>) -> Result<RelSet, OptError> {
     for i in 0..n {
         ctx.ensure_base_group(i);
     }
-    ctx.memory.check()?;
+    ctx.memory.check(ctx.memo.live_nodes())?;
     Ok(all)
 }
 
@@ -1397,10 +1399,10 @@ mod tests {
             let reached = (reached.records.len() + reached.nodes.len()) as u64;
             assert_sort_costs(ctx, when);
             eager.sync(&ctx.memo);
-            assert_eq!(ctx.node_counter().live(), reached, "live nodes {when}");
-            assert_eq!(eager.nodes.live(), reached, "eagerly built nodes {when}");
+            assert_eq!(ctx.memo.live_nodes(), reached, "live nodes {when}");
+            assert_eq!(eager.nodes.get(), reached, "eagerly built nodes {when}");
             assert_eq!(
-                ctx.memory.used_bytes(),
+                ctx.memory.used_bytes(ctx.memo.live_nodes()),
                 ctx.memo.len() as u64 * GROUP_MODEL_BYTES + reached * NODE_MODEL_BYTES,
                 "model bytes {when}"
             );
@@ -1527,11 +1529,6 @@ mod tests {
                 plan.check_invariants().unwrap();
                 drop(plan);
                 assert_counted(&ctx, &mut eager, "after the descent");
-
-                // The run's counter outlives it, on nothing.
-                let counter = ctx.node_counter();
-                drop(ctx);
-                prop_assert_eq!(counter.live(), 0);
             }
 
             #[test]

@@ -115,7 +115,6 @@ mod tests {
     use crate::budget::{Budget, OptError};
     use crate::context::EnumContext;
     use crate::enumerate::tests::random_connected_query;
-    use crate::optimizer::Optimizer;
     use sdp_catalog::Catalog;
     use sdp_cost::CostModel;
     use sdp_query::{QueryGenerator, Topology};
@@ -270,25 +269,24 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// Run `algorithm` from scratch under `budget`, DP as the
-        /// unbounded enumeration the oracle counts: `Algorithm::Dp`'s
-        /// incumbent bound can fit where the oracle says doomed.
+        /// Run `algorithm` from scratch under `budget` on the graph the
+        /// oracle counts, DP as the unbounded enumeration:
+        /// `Algorithm::Dp`'s incumbent bound can fit where the oracle
+        /// says doomed.
         fn run(
             query: &sdp_query::Query,
             algorithm: Algorithm,
             budget: Budget,
         ) -> Result<crate::RunStats, OptError> {
             let catalog = Catalog::paper();
-            if algorithm == Algorithm::Dp {
-                let model = CostModel::with_defaults(&catalog);
-                let mut ctx = EnumContext::new(query, &model, budget);
-                return crate::dp::optimize_complete(&mut ctx).map(|_| ctx.stats());
+            let model = CostModel::with_defaults(&catalog);
+            let mut ctx = EnumContext::new(query, &model, budget);
+            match algorithm {
+                Algorithm::Dp => crate::dp::optimize_complete(&mut ctx),
+                Algorithm::Idp { k } => crate::idp::optimize_idp(&mut ctx, k),
+                _ => unreachable!("the oracle predicts only exhaustive rungs"),
             }
-            Optimizer::new(&catalog)
-                .with_budget(budget)
-                .with_closure_inference(false)
-                .optimize(query, algorithm)
-                .map(|plan| plan.stats)
+            .map(|_| ctx.stats())
         }
 
         /// `permille` sets the budget relative to what the rung's

@@ -43,7 +43,7 @@ pub fn optimize_goo(ctx: &mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError
         ctx.join_pair(a, b);
         components.swap_remove(j);
         components[i] = a | b;
-        ctx.memory.check()?;
+        ctx.memory.check(ctx.memo.live_nodes())?;
     }
     ctx.finalize(all)
 }

@@ -93,7 +93,7 @@ pub fn optimize_idp(ctx: &mut EnumContext<'_>, k: usize) -> Result<Arc<PlanNode>
         let (winner_set, _) = winner.expect("at least one candidate");
 
         atoms = contract(ctx, &atoms, winner_set);
-        ctx.memory.check()?;
+        ctx.memory.check(ctx.memo.live_nodes())?;
     }
 }
 

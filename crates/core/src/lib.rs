@@ -62,7 +62,6 @@ fn _assert_service_types_are_send_sync() {
     check::<optimizer::Algorithm>();
     check::<OptimizedPlan>();
     check::<PlanNode>();
-    check::<NodeCounter>();
     check::<Budget>();
     check::<RunStats>();
     check::<OptError>();
@@ -76,7 +75,6 @@ fn _assert_service_types_are_send_sync() {
     check::<sdp_query::Query>();
     check::<context::LevelStats>();
     check::<enumerate::EnumeratorKind>();
-    #[cfg(feature = "trace")]
     check::<sdp_trace::Tracer>();
 }
 pub use context::{EnumContext, Incumbent, LevelStats, RunStats};
@@ -84,5 +82,5 @@ pub use enumerate::{EnumeratorKind, LevelScan};
 pub use explain::{explain, explain_analyze, worst_estimates};
 pub use memo::{Group, Memo, PlanEntry, PlanSource};
 pub use optimizer::{Algorithm, OptimizedPlan, Optimizer};
-pub use plan::{NodeCounter, PlanNode, PlanOp};
+pub use plan::{PlanNode, PlanOp};
 pub use sdp::{Partitioning, SdpConfig, SkylineOption};

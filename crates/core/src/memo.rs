@@ -38,12 +38,16 @@
 //! rung above re-offers the same pairs), and [`Group::entry`] panics
 //! rather than serve a different plan should that ever fail.
 //!
-//! **Accounting.** The run's [`NodeCounter`] counts an entry like the
-//! node it stands for: whoever retains, evicts or drops `Join` and
-//! `Sort` entries settles the count (`EnumContext::cost_pair` and
-//! friends); a `Built` entry's node is counted by the table that holds
-//! it. Extraction moves an entry's count to its node, so the total
-//! never notices.
+//! **Accounting.** The run's live-node count ([`Memo::live_nodes`]) is
+//! a plain number that the memo's [`BuiltNodes`] owns, as the memory
+//! model owns the group count. It counts an entry like the node it
+//! stands for: whoever retains, evicts or drops `Join` and `Sort`
+//! entries settles the count (`EnumContext::stage_pair`, `join_pair`
+//! and friends, around the costing core); a `Built` entry's node is
+//! counted by the table that holds it.
+//! Extraction moves an entry's count to its node, so the total never
+//! notices. The count goes with its run: nothing outlives the memo
+//! that would need it zeroed.
 //!
 //! **Built nodes** sit in one side table of the memo ([`BuiltNodes`]),
 //! not in their groups: a group holds no buffer of its own, and the
@@ -60,7 +64,7 @@ use sdp_cost::{JoinMethod, JoinSide};
 use sdp_query::{ClassId, RelSet};
 
 use crate::fx::FxHashMap;
-use crate::plan::{NodeCounter, PlanNode, PlanOp};
+use crate::plan::{PlanNode, PlanOp};
 
 /// Whether plan `a` makes plan `b` redundant: no more expensive, and
 /// provides an ordering at least as useful (`b` unordered, or the
@@ -139,7 +143,7 @@ impl PlanEntry {
         self.id
     }
 
-    /// Whether the run's [`NodeCounter`] counts this record (a built
+    /// Whether the run's live-node count counts this record (a built
     /// node is counted by the table that holds it).
     pub(crate) fn charged(&self) -> bool {
         !matches!(self.source, PlanSource::Built(_))
@@ -427,7 +431,7 @@ impl Group {
         self.entries().is_empty()
     }
 
-    /// Entries the run's [`NodeCounter`] counts on the group's behalf.
+    /// Entries the run's live-node count counts on the group's behalf.
     pub(crate) fn charged(&self) -> usize {
         self.entries().iter().filter(|e| e.charged()).count()
     }
@@ -444,12 +448,12 @@ impl Group {
 /// held is emptied, so the memo never keeps a node alive it has
 /// dropped. Slots are not reused — a run builds its access paths, its
 /// sort enforcers that hold their input and the plans it extracts,
-/// each once. The run's [`NodeCounter`] counts the nodes the table
-/// holds, and the nodes they hold.
+/// each once. The table owns the run's live-node count: the nodes it
+/// holds and the nodes they hold, and the plan records charged to it.
 #[derive(Debug, Default)]
 pub struct BuiltNodes {
     slots: Vec<Option<Arc<PlanNode>>>,
-    nodes: NodeCounter,
+    live: u64,
 }
 
 impl BuiltNodes {
@@ -466,25 +470,36 @@ impl BuiltNodes {
     fn push(&mut self, node: Arc<PlanNode>) -> u32 {
         let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 built nodes");
         self.slots.push(Some(node));
-        self.nodes.charge(1);
+        self.charge(1);
         slot
     }
 
     /// Drop the node in `slot`, releasing what that frees.
     fn drop_slot(&mut self, slot: u32) {
         if let Some(node) = self.slots[slot as usize].take() {
-            self.nodes.release(freed(node));
+            self.release(freed(node));
         }
     }
-}
 
-impl Drop for BuiltNodes {
-    /// A run's table goes with its run: it releases what it frees, so a
-    /// counter that outlives the run counts nothing — nodes of the plan
-    /// it served included, which are no longer the run's.
-    fn drop(&mut self) {
-        let freed: usize = self.slots.drain(..).flatten().map(freed).sum();
-        self.nodes.release(freed);
+    /// Count `n` more nodes alive: nodes the table takes, or plan
+    /// records retained, which stand for the nodes they may become.
+    pub(crate) fn charge(&mut self, n: usize) {
+        self.live += n as u64;
+    }
+
+    /// Count `n` nodes gone: nodes the table freed, or plan records
+    /// evicted, pruned, rolled back or built into nodes (which the
+    /// table charges).
+    pub(crate) fn release(&mut self, n: usize) {
+        self.live -= n as u64;
+    }
+
+    /// Settle a group's records after costing: it held `before` and
+    /// holds `after` (+1 per entry retained, −1 per entry evicted), so
+    /// that between pairs the count is that of an optimizer building
+    /// every retained plan.
+    pub(crate) fn recharge(&mut self, before: usize, after: usize) {
+        self.live = self.live - before as u64 + after as u64;
     }
 }
 
@@ -530,8 +545,8 @@ impl Memo {
     /// one per join of the plan it serves (`2n − 1`), its arena for the
     /// base groups (the levels grow it as their survivors arrive), and
     /// its built nodes for at most three access paths a relation and
-    /// that plan's joins and root sort. `nodes` is the run's counter.
-    pub(crate) fn for_relations(relations: usize, nodes: NodeCounter) -> Self {
+    /// that plan's joins and root sort.
+    pub(crate) fn for_relations(relations: usize) -> Self {
         let mut slots = FxHashMap::default();
         slots.reserve(2 * relations);
         Memo {
@@ -539,16 +554,17 @@ impl Memo {
             groups: Vec::with_capacity(relations),
             built: BuiltNodes {
                 slots: Vec::with_capacity(4 * relations),
-                nodes,
+                live: 0,
             },
             created: 0,
         }
     }
 
-    /// The counter the memo's built nodes charge.
-    #[cfg(test)]
-    pub(crate) fn node_counter(&self) -> &NodeCounter {
-        &self.built.nodes
+    /// Plan nodes an optimizer holding every retained plan as a node
+    /// would have alive now: the memo's records and the nodes its
+    /// built-node table holds (see the module docs, "Accounting").
+    pub fn live_nodes(&self) -> u64 {
+        self.built.live
     }
 
     /// Number of live groups.
@@ -667,11 +683,6 @@ impl Memo {
         self.groups.iter().map(|g| g.set)
     }
 
-    /// Entries the run's [`NodeCounter`] counts on the memo's behalf.
-    pub(crate) fn charged(&self) -> usize {
-        self.groups.iter().map(Group::charged).sum()
-    }
-
     /// The plan tree of entry `entry` of `set`'s group, built bottom-up
     /// from the records it refers to. Every entry built on the way is
     /// replaced by its node (`PlanSource::Built`), so extracting the
@@ -713,7 +724,7 @@ impl Memo {
         let group = &mut self.groups[slot];
         let node = PlanNode::new(op, set, group.rows, e.cost, e.ordering());
         group.set_built(entry, self.built.push(node.clone()));
-        self.built.nodes.release(1);
+        self.built.release(1);
         node
     }
 }
@@ -733,7 +744,7 @@ pub(crate) mod eager {
 
     #[derive(Debug, Default)]
     pub(crate) struct EagerMemo {
-        pub nodes: NodeCounter,
+        pub nodes: std::cell::Cell<u64>,
         groups: FxHashMap<RelSet, Vec<(u16, Arc<PlanNode>)>>,
     }
 
@@ -746,7 +757,8 @@ pub(crate) mod eager {
         pub fn sync(&mut self, memo: &Memo) {
             let nodes = &self.nodes;
             let release = |plans: Vec<(u16, Arc<PlanNode>)>| {
-                nodes.release(plans.into_iter().map(|(_, plan)| freed(plan)).sum());
+                let gone: usize = plans.into_iter().map(|(_, plan)| freed(plan)).sum();
+                nodes.set(nodes.get() - gone as u64);
             };
             self.groups.retain(|&set, plans| {
                 let live = memo.get(set).is_some();
@@ -774,7 +786,7 @@ pub(crate) mod eager {
             cost: f64,
             ordering: Option<ClassId>,
         ) -> Arc<PlanNode> {
-            self.nodes.charge(1);
+            self.nodes.set(self.nodes.get() + 1);
             PlanNode::new(op, set, rows, cost, ordering)
         }
 
@@ -982,13 +994,13 @@ mod tests {
         let scan = plan(g.set, 10.0, None);
         let weak = Arc::downgrade(&scan);
         g.add_plan(scan, &mut built);
-        assert_eq!(built.nodes.live(), 1);
+        assert_eq!(built.live, 1);
         assert!(g.add_plan(plan(g.set, 5.0, None), &mut built));
         assert!(
             weak.upgrade().is_none(),
             "the table kept a node the group had evicted"
         );
-        assert_eq!(built.nodes.live(), 1, "the cheaper scan alone");
+        assert_eq!(built.live, 1, "the cheaper scan alone");
         assert!(built.get(g.best()).is_some());
     }
 
@@ -1000,13 +1012,13 @@ mod tests {
         let weak = Arc::downgrade(&scan);
         g.add_plan(scan, m.built_mut());
         m.insert(g);
-        assert_eq!(m.node_counter().live(), 1);
+        assert_eq!(m.live_nodes(), 1);
         m.remove(RelSet::single(0));
         assert!(
             weak.upgrade().is_none(),
             "the memo kept a removed group's node"
         );
-        assert_eq!(m.node_counter().live(), 0);
+        assert_eq!(m.live_nodes(), 0);
     }
 
     /// Two scans in their base groups, and their join in its group:
@@ -1029,7 +1041,7 @@ mod tests {
         let mut g = group_of(set);
         g.add_plan(join.clone(), m.built_mut());
         m.insert(g);
-        assert_eq!(m.node_counter().live(), 3);
+        assert_eq!(m.live_nodes(), 3);
         (m, join)
     }
 
@@ -1043,16 +1055,14 @@ mod tests {
         drop(join);
         // The join holds the outer scan: its group's removal frees nothing.
         m.remove(RelSet::single(0));
-        assert_eq!(m.node_counter().live(), 3);
+        assert_eq!(m.live_nodes(), 3);
         assert!(weak[1].upgrade().is_some());
         // The join's removal frees the join and the scan only it held.
         m.remove(RelSet::from_indices([0, 1]));
-        assert_eq!(m.node_counter().live(), 1);
+        assert_eq!(m.live_nodes(), 1);
         assert!(weak[0].upgrade().is_none() && weak[1].upgrade().is_none());
         assert!(weak[2].upgrade().is_some());
-        let counter = m.node_counter().clone();
         drop(m);
-        assert_eq!(counter.live(), 0);
         assert!(weak[2].upgrade().is_none());
     }
 
@@ -1060,11 +1070,9 @@ mod tests {
     fn a_served_plan_is_not_the_runs_to_count() {
         let (m, served) = joined_scans();
         let weak = Arc::downgrade(&served);
-        let counter = m.node_counter().clone();
         // The table lets go of nodes a caller still holds: it frees
         // none of them, and nothing counts them from here on.
         drop(m);
-        assert_eq!(counter.live(), 3);
         assert!(weak.upgrade().is_some());
         drop(served);
         assert!(weak.upgrade().is_none());
@@ -1135,7 +1143,7 @@ mod tests {
         let input = g.best().id();
         assert!(g.offer(6.0, Some(7), PlanSource::Sort { input }, built));
         // The hash join and the sort; the merge join went.
-        m.node_counter().charge(2);
+        m.built_mut().charge(2);
         (m, set)
     }
 
@@ -1161,10 +1169,9 @@ mod tests {
     #[test]
     fn extraction_builds_once_and_moves_the_count() {
         let (mut m, set) = small_memo();
-        let nodes = m.node_counter().clone();
-        assert_eq!(nodes.live(), 4);
+        assert_eq!(m.live_nodes(), 4);
         let sorted = m.extract(set, 2);
-        assert_eq!(nodes.live(), 4, "each record's count passed to its node");
+        assert_eq!(m.live_nodes(), 4, "each record's count passed to its node");
         sorted.check_invariants().unwrap();
         assert_eq!(sorted.node_count(), 4);
         assert!(matches!(sorted.op, PlanOp::Sort { class: 7, .. }));
@@ -1178,10 +1185,8 @@ mod tests {
             m.built(scan.best()).unwrap(),
             &join.children()[0]
         ));
-        assert_eq!(m.charged(), 0);
-        drop((sorted, join));
-        drop(m);
-        assert_eq!(nodes.live(), 0);
+        let records: usize = m.sets().map(|set| m.get(set).unwrap().charged()).sum();
+        assert_eq!(records, 0);
     }
 }
 

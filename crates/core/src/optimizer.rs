@@ -84,49 +84,30 @@ pub struct OptimizedPlan {
     pub profile: Vec<LevelStats>,
 }
 
-/// Optimizer façade: catalog + cost parameters + budget + rewriter
-/// switch.
+/// Optimizer façade: catalog + budget + trace handle. Costs use
+/// PostgreSQL's default constants and the rewriter always infers the
+/// transitive closure, as PostgreSQL's planner does.
 #[derive(Debug, Clone)]
 pub struct Optimizer<'a> {
     catalog: &'a Catalog,
-    params: CostParams,
     budget: Budget,
-    infer_closure: bool,
-    #[cfg(feature = "trace")]
     tracer: sdp_trace::Tracer,
 }
 
 impl<'a> Optimizer<'a> {
-    /// Optimizer with PostgreSQL-default cost constants, the paper's
-    /// 1 GB memory budget and the transitive-closure rewriter enabled
-    /// (as in PostgreSQL). Reads no environment.
+    /// Optimizer with the paper's 1 GB memory budget and a disabled
+    /// tracer. Reads no environment.
     pub fn new(catalog: &'a Catalog) -> Self {
         Optimizer {
             catalog,
-            params: CostParams::default(),
             budget: Budget::default(),
-            infer_closure: true,
-            #[cfg(feature = "trace")]
             tracer: sdp_trace::Tracer::disabled(),
         }
-    }
-
-    /// Override the cost constants.
-    pub fn with_params(mut self, params: CostParams) -> Self {
-        self.params = params;
-        self
     }
 
     /// Override the resource budget.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Enable or disable the shared-join-column transitive-closure
-    /// rewrite (Section 2.1.4).
-    pub fn with_closure_inference(mut self, on: bool) -> Self {
-        self.infer_closure = on;
         self
     }
 
@@ -142,7 +123,6 @@ impl<'a> Optimizer<'a> {
     /// optimizer emits its level spans, skyline partition spans and
     /// governor transitions into it. Canonical event sequences are
     /// deterministic (see `sdp-trace`).
-    #[cfg(feature = "trace")]
     pub fn with_tracer(mut self, tracer: sdp_trace::Tracer) -> Self {
         self.tracer = tracer;
         self
@@ -165,8 +145,8 @@ impl<'a> Optimizer<'a> {
     /// closure of shared join columns), exactly as PostgreSQL's
     /// rewriter would before planning.
     pub fn optimize(&self, query: &Query, algorithm: Algorithm) -> Result<OptimizedPlan, OptError> {
-        let (rewritten, classes) = self.rewrite(query);
-        let model = CostModel::new(self.catalog, self.params);
+        let (rewritten, classes) = rewrite(query);
+        let model = CostModel::new(self.catalog, CostParams::default());
         let mut ctx = self.context(&rewritten, &model, self.budget, classes);
         let root = dispatch(&mut ctx, algorithm)?;
         let stats = ctx.stats();
@@ -214,8 +194,8 @@ impl<'a> Optimizer<'a> {
         algorithm: Algorithm,
         governor: &Governor,
     ) -> Result<GovernedPlan, GovernedFailure> {
-        let (rewritten, classes) = self.rewrite(query);
-        let model = CostModel::new(self.catalog, self.params);
+        let (rewritten, classes) = rewrite(query);
+        let model = CostModel::new(self.catalog, CostParams::default());
 
         let mut rung = Rung::for_algorithm(algorithm);
         let mut ctx = self.context(&rewritten, &model, governor.rung_budget(rung), classes);
@@ -241,7 +221,6 @@ impl<'a> Optimizer<'a> {
                     budget_bytes: ctx.memory.budget().max_model_bytes,
                 }
             } else {
-                #[cfg(feature = "trace")]
                 ctx.tracer().emit_with(|| {
                     sdp_trace::Event::new("rung_start")
                         .with("rung", rung.label())
@@ -251,7 +230,6 @@ impl<'a> Optimizer<'a> {
                 match dispatch(&mut ctx, attempt) {
                     Ok(root) => {
                         let stats = ctx.stats();
-                        #[cfg(feature = "trace")]
                         ctx.tracer().emit_with(|| {
                             sdp_trace::Event::new("rung_complete")
                                 .with("rung", rung.label())
@@ -313,7 +291,6 @@ impl<'a> Optimizer<'a> {
             // deterministic facts (rungs, reason, the oracle's verdict);
             // elapsed time is wall-clock and stays out of the canonical
             // form.
-            #[cfg(feature = "trace")]
             ctx.tracer().emit_with(|| {
                 let event = sdp_trace::Event::new("degrade")
                     .with("from", rung.label())
@@ -328,11 +305,10 @@ impl<'a> Optimizer<'a> {
             let next_budget = governor.rung_budget(next);
             prepare_handoff(&mut ctx);
             ctx.memory.set_budget(next_budget);
-            #[cfg(feature = "trace")]
             ctx.tracer().emit_with(|| {
                 sdp_trace::Event::new("handoff")
                     .with("retained_groups", ctx.memo.len())
-                    .with("model_bytes", ctx.memory.used_bytes())
+                    .with("model_bytes", ctx.memory.used_bytes(ctx.memo.live_nodes()))
             });
             rung = next;
             attempt = next.algorithm();
@@ -348,25 +324,20 @@ impl<'a> Optimizer<'a> {
         budget: Budget,
         classes: EquivClasses,
     ) -> EnumContext<'q> {
-        #[allow(unused_mut)]
         let mut ctx = EnumContext::with_classes(query, model, budget, classes);
-        #[cfg(feature = "trace")]
         ctx.set_tracer(self.tracer.clone());
         ctx
     }
+}
 
-    /// The query as the rewriter leaves it, and its join-column classes:
-    /// computed once, they drive the closure and the run alike (the
-    /// closure only joins members of a class, so the classes hold after
-    /// it).
-    fn rewrite(&self, query: &Query) -> (Query, EquivClasses) {
-        let classes = query.equiv_classes();
-        let mut rewritten = query.clone();
-        if self.infer_closure {
-            classes.close(&mut rewritten.graph);
-        }
-        (rewritten, classes)
-    }
+/// The query as the rewriter leaves it, and its join-column classes:
+/// computed once, they drive the closure and the run alike (the closure
+/// only joins members of a class, so the classes hold after it).
+fn rewrite(query: &Query) -> (Query, EquivClasses) {
+    let classes = query.equiv_classes();
+    let mut rewritten = query.clone();
+    classes.close(&mut rewritten.graph);
+    (rewritten, classes)
 }
 
 /// The feasibility oracle's verdict on starting `attempt` now, under
@@ -378,7 +349,7 @@ impl<'a> Optimizer<'a> {
 fn predicted_exhaustion(ctx: &mut EnumContext<'_>, attempt: Algorithm) -> Option<u64> {
     let bound =
         feasibility::doomed_bound(ctx.graph(), attempt, ctx.memory.budget().max_model_bytes)?;
-    ctx.memory.check().ok()?;
+    ctx.memory.check(ctx.memo.live_nodes()).ok()?;
     Some(bound)
 }
 
@@ -581,19 +552,5 @@ mod tests {
             .unwrap();
         assert_eq!(governed.rung, Some(Rung::Idp));
         assert_eq!(governed.rung_label(), "IDP(7)", "requested config ran");
-    }
-
-    #[test]
-    fn closure_inference_can_be_disabled() {
-        let cat = Catalog::paper();
-        let q = QueryGenerator::new(&cat, Topology::Chain(5), 8).instance(0);
-        let a = Optimizer::new(&cat)
-            .with_closure_inference(false)
-            .optimize(&q, Algorithm::Dp)
-            .unwrap();
-        let b = Optimizer::new(&cat).optimize(&q, Algorithm::Dp).unwrap();
-        // Chains with distinct join columns have no closure edges, so
-        // the results coincide.
-        assert!((a.cost - b.cost).abs() / b.cost < 1e-9);
     }
 }

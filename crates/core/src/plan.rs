@@ -16,58 +16,24 @@
 //! them, SDP's whole point —, a plan that a cheaper one evicts and a
 //! plan that is kept but not served are never allocated at all.
 //!
-//! A per-run [`NodeCounter`] tracks how many plan nodes an optimizer
-//! holding every retained plan as a node would have alive at any
-//! instant — the memo's records are counted one each, and the nodes the
-//! run holds are counted by the one table that holds them
+//! The run's memo counts how many plan nodes an optimizer holding every
+//! retained plan as a node would have alive at any instant — its
+//! records are counted one each, and the nodes the run holds are
+//! counted by the one table that holds them
 //! ([`crate::memo::BuiltNodes`]) — which is what makes the
 //! memory-overhead measurements (paper Tables 1.2, 1.4, 2.1, 3.2, 3.3)
-//! meaningful; [`crate::budget::MemoryModel`] converts it (plus the
-//! group count) into paper-equivalent megabytes. A node does not know
-//! its run: the table charges a node when it takes one, and when it
-//! lets one go, releases the nodes that go with it — none while a
+//! meaningful; [`crate::budget::MemoryModel`] converts that count (plus
+//! the group count) into paper-equivalent megabytes. A node does not
+//! know its run: the table charges a node when it takes one, and when
+//! it lets one go, releases the nodes that go with it — none while a
 //! served plan or another node still holds it. So a plan outlives its
 //! run with nothing of the run attached.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sdp_catalog::{ColId, RelId};
 use sdp_cost::JoinMethod;
 use sdp_query::{ClassId, RelSet};
-
-/// Shared live-node counter for one optimization run.
-///
-/// The run's context, its memo's built nodes and its memory model hold
-/// handles to one atomic; cloning a handle shares it, so a test can
-/// hold one past the run and see its count fall to zero.
-#[derive(Debug, Clone, Default)]
-pub struct NodeCounter(Arc<AtomicU64>);
-
-impl NodeCounter {
-    /// A fresh counter starting at zero.
-    pub fn new() -> Self {
-        NodeCounter::default()
-    }
-
-    /// Number of plan nodes currently alive under this counter.
-    pub fn live(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Count `n` more nodes alive: nodes the run's table takes, or plan
-    /// records retained, which stand for the nodes they may become.
-    pub(crate) fn charge(&self, n: usize) {
-        self.0.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// Count `n` nodes gone: nodes the run's table freed, or plan
-    /// records evicted, pruned, rolled back, dropped with their run, or
-    /// built into nodes (which the table charges).
-    pub(crate) fn release(&self, n: usize) {
-        self.0.fetch_sub(n as u64, Ordering::Relaxed);
-    }
-}
 
 /// The operator at a plan node, with its inputs.
 #[derive(Debug, Clone)]

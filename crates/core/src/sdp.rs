@@ -337,8 +337,6 @@ impl SdpPruner {
     /// JCR its partitions' skylines leave out; returns the skyline
     /// accounting. The skylines run on the level's features once
     /// [`settle`] has costed what they need.
-    // Without tracing, what only the spans report goes unread.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     fn prune_partitions(
         &mut self,
         ctx: &EnumContext<'_>,
@@ -412,7 +410,6 @@ impl SdpPruner {
                 sc.winners.push(members[0]);
             }
             total_survivors += sc.winners.len() as u64;
-            #[cfg(feature = "trace")]
             ctx.tracer().emit_with(|| {
                 sdp_trace::Event::new("skyline_partition")
                     .with("level", level)
@@ -451,7 +448,6 @@ impl SdpPruner {
                 |part, winners| skyline(option, features, part, winners),
             );
             order_rescued += rescued_here;
-            #[cfg(feature = "trace")]
             ctx.tracer().emit_with(|| {
                 sdp_trace::Event::new("order_partition")
                     .with("level", level)
@@ -488,7 +484,6 @@ impl SdpPruner {
                 })
                 .expect("partition non-empty");
             keep[best] = true;
-            #[cfg(feature = "trace")]
             ctx.tracer().emit_with(|| {
                 sdp_trace::Event::new("partition_resurrect")
                     .with("level", level)

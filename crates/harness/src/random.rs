@@ -194,7 +194,7 @@ fn search(ctx: &mut EnumContext<'_>, anneal: bool) -> Result<Arc<PlanNode>, OptE
                     cost = cand_cost;
                 }
             }
-            ctx.memory.check()?;
+            ctx.memory.check(ctx.memo.live_nodes())?;
             if anneal {
                 temperature *= COOLING;
                 if temperature < cost * 1e-4 {

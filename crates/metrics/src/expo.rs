@@ -1,11 +1,10 @@
 //! Metrics exposition: one snapshot struct, two wire formats.
 //!
 //! [`MetricsReport`] bundles every observability surface the daemon
-//! owns — request counters, governor ladder counters, per-strategy
-//! latency aggregates, per-rung latency histograms, allocator
-//! watermarks, cache occupancy — into a plain value that renders as
-//! either Prometheus text exposition format ([`MetricsReport::
-//! prometheus_text`]) or a single JSON document
+//! owns — request counters, governor ladder counters, per-rung
+//! latency histograms, allocator watermarks, cache occupancy — into a
+//! plain value that renders as either Prometheus text exposition
+//! format ([`MetricsReport::prometheus_text`]) or a single JSON document
 //! ([`MetricsReport::to_json`], what `sdp-service replay
 //! --metrics-json` writes). Both renderers are hand-rolled: the
 //! formats are trivial and the workspace takes no serialization
@@ -17,9 +16,7 @@ use std::time::Duration;
 
 use crate::alloc::AllocSnapshot;
 use crate::histogram::QErrorHistogram;
-use crate::service::{
-    CountersSnapshot, GovernorSnapshot, LatencyHistogram, LatencyStats, OverloadSnapshot,
-};
+use crate::service::{CountersSnapshot, GovernorSnapshot, LatencyHistogram, OverloadSnapshot};
 use crate::store::StoreSnapshot;
 use crate::table::{Kind, MetricDef};
 
@@ -30,8 +27,10 @@ use crate::table::{Kind, MetricDef};
 /// unstamped PR 5 shape; version 2 added the stamp itself and the
 /// `qerror` family; version 3 is rendered from the metric table
 /// ([`crate::table`]) and gained `governor.predicted_descents`,
-/// `store.epoch_adoptions` and `store.stale_rejected`.
-pub const METRICS_SCHEMA_VERSION: u32 = 3;
+/// `store.epoch_adoptions` and `store.stale_rejected`; version 4
+/// dropped the `strategies` object, whose samples the `rungs`
+/// histograms already file.
+pub const METRICS_SCHEMA_VERSION: u32 = 4;
 
 /// Point-in-time bundle of every metric family the service exposes.
 #[derive(Debug, Clone, Default)]
@@ -40,11 +39,9 @@ pub struct MetricsReport {
     pub counters: CountersSnapshot,
     /// Governor degradation-ladder counters.
     pub governor: GovernorSnapshot,
-    /// Per-strategy latency aggregates, keyed by requested-strategy
-    /// label.
-    pub strategies: BTreeMap<String, LatencyStats>,
-    /// Per-rung latency histograms, keyed by the label of the rung
-    /// that produced the plan.
+    /// Per-rung latency histograms, keyed by the label of the
+    /// configuration that produced the plan (`"SDP"`, a pinned
+    /// `"IDP(7)"`, …).
     pub rungs: BTreeMap<String, LatencyHistogram>,
     /// Process allocator watermarks (zeros when the counting allocator
     /// is not installed).
@@ -142,31 +139,6 @@ impl MetricsReport {
             prom_rows(&mut out, self.overload.rows(), kind);
         }
 
-        if !self.strategies.is_empty() {
-            let _ = writeln!(
-                out,
-                "# HELP sdp_strategy_latency_seconds Enumeration latency by requested strategy."
-            );
-            let _ = writeln!(out, "# TYPE sdp_strategy_latency_seconds summary");
-            for (label, stats) in &self.strategies {
-                let _ = writeln!(
-                    out,
-                    "sdp_strategy_latency_seconds_sum{{strategy=\"{label}\"}} {}",
-                    secs(stats.total)
-                );
-                let _ = writeln!(
-                    out,
-                    "sdp_strategy_latency_seconds_count{{strategy=\"{label}\"}} {}",
-                    stats.count
-                );
-                let _ = writeln!(
-                    out,
-                    "sdp_strategy_latency_seconds_max{{strategy=\"{label}\"}} {}",
-                    secs(stats.max)
-                );
-            }
-        }
-
         if !self.rungs.is_empty() {
             let _ = writeln!(
                 out,
@@ -229,8 +201,8 @@ impl MetricsReport {
     }
 
     /// Render as one pretty-printed JSON document: the scalar families
-    /// as objects keyed by field name, strategy aggregates and rung
-    /// histograms (with p50/p95/p99 extracted) keyed by label,
+    /// as objects keyed by field name, rung histograms (with
+    /// p50/p95/p99 extracted) keyed by label,
     /// durations in microseconds.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -239,19 +211,6 @@ impl MetricsReport {
         let requests = [("requests", self.counters.requests())];
         json_family(&mut out, "counters", self.counters.rows(), &requests);
         json_family(&mut out, "governor", self.governor.rows(), &[]);
-        let _ = writeln!(out, "  \"strategies\": {{");
-        let n = self.strategies.len();
-        for (i, (label, s)) in self.strategies.iter().enumerate() {
-            let comma = if i + 1 < n { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    \"{label}\": {{\"count\": {}, \"mean_micros\": {}, \"max_micros\": {}}}{comma}",
-                s.count,
-                s.mean().as_micros(),
-                s.max.as_micros()
-            );
-        }
-        let _ = writeln!(out, "  }},");
         let _ = writeln!(out, "  \"rungs\": {{");
         let n = self.rungs.len();
         for (i, (label, h)) in self.rungs.iter().enumerate() {
@@ -353,10 +312,6 @@ mod tests {
             cached_plans: 2,
             ..Default::default()
         };
-        let mut stats = LatencyStats::default();
-        stats.record(Duration::from_millis(4));
-        stats.record(Duration::from_millis(8));
-        report.strategies.insert("SDP".to_string(), stats);
         let mut h = LatencyHistogram::default();
         h.record(Duration::from_micros(700));
         h.record(Duration::from_micros(800));
@@ -377,7 +332,6 @@ mod tests {
     #[test]
     fn prometheus_text_has_headers_and_series() {
         let text = sample_report().prometheus_text();
-        assert!(text.contains("sdp_strategy_latency_seconds_count{strategy=\"SDP\"} 2"));
         assert!(text.contains("sdp_rung_latency_seconds_bucket{rung=\"SDP\",le=\"+Inf\"} 3"));
         assert!(text.contains("# TYPE sdp_qerror histogram"));
         assert!(text.contains("sdp_qerror_bucket{series=\"node:Join(Hash)\",le=\"+Inf\"} 3"));
@@ -394,7 +348,7 @@ mod tests {
     #[test]
     fn json_report_is_parseable_shape() {
         let json = sample_report().to_json();
-        assert!(json.starts_with("{\n  \"schema\": 3,\n"));
+        assert!(json.starts_with("{\n  \"schema\": 4,\n"));
         assert!(json.contains("\"node:Join(Hash)\""));
         assert!(json.contains("\"requests\": 8"));
         assert!(json.contains("\"p95_micros\""));
@@ -414,7 +368,7 @@ mod tests {
         let text = report.prometheus_text();
         assert!(!text.contains("sdp_rung_latency_seconds"));
         let json = report.to_json();
-        assert!(json.contains("\"strategies\": {"));
+        assert!(json.contains("\"rungs\": {"));
         assert!(json.contains("\"qerror\": {"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

@@ -13,8 +13,8 @@
 //! Plus a byte-counting global allocator ([`alloc`]) the harness
 //! installs to report *real* process allocation peaks alongside the
 //! deterministic memory model, and the [`service`] module's request
-//! counters (hit/miss/coalesced/evicted) and per-strategy latency
-//! table consumed by the `sdp-service` optimizer daemon.
+//! counters (hit/miss/coalesced/evicted) and latency histograms
+//! consumed by the `sdp-service` optimizer daemon.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -35,8 +35,7 @@ pub use overhead::{OverheadSample, OverheadSummary};
 pub use quality::{geometric_mean_ratio, QualityClass, QualitySummary};
 pub use service::{
     CountersSnapshot, DescentReason, GovernorCounters, GovernorSnapshot, LatencyHistogram,
-    LatencyStats, OverloadCounters, OverloadSnapshot, RungLatencies, ServiceCounters,
-    StrategyLatencies, HISTOGRAM_BUCKETS,
+    OverloadCounters, OverloadSnapshot, RungLatencies, ServiceCounters, HISTOGRAM_BUCKETS,
 };
 pub use store::{StoreCounters, StoreSnapshot};
 pub use table::{Kind, MetricDef};

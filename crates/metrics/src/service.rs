@@ -1,5 +1,5 @@
 //! Service-side observability: cache/coalescing counters and
-//! per-strategy latency aggregation for the resident optimizer daemon.
+//! per-rung latency histograms for the resident optimizer daemon.
 //!
 //! Everything here is `Send + Sync` and lock-light — counters are
 //! relaxed atomics bumped on every request, latencies a mutex-guarded
@@ -11,7 +11,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::histogram::mean_duration;
 use crate::table::metric_family;
 
 metric_family! {
@@ -61,63 +60,6 @@ impl CountersSnapshot {
             return 0.0;
         }
         (self.hits + self.coalesced) as f64 / total as f64
-    }
-}
-
-/// Latency aggregate for one enumeration strategy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencyStats {
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub total: Duration,
-    /// Largest sample.
-    pub max: Duration,
-}
-
-impl LatencyStats {
-    /// Fold in one sample.
-    pub fn record(&mut self, sample: Duration) {
-        self.count += 1;
-        self.total += sample;
-        self.max = self.max.max(sample);
-    }
-
-    /// Mean latency (zero when empty).
-    pub fn mean(&self) -> Duration {
-        mean_duration(self.total, self.count)
-    }
-}
-
-/// Per-strategy latency table: the mean and max of each fresh
-/// enumeration's wall-clock time, keyed by the label of the algorithm
-/// that produced the plan, after any governed descent (`"DP"`,
-/// `"SDP"`, `"IDP(7)"`, …). [`RungLatencies`] files the same samples
-/// under the producing ladder rung, as histograms.
-#[derive(Debug, Default)]
-pub struct StrategyLatencies {
-    inner: Mutex<BTreeMap<String, LatencyStats>>,
-}
-
-impl StrategyLatencies {
-    /// Fresh empty table.
-    pub fn new() -> Self {
-        StrategyLatencies::default()
-    }
-
-    /// Record one enumeration's wall-clock time under its strategy
-    /// label; only a label the table has not seen yet allocates its key.
-    pub fn record(&self, strategy: &str, sample: Duration) {
-        let mut inner = self.inner.lock().expect("latency table poisoned");
-        match inner.get_mut(strategy) {
-            Some(stats) => stats.record(sample),
-            None => inner.entry(strategy.to_owned()).or_default().record(sample),
-        }
-    }
-
-    /// Copy of the table, ordered by strategy label.
-    pub fn snapshot(&self) -> BTreeMap<String, LatencyStats> {
-        self.inner.lock().expect("latency table poisoned").clone()
     }
 }
 
@@ -267,13 +209,10 @@ impl OverloadSnapshot {
 
 pub use crate::histogram::{LatencyHistogram, HISTOGRAM_BUCKETS};
 
-/// Per-rung latency histograms: the samples [`StrategyLatencies`]
-/// files — each fresh enumeration's wall-clock time, under what
-/// produced the plan after any governed descent — keyed by ladder rung
-/// (`"DP"`, `"SDP"`, `"IDP(4)"`, `"GOO"`). The two tables differ in
-/// granularity: a pinned IDP(7) run counts as `"IDP(7)"` there and
-/// under `"IDP(4)"` here. And in shape: full distributions here, mean
-/// and max only there.
+/// Per-rung latency histograms: each fresh enumeration's wall-clock
+/// time, keyed by the label of what produced the plan after any
+/// governed descent — the rung (`"DP"`, `"SDP"`, `"IDP(4)"`, `"GOO"`),
+/// or the pinned configuration a request asked for and got (`"IDP(7)"`).
 #[derive(Debug, Default)]
 pub struct RungLatencies {
     inner: Mutex<BTreeMap<String, LatencyHistogram>>,
@@ -286,8 +225,8 @@ impl RungLatencies {
     }
 
     /// Record one governed enumeration's wall-clock time under the
-    /// label of the rung that produced its plan; only a label the table
-    /// has not seen yet allocates its key.
+    /// label of what produced its plan; only a label the table has not
+    /// seen yet allocates its key.
     pub fn record(&self, rung: &str, sample: Duration) {
         let mut inner = self.inner.lock().expect("rung latency table poisoned");
         match inner.get_mut(rung) {
@@ -339,29 +278,12 @@ mod tests {
     }
 
     #[test]
-    fn latency_stats_track_mean_and_max() {
-        let mut l = LatencyStats::default();
-        assert_eq!(l.mean(), Duration::ZERO);
-        l.record(Duration::from_millis(10));
-        l.record(Duration::from_millis(30));
-        assert_eq!(l.count, 2);
-        assert_eq!(l.mean(), Duration::from_millis(20));
-        assert_eq!(l.max, Duration::from_millis(30));
-    }
-
-    #[test]
     fn means_survive_counts_past_u32() {
         // `Duration` divides by `u32` only: a count cast down to it
         // divides by zero at exactly 2³² and by the wrong number past
         // it.
         for count in [1u64 << 32, (1 << 32) + 1] {
             let total = Duration::from_micros(3 * count);
-            let stats = LatencyStats {
-                count,
-                total,
-                max: Duration::from_micros(3),
-            };
-            assert_eq!(stats.mean(), Duration::from_micros(3));
             let h = LatencyHistogram {
                 count,
                 total,
@@ -372,8 +294,8 @@ mod tests {
     }
 
     #[test]
-    fn strategy_table_is_keyed_by_label() {
-        let t = StrategyLatencies::new();
+    fn latency_table_is_keyed_by_label() {
+        let t = RungLatencies::new();
         t.record("SDP", Duration::from_millis(5));
         t.record("SDP", Duration::from_millis(7));
         t.record("DP", Duration::from_millis(50));

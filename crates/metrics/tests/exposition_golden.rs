@@ -12,12 +12,11 @@ use std::time::Duration;
 
 use sdp_metrics::table::{Kind, MetricDef};
 use sdp_metrics::{
-    AllocSnapshot, CountersSnapshot, GovernorSnapshot, LatencyHistogram, LatencyStats,
-    MetricsReport, OverloadSnapshot, QErrorHistogram, StoreSnapshot,
+    AllocSnapshot, CountersSnapshot, GovernorSnapshot, LatencyHistogram, MetricsReport,
+    OverloadSnapshot, QErrorHistogram, StoreSnapshot,
 };
 
-/// Every scalar non-zero and distinct, two strategies, two rungs, one
-/// Q-error series.
+/// Every scalar non-zero and distinct, two rungs, one Q-error series.
 fn full_report() -> MetricsReport {
     let mut report = MetricsReport {
         counters: CountersSnapshot {
@@ -72,13 +71,6 @@ fn full_report() -> MetricsReport {
         cached_plans: 601,
         ..MetricsReport::default()
     };
-    for (label, samples) in [("DP", [4u64, 8]), ("SDP", [1, 3])] {
-        let mut stats = LatencyStats::default();
-        for millis in samples {
-            stats.record(Duration::from_millis(millis));
-        }
-        report.strategies.insert(label.to_string(), stats);
-    }
     for (label, samples) in [("GOO", [80u64, 90, 700]), ("SDP", [700, 800, 5000])] {
         let mut h = LatencyHistogram::default();
         for micros in samples {

@@ -4,7 +4,7 @@
 //! sdp-service replay [--shape star|chain|cycle|star-chain]
 //!                    [--relations N] [--distinct N] [--requests N]
 //!                    [--clients N] [--workers N] [--capacity N]
-//!                    [--shards N] [--seed N]
+//!                    [--seed N]
 //!                    [--deadline-ms N] [--memory-mb N]
 //!                    [--trace PATH] [--metrics-json PATH]
 //! ```
@@ -14,19 +14,19 @@
 //! requests drawn from it (alternating SQL-text and programmatic
 //! submissions) from `--clients` client threads through a
 //! `--workers`-thread daemon, and reports throughput, cache counters
-//! and per-strategy enumeration latencies.
+//! and enumeration latency histograms, by what produced each plan.
 //!
 //! `--deadline-ms` and `--memory-mb` attach a per-request deadline and
 //! memory budget: requests that exhaust a strategy's slice degrade
 //! down the ladder (DP → SDP → IDP(4) → GOO) instead of failing, and
 //! the report gains governor counters (degradations by reason,
-//! timeouts, leader retries) plus per-rung latency histograms.
+//! timeouts, leader retries).
 //!
 //! `--trace PATH` collects the full structured event stream (request
 //! lifecycle, governor transitions, enumeration spans) and writes it
 //! as a chrome://tracing-compatible JSON array. `--metrics-json PATH`
 //! writes the complete metrics report (counters, governor, latency
-//! tables, allocator watermarks, store counters) as one JSON document;
+//! histograms, allocator watermarks, store counters) as one JSON document;
 //! the human-readable report stays on stdout either way. Failed
 //! requests are reported through the same trace stream, so each error
 //! line carries the query fingerprint and the rung it failed on — and
@@ -113,7 +113,6 @@ struct ReplayArgs {
     clients: usize,
     workers: usize,
     capacity: usize,
-    shards: usize,
     ordered: bool,
     seed: u64,
     deadline_ms: Option<u64>,
@@ -143,7 +142,6 @@ impl Default for ReplayArgs {
             clients: 4,
             workers: 4,
             capacity: 1024,
-            shards: 8,
             ordered: false,
             seed: 42,
             deadline_ms: None,
@@ -165,7 +163,7 @@ impl Default for ReplayArgs {
 fn usage() -> &'static str {
     "usage: sdp-service replay [--shape star|chain|cycle|star-chain] \
      [--relations N] [--distinct N] [--requests N] [--clients N] \
-     [--workers N] [--capacity N] [--shards N] [--ordered] \
+     [--workers N] [--capacity N] [--ordered] \
      [--seed N] [--deadline-ms N] [--memory-mb N] \
      [--trace PATH] [--metrics-json PATH] \
      [--metrics-prom PATH] [--store-dir DIR] [--dlq DIR] [--queue-cap N] \
@@ -211,11 +209,6 @@ fn parse_replay(args: &[String]) -> Result<ReplayArgs, String> {
                 out.capacity = value("--capacity")?
                     .parse()
                     .map_err(|e| format!("--capacity: {e}"))?
-            }
-            "--shards" => {
-                out.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
             }
             "--ordered" => out.ordered = true,
             "--seed" => {
@@ -370,7 +363,6 @@ fn drain_dlq(args: &ReplayArgs, dir: &str) -> Result<(), String> {
         catalog.clone(),
         ServiceConfig {
             cache_capacity: args.capacity,
-            cache_shards: args.shards,
             ..ServiceConfig::default()
         },
     );
@@ -699,9 +691,9 @@ fn replay(args: ReplayArgs) -> Result<(), String> {
 
     let config = ServiceConfig {
         cache_capacity: args.capacity,
-        cache_shards: args.shards,
         ..ServiceConfig::default()
     };
+    let cache_shards = config.cache_shards;
     let breaker_threshold = config.breaker_threshold;
     let breaker_probe_every = config.breaker_probe_every;
     #[allow(unused_mut)]
@@ -761,7 +753,7 @@ fn replay(args: ReplayArgs) -> Result<(), String> {
             args.clients,
             args.workers,
             args.capacity,
-            args.shards,
+            cache_shards,
             args.seed,
         );
     }
@@ -811,15 +803,6 @@ fn replay(args: ReplayArgs) -> Result<(), String> {
         "enumerations: {} runs costing {} plans total",
         snap.enumerations, snap.plans_costed
     );
-    for (strategy, lat) in service.latencies().snapshot() {
-        println!(
-            "  {strategy:<10} {:>4} runs  mean {:>9.3?}  max {:>9.3?}",
-            lat.count,
-            lat.mean(),
-            lat.max
-        );
-    }
-
     let gov = service.governor_snapshot();
     println!(
         "governor: {} degradations ({} deadline, {} memory of which {} predicted, \

@@ -70,19 +70,16 @@ impl Drop for QueueSlot {
 }
 
 /// Admission pressure on arrival `seq`: answer from the stale shelf
-/// when allowed and possible, else shed for `reason` — the one place a
-/// shed is counted and traced (keyed by arrival: nothing is parsed yet).
+/// when possible, else shed for `reason` — the one place a shed is
+/// counted and traced (keyed by arrival: nothing is parsed yet).
 fn stale_or_shed(
     service: &OptimizerService,
-    stale_serve: bool,
     request: &ServiceRequest,
     seq: u64,
     reason: ShedReason,
 ) -> Reply {
-    if stale_serve {
-        if let Some(response) = service.serve_stale(request) {
-            return Ok(response);
-        }
+    if let Some(response) = service.serve_stale(request) {
+        return Ok(response);
     }
     let overload = service.overload_counters();
     match reason {
@@ -99,13 +96,13 @@ fn stale_or_shed(
 
 /// Tuning for one [`Daemon`]: worker count plus overload-control
 /// policy. [`Daemon::spawn`] uses [`DaemonConfig::new`] defaults —
-/// an unbounded queue, deadline shedding at the cheapest rung's
-/// floor, and stale-serve enabled.
+/// an unbounded queue and deadline shedding at the cheapest rung's
+/// floor. Under pressure the daemon always answers from the stale
+/// shelf when it can, and sheds only when it cannot.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     workers: usize,
     queue_capacity: Option<usize>,
-    stale_serve: bool,
     #[cfg(feature = "testkit")]
     chaos: Option<sdp_testkit::ChaosSchedule>,
 }
@@ -113,12 +110,11 @@ pub struct DaemonConfig {
 impl DaemonConfig {
     /// Config for `workers` threads (floored at 1) with default
     /// overload policy: no queue bound, deadline shedding at
-    /// [`CHEAPEST_RUNG_FLOOR`], stale-serve on.
+    /// [`CHEAPEST_RUNG_FLOOR`].
     pub fn new(workers: usize) -> Self {
         DaemonConfig {
             workers: workers.max(1),
             queue_capacity: None,
-            stale_serve: true,
             #[cfg(feature = "testkit")]
             chaos: None,
         }
@@ -129,13 +125,6 @@ impl DaemonConfig {
     /// shed) instead of queueing.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = Some(capacity.max(1));
-        self
-    }
-
-    /// Shed outright under pressure instead of consulting the stale
-    /// shelf first.
-    pub fn without_stale_serve(mut self) -> Self {
-        self.stale_serve = false;
         self
     }
 
@@ -228,7 +217,6 @@ pub struct Daemon {
     /// admitted or not.
     seq: AtomicU64,
     queue_capacity: Option<usize>,
-    stale_serve: bool,
 }
 
 /// Claim on a submitted request's eventual response.
@@ -258,7 +246,6 @@ impl Daemon {
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let gate = Arc::new(Gate::default());
-        let stale_serve = config.stale_serve;
         #[cfg(feature = "testkit")]
         let chaos = config.chaos.clone();
         let workers = (0..config.workers)
@@ -310,8 +297,7 @@ impl Daemon {
                         let remaining = job.request.deadline();
                         if remaining.is_some_and(|left| left <= CHEAPEST_RUNG_FLOOR) {
                             let reason = ShedReason::DeadlineExpired;
-                            let answer =
-                                stale_or_shed(&service, stale_serve, &job.request, job.seq, reason);
+                            let answer = stale_or_shed(&service, &job.request, job.seq, reason);
                             let _ = job.reply.send(answer);
                             continue;
                         }
@@ -339,7 +325,6 @@ impl Daemon {
             gate,
             seq: AtomicU64::new(0),
             queue_capacity: config.queue_capacity,
-            stale_serve: config.stale_serve,
         }
     }
 
@@ -382,7 +367,7 @@ impl Daemon {
         let cap = self.queue_capacity.map_or(u64::MAX, |cap| cap as u64);
         if !overload.try_enter_queue(cap) {
             let reason = ShedReason::QueueFull;
-            let answer = stale_or_shed(&self.service, self.stale_serve, &request, seq, reason);
+            let answer = stale_or_shed(&self.service, &request, seq, reason);
             let _ = reply.send(answer);
             return Ticket(rx);
         }
@@ -508,9 +493,7 @@ mod tests {
         let service = Arc::new(OptimizerService::with_defaults(catalog.clone()));
         let daemon = Daemon::with_config(
             Arc::clone(&service),
-            DaemonConfig::new(1)
-                .with_queue_capacity(2)
-                .without_stale_serve(),
+            DaemonConfig::new(1).with_queue_capacity(2),
         );
         daemon.pause();
         let gen = QueryGenerator::new(&catalog, Topology::Chain(4), 5);

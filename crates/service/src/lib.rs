@@ -19,7 +19,7 @@
 //!   ones, GOO beyond that) driven by `sdp-query` hub detection;
 //! * [`service`] — [`OptimizerService`], the `Send + Sync` request
 //!   path tying the above together over a swappable catalog snapshot,
-//!   with counters and per-strategy latencies in `sdp-metrics`.
+//!   with counters and latency histograms in `sdp-metrics`.
 //!   Requests may carry a deadline and memory budget; the leader runs
 //!   under `sdp-core`'s resource governor, degrading down the
 //!   DP → SDP → IDP(4) → GOO ladder instead of failing, and a leader
@@ -52,8 +52,7 @@
 //! [`OptimizerService::with_tracer`] and the whole request lifecycle
 //! becomes observable: cache outcome per fingerprint, queue waits,
 //! governor degradations, leader retries and per-request errors, plus
-//! (with the default `trace` feature) the optimizer's own enumeration
-//! spans. [`OptimizerService::metrics_report`] snapshots every counter
+//! the optimizer's own enumeration spans. [`OptimizerService::metrics_report`] snapshots every counter
 //! family into an `sdp_metrics::MetricsReport` for Prometheus-text or
 //! JSON exposition.
 //!

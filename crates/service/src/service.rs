@@ -14,8 +14,8 @@
 //!    the enumeration (strategy from [`crate::select::choose`] unless
 //!    the request pins one) and publishes; waiters block and receive
 //!    the same plan;
-//! 5. record hit/miss/coalesced/evicted counters and per-strategy
-//!    latency into `sdp-metrics`.
+//! 5. record hit/miss/coalesced/evicted counters and each fresh
+//!    enumeration's latency into `sdp-metrics`.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -30,7 +30,7 @@ use sdp_core::{
 };
 use sdp_metrics::{
     CountersSnapshot, DescentReason, GovernorCounters, GovernorSnapshot, MetricsReport,
-    OverloadCounters, RungLatencies, ServiceCounters, StoreCounters, StrategyLatencies,
+    OverloadCounters, RungLatencies, ServiceCounters, StoreCounters,
 };
 use sdp_query::canon::stable_hash;
 use sdp_query::Query;
@@ -420,7 +420,6 @@ pub struct OptimizerService {
     cache: ShardedLru<CachedPlan>,
     flights: SingleFlight<u128, CachedPlan>,
     counters: ServiceCounters,
-    latencies: StrategyLatencies,
     governor_counters: GovernorCounters,
     rung_latencies: RungLatencies,
     store_counters: Arc<StoreCounters>,
@@ -531,7 +530,6 @@ impl OptimizerService {
             cache: ShardedLru::new(config.cache_capacity, config.cache_shards),
             flights: SingleFlight::new(),
             counters: ServiceCounters::new(),
-            latencies: StrategyLatencies::new(),
             governor_counters: GovernorCounters::new(),
             rung_latencies: RungLatencies::new(),
             store_counters: Arc::new(StoreCounters::default()),
@@ -668,7 +666,6 @@ impl OptimizerService {
         MetricsReport {
             counters: self.counters.snapshot(),
             governor: self.governor_counters.snapshot(),
-            strategies: self.latencies.snapshot(),
             rungs: self.rung_latencies.snapshot(),
             alloc: sdp_metrics::alloc::snapshot(),
             store: self.store_counters.snapshot(),
@@ -703,11 +700,6 @@ impl OptimizerService {
         self.counters.snapshot()
     }
 
-    /// Per-strategy enumeration latencies.
-    pub fn latencies(&self) -> &StrategyLatencies {
-        &self.latencies
-    }
-
     /// Governor counters (degradations by reason, timeouts, leader
     /// retries) — live handle.
     pub fn governor_counters(&self) -> &GovernorCounters {
@@ -719,7 +711,8 @@ impl OptimizerService {
         self.governor_counters.snapshot()
     }
 
-    /// Per-rung enumeration latency histograms.
+    /// Enumeration latency histograms, keyed by what produced each
+    /// fresh plan (its `strategy` label).
     pub fn rung_latencies(&self) -> &RungLatencies {
         &self.rung_latencies
     }
@@ -779,9 +772,7 @@ impl OptimizerService {
                 counters.record_miss();
                 counters.record_enumeration(run.plan.stats.plans_costed);
                 counters.add_evicted(evicted);
-                self.latencies.record(&plan.strategy, elapsed);
-                let rung = run.rung.map(|r| r.label()).unwrap_or(&plan.strategy);
-                self.rung_latencies.record(rung, elapsed);
+                self.rung_latencies.record(&plan.strategy, elapsed);
             }
             Outcome::ServedStale(_) => overload.record_served_stale(),
             Outcome::CacheStale => counters.add_stale_evicted(1),
@@ -1019,12 +1010,7 @@ impl OptimizerService {
     /// exactly one retry, one rung cheaper. Optimizer errors are NOT
     /// retried here: the governor already walked the ladder for those.
     fn lead(&self, r: &Resolved<'_>) -> Result<GovernedPlan, ServiceError> {
-        #[allow(unused_mut)]
-        let mut optimizer = Optimizer::new(&r.catalog);
-        #[cfg(feature = "trace")]
-        {
-            optimizer = optimizer.with_tracer(self.tracer.clone());
-        }
+        let optimizer = Optimizer::new(&r.catalog).with_tracer(self.tracer.clone());
         let mut governor = Governor::new();
         if let Some(deadline) = r.request.deadline {
             governor = governor.with_deadline(deadline);
@@ -1401,8 +1387,20 @@ mod tests {
         let snap = service.governor_snapshot();
         assert_eq!(snap.degradations, 0);
         assert_eq!(snap.timeouts, 0);
-        // The rung latency table mirrors the strategy table.
         assert!(service.rung_latencies().snapshot().contains_key("DP"));
+    }
+
+    #[test]
+    fn a_pinned_configuration_files_its_latency_under_its_own_label() {
+        let catalog = Catalog::paper();
+        let service = OptimizerService::with_defaults(catalog.clone());
+        let q = QueryGenerator::new(&catalog, Topology::Chain(6), 2).instance(0);
+        let request = ServiceRequest::query(q).with_algorithm(Algorithm::Idp { k: 7 });
+        let resp = service.get_plan(&request).unwrap();
+        assert_eq!(resp.plan.rung, Some(Rung::Idp));
+        let latencies = service.rung_latencies().snapshot();
+        assert_eq!(latencies.get("IDP(7)").map(|h| h.count), Some(1));
+        assert!(!latencies.contains_key("IDP(4)"), "{latencies:?}");
     }
 
     #[test]

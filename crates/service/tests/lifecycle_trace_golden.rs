@@ -17,7 +17,7 @@
 //! cannot reach is `cache_stale`: it needs a request in flight across
 //! an epoch bump.
 
-#![cfg(all(feature = "testkit", feature = "trace"))]
+#![cfg(feature = "testkit")]
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -17,9 +17,9 @@
 //!    [`NullSink`] (or no sink at all) answers [`Tracer::enabled`]
 //!    with `false` from an inlined `Option`/bool check, and every
 //!    emission site builds its payload behind that check
-//!    ([`Tracer::emit_with`]), so a disabled build pays one branch per
-//!    site. `sdp-core` additionally gates its instrumentation behind a
-//!    `trace` cargo feature for a provably zero-cost opt-out.
+//!    ([`Tracer::emit_with`]), so a disabled tracer costs one branch
+//!    per site. The instrumentation is always compiled in: there is no
+//!    cargo feature to build it out, and none is needed.
 //! 3. **No dependencies.** Events render themselves to the canonical
 //!    line format and to `chrome://tracing`-compatible JSON
 //!    ([`chrome_trace`]) with hand-rolled, fully deterministic

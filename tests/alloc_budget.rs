@@ -350,23 +350,17 @@ fn a_served_plan_keeps_72_bytes_a_node() {
 
 #[test]
 fn a_latency_sample_under_a_known_label_does_not_allocate() {
-    // The service files every fresh enumeration's time under its
-    // strategy and its rung: a label the tables hold already costs no
-    // key, only a new one does.
-    use sdp::metrics::{RungLatencies, StrategyLatencies};
+    // The service files every fresh enumeration's time under what
+    // produced its plan: a label the table holds already costs no key,
+    // only a new one does.
+    use sdp::metrics::RungLatencies;
     use std::time::Duration;
 
-    let (strategies, rungs) = (StrategyLatencies::new(), RungLatencies::new());
+    let rungs = RungLatencies::new();
     let sample = Duration::from_micros(700);
-    let (_, first) = calls_during(|| {
-        strategies.record("SDP", sample);
-        rungs.record("SDP", sample);
-    });
+    let (_, first) = calls_during(|| rungs.record("SDP", sample));
     assert!(first > 0, "a new label allocates its key");
-    let (_, again) = calls_during(|| {
-        strategies.record("SDP", sample);
-        rungs.record("SDP", sample);
-    });
+    let (_, again) = calls_during(|| rungs.record("SDP", sample));
     assert_eq!(again, 0);
-    assert_eq!(strategies.snapshot()["SDP"].count, 2);
+    assert_eq!(rungs.snapshot()["SDP"].count, 2);
 }

@@ -47,9 +47,7 @@ fn burst_of_four_times_capacity_resolves_every_ticket() {
         let service = small_service(&catalog);
         let daemon = Daemon::with_config(
             Arc::clone(&service),
-            DaemonConfig::new(workers)
-                .with_queue_capacity(cap)
-                .without_stale_serve(),
+            DaemonConfig::new(workers).with_queue_capacity(cap),
         );
         let queries = star_queries(&catalog, 4, 11);
         daemon.pause();
@@ -322,9 +320,7 @@ fn concurrent_submitters_never_overshoot_the_queue_capacity() {
     let service = small_service(&catalog);
     let daemon = Daemon::with_config(
         Arc::clone(&service),
-        DaemonConfig::new(1)
-            .with_queue_capacity(CAP)
-            .without_stale_serve(),
+        DaemonConfig::new(1).with_queue_capacity(CAP),
     );
     let query = star_queries(&catalog, 1, 3).remove(0);
     let barrier = std::sync::Barrier::new(SUBMITTERS);
