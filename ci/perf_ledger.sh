@@ -60,6 +60,16 @@
 # sort buffer of the settlement sweeps (16 bytes a partition member)
 # grow with the widest level, once per request.
 #
+# The tight floor moved two fields, `plans costed` of `cold_sdp`
+# (132354 → 77821) and of `governed_churn` (106105 → 82540). A JCR its
+# inputs floor leaves undominated is tested again on the cheapest join
+# method its pairs allow over their inputs' cheapest plans, and costed
+# only if it is still undominated. That floor is at most the cheapest
+# plan, bit for bit, so keep-masks, plans and both digests are those of
+# the all-costed run, and every other line is unchanged. The floor kept
+# while staging sits in the stage record's free half-word: no
+# allocation ceiling moved.
+#
 # Run-scoped optimizer memory moved no line and lowered every ceiling
 # but `warm_hit`'s: an optimization now allocates its nodes and a
 # logarithmic number of buffer growths, not buffers per level, group or

@@ -140,6 +140,10 @@ pub(crate) struct StagedJcr {
     /// `LevelStage::deferred` to the first; `NO_PAIR` for a JCR that is
     /// costed (as it was staged, or since).
     deferred: u32,
+    /// The least [`inputs_floor`] over the pairs staged uncosted so far,
+    /// rounded down to an `f32` ([`f32_at_most`]): in the four bytes
+    /// `deferred` leaves of the last word, so the stage is no wider.
+    floor: f32,
 }
 
 impl StagedJcr {
@@ -175,6 +179,38 @@ fn inputs_floor(a: &Group, b: &Group) -> f64 {
         (true, false) => cost_b,
         (false, false) => cost_a + cost_b,
     }
+}
+
+/// `x ≥ 0` as the greatest `f32` not above it: lowered, a floor stays a
+/// floor.
+fn f32_at_most(x: f64) -> f32 {
+    let near = x as f32;
+    if f64::from(near) > x {
+        // The next `f32` down: `near` is positive, or `+∞` (above `f32::MAX`).
+        f32::from_bits(near.to_bits() - 1)
+    } else {
+        near
+    }
+}
+
+/// The cheapest join method of one orientation over an outer plan of
+/// `outer_cost` and an inner of `inner_cost`: nested loop, hash, a merge
+/// (when a class crosses, `merges`) whose inputs are both ordered, and
+/// the index nested loop where the inner can be probed. Each method is
+/// `JoinTerms`' left-to-right sum of non-negative terms, so rounding
+/// keeps it monotone in both costs; a merge's sorts only add, and an
+/// index nested loop never reads the inner. So over plans costing at
+/// least these, no alternative of the orientation costs less.
+fn cheapest_method(terms: &JoinTerms, outer_cost: f64, inner_cost: f64, merges: bool) -> f64 {
+    let mut least = terms
+        .nested_loop(outer_cost, inner_cost)
+        .min(terms.hash(outer_cost, inner_cost));
+    if merges {
+        least = least.min(terms.merge(outer_cost, inner_cost, true, true));
+    }
+    terms
+        .index_nested_loop(outer_cost)
+        .map_or(least, |probe| least.min(probe))
 }
 
 /// The JCRs of the level being enumerated, in first-visit order, with
@@ -1078,10 +1114,17 @@ impl<'a> EnumContext<'a> {
     /// what `jcr` retained and evicted with the live-node count.
     fn cost_pair(&self, a: &Group, b: &Group, jcr: &mut Group, costing: &mut Costing) {
         debug_assert!(a.set.is_disjoint(b.set));
-        let facts = self.pair_facts(a, b);
+        let (facts, a_b, b_a) = self.pair_terms(a, b, jcr.rows);
         let classes = facts.classes.as_slice();
+        self.cost_orientation(a, b, &a_b, classes, jcr, costing);
+        self.cost_orientation(b, a, &b_a, classes, jcr, costing);
+    }
+
+    /// The facts of `a ⋈ b`, whose output has `out_rows` rows, and the
+    /// [`JoinTerms`] of its orientations `a ⋈ b` and `b ⋈ a`.
+    fn pair_terms(&self, a: &Group, b: &Group, out_rows: f64) -> (PairFacts, JoinTerms, JoinTerms) {
+        let facts = self.pair_facts(a, b);
         let params = self.model.params();
-        let out_rows = jcr.rows;
         let (side_a, side_b) = (a.side(), b.side());
         let terms = |outer, inner, inner_index| {
             JoinTerms::new(
@@ -1094,9 +1137,8 @@ impl<'a> EnumContext<'a> {
             )
         };
         let a_b = terms(&side_a, &side_b, facts.b_index);
-        self.cost_orientation(a, b, &a_b, classes, jcr, costing);
         let b_a = terms(&side_b, &side_a, facts.a_index);
-        self.cost_orientation(b, a, &b_a, classes, jcr, costing);
+        (facts, a_b, b_a)
     }
 
     /// Cost all methods for a fixed (outer, inner) orientation,
@@ -1184,7 +1226,8 @@ impl<'a> EnumContext<'a> {
     /// live group from now on — on first visit. The memo holds no group
     /// of `a ∪ b` ([`crate::dp::run_levels`]' precondition). In a level
     /// that defers costing, the pair is only recorded — its inputs'
-    /// memo slots — and its inputs lower the JCR's cost floor.
+    /// memo slots — and its [`inputs_floor`] lowers the JCR's running
+    /// one, while both input groups are at hand.
     pub(crate) fn stage_pair(&mut self, stage: &mut LevelStage, a: RelSet, b: RelSet) {
         let (slot_a, ga) = self.memo.get_slot(a).expect("left group exists");
         let (slot_b, gb) = self.memo.get_slot(b).expect("right group exists");
@@ -1195,6 +1238,7 @@ impl<'a> EnumContext<'a> {
                 let jcr = StagedJcr {
                     group: self.new_union_group(ga, gb, &mut stage.wide),
                     deferred: NO_PAIR,
+                    floor: f32::INFINITY,
                 };
                 if self.tracer.enabled() {
                     stage.staged_micros.push(self.tracer.wall_micros());
@@ -1212,6 +1256,7 @@ impl<'a> EnumContext<'a> {
                 previous: jcr.deferred,
             });
             jcr.deferred = pair;
+            jcr.floor = jcr.floor.min(f32_at_most(inputs_floor(ga, gb)));
         } else {
             let held = jcr.group.charged();
             self.cost_pair(ga, gb, &mut jcr.group, &mut stage.costing);
@@ -1228,19 +1273,34 @@ impl<'a> EnumContext<'a> {
         })
     }
 
-    /// A cost floor of the JCR staged uncosted in `slot`: at most the
+    /// The inputs floor of the JCR staged uncosted in `slot`: at most the
     /// cost of every plan its pairs can offer — so, once it is costed, at
     /// most its cheapest plan's cost. The least [`inputs_floor`] over its
-    /// pairs plus the output's emission (`JoinTerms`' `emit`, computed as
-    /// it does).
+    /// pairs, kept as they were staged (`StagedJcr::floor`), plus the
+    /// output's emission (`JoinTerms`' `emit`, computed as it does).
     pub(crate) fn cost_floor(&self, stage: &LevelStage, slot: usize) -> f64 {
-        let inputs = Self::deferred_pairs(stage, slot)
+        let jcr = &stage.jcrs[slot];
+        f64::from(jcr.floor) + jcr.group.rows * self.model.params().cpu_tuple_cost
+    }
+
+    /// The tight floor of the JCR staged uncosted in `slot`: the least,
+    /// over its pairs and both orientations of each, of the
+    /// [`cheapest_method`] over the inputs' cheapest plans. At least its
+    /// [`EnumContext::cost_floor`] and at most its cheapest plan's cost,
+    /// bit for bit; it costs no plan and offers none.
+    pub(crate) fn tight_floor(&self, stage: &LevelStage, slot: usize) -> f64 {
+        let out_rows = stage.jcrs[slot].group.rows;
+        Self::deferred_pairs(stage, slot)
             .map(|pair| {
                 let DeferredPair { a, b, .. } = stage.deferred[pair as usize];
-                inputs_floor(self.memo.at(a), self.memo.at(b))
+                let (a, b) = (self.memo.at(a), self.memo.at(b));
+                let (facts, a_b, b_a) = self.pair_terms(a, b, out_rows);
+                let merges = !facts.classes.as_slice().is_empty();
+                let (cost_a, cost_b) = (a.best_cost(), b.best_cost());
+                cheapest_method(&a_b, cost_a, cost_b, merges)
+                    .min(cheapest_method(&b_a, cost_b, cost_a, merges))
             })
-            .fold(f64::INFINITY, f64::min);
-        inputs + stage.jcrs[slot].group.rows * self.model.params().cpu_tuple_cost
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Cost the JCR staged uncosted in `slot` exactly as staging would
@@ -1411,6 +1471,25 @@ mod tests {
     use super::*;
     use sdp_catalog::Catalog;
     use sdp_query::{QueryGenerator, Topology};
+
+    #[test]
+    fn a_staged_jcr_is_its_group_and_one_word() {
+        // The running inputs floor shares the word `deferred` leaves half
+        // empty: a level that costs as it stages pays nothing for it.
+        assert_eq!(
+            std::mem::size_of::<StagedJcr>(),
+            std::mem::size_of::<Group>() + 8
+        );
+    }
+
+    #[test]
+    fn an_f32_at_most_is_the_greatest_below() {
+        for x in [0.0, 0.1, 6.284_480_936_513_36, 3.5e38, 1e299] {
+            let (y, above) = (f32_at_most(x), f32::from_bits(f32_at_most(x).to_bits() + 1));
+            assert!(f64::from(y) <= x && f64::from(above) > x, "{x}");
+        }
+        assert_eq!(f32_at_most(f64::INFINITY), f32::INFINITY);
+    }
 
     fn ctx_fixture<'a>(query: &'a Query, model: &'a CostModel<'a>) -> EnumContext<'a> {
         EnumContext::new(query, model, Budget::unlimited())

@@ -90,34 +90,48 @@ pub(crate) trait LevelPruner {
     fn sealed(&mut self, _ctx: &mut EnumContext<'_>, _survivors: &[(RelSet, RelSet)]) {}
 }
 
+/// How much a [`LevelJcrs`] knows of a JCR's Cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Known {
+    /// The inputs floor it was staged with (`EnumContext::cost_floor`).
+    InputsFloor,
+    /// The tight floor (`EnumContext::tight_floor`).
+    TightFloor,
+    /// Its cheapest plan's cost.
+    Cost,
+}
+
 /// A level as a [`LevelPruner`] judges it: its JCRs' sets and their
 /// `[Rows, Cost, Selectivity]` vectors (paper Figure 2.3), index for
 /// index, in creation order. Rows and Selectivity are exact from
 /// staging on. Cost is exact for a costed JCR; for one its level staged
 /// uncosted ([`LevelPruner::defers_costing`]) it is a floor, at most the
-/// JCR's cheapest plan's cost, until [`LevelJcrs::cost`] costs it.
+/// JCR's cheapest plan's cost, until [`LevelJcrs::cost`] costs it — the
+/// inputs floor, or, once [`LevelJcrs::tighten`] raised it, the tight
+/// floor.
 pub(crate) struct LevelJcrs<'l> {
     sets: &'l [RelSet],
     features: &'l mut [[f64; 3]],
-    costed: &'l mut [bool],
-    cost: &'l mut dyn FnMut(usize) -> f64,
+    known: &'l mut [Known],
+    price: &'l mut dyn FnMut(usize, Known) -> f64,
 }
 
 impl<'l> LevelJcrs<'l> {
-    /// The level as `sets` and `features` describe it, `costed` flagging
-    /// the exact costs among the features; `cost(i)` costs JCR `i` and
-    /// returns its cheapest plan's cost.
+    /// The level as `sets` and `features` describe it, `known` saying
+    /// what each JCR's Cost among the features is; `price(i, Known::Cost)`
+    /// costs JCR `i` and returns its cheapest plan's cost, and
+    /// `price(i, Known::TightFloor)` returns its tight floor.
     pub fn new(
         sets: &'l [RelSet],
         features: &'l mut [[f64; 3]],
-        costed: &'l mut [bool],
-        cost: &'l mut dyn FnMut(usize) -> f64,
+        known: &'l mut [Known],
+        price: &'l mut dyn FnMut(usize, Known) -> f64,
     ) -> Self {
         LevelJcrs {
             sets,
             features,
-            costed,
-            cost,
+            known,
+            price,
         }
     }
 
@@ -139,14 +153,26 @@ impl<'l> LevelJcrs<'l> {
 
     /// Whether JCR `i`'s Cost is exact.
     pub fn is_costed(&self, i: usize) -> bool {
-        self.costed[i]
+        self.known[i] == Known::Cost
+    }
+
+    /// Raise JCR `i`'s Cost to its tight floor if it is still the inputs
+    /// floor, and return its Cost: a floor no lower, or the exact cost.
+    pub fn tighten(&mut self, i: usize) -> f64 {
+        if self.known[i] == Known::InputsFloor {
+            let tight = (self.price)(i, Known::TightFloor);
+            debug_assert!(tight >= self.features[i][1], "a tight floor is no lower");
+            self.features[i][1] = tight;
+            self.known[i] = Known::TightFloor;
+        }
+        self.features[i][1]
     }
 
     /// Cost JCR `i` (if it is not yet) and return its exact Cost.
     pub fn cost(&mut self, i: usize) -> f64 {
-        if !self.costed[i] {
-            self.features[i][1] = (self.cost)(i);
-            self.costed[i] = true;
+        if self.known[i] != Known::Cost {
+            self.features[i][1] = (self.price)(i, Known::Cost);
+            self.known[i] = Known::Cost;
         }
         self.features[i][1]
     }
@@ -207,7 +233,7 @@ struct LevelBuffers {
     stage: LevelStage,
     sets: Vec<RelSet>,
     features: Vec<[f64; 3]>,
-    costed: Vec<bool>,
+    known: Vec<Known>,
     keep: Vec<bool>,
 }
 
@@ -234,7 +260,7 @@ fn run_one_level<'p>(
         stage,
         sets,
         features,
-        costed,
+        known,
         keep,
     } = buffers;
     let plans_before = ctx.plans_costed;
@@ -267,38 +293,41 @@ fn run_one_level<'p>(
     if let Some(p) = judge {
         sets.clear();
         features.clear();
-        costed.clear();
+        known.clear();
         keep.clear();
         // The four stay for the run, and double when a level outgrows
         // every earlier one.
         sets.reserve(stage.jcrs.len());
         features.reserve(stage.jcrs.len());
-        costed.reserve(stage.jcrs.len());
+        known.reserve(stage.jcrs.len());
         keep.reserve(stage.jcrs.len());
         for (slot, jcr) in stage.jcrs.iter().enumerate() {
             let group = &jcr.group;
-            let cost = if jcr.costed() {
-                group.best_cost()
+            let (cost, what) = if jcr.costed() {
+                (group.best_cost(), Known::Cost)
             } else {
-                ctx.cost_floor(stage, slot)
+                (ctx.cost_floor(stage, slot), Known::InputsFloor)
             };
             sets.push(jcr.group.set);
             features.push([group.rows, cost, group.selectivity]);
-            costed.push(jcr.costed());
+            known.push(what);
         }
         keep.resize(sets.len(), true);
         let ctx: &EnumContext<'_> = ctx;
-        let mut cost = |i| ctx.cost_staged(stage, i);
-        let mut jcrs = LevelJcrs::new(sets, features, costed, &mut cost);
+        let mut price = |i, what| match what {
+            Known::Cost => ctx.cost_staged(stage, i),
+            _ => ctx.tight_floor(stage, i),
+        };
+        let mut jcrs = LevelJcrs::new(sets, features, known, &mut price);
         prune_stats = p.prune(ctx, level, &mut jcrs, keep);
         // A survivor is costed as it would have been when staged.
-        for (i, (&keep, costed)) in keep.iter().zip(costed.iter_mut()).enumerate() {
-            if keep && !*costed {
+        for (i, (&keep, known)) in keep.iter().zip(known.iter_mut()).enumerate() {
+            if keep && *known != Known::Cost {
                 ctx.cost_staged(stage, i);
-                *costed = true;
+                *known = Known::Cost;
             }
         }
-        uncosted = costed.iter().filter(|&&c| !c).count();
+        uncosted = known.iter().filter(|&&k| k != Known::Cost).count();
     }
     if defer {
         // The pruner costs through a shared context, so a deferring
@@ -1094,8 +1123,8 @@ mod tests {
         use crate::governor::prepare_handoff;
         use crate::sdp::{optimize_sdp, Partitioning, SdpConfig, SdpPruner, SkylineOption};
         use proptest::prelude::*;
-        use sdp_catalog::ColId;
-        use sdp_query::{ColRef, JoinEdge};
+        use sdp_catalog::{ColId, RelId};
+        use sdp_query::{ColRef, JoinEdge, JoinGraph};
 
         /// SDP's pruner costing every level as it is staged.
         struct AllCosted(SdpPruner);
@@ -1209,12 +1238,16 @@ mod tests {
                 }
             }
 
-            /// A staged JCR's cost floor is at most its cheapest plan's
-            /// cost, bit patterns ordered by `f64::total_cmp` — index
-            /// nested loops included (the hub joins on its own indexed
-            /// column), ordered or not, over 64 edges and filters. Every
-            /// level is staged uncosted and costed whole; the plan is the
-            /// all-costed run's.
+            /// A staged JCR's inputs floor is at most its tight floor, and
+            /// that at most its cheapest plan's cost, bit patterns ordered
+            /// by `f64::total_cmp` with no slack — index nested loops
+            /// included (the hub joins on its own indexed column), merge
+            /// joins over inputs an index scan orders on the join class
+            /// (two of the catalog's largest relations join on both their
+            /// indexed columns: sorting either costs more than the merge
+            /// saves), ordered or not, over 64 edges and filters. Every
+            /// level is staged uncosted, tightened and costed whole; the
+            /// plan is the all-costed run's.
             #[test]
             fn a_cost_floor_is_at_most_the_cheapest_plan(
                 n in 2usize..=9,
@@ -1224,17 +1257,31 @@ mod tests {
                 filters in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u64>()), 0usize..=80),
                 ordered in any::<bool>(),
                 hub_index in any::<bool>(),
+                largest in any::<bool>(),
+                merge_index in any::<bool>(),
             ) {
                 let cat = Catalog::paper();
                 let model = CostModel::with_defaults(&cat);
                 let (mut query, _) = wide_query(n, &parents, &extras, &cliques, &filters);
+                if largest {
+                    // The same graph over the catalog's `n` largest relations.
+                    let graph = &query.graph;
+                    let shift = (cat.len() - n) as u32;
+                    let relations = graph.relations().iter().map(|r| RelId(r.0 + shift)).collect();
+                    let mut shifted = JoinGraph::new(relations, graph.edges().to_vec());
+                    graph.filters().iter().for_each(|&f| shifted.add_filter(f));
+                    query = Query::new(shifted);
+                }
+                let indexed = |node| cat.relation(query.graph.relation(node)).unwrap().indexed_column;
+                // Node 1 hangs off node 0 in every generated tree.
+                let (index_0, index_1) = (indexed(0), indexed(1));
                 if hub_index {
-                    // Node 1 hangs off node 0 in every generated tree.
-                    let rel = cat.relation(query.graph.relation(0)).unwrap();
-                    query.graph.add_edge(JoinEdge::new(
-                        ColRef::new(0, rel.indexed_column),
-                        ColRef::new(1, ColId(18)),
-                    ));
+                    let edge = JoinEdge::new(ColRef::new(0, index_0), ColRef::new(1, ColId(18)));
+                    query.graph.add_edge(edge);
+                }
+                if merge_index {
+                    let edge = JoinEdge::new(ColRef::new(0, index_0), ColRef::new(1, index_1));
+                    query.graph.add_edge(edge);
                 }
                 if ordered {
                     let column = query.graph.edges()[0].left;
@@ -1248,18 +1295,19 @@ mod tests {
                 prop_assert_eq!(plan.cost.to_bits(), expected.cost.to_bits());
                 prop_assert_eq!(plan.structural_digest(), expected.structural_digest());
                 prop_assert_eq!(ctx.plans_costed, oracle.plans_costed);
-                for &(set, floor, cost) in &probe.0 {
-                    prop_assert!(floor.total_cmp(&cost).is_le(), "{:?}: floor {} > {}", set, floor, cost);
+                for &(set, floor, tight, cost) in &probe.0 {
+                    prop_assert!(floor.total_cmp(&tight).is_le(), "{:?}: floor {} > {}", set, floor, tight);
+                    prop_assert!(tight.total_cmp(&cost).is_le(), "{:?}: tight {} > {}", set, tight, cost);
                     let best = ctx.memo.get(set).unwrap().best_cost();
                     prop_assert_eq!(cost.to_bits(), best.to_bits());
                 }
             }
         }
 
-        /// Defers every level, and records each JCR's floor beside the
-        /// cost it then asks for; keeps everything.
+        /// Defers every level, and records each JCR's inputs floor and
+        /// tight floor beside the cost it then asks for; keeps everything.
         #[derive(Default)]
-        struct FloorProbe(Vec<(RelSet, f64, f64)>);
+        struct FloorProbe(Vec<(RelSet, f64, f64, f64)>);
 
         impl LevelPruner for FloorProbe {
             fn prune(
@@ -1271,7 +1319,8 @@ mod tests {
             ) -> PruneStats {
                 for i in 0..jcrs.len() {
                     let floor = jcrs.features()[i][1];
-                    self.0.push((jcrs.sets()[i], floor, jcrs.cost(i)));
+                    let tight = jcrs.tighten(i);
+                    self.0.push((jcrs.sets()[i], floor, tight, jcrs.cost(i)));
                 }
                 PruneStats::default()
             }
@@ -1293,7 +1342,7 @@ mod tests {
             let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
             let mut probe = FloorProbe::default();
             pruned(&mut ctx, &mut probe).unwrap();
-            let probed = probe.0.iter().filter(|&&(set, floor, cost)| {
+            let probed = probe.0.iter().filter(|&&(set, floor, tight, cost)| {
                 let best = ctx.memo.get(set).unwrap().best().source;
                 let inl = matches!(
                     best,
@@ -1302,7 +1351,7 @@ mod tests {
                         ..
                     }
                 );
-                assert!(floor <= cost, "{set:?}");
+                assert!(floor <= tight && tight <= cost, "{set:?}");
                 inl
             });
             assert!(probed.count() > 0, "no JCR's cheapest plan probes an index");

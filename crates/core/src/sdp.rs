@@ -33,9 +33,12 @@
 //!    reachable (Section 2.1.4).
 //! 5. **What to cost.** Rows and Selectivity are known once a JCR is
 //!    staged; Cost only once its pairs are costed. A level SDP prunes is
-//!    staged uncosted, each JCR with a cost floor, and `settle` costs
-//!    only the JCRs whose exact Cost some skyline's verdict needs ("Lazy
-//!    costing" in DESIGN.md): the keep-mask is the all-costed level's.
+//!    staged uncosted, each JCR with a cost floor from its inputs'
+//!    cheapest costs. `settle` raises the floor of a JCR it leaves
+//!    undominated to the tight floor — each pair's cheapest join method
+//!    over those inputs — and costs only the JCRs still undominated,
+//!    whose exact Cost some skyline's verdict needs ("Lazy costing" in
+//!    DESIGN.md): the keep-mask is the all-costed level's.
 
 use sdp_query::{hubs, RelSet};
 use sdp_skyline::{dominates, k_dominant_skyline_of, pairwise_union_skyline_of, skyline_sfs_of};
@@ -186,8 +189,9 @@ fn skyline(
 const COST: usize = 1;
 
 /// Cost the JCRs whose exact Cost a partition's skylines need; leave the
-/// rest on their floors. Afterwards, in each of the `partitions` and for
-/// each skyline projection that reads Cost, every uncosted member is
+/// rest on their floors, inputs or tight. Afterwards, in each of the
+/// `partitions` and for each skyline projection that reads Cost, every
+/// uncosted member is
 /// dominated, with its floor for its Cost, by a costed member. Such a
 /// member is off that projection's skyline with any Cost at or above the
 /// floor, and — dominance being transitive — whatever it dominates on
@@ -238,7 +242,9 @@ fn sort_members(members: &[usize], sweep: &mut Vec<(u64, u32)>, key: impl Fn(usi
 /// dominate one: from a smaller `free` at a Cost no higher, or from an
 /// equal `free` at a lower Cost. So the least Cost of the costed members
 /// swept before the current run of equal `free`, and the least within
-/// it, decide; a member they leave undominated on its floor is costed.
+/// it, decide. A member they leave undominated on its inputs floor is
+/// tested again on its tight floor, and costed only if it is still
+/// undominated.
 fn settle_pair(
     members: &[usize],
     free: usize,
@@ -253,9 +259,10 @@ fn settle_pair(
         if row[free] != run_free {
             (before, run, run_free) = (before.min(run), f64::INFINITY, row[free]);
         }
+        let dominated = |cost: f64| before <= cost || run < cost;
         let cost = if jcrs.is_costed(x) {
             row[COST]
-        } else if before <= row[COST] || run < row[COST] {
+        } else if dominated(row[COST]) || dominated(jcrs.tighten(x)) {
             continue;
         } else {
             jcrs.cost(x)
@@ -266,7 +273,8 @@ fn settle_pair(
 
 /// [`settle`] one partition on the full vector: the members swept in
 /// ascending order of Rows, each costed unless a costed member swept
-/// before dominates it on its floor (Cost a floor where uncosted). `window` keeps the costed members swept so far that
+/// before dominates it on its inputs floor or, failing that, on its
+/// tight floor. `window` keeps the costed members swept so far that
 /// none of them dominates — by transitivity, all a dominance test needs.
 fn settle_full(
     members: &[usize],
@@ -286,6 +294,10 @@ fn settle_full(
             continue;
         }
         if !jcrs.is_costed(x) {
+            jcrs.tighten(x);
+            if dominated(jcrs) {
+                continue;
+            }
             jcrs.cost(x);
             if dominated(jcrs) {
                 continue;
@@ -741,7 +753,7 @@ mod tests {
 mod oracle_tests {
     use super::*;
     use crate::budget::Budget;
-    use crate::dp::LevelJcrs;
+    use crate::dp::{Known, LevelJcrs};
     use crate::enumerate::tests::random_connected_query;
     use proptest::prelude::*;
     use sdp_catalog::Catalog;
@@ -822,6 +834,51 @@ mod oracle_tests {
         keep
     }
 
+    /// What [`prune_lazily`] saw: the keep-mask, the skyline counts, and
+    /// per JCR how often its Cost was tightened and how often costed.
+    type LazyVerdict = (Vec<bool>, PruneStats, Vec<(u32, u32)>);
+
+    /// Judge a level with `pruner`, each JCR's Cost handed over as its
+    /// `floors` row's, raised to its `tight` row's on request and to its
+    /// `exact` row's when costed; then cost the survivors, as the level
+    /// loop does.
+    fn prune_lazily(
+        pruner: &mut SdpPruner,
+        ctx: &EnumContext<'_>,
+        level: usize,
+        sets: &[RelSet],
+        [floors, tight, exact]: [&[[f64; 3]]; 3],
+    ) -> LazyVerdict {
+        let mut keep = vec![true; sets.len()];
+        let mut features = floors.to_vec();
+        let mut known = vec![Known::InputsFloor; sets.len()];
+        let mut asked = vec![(0, 0); sets.len()];
+        let mut price = |i: usize, what| match what {
+            Known::Cost => {
+                asked[i].1 += 1;
+                exact[i][1]
+            }
+            _ => {
+                asked[i].0 += 1;
+                tight[i][1]
+            }
+        };
+        let mut jcrs = LevelJcrs::new(sets, &mut features, &mut known, &mut price);
+        let stats = pruner.prune(ctx, level, &mut jcrs, &mut keep);
+        for (i, known) in known.iter_mut().enumerate() {
+            assert_eq!(
+                asked[i].1 == 1,
+                *known == Known::Cost,
+                "{i} costed unrecorded"
+            );
+            if keep[i] && *known != Known::Cost {
+                *known = Known::Cost;
+                asked[i].1 += 1;
+            }
+        }
+        (keep, stats, asked)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -832,8 +889,11 @@ mod oracle_tests {
         /// consecutive levels (so Parent-Hub's refreshed hub-parents
         /// and the reused scratch are exercised). So does a second
         /// pruner handed every Cost as a floor — the exact cost less a
-        /// random slack, zero included — and costing on request: the
-        /// same mask and skyline counts, and no JCR costed twice.
+        /// random slack, zero included — that tightening leaves where it
+        /// is, and costing on request: the same mask and skyline counts,
+        /// and no JCR costed twice. So does a third, whose tightening
+        /// raises each floor to a random value between it and the exact
+        /// cost; it costs no JCR the second does not.
         #[test]
         fn flat_pruner_keeps_what_the_copying_oracle_keeps(
             n in 6usize..=10,
@@ -842,7 +902,7 @@ mod oracle_tests {
             ordered in any::<bool>(),
             levels in prop::collection::vec(
                 prop::collection::vec(
-                    ((any::<u64>(), 0.0f64..6.0), 0.0f64..6.0, 0.0f64..6.0, 0.0f64..6.0),
+                    ((any::<u64>(), 0.0f64..6.0, 0.0f64..6.0), 0.0f64..6.0, 0.0f64..6.0, 0.0f64..6.0),
                     1..40,
                 ),
                 2usize,
@@ -872,6 +932,7 @@ mod oracle_tests {
                     let config = SdpConfig { partitioning, skyline };
                     let mut pruner = SdpPruner::new(&ctx, config);
                     let mut lazy = SdpPruner::new(&ctx, config);
+                    let mut tightening = SdpPruner::new(&ctx, config);
                     let mut hub_parents: Vec<RelSet> =
                         hubs::root_hubs(graph).iter().map(RelSet::single).collect();
                     for (level, rows) in (2..).zip(&levels) {
@@ -880,12 +941,15 @@ mod oracle_tests {
                         let mut sets: Vec<RelSet> = Vec::new();
                         let mut features: Vec<[f64; 3]> = Vec::new();
                         let mut floors: Vec<[f64; 3]> = Vec::new();
-                        for &((mask, slack), r, c, s) in rows {
+                        let mut tight: Vec<[f64; 3]> = Vec::new();
+                        for &((mask, slack, rise), r, c, s) in rows {
                             let set = RelSet(mask % (1 << n));
                             if !set.is_empty() && !sets.contains(&set) {
+                                let (slack, rise) = (slack.floor(), rise.floor().min(slack.floor()));
                                 sets.push(set);
                                 features.push([r.floor(), c.floor(), s.floor()]);
-                                floors.push([r.floor(), c.floor() - slack.floor(), s.floor()]);
+                                floors.push([r.floor(), c.floor() - slack, s.floor()]);
+                                tight.push([r.floor(), c.floor() - slack + rise, s.floor()]);
                             }
                         }
 
@@ -917,41 +981,37 @@ mod oracle_tests {
                         };
 
                         let mut keep = vec![true; sets.len()];
-                        let (mut exact, mut costed) = (features.clone(), vec![true; sets.len()]);
-                        let mut unasked = |_| -> f64 { unreachable!("every cost is exact") };
-                        let mut jcrs = LevelJcrs::new(&sets, &mut exact, &mut costed, &mut unasked);
+                        let (mut exact, mut known) = (features.clone(), vec![Known::Cost; sets.len()]);
+                        let mut unasked = |_, _| -> f64 { unreachable!("every cost is exact") };
+                        let mut jcrs = LevelJcrs::new(&sets, &mut exact, &mut known, &mut unasked);
                         let stats = pruner.prune(&ctx, level, &mut jcrs, &mut keep);
                         prop_assert_eq!(
                             &keep, &expected,
                             "{:?} × {:?}, level {}", partitioning, skyline, level
                         );
 
-                        let mut lazy_keep = vec![true; sets.len()];
-                        let mut costed = vec![false; sets.len()];
-                        let mut asked = vec![0; sets.len()];
-                        let mut cost = |i: usize| {
-                            asked[i] += 1;
-                            features[i][1]
-                        };
-                        let mut jcrs = LevelJcrs::new(&sets, &mut floors, &mut costed, &mut cost);
-                        let lazy_stats = lazy.prune(&ctx, level, &mut jcrs, &mut lazy_keep);
-                        prop_assert_eq!(
-                            &lazy_keep, &expected,
-                            "lazy {:?} × {:?}, level {}", partitioning, skyline, level
-                        );
-                        prop_assert_eq!(lazy_stats, stats);
-                        // The level loop costs the survivors.
-                        for (i, costed) in costed.iter_mut().enumerate() {
-                            if lazy_keep[i] && !*costed {
-                                *costed = true;
-                                asked[i] += 1;
-                            }
+                        let rows = [&floors[..], &floors[..], &features[..]];
+                        let (lazy_keep, lazy_stats, asked) =
+                            prune_lazily(&mut lazy, &ctx, level, &sets, rows);
+                        let rows = [&floors[..], &tight[..], &features[..]];
+                        let (tight_keep, tight_stats, tight_asked) =
+                            prune_lazily(&mut tightening, &ctx, level, &sets, rows);
+                        for (what, keep, lazy_stats) in
+                            [("floor-only", &lazy_keep, lazy_stats), ("tightening", &tight_keep, tight_stats)]
+                        {
+                            prop_assert_eq!(
+                                keep, &expected,
+                                "{} {:?} × {:?}, level {}", what, partitioning, skyline, level
+                            );
+                            prop_assert_eq!(lazy_stats, stats, "{}", what);
                         }
                         for i in 0..sets.len() {
-                            prop_assert!(asked[i] <= 1, "{} costed twice", i);
-                            prop_assert_eq!(asked[i] == 1, costed[i]);
+                            let ((tightened, costed), (t_tightened, t_costed)) = (asked[i], tight_asked[i]);
+                            prop_assert!(costed <= 1 && t_costed <= 1, "{} costed twice", i);
+                            prop_assert!(tightened <= 1 && t_tightened <= 1, "{} tightened twice", i);
+                            prop_assert!(t_costed <= costed, "{} costed by the tightening pruner alone", i);
                             if matches!(skyline, SkylineOption::KDominant(_)) {
-                                prop_assert!(costed[i], "k-dominance asks for every cost");
+                                prop_assert!(t_costed == 1, "k-dominance asks for every cost");
                             }
                         }
 
