@@ -11,9 +11,10 @@
 //!   connected-subgraph walk behind the feasibility oracle;
 //! * [`sdp`] — **Skyline Dynamic Programming**: localized pruning on
 //!   hub partitions with the disjunctive pairwise-skyline function
-//!   over the `[Rows, Cost, Selectivity]` feature vector, including
-//!   the Root-Hub / Parent-Hub / Global partitioning variants and the
-//!   Option-1 / Option-2 / k-dominant skyline variants;
+//!   over the `[Rows, Cost, Selectivity]` feature vector — Root-Hub
+//!   partitioning with Option 2, as the paper evaluates it — and its
+//!   two ablations: Global partitioning (Table 3.6) and the Option-1
+//!   full-vector skyline (Table 2.3);
 //! * [`idp`] — Iterative Dynamic Programming, the
 //!   `IDP1-balanced-bestRow` variant the paper benchmarks against;
 //! * [`goo`] — Greedy Operator Ordering, a cheap baseline;

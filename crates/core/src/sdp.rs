@@ -10,22 +10,20 @@
 //!    *FreeGroup* and are never pruned — "there is no pruning at all
 //!    for a chain or cycle query".
 //! 2. **How to partition.** The *PruneGroup* (hub-bearing JCRs) is
-//!    partitioned per hub: Root-Hub partitioning keys on the hubs of
-//!    the original join graph (the variant the paper evaluates, found
-//!    to match Parent-Hub quality "with much lesser overheads");
-//!    Parent-Hub keys on the hub-parents of the previous level. A JCR
-//!    containing several hubs joins *all* the corresponding
-//!    partitions and "such JCRs are pruned since they are not
-//!    universally considered, by all parent-hubs, to be … worth
-//!    pursuing further" unless they survive in every one. The
+//!    partitioned per hub of the original join graph — Root-Hub
+//!    partitioning, the variant the paper evaluates (it matches the
+//!    Parent-Hub variant's quality "with much lesser overheads"; that
+//!    trade is measured in EXPERIMENTS.md, "SDP variants without a
+//!    table"). A JCR containing several hubs joins *all* the
+//!    corresponding partitions and "such JCRs are pruned since they
+//!    are not universally considered, by all parent-hubs, to be …
+//!    worth pursuing further" unless they survive in every one. The
 //!    Global variant (Table 3.6's ablation) throws every JCR of the
 //!    level into a single partition.
 //! 3. **What to keep.** Within a partition, survivors are the
 //!    disjunctive union of the pairwise skylines (RC ∪ CS ∪ RS) of
 //!    the `[Rows, Cost, Selectivity]` feature vectors — "Option 2".
-//!    Option 1 (one full-vector skyline) and the k-dominant "strong
-//!    skyline" of the paper's future work are available for the
-//!    ablation experiments.
+//!    Option 1 (one full-vector skyline) is Table 2.3's ablation.
 //! 4. **Interesting orders.** For a user `ORDER BY` on a join column,
 //!    an extra partition per relation owning that column collects all
 //!    JCRs *not* containing the relation; their skyline survivors are
@@ -41,7 +39,7 @@
 //!    DESIGN.md): the keep-mask is the all-costed level's.
 
 use sdp_query::{hubs, RelSet};
-use sdp_skyline::{dominates, k_dominant_skyline_of, pairwise_union_skyline_of, skyline_sfs_of};
+use sdp_skyline::{dominates, pairwise_union_skyline_of, skyline_sfs_of};
 
 use crate::context::EnumContext;
 use crate::dp::{LevelJcrs, LevelPruner, PruneStats};
@@ -53,9 +51,6 @@ pub enum Partitioning {
     /// variant the paper evaluates.
     #[default]
     RootHub,
-    /// Partition by the hub-parents of the immediately previous
-    /// level (composite hubs recomputed each iteration).
-    ParentHub,
     /// One partition holding the whole level — the "global pruning"
     /// ablation of Table 3.6. Applied at every prunable level
     /// regardless of hubs, with no FreeGroup exemption.
@@ -72,12 +67,6 @@ pub enum SkylineOption {
     /// Option 1: a single skyline over the full `[R, C, S]` vector —
     /// "high-quality plans but … very little pruning".
     FullVector,
-    /// The k-dominant "strong skyline" (future work, the paper’s reference \[12\]); `k` is the
-    /// number of dimensions a dominator must win on (2 or 3 for the
-    /// 3-attribute vector). An empty k-dominant skyline (cyclic
-    /// dominance) falls back to the full-vector skyline so a level is
-    /// never wiped out.
-    KDominant(usize),
 }
 
 /// SDP configuration: partitioning × skyline function.
@@ -103,9 +92,6 @@ pub(crate) struct SdpPruner {
     config: SdpConfig,
     /// Hubs of the original join graph (computed once), ascending.
     root_hubs: Vec<usize>,
-    /// Hub-parents: surviving JCRs of the previous level that act as
-    /// hubs in the contracted graph (Parent-Hub mode only), ascending.
-    hub_parents: Vec<RelSet>,
     /// Relations owning a column of the `ORDER BY` class, each of
     /// which sponsors an extra "interesting order" partition.
     order_relations: Vec<usize>,
@@ -174,14 +160,6 @@ fn skyline(
     match option {
         SkylineOption::PairwiseUnion => pairwise_union_skyline_of(features, members, winners),
         SkylineOption::FullVector => skyline_sfs_of(features, members, winners),
-        SkylineOption::KDominant(k) => {
-            k_dominant_skyline_of(features, members.clone(), k.clamp(1, 3), winners);
-            if winners.is_empty() {
-                // Cyclic k-dominance wiped the partition; fall back to
-                // the ordinary skyline (never empty).
-                skyline_sfs_of(features, members, winners);
-            }
-        }
     }
 }
 
@@ -196,8 +174,7 @@ const COST: usize = 1;
 /// member is off that projection's skyline with any Cost at or above the
 /// floor, and — dominance being transitive — whatever it dominates on
 /// its floor a costed member dominates as well: the projection's skyline
-/// over the floors is the one over the exact costs. The k-dominant
-/// skyline is not transitive, so it asks for every cost.
+/// over the floors is the one over the exact costs.
 fn settle<'m>(
     option: SkylineOption,
     partitions: impl Iterator<Item = &'m [usize]>,
@@ -213,7 +190,6 @@ fn settle<'m>(
                 settle_pair(members, 2, jcrs, sweep);
             }
             SkylineOption::FullVector => settle_full(members, jcrs, sweep, window),
-            SkylineOption::KDominant(_) => return (0..jcrs.len()).for_each(|i| _ = jcrs.cost(i)),
         }
     }
 }
@@ -314,8 +290,6 @@ impl SdpPruner {
     pub(crate) fn new(ctx: &EnumContext<'_>, config: SdpConfig) -> Self {
         let graph = ctx.graph();
         let root_hubs: Vec<usize> = hubs::root_hubs(graph).iter().collect();
-        // Level-1 hub-parents are exactly the root hubs.
-        let hub_parents: Vec<RelSet> = root_hubs.iter().map(|&h| RelSet::single(h)).collect();
         let order_relations: Vec<usize> = match ctx.order_target() {
             None => Vec::new(),
             Some(class) => {
@@ -333,7 +307,6 @@ impl SdpPruner {
         SdpPruner {
             config,
             root_hubs,
-            hub_parents,
             order_relations,
             relations: graph.len(),
             scratch: Scratch::default(),
@@ -368,11 +341,6 @@ impl SdpPruner {
             Partitioning::RootHub => {
                 for &h in &self.root_hubs {
                     sc.push_partition(level_sets, RelSet::single(h), |s| s.contains(h));
-                }
-            }
-            Partitioning::ParentHub => {
-                for &hp in &self.hub_parents {
-                    sc.push_partition(level_sets, hp, |s| s.is_superset(hp));
                 }
             }
         }
@@ -521,35 +489,20 @@ impl LevelPruner for SdpPruner {
         keep: &mut [bool],
     ) -> PruneStats {
         // Plain DP at level 1 and the last two levels (Figure 2.2).
-        let stats = if self.prunes(level) {
+        if self.prunes(level) {
             self.prune_partitions(ctx, level, jcrs, keep)
         } else {
             PruneStats::default()
-        };
-
-        // Recompute the hub-parents from the survivors of the level
-        // just finished ("the identification of hub relations … is
-        // computed afresh in each iteration of SDP with the current
-        // version of the join graph").
-        if self.config.partitioning == Partitioning::ParentHub {
-            let survivors = jcrs.sets().iter().zip(&*keep).filter(|(_, &k)| k);
-            self.hub_parents = hubs::hub_parents(ctx.graph(), survivors.map(|(s, _)| s));
-            self.hub_parents.sort_unstable(); // partitions go in key order
         }
-        stats
     }
 
-    /// A level SDP prunes stages uncosted when a hub partition can form
-    /// and its skyline is transitive (not k-dominant).
+    /// A level SDP prunes stages uncosted when a hub partition can form.
     fn defers_costing(&self, level: usize) -> bool {
         let partitions = match self.config.partitioning {
             Partitioning::Global => true,
             Partitioning::RootHub => !self.root_hubs.is_empty(),
-            Partitioning::ParentHub => !self.hub_parents.is_empty(),
         };
-        partitions
-            && self.prunes(level)
-            && !matches!(self.config.skyline, SkylineOption::KDominant(_))
+        partitions && self.prunes(level)
     }
 }
 
@@ -688,19 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn parent_hub_variant_works() {
-        let cfg = SdpConfig {
-            partitioning: Partitioning::ParentHub,
-            ..SdpConfig::paper()
-        };
-        for seed in 0..3 {
-            let (sdp_cost, stats, dp_cost) = run(Topology::star_chain(9), seed, cfg, false);
-            assert!(stats.jcrs_pruned > 0);
-            assert!(sdp_cost / dp_cost < 2.0, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn global_variant_prunes_chains_too() {
         let cfg = SdpConfig {
             partitioning: Partitioning::Global,
@@ -708,16 +648,6 @@ mod tests {
         };
         let (_, stats, _) = run(Topology::Chain(9), 2, cfg, false);
         assert!(stats.jcrs_pruned > 0, "global pruning ignores hubs");
-    }
-
-    #[test]
-    fn k_dominant_variant_completes() {
-        let cfg = SdpConfig {
-            skyline: SkylineOption::KDominant(2),
-            ..SdpConfig::paper()
-        };
-        let (sdp_cost, _, dp_cost) = run(Topology::Star(8), 9, cfg, false);
-        assert!(sdp_cost / dp_cost < 10.0);
     }
 
     #[test]
@@ -758,7 +688,6 @@ mod oracle_tests {
     use proptest::prelude::*;
     use sdp_catalog::Catalog;
     use sdp_cost::CostModel;
-    use sdp_skyline::kdominant::k_dominates;
     use sdp_skyline::skyline_naive;
 
     /// A partition's skyline the slow way: the partition's rows are
@@ -778,18 +707,6 @@ mod oracle_tests {
                 union.sort_unstable();
                 union.dedup();
                 union
-            }
-            SkylineOption::KDominant(k) => {
-                let strong: Vec<usize> = (0..rows.len())
-                    .filter(|&i| {
-                        !(0..rows.len()).any(|j| j != i && k_dominates(&rows[j], &rows[i], k))
-                    })
-                    .collect();
-                if strong.is_empty() {
-                    skyline_naive(rows)
-                } else {
-                    strong
-                }
             }
         }
     }
@@ -886,8 +803,8 @@ mod oracle_tests {
         /// buffers reused from level to level — returns the keep-mask
         /// of the copying oracle, for every partitioning × skyline
         /// function, with and without an order target, over two
-        /// consecutive levels (so Parent-Hub's refreshed hub-parents
-        /// and the reused scratch are exercised). So does a second
+        /// consecutive levels (so the reused scratch is exercised). So
+        /// does a second
         /// pruner handed every Cost as a floor — the exact cost less a
         /// random slack, zero included — that tightening leaves where it
         /// is, and costing on request: the same mask and skyline counts,
@@ -923,18 +840,12 @@ mod oracle_tests {
             let order_relations = SdpPruner::new(&ctx, SdpConfig::paper()).order_relations;
             prop_assert_eq!(order_relations.is_empty(), !ordered);
 
-            for partitioning in [Partitioning::RootHub, Partitioning::ParentHub, Partitioning::Global] {
-                for skyline in [
-                    SkylineOption::PairwiseUnion,
-                    SkylineOption::FullVector,
-                    SkylineOption::KDominant(2),
-                ] {
+            for partitioning in [Partitioning::RootHub, Partitioning::Global] {
+                for skyline in [SkylineOption::PairwiseUnion, SkylineOption::FullVector] {
                     let config = SdpConfig { partitioning, skyline };
                     let mut pruner = SdpPruner::new(&ctx, config);
                     let mut lazy = SdpPruner::new(&ctx, config);
                     let mut tightening = SdpPruner::new(&ctx, config);
-                    let mut hub_parents: Vec<RelSet> =
-                        hubs::root_hubs(graph).iter().map(RelSet::single).collect();
                     for (level, rows) in (2..).zip(&levels) {
                         // Distinct non-empty sets; coarse features, so
                         // that ties occur.
@@ -961,10 +872,6 @@ mod oracle_tests {
                             Partitioning::RootHub => hubs::root_hubs(graph)
                                 .iter()
                                 .map(|h| members_where(&|s| s.contains(h)))
-                                .collect(),
-                            Partitioning::ParentHub => hub_parents
-                                .iter()
-                                .map(|&hp| members_where(&|s| s.is_superset(hp)))
                                 .collect(),
                         };
                         partitions.retain(|members| !members.is_empty());
@@ -1010,14 +917,7 @@ mod oracle_tests {
                             prop_assert!(costed <= 1 && t_costed <= 1, "{} costed twice", i);
                             prop_assert!(tightened <= 1 && t_tightened <= 1, "{} tightened twice", i);
                             prop_assert!(t_costed <= costed, "{} costed by the tightening pruner alone", i);
-                            if matches!(skyline, SkylineOption::KDominant(_)) {
-                                prop_assert!(t_costed == 1, "k-dominance asks for every cost");
-                            }
                         }
-
-                        let survivors = sets.iter().zip(&keep).filter(|(_, &k)| k);
-                        hub_parents = hubs::hub_parents(graph, survivors.map(|(s, _)| s));
-                        hub_parents.sort_unstable();
                     }
                 }
             }

@@ -2,11 +2,12 @@
 //!
 //! The paper defines a **hub relation** as "any relation that joins
 //! with three or more relations in the join graph". Hubs found in the
-//! original join graph are *root hubs*; composites that acquire degree
-//! ≥ 3 at intermediate levels (for example the composite `12` in the
-//! paper's Figure 2.1, which has edges to relations 3, 4 and 5) are
-//! *composite hubs*. Hub identification "is computed afresh in each
-//! iteration of SDP with the current version of the join graph".
+//! original join graph are *root hubs*: SDP partitions each level it
+//! prunes by them (Root-Hub partitioning, the variant the paper
+//! evaluates). Composites that acquire degree ≥ 3 at intermediate
+//! levels — for example the composite `12` in the paper's Figure 2.1,
+//! which has edges to relations 3, 4 and 5 — are *composite hubs*, the
+//! paper's notion behind that figure; [`is_composite_hub`] tests one.
 
 use crate::graph::JoinGraph;
 use crate::relset::RelSet;
@@ -30,19 +31,6 @@ pub fn root_hubs(graph: &JoinGraph) -> RelSet {
 /// at least [`HUB_DEGREE`] external relations.
 pub fn is_composite_hub(graph: &JoinGraph, set: RelSet) -> bool {
     graph.degree(set) >= HUB_DEGREE
-}
-
-/// Among the given surviving composites of one DP level, the ones that
-/// act as hubs for the next level (the paper's "hub-parents").
-pub fn hub_parents<'a, I>(graph: &'a JoinGraph, survivors: I) -> Vec<RelSet>
-where
-    I: IntoIterator<Item = &'a RelSet>,
-{
-    survivors
-        .into_iter()
-        .copied()
-        .filter(|&s| is_composite_hub(graph, s))
-        .collect()
 }
 
 #[cfg(test)]
@@ -108,21 +96,6 @@ mod tests {
         for a in 0..5 {
             assert!(!is_composite_hub(&g, RelSet::from_indices([a, a + 1])));
         }
-    }
-
-    #[test]
-    fn hub_parents_filters_survivors() {
-        let g = figure_2_1();
-        let survivors = vec![
-            RelSet::from_indices([0, 1]), // hub parent
-            RelSet::from_indices([4, 5]), // not
-            RelSet::from_indices([6, 7]), // hub parent (joins 5, 8 ... degree 2!)
-        ];
-        let hubs = hub_parents(&g, &survivors);
-        assert!(hubs.contains(&RelSet::from_indices([0, 1])));
-        assert!(!hubs.contains(&RelSet::from_indices([4, 5])));
-        // {6,7}: neighbours are 5 and 8 → degree 2, not a hub.
-        assert!(!hubs.contains(&RelSet::from_indices([6, 7])));
     }
 
     #[test]

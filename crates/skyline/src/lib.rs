@@ -15,10 +15,6 @@
 //!   the disjunctive union of the skylines of every 2-attribute
 //!   projection of the feature vector (RC ∪ CS ∪ RS for the paper's
 //!   three-attribute `[Rows, Cost, Selectivity]` vector);
-//! * [`kdominant::k_dominant_skyline`] — the "strong skyline" of the
-//!   paper’s future-work reference \[12\] (Chan et al.), where an object
-//!   is excluded if some other object dominates it on *some* `k` of
-//!   the `d` dimensions;
 //! * [`orders`] — interesting-order exclusion partitions (§2.1.4):
 //!   per-relation partition membership and the skyline *rescue* pass
 //!   that keeps order-producing subplans alive through pruning.
@@ -34,12 +30,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod kdominant;
 pub mod multiway;
 pub mod orders;
 pub mod sfs;
 
-pub use kdominant::{k_dominant_skyline, k_dominant_skyline_of};
 pub use multiway::{pairwise_union_skyline, pairwise_union_skyline_of, projected_skyline};
 pub use orders::{exclusion_partition, rescue_order_partition};
 pub use sfs::{skyline_sfs, skyline_sfs_of};
@@ -65,7 +59,7 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
 }
 
 /// Dominance restricted to a subset of dimensions (used by the
-/// pairwise and k-dominant variants).
+/// pairwise-union skyline's projections).
 #[inline]
 pub fn dominates_on(a: &[f64], b: &[f64], dims: &[usize]) -> bool {
     let mut strict = false;

@@ -7,7 +7,7 @@
 //! ```
 
 use sdp::skyline::multiway::pairwise_skyline_membership;
-use sdp::skyline::{k_dominant_skyline, pairwise_union_skyline, skyline_sfs};
+use sdp::skyline::{pairwise_union_skyline, skyline_sfs};
 
 fn main() {
     // The paper's Prune Group 1: five JCRs from the partition of root
@@ -48,12 +48,9 @@ fn main() {
         );
     }
 
-    // Why "Option 2"? Compare against the full 3-D skyline (Option 1)
-    // and the strong (k-dominant) skyline the paper flags as future
-    // work.
+    // Why "Option 2"? Compare against the full 3-D skyline (Option 1).
     let option1 = skyline_sfs(&vectors);
     let option2 = pairwise_union_skyline(&vectors);
-    let strong = k_dominant_skyline(&vectors, 2);
     let names = |idx: &[usize]| {
         idx.iter()
             .map(|&i| labels[i])
@@ -68,7 +65,6 @@ fn main() {
         "Option 2 (pairwise union)       keeps : {}",
         names(&option2)
     );
-    println!("Strong (2-dominant) skyline     keeps : {}", names(&strong));
     println!(
         "\nThe paper picks Option 2: \"the best of both worlds\" — near-Option-1\n\
          plan quality at roughly half the JCRs processed (its Table 2.3)."

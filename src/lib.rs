@@ -35,7 +35,7 @@
 //! |---|---|
 //! | [`catalog`] | schema, statistics, the paper's 25-relation benchmark database |
 //! | [`query`] | join graphs, topologies, hub detection, workload generation |
-//! | [`skyline`] | skyline algorithms (SFS, pairwise-union, k-dominant) |
+//! | [`skyline`] | skyline algorithms (SFS, pairwise-union) |
 //! | [`cost`] | PostgreSQL-shaped cost model and cardinality estimation |
 //! | [`core`] | the enumerators: DP, IDP(k), **SDP**, GOO; memo, plans, budgets |
 //! | [`sql`] | SQL front-end: lexer, parser, binder, renderer |

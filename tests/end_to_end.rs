@@ -12,20 +12,12 @@ fn all_algorithms() -> Vec<Algorithm> {
         Algorithm::Idp { k: 7 },
         Algorithm::Sdp(SdpConfig::paper()),
         Algorithm::Sdp(SdpConfig {
-            partitioning: Partitioning::ParentHub,
-            skyline: SkylineOption::PairwiseUnion,
-        }),
-        Algorithm::Sdp(SdpConfig {
             partitioning: Partitioning::Global,
             skyline: SkylineOption::PairwiseUnion,
         }),
         Algorithm::Sdp(SdpConfig {
             partitioning: Partitioning::RootHub,
             skyline: SkylineOption::FullVector,
-        }),
-        Algorithm::Sdp(SdpConfig {
-            partitioning: Partitioning::RootHub,
-            skyline: SkylineOption::KDominant(2),
         }),
         Algorithm::Goo,
     ]

@@ -20,16 +20,8 @@ fn arb_algorithm() -> impl Strategy<Value = Algorithm> {
         (2usize..8).prop_map(|k| Algorithm::Idp { k }),
         Just(Algorithm::Sdp(SdpConfig::paper())),
         Just(Algorithm::Sdp(SdpConfig {
-            partitioning: Partitioning::ParentHub,
-            skyline: SkylineOption::PairwiseUnion,
-        })),
-        Just(Algorithm::Sdp(SdpConfig {
             partitioning: Partitioning::Global,
             skyline: SkylineOption::FullVector,
-        })),
-        (2usize..4).prop_map(|k| Algorithm::Sdp(SdpConfig {
-            partitioning: Partitioning::RootHub,
-            skyline: SkylineOption::KDominant(k),
         })),
         Just(Algorithm::Goo),
     ]
