@@ -12,7 +12,7 @@
 #    client).
 # 2. The Q-error aggregates (`qerror` family in the metrics JSON) are
 #    non-empty, per node kind and per predicate, and the report
-#    carries schema version 4.
+#    carries schema version 5.
 # 3. A torn tail (garbage appended to flight.log) is truncated on
 #    recovery without losing any intact record, and a second run over
 #    the same directory recovers the first run's records.
@@ -58,7 +58,7 @@ grep -q 'digest=[0-9a-f]\{16\}' "$WORK/records.txt" || {
 python3 - "$WORK/metrics.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
-assert m["schema"] == 4, f"expected schema 4, got {m['schema']}"
+assert m["schema"] == 5, f"expected schema 5, got {m['schema']}"
 assert m["qerror"], "qerror family empty after --qerror replay"
 assert any(k.startswith("node:") for k in m["qerror"]), "no per-kind series"
 assert any(k.startswith("pred:") for k in m["qerror"]), "no per-predicate series"

@@ -11,8 +11,6 @@
 //! allocator bytes; the model is what decides feasibility.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Paper-equivalent bytes charged per live memo group.
@@ -52,9 +50,6 @@ pub enum OptError {
     DisconnectedJoinGraph,
     /// The query has no relations.
     EmptyQuery,
-    /// The caller cancelled the run through its governor's
-    /// [`CancelHandle`](crate::governor::CancelHandle).
-    Cancelled,
 }
 
 impl fmt::Display for OptError {
@@ -82,7 +77,6 @@ impl fmt::Display for OptError {
                 )
             }
             OptError::EmptyQuery => write!(f, "query joins zero relations"),
-            OptError::Cancelled => write!(f, "optimization cancelled by caller"),
         }
     }
 }
@@ -133,10 +127,6 @@ pub struct MemoryModel {
     start: Instant,
     live_groups: u64,
     peak_bytes: u64,
-    /// Cooperative cancellation flag shared with the caller's
-    /// governor; polled by every budget check until acknowledged.
-    cancel: Option<Arc<AtomicBool>>,
-    cancel_acknowledged: bool,
     /// Logical clock of level barriers passed so far (see
     /// [`MemoryModel::barrier_check`]).
     barriers: u64,
@@ -154,8 +144,6 @@ impl MemoryModel {
             start: Instant::now(),
             live_groups: 0,
             peak_bytes: 0,
-            cancel: None,
-            cancel_acknowledged: false,
             barriers: 0,
             #[cfg(feature = "testkit")]
             faults: None,
@@ -200,20 +188,6 @@ impl MemoryModel {
         self.budget = budget;
     }
 
-    /// Attach a caller cancellation flag; every subsequent budget
-    /// check reports [`OptError::Cancelled`] while it is set (until
-    /// [`MemoryModel::acknowledge_cancel`]).
-    pub fn set_cancel_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.cancel = Some(flag);
-    }
-
-    /// Stop reporting a pending cancellation. The governor calls this
-    /// after observing [`OptError::Cancelled`] so its final, cheapest
-    /// rung can still produce a best-effort plan for the caller.
-    pub fn acknowledge_cancel(&mut self) {
-        self.cancel_acknowledged = true;
-    }
-
     /// Number of level barriers passed so far.
     pub fn barriers(&self) -> u64 {
         self.barriers
@@ -225,23 +199,12 @@ impl MemoryModel {
         self.faults = Some(faults);
     }
 
-    fn cancelled(&self) -> bool {
-        !self.cancel_acknowledged
-            && self
-                .cancel
-                .as_ref()
-                .is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-
     /// Check the budget with `live_nodes` plan nodes alive; updates the
     /// peak. Call once per enumeration batch (checking per-plan would be
     /// wasteful).
     pub fn check(&mut self, live_nodes: u64) -> Result<(), OptError> {
         let used = self.used_bytes(live_nodes);
         self.peak_bytes = self.peak_bytes.max(used);
-        if self.cancelled() {
-            return Err(OptError::Cancelled);
-        }
         if used > self.budget.max_model_bytes {
             return Err(OptError::MemoryExhausted {
                 used_bytes: used,
@@ -343,18 +306,6 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(2));
         assert!(matches!(m.check(0), Err(OptError::TimedOut { .. })));
-    }
-
-    #[test]
-    fn cancel_flag_trips_checks_until_acknowledged() {
-        let mut m = MemoryModel::new(Budget::unlimited());
-        let flag = Arc::new(AtomicBool::new(false));
-        m.set_cancel_flag(Arc::clone(&flag));
-        assert!(m.check(0).is_ok());
-        flag.store(true, Ordering::Relaxed);
-        assert_eq!(m.check(0), Err(OptError::Cancelled));
-        m.acknowledge_cancel();
-        assert!(m.check(0).is_ok(), "acknowledged cancel no longer trips");
     }
 
     #[test]

@@ -478,9 +478,9 @@ pub(crate) fn run_levels_with(
             // equals the last *completed* level regardless of where
             // inside the level the budget tripped. The rollback
             // span carries only the level: how far into the level
-            // a wall-clock or cancellation trip was detected (and
-            // hence how many JCRs roll back) depends on timing, so
-            // it must not appear in canonical fields.
+            // a wall-clock trip was detected (and hence how many
+            // JCRs roll back) depends on timing, so it must not
+            // appear in canonical fields.
             ctx.tracer()
                 .emit_with(|| sdp_trace::Event::new("level_rollback").with("level", s));
             ctx.roll_back_stage(&buffers.stage);

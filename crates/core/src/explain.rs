@@ -331,57 +331,3 @@ mod worst_tests {
         assert_eq!(worst_estimates(&[("a".to_string(), 1.0, 1)], 0), "");
     }
 }
-
-/// Render a plan tree as a Graphviz `digraph`: operators as boxes,
-/// data flow bottom-up, estimated rows on the edges.
-pub fn plan_to_dot(plan: &PlanNode, name: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph {name} {{");
-    let _ = writeln!(out, "  rankdir=BT; node [shape=box];");
-    let mut counter = 0usize;
-    fn walk(node: &PlanNode, counter: &mut usize, out: &mut String) -> usize {
-        use std::fmt::Write as _;
-        let id = *counter;
-        *counter += 1;
-        let label = match &node.op {
-            PlanOp::SeqScan { rel, .. } => format!("Seq Scan {rel}"),
-            PlanOp::IndexScan { rel, col, .. } => format!("Index Scan {rel}.{col}"),
-            PlanOp::Join { method, .. } => method.label().to_string(),
-            PlanOp::Sort { class, .. } => format!("Sort c{class}"),
-        };
-        let _ = writeln!(out, "  p{id} [label=\"{label}\\ncost {:.0}\"];", node.cost);
-        for child in node.children() {
-            let cid = walk(child, counter, out);
-            let _ = writeln!(out, "  p{cid} -> p{id} [label=\"{:.0}\"];", child.rows);
-        }
-        id
-    }
-    walk(plan, &mut counter, &mut out);
-    out.push_str("}\n");
-    out
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-    use crate::budget::Budget;
-    use crate::context::EnumContext;
-    use crate::dp::optimize_complete;
-    use sdp_catalog::Catalog;
-    use sdp_cost::CostModel;
-    use sdp_query::{QueryGenerator, Topology};
-
-    #[test]
-    fn plan_dot_has_one_box_per_operator() {
-        let cat = Catalog::paper();
-        let model = CostModel::with_defaults(&cat);
-        let q = QueryGenerator::new(&cat, Topology::Star(5), 2).instance(0);
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let plan = optimize_complete(&mut ctx).unwrap();
-        let dot = plan_to_dot(&plan, "plan");
-        assert_eq!(dot.matches("\\ncost ").count(), plan.node_count());
-        // n - 1 joins + scans: each non-root node has one outgoing edge.
-        assert_eq!(dot.matches(" -> ").count(), plan.node_count() - 1);
-    }
-}

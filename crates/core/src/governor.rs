@@ -9,12 +9,11 @@
 //! them cooperatively (at DP level barriers and every 2^16 candidate
 //! pairs within a level), and when a strategy exhausts
 //! its slice of the budget the run **escalates down the ladder** to
-//! the next-cheaper strategy instead of failing. Memo state built by
-//! the failed rung is reused where the cheaper strategy permits (base
-//! groups always; two-relation groups when they fit the remaining
-//! memory), and the returned [`GovernedPlan`] records which rung
-//! produced the plan and why each degradation happened — deadline,
-//! memory, or caller cancellation.
+//! the next-cheaper strategy instead of failing. The failed rung's
+//! base-relation groups are handed to the next rung (compound groups
+//! are dropped, see [`prepare_handoff`]), and the returned
+//! [`GovernedPlan`] records which rung produced the plan and why each
+//! degradation happened — deadline or memory.
 //!
 //! A rung that *provably* cannot fit the memory budget is not run at
 //! all: before an exhaustive rung (DP, or IDP's first block) starts,
@@ -37,15 +36,8 @@
 //! costs O(n) joins and virtually always fits the final slice.
 //! Memory budgets are absolute (the ladder's value is that cheaper
 //! rungs *retain fewer JCRs*, not that they get more memory).
-//!
-//! Caller cancellation is special: it jumps straight to GOO (the
-//! caller wants out *now*, so the governor produces the cheapest
-//! best-effort plan rather than walking the remaining rungs), and is
-//! acknowledged on the memory model so the final rung can run.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use sdp_query::RelSet;
@@ -172,8 +164,6 @@ pub enum DegradeReason {
     Deadline,
     /// The memory-model budget tripped.
     Memory,
-    /// The caller cancelled through its [`CancelHandle`].
-    Cancelled,
 }
 
 impl DegradeReason {
@@ -184,28 +174,26 @@ impl DegradeReason {
         match error {
             OptError::TimedOut { .. } => Some(DegradeReason::Deadline),
             OptError::MemoryExhausted { .. } => Some(DegradeReason::Memory),
-            OptError::Cancelled => Some(DegradeReason::Cancelled),
             OptError::DisconnectedJoinGraph | OptError::EmptyQuery => None,
         }
     }
 
     /// Stable numeric tag for the persisted dead-letter format. Never
-    /// renumber; append for new reasons.
+    /// renumber; append for new reasons. Tag 3 (caller cancellation)
+    /// is retired, never to be reused.
     pub fn stable_tag(&self) -> u8 {
         match self {
             DegradeReason::Deadline => 1,
             DegradeReason::Memory => 2,
-            DegradeReason::Cancelled => 3,
         }
     }
 
     /// Inverse of [`DegradeReason::stable_tag`]; `None` for unknown
-    /// tags.
+    /// and retired tags.
     pub fn from_stable_tag(tag: u8) -> Option<DegradeReason> {
         match tag {
             1 => Some(DegradeReason::Deadline),
             2 => Some(DegradeReason::Memory),
-            3 => Some(DegradeReason::Cancelled),
             _ => None,
         }
     }
@@ -216,7 +204,6 @@ impl fmt::Display for DegradeReason {
         f.write_str(match self {
             DegradeReason::Deadline => "deadline",
             DegradeReason::Memory => "memory",
-            DegradeReason::Cancelled => "cancelled",
         })
     }
 }
@@ -241,38 +228,12 @@ pub struct DegradeEvent {
     pub predicted: Option<u64>,
 }
 
-/// A caller-held handle that cancels an in-flight governed run.
-/// Cloning shares the underlying flag.
-#[derive(Debug, Clone, Default)]
-pub struct CancelHandle {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelHandle {
-    /// Request cancellation. The optimizer observes the flag at its
-    /// next cooperative budget poll; the governor then produces a
-    /// best-effort GOO plan rather than failing outright.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.flag)
-    }
-}
-
-/// Per-request resource policy: deadline, memory budget, cancellation
-/// and (in test builds) an injected fault schedule.
+/// Per-request resource policy: deadline, memory budget and (in test
+/// builds) an injected fault schedule.
 #[derive(Debug, Clone, Default)]
 pub struct Governor {
     deadline: Option<Duration>,
     memory_bytes: Option<u64>,
-    cancel: CancelHandle,
     #[cfg(feature = "testkit")]
     faults: Option<sdp_testkit::FaultPlan>,
 }
@@ -320,15 +281,6 @@ impl Governor {
     pub fn memory_bytes(&self) -> u64 {
         self.memory_bytes
             .unwrap_or_else(|| Budget::default().max_model_bytes)
-    }
-
-    /// A handle the caller can keep to cancel the run mid-flight.
-    pub fn cancel_handle(&self) -> CancelHandle {
-        self.cancel.clone()
-    }
-
-    pub(crate) fn cancel_flag(&self) -> Arc<AtomicBool> {
-        self.cancel.flag()
     }
 
     /// The [`Budget`] in force while the given rung runs: the full
@@ -425,6 +377,8 @@ pub fn prepare_handoff(ctx: &mut EnumContext<'_>) {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use sdp_catalog::Catalog;
     use sdp_cost::CostModel;
@@ -492,16 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_handle_shares_the_flag() {
-        let gov = Governor::new();
-        let handle = gov.cancel_handle();
-        assert!(!handle.is_cancelled());
-        handle.cancel();
-        assert!(gov.cancel_handle().is_cancelled());
-        assert!(gov.cancel_flag().load(Ordering::Relaxed));
-    }
-
-    #[test]
     fn degrade_reasons_map_from_errors() {
         assert_eq!(
             DegradeReason::for_error(&OptError::TimedOut {
@@ -516,10 +460,6 @@ mod tests {
                 budget_bytes: 0,
             }),
             Some(DegradeReason::Memory)
-        );
-        assert_eq!(
-            DegradeReason::for_error(&OptError::Cancelled),
-            Some(DegradeReason::Cancelled)
         );
         assert_eq!(DegradeReason::for_error(&OptError::EmptyQuery), None);
         assert_eq!(
@@ -607,6 +547,5 @@ mod tests {
         assert_eq!(Rung::Idp.to_string(), "IDP(4)");
         assert_eq!(DegradeReason::Memory.to_string(), "memory");
         assert_eq!(DegradeReason::Deadline.to_string(), "deadline");
-        assert_eq!(DegradeReason::Cancelled.to_string(), "cancelled");
     }
 }

@@ -46,7 +46,7 @@ pub mod sdp;
 
 pub use budget::{Budget, OptError};
 pub use governor::{
-    CancelHandle, DegradeEvent, DegradeReason, GovernedFailure, GovernedPlan, Governor, Rung,
+    DegradeEvent, DegradeReason, GovernedFailure, GovernedPlan, Governor, Rung,
     CHEAPEST_RUNG_FLOOR, LADDER,
 };
 
@@ -69,7 +69,6 @@ fn _assert_service_types_are_send_sync() {
     check::<Memo>();
     check::<Governor>();
     check::<GovernedPlan>();
-    check::<CancelHandle>();
     check::<Rung>();
     check::<DegradeEvent>();
     check::<sdp_catalog::Catalog>();

@@ -166,14 +166,12 @@ impl<'a> Optimizer<'a> {
     /// first block) that provably cannot fit the memory budget in
     /// force is descended past without being run — a
     /// [`DegradeEvent::predicted`] memory descent, see
-    /// [`crate::feasibility`]. Caller cancellation jumps
-    /// straight to GOO for a best-effort plan. The returned
-    /// [`GovernedPlan`] records the producing rung and every descent
-    /// taken.
+    /// [`crate::feasibility`]. The returned [`GovernedPlan`] records
+    /// the producing rung and every descent taken.
     ///
     /// Errors surface only when the query itself is invalid (empty or
-    /// disconnected), when the bottom rung still cannot fit the
-    /// budget, or when cancellation arrives at the bottom rung.
+    /// disconnected) or when the bottom rung still cannot fit the
+    /// budget.
     pub fn optimize_governed(
         &self,
         query: &Query,
@@ -199,7 +197,6 @@ impl<'a> Optimizer<'a> {
 
         let mut rung = Rung::for_algorithm(algorithm);
         let mut ctx = self.context(&rewritten, &model, governor.rung_budget(rung), classes);
-        ctx.memory.set_cancel_flag(governor.cancel_flag());
         #[cfg(feature = "testkit")]
         if let Some(faults) = governor.fault_plan() {
             ctx.memory.set_fault_plan(faults);
@@ -261,24 +258,12 @@ impl<'a> Optimizer<'a> {
                     degradations,
                 });
             };
-            let next = match reason {
-                // The caller wants out *now*: jump straight to the
-                // cheapest rung and silence further Cancelled reports
-                // so it can actually run.
-                DegradeReason::Cancelled if rung != Rung::Goo => {
-                    ctx.memory.acknowledge_cancel();
-                    Rung::Goo
-                }
-                _ => match rung.next_down() {
-                    Some(next) => next,
-                    // Bottom rung failed: the ladder is exhausted.
-                    None => {
-                        return Err(GovernedFailure {
-                            error,
-                            degradations,
-                        })
-                    }
-                },
+            let Some(next) = rung.next_down() else {
+                // Bottom rung failed: the ladder is exhausted.
+                return Err(GovernedFailure {
+                    error,
+                    degradations,
+                });
             };
             degradations.push(DegradeEvent {
                 from: rung,
@@ -343,9 +328,9 @@ fn rewrite(query: &Query) -> (Query, EquivClasses) {
 /// The feasibility oracle's verdict on starting `attempt` now, under
 /// the budget in force: `Some(bound)` when the rung provably needs
 /// `bound > budget` model bytes (see [`feasibility::doomed_bound`]).
-/// A pending cancellation, an expired deadline slice or an inherited
-/// memo already over budget is the rung's own to report — it does so
-/// at its first check — so nothing is predicted then.
+/// An expired deadline slice or an inherited memo already over budget
+/// is the rung's own to report — it does so at its first check — so
+/// nothing is predicted then.
 fn predicted_exhaustion(ctx: &mut EnumContext<'_>, attempt: Algorithm) -> Option<u64> {
     let bound =
         feasibility::doomed_bound(ctx.graph(), attempt, ctx.memory.budget().max_model_bytes)?;
@@ -489,35 +474,6 @@ mod tests {
         assert_eq!(governed.degradations[0].from, Rung::Dp);
         assert_eq!(governed.degradations[0].to, Rung::Sdp);
         assert_eq!(governed.plan.root.set, q.graph.all_nodes());
-    }
-
-    #[test]
-    fn cancellation_jumps_straight_to_goo() {
-        let cat = Catalog::paper();
-        let q = QueryGenerator::new(&cat, Topology::Star(9), 3).instance(0);
-        let governor = Governor::new();
-        governor.cancel_handle().cancel();
-        let governed = Optimizer::new(&cat)
-            .optimize_governed(&q, Algorithm::Dp, &governor)
-            .unwrap();
-        assert_eq!(governed.rung, Some(Rung::Goo));
-        assert_eq!(governed.reason(), Some(DegradeReason::Cancelled));
-        assert_eq!(governed.degradations.len(), 1, "no intermediate rungs");
-        assert_eq!(governed.plan.root.set, q.graph.all_nodes());
-    }
-
-    #[test]
-    fn cancellation_at_the_bottom_rung_surfaces() {
-        let cat = Catalog::paper();
-        let q = QueryGenerator::new(&cat, Topology::Star(5), 3).instance(0);
-        let governor = Governor::new();
-        governor.cancel_handle().cancel();
-        assert_eq!(
-            Optimizer::new(&cat)
-                .optimize_governed(&q, Algorithm::Goo, &governor)
-                .err(),
-            Some(OptError::Cancelled)
-        );
     }
 
     #[test]

@@ -298,7 +298,7 @@ mod tests {
             let est = Estimator::new(cat);
             let mut sum = 0.0;
             let mut n = 0;
-            for q in gen.instances(10) {
+            for q in (0..10).map(|k| gen.instance(k)) {
                 for e in q.graph.edges() {
                     sum += est.edge_selectivity(&q.graph, e).ln();
                     n += 1;

@@ -79,12 +79,6 @@ impl ExperimentConfig {
         self.ordered = true;
         self
     }
-
-    /// Same configuration with a different instance count.
-    pub fn with_instances(mut self, n: usize) -> Self {
-        self.instances = n;
-        self
-    }
 }
 
 /// Result of optimizing one query instance with one algorithm.
@@ -307,11 +301,7 @@ mod tests {
             let outcome = RunOutcome::of(Err(e), || unreachable!("a star names no run"));
             assert!(matches!(outcome, RunOutcome::Infeasible(_)));
         }
-        for e in [
-            OptError::DisconnectedJoinGraph,
-            OptError::EmptyQuery,
-            OptError::Cancelled,
-        ] {
+        for e in [OptError::DisconnectedJoinGraph, OptError::EmptyQuery] {
             let run = || RunOutcome::of(Err(e.clone()), || "SDP on Star-6, instance 3".into());
             let message = *std::panic::catch_unwind(run)
                 .unwrap_err()

@@ -29,8 +29,10 @@ use crate::table::{Kind, MetricDef};
 /// ([`crate::table`]) and gained `governor.predicted_descents`,
 /// `store.epoch_adoptions` and `store.stale_rejected`; version 4
 /// dropped the `strategies` object, whose samples the `rungs`
-/// histograms already file.
-pub const METRICS_SCHEMA_VERSION: u32 = 4;
+/// histograms already file; version 5 dropped the governor's
+/// caller-cancellation counter and the store's drained-dead-letter
+/// counter, which no production path moved.
+pub const METRICS_SCHEMA_VERSION: u32 = 5;
 
 /// Point-in-time bundle of every metric family the service exposes.
 #[derive(Debug, Clone, Default)]
@@ -348,7 +350,7 @@ mod tests {
     #[test]
     fn json_report_is_parseable_shape() {
         let json = sample_report().to_json();
-        assert!(json.starts_with("{\n  \"schema\": 4,\n"));
+        assert!(json.starts_with("{\n  \"schema\": 5,\n"));
         assert!(json.contains("\"node:Join(Hash)\""));
         assert!(json.contains("\"requests\": 8"));
         assert!(json.contains("\"p95_micros\""));

@@ -73,7 +73,6 @@ metric_family! {
     degradations: counter "sdp_degradations_total" "Governor ladder descents taken.";
     deadline_degradations: counter "sdp_degradations_deadline_total" "Descents caused by an expired deadline slice.";
     memory_degradations: counter "sdp_degradations_memory_total" "Descents caused by the memory budget.";
-    cancel_degradations: counter "sdp_degradations_cancel_total" "Jumps to the bottom rung on caller cancellation.";
     predicted_descents: counter "sdp_degradations_predicted_total" "Memory descents past a rung the feasibility oracle proved infeasible, so it was never run." => record_predicted_descent;
     timeouts: counter "sdp_timeouts_total" "Requests that failed outright on a deadline error." => record_timeout;
     leader_retries: counter "sdp_leader_retries_total" "Panicking single-flight leaders retried on a cheaper rung." => record_leader_retry;
@@ -89,27 +88,9 @@ pub enum DescentReason {
     /// The memory budget tripped, or the feasibility oracle proved it
     /// would.
     Memory,
-    /// The caller cancelled: a jump to the cheapest rung.
-    Cancelled,
 }
 
 impl GovernorCounters {
-    /// A request descended one rung because its deadline slice
-    /// expired.
-    pub fn record_deadline_degradation(&self) {
-        self.record_descent(DescentReason::Deadline, false);
-    }
-
-    /// A request descended one rung because the memory budget tripped.
-    pub fn record_memory_degradation(&self) {
-        self.record_descent(DescentReason::Memory, false);
-    }
-
-    /// A request jumped to the cheapest rung on caller cancellation.
-    pub fn record_cancel_degradation(&self) {
-        self.record_descent(DescentReason::Cancelled, false);
-    }
-
     /// One ladder descent: the total, its reason's breakdown counter
     /// and — when the feasibility oracle `predicted` it, so the rung
     /// was never run — `predicted_descents` *beside* them, not instead.
@@ -118,7 +99,6 @@ impl GovernorCounters {
         let by_reason = match reason {
             DescentReason::Deadline => &self.deadline_degradations,
             DescentReason::Memory => &self.memory_degradations,
-            DescentReason::Cancelled => &self.cancel_degradations,
         };
         by_reason.fetch_add(1, Ordering::Relaxed);
         if predicted {
@@ -153,13 +133,6 @@ metric_family! {
 }
 
 impl OverloadCounters {
-    /// A request entered the admission queue; returns the new depth.
-    pub fn queue_entered(&self) -> u64 {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
-        depth
-    }
-
     /// Bounded admission in one step: enter the queue unless it
     /// already holds `cap` requests. The depth check and the increment
     /// are one `fetch_update`, so concurrent submitters can never
@@ -308,18 +281,17 @@ mod tests {
     #[test]
     fn governor_counters_break_down_by_reason() {
         let g = GovernorCounters::new();
-        g.record_deadline_degradation();
-        g.record_deadline_degradation();
+        g.record_descent(DescentReason::Deadline, false);
+        g.record_descent(DescentReason::Deadline, false);
+        g.record_descent(DescentReason::Memory, false);
         g.record_descent(DescentReason::Memory, true);
-        g.record_cancel_degradation();
         g.record_timeout();
         g.record_leader_retry();
         let s = g.snapshot();
         assert_eq!(s.degradations, 4);
         assert_eq!(s.deadline_degradations, 2);
-        assert_eq!(s.memory_degradations, 1);
+        assert_eq!(s.memory_degradations, 2);
         assert_eq!(s.predicted_descents, 1, "beside its descent, not a fifth");
-        assert_eq!(s.cancel_degradations, 1);
         assert_eq!(s.timeouts, 1);
         assert_eq!(s.leader_retries, 1);
     }
@@ -455,11 +427,12 @@ mod tests {
     #[test]
     fn overload_counters_track_decisions_and_high_water_gauges() {
         let o = OverloadCounters::new();
-        assert_eq!(o.queue_entered(), 1);
-        assert_eq!(o.queue_entered(), 2);
+        assert!(o.try_enter_queue(8));
+        assert!(o.try_enter_queue(8));
         o.queue_left();
         assert_eq!(o.queue_depth(), 1);
-        assert_eq!(o.queue_entered(), 2, "depth refills below the mark");
+        assert!(o.try_enter_queue(8));
+        assert_eq!(o.queue_depth(), 2, "depth refills below the mark");
         o.queue_left();
         o.queue_left();
         o.job_started();

@@ -4,8 +4,9 @@
 //! Same discipline as [`crate::service`]: relaxed atomics bumped off
 //! the request hot path (store writes happen on the write-behind
 //! thread, DLQ writes on a failure path that just lost an entire
-//! enumeration, warm fills at startup). `dlq_depth` is a gauge — it
-//! moves both ways as records are enqueued and drained.
+//! enumeration, warm fills at startup). `dlq_depth` is a gauge —
+//! recovery sets it to the live record count and each enqueue raises
+//! it.
 
 use std::sync::atomic::Ordering;
 
@@ -27,7 +28,6 @@ metric_family! {
     torn_truncations: counter "sdp_store_torn_truncations_total" "Torn segment tails truncated during recovery." => record_torn_truncation;
     compactions: counter "sdp_store_compactions_total" "Segment compactions run." => record_compaction;
     dlq_enqueued: counter "sdp_dlq_enqueued_total" "Failed requests serialized into the dead-letter queue.";
-    dlq_drained: counter "sdp_dlq_drained_total" "Dead-letter records re-optimized and removed.";
     dlq_depth: gauge "sdp_dlq_depth" "Dead-letter records currently live.";
 }
 
@@ -36,17 +36,6 @@ impl StoreCounters {
     pub fn record_dlq_enqueued(&self) {
         self.dlq_enqueued.fetch_add(1, Ordering::Relaxed);
         self.dlq_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` dead-letter records were drained (re-optimized and
-    /// removed); the depth gauge saturates at zero.
-    pub fn add_dlq_drained(&self, n: u64) {
-        self.dlq_drained.fetch_add(n, Ordering::Relaxed);
-        let _ = self
-            .dlq_depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
-                Some(depth.saturating_sub(n))
-            });
     }
 
     /// Set the `dlq_depth` gauge outright (recovery knows the exact
@@ -89,18 +78,14 @@ mod tests {
     }
 
     #[test]
-    fn dlq_depth_moves_both_ways_and_saturates() {
+    fn an_enqueue_raises_the_dlq_depth() {
         let c = StoreCounters::new();
         c.record_dlq_enqueued();
         c.record_dlq_enqueued();
         assert_eq!(c.dlq_depth(), 2);
-        c.add_dlq_drained(1);
-        assert_eq!(c.dlq_depth(), 1);
-        c.add_dlq_drained(5);
-        assert_eq!(c.dlq_depth(), 0, "depth saturates at zero");
         let snap = c.snapshot();
         assert_eq!(snap.dlq_enqueued, 2);
-        assert_eq!(snap.dlq_drained, 6);
+        assert_eq!(snap.dlq_depth, 2);
     }
 
     #[test]

@@ -32,7 +32,6 @@ fn full_report() -> MetricsReport {
             degradations: 201,
             deadline_degradations: 202,
             memory_degradations: 203,
-            cancel_degradations: 204,
             predicted_descents: 205,
             timeouts: 206,
             leader_retries: 207,
@@ -52,7 +51,6 @@ fn full_report() -> MetricsReport {
             torn_truncations: 408,
             compactions: 409,
             dlq_enqueued: 410,
-            dlq_drained: 411,
             dlq_depth: 412,
         },
         overload: OverloadSnapshot {

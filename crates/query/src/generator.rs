@@ -98,26 +98,6 @@ impl<'a> QueryGenerator<'a> {
         self.build(k, OrderMode::GroupBy)
     }
 
-    /// Iterator over the first `count` (unordered) instances.
-    pub fn instances(&self, count: usize) -> InstanceIter<'a, '_> {
-        InstanceIter {
-            generator: self,
-            next: 0,
-            count: count as u64,
-            ordered: false,
-        }
-    }
-
-    /// Iterator over the first `count` ordered instances.
-    pub fn ordered_instances(&self, count: usize) -> InstanceIter<'a, '_> {
-        InstanceIter {
-            generator: self,
-            next: 0,
-            count: count as u64,
-            ordered: true,
-        }
-    }
-
     fn build(&self, k: u64, mode: OrderMode) -> Query {
         let mut rng = StdRng::seed_from_u64(self.seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let n = self.topology.n();
@@ -289,40 +269,6 @@ impl QueryGenerator<'_> {
     }
 }
 
-/// Iterator over generated instances. See
-/// [`QueryGenerator::instances`].
-#[derive(Debug)]
-pub struct InstanceIter<'a, 'g> {
-    generator: &'g QueryGenerator<'a>,
-    next: u64,
-    count: u64,
-    ordered: bool,
-}
-
-impl Iterator for InstanceIter<'_, '_> {
-    type Item = Query;
-
-    fn next(&mut self) -> Option<Query> {
-        if self.next >= self.count {
-            return None;
-        }
-        let k = self.next;
-        self.next += 1;
-        Some(if self.ordered {
-            self.generator.ordered_instance(k)
-        } else {
-            self.generator.instance(k)
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = (self.count - self.next) as usize;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for InstanceIter<'_, '_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,7 +278,7 @@ mod tests {
     fn star_hub_is_largest_relation() {
         let cat = Catalog::paper();
         let gen = QueryGenerator::new(&cat, Topology::Star(15), 1);
-        for q in gen.instances(5) {
+        for q in (0..5).map(|k| gen.instance(k)) {
             assert_eq!(q.graph.relation(0), cat.largest_relation());
             assert_eq!(q.num_relations(), 15);
         }
@@ -462,15 +408,6 @@ mod tests {
     fn bad_filter_probability_rejected() {
         let cat = Catalog::paper();
         let _ = QueryGenerator::new(&cat, Topology::Chain(4), 0).with_filter_probability(1.5);
-    }
-
-    #[test]
-    fn iterator_reports_exact_size() {
-        let cat = Catalog::paper();
-        let gen = QueryGenerator::new(&cat, Topology::Chain(5), 0);
-        let it = gen.instances(7);
-        assert_eq!(it.len(), 7);
-        assert_eq!(it.count(), 7);
     }
 
     #[test]

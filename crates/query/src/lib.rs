@@ -31,7 +31,6 @@
 
 pub mod canon;
 mod closure;
-pub mod dot;
 mod generator;
 mod graph;
 pub mod hubs;
@@ -41,7 +40,7 @@ mod relset;
 mod topology;
 
 pub use closure::{infer_transitive_edges, ClassId, EquivClasses};
-pub use generator::{InstanceIter, QueryGenerator};
+pub use generator::QueryGenerator;
 pub use graph::{ColRef, JoinEdge, JoinGraph};
 pub use predicate::{PredOp, Predicate};
 pub use query::{OrderSpec, Query};

@@ -805,13 +805,12 @@ fn replay(args: ReplayArgs) -> Result<(), String> {
     );
     let gov = service.governor_snapshot();
     println!(
-        "governor: {} degradations ({} deadline, {} memory of which {} predicted, \
-         {} cancelled), {} timeouts, {} leader retries",
+        "governor: {} degradations ({} deadline, {} memory of which {} predicted), \
+         {} timeouts, {} leader retries",
         gov.degradations,
         gov.deadline_degradations,
         gov.memory_degradations,
         gov.predicted_descents,
-        gov.cancel_degradations,
         gov.timeouts,
         gov.leader_retries,
     );

@@ -138,50 +138,35 @@ impl DaemonConfig {
     }
 }
 
-/// Pause gate + shutdown mode shared by every worker.
+/// Pause gate shared by every worker.
 #[derive(Debug, Default)]
 struct Gate {
-    state: Mutex<GateState>,
+    paused: Mutex<bool>,
     cond: Condvar,
 }
 
-#[derive(Debug, Default)]
-struct GateState {
-    paused: bool,
-    draining: bool,
-}
-
 impl Gate {
-    /// Block while paused. Returns whether the daemon is draining
-    /// (shutdown_now): the caller then refuses its job instead of
-    /// running it.
-    fn wait_until_open(&self) -> bool {
-        let mut state = self.state.lock().expect("daemon gate poisoned");
-        while state.paused && !state.draining {
-            state = self.cond.wait(state).expect("daemon gate poisoned");
+    /// Block while paused.
+    fn wait_until_open(&self) {
+        let mut paused = self.paused.lock().expect("daemon gate poisoned");
+        while *paused {
+            paused = self.cond.wait(paused).expect("daemon gate poisoned");
         }
-        state.draining
     }
 
     fn pause(&self) {
-        self.state.lock().expect("daemon gate poisoned").paused = true;
+        *self.paused.lock().expect("daemon gate poisoned") = true;
     }
 
     fn resume(&self) {
-        self.state.lock().expect("daemon gate poisoned").paused = false;
-        self.cond.notify_all();
-    }
-
-    fn drain(&self) {
-        self.state.lock().expect("daemon gate poisoned").draining = true;
+        *self.paused.lock().expect("daemon gate poisoned") = false;
         self.cond.notify_all();
     }
 }
 
 /// Guarantees every dequeued job gets an answer: if the worker dies
 /// (panics) between dequeue and reply, the drop handler sends
-/// [`ServiceError::WorkerDied`] — an internal error, deliberately
-/// distinct from a clean [`ServiceError::Shutdown`] — and releases
+/// [`ServiceError::WorkerDied`] — an internal error — and releases
 /// the in-flight gauge.
 struct ReplyGuard<'a> {
     reply: Option<Sender<Reply>>,
@@ -224,11 +209,9 @@ pub struct Daemon {
 pub struct Ticket(Receiver<Reply>);
 
 impl Ticket {
-    /// Block until the daemon answers. Requests a clean shutdown
-    /// declined are answered [`ServiceError::Shutdown`] by the daemon
-    /// itself; a closed channel *without* an answer means the serving
-    /// worker died mid-request and surfaces as
-    /// [`ServiceError::WorkerDied`].
+    /// Block until the daemon answers. A closed channel *without* an
+    /// answer means the serving worker died mid-request and surfaces
+    /// as [`ServiceError::WorkerDied`].
     pub fn wait(self) -> Reply {
         self.0.recv().unwrap_or(Err(ServiceError::WorkerDied))
     }
@@ -269,12 +252,8 @@ impl Daemon {
                         // releasing its queue slot, so a paused
                         // daemon's admission decisions depend only on
                         // submission order (see module docs).
-                        let draining = gate.wait_until_open();
+                        gate.wait_until_open();
                         drop(job.slot);
-                        if draining {
-                            let _ = job.reply.send(Err(ServiceError::Shutdown));
-                            continue;
-                        }
                         // The deadline is end-to-end: time spent
                         // queued is time the optimizer doesn't get. A
                         // chaos schedule substitutes a virtual wait so
@@ -399,34 +378,17 @@ impl Daemon {
     /// store (if one is attached) so every served plan has reached the
     /// segment log before the process exits. Queued jobs are *served*:
     /// every outstanding [`Ticket`] resolves to a real answer. A
-    /// paused daemon is resumed first.
-    pub fn shutdown(mut self) {
-        self.gate.resume();
-        self.queue = None; // close the channel; workers drain and exit
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.service.flush_store();
-    }
-
-    /// Immediate shutdown: jobs already being optimized finish, but
-    /// queued-but-unserved jobs are answered
-    /// [`ServiceError::Shutdown`] without running. Every outstanding
-    /// [`Ticket`] still resolves.
-    pub fn shutdown_now(mut self) {
-        self.gate.drain();
-        self.queue = None;
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.service.flush_store();
+    /// paused daemon is resumed first. Dropping a daemon does the
+    /// same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Daemon {
     fn drop(&mut self) {
         self.gate.resume();
-        self.queue = None;
+        self.queue = None; // close the channel; workers drain and exit
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -546,7 +508,7 @@ mod tests {
     fn graceful_shutdown_serves_queued_work() {
         let catalog = Catalog::paper();
         let service = Arc::new(OptimizerService::with_defaults(catalog.clone()));
-        let daemon = Daemon::spawn(service, 1);
+        let daemon = Daemon::spawn(Arc::clone(&service), 1);
         daemon.pause();
         let gen = QueryGenerator::new(&catalog, Topology::Chain(4), 5);
         let tickets: Vec<Ticket> = (0..4)
@@ -557,23 +519,6 @@ mod tests {
             let reply = t.wait();
             assert!(reply.is_ok(), "{reply:?}");
         }
-    }
-
-    #[test]
-    fn shutdown_now_answers_queued_work_with_shutdown() {
-        let catalog = Catalog::paper();
-        let service = Arc::new(OptimizerService::with_defaults(catalog.clone()));
-        let daemon = Daemon::spawn(Arc::clone(&service), 2);
-        daemon.pause();
-        let gen = QueryGenerator::new(&catalog, Topology::Chain(4), 5);
-        let tickets: Vec<Ticket> = (0..4)
-            .map(|k| daemon.submit(ServiceRequest::query(gen.instance(k))))
-            .collect();
-        daemon.shutdown_now();
-        for t in tickets {
-            assert_eq!(t.wait().unwrap_err(), ServiceError::Shutdown);
-        }
-        // The queue gauge is released even for refused jobs.
         assert_eq!(service.overload_counters().snapshot().queue_depth, 0);
     }
 }

@@ -266,11 +266,8 @@ pub enum ServiceError {
         /// Consecutive failures recorded when the breaker opened.
         failures: u32,
     },
-    /// A daemon worker died before replying — an internal error,
-    /// distinct from a clean [`ServiceError::Shutdown`].
+    /// A daemon worker died before replying — an internal error.
     WorkerDied,
-    /// The daemon shut down before answering.
-    Shutdown,
 }
 
 impl std::fmt::Display for ServiceError {
@@ -284,7 +281,6 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "circuit breaker open ({failures} consecutive failures)")
             }
             ServiceError::WorkerDied => write!(f, "daemon worker died before replying"),
-            ServiceError::Shutdown => write!(f, "service shut down"),
         }
     }
 }
@@ -765,7 +761,6 @@ impl OptimizerService {
                     let reason = match descent.reason {
                         DegradeReason::Deadline => DescentReason::Deadline,
                         DegradeReason::Memory => DescentReason::Memory,
-                        DegradeReason::Cancelled => DescentReason::Cancelled,
                     };
                     governor.record_descent(reason, descent.predicted.is_some());
                 }
@@ -1046,7 +1041,6 @@ impl OptimizerService {
                     let kind = match &failure.error {
                         OptError::TimedOut { .. } => Some(DlqErrorKind::Timeout),
                         OptError::MemoryExhausted { .. } => Some(DlqErrorKind::Memory),
-                        OptError::Cancelled => Some(DlqErrorKind::Cancelled),
                         _ => None,
                     };
                     let shown = failure.error.to_string();

@@ -81,15 +81,16 @@ pub struct PlanRecord {
     pub root: Arc<PlanNode>,
 }
 
-/// Why a request landed in the dead-letter queue.
+/// Why a request landed in the dead-letter queue. Tag 3 (caller
+/// cancellation, which left the optimizer) is retired and never
+/// reused: a record carrying it fails to decode and is skipped and
+/// counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DlqErrorKind {
     /// The deadline expired on the bottom rung.
     Timeout,
     /// The memory budget tripped on the bottom rung.
     Memory,
-    /// Cancellation arrived at the bottom rung.
-    Cancelled,
     /// The single-flight leader panicked and the bounded retry was
     /// exhausted.
     LeaderPanicked,
@@ -105,7 +106,6 @@ impl DlqErrorKind {
         match self {
             DlqErrorKind::Timeout => 1,
             DlqErrorKind::Memory => 2,
-            DlqErrorKind::Cancelled => 3,
             DlqErrorKind::LeaderPanicked => 4,
             DlqErrorKind::Other => 5,
             DlqErrorKind::BreakerOpen => 6,
@@ -116,7 +116,6 @@ impl DlqErrorKind {
         match tag {
             1 => Some(DlqErrorKind::Timeout),
             2 => Some(DlqErrorKind::Memory),
-            3 => Some(DlqErrorKind::Cancelled),
             4 => Some(DlqErrorKind::LeaderPanicked),
             5 => Some(DlqErrorKind::Other),
             6 => Some(DlqErrorKind::BreakerOpen),
@@ -129,7 +128,6 @@ impl DlqErrorKind {
         match self {
             DlqErrorKind::Timeout => "timeout",
             DlqErrorKind::Memory => "memory",
-            DlqErrorKind::Cancelled => "cancelled",
             DlqErrorKind::LeaderPanicked => "leader-panicked",
             DlqErrorKind::Other => "other",
             DlqErrorKind::BreakerOpen => "breaker-open",
@@ -976,8 +974,8 @@ mod tests {
             fingerprint: 11,
             stats_epoch: 3,
             algorithm: Some(Algorithm::Goo),
-            error_kind: DlqErrorKind::Cancelled,
-            error: "cancelled".to_string(),
+            error_kind: DlqErrorKind::Other,
+            error: "other".to_string(),
             degradations: vec![],
             deadline_ms: None,
             memory_bytes: Some(1 << 20),

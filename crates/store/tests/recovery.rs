@@ -10,14 +10,14 @@ use std::sync::Arc;
 
 use sdp_catalog::Catalog;
 use sdp_core::governor::Rung;
-use sdp_core::{Algorithm, EnumeratorKind, Optimizer};
+use sdp_core::{Algorithm, DegradeReason, EnumeratorKind, Optimizer};
 use sdp_metrics::StoreCounters;
 use sdp_query::{QueryGenerator, Topology};
 use sdp_store::codec::{decode_dlq, decode_plan, encode_dlq, encode_plan};
 use sdp_store::dlq::{DLQ_FILE, DLQ_LOG_KIND};
 use sdp_store::{
-    DeadLetterQueue, DlqErrorKind, DlqRecord, FramedLog, PlanRecord, PlanStore, StoreError,
-    StoreOptions,
+    DeadLetterQueue, DlqDegradation, DlqErrorKind, DlqRecord, FramedLog, PlanRecord, PlanStore,
+    StoreError, StoreOptions,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -197,7 +197,9 @@ fn retired_enumerator_tags_are_skipped_and_counted_never_served() {
     // not decode — replay skips and counts it like any other
     // undecodable payload. So must a dead letter asking for a retired
     // strategy: algorithm tags 4 (standard IDP1), 6 (Iterative
-    // Improvement) and 7 (Simulated Annealing).
+    // Improvement) and 7 (Simulated Annealing) — or carrying a caller
+    // cancellation, which left the optimizer: error-kind tag 3 and
+    // degradation-reason tag 3.
     let dir = temp_dir("retired-plan");
     {
         let (mut store, _, _, _) = open(&dir, 5);
@@ -254,8 +256,32 @@ fn retired_enumerator_tags_are_skipped_and_counted_never_served() {
         assert!(matches!(err, StoreError::Codec(_)), "tag {tag}: {err}");
         append_frame(&dir.join("dlq.log"), &payload);
     }
+    // The error kind follows the algorithm's tag and parameter; one
+    // degradation's (from, to, reason) bytes follow the error string
+    // and the degradation count.
+    const ERROR_KIND_AT: usize = ALGORITHM_TAG_AT + 1 + 8;
+    let mut cancelled = dead_letter(10, Algorithm::Dp);
+    cancelled.degradations = vec![DlqDegradation {
+        from: Rung::Dp,
+        to: Rung::Sdp,
+        reason: DegradeReason::Memory,
+    }];
+    let reason_at = ERROR_KIND_AT + 1 + 2 + cancelled.error.len() + 2 + 2;
+    let payload = encode_dlq(&cancelled).unwrap();
+    assert_eq!(payload[ERROR_KIND_AT], 2, "memory is error kind 2");
+    assert_eq!(payload[reason_at], 2, "memory is reason 2");
+    for at in [ERROR_KIND_AT, reason_at] {
+        let mut payload = payload.clone();
+        payload[at] = 3;
+        let err = decode_dlq(&payload).unwrap_err();
+        assert!(matches!(err, StoreError::Codec(_)), "tag 3 at {at}: {err}");
+        append_frame(&dir.join("dlq.log"), &payload);
+    }
     let (dlq, recovery, undecodable) = DeadLetterQueue::open(&dir).unwrap();
-    assert_eq!(undecodable, 5, "two enumerator and three algorithm tags");
+    assert_eq!(
+        undecodable, 7,
+        "two enumerator, three algorithm, one error-kind and one reason tag"
+    );
     assert!(!recovery.truncated);
     assert_eq!(dlq.len(), 1);
     assert_eq!(dlq.records()[0].fingerprint, 7);

@@ -62,9 +62,9 @@ pub use sdp_trace as trace;
 pub mod prelude {
     pub use sdp_catalog::{Catalog, ColId, RelId, SchemaSpec};
     pub use sdp_core::{
-        explain::explain, explain::explain_analyze, Algorithm, Budget, CancelHandle, DegradeReason,
-        GovernedPlan, Governor, LevelStats, OptError, OptimizedPlan, Optimizer, Partitioning, Rung,
-        SdpConfig, SkylineOption,
+        explain::explain, explain::explain_analyze, Algorithm, Budget, DegradeReason, GovernedPlan,
+        Governor, LevelStats, OptError, OptimizedPlan, Optimizer, Partitioning, Rung, SdpConfig,
+        SkylineOption,
     };
     pub use sdp_cost::{CostModel, CostParams};
     pub use sdp_engine::{execute, scaled_catalog, Database};

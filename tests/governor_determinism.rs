@@ -96,30 +96,6 @@ fn full_descent_is_parallelism_invariant() {
 }
 
 #[test]
-fn cancellation_descent_is_parallelism_invariant() {
-    // A cancel flag raised before the run starts is observed at the
-    // first poll: the run jumps straight to GOO with a single Cancelled
-    // descent, and serves GOO's plan.
-    let catalog = Catalog::paper();
-    let query = QueryGenerator::new(&catalog, Topology::Star(12), 3).instance(0);
-    let governor = Governor::new().with_deadline(Duration::from_secs(300));
-    governor.cancel_handle().cancel();
-    let governed = Optimizer::new(&catalog)
-        .optimize_governed(&query, Algorithm::Dp, &governor)
-        .unwrap();
-    assert_eq!(governed.rung, Some(Rung::Goo));
-    assert_eq!(governed.reason(), Some(DegradeReason::Cancelled));
-    assert_eq!(governed.degradations.len(), 1);
-    let goo = Optimizer::new(&catalog)
-        .optimize(&query, Algorithm::Goo)
-        .unwrap();
-    assert_eq!(
-        governed.plan.root.structural_digest(),
-        goo.root.structural_digest()
-    );
-}
-
-#[test]
 fn a_predicted_descent_serves_the_from_scratch_plan() {
     // Star-Chain-14 ORDER BY under 2 MiB: room for 227 one-plan groups
     // where DP needs thousands, so the oracle descends past DP without
@@ -177,22 +153,23 @@ fn a_predicted_descent_serves_the_from_scratch_plan() {
 }
 
 #[test]
-fn cancellation_wins_over_a_predicted_descent() {
-    // Star-13 under 1 MB is provably doomed for DP, but a run cancelled
-    // before it starts still reports one `Cancelled` descent straight
-    // to GOO — not a predicted memory descent on the way.
+fn a_spent_deadline_wins_over_a_predicted_descent() {
+    // Star-13 under 1 MiB is provably doomed for DP, but the oracle
+    // predicts only for a rung that could still start: with the
+    // deadline already spent, DP is run and reports its own `Deadline`
+    // trip at its first check — not a predicted memory descent.
     let catalog = Catalog::paper();
     let query = QueryGenerator::new(&catalog, Topology::Star(13), 5).instance(0);
-    let governor = Governor::new().with_memory_budget(1 << 20);
-    governor.cancel_handle().cancel();
-    let governed = Optimizer::new(&catalog)
-        .optimize_governed(&query, Algorithm::Dp, &governor)
-        .unwrap();
-    assert_eq!(governed.rung, Some(Rung::Goo));
-    assert_eq!(governed.degradations.len(), 1);
-    let only = governed.degradations[0];
+    let governor = Governor::new()
+        .with_memory_budget(1 << 20)
+        .with_deadline(Duration::ZERO);
+    let failure = Optimizer::new(&catalog)
+        .optimize_governed_full(&query, Algorithm::Dp, &governor)
+        .unwrap_err();
+    assert!(matches!(failure.error, OptError::TimedOut { .. }));
+    let first = failure.degradations[0];
     assert_eq!(
-        (only.from, only.to, only.reason, only.predicted),
-        (Rung::Dp, Rung::Goo, DegradeReason::Cancelled, None)
+        (first.from, first.to, first.reason, first.predicted),
+        (Rung::Dp, Rung::Sdp, DegradeReason::Deadline, None)
     );
 }
