@@ -9,13 +9,18 @@
 # 1. The canonical record listing carries fresh and cache-hit
 #    decisions with their plan digests (flight records carry no wall
 #    clock in canonical form; arrival seq is deterministic under one
-#    client).
-# 2. The Q-error aggregates (`qerror` family in the metrics JSON) are
-#    non-empty, per node kind and per predicate, and the report
-#    carries schema version 5.
+#    client): exactly 24 records, multiset digest d53ae6f8e2eb9aee,
+#    the same in the replay's ring and in the post-exit listing.
+# 2. The Q-error aggregates (`qerror` family in the metrics JSON) hold
+#    exactly 44 node observations across 22 series, per node kind and
+#    per predicate, and the report carries schema version 5.
 # 3. A torn tail (garbage appended to flight.log) is truncated on
 #    recovery without losing any intact record, and a second run over
-#    the same directory recovers the first run's records.
+#    the same directory recovers the first run's 24 records.
+#
+# One client makes every count a function of the workload alone; a
+# change that moves one of them moves decisions, and updates this
+# script in the same commit.
 
 set -euo pipefail
 
@@ -28,15 +33,26 @@ cargo build --release -p sdp-service
 
 REPLAY="$BIN replay --clients 1 --requests 12 --distinct 4 --relations 6 --seed 42"
 FLIGHT_DIR="$WORK/flight"
+RECORDS=24
+FLIGHT_DIGEST=d53ae6f8e2eb9aee
+
+# Fail unless the file holds a line matching the (anchored) pattern.
+expect() {
+  grep -q "$2" "$1" || {
+    echo "error: no line matching '$2' in $1:" >&2
+    cat "$1" >&2
+    exit 1
+  }
+}
 
 echo "== replay with flight recorder =="
 $REPLAY --flight-dir "$FLIGHT_DIR" \
   --qerror --metrics-json "$WORK/metrics.json" \
   | tee "$WORK/run.out"
-grep -q '^flight: 0 prior records recovered' "$WORK/run.out" || {
-  echo "error: fresh flight dir reported prior records" >&2
-  exit 1
-}
+expect "$WORK/run.out" '^flight: 0 prior records recovered'
+expect "$WORK/run.out" \
+  "^flight: $RECORDS records in ring (0 evicted to log only, 0 write errors), digest $FLIGHT_DIGEST\$"
+expect "$WORK/run.out" '^qerror: 44 node observations across 22 series$'
 echo "== post-exit reconstruction =="
 $BIN inspect --flight "$FLIGHT_DIR" > "$WORK/inspect.txt"
 # Drop the recovery banner (it names the per-run directory); keep the
@@ -55,11 +71,12 @@ grep -q 'digest=[0-9a-f]\{16\}' "$WORK/records.txt" || {
   echo "error: records do not carry plan structural digests" >&2
   exit 1
 }
+expect "$WORK/records.txt" "^flight digest: $FLIGHT_DIGEST over $RECORDS records\$"
 python3 - "$WORK/metrics.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
 assert m["schema"] == 5, f"expected schema 5, got {m['schema']}"
-assert m["qerror"], "qerror family empty after --qerror replay"
+assert len(m["qerror"]) == 22, f"expected 22 qerror series, got {len(m['qerror'])}"
 assert any(k.startswith("node:") for k in m["qerror"]), "no per-kind series"
 assert any(k.startswith("pred:") for k in m["qerror"]), "no per-predicate series"
 print(f"qerror ok: {len(m['qerror'])} series")
@@ -89,8 +106,8 @@ $REPLAY --flight-dir "$WORK/flight-reopen" > "$WORK/reopen-1.out"
 $REPLAY --flight-dir "$WORK/flight-reopen" > "$WORK/reopen-2.out"
 grep -q '^flight: 0 prior records recovered' "$WORK/reopen-1.out"
 reopened=$(sed -n 's/^flight: \([0-9]*\) prior records recovered.*/\1/p' "$WORK/reopen-2.out")
-[ "$reopened" -gt 0 ] || {
-  echo "error: second run over the same flight dir recovered nothing" >&2
+[ "$reopened" = "$RECORDS" ] || {
+  echo "error: second run over the same flight dir recovered '$reopened' records, not $RECORDS" >&2
   exit 1
 }
 echo "re-open ok: $reopened flight records re-recovered"
