@@ -1,6 +1,8 @@
 //! Catalog construction: the paper's 25-relation benchmark schema and
 //! its extended variant for the maximum-scale-up experiment.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,11 +85,16 @@ impl SchemaSpec {
 
 /// A fully constructed schema: relations plus their derived
 /// (`ANALYZE`-equivalent) statistics.
+///
+/// Both slices are shared: a clone is a snapshot that costs two
+/// reference counts, not a copy of every column and histogram, and
+/// [`Catalog::replace_stats`] swaps in a new statistics slice without
+/// touching the one other snapshots still read.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     spec: SchemaSpec,
-    relations: Vec<Relation>,
-    analyzed: Vec<AnalyzedRelation>,
+    relations: Arc<[Relation]>,
+    analyzed: Arc<[AnalyzedRelation]>,
     /// Statistics epoch: incremented whenever the derived statistics
     /// change ([`Catalog::replace_stats`], [`Catalog::bump_stats_epoch`]).
     /// Long-running services key cached plans on this so a statistics
@@ -226,7 +233,7 @@ impl Catalog {
             self.relations.len(),
             "one AnalyzedRelation per relation required"
         );
-        self.analyzed = analyzed;
+        self.analyzed = analyzed.into();
         self.stats_epoch += 1;
     }
 
@@ -339,7 +346,7 @@ impl SchemaBuilder {
         let analyzed = relations.iter().map(AnalyzedRelation::analyze).collect();
         Ok(Catalog {
             spec,
-            relations,
+            relations: relations.into(),
             analyzed,
             stats_epoch: 0,
         })
@@ -573,6 +580,35 @@ mod tests {
         assert_eq!(c.stats_epoch(), 2);
         // Fresh builds always start at epoch 0.
         assert_eq!(Catalog::paper().stats_epoch(), 0);
+    }
+
+    #[test]
+    fn a_clone_shares_both_slices_until_its_stats_change() {
+        let original = Catalog::paper();
+        let mut snapshot = original.clone();
+        assert!(std::ptr::eq(original.relations(), snapshot.relations()));
+        let stats = |c: &Catalog| c.stats(RelId(0)).unwrap() as *const AnalyzedRelation;
+        assert_eq!(stats(&original), stats(&snapshot));
+
+        snapshot.bump_stats_epoch();
+        assert_eq!((original.stats_epoch(), snapshot.stats_epoch()), (0, 1));
+        assert_eq!(stats(&original), stats(&snapshot), "no new statistics");
+
+        let mut analyzed: Vec<AnalyzedRelation> = original
+            .relations()
+            .iter()
+            .map(AnalyzedRelation::analyze)
+            .collect();
+        analyzed[0].relation.tuples = 7.0;
+        snapshot.replace_stats(analyzed);
+        assert_eq!((original.stats_epoch(), snapshot.stats_epoch()), (0, 2));
+        assert_ne!(stats(&original), stats(&snapshot));
+        assert_eq!(snapshot.stats(RelId(0)).unwrap().relation.tuples, 7.0);
+        assert_eq!(original.stats(RelId(0)).unwrap().relation.tuples, 100.0);
+        assert!(
+            std::ptr::eq(original.relations(), snapshot.relations()),
+            "statistics never change the schema"
+        );
     }
 
     #[test]

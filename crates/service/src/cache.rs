@@ -5,12 +5,16 @@
 //! hash index. A key is routed to its shard by a splitmix of the key
 //! itself, so contention scales with the shard count rather than the
 //! request rate, and no lock is ever held across an optimization.
+//! Shards start empty and grow with what they hold, up to their share
+//! of the capacity; the shares sum to the capacity exactly.
 //!
 //! Every entry records the statistics epoch it was optimized under.
 //! Lookups carry the *current* epoch: an entry from an older epoch is
 //! removed on sight and reported as [`Lookup::Stale`], and
 //! [`ShardedLru::purge_stale`] sweeps whole shards eagerly after a
-//! statistics refresh so memory is not held by unreachable plans.
+//! statistics refresh so memory is not held by unreachable plans. A
+//! removed entry's slot lets go of its value at once — eviction, a
+//! stale probe and the sweep alike — so a free slot holds no plan.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -35,7 +39,8 @@ const NIL: usize = usize::MAX;
 #[derive(Debug)]
 struct Entry<V> {
     key: u128,
-    value: V,
+    /// `None` while the slot is on the free list.
+    value: Option<V>,
     epoch: u64,
     prev: usize,
     next: usize,
@@ -56,8 +61,8 @@ struct Shard<V> {
 impl<V> Shard<V> {
     fn new(capacity: usize) -> Self {
         Shard {
-            index: HashMap::with_capacity(capacity),
-            slab: Vec::with_capacity(capacity),
+            index: HashMap::new(),
+            slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -87,11 +92,16 @@ impl<V> Shard<V> {
         self.head = i;
     }
 
-    fn remove_slot(&mut self, i: usize) {
+    /// Free slot `i`, moving its value out.
+    fn remove_slot(&mut self, i: usize) -> V {
         self.unlink(i);
         let key = self.slab[i].key;
         self.index.remove(&key);
         self.free.push(i);
+        self.slab[i]
+            .value
+            .take()
+            .expect("a linked slot holds a value")
     }
 }
 
@@ -114,13 +124,17 @@ fn shard_of(key: u128) -> u64 {
 
 impl<V: Clone> ShardedLru<V> {
     /// Cache holding at most `capacity` entries spread over `shards`
-    /// shards (rounded up to a power of two; both floored at 1).
+    /// shards (rounded up to a power of two; both floored at 1). The
+    /// first `capacity % shards` shards take one entry more than the
+    /// rest, so the shares sum to `capacity` exactly. No slot is
+    /// allocated until an entry arrives.
     pub fn new(capacity: usize, shards: usize) -> Self {
+        let capacity = capacity.max(1);
         let shards = shards.max(1).next_power_of_two();
-        let per_shard = capacity.max(1).div_ceil(shards);
+        let (share, extra) = (capacity / shards, capacity % shards);
         ShardedLru {
             shards: (0..shards)
-                .map(|_| Mutex::new(Shard::new(per_shard)))
+                .map(|s| Mutex::new(Shard::new(share + usize::from(s < extra))))
                 .collect(),
             mask: shards as u64 - 1,
         }
@@ -138,13 +152,16 @@ impl<V: Clone> ShardedLru<V> {
             return Lookup::Miss;
         };
         if shard.slab[i].epoch != epoch {
-            let stale = shard.slab[i].value.clone();
-            shard.remove_slot(i);
-            return Lookup::Stale(stale);
+            return Lookup::Stale(shard.remove_slot(i));
         }
         shard.unlink(i);
         shard.push_front(i);
-        Lookup::Hit(shard.slab[i].value.clone())
+        Lookup::Hit(
+            shard.slab[i]
+                .value
+                .clone()
+                .expect("a linked slot holds a value"),
+        )
     }
 
     /// Insert (or refresh) `key`, returning how many entries LRU
@@ -152,43 +169,45 @@ impl<V: Clone> ShardedLru<V> {
     pub fn insert(&self, key: u128, value: V, epoch: u64) -> u64 {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         if let Some(&i) = shard.index.get(&key) {
-            shard.slab[i].value = value;
+            shard.slab[i].value = Some(value);
             shard.slab[i].epoch = epoch;
             shard.unlink(i);
             shard.push_front(i);
             return 0;
         }
+        if shard.capacity == 0 {
+            // A cache smaller than its shard count leaves some shards
+            // no share: what is routed there is evicted on arrival.
+            return 1;
+        }
+        // Evict before taking a slot, so the new entry reuses its
+        // victim's and the slab never outgrows the shard's share.
+        let evicted = if shard.index.len() == shard.capacity {
+            let lru = shard.tail;
+            drop(shard.remove_slot(lru));
+            1
+        } else {
+            0
+        };
+        let entry = Entry {
+            key,
+            value: Some(value),
+            epoch,
+            prev: NIL,
+            next: NIL,
+        };
         let i = match shard.free.pop() {
             Some(i) => {
-                shard.slab[i] = Entry {
-                    key,
-                    value,
-                    epoch,
-                    prev: NIL,
-                    next: NIL,
-                };
+                shard.slab[i] = entry;
                 i
             }
             None => {
-                shard.slab.push(Entry {
-                    key,
-                    value,
-                    epoch,
-                    prev: NIL,
-                    next: NIL,
-                });
+                shard.slab.push(entry);
                 shard.slab.len() - 1
             }
         };
         shard.index.insert(key, i);
         shard.push_front(i);
-        let mut evicted = 0;
-        while shard.index.len() > shard.capacity {
-            let lru = shard.tail;
-            debug_assert_ne!(lru, NIL, "over-capacity shard with empty LRU list");
-            shard.remove_slot(lru);
-            evicted += 1;
-        }
         evicted
     }
 
@@ -209,8 +228,8 @@ impl<V: Clone> ShardedLru<V> {
                 .filter(|&i| shard.slab[i].epoch != epoch)
                 .collect();
             for i in stale {
-                purged.push((shard.slab[i].key, shard.slab[i].value.clone()));
-                shard.remove_slot(i);
+                let key = shard.slab[i].key;
+                purged.push((key, shard.remove_slot(i)));
             }
         }
         purged.sort_by_key(|(key, _)| *key);
@@ -315,5 +334,82 @@ mod tests {
         // Each of the 4 shards holds at most ceil(16/4) = 4 entries.
         assert!(cache.len() <= 16, "len {} exceeds capacity", cache.len());
         assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn capacity_that_does_not_divide_is_split_exactly() {
+        // 10 over 4 shards is 3 + 3 + 2 + 2; rounding every share up
+        // to 3 would hold 12.
+        let cache: ShardedLru<u32> = ShardedLru::new(10, 4);
+        for k in 0..200u128 {
+            cache.insert(k, k as u32, 0);
+        }
+        assert!(cache.len() <= 10, "len {} exceeds capacity", cache.len());
+        let shares: Vec<usize> = cache
+            .shards
+            .iter()
+            .map(|s| s.lock().unwrap().capacity)
+            .collect();
+        assert_eq!(shares, [3, 3, 2, 2]);
+        let one: ShardedLru<u32> = ShardedLru::new(1, 8);
+        for k in 0..50u128 {
+            one.insert(k, k as u32, 0);
+        }
+        assert_eq!(one.len(), 1, "a capacity below the shard count still holds");
+    }
+
+    #[test]
+    fn a_fresh_cache_allocates_no_slots() {
+        let cache: ShardedLru<u32> = ShardedLru::new(1024, 8);
+        for shard in &cache.shards {
+            let shard = shard.lock().unwrap();
+            assert_eq!((shard.slab.capacity(), shard.index.capacity()), (0, 0));
+        }
+        // A full shard's slab is its share: eviction frees the victim's
+        // slot before the new entry takes one.
+        let cache: ShardedLru<u32> = ShardedLru::new(4, 1);
+        for k in 0..100u128 {
+            cache.insert(k, k as u32, 0);
+        }
+        assert_eq!(cache.shards[0].lock().unwrap().slab.len(), 4);
+    }
+
+    #[test]
+    fn a_removed_entry_lets_go_of_its_value() {
+        use std::sync::Arc;
+        let cache: ShardedLru<Arc<u32>> = ShardedLru::new(1, 1);
+        let only = |v: &Arc<u32>| Arc::strong_count(v) == 1;
+
+        // LRU eviction.
+        let evicted = Arc::new(1);
+        cache.insert(1, Arc::clone(&evicted), 0);
+        assert_eq!(cache.insert(2, Arc::new(2), 0), 1);
+        assert!(only(&evicted), "evicted value still held");
+
+        // In-place refresh.
+        let replaced = Arc::new(2);
+        cache.insert(3, Arc::clone(&replaced), 0);
+        cache.insert(3, Arc::new(3), 0);
+        assert!(only(&replaced), "refreshed value still held");
+
+        // A stale probe moves the value out: the caller's is the only
+        // copy left once it lets go of the returned one.
+        let probed = Arc::new(4);
+        cache.insert(4, Arc::clone(&probed), 0);
+        let Lookup::Stale(out) = cache.get(4, 1) else {
+            panic!("expected a stale probe");
+        };
+        assert!(Arc::ptr_eq(&out, &probed));
+        drop(out);
+        assert!(only(&probed), "stale-probed value still held");
+
+        // The sweep moves values out the same way.
+        let swept = Arc::new(5);
+        cache.insert(5, Arc::clone(&swept), 0);
+        let purged = cache.purge_stale(1);
+        assert_eq!(purged.len(), 1);
+        drop(purged);
+        assert!(only(&swept), "swept value still held");
+        assert!(cache.is_empty());
     }
 }

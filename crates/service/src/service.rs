@@ -1144,6 +1144,8 @@ impl OptimizerService {
     fn swap_catalog(&self, mutate: impl FnOnce(&mut Catalog)) -> u64 {
         let epoch = {
             let mut guard = self.catalog.write().expect("catalog lock poisoned");
+            // Two reference counts: the clone shares the snapshot's
+            // relations and statistics until `mutate` replaces one.
             let mut next = (**guard).clone();
             mutate(&mut next);
             let epoch = next.stats_epoch();
@@ -1775,6 +1777,39 @@ mod tests {
         let reopt = service.get_plan(&request).unwrap();
         assert_eq!(reopt.source, PlanSource::Fresh);
         assert!(service.serve_stale(&request).is_none());
+    }
+
+    /// The epoch sweep leaves the shelf the only holder of an outgoing
+    /// plan, so a re-optimized statement's old plan is freed when the
+    /// new one unshelves it — whether or not a new plan reuses its slot.
+    #[test]
+    fn a_re_served_statement_frees_its_old_epoch_plan() {
+        let catalog = Catalog::paper();
+        let service = OptimizerService::with_defaults(catalog.clone());
+        let gen = QueryGenerator::new(&catalog, Topology::Chain(4), 5);
+        let requests: Vec<ServiceRequest> = (0..16)
+            .map(|k| ServiceRequest::query(gen.instance(k)))
+            .collect();
+        let old_roots: Vec<std::sync::Weak<PlanNode>> = requests
+            .iter()
+            .map(|request| {
+                let response = service.get_plan(request).unwrap();
+                assert_eq!(response.source, PlanSource::Fresh);
+                Arc::downgrade(&response.plan.root)
+            })
+            .collect();
+        assert_eq!(service.cached_plans(), requests.len());
+
+        service.bump_stats_epoch();
+        for (request, old_root) in requests.iter().zip(&old_roots).step_by(2) {
+            assert!(old_root.upgrade().is_some(), "the shelf holds it");
+            let response = service.get_plan(request).unwrap();
+            assert_eq!(response.source, PlanSource::Fresh);
+        }
+        for (k, old_root) in old_roots.iter().enumerate() {
+            let held = old_root.upgrade().is_some();
+            assert_eq!(held, k % 2 == 1, "statement {k}: old plan held {held}");
+        }
     }
 
     #[test]
