@@ -9,7 +9,7 @@
 # 1. The canonical record listing carries fresh and cache-hit
 #    decisions with their plan digests (flight records carry no wall
 #    clock in canonical form; arrival seq is deterministic under one
-#    client): exactly 24 records, multiset digest d53ae6f8e2eb9aee,
+#    client): exactly 24 records, multiset digest 235fa0227b6f4b86,
 #    the same in the replay's ring and in the post-exit listing.
 # 2. The Q-error aggregates (`qerror` family in the metrics JSON) hold
 #    exactly 44 node observations across 22 series, per node kind and
@@ -34,7 +34,7 @@ cargo build --release -p sdp-service
 REPLAY="$BIN replay --clients 1 --requests 12 --distinct 4 --relations 6 --seed 42"
 FLIGHT_DIR="$WORK/flight"
 RECORDS=24
-FLIGHT_DIGEST=d53ae6f8e2eb9aee
+FLIGHT_DIGEST=235fa0227b6f4b86
 
 # Fail unless the file holds a line matching the (anchored) pattern.
 expect() {

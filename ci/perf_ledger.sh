@@ -70,6 +70,16 @@
 # while staging sits in the stage record's free half-word: no
 # allocation ceiling moved.
 #
+# The pair gate moved three fields, `plans costed` of `cold_dp`
+# (80925 → 50259), `cold_sdp` (77821 → 49549) and `governed_churn`
+# (82540 → 64108). A pair whose floor — its inputs' cheapest plans plus
+# the output's emission — is above the level's bound, or at which the
+# JCR's plans already dominate every plan the pair could offer, costs
+# only its index nested loops: the others could not be retained, so
+# they are counted as ruled out or dominated instead of costed. Every
+# group ends with the same records, so the digests, the other counts,
+# `warm_hit`'s line and every ceiling are unchanged.
+#
 # Run-scoped optimizer memory moved no line and lowered every ceiling
 # but `warm_hit`'s: an optimization now allocates its nodes and a
 # logarithmic number of buffer growths, not buffers per level, group or

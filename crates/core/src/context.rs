@@ -49,6 +49,10 @@ pub struct RunStats {
     /// Plan alternatives that bound ruled out uncosted, their floor
     /// (`sdp_cost::JoinTerms::floor`) above it; not in `plans_costed`.
     pub ruled_out: u64,
+    /// Plan alternatives left uncosted because the plans their JCR held
+    /// already dominated them at their pair's floor (the pair gate of
+    /// `EnumContext::cost_pair`); not in `plans_costed`.
+    pub dominated: u64,
 }
 
 /// The incumbent of an exhaustive DP run: the cost `B` of a complete
@@ -118,13 +122,15 @@ pub struct LevelStats {
 }
 
 /// A costing pass's bound, if any, and its account
-/// (`EnumContext::cost_pair`): plans costed, and alternatives ruled out
-/// uncosted because their floor exceeds the bound.
+/// (`EnumContext::cost_pair`): plans costed, alternatives ruled out
+/// uncosted because their floor exceeds the bound, and alternatives
+/// left uncosted because the JCR's plans dominate them.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Costing {
     pub bound: Option<f64>,
     pub plans_costed: u64,
     pub ruled_out: u64,
+    pub dominated: u64,
 }
 
 /// No pair: the end of a [`StagedJcr`]'s chain of deferred pairs.
@@ -503,6 +509,10 @@ enum Part {
     Joined(Group),
 }
 
+/// Each costed pair's JCR and its entries once the pair is costed.
+#[cfg(test)]
+pub(crate) type PairLog = Vec<(RelSet, Vec<PlanEntry>)>;
+
 /// Mutable state of one optimization run.
 pub struct EnumContext<'a> {
     query: &'a Query,
@@ -517,12 +527,22 @@ pub struct EnumContext<'a> {
     /// Sort costs computed so far: one per group entering the memo.
     #[cfg(test)]
     pub(crate) sort_costs: u64,
+    /// Cost every pair in full, the pair gate off: the reference
+    /// costing the gate is held to.
+    #[cfg(test)]
+    pub(crate) ungated: bool,
+    /// When set, each costed pair's JCR and its entries once the pair
+    /// is costed, in costing order.
+    #[cfg(test)]
+    pub(crate) pair_log: std::cell::RefCell<Option<PairLog>>,
     /// Memory model / budget tracking.
     pub memory: MemoryModel,
     /// Plans costed so far.
     pub plans_costed: u64,
     /// Plan alternatives ruled out by a level's bound so far.
     pub ruled_out: u64,
+    /// Plan alternatives the pair gate found dominated so far.
+    pub dominated: u64,
     /// JCRs pruned so far.
     pub jcrs_pruned: u64,
     /// Sort-ahead enforcer plans retained so far.
@@ -578,8 +598,13 @@ impl<'a> EnumContext<'a> {
             wide: Vec::new(),
             #[cfg(test)]
             sort_costs: 0,
+            #[cfg(test)]
+            ungated: false,
+            #[cfg(test)]
+            pair_log: Default::default(),
             plans_costed: 0,
             ruled_out: 0,
+            dominated: 0,
             jcrs_pruned: 0,
             sort_enforcers: 0,
             incumbent: None,
@@ -700,6 +725,7 @@ impl<'a> EnumContext<'a> {
             elapsed: self.memory.elapsed(),
             incumbent: self.incumbent,
             ruled_out: self.ruled_out,
+            dominated: self.dominated,
         }
     }
 
@@ -941,6 +967,7 @@ impl<'a> EnumContext<'a> {
         let mut costing = Costing::default();
         self.cost_pair(ga, gb, &mut jcr, &mut costing);
         self.plans_costed += costing.plans_costed;
+        self.dominated += costing.dominated;
         self.memo.built_mut().charge(jcr.charged());
         match self.memo.get_mut_with_built(a | b) {
             Some(target) => {
@@ -1102,6 +1129,7 @@ impl<'a> EnumContext<'a> {
         self.greedy_parts = parts;
         self.wide.truncate(wide_len);
         self.plans_costed += plans_costed;
+        self.dominated += costing.dominated;
         (cost, plans_costed)
     }
 
@@ -1112,33 +1140,155 @@ impl<'a> EnumContext<'a> {
     /// rather than to the plans chosen from them is computed here, once
     /// per pair and orientation. It counts no node: the caller settles
     /// what `jcr` retained and evicted with the live-node count.
+    ///
+    /// **The pair gate.** Every plan pair's `JoinTerms::floor` is at
+    /// least the pair's, `F = (best(a) + best(b)) + emit`, in either
+    /// orientation (`f64` addition commutes). Where `F` is above the
+    /// bound, or `jcr` already holds a plan dominating every plan the
+    /// pair could offer at `F` ([`EnumContext::frontier_holds`]), no
+    /// nested-loop, hash or merge alternative can be retained: only the
+    /// index nested loops, which do not read the inner plan, are costed
+    /// ([`EnumContext::cost_index_loops`]). The group ends as it would
+    /// have, and what is left uncosted is counted as `ruled_out` or
+    /// `dominated`.
     fn cost_pair(&self, a: &Group, b: &Group, jcr: &mut Group, costing: &mut Costing) {
         debug_assert!(a.set.is_disjoint(b.set));
-        let (facts, a_b, b_a) = self.pair_terms(a, b, jcr.rows);
+        let facts = self.pair_facts(a, b);
         let classes = facts.classes.as_slice();
-        self.cost_orientation(a, b, &a_b, classes, jcr, costing);
-        self.cost_orientation(b, a, &b_a, classes, jcr, costing);
+        // `JoinTerms`' emit, computed as it does.
+        let emit = jcr.rows * self.model.params().cpu_tuple_cost;
+        let floor = a.best_cost() + b.best_cost() + emit;
+        let gated = floor > costing.bound.unwrap_or(f64::INFINITY)
+            || self.frontier_holds(a, b, classes, jcr, floor);
+        #[cfg(test)]
+        let gated = gated && !self.ungated;
+        if gated {
+            for (outer, inner, index) in [(a, b, facts.b_index), (b, a, facts.a_index)] {
+                let terms = index.map(|_| self.join_terms(outer, inner, &facts, jcr.rows, index));
+                self.cost_index_loops(outer, inner, terms.as_ref(), classes, jcr, costing);
+            }
+        } else {
+            let (a_b, b_a) = self.pair_terms(a, b, &facts, jcr.rows);
+            self.cost_orientation(a, b, &a_b, classes, jcr, costing);
+            self.cost_orientation(b, a, &b_a, classes, jcr, costing);
+        }
+        #[cfg(test)]
+        if let Some(log) = self.pair_log.borrow_mut().as_mut() {
+            log.push((jcr.set, jcr.entries().to_vec()));
+        }
     }
 
-    /// The facts of `a ⋈ b`, whose output has `out_rows` rows, and the
-    /// [`JoinTerms`] of its orientations `a ⋈ b` and `b ⋈ a`.
-    fn pair_terms(&self, a: &Group, b: &Group, out_rows: f64) -> (PairFacts, JoinTerms, JoinTerms) {
-        let facts = self.pair_facts(a, b);
-        let params = self.model.params();
-        let (side_a, side_b) = (a.side(), b.side());
-        let terms = |outer, inner, inner_index| {
-            JoinTerms::new(
-                outer,
-                inner,
-                facts.crossing_sel,
-                out_rows,
-                inner_index,
-                params,
-            )
-        };
-        let a_b = terms(&side_a, &side_b, facts.b_index);
-        let b_a = terms(&side_b, &side_a, facts.a_index);
-        (facts, a_b, b_a)
+    /// Whether `jcr`'s plans dominate every nested-loop, hash and merge
+    /// plan of `a ⋈ b`, each of which costs at least the pair's floor
+    /// `floor`: `jcr` holds a plan of at most `floor` unordered, and one
+    /// with each ordering the pair can yield — one a nested loop carries
+    /// from an input plan of either side, or a crossing class's merge
+    /// order, where useful. Dominance is transitive and a plan is evicted
+    /// only by one dominating it, so what is dominated as the pair starts
+    /// stays dominated through its own offers.
+    fn frontier_holds(
+        &self,
+        a: &Group,
+        b: &Group,
+        classes: &[ClassId],
+        jcr: &Group,
+        floor: f64,
+    ) -> bool {
+        let union = jcr.set;
+        let held = |ordering| !jcr.would_retain(floor, ordering);
+        held(None)
+            && (classes.iter()).all(|&class| held(self.useful_ordering(Some(class), union)))
+            && (a.entries().iter().chain(b.entries()))
+                .all(|e| held(self.useful_ordering(e.ordering(), union)))
+    }
+
+    /// The [`JoinTerms`] of `outer ⋈ inner`, a pair of `facts` whose
+    /// output has `out_rows` rows; `inner_index` probes the inner.
+    fn join_terms(
+        &self,
+        outer: &Group,
+        inner: &Group,
+        facts: &PairFacts,
+        out_rows: f64,
+        inner_index: Option<IndexProbe>,
+    ) -> JoinTerms {
+        JoinTerms::new(
+            &outer.side(),
+            &inner.side(),
+            facts.crossing_sel,
+            out_rows,
+            inner_index,
+            self.model.params(),
+        )
+    }
+
+    /// The [`JoinTerms`] of the orientations `a ⋈ b` and `b ⋈ a` of a
+    /// pair of `facts` whose output has `out_rows` rows.
+    fn pair_terms(
+        &self,
+        a: &Group,
+        b: &Group,
+        facts: &PairFacts,
+        out_rows: f64,
+    ) -> (JoinTerms, JoinTerms) {
+        (
+            self.join_terms(a, b, facts, out_rows, facts.b_index),
+            self.join_terms(b, a, facts, out_rows, facts.a_index),
+        )
+    }
+
+    /// One orientation of a gated pair, on `costing`'s account as
+    /// [`EnumContext::cost_orientation`] would keep it: an outer plan
+    /// whose `outer_floor` exceeds the bound is ruled out whole, and of
+    /// the others, the index nested loop is costed and offered where
+    /// `terms` (present only when the inner has an index) prices one,
+    /// and each plan pair's other alternatives (a nested loop, a hash
+    /// join and a merge join per crossing class) are ruled out where
+    /// their floor exceeds the bound and dominated elsewhere. The floors
+    /// are `JoinTerms::outer_floor`'s and `JoinTerms::floor`'s bit for
+    /// bit.
+    fn cost_index_loops(
+        &self,
+        outer_group: &Group,
+        inner_group: &Group,
+        terms: Option<&JoinTerms>,
+        classes: &[ClassId],
+        jcr: &mut Group,
+        costing: &mut Costing,
+    ) {
+        let union = jcr.set;
+        let (outers, inners) = (outer_group.entries(), inner_group.entries());
+        // `JoinTerms`' emit, computed as it does.
+        let emit = jcr.rows * self.model.params().cpu_tuple_cost;
+        let per_plan_pair = 2 + classes.len() as u64;
+        let per_outer = inners.len() as u64 * per_plan_pair + u64::from(terms.is_some());
+        let bound = costing.bound.unwrap_or(f64::INFINITY);
+        for outer in outers {
+            if outer.cost + emit > bound {
+                costing.ruled_out += per_outer;
+                continue;
+            }
+            if let Some(cost) = terms.and_then(|t| t.index_nested_loop(outer.cost)) {
+                costing.plans_costed += 1;
+                let carried = self.useful_ordering(outer.ordering(), union);
+                if jcr.would_retain(cost, carried) {
+                    let source = PlanSource::Join {
+                        method: JoinMethod::IndexNestedLoop,
+                        outer: outer_group.set,
+                        outer_entry: outer.id(),
+                        inner_entry: inners[0].id(),
+                    };
+                    jcr.retain(cost, carried, source);
+                }
+            }
+            for inner in inners {
+                if outer.cost + inner.cost + emit > bound {
+                    costing.ruled_out += per_plan_pair;
+                } else {
+                    costing.dominated += per_plan_pair;
+                }
+            }
+        }
     }
 
     /// Cost all methods for a fixed (outer, inner) orientation,
@@ -1294,7 +1444,8 @@ impl<'a> EnumContext<'a> {
             .map(|pair| {
                 let DeferredPair { a, b, .. } = stage.deferred[pair as usize];
                 let (a, b) = (self.memo.at(a), self.memo.at(b));
-                let (facts, a_b, b_a) = self.pair_terms(a, b, out_rows);
+                let facts = self.pair_facts(a, b);
+                let (a_b, b_a) = self.pair_terms(a, b, &facts, out_rows);
                 let merges = !facts.classes.as_slice().is_empty();
                 let (cost_a, cost_b) = (a.best_cost(), b.best_cost());
                 cheapest_method(&a_b, cost_a, cost_b, merges)
@@ -2018,5 +2169,189 @@ mod tests {
         // Pruning a missing group is a no-op.
         ctx.prune_group(RelSet::single(2));
         assert_eq!(ctx.jcrs_pruned, 1);
+    }
+
+    /// The pair gate against the full costing it replaced, its oracle:
+    /// the same runs with `EnumContext::ungated` set. Every pair leaves
+    /// its JCR — staged, in the memo, or the greedy incumbent's scratch
+    /// group — with the same records, cost bits, orderings, sources and
+    /// ids; the memo ends the same, the plan served is the same, the
+    /// bound rules out as much, and what the gate leaves uncosted as
+    /// dominated is exactly what the oracle costs beyond it. On chains,
+    /// stars, cycles, cliques and star-chains, ordered or not, for
+    /// bounded and unbounded DP, each `SdpConfig`, IDP and a governed
+    /// descent from a tripped DP rung to SDP — and under costs that
+    /// make a join cost its inputs' sum exactly, where the root pair's
+    /// floor equals DP's bound.
+    mod gate {
+        use super::*;
+        use crate::budget::{OptError, GROUP_MODEL_BYTES};
+        use crate::dp::{optimize_complete, optimize_dp};
+        use crate::governor::prepare_handoff;
+        use crate::idp::optimize_idp;
+        use crate::sdp::{optimize_sdp, Partitioning, SdpConfig, SkylineOption};
+        use proptest::prelude::*;
+
+        /// A group's records as bits: cost, ordering, source and id.
+        type Records = Vec<(u64, Option<ClassId>, PlanSource, u16)>;
+
+        fn records(entries: &[PlanEntry]) -> Records {
+            (entries.iter())
+                .map(|e| (e.cost.to_bits(), e.ordering(), e.source, e.id()))
+                .collect()
+        }
+
+        /// What a run leaves: the plan served, each costed pair's JCR
+        /// records in costing order, the memo's records per set, and
+        /// the counters `(plans_costed, ruled_out, dominated)`.
+        #[derive(Debug, PartialEq)]
+        struct Outcome {
+            served: Option<(u64, u64)>,
+            pairs: Vec<(RelSet, Records)>,
+            memo: Vec<(RelSet, Records)>,
+            counters: (u64, u64, u64),
+        }
+
+        type Strategy = fn(&mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError>;
+
+        fn run(mut ctx: EnumContext<'_>, ungated: bool, strategy: Strategy) -> Outcome {
+            ctx.ungated = ungated;
+            *ctx.pair_log.borrow_mut() = Some(Vec::new());
+            let served = strategy(&mut ctx).ok();
+            let pairs = ctx.pair_log.take().unwrap();
+            let mut memo: Vec<_> = (ctx.memo.sets())
+                .map(|set| (set, records(ctx.memo.get(set).unwrap().entries())))
+                .collect();
+            memo.sort_by_key(|&(set, _)| set.0);
+            Outcome {
+                served: served.map(|plan| (plan.cost.to_bits(), plan.structural_digest())),
+                pairs: (pairs.into_iter())
+                    .map(|(set, entries)| (set, records(&entries)))
+                    .collect(),
+                memo,
+                counters: (ctx.plans_costed, ctx.ruled_out, ctx.dominated),
+            }
+        }
+
+        fn sdp(partitioning: Partitioning, skyline: SkylineOption) -> SdpConfig {
+            SdpConfig {
+                partitioning,
+                skyline,
+            }
+        }
+
+        const STRATEGIES: [(&str, Strategy); 8] = [
+            ("DP unbounded", optimize_complete),
+            ("DP bounded", optimize_dp),
+            ("SDP root-hub pairwise", |ctx| {
+                optimize_sdp(
+                    ctx,
+                    sdp(Partitioning::RootHub, SkylineOption::PairwiseUnion),
+                )
+            }),
+            ("SDP root-hub full", |ctx| {
+                optimize_sdp(ctx, sdp(Partitioning::RootHub, SkylineOption::FullVector))
+            }),
+            ("SDP global pairwise", |ctx| {
+                optimize_sdp(ctx, sdp(Partitioning::Global, SkylineOption::PairwiseUnion))
+            }),
+            ("SDP global full", |ctx| {
+                optimize_sdp(ctx, sdp(Partitioning::Global, SkylineOption::FullVector))
+            }),
+            ("IDP(3)", |ctx| optimize_idp(ctx, 3)),
+            // A DP rung tripped by its budget, handed down to SDP.
+            ("governed", |ctx| {
+                if let Ok(plan) = optimize_dp(ctx) {
+                    return Ok(plan);
+                }
+                prepare_handoff(ctx);
+                ctx.memory.set_budget(Budget::unlimited());
+                optimize_sdp(ctx, SdpConfig::paper())
+            }),
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn the_gate_leaves_every_group_as_full_costing_does(
+                shape in 0usize..5,
+                n in 3usize..=10,
+                seed in any::<u64>(),
+                ordered in any::<bool>(),
+                budget_groups in 8u64..60,
+                exact in any::<bool>(),
+            ) {
+                let topology = match shape {
+                    0 => Topology::Chain(n),
+                    1 => Topology::Star(n),
+                    2 => Topology::Cycle(n),
+                    3 => Topology::Clique(n),
+                    _ => Topology::star_chain(n),
+                };
+                let cat = Catalog::paper();
+                // As `dp`'s `a_floor_equal_to_the_bound_is_costed`: CPU
+                // costs below rounding, sorts in memory, index probes
+                // dear. GOO's plan is an optimum, and `B` its cost.
+                let tiny = 1e-300;
+                let params = sdp_cost::CostParams {
+                    seq_page_cost: 1.0,
+                    random_page_cost: 1e6,
+                    cpu_tuple_cost: tiny,
+                    cpu_index_tuple_cost: tiny,
+                    cpu_operator_cost: tiny,
+                    work_mem_bytes: 1e300,
+                };
+                let model = if exact {
+                    CostModel::new(&cat, params)
+                } else {
+                    CostModel::with_defaults(&cat)
+                };
+                let generator = QueryGenerator::new(&cat, topology, seed);
+                let q = if ordered {
+                    generator.ordered_instance(0)
+                } else {
+                    generator.instance(0)
+                };
+                for (what, strategy) in STRATEGIES {
+                    let budget = if what == "governed" {
+                        Budget::with_memory(budget_groups * GROUP_MODEL_BYTES)
+                    } else {
+                        Budget::unlimited()
+                    };
+                    let fresh = || EnumContext::new(&q, &model, budget);
+                    let gated = run(fresh(), false, strategy);
+                    let oracle = run(fresh(), true, strategy);
+                    let what = format!("{topology} {what}");
+                    prop_assert!(oracle.served.is_some(), "{}", what);
+                    prop_assert_eq!(gated.served, oracle.served, "{}", what);
+                    prop_assert_eq!(gated.pairs.len(), oracle.pairs.len(), "{}", what);
+                    for (pair, expected) in gated.pairs.iter().zip(&oracle.pairs) {
+                        prop_assert_eq!(pair, expected, "{}", what);
+                    }
+                    prop_assert_eq!(&gated.memo, &oracle.memo, "{}", what);
+                    let (costed, ruled_out, dominated) = gated.counters;
+                    let (o_costed, o_ruled_out, o_dominated) = oracle.counters;
+                    prop_assert_eq!(o_dominated, 0, "{}", what);
+                    prop_assert_eq!(ruled_out, o_ruled_out, "{}", what);
+                    prop_assert_eq!(costed + dominated, o_costed, "{}", what);
+                }
+            }
+        }
+
+        /// The gate does cut: a Star-9 DP leaves alternatives uncosted
+        /// as dominated, and costs that many fewer.
+        #[test]
+        fn a_star_leaves_dominated_alternatives_uncosted() {
+            let cat = Catalog::paper();
+            let model = CostModel::with_defaults(&cat);
+            let q = QueryGenerator::new(&cat, Topology::Star(9), 7).instance(0);
+            let fresh = || EnumContext::new(&q, &model, Budget::unlimited());
+            let gated = run(fresh(), false, optimize_dp);
+            let oracle = run(fresh(), true, optimize_dp);
+            let (costed, _, dominated) = gated.counters;
+            assert!(dominated > 0);
+            assert_eq!(costed + dominated, oracle.counters.0);
+        }
     }
 }

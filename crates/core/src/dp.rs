@@ -283,6 +283,7 @@ fn run_one_level<'p>(
     // Costed is costed, even in a level that is about to roll back.
     ctx.plans_costed += std::mem::take(&mut stage.costing.plans_costed);
     ctx.ruled_out += std::mem::take(&mut stage.costing.ruled_out);
+    ctx.dominated += std::mem::take(&mut stage.costing.dominated);
     enumerated?;
     ctx.emit_staged(stage);
 
@@ -337,6 +338,7 @@ fn run_one_level<'p>(
         ctx.memo.built_mut().charge(records);
     }
     ctx.plans_costed += std::mem::take(&mut stage.costing.plans_costed);
+    ctx.dominated += std::mem::take(&mut stage.costing.dominated);
     ctx.memory.barrier_check(ctx.memo.live_nodes())?;
 
     if let Some(bound) = bound {

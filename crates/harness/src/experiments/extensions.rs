@@ -254,7 +254,9 @@ pub fn extra_robustness(session: &Session) -> ExperimentReport {
 /// incumbent's share of them (GOO's greedy and the completions that
 /// tighten it), the same levels bounded at the optimum's cost (the
 /// floor any incumbent can reach), the alternatives the bound ruled
-/// out before costing them, the first and the last bound against the
+/// out before costing them and those the pair gate left uncosted as
+/// dominated (with the plans costed, every alternative of the bounded
+/// levels), the first and the last bound against the
 /// optimum (geometric means), JCRs kept, and how many plans agree bit
 /// for bit (cost and structure) — a plan that does not fails the
 /// experiment. Star-Chain-14 runs its ordered variant, so the bound
@@ -264,21 +266,22 @@ pub fn extra_incumbent_dp(session: &Session) -> ExperimentReport {
     let model = sdp_cost::CostModel::with_defaults(catalog);
     let mut text = String::from("Extra: Incumbent-bounded DP (plans costed per run)\n");
     text.push_str(&format!(
-        "{:<22} {:>10} {:>10} {:>9} {:>10} {:>10} {:>7} {:>15} {:>14} {:>10}\n",
+        "{:<22} {:>10} {:>10} {:>9} {:>10} {:>10} {:>10} {:>7} {:>15} {:>14} {:>10}\n",
         "Graph",
         "unbounded",
         "bounded",
         "incumbent",
         "at optimum",
         "ruled out",
+        "dominated",
         "saved",
         "B/opt first→last",
         "JCRs kept",
         "same plan"
     ));
     let mut markdown = String::from(
-        "| Graph | DP plans (unbounded) | bounded + incumbent | of which incumbent | bounded at B = optimum | ruled out uncosted | saved | B / optimum, first → last | JCRs kept (unbounded → bounded) | same plan |\n\
-         |---|---|---|---|---|---|---|---|---|---|\n",
+        "| Graph | DP plans (unbounded) | bounded + incumbent | of which incumbent | bounded at B = optimum | ruled out uncosted | dominated uncosted | saved | B / optimum, first → last | JCRs kept (unbounded → bounded) | same plan |\n\
+         |---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     let mut differing = Vec::new();
     for (topology, ordered) in [
@@ -291,6 +294,7 @@ pub fn extra_incumbent_dp(session: &Session) -> ExperimentReport {
         let generator = QueryGenerator::new(catalog, topology, session.config.seed);
         let instances = session.config.instances as u64;
         let (mut unbounded, mut bounded, mut incumbent, mut ruled_out) = (0u64, 0u64, 0u64, 0u64);
+        let mut dominated = 0u64;
         let (mut floor, mut kept_unbounded, mut kept_bounded, mut same) = (0u64, 0u64, 0u64, 0u64);
         let (mut first, mut last) = (Vec::new(), Vec::new());
         for k in 0..instances {
@@ -316,6 +320,7 @@ pub fn extra_incumbent_dp(session: &Session) -> ExperimentReport {
             incumbent += bound.plans_costed;
             floor += at_optimum.plans_costed;
             ruled_out += ctx.ruled_out;
+            dominated += ctx.dominated;
             kept_unbounded += oracle.memo.len() as u64;
             kept_bounded += ctx.memo.len() as u64;
             first.push(bound.first / expected.cost);
@@ -340,13 +345,14 @@ pub fn extra_incumbent_dp(session: &Session) -> ExperimentReport {
             geometric_mean_ratio(&last)
         );
         text.push_str(&format!(
-            "{:<22} {:>10.0} {:>10.0} {:>9.0} {:>10.0} {:>10.0} {:>6.1}% {:>15} {:>6.0} → {:<5.0} {:>6}/{}\n",
+            "{:<22} {:>10.0} {:>10.0} {:>9.0} {:>10.0} {:>10.0} {:>10.0} {:>6.1}% {:>15} {:>6.0} → {:<5.0} {:>6}/{}\n",
             label,
             per(unbounded),
             per(bounded),
             per(incumbent),
             per(floor),
             per(ruled_out),
+            per(dominated),
             saved,
             ratios,
             per(kept_unbounded),
@@ -355,12 +361,13 @@ pub fn extra_incumbent_dp(session: &Session) -> ExperimentReport {
             instances
         ));
         markdown.push_str(&format!(
-            "| {label} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} | {saved:.1} % | {ratios} | {:.0} → {:.0} | {same} / {instances} |\n",
+            "| {label} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} | {saved:.1} % | {ratios} | {:.0} → {:.0} | {same} / {instances} |\n",
             per(unbounded),
             per(bounded),
             per(incumbent),
             per(floor),
             per(ruled_out),
+            per(dominated),
             per(kept_unbounded),
             per(kept_bounded),
         ));

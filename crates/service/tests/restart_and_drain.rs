@@ -163,7 +163,7 @@ fn a_crashed_store_warm_starts_two_restarts_exactly() {
             misses: 3,
             coalesced: 0,
             enumerations: 3,
-            plans_costed: 2873,
+            plans_costed: 2489,
             ..CountersSnapshot::default()
         }
     );
@@ -208,7 +208,7 @@ fn ordered_plans_warm_start_exactly() {
             hits: 28,
             misses: 4,
             enumerations: 4,
-            plans_costed: 4585,
+            plans_costed: 4249,
             ..CountersSnapshot::default()
         }
     );
