@@ -16,7 +16,7 @@ use sdp_cost::{CostModel, IndexProbe, JoinMethod, JoinTerms, ScanKind};
 use sdp_query::{ClassId, EquivClasses, JoinGraph, Query, RelSet};
 
 use crate::budget::{Budget, MemoryModel, OptError};
-use crate::dp::LevelTable;
+use crate::dp::{LevelTable, Survivor};
 use crate::fx::FxHashMap;
 use crate::memo::{dominates, BuiltNodes, EdgeWords, Group, Memo, PlanEntry, PlanSource};
 use crate::plan::{PlanNode, PlanOp};
@@ -1373,14 +1373,21 @@ impl<'a> EnumContext<'a> {
     }
 
     /// Cost `a ⋈ b` into the stage's JCR for `a ∪ b`, staging it — a
-    /// live group from now on — on first visit. The memo holds no group
-    /// of `a ∪ b` ([`crate::dp::run_levels`]' precondition). In a level
-    /// that defers costing, the pair is only recorded — its inputs'
-    /// memo slots — and its [`inputs_floor`] lowers the JCR's running
-    /// one, while both input groups are at hand.
-    pub(crate) fn stage_pair(&mut self, stage: &mut LevelStage, a: RelSet, b: RelSet) {
-        let (slot_a, ga) = self.memo.get_slot(a).expect("left group exists");
-        let (slot_b, gb) = self.memo.get_slot(b).expect("right group exists");
+    /// live group from now on — on first visit; `slot_a` and `slot_b`
+    /// are the inputs' memo slots, as the level table records them. The
+    /// memo holds no group of `a ∪ b` ([`crate::dp::run_levels`]'
+    /// precondition). In a level that defers costing, the pair is only
+    /// recorded — its inputs' slots — and its [`inputs_floor`] lowers
+    /// the JCR's running one, while both input groups are at hand.
+    pub(crate) fn stage_pair(&mut self, stage: &mut LevelStage, slot_a: u32, slot_b: u32) {
+        let (ga, gb) = (self.memo.at(slot_a), self.memo.at(slot_b));
+        let (a, b) = (ga.set, gb.set);
+        debug_assert!(
+            [(slot_a, a), (slot_b, b)]
+                .iter()
+                .all(|&(slot, set)| self.memo.get_slot(set).is_some_and(|(s, _)| s == slot)),
+            "a pair's slots name their sets' groups"
+        );
         let slot = match stage.index.entry(a | b) {
             Entry::Occupied(entry) => *entry.get(),
             Entry::Vacant(entry) => {
@@ -1544,9 +1551,15 @@ impl<'a> EnumContext<'a> {
             debug_assert!(jcr.costed(), "a survivor is costed before it is sealed");
             let set = jcr.group.set;
             move_wide(&mut jcr.group, len, &stage.wide, &mut self.wide);
+            // `Memo::insert` appends: the group's slot is the memo's length.
+            let slot = self.memo.len() as u32;
             let inserted = self.insert_group(jcr.group);
             debug_assert!(inserted, "a staged JCR is new to the memo");
-            (set, graph.neighbors(set))
+            Survivor {
+                set,
+                neighbors: graph.neighbors(set),
+                slot,
+            }
         }));
     }
 
@@ -1856,13 +1869,15 @@ mod tests {
                 for s in 2..=atoms.len() {
                     scan.level_pairs(&table, s, &mut pairs);
                     for &(a, b) in &pairs {
+                        let (a, b) = (ctx.memo.at(a).set, ctx.memo.at(b).set);
                         assert_union(&ctx, a, b);
                         assert_pair_facts(&ctx, a, b);
                     }
                 }
                 for s in 1..=atoms.len() {
-                    for &(set, neighbors) in table.level(s) {
-                        prop_assert_eq!(neighbors, graph.neighbors(set));
+                    for survivor in table.level(s) {
+                        prop_assert_eq!(survivor.neighbors, graph.neighbors(survivor.set));
+                        prop_assert_eq!(ctx.memo.at(survivor.slot).set, survivor.set);
                     }
                 }
                 for set in ctx.memo.sets() {
@@ -1929,7 +1944,9 @@ mod tests {
         }
         let base_plans = staged.memo.live_nodes();
         let mut stage = LevelStage::default();
+        let slot = |ctx: &EnumContext<'_>, set| ctx.memo.get_slot(set).expect("a base group").0;
         for &(a, b) in &pairs {
+            let (a, b) = (slot(&staged, a), slot(&staged, b));
             staged.stage_pair(&mut stage, a, b);
         }
 

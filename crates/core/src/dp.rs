@@ -87,7 +87,7 @@ pub(crate) trait LevelPruner {
 
     /// Called once the level's survivors (`survivors`, in creation
     /// order) are memo groups and its profile row is recorded.
-    fn sealed(&mut self, _ctx: &mut EnumContext<'_>, _survivors: &[(RelSet, RelSet)]) {}
+    fn sealed(&mut self, _ctx: &mut EnumContext<'_>, _survivors: &[Survivor]) {}
 }
 
 /// How much a [`LevelJcrs`] knows of a JCR's Cost.
@@ -189,21 +189,35 @@ pub(crate) struct PruneStats {
     pub order_rescued: u64,
 }
 
+/// A JCR in a [`LevelTable`]: its set, its cached join-graph
+/// neighbourhood, and the memo arena slot of its group, which names
+/// the group for the rest of the `run_levels` call (no memo group is
+/// removed during one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Survivor {
+    /// The JCR's relations.
+    pub set: RelSet,
+    /// The relations outside it that share a join edge with it.
+    pub neighbors: RelSet,
+    /// Its group's memo slot.
+    pub slot: u32,
+}
+
 /// Survivor table produced by [`run_levels`]: the surviving JCRs of
-/// each level, paired with their cached join-graph neighbourhoods, in
-/// one buffer for the run — level after level, each in survivor order.
+/// each level, in one buffer for the run — level after level, each in
+/// survivor order.
 #[derive(Debug, Default)]
 pub struct LevelTable {
-    /// Every level's surviving `(set, neighbors)`, back to back.
-    survivors: Vec<(RelSet, RelSet)>,
+    /// Every level's survivors, back to back.
+    survivors: Vec<Survivor>,
     /// `ends[s - 1]`: where the survivors of `s` atoms end.
     ends: Vec<usize>,
 }
 
 impl LevelTable {
-    /// The surviving `(set, neighbors)` of `atom_count` atoms, in
-    /// survivor order (none for a level not run).
-    pub fn level(&self, atom_count: usize) -> &[(RelSet, RelSet)] {
+    /// The survivors of `atom_count` atoms, in survivor order (none for
+    /// a level not run).
+    pub fn level(&self, atom_count: usize) -> &[Survivor] {
         let Some(&end) = self.ends.get(atom_count - 1) else {
             return &[];
         };
@@ -214,11 +228,20 @@ impl LevelTable {
     /// Surviving JCR sets at the given atom count, in survivor order.
     /// Borrows the table — collect if you need to outlive it.
     pub fn sets_at(&self, atom_count: usize) -> impl Iterator<Item = RelSet> + '_ {
-        self.level(atom_count).iter().map(|&(s, _)| s)
+        self.level(atom_count).iter().map(|s| s.set)
+    }
+
+    /// Each survivor's set, by its slot.
+    #[cfg(test)]
+    pub(crate) fn sets_by_slot(&self) -> crate::fx::FxHashMap<u32, RelSet> {
+        let by_slot: crate::fx::FxHashMap<u32, RelSet> =
+            self.survivors.iter().map(|s| (s.slot, s.set)).collect();
+        assert_eq!(by_slot.len(), self.survivors.len(), "one slot a survivor");
+        by_slot
     }
 
     /// Record the next level's survivors.
-    pub(crate) fn push_level(&mut self, survivors: impl IntoIterator<Item = (RelSet, RelSet)>) {
+    pub(crate) fn push_level(&mut self, survivors: impl IntoIterator<Item = Survivor>) {
         self.survivors.extend(survivors);
         self.ends.push(self.survivors.len());
     }
@@ -229,7 +252,8 @@ impl LevelTable {
 /// and refills them instead of building its own.
 #[derive(Debug, Default)]
 struct LevelBuffers {
-    pairs: Vec<(RelSet, RelSet)>,
+    /// The level's pairs, as their inputs' memo slots.
+    pairs: Vec<(u32, u32)>,
     stage: LevelStage,
     sets: Vec<RelSet>,
     features: Vec<[f64; 3]>,
@@ -365,8 +389,8 @@ fn run_one_level<'p>(
     // so order-preserving joins at higher levels can carry the order up
     // instead of paying a root sort over the full result. The survivors
     // are in creation order, so the offers are too.
-    for &(set, _) in survivors {
-        ctx.offer_sort_enforcer(set);
+    for s in survivors {
+        ctx.offer_sort_enforcer(s.set);
     }
 
     let stats = LevelStats {
@@ -457,15 +481,24 @@ pub(crate) fn run_levels_with(
     ctx.set_contractions(atoms.iter().filter(|a| a.len() > 1).count() as u64);
     let mut table = LevelTable::default();
     table.ends.reserve_exact(up_to);
-    table.push_level(atoms.iter().map(|&a| {
-        debug_assert!(ctx.memo.get(a).is_some(), "atom {a:?} lacks a memo group");
-        (a, ctx.graph().neighbors(a))
+    table.push_level(atoms.iter().map(|&set| {
+        let (slot, _) =
+            (ctx.memo.get_slot(set)).unwrap_or_else(|| panic!("atom {set:?} lacks a memo group"));
+        Survivor {
+            set,
+            neighbors: ctx.graph().neighbors(set),
+            slot,
+        }
     }));
 
     ctx.reserve_profile(up_to - 1);
     let mut visits: u64 = 0;
     let mut buffers = LevelBuffers::default();
     for s in 2..=up_to {
+        debug_assert!(
+            (table.survivors.iter()).all(|s| ctx.memo.at(s.slot).set == s.set),
+            "every survivor's slot holds its group"
+        );
         scan.level_pairs(&table, s, &mut buffers.pairs);
         if let Err(e) = run_one_level(
             ctx,
@@ -564,17 +597,14 @@ impl LevelPruner for IncumbentPruner {
     /// chain's level keeps at most `n − s + 1` JCRs and never does, a
     /// cycle's `n` only above `s = n / 2`. (Tightening after every level
     /// costs a chain more plans than it saves.)
-    fn sealed(&mut self, ctx: &mut EnumContext<'_>, survivors: &[(RelSet, RelSet)]) {
+    fn sealed(&mut self, ctx: &mut EnumContext<'_>, survivors: &[Survivor]) {
         let n = ctx.graph().len();
-        let s = survivors.first().map_or(n, |&(set, _)| set.len());
+        let s = survivors.first().map_or(n, |survivor| survivor.set.len());
         if s >= n || survivors.len() <= 2 * (n - s) {
             return;
         }
-        let cost = |set| {
-            let group = ctx.memo.get(set).expect("a survivor is a memo group");
-            (set, group.best_cost())
-        };
-        let cheapest = (survivors.iter().map(|&(set, _)| cost(set)))
+        let cost = |survivor: &Survivor| (survivor.set, ctx.memo.at(survivor.slot).best_cost());
+        let cheapest = (survivors.iter().map(cost))
             .reduce(|a, b| if b.1 < a.1 { b } else { a })
             .expect("a wide level has survivors");
         let (complete, plans_costed) = ctx.incumbent(cheapest.0);

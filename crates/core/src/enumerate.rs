@@ -28,7 +28,7 @@
 
 use sdp_query::{JoinGraph, RelSet};
 
-use crate::dp::LevelTable;
+use crate::dp::{LevelTable, Survivor};
 
 /// The pair-generation tag persisted with every stored plan and dead
 /// letter, and folded into the plan-cache key.
@@ -80,11 +80,11 @@ struct LevelIndex {
 
 impl LevelIndex {
     /// Index `level`, its bitmap appended to `by_rel`.
-    fn new(level: &[(RelSet, RelSet)], relations: usize, by_rel: &mut Vec<u64>) -> Self {
+    fn new(level: &[Survivor], relations: usize, by_rel: &mut Vec<u64>) -> Self {
         let start = by_rel.len();
         by_rel.resize(start + level.len().div_ceil(64) * relations, 0);
         let mut frontier = RelSet::EMPTY;
-        for (k, &(set, _)) in level.iter().enumerate() {
+        for (k, &Survivor { set, .. }) in level.iter().enumerate() {
             frontier = frontier | set;
             for r in set.iter() {
                 by_rel[start + k / 64 * relations + r] |= 1 << (k % 64);
@@ -145,9 +145,10 @@ impl LevelScan {
     /// of disjoint survivor sets from `table` (which holds the
     /// survivors of all levels below `s`) with `|a| + |b| = s` atoms
     /// that are joinable (graph-connected), each unordered pair exactly
-    /// once. Both sides are live in the memo — the engine joins the
-    /// pairs as given.
-    pub fn level_pairs(&mut self, table: &LevelTable, s: usize, pairs: &mut Vec<(RelSet, RelSet)>) {
+    /// once, each side given as its memo slot ([`Survivor::slot`]).
+    /// Both sides are live in the memo — the engine joins the pairs as
+    /// given.
+    pub fn level_pairs(&mut self, table: &LevelTable, s: usize, pairs: &mut Vec<(u32, u32)>) {
         pairs.clear();
         let relations = self.relations;
         for i in 1..=s / 2 {
@@ -157,7 +158,8 @@ impl LevelScan {
                 .get_or_insert_with(|| LevelIndex::new(right_level, relations, &mut self.by_rel));
             debug_assert_eq!(right.len, right_level.len(), "level changed after indexing");
             let by_rel = &self.by_rel;
-            for (li, &(a, a_nb)) in left_level.iter().enumerate() {
+            for (li, left) in left_level.iter().enumerate() {
+                let (a, a_nb) = (left.set, left.neighbors);
                 if !a_nb.intersects(right.frontier) {
                     continue;
                 }
@@ -175,7 +177,7 @@ impl LevelScan {
                     while partners != 0 {
                         let ri = w * 64 + partners.trailing_zeros() as usize;
                         partners &= partners - 1;
-                        pairs.push((a, right_level[ri].0));
+                        pairs.push((left.slot, right_level[ri].slot));
                     }
                 }
             }
@@ -424,9 +426,9 @@ pub(crate) mod tests {
                 // level `j` may be joined.
                 let live: FxHashMap<RelSet, RelSet> = right_level
                     .iter()
-                    .map(|&(b, _)| (self.to_vertex(b), b))
+                    .map(|b| (self.to_vertex(b.set), b.set))
                     .collect();
-                for &(a_base, _) in left_level.iter() {
+                for a_base in left_level.iter().map(|a| a.set) {
                     let a = self.to_vertex(a_base);
                     assert_eq!(
                         a.iter().fold(RelSet::EMPTY, |acc, v| acc | self.atoms[v]),
@@ -461,6 +463,12 @@ pub(crate) mod tests {
         normalized
     }
 
+    /// `LevelScan`'s slot pairs as the sets the table records for them.
+    fn pair_sets(table: &LevelTable, pairs: &[(u32, u32)]) -> Vec<(RelSet, RelSet)> {
+        let sets = table.sets_by_slot();
+        pairs.iter().map(|&(a, b)| (sets[&a], sets[&b])).collect()
+    }
+
     /// Level by level, `LevelScan`'s pair multiset over `table` is the
     /// one the oracle derives from the graph.
     fn assert_scan_matches_oracle(
@@ -475,7 +483,7 @@ pub(crate) mod tests {
         for s in 2..=atoms.len() {
             scan.level_pairs(table, s, &mut pairs);
             assert_eq!(
-                normalized_pair_multiset(&pairs),
+                normalized_pair_multiset(&pair_sets(table, &pairs)),
                 normalized_pair_multiset(&oracle.level_pairs(table, s)),
                 "{what}: level {s}"
             );
@@ -511,8 +519,9 @@ pub(crate) mod tests {
         for i in 1..=s / 2 {
             let j = s - i;
             let (left_level, right_level) = (table.level(i), table.level(j));
-            for (li, &(a, a_nb)) in left_level.iter().enumerate() {
-                for (ri, &(b, _)) in right_level.iter().enumerate() {
+            for (li, left) in left_level.iter().enumerate() {
+                let (a, a_nb) = (left.set, left.neighbors);
+                for (ri, b) in right_level.iter().map(|right| right.set).enumerate() {
                     if i == j && li >= ri {
                         continue; // unordered pair once
                     }
@@ -650,19 +659,25 @@ pub(crate) mod tests {
                 let mut scan = LevelScan::new(n);
                 let mut pairs = Vec::new();
                 let mut table = LevelTable::default();
-                table.push_level(atoms.iter().map(|&a| (a, graph.neighbors(a))));
+                // Slots as a memo hands them out: in creation order.
+                let mut created = 0u32;
+                let mut survivor = |set: RelSet| {
+                    created += 1;
+                    Survivor { set, neighbors: graph.neighbors(set), slot: created - 1 }
+                };
+                table.push_level(atoms.iter().map(|&a| survivor(a)));
                 let mut hole_bits = holes;
                 for s in 2..=atoms.len() {
                     let expected = double_loop_level_pairs(&table, s);
                     scan.level_pairs(&table, s, &mut pairs);
-                    prop_assert_eq!(&pairs, &expected, "level {}", s);
+                    prop_assert_eq!(&pair_sets(&table, &pairs), &expected, "level {}", s);
                     // The level's survivors: unions in first-creation
                     // order (as `run_levels` records them), minus a
                     // pseudo-random eighth.
-                    let mut level: Vec<(RelSet, RelSet)> = Vec::new();
+                    let mut level: Vec<Survivor> = Vec::new();
                     for &(a, b) in &expected {
-                        if !level.iter().any(|&(u, _)| u == (a | b)) {
-                            level.push((a | b, graph.neighbors(a | b)));
+                        if !level.iter().any(|u| u.set == (a | b)) {
+                            level.push(survivor(a | b));
                         }
                     }
                     level.retain(|_| {

@@ -32,14 +32,17 @@
 //! 5. **What to cost.** Rows and Selectivity are known once a JCR is
 //!    staged; Cost only once its pairs are costed. A level SDP prunes is
 //!    staged uncosted, each JCR with a cost floor from its inputs'
-//!    cheapest costs. `settle` raises the floor of a JCR it leaves
+//!    cheapest costs. Settlement raises the floor of a JCR it leaves
 //!    undominated to the tight floor — each pair's cheapest join method
 //!    over those inputs — and costs only the JCRs still undominated,
 //!    whose exact Cost some skyline's verdict needs ("Lazy costing" in
 //!    DESIGN.md): the keep-mask is the all-costed level's.
+//! 6. **How to judge.** A partition is sorted once by Rows and once by
+//!    Selectivity; settlement and the RC, RS and CS skylines sweep
+//!    those two orders (`Sweeps::judge`).
 
 use sdp_query::{hubs, RelSet};
-use sdp_skyline::{dominates, pairwise_union_skyline_of, skyline_sfs_of};
+use sdp_skyline::{dominates, skyline_sfs_of, sorted_skyline_on};
 
 use crate::context::EnumContext;
 use crate::dp::{LevelJcrs, LevelPruner, PruneStats};
@@ -113,16 +116,13 @@ struct Scratch {
     partitions: Vec<(RelSet, usize)>,
     /// The partitions' members — indices into the level, ascending
     /// within a partition — back to back.
-    members: Vec<usize>,
+    members: Vec<u32>,
     /// Members of the interesting-order partition being judged.
     order_members: Vec<usize>,
     /// Skyline of the partition being judged.
     winners: Vec<usize>,
-    /// A partition's members in the order [`settle`] sweeps them, each
-    /// beside its sort key.
-    sweep: Vec<(u64, u32)>,
-    /// The costed members swept so far that no other one dominates.
-    window: Vec<u32>,
+    /// The sweeps that judge it.
+    sweeps: Sweeps,
 }
 
 impl Scratch {
@@ -137,7 +137,7 @@ impl Scratch {
         let start = self.members.len();
         for (i, &set) in level_sets.iter().enumerate() {
             if belongs(set) {
-                self.members.push(i);
+                self.members.push(i as u32);
                 self.membership[i].0 += 1;
             }
         }
@@ -147,49 +147,86 @@ impl Scratch {
     }
 }
 
-/// Apply a skyline function within one partition — `members` indexes
-/// the level's `features` — overwriting `winners` with the surviving
-/// members.
-fn skyline(
-    option: SkylineOption,
-    features: &[[f64; 3]],
-    members: &[usize],
-    winners: &mut Vec<usize>,
-) {
-    let members = members.iter().copied();
-    match option {
-        SkylineOption::PairwiseUnion => pairwise_union_skyline_of(features, members, winners),
-        SkylineOption::FullVector => skyline_sfs_of(features, members, winners),
-    }
+/// Each hub partition's key and members, in key order, from
+/// [`Scratch`]'s `partitions` and `members`.
+fn hub_partitions<'s>(
+    partitions: &'s [(RelSet, usize)],
+    members: &'s [u32],
+) -> impl Iterator<Item = (RelSet, &'s [u32])> {
+    let starts = std::iter::once(0).chain(partitions.iter().map(|&(_, end)| end));
+    (partitions.iter().zip(starts)).map(|(&(key, end), start)| (key, &members[start..end]))
+}
+
+/// A partition's members as indices into the level.
+fn indices(members: &[u32]) -> impl Iterator<Item = usize> + Clone + '_ {
+    members.iter().map(|&i| i as usize)
 }
 
 /// The coordinate of the feature vector that costing reveals.
 const COST: usize = 1;
+/// The cost-free coordinates, each a sweep order of the partition.
+const ROWS: usize = 0;
+const SELECTIVITY: usize = 2;
 
-/// Cost the JCRs whose exact Cost a partition's skylines need; leave the
-/// rest on their floors, inputs or tight. Afterwards, in each of the
-/// `partitions` and for each skyline projection that reads Cost, every
-/// uncosted member is
-/// dominated, with its floor for its Cost, by a costed member. Such a
-/// member is off that projection's skyline with any Cost at or above the
-/// floor, and — dominance being transitive — whatever it dominates on
-/// its floor a costed member dominates as well: the projection's skyline
-/// over the floors is the one over the exact costs.
-fn settle<'m>(
-    option: SkylineOption,
-    partitions: impl Iterator<Item = &'m [usize]>,
-    jcrs: &mut LevelJcrs<'_>,
-    sweep: &mut Vec<(u64, u32)>,
-    window: &mut Vec<u32>,
-) {
-    for members in partitions {
+/// The pairwise skylines of Option 2, by the cost-free coordinate whose
+/// order each sweeps: RC and RS sweep the Rows order, CS the Selectivity
+/// order.
+const PROJECTIONS: [(usize, &[(usize, usize)]); 2] = [
+    (ROWS, &[(ROWS, COST), (ROWS, SELECTIVITY)]),
+    (SELECTIVITY, &[(SELECTIVITY, COST)]),
+];
+
+/// The buffers one partition is swept in, reused from partition to
+/// partition and level to level.
+#[derive(Debug, Default)]
+struct Sweeps {
+    /// The partition's members in the order being swept, each a
+    /// [`sweep_key`].
+    order: Vec<u128>,
+    /// [`settle_full`]'s costed members that no other one dominates.
+    window: Vec<u32>,
+}
+
+impl Sweeps {
+    /// Judge one partition — `members` indexes the level — with
+    /// `option`, overwriting `winners` with its survivors, ascending.
+    /// With `settle`, a skyline that reads Cost is read only once the
+    /// partition is settled on it ([`settle_pair`], [`settle_full`]);
+    /// it is then final, since each uncosted member is dominated on its
+    /// floor by a costed one, and costing only raises floors.
+    ///
+    /// Option 2 sorts the members once by each cost-free coordinate, and
+    /// settlement and the pairwise skylines sweep that order
+    /// ([`PROJECTIONS`]).
+    fn judge(
+        &mut self,
+        option: SkylineOption,
+        members: impl Iterator<Item = usize> + Clone,
+        jcrs: &mut LevelJcrs<'_>,
+        settle: bool,
+        winners: &mut Vec<usize>,
+    ) {
         match option {
-            // RC and CS: Rows and Selectivity are the cost-free sides.
             SkylineOption::PairwiseUnion => {
-                settle_pair(members, 0, jcrs, sweep);
-                settle_pair(members, 2, jcrs, sweep);
+                winners.clear();
+                for (free, projections) in PROJECTIONS {
+                    sort_members(members.clone(), jcrs.features(), free, &mut self.order);
+                    if settle {
+                        settle_pair(&self.order, free, jcrs);
+                    }
+                    for &on in projections {
+                        sorted_skyline_on(jcrs.features(), &self.order, member, on, winners);
+                    }
+                }
+                winners.sort_unstable();
+                winners.dedup();
             }
-            SkylineOption::FullVector => settle_full(members, jcrs, sweep, window),
+            SkylineOption::FullVector => {
+                if settle {
+                    settle_full(members.clone(), jcrs, self);
+                }
+                skyline_sfs_of(jcrs.features(), members, winners);
+            }
         }
     }
 }
@@ -204,33 +241,49 @@ fn total_order(x: f64) -> u64 {
     }
 }
 
-/// Overwrite `sweep` with `members`, each beside its `key`, in ascending
-/// order of key and then of index.
-fn sort_members(members: &[usize], sweep: &mut Vec<(u64, u32)>, key: impl Fn(usize) -> u64) {
-    sweep.clear();
-    sweep.extend(members.iter().map(|&i| (key(i), i as u32)));
-    sweep.sort_unstable();
+/// Member `i`'s place in a sweep along coordinate `at`: the order of
+/// its value under `f64::total_cmp`, then of `i`, as one integer.
+fn sweep_key(features: &[[f64; 3]], i: usize, at: usize) -> u128 {
+    u128::from(total_order(features[i][at])) << 32 | i as u128
 }
 
-/// [`settle`] one partition on the projection of Cost and the cost-free
-/// coordinate `free`. The members are swept in ascending order of `free`.
-/// Only a member swept before can
-/// dominate one: from a smaller `free` at a Cost no higher, or from an
-/// equal `free` at a lower Cost. So the least Cost of the costed members
-/// swept before the current run of equal `free`, and the least within
-/// it, decide. A member they leave undominated on its inputs floor is
-/// tested again on its tight floor, and costed only if it is still
-/// undominated.
-fn settle_pair(
-    members: &[usize],
-    free: usize,
-    jcrs: &mut LevelJcrs<'_>,
-    sweep: &mut Vec<(u64, u32)>,
+/// The member a [`sweep_key`] names.
+fn member(key: u128) -> usize {
+    key as u32 as usize
+}
+
+/// Overwrite `order` with `members` sorted along coordinate `at`.
+fn sort_members(
+    members: impl Iterator<Item = usize>,
+    features: &[[f64; 3]],
+    at: usize,
+    order: &mut Vec<u128>,
 ) {
-    let features = jcrs.features();
-    sort_members(members, sweep, |i| total_order(features[i][free]));
+    order.clear();
+    order.extend(members.map(|i| sweep_key(features, i, at)));
+    order.sort_unstable();
+}
+
+/// Settle one partition on the projection of Cost and the cost-free
+/// coordinate `free`, sweeping its members in ascending order of `free`
+/// (`sorted`, [`sweep_key`]s): cost the members whose exact Cost the
+/// projection's skyline needs, and leave the rest on their floors,
+/// inputs or tight. Afterwards every uncosted member is dominated, with
+/// its floor for its Cost, by a costed member. Such a member is off the
+/// skyline with any Cost at or above the floor, and — dominance being
+/// transitive — whatever it dominates on its floor a costed member
+/// dominates as well: the skyline over the floors is the one over the
+/// exact costs.
+///
+/// Only a member swept before can dominate one: from a smaller `free`
+/// at a Cost no higher, or from an equal `free` at a lower Cost. So the
+/// least Cost of the costed members swept before the current run of
+/// equal `free`, and the least within it, decide. A member they leave
+/// undominated on its inputs floor is tested again on its tight floor,
+/// and costed only if it is still undominated.
+fn settle_pair(sorted: &[u128], free: usize, jcrs: &mut LevelJcrs<'_>) {
     let (mut before, mut run, mut run_free) = (f64::INFINITY, f64::INFINITY, f64::NAN);
-    for x in sweep.iter().map(|&(_, x)| x as usize) {
+    for x in sorted.iter().map(|&key| member(key)) {
         let row = jcrs.features()[x];
         if row[free] != run_free {
             (before, run, run_free) = (before.min(run), f64::INFINITY, row[free]);
@@ -247,21 +300,21 @@ fn settle_pair(
     }
 }
 
-/// [`settle`] one partition on the full vector: the members swept in
-/// ascending order of Rows, each costed unless a costed member swept
-/// before dominates it on its inputs floor or, failing that, on its
-/// tight floor. `window` keeps the costed members swept so far that
-/// none of them dominates — by transitivity, all a dominance test needs.
+/// Settle one partition on the full vector, as [`settle_pair`] does on
+/// a projection: the members swept in ascending order of Rows, each
+/// costed unless a costed member swept before dominates it on its
+/// inputs floor or, failing that, on its tight floor. The window keeps
+/// the costed members swept so far that none of them dominates — by
+/// transitivity, all a dominance test needs.
 fn settle_full(
-    members: &[usize],
+    members: impl Iterator<Item = usize>,
     jcrs: &mut LevelJcrs<'_>,
-    sweep: &mut Vec<(u64, u32)>,
-    window: &mut Vec<u32>,
+    sweeps: &mut Sweeps,
 ) {
-    let features = jcrs.features();
-    sort_members(members, sweep, |i| total_order(features[i][0]));
+    let Sweeps { order, window } = sweeps;
+    sort_members(members, jcrs.features(), ROWS, order);
     window.clear();
-    for x in sweep.iter().map(|&(_, x)| x as usize) {
+    for x in order.iter().map(|&key| member(key)) {
         let dominated = |jcrs: &LevelJcrs<'_>| {
             let features = jcrs.features();
             (window.iter()).any(|&w| dominates(&features[w as usize], &features[x]))
@@ -320,8 +373,10 @@ impl SdpPruner {
 
     /// Partition a prunable level and clear the `keep` flag of every
     /// JCR its partitions' skylines leave out; returns the skyline
-    /// accounting. The skylines run on the level's features once
-    /// [`settle`] has costed what they need.
+    /// accounting. On a level staged uncosted, each partition is
+    /// settled just before its skyline is read (`Sweeps::judge`): hub
+    /// partitions in key order, then the interesting-order ones — the
+    /// order in which the JCRs are costed.
     fn prune_partitions(
         &mut self,
         ctx: &EnumContext<'_>,
@@ -350,44 +405,27 @@ impl SdpPruner {
             return PruneStats::default();
         }
 
-        if (0..jcrs.len()).any(|i| !jcrs.is_costed(i)) {
+        let settle = (0..jcrs.len()).any(|i| !jcrs.is_costed(i));
+        if settle {
             // The FreeGroup survives whole: costed first, it may settle
             // members of the interesting-order partitions.
             for (i, _) in sc.membership.iter().enumerate().filter(|(_, m)| m.0 == 0) {
                 jcrs.cost(i);
             }
-            let hub_partitions = sc.partitions.iter().scan(0, |start, &(_, end)| {
-                let members = &sc.members[*start..end];
-                *start = end;
-                Some(members)
-            });
-            settle(option, hub_partitions, jcrs, &mut sc.sweep, &mut sc.window);
-            for &t in &self.order_relations {
-                sdp_skyline::exclusion_partition(
-                    level_sets.len(),
-                    |i| level_sets[i].contains(t),
-                    &mut sc.order_members,
-                );
-                let order_partition = std::iter::once(&sc.order_members[..]);
-                settle(option, order_partition, jcrs, &mut sc.sweep, &mut sc.window);
-            }
         }
-        let features = jcrs.features();
 
         // Survival in every containing partition is required. The
         // partitions are judged — and their spans emitted — in
         // ascending key order.
         let mut total_survivors = 0u64;
-        let mut start = 0;
-        for &(key, end) in &sc.partitions {
-            let members = &sc.members[start..end];
-            start = end;
-            skyline(option, features, members, &mut sc.winners);
+        for (key, members) in hub_partitions(&sc.partitions, &sc.members) {
+            sc.sweeps
+                .judge(option, indices(members), jcrs, settle, &mut sc.winners);
             if sc.winners.is_empty() {
                 // Completeness safeguard: never let a partition lose
                 // everything (cannot happen with the built-in skyline
                 // options, but a defensive guarantee regardless).
-                sc.winners.push(members[0]);
+                sc.winners.push(members[0] as usize);
             }
             total_survivors += sc.winners.len() as u64;
             ctx.tracer().emit_with(|| {
@@ -425,7 +463,10 @@ impl SdpPruner {
                 &sc.order_members,
                 keep,
                 &mut sc.winners,
-                |part, winners| skyline(option, features, part, winners),
+                |part, winners| {
+                    sc.sweeps
+                        .judge(option, part.iter().copied(), jcrs, settle, winners)
+                },
             );
             order_rescued += rescued_here;
             ctx.tracer().emit_with(|| {
@@ -442,21 +483,17 @@ impl SdpPruner {
         // cheapest member so the hub region can still grow. Iterated
         // in key order so the (rare) resurrection spans emit
         // deterministically.
-        let mut start = 0;
-        for &(key, end) in &sc.partitions {
-            let members = &sc.members[start..end];
-            start = end;
-            if members.iter().any(|&i| keep[i]) {
+        for (key, members) in hub_partitions(&sc.partitions, &sc.members) {
+            let members = indices(members);
+            if members.clone().any(|i| keep[i]) {
                 continue;
             }
             // The cheapest by exact cost.
-            members.iter().for_each(|&i| {
+            members.clone().for_each(|i| {
                 jcrs.cost(i);
             });
             let features = jcrs.features();
             let best = members
-                .iter()
-                .copied()
                 .min_by(|&a, &b| {
                     features[a][COST]
                         .partial_cmp(&features[b][COST])

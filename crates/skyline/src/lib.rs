@@ -15,6 +15,9 @@
 //!   the disjunctive union of the skylines of every 2-attribute
 //!   projection of the feature vector (RC ∪ CS ∪ RS for the paper's
 //!   three-attribute `[Rows, Cost, Selectivity]` vector);
+//! * [`multiway::sorted_skyline_on`] — one projection's skyline in a
+//!   single sweep over members already sorted on one of its two
+//!   attributes, the kernel SDP's pruner runs;
 //! * [`orders`] — interesting-order exclusion partitions (§2.1.4):
 //!   per-relation partition membership and the skyline *rescue* pass
 //!   that keeps order-producing subplans alive through pruning.
@@ -34,7 +37,9 @@ pub mod multiway;
 pub mod orders;
 pub mod sfs;
 
-pub use multiway::{pairwise_union_skyline, pairwise_union_skyline_of, projected_skyline};
+pub use multiway::{
+    pairwise_union_skyline, pairwise_union_skyline_of, projected_skyline, sorted_skyline_on,
+};
 pub use orders::{exclusion_partition, rescue_order_partition};
 pub use sfs::{skyline_sfs, skyline_sfs_of};
 

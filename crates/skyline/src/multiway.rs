@@ -15,6 +15,13 @@
 //! d = 3 it prunes strictly more aggressively than the full-vector
 //! skyline ("Option 1") while retaining every 2-D-optimal trade-off,
 //! which is exactly the behaviour Table 2.3 reports.
+//!
+//! Two kernels compute a projection's skyline. The block-nested-loops
+//! pass behind [`pairwise_union_skyline_of`] takes the members in any
+//! order. [`sorted_skyline_on`] takes them sorted by one of the two
+//! attributes and needs one linear sweep; SDP's pruner reads all three
+//! pairwise skylines off two such orders, and the first kernel is its
+//! test oracle.
 
 use crate::dominates_on;
 
@@ -89,6 +96,51 @@ pub fn pairwise_union_skyline_of<P: AsRef<[f64]>>(
     }
     out.sort_unstable();
     out.dedup();
+}
+
+/// The skyline of `points` projected on the attributes `(x, y)`, in one
+/// pass over members already sorted by `x`: `sorted` holds them in
+/// ascending `x`, equal values side by side (as `f64::total_cmp`
+/// orders them), each key naming its member through `index`. The
+/// survivors are *appended* to `out`, in `sorted`'s order.
+///
+/// A member is dominated iff the least `y` over the earlier runs of
+/// equal `x` is at most its `y`, or the least `y` over its own whole run
+/// is below it — [`dominates_on`]'s definition, so the survivors are the
+/// block-nested-loops pass's. Runs split where `x` changes under f64
+/// `==`, so `-0.0` and `+0.0` share one. No attribute may be NaN.
+pub fn sorted_skyline_on<P: AsRef<[f64]>, K: Copy>(
+    points: &[P],
+    sorted: &[K],
+    index: impl Fn(K) -> usize,
+    (x, y): (usize, usize),
+    out: &mut Vec<usize>,
+) {
+    let at = |k: K| points[index(k)].as_ref();
+    // The least `y` of the runs swept so far; none before the first.
+    let mut before: Option<f64> = None;
+    let mut start = 0;
+    while start < sorted.len() {
+        let run_x = at(sorted[start])[x];
+        let mut run = at(sorted[start])[y];
+        let mut end = start + 1;
+        while let Some(&k) = sorted.get(end) {
+            let p = at(k);
+            if p[x] != run_x {
+                break;
+            }
+            run = run.min(p[y]);
+            end += 1;
+        }
+        for &k in &sorted[start..end] {
+            let v = at(k)[y];
+            if !(before.is_some_and(|b| b <= v) || run < v) {
+                out.push(index(k));
+            }
+        }
+        before = Some(before.map_or(run, |b| b.min(run)));
+        start = end;
+    }
 }
 
 /// Which pairwise skylines each object belongs to, for the paper's
@@ -184,6 +236,76 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// `members` sorted by attribute `at` in `f64::total_cmp` order,
+    /// then by index, as SDP's pruner sorts a partition.
+    pub(super) fn sorted_by(points: &[[f64; 3]], members: &[usize], at: usize) -> Vec<usize> {
+        let mut sorted = members.to_vec();
+        sorted.sort_by(|&a, &b| points[a][at].total_cmp(&points[b][at]).then(a.cmp(&b)));
+        sorted
+    }
+
+    /// [`pairwise_union_skyline_of`] as SDP's pruner reads it off two
+    /// sorted orders: the `(0, 1)` and `(0, 2)` skylines sweep the
+    /// members sorted by attribute 0, the `(1, 2)` skyline sweeps them
+    /// sorted by attribute 2. Ascending.
+    pub(super) fn presorted_union(
+        points: &[[f64; 3]],
+        by_0: &[usize],
+        by_2: &[usize],
+    ) -> Vec<usize> {
+        let mut out = Vec::new();
+        sorted_skyline_on(points, by_0, |i| i, (0, 1), &mut out);
+        sorted_skyline_on(points, by_0, |i| i, (0, 2), &mut out);
+        sorted_skyline_on(points, by_2, |i| i, (2, 1), &mut out);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn presorted_union_reproduces_paper_table_2_2() {
+        let pts: Vec<[f64; 3]> = table_2_2().iter().map(|p| [p[0], p[1], p[2]]).collect();
+        let mut bnl = Vec::new();
+        for (members, survivors) in [
+            (&[0, 1, 2, 3, 4][..], &[0, 1, 3, 4][..]),
+            (&[0, 2, 4], &[0, 2, 4]),
+        ] {
+            let (by_0, by_2) = (sorted_by(&pts, members, 0), sorted_by(&pts, members, 2));
+            pairwise_union_skyline_of(&pts, members.iter().copied(), &mut bnl);
+            assert_eq!(presorted_union(&pts, &by_0, &by_2), bnl);
+            assert_eq!(bnl, survivors);
+        }
+    }
+
+    #[test]
+    fn signed_zeros_share_a_run() {
+        // Equal under `==`, so neither dominates the other; `-0.0` sorts
+        // first in `total_cmp` order, and a sweep that split the run
+        // there would judge `+0.0` dominated by it.
+        let pts = [[0.0, 1.0, 0.0], [-0.0, 1.0, 0.0], [-0.0, 2.0, 0.0]];
+        let by_0 = sorted_by(&pts, &[0, 1, 2], 0);
+        assert_eq!(by_0, vec![1, 2, 0]);
+        let mut out = Vec::new();
+        sorted_skyline_on(&pts, &by_0, |i| i, (0, 1), &mut out);
+        out.sort_unstable();
+        assert_eq!(out, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_run_is_judged_by_its_whole_minimum() {
+        // The run's cheapest member comes last in the sweep: the first
+        // two are dominated by it all the same.
+        let pts = [
+            [1.0, 3.0, 0.0],
+            [1.0, 2.0, 0.0],
+            [1.0, 1.0, 0.0],
+            [2.0, 1.0, 0.0],
+        ];
+        let mut out = Vec::new();
+        sorted_skyline_on(&pts, &[0, 1, 2, 3], |i| i, (0, 1), &mut out);
+        assert_eq!(out, vec![2]);
+    }
+
     #[test]
     fn projected_skyline_single_dimension() {
         let pts = vec![vec![5.0, 0.0], vec![3.0, 9.0], vec![3.0, 1.0]];
@@ -200,6 +322,58 @@ mod property_tests {
     fn arb_points(max_len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
         prop::collection::vec(prop::collection::vec(0.0f64..100.0, 3..=3), 0..50)
             .prop_filter("cap", move |v| v.len() <= max_len)
+    }
+
+    /// One attribute: half the time a value from a small shared pool —
+    /// so that rows tie, `±0.0` included — otherwise a magnitude from
+    /// 1e-12 to 1e12.
+    fn tied_value() -> impl Strategy<Value = f64> {
+        const POOL: [f64; 8] = [0.0, -0.0, 1e-12, 1.0, 2.5, 7.0, 1e12, f64::INFINITY];
+        prop_oneof![
+            (0..POOL.len()).prop_map(|k| POOL[k]),
+            (1.0f64..10.0, -12i32..=12).prop_map(|(m, e)| m * 10f64.powi(e)),
+        ]
+    }
+
+    /// Rows of three tie-prone attributes, about one in four an exact
+    /// copy of an earlier row.
+    fn tied_rows() -> impl Strategy<Value = Vec<[f64; 3]>> {
+        let row = (tied_value(), tied_value(), tied_value());
+        prop::collection::vec((0u8..4, any::<usize>(), row), 0..60).prop_map(|drawn| {
+            let mut rows: Vec<[f64; 3]> = Vec::with_capacity(drawn.len());
+            for (copy, k, (r, c, s)) in drawn {
+                let copied = (copy == 0 && !rows.is_empty()).then(|| rows[k % rows.len()]);
+                rows.push(copied.unwrap_or([r, c, s]));
+            }
+            rows
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The presorted pairwise union is the block-nested-loops one,
+        /// on a random subset of tie-prone rows, whatever order each
+        /// sort leaves tied members in (`shuffle` breaks the ties).
+        #[test]
+        fn presorted_union_is_the_block_nested_loops_union(
+            rows in tied_rows(),
+            subset in any::<u64>(),
+            shuffle in any::<u64>(),
+        ) {
+            let members: Vec<usize> =
+                (0..rows.len()).filter(|&i| subset.rotate_right(i as u32) & 1 == 1 || i >= 64).collect();
+            let tie = |i: usize| (i as u64).wrapping_mul(shuffle | 1);
+            let sorted_by = |at: usize| {
+                let mut sorted = members.clone();
+                sorted.sort_by(|&a, &b| rows[a][at].total_cmp(&rows[b][at]).then(tie(a).cmp(&tie(b))));
+                sorted
+            };
+            let presorted = super::tests::presorted_union(&rows, &sorted_by(0), &sorted_by(2));
+            let mut bnl = Vec::new();
+            pairwise_union_skyline_of(&rows, members.iter().copied(), &mut bnl);
+            prop_assert_eq!(presorted, bnl);
+        }
     }
 
     proptest! {
