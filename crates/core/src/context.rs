@@ -509,10 +509,6 @@ enum Part {
     Joined(Group),
 }
 
-/// Each costed pair's JCR and its entries once the pair is costed.
-#[cfg(test)]
-pub(crate) type PairLog = Vec<(RelSet, Vec<PlanEntry>)>;
-
 /// Mutable state of one optimization run.
 pub struct EnumContext<'a> {
     query: &'a Query,
@@ -527,14 +523,11 @@ pub struct EnumContext<'a> {
     /// Sort costs computed so far: one per group entering the memo.
     #[cfg(test)]
     pub(crate) sort_costs: u64,
-    /// Cost every pair in full, the pair gate off: the reference
-    /// costing the gate is held to.
+    /// The reference mode: every pair costed eagerly with every
+    /// method, with no bound, pair gate, floor or deferred level — what
+    /// every costing shortcut is held to (`crate::exactness`).
     #[cfg(test)]
-    pub(crate) ungated: bool,
-    /// When set, each costed pair's JCR and its entries once the pair
-    /// is costed, in costing order.
-    #[cfg(test)]
-    pub(crate) pair_log: std::cell::RefCell<Option<PairLog>>,
+    pub(crate) reference: bool,
     /// Memory model / budget tracking.
     pub memory: MemoryModel,
     /// Plans costed so far.
@@ -599,9 +592,7 @@ impl<'a> EnumContext<'a> {
             #[cfg(test)]
             sort_costs: 0,
             #[cfg(test)]
-            ungated: false,
-            #[cfg(test)]
-            pair_log: Default::default(),
+            reference: false,
             plans_costed: 0,
             ruled_out: 0,
             dominated: 0,
@@ -1161,7 +1152,7 @@ impl<'a> EnumContext<'a> {
         let gated = floor > costing.bound.unwrap_or(f64::INFINITY)
             || self.frontier_holds(a, b, classes, jcr, floor);
         #[cfg(test)]
-        let gated = gated && !self.ungated;
+        let gated = gated && !self.reference;
         if gated {
             for (outer, inner, index) in [(a, b, facts.b_index), (b, a, facts.a_index)] {
                 let terms = index.map(|_| self.join_terms(outer, inner, &facts, jcr.rows, index));
@@ -1171,10 +1162,6 @@ impl<'a> EnumContext<'a> {
             let (a_b, b_a) = self.pair_terms(a, b, &facts, jcr.rows);
             self.cost_orientation(a, b, &a_b, classes, jcr, costing);
             self.cost_orientation(b, a, &b_a, classes, jcr, costing);
-        }
-        #[cfg(test)]
-        if let Some(log) = self.pair_log.borrow_mut().as_mut() {
-            log.push((jcr.set, jcr.entries().to_vec()));
         }
     }
 
@@ -2186,189 +2173,5 @@ mod tests {
         // Pruning a missing group is a no-op.
         ctx.prune_group(RelSet::single(2));
         assert_eq!(ctx.jcrs_pruned, 1);
-    }
-
-    /// The pair gate against the full costing it replaced, its oracle:
-    /// the same runs with `EnumContext::ungated` set. Every pair leaves
-    /// its JCR — staged, in the memo, or the greedy incumbent's scratch
-    /// group — with the same records, cost bits, orderings, sources and
-    /// ids; the memo ends the same, the plan served is the same, the
-    /// bound rules out as much, and what the gate leaves uncosted as
-    /// dominated is exactly what the oracle costs beyond it. On chains,
-    /// stars, cycles, cliques and star-chains, ordered or not, for
-    /// bounded and unbounded DP, each `SdpConfig`, IDP and a governed
-    /// descent from a tripped DP rung to SDP — and under costs that
-    /// make a join cost its inputs' sum exactly, where the root pair's
-    /// floor equals DP's bound.
-    mod gate {
-        use super::*;
-        use crate::budget::{OptError, GROUP_MODEL_BYTES};
-        use crate::dp::{optimize_complete, optimize_dp};
-        use crate::governor::prepare_handoff;
-        use crate::idp::optimize_idp;
-        use crate::sdp::{optimize_sdp, Partitioning, SdpConfig, SkylineOption};
-        use proptest::prelude::*;
-
-        /// A group's records as bits: cost, ordering, source and id.
-        type Records = Vec<(u64, Option<ClassId>, PlanSource, u16)>;
-
-        fn records(entries: &[PlanEntry]) -> Records {
-            (entries.iter())
-                .map(|e| (e.cost.to_bits(), e.ordering(), e.source, e.id()))
-                .collect()
-        }
-
-        /// What a run leaves: the plan served, each costed pair's JCR
-        /// records in costing order, the memo's records per set, and
-        /// the counters `(plans_costed, ruled_out, dominated)`.
-        #[derive(Debug, PartialEq)]
-        struct Outcome {
-            served: Option<(u64, u64)>,
-            pairs: Vec<(RelSet, Records)>,
-            memo: Vec<(RelSet, Records)>,
-            counters: (u64, u64, u64),
-        }
-
-        type Strategy = fn(&mut EnumContext<'_>) -> Result<Arc<PlanNode>, OptError>;
-
-        fn run(mut ctx: EnumContext<'_>, ungated: bool, strategy: Strategy) -> Outcome {
-            ctx.ungated = ungated;
-            *ctx.pair_log.borrow_mut() = Some(Vec::new());
-            let served = strategy(&mut ctx).ok();
-            let pairs = ctx.pair_log.take().unwrap();
-            let mut memo: Vec<_> = (ctx.memo.sets())
-                .map(|set| (set, records(ctx.memo.get(set).unwrap().entries())))
-                .collect();
-            memo.sort_by_key(|&(set, _)| set.0);
-            Outcome {
-                served: served.map(|plan| (plan.cost.to_bits(), plan.structural_digest())),
-                pairs: (pairs.into_iter())
-                    .map(|(set, entries)| (set, records(&entries)))
-                    .collect(),
-                memo,
-                counters: (ctx.plans_costed, ctx.ruled_out, ctx.dominated),
-            }
-        }
-
-        fn sdp(partitioning: Partitioning, skyline: SkylineOption) -> SdpConfig {
-            SdpConfig {
-                partitioning,
-                skyline,
-            }
-        }
-
-        const STRATEGIES: [(&str, Strategy); 8] = [
-            ("DP unbounded", optimize_complete),
-            ("DP bounded", optimize_dp),
-            ("SDP root-hub pairwise", |ctx| {
-                optimize_sdp(
-                    ctx,
-                    sdp(Partitioning::RootHub, SkylineOption::PairwiseUnion),
-                )
-            }),
-            ("SDP root-hub full", |ctx| {
-                optimize_sdp(ctx, sdp(Partitioning::RootHub, SkylineOption::FullVector))
-            }),
-            ("SDP global pairwise", |ctx| {
-                optimize_sdp(ctx, sdp(Partitioning::Global, SkylineOption::PairwiseUnion))
-            }),
-            ("SDP global full", |ctx| {
-                optimize_sdp(ctx, sdp(Partitioning::Global, SkylineOption::FullVector))
-            }),
-            ("IDP(3)", |ctx| optimize_idp(ctx, 3)),
-            // A DP rung tripped by its budget, handed down to SDP.
-            ("governed", |ctx| {
-                if let Ok(plan) = optimize_dp(ctx) {
-                    return Ok(plan);
-                }
-                prepare_handoff(ctx);
-                ctx.memory.set_budget(Budget::unlimited());
-                optimize_sdp(ctx, SdpConfig::paper())
-            }),
-        ];
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-
-            #[test]
-            fn the_gate_leaves_every_group_as_full_costing_does(
-                shape in 0usize..5,
-                n in 3usize..=10,
-                seed in any::<u64>(),
-                ordered in any::<bool>(),
-                budget_groups in 8u64..60,
-                exact in any::<bool>(),
-            ) {
-                let topology = match shape {
-                    0 => Topology::Chain(n),
-                    1 => Topology::Star(n),
-                    2 => Topology::Cycle(n),
-                    3 => Topology::Clique(n),
-                    _ => Topology::star_chain(n),
-                };
-                let cat = Catalog::paper();
-                // As `dp`'s `a_floor_equal_to_the_bound_is_costed`: CPU
-                // costs below rounding, sorts in memory, index probes
-                // dear. GOO's plan is an optimum, and `B` its cost.
-                let tiny = 1e-300;
-                let params = sdp_cost::CostParams {
-                    seq_page_cost: 1.0,
-                    random_page_cost: 1e6,
-                    cpu_tuple_cost: tiny,
-                    cpu_index_tuple_cost: tiny,
-                    cpu_operator_cost: tiny,
-                    work_mem_bytes: 1e300,
-                };
-                let model = if exact {
-                    CostModel::new(&cat, params)
-                } else {
-                    CostModel::with_defaults(&cat)
-                };
-                let generator = QueryGenerator::new(&cat, topology, seed);
-                let q = if ordered {
-                    generator.ordered_instance(0)
-                } else {
-                    generator.instance(0)
-                };
-                for (what, strategy) in STRATEGIES {
-                    let budget = if what == "governed" {
-                        Budget::with_memory(budget_groups * GROUP_MODEL_BYTES)
-                    } else {
-                        Budget::unlimited()
-                    };
-                    let fresh = || EnumContext::new(&q, &model, budget);
-                    let gated = run(fresh(), false, strategy);
-                    let oracle = run(fresh(), true, strategy);
-                    let what = format!("{topology} {what}");
-                    prop_assert!(oracle.served.is_some(), "{}", what);
-                    prop_assert_eq!(gated.served, oracle.served, "{}", what);
-                    prop_assert_eq!(gated.pairs.len(), oracle.pairs.len(), "{}", what);
-                    for (pair, expected) in gated.pairs.iter().zip(&oracle.pairs) {
-                        prop_assert_eq!(pair, expected, "{}", what);
-                    }
-                    prop_assert_eq!(&gated.memo, &oracle.memo, "{}", what);
-                    let (costed, ruled_out, dominated) = gated.counters;
-                    let (o_costed, o_ruled_out, o_dominated) = oracle.counters;
-                    prop_assert_eq!(o_dominated, 0, "{}", what);
-                    prop_assert_eq!(ruled_out, o_ruled_out, "{}", what);
-                    prop_assert_eq!(costed + dominated, o_costed, "{}", what);
-                }
-            }
-        }
-
-        /// The gate does cut: a Star-9 DP leaves alternatives uncosted
-        /// as dominated, and costs that many fewer.
-        #[test]
-        fn a_star_leaves_dominated_alternatives_uncosted() {
-            let cat = Catalog::paper();
-            let model = CostModel::with_defaults(&cat);
-            let q = QueryGenerator::new(&cat, Topology::Star(9), 7).instance(0);
-            let fresh = || EnumContext::new(&q, &model, Budget::unlimited());
-            let gated = run(fresh(), false, optimize_dp);
-            let oracle = run(fresh(), true, optimize_dp);
-            let (costed, _, dominated) = gated.counters;
-            assert!(dominated > 0);
-            assert_eq!(costed + dominated, oracle.counters.0);
-        }
     }
 }

@@ -293,7 +293,12 @@ fn run_one_level<'p>(
     // The bound is this rung's, handed to this level's stage: nothing
     // that outlives the rung may carry it to the next.
     let bound = pruner.as_ref().and_then(|p| p.cost_bound());
+    // The reference mode takes no bound: the barrier asks the pruner.
+    #[cfg(test)]
+    let bound = bound.filter(|_| !ctx.reference);
     let defer = bound.is_none() && pruner.as_ref().is_some_and(|p| p.defers_costing(level));
+    #[cfg(test)]
+    let defer = defer && !ctx.reference;
     stage.reset(pairs.len(), defer);
     stage.costing.bound = bound;
     let enumerated = pairs.iter().try_for_each(|&(a, b)| {
@@ -681,33 +686,13 @@ mod tests {
     use super::*;
     use crate::budget::Budget;
     use sdp_catalog::Catalog;
-    use sdp_cost::{CostModel, CostParams};
+    use sdp_cost::CostModel;
     use sdp_query::{Query, QueryGenerator, Topology};
-
-    /// The levels over singleton atoms under `pruner`, then the plan.
-    fn pruned(
-        ctx: &mut EnumContext<'_>,
-        pruner: &mut dyn LevelPruner,
-    ) -> Result<Arc<PlanNode>, OptError> {
-        let all = prepare(ctx)?;
-        complete(ctx, all, Some(pruner))
-    }
 
     fn optimize(q: &Query, cat: &Catalog) -> Arc<PlanNode> {
         let model = CostModel::with_defaults(cat);
         let mut ctx = EnumContext::new(q, &model, Budget::unlimited());
         optimize_complete(&mut ctx).expect("optimization succeeds")
-    }
-
-    /// Every level row of a run over `n` relations kept a JCR, and the
-    /// last is level `n`, which kept the complete set. SDP's pruning
-    /// guarantees the first, which is what `complete` relies on; under
-    /// DP's bound `complete` needs only the served plan's JCRs, and the
-    /// levels hold it on every graph tried too.
-    fn assert_every_level_kept_a_jcr(rows: &[LevelStats], n: usize) {
-        let kept: Vec<_> = rows.iter().map(|r| (r.level, r.jcrs_retained)).collect();
-        assert!(kept.iter().all(|&(_, k)| k >= 1), "levels kept {kept:?}");
-        assert_eq!(kept.last(), Some(&(n, 1)), "the complete set is kept");
     }
 
     #[test]
@@ -729,63 +714,6 @@ mod tests {
             );
             plan.check_invariants().unwrap();
         }
-    }
-
-    #[test]
-    fn dp_is_optimal_versus_exhaustive_recursion() {
-        // Brute-force reference: recursively enumerate every
-        // cartesian-free bushy partition and take the cheapest cost
-        // reachable with the same operator set. DP must match it.
-        let cat = Catalog::paper();
-        let q = QueryGenerator::new(&cat, Topology::Chain(5), 17).instance(0);
-        let model = CostModel::with_defaults(&cat);
-
-        let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-        let dp_plan = optimize_complete(&mut ctx).unwrap();
-
-        // The brute force reuses the same EnumContext machinery but
-        // enumerates sets recursively; since join_pair is exactly the
-        // costing DP uses, equality of best cost demonstrates DP
-        // explored every split.
-        fn enumerate_all(ctx: &mut EnumContext<'_>, set: RelSet) {
-            if set.len() == 1 {
-                ctx.ensure_base_group(set.min_index().unwrap());
-                return;
-            }
-            // All proper subset splits (connected, disjoint by
-            // construction).
-            let members: Vec<usize> = set.iter().collect();
-            let m = members.len();
-            for mask in 1..(1u64 << m) - 1 {
-                let a = RelSet::from_indices(
-                    (0..m).filter(|&i| mask & (1 << i) != 0).map(|i| members[i]),
-                );
-                let b = set - a;
-                if a.min_index() > b.min_index() {
-                    continue; // each split once
-                }
-                if !ctx.graph().is_connected(a) || !ctx.graph().is_connected(b) {
-                    continue;
-                }
-                if !ctx.graph().sets_connected(a, b) {
-                    continue;
-                }
-                enumerate_all(ctx, a);
-                enumerate_all(ctx, b);
-                ctx.join_pair(a, b);
-            }
-        }
-        let mut brute = EnumContext::new(&q, &model, Budget::unlimited());
-        enumerate_all(&mut brute, q.graph.all_nodes());
-        let brute_best = brute.finalize(q.graph.all_nodes()).unwrap();
-
-        let rel = (dp_plan.cost - brute_best.cost).abs() / brute_best.cost;
-        assert!(
-            rel < 1e-9,
-            "DP {} vs brute {}",
-            dp_plan.cost,
-            brute_best.cost
-        );
     }
 
     #[test]
@@ -882,123 +810,19 @@ mod tests {
         assert!(plan.ordering.is_some());
     }
 
-    /// Incumbent-bounded DP against the unbounded enumeration, its
-    /// oracle: the same plan bit for bit, GOO's cost as the bound, and
-    /// a memo that lacks exactly groups costing more than the bound —
-    /// on random connected graphs, over 64 edges and filters among
-    /// them, ordered or not, and with the hub joining on its own
-    /// indexed column (every group above it keeping a Pareto pair).
+    /// Incumbent-bounded DP beside the exactness harness's `DP bounded`
+    /// row: where the bound starts and when it falls, a JCR the bound
+    /// leaves with no plan, and a tripped rung's bound.
     mod bounded {
         use super::*;
-        use crate::enumerate::tests::wide_query;
         use crate::goo::optimize_goo;
         use crate::governor::prepare_handoff;
-        use crate::memo::Group;
         use crate::sdp::{optimize_sdp, SdpConfig};
-        use proptest::prelude::*;
-        use sdp_catalog::ColId;
-        use sdp_query::{ColRef, JoinEdge};
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-
-            #[test]
-            fn bounded_dp_serves_the_unbounded_plan(
-                n in 2usize..=10,
-                parents in prop::collection::vec(any::<u64>(), 9usize),
-                extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=8),
-                cliques in prop::collection::vec(any::<u64>(), 0usize..=4),
-                filters in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u64>()), 0usize..=80),
-                ordered in any::<bool>(),
-                hub_index in any::<bool>(),
-            ) {
-                let cat = Catalog::paper();
-                let model = CostModel::with_defaults(&cat);
-                let (mut query, _) = wide_query(n, &parents, &extras, &cliques, &filters);
-                if hub_index {
-                    // Node 1 hangs off node 0 in every generated tree.
-                    let rel = cat.relation(query.graph.relation(0)).unwrap();
-                    query.graph.add_edge(JoinEdge::new(
-                        ColRef::new(0, rel.indexed_column),
-                        ColRef::new(1, ColId(18)),
-                    ));
-                }
-                if ordered {
-                    let column = query.graph.edges()[0].left;
-                    query = query.with_order_by(column);
-                }
-
-                let mut oracle = EnumContext::new(&query, &model, Budget::unlimited());
-                let expected = optimize_complete(&mut oracle).unwrap();
-                let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
-                let plan = optimize_dp(&mut ctx).unwrap();
-                prop_assert_eq!(plan.cost.to_bits(), expected.cost.to_bits());
-                prop_assert_eq!(plan.structural_digest(), expected.structural_digest());
-                assert_every_level_kept_a_jcr(ctx.profile(), n);
-
-                let incumbent = ctx.incumbent.unwrap();
-                let mut goo = EnumContext::new(&query, &model, Budget::unlimited());
-                let greedy = optimize_goo(&mut goo).unwrap();
-                prop_assert_eq!(incumbent.first.to_bits(), greedy.cost.to_bits());
-                prop_assert!(expected.cost <= incumbent.last && incumbent.last <= incumbent.first);
-                prop_assert!(
-                    ctx.plans_costed <= oracle.plans_costed + incumbent.plans_costed
-                );
-                let (first, last) = (incumbent.first, incumbent.last);
-                let at_most = |bound: f64, group: &Group| -> Vec<_> {
-                    (group.entries().iter())
-                        .filter(|e| e.cost <= bound)
-                        .map(|e| (e.cost.to_bits(), e.ordering()))
-                        .collect()
-                };
-                // Every level ran under a bound between the two: what it
-                // dropped costs more than the last, what it kept no more
-                // than the first, and at or under the last it kept what
-                // the unbounded run keeps.
-                for set in oracle.memo.sets() {
-                    let unbounded = oracle.memo.get(set).unwrap();
-                    match ctx.memo.get(set) {
-                        None => prop_assert!(
-                            unbounded.best_cost() > last,
-                            "{:?} dropped at {} under the bound {}",
-                            set, unbounded.best_cost(), last
-                        ),
-                        Some(kept) => {
-                            prop_assert!(set.len() == 1 || kept.best_cost() <= first);
-                            prop_assert_eq!(at_most(last, kept), at_most(last, unbounded));
-                        }
-                    }
-                }
-
-                // GOO's bound for the whole run: plan-pair floors, then the
-                // same bound on JCRs alone. The floors cost no more, and
-                // drop the very JCRs (some for having no plan at all) the
-                // barrier drops for costing too much.
-                let mut floors = EnumContext::new(&query, &model, Budget::unlimited());
-                let plan = optimize_bounded(&mut floors, first).unwrap();
-                prop_assert_eq!(plan.structural_digest(), expected.structural_digest());
-                let mut jcrs_only = EnumContext::new(&query, &model, Budget::unlimited());
-                let plan = pruned(&mut jcrs_only, &mut JcrsOnly(first)).unwrap();
-                prop_assert_eq!(plan.structural_digest(), expected.structural_digest());
-                prop_assert!(floors.plans_costed <= jcrs_only.plans_costed);
-                prop_assert_eq!(floors.jcrs_pruned, jcrs_only.jcrs_pruned);
-                prop_assert_eq!(jcrs_only.ruled_out, 0);
-                for set in oracle.memo.sets() {
-                    let unbounded = oracle.memo.get(set).unwrap();
-                    match floors.memo.get(set) {
-                        None => prop_assert!(unbounded.best_cost() > first),
-                        Some(kept) => {
-                            prop_assert!(set.len() == 1 || kept.best_cost() <= first);
-                            prop_assert_eq!(at_most(first, kept), at_most(first, unbounded));
-                        }
-                    }
-                }
-            }
-        }
-
-        /// Star levels are wide, so the bound falls below GOO's on some
-        /// instances, and the plans stay the unbounded run's; a chain's
-        /// levels never are, so its run costs only GOO's greedy.
+        /// The first bound is GOO's plan's cost, bit for bit. Star levels
+        /// are wide, so the bound falls below it on some instances, and
+        /// the plans stay the unbounded run's; a chain's levels never
+        /// are, so its run costs only GOO's greedy.
         #[test]
         fn wide_levels_tighten_the_bound_and_chains_never_do() {
             let cat = Catalog::paper();
@@ -1014,6 +838,9 @@ mod tests {
                 assert_eq!(plan.structural_digest(), expected.structural_digest());
                 let incumbent = ctx.incumbent.unwrap();
                 assert!(expected.cost <= incumbent.last && incumbent.last <= incumbent.first);
+                let mut goo = EnumContext::new(&q, &model, Budget::unlimited());
+                let greedy = optimize_goo(&mut goo).unwrap();
+                assert_eq!(incumbent.first.to_bits(), greedy.cost.to_bits());
                 tightened += usize::from(incumbent.last < incumbent.first);
             }
             assert!(tightened > 0, "no Star-9 instance tightened its bound");
@@ -1027,64 +854,6 @@ mod tests {
             let incumbent = ctx.incumbent.unwrap();
             assert_eq!(incumbent.plans_costed, plans_costed);
             assert_eq!(incumbent.last.to_bits(), incumbent.first.to_bits());
-        }
-
-        /// [`FixedBound`]'s verdict at the barrier, without its cost
-        /// bound: every plan pair is costed.
-        struct JcrsOnly(f64);
-
-        impl LevelPruner for JcrsOnly {
-            fn prune(
-                &mut self,
-                _ctx: &EnumContext<'_>,
-                _level: usize,
-                jcrs: &mut LevelJcrs<'_>,
-                keep: &mut [bool],
-            ) -> PruneStats {
-                for ([_, cost, _], keep) in jcrs.features().iter().zip(keep) {
-                    *keep = *cost <= self.0;
-                }
-                PruneStats::default()
-            }
-        }
-
-        /// The bound's inequality is strict. CPU costs too small to
-        /// survive rounding, sorts in memory and index probes dear make
-        /// every join over sequential scans cost the sum of their page
-        /// counts exactly: GOO's plan is an optimum, `B` equals it to
-        /// the bit, and so does the floor of every plan pair the served
-        /// plan's root can be built from. Ruling out a floor equal to
-        /// `B` would leave the whole query without a plan.
-        #[test]
-        fn a_floor_equal_to_the_bound_is_costed() {
-            let cat = Catalog::paper();
-            let tiny = 1e-300;
-            let params = CostParams {
-                seq_page_cost: 1.0,
-                random_page_cost: 1e6,
-                cpu_tuple_cost: tiny,
-                cpu_index_tuple_cost: tiny,
-                cpu_operator_cost: tiny,
-                work_mem_bytes: 1e300,
-            };
-            let model = CostModel::new(&cat, params);
-            for topology in [Topology::Chain(5), Topology::Star(6), Topology::Cycle(5)] {
-                let q = QueryGenerator::new(&cat, topology, 3).instance(0);
-                let mut oracle = EnumContext::new(&q, &model, Budget::unlimited());
-                let expected = optimize_complete(&mut oracle).unwrap();
-                let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-                let plan = optimize_dp(&mut ctx).unwrap();
-                let bound = ctx.incumbent.unwrap().first;
-                assert_eq!(
-                    bound.to_bits(),
-                    expected.cost.to_bits(),
-                    "{topology}: B is optimal"
-                );
-                assert_every_level_kept_a_jcr(ctx.profile(), q.num_relations());
-                assert_eq!(plan.cost.to_bits(), expected.cost.to_bits(), "{topology}");
-                assert_eq!(plan.structural_digest(), expected.structural_digest());
-                assert!(ctx.ruled_out > 0, "{topology}: dearer plans are ruled out");
-            }
         }
 
         /// A JCR whose every alternative the bound rules out has no plan
@@ -1139,260 +908,6 @@ mod tests {
             let (served, unaware) = (descend(false), descend(true));
             assert!(served.1.len() > 1, "DP's level 2 and SDP's levels");
             assert_eq!(served, unaware);
-        }
-    }
-
-    /// Lazy costing against the all-costed stage, its oracle: SDP's
-    /// pruner wrapped so that no level defers costing. Same plans, same
-    /// level rows, the same survivors costed into the same records, and
-    /// never more plans costed — on random hub graphs of over 64 edges,
-    /// ordered or not, for every partitioning × skyline function, from
-    /// scratch and over a governed handoff.
-    mod lazy {
-        use super::*;
-        use crate::budget::GROUP_MODEL_BYTES;
-        use crate::enumerate::tests::wide_query;
-        use crate::governor::prepare_handoff;
-        use crate::sdp::{optimize_sdp, Partitioning, SdpConfig, SdpPruner, SkylineOption};
-        use proptest::prelude::*;
-        use sdp_catalog::{ColId, RelId};
-        use sdp_query::{ColRef, JoinEdge, JoinGraph};
-
-        /// SDP's pruner costing every level as it is staged.
-        struct AllCosted(SdpPruner);
-
-        impl LevelPruner for AllCosted {
-            fn prune(
-                &mut self,
-                ctx: &EnumContext<'_>,
-                level: usize,
-                jcrs: &mut LevelJcrs<'_>,
-                keep: &mut [bool],
-            ) -> PruneStats {
-                self.0.prune(ctx, level, jcrs, keep)
-            }
-        }
-
-        /// The served plan, the run's counters and, per set, the memo's
-        /// records.
-        type Outcome = (
-            (u64, u64),
-            Vec<LevelStats>,
-            u64,
-            Vec<(RelSet, Vec<crate::memo::PlanEntry>)>,
-        );
-
-        /// SDP under `config` over what `ctx` holds, lazy or all-costed.
-        fn run(mut ctx: EnumContext<'_>, config: SdpConfig, all_costed: bool) -> Outcome {
-            let plan = if all_costed {
-                let mut pruner = AllCosted(SdpPruner::new(&ctx, config));
-                pruned(&mut ctx, &mut pruner)
-            } else {
-                optimize_sdp(&mut ctx, config)
-            }
-            .unwrap();
-            let mut memo: Vec<_> = (ctx.memo.sets())
-                .map(|set| (set, ctx.memo.get(set).unwrap().entries().to_vec()))
-                .collect();
-            memo.sort_by_key(|&(set, _)| set.0);
-            let served = (plan.cost.to_bits(), plan.structural_digest());
-            (served, ctx.take_profile(), ctx.plans_costed, memo)
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            #[test]
-            fn lazy_sdp_serves_the_all_costed_plan(
-                n in 4usize..=10,
-                parents in prop::collection::vec(any::<u64>(), 9usize),
-                extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=6),
-                cliques in prop::collection::vec(any::<u64>(), 0usize..=4),
-                filters in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u64>()), 0usize..=80),
-                ordered in any::<bool>(),
-                budget_groups in 8u64..60,
-            ) {
-                // Low-numbered parents make hubs (and SDP pruning) likely.
-                let parents: Vec<u64> = parents.iter().map(|p| p % 3).collect();
-                let (mut query, _) = wide_query(n, &parents, &extras, &cliques, &filters);
-                if ordered {
-                    let column = query.graph.edges()[0].left;
-                    query = query.with_order_by(column);
-                }
-                let cat = Catalog::paper();
-                let model = CostModel::with_defaults(&cat);
-                let fresh = || EnumContext::new(&query, &model, Budget::unlimited());
-                // An exhaustive rung tripped by the budget, its memo handed
-                // down.
-                let handed_down = || {
-                    let budget = Budget::with_memory(budget_groups * GROUP_MODEL_BYTES);
-                    let mut ctx = EnumContext::new(&query, &model, budget);
-                    let _ = optimize_complete(&mut ctx);
-                    prepare_handoff(&mut ctx);
-                    ctx.memory.set_budget(Budget::unlimited());
-                    ctx
-                };
-                for partitioning in [Partitioning::RootHub, Partitioning::Global] {
-                    for skyline in [SkylineOption::PairwiseUnion, SkylineOption::FullVector] {
-                        let config = SdpConfig { partitioning, skyline };
-                        for handoff in [false, true] {
-                            let start = || if handoff { handed_down() } else { fresh() };
-                            let (served, rows, costed, memo) = run(start(), config, false);
-                            let (o_served, o_rows, o_costed, o_memo) = run(start(), config, true);
-                            let what = format!("{partitioning:?} × {skyline:?}");
-                            prop_assert_eq!(served, o_served, "{}", what);
-                            prop_assert!(costed <= o_costed, "{}: {} > {}", what, costed, o_costed);
-                            assert_every_level_kept_a_jcr(&rows, n);
-                            prop_assert_eq!(rows.len(), o_rows.len());
-                            for (row, oracle) in rows.iter().zip(&o_rows) {
-                                let counts = |r: &LevelStats| (
-                                    (r.level, r.pairs, r.jcrs_created, r.jcrs_pruned, r.jcrs_retained),
-                                    (r.skyline_partitions, r.skyline_survivors, r.order_rescued),
-                                    (r.sort_enforcers, r.memo_groups),
-                                );
-                                prop_assert_eq!(counts(row), counts(oracle), "{}", what);
-                                prop_assert_eq!(oracle.jcrs_uncosted, 0);
-                                prop_assert!(row.jcrs_uncosted <= row.jcrs_pruned, "{}", what);
-                                prop_assert!(row.plans_costed <= oracle.plans_costed, "{}", what);
-                            }
-                            // Every survivor was costed into the records the
-                            // oracle holds: the uncosted JCRs were all pruned.
-                            prop_assert_eq!(&memo, &o_memo, "{}", what);
-                        }
-                    }
-                }
-            }
-
-            /// A staged JCR's inputs floor is at most its tight floor, and
-            /// that at most its cheapest plan's cost, bit patterns ordered
-            /// by `f64::total_cmp` with no slack — index nested loops
-            /// included (the hub joins on its own indexed column), merge
-            /// joins over inputs an index scan orders on the join class
-            /// (two of the catalog's largest relations join on both their
-            /// indexed columns: sorting either costs more than the merge
-            /// saves), ordered or not, over 64 edges and filters. Every
-            /// level is staged uncosted, tightened and costed whole; the
-            /// plan is the all-costed run's.
-            #[test]
-            fn a_cost_floor_is_at_most_the_cheapest_plan(
-                n in 2usize..=9,
-                parents in prop::collection::vec(any::<u64>(), 9usize),
-                extras in prop::collection::vec((any::<u64>(), any::<u64>()), 0usize..=6),
-                cliques in prop::collection::vec(any::<u64>(), 0usize..=4),
-                filters in prop::collection::vec((any::<u64>(), any::<u8>(), any::<u64>()), 0usize..=80),
-                ordered in any::<bool>(),
-                hub_index in any::<bool>(),
-                largest in any::<bool>(),
-                merge_index in any::<bool>(),
-            ) {
-                let cat = Catalog::paper();
-                let model = CostModel::with_defaults(&cat);
-                let (mut query, _) = wide_query(n, &parents, &extras, &cliques, &filters);
-                if largest {
-                    // The same graph over the catalog's `n` largest relations.
-                    let graph = &query.graph;
-                    let shift = (cat.len() - n) as u32;
-                    let relations = graph.relations().iter().map(|r| RelId(r.0 + shift)).collect();
-                    let mut shifted = JoinGraph::new(relations, graph.edges().to_vec());
-                    graph.filters().iter().for_each(|&f| shifted.add_filter(f));
-                    query = Query::new(shifted);
-                }
-                let indexed = |node| cat.relation(query.graph.relation(node)).unwrap().indexed_column;
-                // Node 1 hangs off node 0 in every generated tree.
-                let (index_0, index_1) = (indexed(0), indexed(1));
-                if hub_index {
-                    let edge = JoinEdge::new(ColRef::new(0, index_0), ColRef::new(1, ColId(18)));
-                    query.graph.add_edge(edge);
-                }
-                if merge_index {
-                    let edge = JoinEdge::new(ColRef::new(0, index_0), ColRef::new(1, index_1));
-                    query.graph.add_edge(edge);
-                }
-                if ordered {
-                    let column = query.graph.edges()[0].left;
-                    query = query.with_order_by(column);
-                }
-                let mut oracle = EnumContext::new(&query, &model, Budget::unlimited());
-                let expected = optimize_complete(&mut oracle).unwrap();
-                let mut ctx = EnumContext::new(&query, &model, Budget::unlimited());
-                let mut probe = FloorProbe::default();
-                let plan = pruned(&mut ctx, &mut probe).unwrap();
-                prop_assert_eq!(plan.cost.to_bits(), expected.cost.to_bits());
-                prop_assert_eq!(plan.structural_digest(), expected.structural_digest());
-                prop_assert_eq!(ctx.plans_costed, oracle.plans_costed);
-                for &(set, floor, tight, cost) in &probe.0 {
-                    prop_assert!(floor.total_cmp(&tight).is_le(), "{:?}: floor {} > {}", set, floor, tight);
-                    prop_assert!(tight.total_cmp(&cost).is_le(), "{:?}: tight {} > {}", set, tight, cost);
-                    let best = ctx.memo.get(set).unwrap().best_cost();
-                    prop_assert_eq!(cost.to_bits(), best.to_bits());
-                }
-            }
-        }
-
-        /// Defers every level, and records each JCR's inputs floor and
-        /// tight floor beside the cost it then asks for; keeps everything.
-        #[derive(Default)]
-        struct FloorProbe(Vec<(RelSet, f64, f64, f64)>);
-
-        impl LevelPruner for FloorProbe {
-            fn prune(
-                &mut self,
-                _ctx: &EnumContext<'_>,
-                _level: usize,
-                jcrs: &mut LevelJcrs<'_>,
-                _keep: &mut [bool],
-            ) -> PruneStats {
-                for i in 0..jcrs.len() {
-                    let floor = jcrs.features()[i][1];
-                    let tight = jcrs.tighten(i);
-                    self.0.push((jcrs.sets()[i], floor, tight, jcrs.cost(i)));
-                }
-                PruneStats::default()
-            }
-
-            fn defers_costing(&self, _level: usize) -> bool {
-                true
-            }
-        }
-
-        /// Star-6 of the instance whose plan probes an index: some JCRs'
-        /// cheapest plan is an index nested loop, which leaves its inner
-        /// plan's cost out, and their floors hold. On Star-Chain-16 most
-        /// pruned JCRs are never costed, and the plan is the same.
-        #[test]
-        fn index_probes_keep_under_the_floor_and_star_chains_go_uncosted() {
-            let cat = Catalog::paper();
-            let model = CostModel::with_defaults(&cat);
-            let q = QueryGenerator::new(&cat, Topology::Star(6), 13).instance(0);
-            let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
-            let mut probe = FloorProbe::default();
-            pruned(&mut ctx, &mut probe).unwrap();
-            let probed = probe.0.iter().filter(|&&(set, floor, tight, cost)| {
-                let best = ctx.memo.get(set).unwrap().best().source;
-                let inl = matches!(
-                    best,
-                    crate::memo::PlanSource::Join {
-                        method: sdp_cost::JoinMethod::IndexNestedLoop,
-                        ..
-                    }
-                );
-                assert!(floor <= tight && tight <= cost, "{set:?}");
-                inl
-            });
-            assert!(probed.count() > 0, "no JCR's cheapest plan probes an index");
-
-            let q = QueryGenerator::new(&cat, Topology::star_chain(16), 7).instance(0);
-            let fresh = || EnumContext::new(&q, &model, Budget::unlimited());
-            let (served, rows, costed, _) = run(fresh(), SdpConfig::paper(), false);
-            let (o_served, _, o_costed, _) = run(fresh(), SdpConfig::paper(), true);
-            assert_eq!(served, o_served);
-            let uncosted: u64 = rows.iter().map(|r| r.jcrs_uncosted).sum();
-            let pruned: u64 = rows.iter().map(|r| r.jcrs_pruned).sum();
-            assert!(
-                2 * uncosted > pruned,
-                "{uncosted} of {pruned} pruned JCRs uncosted"
-            );
-            assert!(costed < o_costed, "{costed} vs {o_costed}");
         }
     }
 

@@ -575,9 +575,7 @@ pub(crate) mod tests {
     }
 
     /// A connected graph of `n` relations: a random tree plus extra
-    /// edges, closure-inferred cliques — one per class mask, over
-    /// its nodes' column `19 + k` — and local predicates, so that
-    /// both more than 64 edges and more than 64 filters occur.
+    /// edges, [`widen`]ed.
     pub(crate) fn wide_query(
         n: usize,
         parents: &[u64],
@@ -585,9 +583,18 @@ pub(crate) mod tests {
         cliques: &[u64],
         filters: &[(u64, u8, u64)],
     ) -> (sdp_query::Query, Vec<(usize, usize)>) {
+        let (mut q, tree) = random_connected_query(n, parents, extras);
+        widen(&mut q, cliques, filters);
+        (q, tree)
+    }
+
+    /// Add closure-inferred cliques — one per class mask, over its
+    /// nodes' column `19 + k` — and local predicates to `q`, so that
+    /// both more than 64 edges and more than 64 filters occur.
+    pub(crate) fn widen(q: &mut sdp_query::Query, cliques: &[u64], filters: &[(u64, u8, u64)]) {
         use sdp_catalog::ColId;
         use sdp_query::{ColRef, JoinEdge, PredOp, Predicate};
-        let (mut q, tree) = random_connected_query(n, parents, extras);
+        let n = q.graph.len();
         for (k, &mask) in cliques.iter().enumerate() {
             let dense = mask | mask >> 16 | mask >> 32;
             let members: Vec<usize> = RelSet(dense & RelSet::first_n(n).0).iter().collect();
@@ -604,7 +611,6 @@ pub(crate) mod tests {
             q.graph
                 .add_filter(Predicate::new(column, op, (value % 1000) as i64));
         }
-        (q, tree)
     }
 
     /// Contract about an eighth of the tree edges (three bits of

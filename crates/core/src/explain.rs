@@ -108,10 +108,11 @@ pub fn explain_analyze(governed: &GovernedPlan) -> String {
     );
     let _ = writeln!(
         out,
-        "cost={:.2}  rows={:.0}  plans_costed={}  jcrs_processed={}  jcrs_pruned={}  peak_model_bytes={}",
+        "cost={:.2}  rows={:.0}  plans_costed={}  dominated={}  jcrs_processed={}  jcrs_pruned={}  peak_model_bytes={}",
         plan.cost,
         plan.rows,
         stats.plans_costed,
+        stats.dominated,
         stats.jcrs_processed,
         stats.jcrs_pruned,
         stats.peak_model_bytes,
@@ -205,10 +206,12 @@ mod analyze_tests {
     use sdp_catalog::Catalog;
     use sdp_query::{QueryGenerator, Topology};
 
+    /// Star-9, whose DP leaves alternatives dominated: the run line and
+    /// the incumbent line carry all three counts of the books.
     #[test]
     fn explain_analyze_reports_rung_and_levels() {
         let cat = Catalog::paper();
-        let q = QueryGenerator::new(&cat, Topology::Star(6), 3).instance(0);
+        let q = QueryGenerator::new(&cat, Topology::Star(9), 7).instance(0);
         let governed = Optimizer::new(&cat)
             .optimize_governed(&q, Algorithm::Dp, &Governor::new())
             .unwrap();
@@ -233,6 +236,15 @@ mod analyze_tests {
             text.matches("[rung=").count(),
             governed.plan.root.node_count()
         );
+        assert!(
+            stats.dominated > 0,
+            "the pair gate leaves alternatives uncosted"
+        );
+        let books = format!(
+            "plans_costed={}  dominated={}  ",
+            stats.plans_costed, stats.dominated
+        );
+        assert!(text.lines().nth(1).unwrap().contains(&books), "{text}");
     }
 
     #[test]

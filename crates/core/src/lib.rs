@@ -33,6 +33,8 @@ pub mod budget;
 pub mod context;
 pub mod dp;
 pub mod enumerate;
+#[cfg(test)]
+mod exactness;
 pub mod explain;
 pub mod feasibility;
 pub mod fx;
