@@ -12,7 +12,7 @@ use std::collections::hash_map::Entry;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sdp_cost::{CostModel, IndexProbe, JoinMethod, JoinTerms, ScanKind};
+use sdp_cost::{CostModel, IndexLoop, IndexProbe, JoinMethod, JoinTerms, ScanKind};
 use sdp_query::{ClassId, EquivClasses, JoinGraph, Query, RelSet};
 
 use crate::budget::{Budget, MemoryModel, OptError};
@@ -434,49 +434,54 @@ fn move_wide(group: &mut Group, len: usize, from: &[EdgeWords], to: &mut Vec<Edg
     to.extend_from_slice(&from[at..at + len]);
 }
 
-/// Crossing classes held inline up to this many; a pair with more
-/// distinct classes spills to the heap.
+/// Classes held inline up to this many; a [`ClassSet`] of more spills to
+/// the heap.
 const INLINE_CLASSES: usize = 16;
 
-/// The distinct order classes of a pair's crossing edges, ascending.
+/// Distinct items, ascending, where items of one order class are equal:
+/// classes, or merge joins on them.
 #[derive(Debug)]
-struct CrossingClasses {
-    inline: [ClassId; INLINE_CLASSES],
+struct ClassSet<T> {
+    inline: [T; INLINE_CLASSES],
     len: usize,
-    /// Holds *all* classes once `inline` has overflowed.
-    spill: Vec<ClassId>,
+    /// Holds *all* items once `inline` has overflowed.
+    spill: Vec<T>,
 }
 
-impl CrossingClasses {
+impl<T: Copy + Default + Ord> ClassSet<T> {
     fn new() -> Self {
-        CrossingClasses {
-            inline: [0; INLINE_CLASSES],
+        ClassSet {
+            inline: [T::default(); INLINE_CLASSES],
             len: 0,
             spill: Vec::new(),
         }
     }
 
-    fn insert(&mut self, class: ClassId) {
+    fn insert(&mut self, item: T) {
         if !self.spill.is_empty() {
-            if let Err(at) = self.spill.binary_search(&class) {
-                self.spill.insert(at, class);
+            if let Err(at) = self.spill.binary_search(&item) {
+                self.spill.insert(at, item);
             }
             return;
         }
-        let Err(at) = self.inline[..self.len].binary_search(&class) else {
+        let Err(at) = self.inline[..self.len].binary_search(&item) else {
             return;
         };
         if self.len == INLINE_CLASSES {
             self.spill.extend_from_slice(&self.inline);
-            self.spill.insert(at, class);
+            self.spill.insert(at, item);
             return;
         }
         self.inline.copy_within(at..self.len, at + 1);
-        self.inline[at] = class;
+        self.inline[at] = item;
         self.len += 1;
     }
 
-    fn as_slice(&self) -> &[ClassId] {
+    fn contains(&self, item: T) -> bool {
+        self.as_slice().binary_search(&item).is_ok()
+    }
+
+    fn as_slice(&self) -> &[T] {
         if self.spill.is_empty() {
             &self.inline[..self.len]
         } else {
@@ -485,20 +490,57 @@ impl CrossingClasses {
     }
 }
 
+/// A merge join alternative of a pair: a crossing edge's order class, and
+/// the ordering the join's output carries in the union
+/// (`EnumContext::useful_ordering`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Merge {
+    class: ClassId,
+    ordering: Option<ClassId>,
+}
+
+/// A pair's merge join alternatives, one per distinct crossing class,
+/// ascending: the one of a lone crossing edge, or a set. The facts of a
+/// pair live on the stack while it is costed, and the lone variant, the
+/// common one, builds no set: boxing the other would allocate.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+enum Merges {
+    Lone(Merge),
+    Many(ClassSet<Merge>),
+}
+
+impl Merges {
+    fn as_slice(&self) -> &[Merge] {
+        match self {
+            Merges::Lone(merge) => std::slice::from_ref(merge),
+            Merges::Many(merges) => merges.as_slice(),
+        }
+    }
+}
+
 /// Everything about a candidate pair `(a, b)` that does not depend on
-/// which plans are joined — the product of one pass over the pair's
-/// crossing edges (`EnumContext::pair_facts`).
+/// which plans are joined (`EnumContext::pair_facts`).
 #[derive(Debug)]
 struct PairFacts {
     /// Joint selectivity of the crossing edges.
     crossing_sel: f64,
-    /// Their distinct order classes (one merge join alternative each).
-    classes: CrossingClasses,
+    /// A merge join per distinct order class of theirs.
+    merges: Merges,
     /// Index nested-loop probe costing with `a` as the inner side: `a`
     /// is a single base relation indexed on a crossing join column.
     a_index: Option<IndexProbe>,
     /// The same with `b` as the inner side.
     b_index: Option<IndexProbe>,
+}
+
+/// A pair the gate admits only index nested loops for
+/// (`EnumContext::cost_pair`): its facts, the output's emission, and
+/// whether its floor is above the bound — every plan pair out of reach.
+struct Gate<'f> {
+    facts: &'f PairFacts,
+    emit: f64,
+    beyond: bool,
 }
 
 /// A component of a costs-only greedy (`EnumContext::incumbent`): a memo
@@ -982,15 +1024,61 @@ impl<'a> EnumContext<'a> {
         )
     }
 
+    /// The facts of disjoint `a` and `b`: read straight from the run
+    /// tables where one edge crosses them, else gathered by
+    /// [`EnumContext::crossing_facts`]. The pair decides; either way the
+    /// facts are the same, bit for bit.
+    fn pair_facts(&self, a: &Group, b: &Group) -> PairFacts {
+        match self.lone_crossing(a, b) {
+            Some(e) => self.lone_facts(e, a, b),
+            None => self.crossing_facts(a, b),
+        }
+    }
+
+    /// The edge crossing disjoint `a` and `b`, when exactly one does.
+    fn lone_crossing(&self, a: &Group, b: &Group) -> Option<usize> {
+        let mut lone = None;
+        for w in 0..self.tables.edge_words {
+            let (ea, eb) = (self.edge_word(a, w), self.edge_word(b, w));
+            let crossing = ea.incident & eb.incident;
+            if crossing == 0 {
+                continue;
+            }
+            if lone.is_some() || !crossing.is_power_of_two() {
+                return None;
+            }
+            lone = Some(w * 64 + crossing.trailing_zeros() as usize);
+        }
+        lone
+    }
+
+    /// The facts of `a` and `b` where edge `e` alone crosses them: its
+    /// selectivity alone, its class and its indexed ends, as the run
+    /// tables hold them.
+    fn lone_facts(&self, e: usize, a: &Group, b: &Group) -> PairFacts {
+        let t = &self.tables;
+        let (class, indexed) = (t.edge_class[e], t.edge_indexed[e]);
+        PairFacts {
+            crossing_sel: t.edge_sel[e].alone,
+            merges: Merges::Lone(Merge {
+                class,
+                ordering: self.useful_ordering(Some(class), a.set | b.set),
+            }),
+            a_index: self.index_of(a.set, indexed),
+            b_index: self.index_of(b.set, indexed),
+        }
+    }
+
     /// One pass over the crossing edges of disjoint `a` and `b`, in
     /// ascending edge index (so the selectivity sums the terms of
     /// `Estimator::crossing_selectivity` in its order; summing from
     /// `0.0` where `Iterator::sum` may start from `-0.0` can only flip
     /// the sign of a zero, which `exp` erases).
-    fn pair_facts(&self, a: &Group, b: &Group) -> PairFacts {
+    fn crossing_facts(&self, a: &Group, b: &Group) -> PairFacts {
         let t = &self.tables;
+        let union = a.set | b.set;
         let (mut ln_sel, mut crossing, mut last) = (0.0, 0, 0);
-        let mut classes = CrossingClasses::new();
+        let mut merges = ClassSet::new();
         let mut indexed = RelSet::EMPTY;
         for w in 0..t.edge_words {
             let (ea, eb) = (self.edge_word(a, w), self.edge_word(b, w));
@@ -999,19 +1087,30 @@ impl<'a> EnumContext<'a> {
                 let e = w * 64 + e;
                 ln_sel += t.edge_sel[e].ln;
                 (crossing, last) = (crossing + 1, e);
-                classes.insert(t.edge_class[e]);
+                let class = t.edge_class[e];
+                merges.insert(Merge {
+                    class,
+                    ordering: self.useful_ordering(Some(class), union),
+                });
                 indexed = indexed | t.edge_indexed[e];
             }
         }
-        let index_of = |inner: RelSet| match inner.min_index() {
-            Some(node) if inner.len() == 1 && indexed.contains(node) => Some(t.node_index[node]),
-            _ => None,
-        };
         PairFacts {
             crossing_sel: self.crossing_sel(crossing, ln_sel, last),
-            classes,
-            a_index: index_of(a.set),
-            b_index: index_of(b.set),
+            merges: Merges::Many(merges),
+            a_index: self.index_of(a.set, indexed),
+            b_index: self.index_of(b.set, indexed),
+        }
+    }
+
+    /// The probe costing of `inner`'s index, where `inner` is one
+    /// relation and among `indexed`, the crossing edges' indexed ends.
+    fn index_of(&self, inner: RelSet, indexed: RelSet) -> Option<IndexProbe> {
+        match inner.min_index() {
+            Some(node) if inner.len() == 1 && indexed.contains(node) => {
+                Some(self.tables.node_index[node])
+            }
+            _ => None,
         }
     }
 
@@ -1129,8 +1228,10 @@ impl<'a> EnumContext<'a> {
     /// to `jcr` (which covers `a ∪ b`), within `costing`'s bound and on
     /// its account. Everything a method's cost owes to the two JCRs
     /// rather than to the plans chosen from them is computed here, once
-    /// per pair and orientation. It counts no node: the caller settles
-    /// what `jcr` retained and evicted with the live-node count.
+    /// per pair and orientation: the pair's facts, the merge joins'
+    /// orderings in the union and the output's emission. It counts no
+    /// node: the caller settles what `jcr` retained and evicted with the
+    /// live-node count.
     ///
     /// **The pair gate.** Every plan pair's `JoinTerms::floor` is at
     /// least the pair's, `F = (best(a) + best(b)) + emit`, in either
@@ -1139,29 +1240,33 @@ impl<'a> EnumContext<'a> {
     /// pair could offer at `F` ([`EnumContext::frontier_holds`]), no
     /// nested-loop, hash or merge alternative can be retained: only the
     /// index nested loops, which do not read the inner plan, are costed
-    /// ([`EnumContext::cost_index_loops`]). The group ends as it would
-    /// have, and what is left uncosted is counted as `ruled_out` or
-    /// `dominated`.
+    /// ([`EnumContext::cost_index_loops`]), and no `JoinTerms` is built.
+    /// The group ends as it would have, and what is left uncosted is
+    /// counted as `ruled_out` or `dominated`.
     fn cost_pair(&self, a: &Group, b: &Group, jcr: &mut Group, costing: &mut Costing) {
         debug_assert!(a.set.is_disjoint(b.set));
         let facts = self.pair_facts(a, b);
-        let classes = facts.classes.as_slice();
+        let merges = facts.merges.as_slice();
         // `JoinTerms`' emit, computed as it does.
         let emit = jcr.rows * self.model.params().cpu_tuple_cost;
-        let floor = a.best_cost() + b.best_cost() + emit;
-        let gated = floor > costing.bound.unwrap_or(f64::INFINITY)
-            || self.frontier_holds(a, b, classes, jcr, floor);
+        let (best_a, best_b) = (a.best_cost(), b.best_cost());
+        let floor = best_a + best_b + emit;
+        let beyond = floor > costing.bound.unwrap_or(f64::INFINITY);
+        let gated = beyond || self.frontier_holds(a, b, merges, jcr, floor);
         #[cfg(test)]
         let gated = gated && !self.reference;
         if gated {
-            for (outer, inner, index) in [(a, b, facts.b_index), (b, a, facts.a_index)] {
-                let terms = index.map(|_| self.join_terms(outer, inner, &facts, jcr.rows, index));
-                self.cost_index_loops(outer, inner, terms.as_ref(), classes, jcr, costing);
-            }
+            let gate = Gate {
+                facts: &facts,
+                emit,
+                beyond,
+            };
+            self.cost_index_loops(&gate, (a, best_a), (b, facts.b_index), jcr, costing);
+            self.cost_index_loops(&gate, (b, best_b), (a, facts.a_index), jcr, costing);
         } else {
             let (a_b, b_a) = self.pair_terms(a, b, &facts, jcr.rows);
-            self.cost_orientation(a, b, &a_b, classes, jcr, costing);
-            self.cost_orientation(b, a, &b_a, classes, jcr, costing);
+            self.cost_orientation(a, b, &a_b, merges, jcr, costing);
+            self.cost_orientation(b, a, &b_a, merges, jcr, costing);
         }
     }
 
@@ -1177,16 +1282,25 @@ impl<'a> EnumContext<'a> {
         &self,
         a: &Group,
         b: &Group,
-        classes: &[ClassId],
+        merges: &[Merge],
         jcr: &Group,
         floor: f64,
     ) -> bool {
+        // One pass over `jcr`: the orderings of its plans at or under
+        // `floor`. Any of them dominates a plan of `floor` unordered, and
+        // each one with its own ordering.
+        let (mut any, mut held) = (false, ClassSet::new());
+        for e in jcr.entries().iter().filter(|e| e.cost <= floor) {
+            any = true;
+            if let Some(class) = e.ordering() {
+                held.insert(class);
+            }
+        }
         let union = jcr.set;
-        let held = |ordering| !jcr.would_retain(floor, ordering);
-        held(None)
-            && (classes.iter()).all(|&class| held(self.useful_ordering(Some(class), union)))
+        let holds = |ordering: Option<ClassId>| ordering.is_none_or(|class| held.contains(class));
+        any && merges.iter().all(|merge| holds(merge.ordering))
             && (a.entries().iter().chain(b.entries()))
-                .all(|e| held(self.useful_ordering(e.ordering(), union)))
+                .all(|e| holds(self.useful_ordering(e.ordering(), union)))
     }
 
     /// The [`JoinTerms`] of `outer ⋈ inner`, a pair of `facts` whose
@@ -1224,39 +1338,59 @@ impl<'a> EnumContext<'a> {
         )
     }
 
-    /// One orientation of a gated pair, on `costing`'s account as
-    /// [`EnumContext::cost_orientation`] would keep it: an outer plan
-    /// whose `outer_floor` exceeds the bound is ruled out whole, and of
-    /// the others, the index nested loop is costed and offered where
-    /// `terms` (present only when the inner has an index) prices one,
-    /// and each plan pair's other alternatives (a nested loop, a hash
-    /// join and a merge join per crossing class) are ruled out where
-    /// their floor exceeds the bound and dominated elsewhere. The floors
-    /// are `JoinTerms::outer_floor`'s and `JoinTerms::floor`'s bit for
-    /// bit.
+    /// One orientation of a gated pair, `outer ⋈ inner`, on `costing`'s
+    /// account as [`EnumContext::cost_orientation`] would keep it; `outer`
+    /// comes with its cheapest plan's cost, `inner` with its index when
+    /// it can be probed. An outer plan whose `outer_floor` exceeds the
+    /// bound is ruled out whole, and of the others, the index nested loop
+    /// is costed and offered where the inner has an index, and each plan
+    /// pair's other alternatives (a nested loop, a hash join and a merge
+    /// join per crossing class) are ruled out where their floor exceeds
+    /// the bound and dominated elsewhere. Where the pair's floor is above
+    /// the bound, every plan pair is out of reach, and the probes are
+    /// priced only when the outer's cheapest plan is within it. The
+    /// floors are `JoinTerms::outer_floor`'s and `JoinTerms::floor`'s bit
+    /// for bit, and the index nested loop is the one `JoinTerms` prices.
     fn cost_index_loops(
         &self,
-        outer_group: &Group,
-        inner_group: &Group,
-        terms: Option<&JoinTerms>,
-        classes: &[ClassId],
+        gate: &Gate<'_>,
+        (outer_group, outer_best): (&Group, f64),
+        (inner_group, inner_index): (&Group, Option<IndexProbe>),
         jcr: &mut Group,
         costing: &mut Costing,
     ) {
-        let union = jcr.set;
         let (outers, inners) = (outer_group.entries(), inner_group.entries());
-        // `JoinTerms`' emit, computed as it does.
-        let emit = jcr.rows * self.model.params().cpu_tuple_cost;
-        let per_plan_pair = 2 + classes.len() as u64;
-        let per_outer = inners.len() as u64 * per_plan_pair + u64::from(terms.is_some());
-        let bound = costing.bound.unwrap_or(f64::INFINITY);
+        let per_plan_pair = 2 + gate.facts.merges.as_slice().len() as u64;
+        let per_outer = inners.len() as u64 * per_plan_pair + u64::from(inner_index.is_some());
+        let (emit, bound) = (gate.emit, costing.bound.unwrap_or(f64::INFINITY));
+        // The probes, unless every outer plan is out of reach.
+        let index_loop = inner_index
+            .filter(|_| outer_best + emit <= bound)
+            .map(|index| {
+                let (sel, params) = (gate.facts.crossing_sel, self.model.params());
+                IndexLoop::new(
+                    outer_group.rows,
+                    inner_group.rows,
+                    sel,
+                    jcr.rows,
+                    &index,
+                    params,
+                )
+            });
+        if gate.beyond && index_loop.is_none() {
+            // Every alternative of every outer plan is out of reach.
+            costing.ruled_out += outers.len() as u64 * per_outer;
+            return;
+        }
+        let union = jcr.set;
+        let (mut ruled_out, mut dominated) = (0, 0);
         for outer in outers {
             if outer.cost + emit > bound {
-                costing.ruled_out += per_outer;
+                ruled_out += per_outer;
                 continue;
             }
-            if let Some(cost) = terms.and_then(|t| t.index_nested_loop(outer.cost)) {
-                costing.plans_costed += 1;
+            if let Some(index_loop) = &index_loop {
+                let cost = index_loop.cost(outer.cost);
                 let carried = self.useful_ordering(outer.ordering(), union);
                 if jcr.would_retain(cost, carried) {
                     let source = PlanSource::Join {
@@ -1268,14 +1402,21 @@ impl<'a> EnumContext<'a> {
                     jcr.retain(cost, carried, source);
                 }
             }
+            if gate.beyond {
+                ruled_out += inners.len() as u64 * per_plan_pair;
+                continue;
+            }
             for inner in inners {
                 if outer.cost + inner.cost + emit > bound {
-                    costing.ruled_out += per_plan_pair;
+                    ruled_out += per_plan_pair;
                 } else {
-                    costing.dominated += per_plan_pair;
+                    dominated += per_plan_pair;
                 }
             }
         }
+        costing.plans_costed += outers.len() as u64 * per_outer - ruled_out - dominated;
+        costing.ruled_out += ruled_out;
+        costing.dominated += dominated;
     }
 
     /// Cost all methods for a fixed (outer, inner) orientation,
@@ -1293,13 +1434,13 @@ impl<'a> EnumContext<'a> {
         outer_group: &Group,
         inner_group: &Group,
         terms: &JoinTerms,
-        classes: &[ClassId],
+        merges: &[Merge],
         jcr: &mut Group,
         costing: &mut Costing,
     ) {
         let union = jcr.set;
         let (outers, inners) = (outer_group.entries(), inner_group.entries());
-        let per_plan_pair = 2 + classes.len() as u64;
+        let per_plan_pair = 2 + merges.len() as u64;
         let per_outer = inners.len() as u64 * per_plan_pair + u64::from(terms.probes_index());
         let (bound, mut ruled_out) = (costing.bound.unwrap_or(f64::INFINITY), 0);
 
@@ -1340,18 +1481,14 @@ impl<'a> EnumContext<'a> {
                     continue;
                 }
                 offer(JoinMethod::Hash, terms.hash(outer.cost, inner.cost), None);
-                for &class in classes {
+                for merge in merges {
                     let cost = terms.merge(
                         outer.cost,
                         inner.cost,
-                        outer.ordering() == Some(class),
-                        inner.ordering() == Some(class),
+                        outer.ordering() == Some(merge.class),
+                        inner.ordering() == Some(merge.class),
                     );
-                    offer(
-                        JoinMethod::Merge,
-                        cost,
-                        self.useful_ordering(Some(class), union),
-                    );
+                    offer(JoinMethod::Merge, cost, merge.ordering);
                 }
             }
         }
@@ -1402,9 +1539,12 @@ impl<'a> EnumContext<'a> {
             jcr.deferred = pair;
             jcr.floor = jcr.floor.min(f32_at_most(inputs_floor(ga, gb)));
         } else {
-            let held = jcr.group.charged();
+            // A staged JCR holds records only: each entry is charged.
+            let held = jcr.group.entries().len();
             self.cost_pair(ga, gb, &mut jcr.group, &mut stage.costing);
-            self.memo.built_mut().recharge(held, jcr.group.charged());
+            let holds = jcr.group.entries().len();
+            debug_assert_eq!(holds, jcr.group.charged(), "a staged JCR holds records");
+            self.memo.built_mut().recharge(held, holds);
         }
     }
 
@@ -1440,7 +1580,7 @@ impl<'a> EnumContext<'a> {
                 let (a, b) = (self.memo.at(a), self.memo.at(b));
                 let facts = self.pair_facts(a, b);
                 let (a_b, b_a) = self.pair_terms(a, b, &facts, out_rows);
-                let merges = !facts.classes.as_slice().is_empty();
+                let merges = !facts.merges.as_slice().is_empty();
                 let (cost_a, cost_b) = (a.best_cost(), b.best_cost());
                 cheapest_method(&a_b, cost_a, cost_b, merges)
                     .min(cheapest_method(&b_a, cost_b, cost_a, merges))
@@ -1642,6 +1782,61 @@ mod tests {
         assert_eq!(f32_at_most(f64::INFINITY), f32::INFINITY);
     }
 
+    /// The tight floor is a floor because [`cheapest_method`] prices each
+    /// method as `JoinTerms` does, inputs first and then each term, left
+    /// to right: on these hand-picked costs, summing the inputs before the
+    /// terms, or the terms before the inputs, rounds to other bits, and
+    /// the floor must be the cheapest method's cost exactly.
+    #[test]
+    fn the_cheapest_method_sums_as_the_methods_do() {
+        use sdp_cost::{CostParams, JoinSide};
+        let params = CostParams::default();
+        let side = |rows| JoinSide::new(rows, 120.0, &params);
+        let probe = IndexProbe::new(3.0e6, 4.0e4, &params);
+        let inputs = [
+            (1e17 / 3.0, 7e15 / 3.0),
+            (2.0_f64.powi(54) + 4.0, 1e15 + 0.5),
+            (123_456.789, 9.87e16),
+            (5e15 + 1.0, 5e15 - 1.0),
+        ];
+        let (mut inputs_first, mut terms_first) = (false, false);
+        for (outer_rows, inner_rows) in [(1.0e6, 3.0e6), (37.0, 1.1e5), (2.5e5, 7.0)] {
+            for index in [None, Some(probe)] {
+                let (outer, inner) = (side(outer_rows), side(inner_rows));
+                let terms = JoinTerms::new(&outer, &inner, 3e-6, 7.5e5, index, &params);
+                for (o, i) in inputs {
+                    for merges in [false, true] {
+                        let methods = [
+                            Some(terms.nested_loop(o, i)),
+                            Some(terms.hash(o, i)),
+                            merges.then(|| terms.merge(o, i, true, true)),
+                            terms.index_nested_loop(o),
+                        ];
+                        let least = methods.into_iter().flatten().fold(f64::INFINITY, f64::min);
+                        let floor = cheapest_method(&terms, o, i, merges);
+                        assert_eq!(floor.to_bits(), least.to_bits(), "{o} ⋈ {i}");
+                        // The same methods, the other two ways round.
+                        let reordered = |sum: &dyn Fn(f64) -> f64| {
+                            let methods = [
+                                Some(sum(terms.nested_loop(0.0, 0.0))),
+                                Some(sum(terms.hash(0.0, 0.0))),
+                                merges.then(|| sum(terms.merge(0.0, 0.0, true, true))),
+                                terms.index_nested_loop(0.0).map(|probes| o + probes),
+                            ];
+                            methods.into_iter().flatten().fold(f64::INFINITY, f64::min)
+                        };
+                        inputs_first |= reordered(&|t| (o + i) + t).to_bits() != least.to_bits();
+                        terms_first |= reordered(&|t| t + o + i).to_bits() != least.to_bits();
+                    }
+                }
+            }
+        }
+        assert!(
+            inputs_first && terms_first,
+            "the costs tell the orders apart"
+        );
+    }
+
     fn ctx_fixture<'a>(query: &'a Query, model: &'a CostModel<'a>) -> EnumContext<'a> {
         EnumContext::new(query, model, Budget::unlimited())
     }
@@ -1755,7 +1950,13 @@ mod tests {
                 .collect();
             classes.sort_unstable();
             classes.dedup();
-            assert_eq!(facts.classes.as_slice(), classes);
+            let merges: Vec<Merge> = (classes.into_iter())
+                .map(|class| Merge {
+                    class,
+                    ordering: ctx.useful_ordering(Some(class), a | b),
+                })
+                .collect();
+            assert_eq!(facts.merges.as_slice(), merges);
             for (outer, inner, index) in [(a, b, facts.b_index), (b, a, facts.a_index)] {
                 let usable = inner.len() == 1
                     && graph.crossing_edges(outer, inner).any(|e| {
@@ -1874,9 +2075,65 @@ mod tests {
         }
     }
 
+    /// Where one edge crosses a pair, its facts are read from the run
+    /// tables (`EnumContext::lone_facts`) rather than gathered by the
+    /// crossing loop, which the reference mode runs too: the two must
+    /// agree bit for bit on every pair of connected sets a level scans,
+    /// both ways round, on the exactness harness's graphs — more than 64
+    /// edges and closure cliques among them.
+    #[test]
+    fn lone_edge_facts_are_the_crossing_loops() {
+        use crate::dp::run_levels;
+        use crate::enumerate::LevelScan;
+        use crate::exactness::cases;
+        use proptest::prelude::*;
+
+        let cat = Catalog::paper();
+        let model = CostModel::with_defaults(&cat);
+        let mut rng = proptest::TestRng::from_name("lone-edge facts");
+        let (mut lone, mut looped, mut wide) = (0, 0, 0);
+        for _ in 0..48 {
+            let case = cases().sample(&mut rng);
+            let (query, n) = (&case.query, case.query.graph.len());
+            wide += usize::from(query.graph.edges().len() > 64);
+            let mut ctx = ctx_fixture(query, &model);
+            (0..n).for_each(|node| ctx.ensure_base_group(node));
+            let atoms: Vec<RelSet> = (0..n).map(RelSet::single).collect();
+            let table = run_levels(&mut ctx, &atoms, n).unwrap();
+            let (mut scan, mut pairs) = (LevelScan::new(n), Vec::new());
+            for s in 2..=n {
+                scan.level_pairs(&table, s, &mut pairs);
+                for &(a, b) in &pairs {
+                    let (a, b) = (ctx.memo.at(a), ctx.memo.at(b));
+                    for (a, b) in [(a, b), (b, a)] {
+                        let crossing = query.graph.crossing_edges(a.set, b.set).count();
+                        let edge = ctx.lone_crossing(a, b);
+                        assert_eq!(edge.is_some(), crossing == 1, "{:?} ⋈ {:?}", a.set, b.set);
+                        let Some(edge) = edge else {
+                            looped += 1;
+                            continue;
+                        };
+                        lone += 1;
+                        let (fast, general) =
+                            (ctx.lone_facts(edge, a, b), ctx.crossing_facts(a, b));
+                        let facts = |f: &PairFacts| {
+                            let merges = f.merges.as_slice().to_vec();
+                            (f.crossing_sel.to_bits(), merges, f.a_index, f.b_index)
+                        };
+                        assert_eq!(facts(&fast), facts(&general), "{:?} ⋈ {:?}", a.set, b.set);
+                    }
+                }
+            }
+        }
+        assert!(
+            lone > 0 && looped > 0 && wide > 0,
+            "{lone} lone, {looped} looped, {wide} wide"
+        );
+    }
+
     #[test]
     fn crossing_classes_stay_sorted_and_distinct_past_the_inline_buffer() {
-        let mut classes = CrossingClasses::new();
+        let mut classes = ClassSet::new();
         // 0, 7, 14, … mod 40 visits every residue once, out of order;
         // the second lap repeats them all.
         let inserted: Vec<ClassId> = (0..80).map(|k| k * 7 % 40).collect();
@@ -1886,6 +2143,7 @@ mod tests {
             expected.sort_unstable();
             expected.dedup();
             assert_eq!(classes.as_slice(), expected);
+            assert!((0..40).all(|c: ClassId| classes.contains(c) == expected.contains(&c)));
         }
         assert_eq!(classes.as_slice().len(), 40);
     }

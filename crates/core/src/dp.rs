@@ -909,6 +909,44 @@ mod tests {
             assert!(served.1.len() > 1, "DP's level 2 and SDP's levels");
             assert_eq!(served, unaware);
         }
+
+        /// The books of bounded DP, exactly: the exactness harness holds
+        /// them only at or under the unbounded run's. Seed-7 Star-9 (the
+        /// instance `explain_analyze_reports_rung_and_levels` reports),
+        /// the first seed-7 Star-12 whose hub joins on its indexed
+        /// column, and an ordered seed-7 Star-Chain-14.
+        #[test]
+        fn bounded_dp_books_are_pinned() {
+            let cat = Catalog::paper();
+            let model = CostModel::with_defaults(&cat);
+            let star_12 = QueryGenerator::new(&cat, Topology::Star(12), 7);
+            let hub_index = (0..)
+                .map(|k| star_12.instance(k))
+                .find(|q| {
+                    let indexed = cat.relation(q.graph.relation(0)).unwrap().indexed_column;
+                    (q.graph.edges().iter())
+                        .flat_map(|e| [e.left, e.right])
+                        .any(|c| c.node == 0 && c.col == indexed)
+                })
+                .unwrap();
+            let cases = [
+                (
+                    QueryGenerator::new(&cat, Topology::Star(9), 7).instance(0),
+                    (2_971, 943, 810),
+                ),
+                (hub_index, (13_695, 12_603, 2_562)),
+                (
+                    QueryGenerator::new(&cat, Topology::star_chain(14), 7).ordered_instance(0),
+                    (45_654, 31_048, 9_552),
+                ),
+            ];
+            for (q, books) in cases {
+                let mut ctx = EnumContext::new(&q, &model, Budget::unlimited());
+                optimize_dp(&mut ctx).unwrap();
+                let run = (ctx.plans_costed, ctx.ruled_out, ctx.dominated);
+                assert_eq!(run, books, "{}", q.graph.len());
+            }
+        }
     }
 
     /// Plans are records until one is served. Two things must not

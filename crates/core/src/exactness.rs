@@ -53,8 +53,8 @@ fn exact_sum() -> CostParams {
 
 /// A drawn graph and its cost setting.
 #[derive(Debug)]
-struct Case {
-    query: Query,
+pub(crate) struct Case {
+    pub(crate) query: Query,
     topology: Topology,
     /// Costed under [`exact_sum`] rather than the defaults.
     exact: bool,
@@ -86,7 +86,7 @@ impl Case {
 /// catalog's largest relations, [`widen`]ed by closure-inferred cliques
 /// and, in half the cases, local predicates; node 0 may join node 1 on
 /// its indexed column, or both on their indexed columns.
-fn cases() -> impl Strategy<Value = Case> {
+pub(crate) fn cases() -> impl Strategy<Value = Case> {
     let graph = (0usize..5, 3usize..=10, any::<u64>(), any::<bool>());
     let extras = (
         prop::collection::vec(any::<u64>(), 0usize..=4),

@@ -397,9 +397,21 @@ impl Group {
             .expect("group has at least one plan")
     }
 
-    /// Cost of the cheapest plan.
+    /// Cost of the cheapest plan: [`Group::best`]'s, in one pass over
+    /// the costs.
+    ///
+    /// # Panics
+    /// As [`Group::best`]: if the group is empty, or a cost it compares
+    /// is NaN.
     pub fn best_cost(&self) -> f64 {
-        self.best().cost
+        let (first, rest) = (self.entries().split_first()).expect("group has at least one plan");
+        let mut least = first.cost;
+        for e in rest {
+            if e.cost.partial_cmp(&least).expect("finite costs").is_lt() {
+                least = e.cost;
+            }
+        }
+        least
     }
 
     /// Cheapest plan whose output carries the given order class.

@@ -93,6 +93,47 @@ impl JoinSide {
     }
 }
 
+/// The [`JoinMethod::IndexNestedLoop`] alternative of one `outer ⋈
+/// inner` orientation: the probes of the inner's index, one per outer
+/// row, and the output's emission. The one formula of the method:
+/// [`JoinTerms::index_nested_loop`] prices through it, and an enumerator
+/// that can retain no other method of the orientation builds it alone.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IndexLoop {
+    probes: f64,
+    emit: f64,
+}
+
+impl IndexLoop {
+    /// The index nested loop of an outer of `outer_rows` rows over an
+    /// inner of `inner_rows`, probed through `index` (the inner is a
+    /// base relation indexed on a join column): each probe matches the
+    /// inner's rows at the joint selectivity `crossing_sel` of the
+    /// edges connecting them, at least a millionth of a row; the output
+    /// has `out_rows` rows.
+    pub fn new(
+        outer_rows: f64,
+        inner_rows: f64,
+        crossing_sel: f64,
+        out_rows: f64,
+        index: &IndexProbe,
+        params: &CostParams,
+    ) -> Self {
+        let matched = (inner_rows * crossing_sel).max(1e-6);
+        IndexLoop {
+            probes: outer_rows * index.cost(matched, params),
+            emit: out_rows * params.cpu_tuple_cost,
+        }
+    }
+
+    /// Cost over an outer plan of `outer_cost`: the inner plan is
+    /// replaced by the probes, so its cost does not enter.
+    #[inline]
+    pub fn cost(&self, outer_cost: f64) -> f64 {
+        outer_cost + self.probes + self.emit
+    }
+}
+
 /// The terms of every join method's cost that depend only on the two
 /// JCRs joined, not on which of their plans is: each method costs
 /// `outer.cost + inner.cost +` such terms, so an enumerator costing
@@ -120,8 +161,8 @@ pub struct JoinTerms {
     emit: f64,
     nl_materialize: f64,
     nl_compare: f64,
-    /// `outer.rows` probes of the inner index, when there is one.
-    inl_probes: Option<f64>,
+    /// The index nested loop, when the inner has an index to probe.
+    index_loop: Option<IndexLoop>,
     hash_build: f64,
     hash_probe: f64,
     hash_spill: f64,
@@ -149,9 +190,15 @@ impl JoinTerms {
             emit: out_rows * params.cpu_tuple_cost,
             nl_materialize: inner.rows * params.cpu_tuple_cost,
             nl_compare: outer.rows * inner.rows * params.cpu_operator_cost,
-            inl_probes: inner_index.map(|index| {
-                let matched = (inner.rows * crossing_sel).max(1e-6);
-                outer.rows * index.cost(matched, params)
+            index_loop: inner_index.map(|index| {
+                IndexLoop::new(
+                    outer.rows,
+                    inner.rows,
+                    crossing_sel,
+                    out_rows,
+                    &index,
+                    params,
+                )
             }),
             hash_build: inner.rows * params.cpu_operator_cost * 2.0,
             hash_probe: outer.rows * params.cpu_operator_cost,
@@ -193,7 +240,7 @@ impl JoinTerms {
     /// [`JoinTerms::index_nested_loop`] yields an alternative.
     #[inline]
     pub fn probes_index(&self) -> bool {
-        self.inl_probes.is_some()
+        self.index_loop.is_some()
     }
 
     /// Cost of the [`JoinMethod::IndexNestedLoop`] alternative (the
@@ -201,8 +248,8 @@ impl JoinTerms {
     /// enter); `None` without an inner index.
     #[inline]
     pub fn index_nested_loop(&self, outer_cost: f64) -> Option<f64> {
-        self.inl_probes
-            .map(|probes| outer_cost + probes + self.emit)
+        self.index_loop
+            .map(|index_loop| index_loop.cost(outer_cost))
     }
 
     /// Cost of the [`JoinMethod::Hash`] alternative.

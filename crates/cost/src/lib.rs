@@ -33,7 +33,7 @@ mod params;
 mod scan;
 
 pub use estimate::Estimator;
-pub use join::{JoinMethod, JoinSide, JoinTerms};
+pub use join::{IndexLoop, JoinMethod, JoinSide, JoinTerms};
 pub use model::CostModel;
 pub use params::CostParams;
 pub use scan::{
